@@ -74,9 +74,13 @@ bench-smoke:
 
 # Scheduler-core wall-clock benchmarks: the measurement rail for the
 # zero-allocation event loop. 0 allocs/op on BenchmarkSimCore is an
-# invariant (also enforced statically by the hotalloc analyzer).
+# invariant (also enforced statically by the hotalloc analyzer). Run at
+# GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
+# ping-pong that is steadily slower at 2 than at 1 means rank switches are
+# going through the Go scheduler again. Three runs each, because the first
+# run of a process at GOMAXPROCS=2 sometimes reads ~50 % high on its own.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock' -benchmem ./internal/simnet ./
+	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
 
 # Scheduler-core snapshot; events/virtual_ns are deterministic, wall fields
 # are machine-dependent (see the note field in the JSON).

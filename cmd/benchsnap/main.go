@@ -302,8 +302,8 @@ func sweepWallClock(w io.Writer) error {
 		}
 		walls[i] = time.Since(start)
 	}
-	fmt.Fprintf(w, "  \"sweep_wall_clock\": {\"suite\": \"ext-init\", \"quick\": true, \"gomaxprocs\": %d, \"wall_ns_j1\": %d, \"wall_ns_jmax\": %d, \"speedup\": %.2f},\n",
-		maxJ, walls[0].Nanoseconds(), walls[1].Nanoseconds(),
+	fmt.Fprintf(w, "  \"sweep_wall_clock\": {\"suite\": \"ext-init\", \"quick\": true, \"cores\": %d, \"gomaxprocs\": %d, \"wall_ns_j1\": %d, \"wall_ns_jmax\": %d, \"speedup\": %.2f},\n",
+		runtime.NumCPU(), maxJ, walls[0].Nanoseconds(), walls[1].Nanoseconds(),
 		float64(walls[0])/float64(walls[1]))
 	return nil
 }

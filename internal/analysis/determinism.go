@@ -9,7 +9,7 @@ import (
 
 // DeterminismAnalyzer bans the constructs that smuggle host nondeterminism
 // into simulated code: wall-clock reads, the process-global math/rand
-// source, goroutines outside the scheduler, and locking primitives.
+// source, goroutines, and locking primitives.
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
@@ -24,8 +24,8 @@ process-global source shared with any other code in the binary (only
 naked 'go' statement creates a second runnable goroutine, so the Go
 scheduler — not simnet — decides interleaving; and sync/sync-atomic
 primitives both imply real concurrency and introduce scheduling-dependent
-blocking. internal/simnet owns the one-runnable-goroutine discipline and is
-the only package allowed 'go'; internal/tcpvia and its drivers talk to real
+blocking. No simulation package is allowed 'go', internal/simnet included
+(its processes are coroutines); internal/tcpvia and its drivers talk to real
 sockets and are exempt wholesale (see policy.go).`,
 		Run: runDeterminism,
 	}
@@ -69,7 +69,7 @@ func checkDeterminismFile(m *Module, p *Policy, pkg *Package, file *ast.File) []
 		switch node := n.(type) {
 		case *ast.GoStmt:
 			if !p.GoStmtAllowed[pkg.Rel] {
-				report(node, "go statement outside internal/simnet: only the scheduler may create goroutines (invariant: one runnable goroutine at any instant)")
+				report(node, "go statement on a simulation path: a simulation is one thread of control, and a second runnable goroutine lets the Go scheduler decide interleaving (simnet processes are coroutines; hermetic parallel jobs belong in internal/sweep)")
 			}
 		case *ast.Ident:
 			obj := pkg.Info.Uses[node]

@@ -30,9 +30,9 @@ type Policy struct {
 	// else is a simulation path where those constructs break "a run is a
 	// pure function of its Config".
 	DeterminismExempt map[string]string
-	// GoStmtAllowed lists packages that may contain `go` statements —
-	// only the scheduler itself, which owns the one-runnable-goroutine
-	// discipline.
+	// GoStmtAllowed lists non-exempt packages that may contain `go`
+	// statements. None does: simnet processes are coroutines, so even the
+	// scheduler is covered by the rule.
 	GoStmtAllowed map[string]bool
 	// WallClockBanned names the time-package functions that read or wait
 	// on the host clock. Type and conversion uses (time.Duration) stay
@@ -220,9 +220,7 @@ func DefaultPolicy() *Policy {
 			"cmd/viampi-vet":    "analysis driver; the -json timing line measures host load/analyze wall time and goes to stderr, never near a simulation path",
 			"internal/sweep":    "the one sanctioned home for naked goroutines, sync primitives, and wall-clock reads outside simulated time: jobs are hermetic whole simulations, and the index-ordered merge erases completion order, so host scheduling never reaches an artifact",
 		},
-		GoStmtAllowed: map[string]bool{
-			"internal/simnet": true,
-		},
+		GoStmtAllowed: map[string]bool{},
 		WallClockBanned: map[string]bool{
 			"Now": true, "Since": true, "Until": true, "Sleep": true,
 			"After": true, "Tick": true, "NewTicker": true, "NewTimer": true,
@@ -352,13 +350,13 @@ func DefaultPolicy() *Policy {
 			// The simnet scheduler substrate: every virtual event in every
 			// figure passes through these, so the zero-alloc property the
 			// BenchmarkSimCore rail measures is locked in statically here.
-			"internal/simnet.(Sim).loop":         "the event loop itself; pops, dispatches, and context-switches once per simulated event",
+			"internal/simnet.(Sim).loop":         "the event loop itself; pops and dispatches every simulated event in whichever coroutine has control",
 			"internal/simnet.(Sim).schedule":     "event admission: every timer, wake, and callback passes through",
 			"internal/simnet.(Sim).heapPush":     "4-ary heap insert on the scheduling path",
 			"internal/simnet.(Sim).heapPop":      "4-ary heap extract on the dispatch path",
 			"internal/simnet.(eventRing).push":   "same-instant FIFO admission (the Wake/Yield fast path)",
 			"internal/simnet.(eventRing).pop":    "same-instant FIFO extract",
-			"internal/simnet.(Proc).park":        "context switch out of a process; runs on every blocking primitive",
+			"internal/simnet.(Proc).park":        "runs on every blocking primitive: the event loop in place, then a return (self-wake) or a coroutine switch to Run",
 			"internal/simnet.(Proc).Sleep":       "timer-wake arm + park; the single hottest primitive in the stack",
 			"internal/simnet.(Proc).Compute":     "CPU-cost charge: timer-wake arm + park",
 			"internal/simnet.(Proc).ParkTimeout": "timeout-wake arm + park on the progress-wait path",

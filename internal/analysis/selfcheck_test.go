@@ -60,7 +60,8 @@ func TestPolicyNotStale(t *testing.T) {
 
 // TestSeededStaleEntryIsCaught plants entries pointing at code that does
 // not exist — a renamed allowlisted function, a deleted package, a
-// lock-order edge naming a removed mutex — and requires StalePolicy to
+// lock-order edge naming a removed mutex, a go-statement allowance for a
+// package that no longer starts goroutines — and requires StalePolicy to
 // name each one.
 func TestSeededStaleEntryIsCaught(t *testing.T) {
 	m := loadRepo(t)
@@ -68,12 +69,14 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 	p.MapOrderAllow["internal/via.(Port).zzRenamedAway"] = "seeded: function no longer exists"
 	p.DeterminismExempt["internal/zzdeleted"] = "seeded: package no longer exists"
 	p.LockOrderAllow["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"] = "seeded: mutex field no longer exists"
+	p.GoStmtAllowed["internal/simnet"] = true // seeded: processes are coroutines; no go statement is left
 
 	got := StalePolicy(m, p)
 	for _, wantSub := range []string{
 		`policy.MapOrderAllow["internal/via.(Port).zzRenamedAway"]`,
 		`policy.DeterminismExempt["internal/zzdeleted"]`,
 		`policy.LockOrderAllow["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"]`,
+		`policy.GoStmtAllowed["internal/simnet"]`,
 	} {
 		found := false
 		for _, w := range got {
@@ -85,8 +88,8 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 			t.Errorf("seeded stale entry not reported: want a message containing %s\ngot: %v", wantSub, got)
 		}
 	}
-	if len(got) != 3 {
-		t.Errorf("stale count: got %d, want exactly the 3 seeded entries: %v", len(got), got)
+	if len(got) != 4 {
+		t.Errorf("stale count: got %d, want exactly the 4 seeded entries: %v", len(got), got)
 	}
 }
 

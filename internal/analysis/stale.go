@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/types"
 	"sort"
 	"strings"
@@ -9,10 +10,10 @@ import (
 
 // StalePolicy returns one message per policy entry that no longer matches
 // any code in the module: an allowlisted function that was renamed or
-// deleted, an excused package that no longer exists, a lock-order edge
-// naming a removed mutex. A suppression that outlives its justification is
-// a hole in the invariant it excuses, so the driver warns on these and the
-// selfcheck test fails on them.
+// deleted, an excused package that no longer exists or no longer contains
+// what it was excused for, a lock-order edge naming a removed mutex. A
+// suppression that outlives its justification is a hole in the invariant it
+// excuses, so the driver warns on these and the selfcheck test fails on them.
 //
 // Only module-referencing entries are checked. Name lists that refer to the
 // standard library (WallClockBanned, RandConstructors) and numeric
@@ -64,6 +65,11 @@ func StalePolicy(m *Module, p *Policy) []string {
 	for _, rel := range sortedStrKeys(p.DeterminismExempt) {
 		if !pkgExists(rel) {
 			report("DeterminismExempt", rel, "package")
+		}
+	}
+	for _, rel := range sortedBoolKeys(p.GoStmtAllowed) {
+		if !hasGoStmt(lookupRel(m, rel)) {
+			report("GoStmtAllowed", rel, "package with a go statement")
 		}
 	}
 	for _, rel := range sortedStrKeys(p.MapOrderStrict) {
@@ -133,6 +139,21 @@ func StalePolicy(m *Module, p *Policy) []string {
 
 	sort.Strings(stale)
 	return stale
+}
+
+// hasGoStmt reports whether any non-test file of pkg starts a goroutine.
+func hasGoStmt(pkg *Package) bool {
+	found := false
+	if pkg != nil {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				_, isGo := n.(*ast.GoStmt)
+				found = found || isGo
+				return !found
+			})
+		}
+	}
+	return found
 }
 
 // constExists reports whether "rel/pkg.Name" names a package-level constant.

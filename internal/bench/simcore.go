@@ -47,8 +47,9 @@ func SimCoreSleepCycle(procs, cycles int) (SimCoreResult, error) {
 }
 
 // SimCoreParkWake runs rounds ping-pong rounds between two processes using
-// raw Park/Wake: the cross-goroutine handoff path (one buffered channel send
-// per switch) with no timers involved beyond the wake events themselves.
+// raw Park/Wake: the cross-process handoff path (a yield to Run and a resume
+// of the woken process per switch) with no timers involved beyond the wake
+// events themselves.
 func SimCoreParkWake(rounds int) (SimCoreResult, error) {
 	s := simnet.New(1)
 	var a, b *simnet.Proc

@@ -5,11 +5,11 @@ import (
 )
 
 // BenchmarkSimCore is the scheduler's steady-state cycle: a process arms a
-// timer, parks, the scheduler pops the wake event and context-switches the
-// process back in. One iteration = one Sleep cycle (timer push, heap pop,
-// dispatch, park) — the unit every MPI call, progress poll, and device
-// event in this repo is built from. The acceptance bar is 0 allocs/op; the
-// events/s metric is the repo's core speed limit.
+// timer, parks, pops its own wake event in place and carries on (the
+// self-wake fast path: no switch). One iteration = one Sleep cycle (timer
+// push, heap pop, dispatch, park) — the unit every MPI call, progress poll,
+// and device event in this repo is built from. The acceptance bar is 0
+// allocs/op; the events/s metric is the repo's core speed limit.
 func BenchmarkSimCore(b *testing.B) {
 	b.ReportAllocs()
 	s := New(1)
@@ -30,7 +30,7 @@ func BenchmarkSimCore(b *testing.B) {
 
 // BenchmarkSimCoreParkWake measures the cross-process wake path: two
 // processes ping-ponging Park/Wake at the same instant, no timers involved.
-// One iteration = one full round trip (two wakes, two context switches).
+// One iteration = one full round trip (two wakes, two handoffs through Run).
 func BenchmarkSimCoreParkWake(b *testing.B) {
 	b.ReportAllocs()
 	s := New(1)

@@ -1,8 +1,8 @@
 // Package simnet provides a deterministic discrete-event simulator with
-// cooperative, goroutine-backed processes.
+// cooperative, coroutine-backed processes.
 //
-// The simulator owns a virtual clock. Exactly one goroutine — either the
-// scheduler or a single simulated process — runs at any instant, so simulated
+// The simulator owns a virtual clock. A simulation is one logical thread:
+// Run's caller and the processes are coroutines of each other, so simulated
 // code needs no locking and every run with the same seed is bit-identical.
 // Processes advance the clock only through blocking primitives (Sleep,
 // Compute, Park*); everything else executes in zero virtual time.
@@ -16,6 +16,7 @@ package simnet
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -143,39 +144,35 @@ func (r *eventRing) grow() {
 // Sim is a single-threaded discrete-event simulation.
 // Create one with New, add processes with Spawn, then call Run.
 //
-// The event loop is not pinned to a scheduler goroutine: it migrates onto
-// whichever goroutine currently has control (direct handoff). When a process
-// parks, its own goroutine keeps popping and executing events; if the next
-// wake is its own it simply returns from park with no synchronization at
-// all, and a switch to a different process costs a single buffered channel
-// send. Exactly one goroutine runs at any instant either way.
+// Each process is an iter.Pull coroutine of the goroutine that called Run,
+// and the event loop runs on whichever of them has control. A process that
+// parks keeps popping and executing events itself; if the next wake is its
+// own it returns from park with no switch at all, otherwise it yields to
+// Run, which resumes the woken process: two coroutine switches, never a
+// trip through the Go scheduler.
 type Sim struct {
 	now      Time
 	seq      uint64
 	heap     []event   // 4-ary min-heap on (at, seq): future events
 	ready    eventRing // FIFO of events at the current instant
 	procs    []*Proc
-	done     chan struct{} // signals Run when the loop terminates off-goroutine
-	runErr   error         // Run's result, set where termination is detected
+	target   *Proc // process Run must resume next; set by loop on a handoff
 	running  bool
 	live     int // processes spawned and not yet finished
 	failure  error
 	deadline Time // 0 means none
 	rng      *rand.Rand
-	seed     int64
 	obsBus   *obs.Bus
 
-	// EventCount is the total number of events dispatched so far.
-	EventCount uint64
+	// EventCount is the total number of events dispatched so far. Handoffs
+	// counts those that moved control to another process (starts and wakes);
+	// SelfWakes counts wakes a parked process dispatched for itself.
+	EventCount, Handoffs, SelfWakes uint64
 }
 
 // New creates an empty simulation whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		done: make(chan struct{}, 1),
-		rng:  rand.New(rand.NewSource(seed)),
-		seed: seed,
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -287,16 +284,22 @@ func (s *Sim) Failf(format string, args ...interface{}) {
 	}
 }
 
-// Proc is a simulated process: a goroutine that runs only when the scheduler
+// Proc is a simulated process: a coroutine that runs only when the scheduler
 // hands it control, and returns control whenever it blocks in virtual time.
 type Proc struct {
-	sim    *Sim
-	id     int
-	name   string
-	resume chan wake
+	sim  *Sim
+	id   int
+	name string
+	fn   func(p *Proc)
+	// The coroutine, created at first dispatch: Run resumes the process with
+	// next, the process gives control back with yield, and stop unwinds it.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	parked   bool
 	parkSeq  uint64 // increments every park; stale wake events are ignored
+	timedOut bool   // the wake that ended the last park was a timeout
 	finished bool
 
 	busy  Duration // total time charged via Compute
@@ -306,7 +309,8 @@ type Proc struct {
 	userData interface{}
 }
 
-type wake struct{ timedOut bool }
+// unwound is the private panic that unwinds a process Run has released.
+type unwound struct{}
 
 // ID returns the process's index in spawn order.
 func (p *Proc) ID() int { return p.id }
@@ -336,60 +340,54 @@ func (p *Proc) IdleTime() Duration { return p.idle }
 // Spawn creates a process that will begin executing fn at time start.
 // It may be called before Run or from inside the simulation.
 func (s *Sim) Spawn(name string, start Time, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		id:     len(s.procs),
-		name:   name,
-		resume: make(chan wake, 1),
-	}
+	p := &Proc{sim: s, id: len(s.procs), name: name, fn: fn}
 	s.procs = append(s.procs, p)
 	s.live++
-	go func() {
-		w := <-p.resume // wait for first dispatch
-		_ = w
+	s.seq++
+	s.schedule(event{at: start, seq: s.seq, kind: evProcStart, proc: p})
+	return p
+}
+
+// start creates p's coroutine when Run first resumes it (once per process).
+func (p *Proc) start() {
+	s := p.sim
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
+			r := recover()
+			if _, released := r.(unwound); released {
+				return // Run returned with p still parked
+			}
+			if r != nil {
 				s.Failf("process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
 			s.obsBus.Emit(obs.Event{T: int64(s.now), Kind: obs.EvProcEnd,
 				Rank: int32(p.id), Peer: -1, Name: p.name})
 			p.finished = true
 			s.live--
-			// This goroutine holds the token; keep the simulation moving
-			// until it hands off or terminates, then exit.
-			if s.loop(nil, nil) == exitDone {
-				s.done <- struct{}{}
-			}
+			s.loop(nil) // dispatch until a handoff or the end, then back to Run
 		}()
-		fn(p)
-	}()
-	s.seq++
-	s.schedule(event{at: start, seq: s.seq, kind: evProcStart, proc: p})
-	return p
+		p.fn(p)
+	})
 }
 
 // park blocks the calling process until a wake event resumes it. It must be
-// called from process context. The parking goroutine keeps running the event
-// loop itself: if the next wake is its own it returns without any channel
-// operation (the same-goroutine fast path), otherwise it hands the token to
-// the woken process and blocks until its own turn comes back.
-func (p *Proc) park() wake {
+// called from process context. The process keeps running the event loop
+// itself: if the next wake is its own it returns without a switch (the
+// self-wake fast path); otherwise it yields to Run, which resumes the woken
+// process or, when the run is over, returns and unwinds this one.
+func (p *Proc) park() {
 	s := p.sim
+	if !s.running {
+		panic(unwound{}) // a deferred call blocked while p was being unwound
+	}
 	p.parked = true
 	p.parkSeq++
 	start := s.now
-	var w wake
-	switch s.loop(p, &w) {
-	case exitSelfWake:
-		// w set by loop; the token never left this goroutine.
-	case exitHandoff:
-		w = <-p.resume
-	case exitDone:
-		s.done <- struct{}{}
-		w = <-p.resume // Run returned; resumes only if a later Run wakes us
+	if !s.loop(p) && !p.yield(struct{}{}) {
+		panic(unwound{}) // Run returned while p was parked
 	}
 	p.idle += s.now.Sub(start)
-	return w
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -435,8 +433,8 @@ func (p *Proc) ParkTimeout(d Duration) bool {
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerTimeout,
 		proc: p, parkSeq: p.parkSeq + 1})
-	w := p.park()
-	return !w.timedOut
+	p.park()
+	return !p.timedOut
 }
 
 // Wake schedules p to resume at the current virtual time (plus optional
@@ -460,22 +458,14 @@ func (p *Proc) WakeAfter(d Duration) {
 // before the process continues. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// loopExit says why the event loop returned on this goroutine.
-type loopExit uint8
-
-const (
-	exitSelfWake loopExit = iota // the caller's own wake fired; *w is set
-	exitHandoff                  // the token moved to another process
-	exitDone                     // the run terminated; s.runErr is set
-)
-
-// loop pops and executes events on the calling goroutine until control must
-// move elsewhere. self is the process that just parked on this goroutine
-// (nil when called from Run or a finished process's goroutine); when self's
-// own wake comes up the loop stores the wake in *w and returns exitSelfWake
-// without touching a channel. Timer wakes and process starts are dispatched
-// from the event value itself; only evFunc calls through a func value.
-func (s *Sim) loop(self *Proc, w *wake) loopExit {
+// loop pops and executes events in the calling coroutine until control must
+// move elsewhere. self is the process that just parked (nil when called from
+// Run or a finished process). It returns true when self's own wake came up:
+// the process carries on with no switch. It returns false when control must
+// go back to Run, either to resume s.target or, with s.target nil, because
+// the run is over (stopError says why). Timer wakes and process starts are
+// dispatched from the event value itself; only evFunc calls a func value.
+func (s *Sim) loop(self *Proc) bool {
 	for s.failure == nil {
 		var ev event
 		switch {
@@ -488,14 +478,12 @@ func (s *Sim) loop(self *Proc, w *wake) loopExit {
 		case len(s.heap) > 0:
 			next := s.heap[0].at
 			if s.deadline != 0 && next > s.deadline {
-				s.runErr = s.deadlineError(next)
-				return exitDone
+				return false
 			}
 			s.now = next
 			ev = s.heapPop()
 		default:
-			s.runErr = s.stopError()
-			return exitDone
+			return false
 		}
 		s.EventCount++
 		switch ev.kind {
@@ -505,37 +493,35 @@ func (s *Sim) loop(self *Proc, w *wake) loopExit {
 			p := ev.proc
 			if p.parked && p.parkSeq == ev.parkSeq {
 				p.parked = false
-				wk := wake{timedOut: ev.kind == evTimerTimeout}
+				p.timedOut = ev.kind == evTimerTimeout
 				if p == self {
-					*w = wk
-					return exitSelfWake
+					s.SelfWakes++
+					return true
 				}
-				p.resume <- wk // buffered: p is blocked receiving
-				return exitHandoff
+				s.target = p
+				s.Handoffs++
+				return false
 			}
 		case evProcStart:
 			p := ev.proc
 			s.obsBus.Emit(obs.Event{T: int64(s.now), Kind: obs.EvProcStart,
 				Rank: int32(p.id), Peer: -1, Name: p.name})
-			p.parked = false
-			p.resume <- wake{}
-			return exitHandoff
+			s.target = p
+			s.Handoffs++
+			return false
 		}
 	}
-	s.runErr = s.failure
-	return exitDone
+	return false
 }
 
-// deadlineError reports the deadline trip (cold path, off the event loop).
-func (s *Sim) deadlineError(next Time) error {
-	return fmt.Errorf("simnet: deadline %v exceeded: next event at t=%v", s.deadline, next)
-}
-
-// stopError classifies an empty event queue: clean completion, a recorded
-// failure, or a deadlock with live processes (cold path, off the event loop).
+// stopError says why the loop stopped: a recorded failure, an event past the
+// deadline (all it ever leaves queued), a deadlock, or clean completion.
 func (s *Sim) stopError() error {
 	if s.failure != nil {
 		return s.failure
+	}
+	if len(s.heap) > 0 {
+		return fmt.Errorf("simnet: deadline %v exceeded: next event at t=%v", s.deadline, s.heap[0].at)
 	}
 	if s.live > 0 {
 		var stuck []string
@@ -557,21 +543,33 @@ func (s *Sim) stopError() error {
 //
 // Deadline semantics: the deadline error fires before executing any event
 // scheduled after the deadline, and that event is left unconsumed; an event
-// at exactly the deadline still runs.
+// at exactly the deadline still runs. Queued events survive a returned Run
+// (clear the deadline and call Run again); parked processes do not: they
+// are unwound without running further, and their queued wakes are dropped.
 func (s *Sim) Run() error {
 	if s.running {
 		return fmt.Errorf("simnet: Run called re-entrantly")
 	}
 	s.running = true
-	defer func() { s.running = false }()
-	s.runErr = nil
-
-	if s.loop(nil, nil) == exitHandoff {
-		// The token is out among the processes; whichever goroutine detects
-		// termination signals done after setting runErr.
-		<-s.done
+	defer func() {
+		s.running = false
+		for _, p := range s.procs {
+			if p.next != nil && !p.finished {
+				p.parked = false // drop its queued wakes
+				p.stop()         // park panics unwound; start recovers it
+			}
+		}
+	}()
+	s.loop(nil) // whoever gives control back has set s.target or ended the run
+	for s.target != nil {
+		p := s.target
+		s.target = nil
+		if p.next == nil {
+			p.start()
+		}
+		p.next()
 	}
-	return s.runErr
+	return s.stopError()
 }
 
 // Procs returns all processes ever spawned, in spawn order.

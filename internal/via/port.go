@@ -57,8 +57,9 @@ type Port struct {
 	owner *simnet.Proc
 	mem   *MemoryRegistry
 
-	vis    []*VI
-	nextVi int
+	vis     []*VI
+	nextVi  int
+	liveVIs int // VIs created and not yet closed, held under MaxVIsPerPort
 
 	outgoing        map[connKey]*VI // VIs with an outstanding REQ
 	pendingIncoming []*PeerRequest  // unmatched incoming REQs
@@ -182,19 +183,14 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	if p.closed {
 		return nil, ErrClosed
 	}
-	live := 0
-	for _, v := range p.vis {
-		if v != nil && v.state != ViClosed {
-			live++
-		}
-	}
-	if live >= p.net.cost.MaxVIsPerPort {
+	if p.liveVIs >= p.net.cost.MaxVIsPerPort {
 		return nil, fmt.Errorf("%w: %d", ErrTooManyVIs, p.net.cost.MaxVIsPerPort)
 	}
 	p.ChargeHost(p.net.cost.CreateViCost)
 	vi := &VI{port: p, id: p.nextVi, recvCQ: cq}
 	p.nextVi++
 	p.vis = append(p.vis, vi)
+	p.liveVIs++
 	p.net.nodes[p.node].openVIs++
 	p.stats.VisCreated++
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvViCreate,

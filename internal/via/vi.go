@@ -381,6 +381,7 @@ func (vi *VI) Close() {
 	}
 	vi.failPending(StatusDisconnected)
 	vi.state = ViClosed
+	vi.port.liveVIs--
 	vi.port.net.nodes[vi.port.node].openVIs--
 	// Like enterError: a waiter parked in WaitActivity must observe the
 	// descriptors that just failed, or it sleeps forever.

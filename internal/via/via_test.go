@@ -2,6 +2,7 @@ package via
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -577,6 +578,39 @@ func TestMaxVIsLimit(t *testing.T) {
 			}
 			if _, err := port.CreateVi(); err == nil {
 				t.Error("expected VI limit error")
+			}
+		},
+		func(p *simnet.Proc, port *Port) {})
+}
+
+// TestMaxVIsLimitAfterChurn: the limit counts live VIs, not VIs ever
+// created, and a repeated Close releases its slot only once.
+func TestMaxVIsLimitAfterChurn(t *testing.T) {
+	cost := ClanCost()
+	cost.MaxVIsPerPort = 3
+	e := newEnv(2, 1, cost)
+	e.pair(t,
+		func(p *simnet.Proc, port *Port) {
+			var live []*VI
+			for round := 0; round < 50; round++ {
+				for len(live) < 3 {
+					vi, err := port.CreateVi()
+					if err != nil {
+						t.Errorf("round %d, %d live: %v", round, len(live), err)
+						return
+					}
+					live = append(live, vi)
+				}
+				if _, err := port.CreateVi(); !errors.Is(err, ErrTooManyVIs) {
+					t.Errorf("round %d: create at the limit: got %v, want ErrTooManyVIs", round, err)
+					return
+				}
+				closing := 1 + round%3
+				for _, vi := range live[:closing] {
+					vi.Close()
+					vi.Close()
+				}
+				live = live[closing:]
 			}
 		},
 		func(p *simnet.Proc, port *Port) {})
