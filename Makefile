@@ -4,9 +4,9 @@ GO ?= go
 # byte-identical at any -j, so the default is simply all host cores.
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check fmt vet build test race analyze fsm-dot fsm-dot-check figures bench-snapshot bench-smoke bench-sim bench-sim-snapshot bench-sim-smoke fault-smoke replay-smoke scale-smoke sweep-smoke
+.PHONY: check fmt vet build test race analyze fsm-dot figures bench-snapshot bench-smoke bench-sim bench-sim-snapshot bench-sim-smoke replay-smoke scale-smoke sweep-smoke
 
-check: fmt vet build test race analyze fsm-dot-check bench-smoke bench-sim-smoke fault-smoke replay-smoke scale-smoke sweep-smoke
+check: fmt vet build test race analyze bench-smoke bench-sim-smoke replay-smoke scale-smoke sweep-smoke
 
 # gofmt -l prints offending files; any output is a failure.
 fmt:
@@ -47,17 +47,10 @@ analyze:
 
 # The connection-lifecycle diagram is generated from code (the fsm rule's
 # extraction), not hand-drawn. Regenerate after changing the VI state
-# machine; fsm-dot-check diffs the committed artifact so it cannot drift.
+# machine; TestFSMDotMatchesCommitted (run by `test`) diffs the committed
+# artifact so it cannot drift.
 fsm-dot:
 	$(GO) run ./cmd/viampi-vet -root . -fsm-dot > docs/connection-fsm.dot
-
-fsm-dot-check:
-	@tmp=$$(mktemp) || exit 1; \
-	trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/viampi-vet -root . -fsm-dot > $$tmp || exit $$?; \
-	cmp -s docs/connection-fsm.dot $$tmp || { \
-		echo "fsm-dot-check: docs/connection-fsm.dot is stale — run 'make fsm-dot' and commit the diff"; exit 1; }; \
-	echo "fsm-dot-check: committed diagram matches the extracted machine"
 
 figures:
 	$(GO) run ./cmd/figures -all -quick -j $(NPROC)
@@ -99,12 +92,6 @@ bench-sim-smoke:
 # up here as a timeout, not a slow drift.
 scale-smoke:
 	$(GO) test ./internal/mpi -run 'TestOnDemandRing1024Sparse|TestOnDemandRing2048Sparse|TestStartupEventsLinear' -count=1 -timeout 120s
-
-# Connection-fault matrix and eviction round-trip, run uncached: the fault
-# injector and the VI-cap evictor must heal every run without losing or
-# reordering a message.
-fault-smoke:
-	$(GO) test ./internal/mpi -run 'TestFaultMatrix|TestEviction' -count=1
 
 # Capture/replay round trip on the real binaries: record a run, re-render
 # the trace offline, require byte identity with the live artifact, then

@@ -64,17 +64,17 @@ func main() {
 		Seed:     *seed,
 		Deadline: 8 * 3600 * simnet.Second,
 	}
-	var rec *trace.Recorder
-	if *matrix {
-		rec = trace.New(*np, false)
-		cfg.Trace = rec
-	}
 	cfg.Profile = *profile
 
+	var rec *trace.Recorder
 	var flight *obs.Recorder
 	var reg *obs.Registry
-	if *traceTo != "" || *metrics || *phases || *record != "" {
+	if *matrix || *traceTo != "" || *metrics || *phases || *record != "" {
 		cfg.Obs = obs.NewBus()
+	}
+	if *matrix {
+		rec = trace.New(*np, false)
+		rec.Attach(cfg.Obs)
 	}
 	if *traceTo != "" {
 		flight = obs.NewRecorder()

@@ -71,8 +71,8 @@ func main() {
 	policy := analysis.DefaultPolicy()
 
 	if *fsmDot {
-		// The committed docs/connection-fsm.dot is this output; make check
-		// diffs the two so the architecture diagram cannot drift from code.
+		// The committed docs/connection-fsm.dot is this output; the analysis
+		// tests diff the two so the architecture diagram cannot drift from code.
 		os.Stdout.WriteString(analysis.FSMDot(mod, policy))
 		return
 	}

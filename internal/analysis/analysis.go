@@ -3,23 +3,21 @@
 // strictly-downward package layering, and total determinism of virtual time
 // (a run is a pure function of its Config).
 //
-// Fifteen analyzers ship (see the Analyzers registry). Four are syntactic:
-// layering checks the import DAG, determinism bans
-// wall-clock/global-rand/goroutines/locks in simulated code, maporder flags
-// order-sensitive iteration over Go maps, and costcharge verifies that
-// hardware-modelling fabric calls charge host CPU cost. Four are built on
-// the intraprocedural CFG + dataflow framework in cfg.go: exhaustive
-// (switches over closed constant sets handle every member), waitwake
-// (waiter-visible state transitions wake parked waiters on every path),
-// locks (Lock/Unlock pairing and the leaf-lock contract), and hotalloc
-// (policy-annotated hot paths stay allocation-free). Four are
-// interprocedural, built on the whole-program call graph and
-// summary-propagation fixpoint in callgraph.go: lockorder (the global
-// lock-acquisition-order graph is acyclic), protocol (wire kinds sent and
-// dispatcher arms agree in both directions), chargeflow (every path from an
-// MPI entry point to a fabric transmit charges CPU cost), and wakereach (a
-// park-visible transition is reached by a wake through the call graph).
-// Three are the v4 resource-lifetime and protocol-model rules: paired
+// Thirteen analyzers ship (see the Analyzers registry), one per invariant.
+// Three are syntactic: layering checks the import DAG, determinism bans
+// wall-clock/global-rand/goroutines/locks in simulated code, and maporder
+// flags order-sensitive iteration over Go maps. Three are built on the
+// intraprocedural CFG + dataflow framework in cfg.go: exhaustive (switches
+// over closed constant sets handle every member), locks (Lock/Unlock
+// pairing and the leaf-lock contract), and hotalloc (policy-annotated hot
+// paths stay allocation-free). Four are interprocedural, built on the
+// whole-program call graph and summary-propagation fixpoint in
+// callgraph.go: lockorder (the global lock-acquisition-order graph is
+// acyclic), protocol (wire kinds sent and dispatcher arms agree in both
+// directions), chargeflow (every path from an entry point to a fabric
+// transmit charges CPU cost), and wakereach (a park-visible transition is
+// reached by a wake through the call graph). Three are the
+// resource-lifetime and protocol-model rules: paired
 // (every policy-declared acquire — pinned-memory registration, VI slots,
 // bus subscriptions, capture writers — is released on every path, with
 // escape-to-field and ownership-transfer summaries), fsm (the connection
@@ -28,10 +26,10 @@
 // deadlock-free under fault-plan loss/refusal/reordering), and seqcheck (no
 // send on a closed or evicted channel without an interposed rebind through
 // the reconnect path).
-// Legitimate exceptions live in one place, policy.go, so they are declared
-// in code review rather than scattered as comments — and the stale-policy
-// sweep (stale.go) fails the build when an exception no longer matches any
-// code.
+// Legitimate exceptions live in one table, Policy.Exceptions, so they are
+// declared in code review rather than scattered as comments — and the
+// stale-policy sweep (stale.go) fails the build when an exception no longer
+// matches any code.
 //
 // The suite is built only on the standard library (go/ast, go/parser,
 // go/token, go/types); it adds no dependency to the tree it guards. It runs
@@ -67,8 +65,22 @@ type Analyzer struct {
 	// Explain states why the rule exists, citing the ARCHITECTURE.md
 	// invariant it guards (the `viampi-vet -explain` text).
 	Explain string
+	// Subject is the kind of thing a Policy.Exceptions entry for this rule
+	// names (one of the subj* kinds); empty when the rule takes none.
+	Subject string
 	Run     func(m *Module, p *Policy) []Diagnostic
 }
+
+// The kinds of module entity a policy entry can name: the values of
+// Analyzer.Subject and of the Policy struct's `subject` tags.
+const (
+	subjFunc     = "function"
+	subjPkg      = "package"
+	subjConst    = "constant"
+	subjType     = "type"
+	subjField    = "struct field"
+	subjLockEdge = "pair of mutex fields"
+)
 
 // Analyzers is the registry, in report order.
 func Analyzers() []*Analyzer {
@@ -76,9 +88,7 @@ func Analyzers() []*Analyzer {
 		LayeringAnalyzer(),
 		DeterminismAnalyzer(),
 		MapOrderAnalyzer(),
-		CostChargeAnalyzer(),
 		ExhaustiveAnalyzer(),
-		WaitWakeAnalyzer(),
 		LocksAnalyzer(),
 		HotAllocAnalyzer(),
 		LockOrderAnalyzer(),
@@ -163,6 +173,16 @@ func typeBaseName(expr ast.Expr) string {
 	return "?"
 }
 
+// calleeName returns the policy-qualified name of the function a call
+// invokes, or "" for builtins, conversions and indirect calls.
+func calleeName(m *Module, pkg *Package, call *ast.CallExpr) string {
+	obj := calleeObject(pkg.Info, call)
+	if obj == nil {
+		return ""
+	}
+	return relQualified(m.Path, objectQualifiedName(obj))
+}
+
 // calleeObject resolves the object a call expression invokes, or nil for
 // builtins, conversions and indirect calls.
 func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
@@ -206,4 +226,14 @@ func relQualified(modPath, qualified string) string {
 		return rest
 	}
 	return qualified
+}
+
+// sortedKeys returns a map's keys in sorted order, for deterministic walks.
+func sortedKeys[V any](set map[string]V) []string {
+	var keys []string
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

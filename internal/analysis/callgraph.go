@@ -20,7 +20,7 @@ package analysis
 // it executes still belongs to the declaring function for reachability
 // purposes — a callback scheduled by F that transmits a frame is a transmit
 // F's callers can reach. Analyzers that need activation-accurate path
-// sensitivity (waitwake) keep analyzing literals as separate units; the
+// sensitivity (wakereach, locks) analyze literals as separate units; the
 // graph is about *what* can run, not *when*.
 //
 // The graph is built once per Module and cached (Module.Interproc), so the
@@ -73,6 +73,21 @@ func (m *Module) Interproc() *Interproc {
 		m.inter = buildInterproc(m)
 	}
 	return m.inter
+}
+
+// eachUnit is the one per-function driver: it visits every analyzable body in
+// the module — each declaration, then the literals inside it — in sorted key
+// order, skipping functions the policy excuses from rule.
+func (ip *Interproc) eachUnit(p *Policy, rule string, visit func(f *IPFunc, u funcUnit)) {
+	for _, key := range ip.Keys {
+		if p.excused(rule, key) {
+			continue
+		}
+		f := ip.Funcs[key]
+		for _, u := range f.Units {
+			visit(f, u)
+		}
+	}
 }
 
 // Calls returns the call sites of the named function in source order.

@@ -2,7 +2,7 @@ package analysis
 
 // cfg.go is a lightweight intraprocedural control-flow graph over go/ast,
 // built only on the standard library like the rest of the suite. It exists
-// so the path-sensitive rules (waitwake, locks) can ask "does property P
+// so the path-sensitive rules (wakereach, locks) can ask "does property P
 // hold on *every* path to return?" instead of "does P appear somewhere in
 // the body?" — the difference between catching the PR 3 VI.Close hang and
 // missing it.
@@ -417,6 +417,18 @@ func inspectSkipLits(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(n)
 	})
+}
+
+// mapStates applies f to every abstract state in a may-analysis bitset (bit
+// s set ⇔ state s reachable) and returns the resulting set.
+func mapStates(set uint64, f func(int) int) uint64 {
+	var out uint64
+	for s := 0; set>>s != 0; s++ {
+		if set&(1<<s) != 0 {
+			out |= 1 << f(s)
+		}
+	}
+	return out
 }
 
 // blockStates runs a forward may-analysis to fixpoint: the in-state of a

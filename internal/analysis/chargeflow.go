@@ -3,37 +3,38 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"sort"
 )
 
-// ChargeFlowAnalyzer is the interprocedural replacement for the syntactic
-// costcharge rule: instead of demanding that a function calling a fabric
-// entry point charges cost in the same body, it verifies that every CFG
-// path from an MPI entry point to a fabric transmit passes a CPU-cost
-// charge somewhere along the call chain — charges made inside helpers
-// count, and transmits buried inside helpers are found.
+// ChargeFlowAnalyzer verifies that every CFG path from an entry point of
+// the stack to a fabric transmit passes a CPU-cost charge somewhere along
+// the call chain — charges made inside helpers count, and transmits buried
+// inside helpers are found.
 func ChargeFlowAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "chargeflow",
-		Doc:  "every path from an MPI entry point to a fabric transmit must charge CPU cost",
+		Doc:  "every path from an entry point to a fabric transmit must charge CPU cost",
 		Explain: `docs/ARCHITECTURE.md, invariant 2 ("Costs are charged where the hardware
-pays them"): a fabric transmit (Policy.ChargeRequired: Cluster.Send,
-SendMgmt, Attach, AttachNode) models a NIC or switch doing real work, so
-any route the software takes to one must book cost against virtual time
+pays them"): host CPU costs are charged to the calling process, NIC
+service runs on per-node busy-until timelines, wire time lives in the
+fabric. A fabric transmit (Policy.ChargeRequired: Cluster.Send, SendMgmt,
+Attach, AttachNode) models a NIC or switch doing real work, so any route
+the software takes to one must book cost against virtual time
 (Policy.ChargeFuncs: ChargeHost, serviceTx/serviceRx/sendFrame,
-Compute/Sleep) or the paper's latency curves quietly understate the
-device. The costcharge rule checks this per-body, which both misses
-uncharged paths assembled across functions and cannot credit a charge
-made inside a helper. This rule computes, over the shared call graph, two
-summaries to fixpoint: alwaysCharges(F) — every path through F charges
-before returning — and uncharged(F) — some path from F's entry reaches a
-transmit (a ChargeRequired call, or a call into an uncharged callee) with
-no prior charge (a ChargeFuncs call, or a call into an alwaysCharges
-callee). A diagnostic fires for every exported function of a
-Policy.ChargeRootPkgs package — the MPI entry points — that is uncharged,
-citing the first witness site. Reviewed exceptions (the out-of-band
-bootstrap network, boot-time attach) live in Policy.ChargeFlowExempt.`,
-		Run: runChargeFlow,
+Compute/Sleep) or that work becomes free and every latency figure built on
+top quietly understates the device. This rule computes, over the shared
+call graph, two summaries to fixpoint: alwaysCharges(F) — every path
+through F charges before returning — and uncharged(F) — some path from
+F's entry reaches a transmit (a ChargeRequired call, or a call into an
+uncharged callee) with no prior charge (a ChargeFuncs call, or a call into
+an alwaysCharges callee). A diagnostic fires, citing the first witness
+site, for every uncharged entry point of a Policy.ChargeRootPkgs package
+(mpi, via, core): a function that is exported, or that nothing in the
+module calls — the scheduler and fabric callbacks, which run in their own
+activation and are reached only through function values. Reviewed
+exceptions (the out-of-band bootstrap network, boot-time attach) live
+under Policy.Exceptions["chargeflow"].`,
+		Subject: subjFunc,
+		Run:     runChargeFlow,
 	}
 }
 
@@ -50,15 +51,6 @@ type cfSite struct {
 func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 	ip := m.Interproc()
 
-	chargeCall := func(pkg *Package, call *ast.CallExpr) (qual string, charges, transmits bool) {
-		obj := calleeObject(pkg.Info, call)
-		if obj == nil {
-			return "", false, false
-		}
-		qual = relQualified(m.Path, objectQualifiedName(obj))
-		return qual, p.ChargeFuncs[qual], p.ChargeRequired[qual]
-	}
-
 	// alwaysCharges: greatest fixpoint — start optimistic, strike functions
 	// with a charge-free path to return. ChargeFuncs members are charges by
 	// definition.
@@ -66,42 +58,31 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 	for _, key := range ip.Keys {
 		always[key] = true
 	}
+	// Bit 0: no charge yet on some path. A charge on a path moves it to
+	// bit 1. Charges inside literals run in a later activation and do not
+	// count for the calling path.
+	transfer := func(pkg *Package, node ast.Node, in uint64) uint64 {
+		charged := false
+		inspectSkipLits(node, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if q := calleeName(m, pkg, call); p.ChargeFuncs[q] || (always[q] && ip.Funcs[q] != nil) {
+					charged = true
+				}
+			}
+			return true
+		})
+		if charged {
+			return mapStates(in, func(int) int { return 1 })
+		}
+		return in
+	}
 	ip.fixpoint(func(key string) bool {
 		if !always[key] || p.ChargeFuncs[key] {
 			return false
 		}
 		f := ip.Funcs[key]
-		var body *ast.BlockStmt
-		for _, u := range f.Units {
-			if u.lit == nil {
-				body = u.body
-				break
-			}
-		}
-		if body == nil {
-			return false
-		}
-		// Bit 0: no charge yet on some path. A charge on a path moves it to
-		// bit 1. Charges inside literals run in a later activation and do
-		// not count for the calling path.
-		exit := exitMayState(body, 1<<0, func(node ast.Node, in uint64) uint64 {
-			charged := false
-			inspectSkipLits(node, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if _, c, _ := chargeCall(f.Pkg, call); c {
-						charged = true
-					} else if obj := calleeObject(f.Pkg.Info, call); obj != nil {
-						if q := relQualified(m.Path, objectQualifiedName(obj)); always[q] && ip.Funcs[q] != nil {
-							charged = true
-						}
-					}
-				}
-				return true
-			})
-			if charged {
-				return lkApply(in, func(s int) int { return 1 })
-			}
-			return in
+		exit := exitMayState(f.Decl.Body, 1<<0, func(node ast.Node, in uint64) uint64 {
+			return transfer(f.Pkg, node, in)
 		})
 		if exit&(1<<0) != 0 {
 			always[key] = false
@@ -115,28 +96,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 	// depends on `always` (now fixed), so this runs once.
 	sites := map[string][]cfSite{}
 	skip := func(key string) bool {
-		if p.ChargeFuncs[key] {
-			return true
-		}
-		if _, exempt := p.ChargeFlowExempt[key]; exempt {
-			return true
-		}
-		return false
-	}
-	transfer := func(pkg *Package, node ast.Node, in uint64) uint64 {
-		charged := false
-		inspectSkipLits(node, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if q, c, _ := chargeCall(pkg, call); c || (always[q] && ip.Funcs[q] != nil) {
-					charged = true
-				}
-			}
-			return true
-		})
-		if charged {
-			return lkApply(in, func(s int) int { return 1 })
-		}
-		return in
+		return p.ChargeFuncs[key] || p.excused("chargeflow", key)
 	}
 	for _, key := range ip.Keys {
 		if skip(key) {
@@ -155,7 +115,8 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 				if !ok {
 					return true
 				}
-				qual, _, transmits := chargeCall(f.Pkg, call)
+				qual := calleeName(m, f.Pkg, call)
+				transmits := p.ChargeRequired[qual]
 				callees := resolveSiteCallees(ip, key, call)
 				if !transmits && len(callees) == 0 {
 					return true
@@ -205,17 +166,15 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 		return false
 	})
 
-	// Report the MPI entry points: exported functions of the root packages.
+	// Report the entry points of the root packages: exported functions, and
+	// functions with no module callers (callbacks handed to the scheduler or
+	// the fabric as function values, which the call graph cannot follow).
 	var ds []Diagnostic
-	var roots []string
 	for _, key := range ip.Keys {
 		f := ip.Funcs[key]
-		if f.Exported && p.ChargeRootPkgs[f.Pkg.Rel] && uncharged[key] {
-			roots = append(roots, key)
+		if !uncharged[key] || !p.ChargeRootPkgs[f.Pkg.Rel] || !(f.Exported || len(ip.Callers(key)) == 0) {
+			continue
 		}
-	}
-	sort.Strings(roots)
-	for _, key := range roots {
 		w := witness[key]
 		what := "a fabric transmit"
 		if !w.direct {
@@ -226,7 +185,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 		ds = append(ds, Diagnostic{
 			Pos:  m.Position(w.node.Pos()),
 			Rule: "chargeflow",
-			Message: fmt.Sprintf("MPI entry point %s reaches %s without charging CPU cost on some path; the transmit becomes free in virtual time — charge (ChargeHost/Compute) before it, or justify in Policy.ChargeFlowExempt",
+			Message: fmt.Sprintf("entry point %s reaches %s without charging CPU cost on some path; the transmit becomes free in virtual time — charge (ChargeHost/Compute) before it, or justify under Policy.Exceptions[\"chargeflow\"]",
 				key, what),
 		})
 	}

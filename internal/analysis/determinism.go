@@ -26,19 +26,17 @@ scheduler — not simnet — decides interleaving; and sync/sync-atomic
 primitives both imply real concurrency and introduce scheduling-dependent
 blocking. No simulation package is allowed 'go', internal/simnet included
 (its processes are coroutines); internal/tcpvia and its drivers talk to real
-sockets and are exempt wholesale (see policy.go).`,
-		Run: runDeterminism,
+sockets and are excused wholesale under Policy.Exceptions["determinism"].`,
+		Subject: subjPkg,
+		Run:     runDeterminism,
 	}
 }
 
 func runDeterminism(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
 	for _, pkg := range m.Pkgs {
-		if _, exempt := p.DeterminismExempt[pkg.Rel]; exempt {
+		if p.excused("determinism", pkg.Rel) || pkg.Info == nil { // nil Info: test-only directory
 			continue
-		}
-		if pkg.Info == nil {
-			continue // test-only directory
 		}
 		for _, file := range pkg.Files {
 			ds = append(ds, checkDeterminismFile(m, p, pkg, file)...)
@@ -68,9 +66,7 @@ func checkDeterminismFile(m *Module, p *Policy, pkg *Package, file *ast.File) []
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.GoStmt:
-			if !p.GoStmtAllowed[pkg.Rel] {
-				report(node, "go statement on a simulation path: a simulation is one thread of control, and a second runnable goroutine lets the Go scheduler decide interleaving (simnet processes are coroutines; hermetic parallel jobs belong in internal/sweep)")
-			}
+			report(node, "go statement on a simulation path: a simulation is one thread of control, and a second runnable goroutine lets the Go scheduler decide interleaving (simnet processes are coroutines; hermetic parallel jobs belong in internal/sweep)")
 		case *ast.Ident:
 			obj := pkg.Info.Uses[node]
 			if obj == nil || obj.Pkg() == nil {

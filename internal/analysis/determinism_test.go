@@ -91,8 +91,8 @@ func reportDivergence(t *testing.T, first, second []byte) {
 // on concurrent sweep workers.
 func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
 	rec := trace.New(cfg.Procs, true)
-	cfg.Trace = rec
 	cfg.Obs = obs.NewBus()
+	rec.Attach(cfg.Obs)
 	cfg.Deadline = 30 * simnet.Second
 	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
 	if err != nil {

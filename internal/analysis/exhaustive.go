@@ -39,8 +39,11 @@ switch that has not caught up; a switch is exhaustive when it names every
 member or carries an explicit default — except in Policy.ExhaustiveStrict
 functions (String methods, the Perfetto event mapper), where the default is
 an "unknown" fallback and reaching it is silent data corruption, so every
-member must be named anyway.`,
-		Run: runExhaustive,
+member must be named anyway. Sentinel constants that are not members (a
+NumPhases count) are removed from a set under
+Policy.Exceptions["exhaustive"].`,
+		Subject: subjConst,
+		Run:     runExhaustive,
 	}
 }
 
@@ -145,8 +148,8 @@ func discoverConstSets(m *Module, p *Policy) (map[string]*enumSet, map[string][]
 							continue
 						}
 						qual := pkg.Rel + "." + c.Name()
-						if _, excluded := p.EnumExclude[qual]; excluded {
-							continue
+						if p.excused("exhaustive", qual) {
+							continue // a sentinel (count, limit), not a member
 						}
 						group = append(group, c)
 					}

@@ -68,11 +68,11 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/via/seqcheck.go:29: seqcheck",       // sendAfterClose: post on the VI it just closed
 		"internal/via/seqcheck.go:38: seqcheck",       // evictMaybe: closed on the evict branch, sent after the join
 		"internal/via/via.go:6: layering",             // via imports mpi (upward)
-		"internal/via/via.go:22: costcharge",          // Cluster.Send with no charge
-		"internal/via/waitwake.go:35: waitwake",       // state flips closed, no waker on path
+		"internal/via/via.go:22: chargeflow",          // UnchargedSend: exported via entry point, Cluster.Send with no charge
+		"internal/via/via.go:39: chargeflow",          // onTimer: a callback nothing calls is an entry point too
 		"internal/via/waitwake.go:35: wakereach",      // CloseBad is exported and owes the wake itself
-		"internal/via/wakereach.go:12: waitwake",      // failQuiet flips status, wake owed to callers
-		"internal/via/wakereach.go:20: wakereach",     // AbortBad inherits the obligation, never wakes
+		"internal/via/wakereach.go:20: wakereach",     // AbortBad inherits failQuiet's obligation, never wakes
+		"internal/via/wakereach.go:57: wakereach",     // onDisconnect inherits dropQuiet's; completeQuiet's callers all wake
 	}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostic count: got %d, want %d\ngot:\n  %s", len(got), len(want), strings.Join(got, "\n  "))
@@ -93,18 +93,16 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 		"determinism": "pure function of its Config",
 		"maporder":    "sort the",
 		"layering":    "standard library or a shared leaf",
-		"costcharge":  "ChargeHost",
 		"exhaustive":  "missing cases",
-		"waitwake":    "notifyActivity",
 		"locks":       "Unlock",
 		"hotalloc":    "hot path",
 		"lockorder":   "one global order",
 		"protocol":    "handler arm",
-		"chargeflow":  "Policy.ChargeFlowExempt",
-		"wakereach":   "Policy.WakeReachAllow",
-		"paired":      "Policy.PairedAllow",
+		"chargeflow":  "ChargeHost",
+		"wakereach":   "notifyActivity",
+		"paired":      `Policy.Exceptions["paired"]`,
 		"fsm":         "wire a transition",
-		"seqcheck":    "Policy.SeqCheckAllow",
+		"seqcheck":    `Policy.Exceptions["seqcheck"]`,
 	}
 	seen := map[string]bool{}
 	for _, d := range ds {

@@ -71,7 +71,7 @@ type fsmMachine struct {
 
 func runFSM(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
-	for _, typeKey := range sortedStrKeys(p.FSMStates) {
+	for _, typeKey := range sortedKeys(p.FSMStates) {
 		mach, err := extractFSM(m, p, typeKey, p.FSMStates[typeKey])
 		if err != "" {
 			ds = append(ds, Diagnostic{Pos: m.Position(token.NoPos), Rule: "fsm", Message: err})
@@ -467,7 +467,7 @@ func FSMDot(m *Module, p *Policy) string {
 	var b strings.Builder
 	b.WriteString("// Generated by viampi-vet -fsm-dot; do not edit.\n")
 	b.WriteString("// Regenerate: go run ./cmd/viampi-vet -root . -fsm-dot > docs/connection-fsm.dot\n")
-	for _, typeKey := range sortedStrKeys(p.FSMStates) {
+	for _, typeKey := range sortedKeys(p.FSMStates) {
 		mach, errMsg := extractFSM(m, p, typeKey, p.FSMStates[typeKey])
 		if errMsg != "" {
 			fmt.Fprintf(&b, "// %s: %s\n", typeKey, errMsg)

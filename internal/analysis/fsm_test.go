@@ -8,9 +8,9 @@ import (
 )
 
 // TestFSMDotMatchesCommitted pins the generated connection-FSM diagram
-// against the committed docs/connection-fsm.dot — the in-test twin of the
-// `make fsm-dot-check` drift gate, so `go test ./...` alone catches a state
-// machine edited without regenerating the diagram.
+// against the committed docs/connection-fsm.dot (what `make fsm-dot`
+// writes), so `go test ./...` catches a state machine edited without
+// regenerating the diagram.
 func TestFSMDotMatchesCommitted(t *testing.T) {
 	m := loadRepo(t)
 	got := FSMDot(m, DefaultPolicy())

@@ -29,12 +29,12 @@ func ruleDoc() string {
 }
 
 // TestRuleDocGolden pins the -list, bare -rules, and per-rule -explain text
-// for the full 15-analyzer registry against testdata/rules.golden.
+// for the full 13-analyzer registry against testdata/rules.golden.
 // Regenerate deliberately with:
 //
 //	go test ./internal/analysis/ -run TestRuleDocGolden -update
 func TestRuleDocGolden(t *testing.T) {
-	const wantRules = 15
+	const wantRules = 13
 	if n := len(Analyzers()); n != wantRules {
 		t.Errorf("registry size: got %d analyzers, want %d", n, wantRules)
 	}

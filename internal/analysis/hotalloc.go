@@ -41,23 +41,10 @@ that kills the run may allocate on its way out.`,
 
 func runHotAlloc(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
-	for _, pkg := range m.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				name := enclosingFuncName(pkg, file, fd.Name.Pos())
-				why, hot := p.HotPaths[name]
-				if !hot {
-					continue
-				}
-				ds = append(ds, checkHotAlloc(m, p, pkg, fd, name, why)...)
-			}
+	ip := m.Interproc()
+	for _, name := range sortedKeys(p.HotPaths) {
+		if f := ip.Funcs[name]; f != nil { // a dangling entry is the stale sweep's report
+			ds = append(ds, checkHotAlloc(m, p, f.Pkg, f.Decl, name, p.HotPaths[name])...)
 		}
 	}
 	return ds
@@ -141,10 +128,8 @@ func hotAllocCheckCall(m *Module, p *Policy, pkg *Package, call *ast.CallExpr, f
 		}
 	}
 	// Cold callees may box: the call aborts or records a failure.
-	if obj := calleeObject(pkg.Info, call); obj != nil {
-		if p.ColdCalls[relQualified(m.Path, objectQualifiedName(obj))] {
-			return
-		}
+	if p.ColdCalls[calleeName(m, pkg, call)] {
+		return
 	}
 	sig, ok := pkg.Info.TypeOf(call.Fun).Underlying().(*types.Signature)
 	if !ok {

@@ -33,9 +33,10 @@ reports any cycle in the resulting graph with one witness site per edge.
 Lock identity is the declared struct field ("internal/tcpvia.(Node).mu"),
 so all instances of a field share one node — coarse, but exactly the
 granularity a lock-hierarchy contract is written at. Reviewed exceptions
-go in Policy.LockOrderAllow, keyed "A -> B", with the argument for why the
-two acquisition orders can never be live concurrently.`,
-		Run: runLockOrder,
+go under Policy.Exceptions["lockorder"], keyed "A -> B", with the argument
+for why the two acquisition orders can never be live concurrently.`,
+		Subject: subjLockEdge,
+		Run:     runLockOrder,
 	}
 }
 
@@ -168,7 +169,7 @@ func unitLockFields(m *Module, pkg *Package, u funcUnit) []string {
 func loTransfer(m *Module, pkg *Package, field string, node ast.Node, in uint64) uint64 {
 	if def, ok := node.(*ast.DeferStmt); ok {
 		if op := classifyLockOp(m, pkg, def.Call); op != nil && op.field == field && !op.lock {
-			return lkApply(in, func(s int) int { return s | lkDeferred })
+			return mapStates(in, func(s int) int { return s | lkDeferred })
 		}
 		return in
 	}
@@ -180,9 +181,9 @@ func loTransfer(m *Module, pkg *Package, field string, node ast.Node, in uint64)
 		}
 		if op := classifyLockOp(m, pkg, call); op != nil && op.field == field {
 			if op.lock {
-				out = lkApply(out, func(s int) int { return s | lkHeld })
+				out = mapStates(out, func(s int) int { return s | lkHeld })
 			} else {
-				out = lkApply(out, func(s int) int { return s &^ lkHeld })
+				out = mapStates(out, func(s int) int { return s &^ lkHeld })
 			}
 		}
 		return true
@@ -242,9 +243,9 @@ func resolveSiteCallees(ip *Interproc, key string, call *ast.CallExpr) []string 
 // witness.
 func reportLockCycles(m *Module, p *Policy, edges map[string]*loEdge) []Diagnostic {
 	succ := map[string][]string{}
-	for _, id := range sortedEdgeIDs(edges) {
+	for _, id := range sortedKeys(edges) {
 		e := edges[id]
-		if _, allowed := p.LockOrderAllow[id]; allowed {
+		if p.excused("lockorder", id) {
 			continue
 		}
 		succ[e.from] = append(succ[e.from], e.to)
@@ -280,7 +281,7 @@ func reportLockCycles(m *Module, p *Policy, edges map[string]*loEdge) []Diagnost
 		ds = append(ds, Diagnostic{
 			Pos:  m.Position(first.pos.Pos()),
 			Rule: "lockorder",
-			Message: fmt.Sprintf("lock-order cycle (potential deadlock): %s; every thread must acquire these locks in one global order — restructure, or justify in Policy.LockOrderAllow",
+			Message: fmt.Sprintf("lock-order cycle (potential deadlock): %s; every thread must acquire these locks in one global order — restructure, or justify under Policy.Exceptions[\"lockorder\"]",
 				strings.Join(parts, "; ")),
 		})
 	}
@@ -330,24 +331,6 @@ func cycleSignature(cycle []string) string {
 		parts = append(parts, cycle[(best+i)%len(cycle)])
 	}
 	return strings.Join(parts, "->")
-}
-
-func sortedKeys(set map[string]bool) []string {
-	var keys []string
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedEdgeIDs(edges map[string]*loEdge) []string {
-	var ids []string
-	for id := range edges {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // shortFile renders a node's filename relative to the module root for

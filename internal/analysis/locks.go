@@ -7,6 +7,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // locks abstract states (bit indices): whether this mutex may be held, and
@@ -14,7 +15,6 @@ import (
 const (
 	lkHeld     = 1 << 0
 	lkDeferred = 1 << 1
-	lkStates   = 4
 )
 
 // LocksAnalyzer enforces the leaf-lock discipline on the one place viampi
@@ -41,7 +41,8 @@ return (a leaked lock hangs the next reader the way a missed wake hangs a
 waiter); a Lock never re-acquires a mutex that may already be held
 (self-deadlock); and while a Policy.LeafLocks mutex may be held, no call
 resolves into a package with a layer assignment in the DAG.`,
-		Run: runLocks,
+		Subject: subjFunc,
+		Run:     runLocks,
 	}
 }
 
@@ -56,19 +57,9 @@ type lockOp struct {
 
 func runLocks(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
-	for _, pkg := range m.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
-		for _, file := range pkg.Files {
-			for _, u := range funcUnits(pkg, file) {
-				if _, exempt := p.LockExempt[u.name]; exempt {
-					continue
-				}
-				ds = append(ds, checkLocks(m, p, pkg, u)...)
-			}
-		}
-	}
+	m.Interproc().eachUnit(p, "locks", func(f *IPFunc, u funcUnit) {
+		ds = append(ds, checkLocks(m, p, f.Pkg, u)...)
+	})
 	return ds
 }
 
@@ -132,19 +123,14 @@ func checkLockKey(m *Module, p *Policy, pkg *Package, u funcUnit, g *cfg, key st
 		return firstLock == nil
 	})
 
-	exit := in[g.exit]
-	for s := 0; s < lkStates; s++ {
-		if exit&(1<<s) == 0 {
-			continue
-		}
-		if s&lkHeld != 0 && s&lkDeferred == 0 && firstLock != nil {
-			ds = append(ds, Diagnostic{
-				Pos:  m.Position(firstLock.Pos()),
-				Rule: "locks",
-				Message: fmt.Sprintf("%s: %s.Lock has no Unlock on some path to return; a leaked lock hangs the next acquirer — add defer %s.Unlock() or unlock on every path",
-					u.name, key, key),
-			})
-		}
+	// Held with no deferred Unlock armed: some path returns still locked.
+	if in[g.exit]&(1<<lkHeld) != 0 && firstLock != nil {
+		ds = append(ds, Diagnostic{
+			Pos:  m.Position(firstLock.Pos()),
+			Rule: "locks",
+			Message: fmt.Sprintf("%s: %s.Lock has no Unlock on some path to return; a leaked lock hangs the next acquirer — add defer %s.Unlock() or unlock on every path",
+				u.name, key, key),
+		})
 	}
 	return ds
 }
@@ -156,7 +142,7 @@ func lkTransferNode(m *Module, p *Policy, pkg *Package, u funcUnit, key string, 
 	// deferred bit; it discharges the lock at return on every later path.
 	if def, ok := node.(*ast.DeferStmt); ok {
 		if lkDeferredUnlocks(m, pkg, def, key) {
-			return lkApply(in, func(s int) int { return s | lkDeferred })
+			return mapStates(in, func(s int) int { return s | lkDeferred })
 		}
 		return in
 	}
@@ -178,7 +164,7 @@ func lkTransferNode(m *Module, p *Policy, pkg *Package, u funcUnit, key string, 
 						u.name, key, key),
 				})
 			}
-			out = lkApply(out, func(s int) int { return s | lkHeld })
+			out = mapStates(out, func(s int) int { return s | lkHeld })
 		case op != nil && op.key == key && !op.lock:
 			if !lkAnyHeld(out) && report != nil {
 				report(Diagnostic{
@@ -187,7 +173,7 @@ func lkTransferNode(m *Module, p *Policy, pkg *Package, u funcUnit, key string, 
 					Message: fmt.Sprintf("%s: %s.Unlock while %s cannot be held on any path here", u.name, key, key),
 				})
 			}
-			out = lkApply(out, func(s int) int { return s &^ lkHeld })
+			out = mapStates(out, func(s int) int { return s &^ lkHeld })
 		case op == nil:
 			// Ordinary call: the leaf-lock re-entry check.
 			leaf := lkLeafFor(m, p, pkg, u, key)
@@ -211,16 +197,6 @@ func lkTransferNode(m *Module, p *Policy, pkg *Package, u funcUnit, key string, 
 // lkAnyHeld reports whether any reachable state holds the lock.
 func lkAnyHeld(set uint64) bool {
 	return set&(1<<lkHeld) != 0 || set&(1<<(lkHeld|lkDeferred)) != 0
-}
-
-func lkApply(set uint64, f func(int) int) uint64 {
-	var out uint64
-	for s := 0; s < lkStates; s++ {
-		if set&(1<<s) != 0 {
-			out |= 1 << f(s)
-		}
-	}
-	return out
 }
 
 // lkLeafFor returns the LeafLocks justification when key names a declared
@@ -252,29 +228,12 @@ func lkLayeredCallee(m *Module, p *Policy, pkg *Package, call *ast.CallExpr) (st
 	if obj == nil || obj.Pkg() == nil {
 		return "", false
 	}
-	rel, inModule := lkRelPath(m, obj.Pkg().Path())
+	rel, inModule := strings.CutPrefix(obj.Pkg().Path(), m.Path+"/")
 	if !inModule {
-		return "", false
+		return "", false // the module root has no layer, like everything outside the module
 	}
 	_, layered := p.Layers[rel]
 	return rel, layered
-}
-
-func lkRelPath(m *Module, pkgPath string) (string, bool) {
-	if pkgPath == m.Path {
-		return "", true
-	}
-	if rel, ok := cutPrefix(pkgPath, m.Path+"/"); ok {
-		return rel, true
-	}
-	return "", false
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
 }
 
 // lkDeferredUnlocks reports whether def discharges key: `defer mu.Unlock()`

@@ -28,8 +28,11 @@ Packages listed in policy MapOrderStrict are held to a stricter bar: every
 map iteration there must be the sorted-keys idiom, commutative or not.
 Those are the emission packages whose output is compared byte-for-byte, so
 an "order-insensitive" loop is one edit away from leaking map order into a
-golden file.`,
-		Run: runMapOrder,
+golden file. Packages excused from determinism are outside the simulated
+world and skipped; single functions are excused under
+Policy.Exceptions["maporder"].`,
+		Subject: subjFunc,
+		Run:     runMapOrder,
 	}
 }
 
@@ -41,37 +44,24 @@ var mapOrderPureCalls = map[string]bool{
 
 func runMapOrder(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
-	for _, pkg := range m.Pkgs {
-		if _, exempt := p.DeterminismExempt[pkg.Rel]; exempt {
-			continue
+	m.Interproc().eachUnit(p, "maporder", func(f *IPFunc, u funcUnit) {
+		// The declaration walk covers its literals: the sorted-keys idiom is
+		// recognized against the whole enclosing body.
+		if u.lit != nil || p.excused("determinism", f.Pkg.Rel) {
+			return
 		}
-		if pkg.Info == nil {
-			continue
-		}
-		_, strict := p.MapOrderStrict[pkg.Rel]
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				qual := enclosingFuncName(pkg, file, fd.Name.Pos())
-				if _, allowed := p.MapOrderAllow[qual]; allowed {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					rs, ok := n.(*ast.RangeStmt)
-					if !ok || !isMapRange(pkg.Info, rs) {
-						return true
-					}
-					if d, bad := checkMapRange(m, pkg, fd, rs, qual, strict); bad {
-						ds = append(ds, d)
-					}
-					return true
-				})
+		_, strict := p.MapOrderStrict[f.Pkg.Rel]
+		ast.Inspect(u.body, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok || !isMapRange(f.Pkg.Info, rs) {
+				return true
 			}
-		}
-	}
+			if d, bad := checkMapRange(m, f.Pkg, u.decl, rs, u.name, strict); bad {
+				ds = append(ds, d)
+			}
+			return true
+		})
+	})
 	return ds
 }
 
@@ -145,7 +135,7 @@ func checkMapRange(m *Module, pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt,
 		return Diagnostic{
 			Pos:  m.Position(rs.Pos()),
 			Rule: "maporder",
-			Message: fmt.Sprintf("strict maporder package: iteration over map %s must use the collect-keys-then-sort idiom even with a commutative body (or allowlist %s in policy.go)",
+			Message: fmt.Sprintf("strict maporder package: iteration over map %s must use the collect-keys-then-sort idiom even with a commutative body (or excuse %s under Policy.Exceptions[\"maporder\"])",
 				exprLabel(rs.X), qual),
 		}, true
 	}
@@ -170,7 +160,7 @@ func checkMapRange(m *Module, pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt,
 	return Diagnostic{
 		Pos:  m.Position(rs.Pos()),
 		Rule: "maporder",
-		Message: fmt.Sprintf("iteration over map %s has an order-sensitive body: %s; sort the keys first (or allowlist %s in policy.go)",
+		Message: fmt.Sprintf("iteration over map %s has an order-sensitive body: %s; sort the keys first (or excuse %s under Policy.Exceptions[\"maporder\"])",
 			exprLabel(rs.X), reason, qual),
 	}, true
 }

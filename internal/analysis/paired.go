@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // PairedAnalyzer is the interprocedural must-release rule: every call to an
@@ -36,8 +35,10 @@ functions become acquire sites themselves), or to a callee as an argument.
 A path that reaches return still holding the obligation, a discarded
 acquire result, and a second release of an already-released handle are
 each diagnosed. Reviewed exceptions (run-scoped handles reaped wholesale
-at process death) live in Policy.PairedAllow with their justification.`,
-		Run: runPaired,
+at process death) live under Policy.Exceptions["paired"] with their
+justification.`,
+		Subject: subjFunc,
+		Run:     runPaired,
 	}
 }
 
@@ -99,7 +100,7 @@ func runPaired(m *Module, p *Policy) []Diagnostic {
 		ip.Sweeps++
 		res = prAnalyzeModule(m, ip, p, acquires, releases, primary)
 		grew := false
-		for _, key := range sortedIntKeys(res.retOwned) {
+		for _, key := range sortedKeys(res.retOwned) {
 			if _, known := acquires[key]; !known && !primary[key] {
 				acquires[key] = res.retOwned[key]
 				grew = true
@@ -121,7 +122,7 @@ func runPaired(m *Module, p *Policy) []Diagnostic {
 		ds = append(ds, Diagnostic{
 			Pos:  m.Position(st.pos),
 			Rule: "paired",
-			Message: fmt.Sprintf("%s from %s is stored into %s, but no function releases through that field — add a releasing path calling %s, or justify in Policy.PairedAllow",
+			Message: fmt.Sprintf("%s from %s is stored into %s, but no function releases through that field — add a releasing path calling %s, or justify under Policy.Exceptions[\"paired\"]",
 				spec.Resource, st.acquired, st.field, prJoin(spec.Releases)),
 		})
 	}
@@ -134,15 +135,9 @@ func prAnalyzeModule(m *Module, ip *Interproc, p *Policy, acquires, releases map
 		releasedFld: map[string]bool{},
 		retOwned:    map[string]int{},
 	}
-	for _, key := range ip.Keys {
-		f := ip.Funcs[key]
-		if _, allowed := p.PairedAllow[key]; allowed {
-			continue
-		}
-		for _, u := range f.Units {
-			prAnalyzeUnit(m, p, f, u, key, acquires, releases, primary, &res)
-		}
-	}
+	ip.eachUnit(p, "paired", func(f *IPFunc, u funcUnit) {
+		prAnalyzeUnit(m, p, f, u, f.Key, acquires, releases, primary, &res)
+	})
 	return res
 }
 
@@ -256,7 +251,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 			res.diags = append(res.diags, Diagnostic{
 				Pos:  m.Position(call.Pos()),
 				Rule: "paired",
-				Message: fmt.Sprintf("result of %s is discarded, so the %s can never be released — bind the handle and release it (%s), or justify in Policy.PairedAllow",
+				Message: fmt.Sprintf("result of %s is discarded, so the %s can never be released — bind the handle and release it (%s), or justify under Policy.Exceptions[\"paired\"]",
 					qual, specDesc.Resource, prJoin(specDesc.Releases)),
 			})
 		case *ast.ReturnStmt:
@@ -293,7 +288,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 				res.diags = append(res.diags, Diagnostic{
 					Pos:  m.Position(call.Pos()),
 					Rule: "paired",
-					Message: fmt.Sprintf("result of %s is discarded, so the %s can never be released — bind the handle and release it (%s), or justify in Policy.PairedAllow",
+					Message: fmt.Sprintf("result of %s is discarded, so the %s can never be released — bind the handle and release it (%s), or justify under Policy.Exceptions[\"paired\"]",
 						qual, specDesc.Resource, prJoin(specDesc.Releases)),
 				})
 				return true
@@ -557,7 +552,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 			res.diags = append(res.diags, Diagnostic{
 				Pos:  m.Position(ob.pos),
 				Rule: "paired",
-				Message: fmt.Sprintf("%s acquired by %s here is not released on every path out of %s: a return is reachable with the handle still held — release it (%s), defer the release, or justify in Policy.PairedAllow",
+				Message: fmt.Sprintf("%s acquired by %s here is not released on every path out of %s: a return is reachable with the handle still held — release it (%s), defer the release, or justify under Policy.Exceptions[\"paired\"]",
 					spec.Resource, ob.acquired, key, prJoin(spec.Releases)),
 			})
 			ob.leaked = true
@@ -597,7 +592,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 				res.diags = append(res.diags, Diagnostic{
 					Pos:  m.Position(call.Pos()),
 					Rule: "paired",
-					Message: fmt.Sprintf("%s from %s is already released on every path reaching this second release — double release corrupts the %s accounting; remove one, or justify in Policy.PairedAllow",
+					Message: fmt.Sprintf("%s from %s is already released on every path reaching this second release — double release corrupts the %s accounting; remove one, or justify under Policy.Exceptions[\"paired\"]",
 						spec2Name(p, spec), ob.acquired, p.PairedSpecs[spec].Resource),
 				})
 			}
@@ -605,7 +600,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 				res.diags = append(res.diags, Diagnostic{
 					Pos:  m.Position(call.Pos()),
 					Rule: "paired",
-					Message: fmt.Sprintf("%s from %s is released both here and by a deferred release in the same function — the defer makes this a double release; remove one, or justify in Policy.PairedAllow",
+					Message: fmt.Sprintf("%s from %s is released both here and by a deferred release in the same function — the defer makes this a double release; remove one, or justify under Policy.Exceptions[\"paired\"]",
 						spec2Name(p, spec), ob.acquired),
 				})
 			}
@@ -888,13 +883,4 @@ func prJoin(names []string) string {
 		out += n
 	}
 	return out
-}
-
-func sortedIntKeys(mp map[string]int) []string {
-	var keys []string
-	for k := range mp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -32,9 +32,10 @@ field) and checking them against every dispatcher registered in
 Policy.ProtocolDispatch: a sent kind with no arm is an unhandled message
 (dropped or misrouted at the receiver); an arm whose kind nothing sends is
 dead protocol surface that hides a missing sender. Deliberately
-receive-only kinds are declared in Policy.ProtocolNeverSent with the
-reason no sender exists in this module.`,
-		Run: runProtocol,
+receive-only kinds are declared under Policy.Exceptions["protocol"] with
+the reason no sender exists in this module.`,
+		Subject: subjConst,
+		Run:     runProtocol,
 	}
 }
 
@@ -117,7 +118,7 @@ func runProtocol(m *Module, p *Policy) []Diagnostic {
 				continue
 			}
 			qual := relQualified(m.Path, c.Pkg().Path()) + "." + c.Name()
-			if _, allowed := p.ProtocolNeverSent[qual]; allowed {
+			if p.excused("protocol", qual) {
 				continue
 			}
 			pos := arms[v]
@@ -127,7 +128,7 @@ func runProtocol(m *Module, p *Policy) []Diagnostic {
 			ds = append(ds, Diagnostic{
 				Pos:  m.Position(pos.Pos()),
 				Rule: "protocol",
-				Message: fmt.Sprintf("dispatcher %s has an arm for %s but nothing in the module sends it; a dead arm hides a missing sender — remove it, or declare the kind receive-only in Policy.ProtocolNeverSent",
+				Message: fmt.Sprintf("dispatcher %s has an arm for %s but nothing in the module sends it; a dead arm hides a missing sender — remove it, or declare the kind receive-only under Policy.Exceptions[\"protocol\"]",
 					dispKey, c.Name()),
 			})
 		}

@@ -59,24 +59,25 @@ func TestPolicyNotStale(t *testing.T) {
 }
 
 // TestSeededStaleEntryIsCaught plants entries pointing at code that does
-// not exist — a renamed allowlisted function, a deleted package, a
-// lock-order edge naming a removed mutex, a go-statement allowance for a
-// package that no longer starts goroutines — and requires StalePolicy to
-// name each one.
+// not exist — a renamed excused function, a deleted package (excused, and
+// holding a layer), a lock-order edge naming a removed mutex, a table for a
+// rule that does not exist — and requires StalePolicy to name each one.
 func TestSeededStaleEntryIsCaught(t *testing.T) {
 	m := loadRepo(t)
 	p := DefaultPolicy()
-	p.MapOrderAllow["internal/via.(Port).zzRenamedAway"] = "seeded: function no longer exists"
-	p.DeterminismExempt["internal/zzdeleted"] = "seeded: package no longer exists"
-	p.LockOrderAllow["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"] = "seeded: mutex field no longer exists"
-	p.GoStmtAllowed["internal/simnet"] = true // seeded: processes are coroutines; no go statement is left
+	p.Exceptions["maporder"] = map[string]string{"internal/via.(Port).zzRenamedAway": "seeded: function no longer exists"}
+	p.Exceptions["determinism"]["internal/zzdeleted"] = "seeded: package no longer exists"
+	p.Exceptions["lockorder"] = map[string]string{"internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone": "seeded: mutex field no longer exists"}
+	p.Exceptions["costcharge"] = map[string]string{"internal/via.(Port).SendOob": "seeded: the rule no longer exists"}
+	p.Layers["internal/zzdeleted"] = 3 // seeded: a deleted package keeps its layer
 
 	got := StalePolicy(m, p)
 	for _, wantSub := range []string{
-		`policy.MapOrderAllow["internal/via.(Port).zzRenamedAway"]`,
-		`policy.DeterminismExempt["internal/zzdeleted"]`,
-		`policy.LockOrderAllow["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"]`,
-		`policy.GoStmtAllowed["internal/simnet"]`,
+		`policy.Exceptions["maporder"]["internal/via.(Port).zzRenamedAway"]`,
+		`policy.Exceptions["determinism"]["internal/zzdeleted"]`,
+		`policy.Exceptions["lockorder"]["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"]`,
+		`policy.Exceptions["costcharge"] names no rule`,
+		`policy.Layers["internal/zzdeleted"]`,
 	} {
 		found := false
 		for _, w := range got {
@@ -88,8 +89,8 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 			t.Errorf("seeded stale entry not reported: want a message containing %s\ngot: %v", wantSub, got)
 		}
 	}
-	if len(got) != 4 {
-		t.Errorf("stale count: got %d, want exactly the 4 seeded entries: %v", len(got), got)
+	if len(got) != 5 {
+		t.Errorf("stale count: got %d, want exactly the 5 seeded entries: %v", len(got), got)
 	}
 }
 

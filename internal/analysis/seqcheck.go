@@ -26,9 +26,10 @@ function may-analysis: a call to a Policy.SeqCheckClose function marks the
 channel-typed variables it roots at as closed; reassigning the variable
 clears the mark; a Policy.SeqCheckSend call rooted at a still-marked
 variable is diagnosed. The closing functions' own bodies are exempt (they
-drain and re-post holds by design), and reviewed exceptions live in
-Policy.SeqCheckAllow.`,
-		Run: runSeqCheck,
+drain and re-post holds by design), and reviewed exceptions live under
+Policy.Exceptions["seqcheck"].`,
+		Subject: subjFunc,
+		Run:     runSeqCheck,
 	}
 }
 
@@ -36,32 +37,19 @@ func runSeqCheck(m *Module, p *Policy) []Diagnostic {
 	if len(p.SeqCheckClose) == 0 || len(p.SeqCheckSend) == 0 {
 		return nil
 	}
-	ip := m.Interproc()
 	var ds []Diagnostic
-	for _, key := range ip.Keys {
-		if _, closer := p.SeqCheckClose[key]; closer {
-			continue // the closer's body re-posts holds by design
+	m.Interproc().eachUnit(p, "seqcheck", func(f *IPFunc, u funcUnit) {
+		// The closers' own bodies re-post holds by design.
+		if _, closer := p.SeqCheckClose[f.Key]; !closer {
+			ds = append(ds, seqCheckUnit(m, p, f, u, f.Key)...)
 		}
-		if _, allowed := p.SeqCheckAllow[key]; allowed {
-			continue
-		}
-		f := ip.Funcs[key]
-		for _, u := range f.Units {
-			ds = append(ds, seqCheckUnit(m, p, f, u, key)...)
-		}
-	}
+	})
 	return ds
 }
 
 func seqCheckUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string) []Diagnostic {
 	info := f.Pkg.Info
-	qualOf := func(call *ast.CallExpr) string {
-		obj := calleeObject(info, call)
-		if obj == nil {
-			return ""
-		}
-		return relQualified(m.Path, objectQualifiedName(obj))
-	}
+	qualOf := func(call *ast.CallExpr) string { return calleeName(m, f.Pkg, call) }
 
 	// Pass 1: the closed-variable universe — roots of close calls. A root
 	// is a pointer-to-struct argument (the channel being dismantled), or
@@ -206,7 +194,7 @@ func seqCheckUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string) []Dia
 			ds = append(ds, Diagnostic{
 				Pos:  m.Position(call.Pos()),
 				Rule: "seqcheck",
-				Message: fmt.Sprintf("%s in %s is rooted at %s, which a Policy.SeqCheckClose function already closed on some path — the descriptor rides a dead endpoint; rebind via the reconnect path first, or justify in Policy.SeqCheckAllow",
+				Message: fmt.Sprintf("%s in %s is rooted at %s, which a Policy.SeqCheckClose function already closed on some path — the descriptor rides a dead endpoint; rebind via the reconnect path first, or justify under Policy.Exceptions[\"seqcheck\"]",
 					qual, key, r.Name()),
 			})
 			break

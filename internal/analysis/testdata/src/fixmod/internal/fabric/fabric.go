@@ -1,5 +1,5 @@
 // Package fabric is the fixture twin of viampi's internal/fabric: it
-// exposes the entry points the costcharge rule audits.
+// exposes the entry points the chargeflow rule audits.
 package fabric
 
 // Cluster mirrors the real fabric.Cluster surface the rule knows about.

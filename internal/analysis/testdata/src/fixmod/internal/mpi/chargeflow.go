@@ -1,7 +1,7 @@
 // chargeflow.go is the fixture home of the interprocedural cost-charging
 // cases: every exported function here is an MPI entry point
 // (Policy.ChargeRootPkgs), and the fabric transmit is buried one call deep,
-// out of reach of the per-body costcharge rule.
+// where no single function body shows both the charge and the transmit.
 package mpi
 
 import (
@@ -38,9 +38,9 @@ func (c *Chan) SendCharged() {
 	c.transmit()
 }
 
-// SendChargedInHelper charges inside a helper — must NOT flag: crediting
-// helper charges is exactly what the interprocedural rule adds over
-// costcharge.
+// SendChargedInHelper charges inside a helper — must NOT flag: a charge
+// made anywhere on the call chain before the transmit counts, whichever
+// function body it sits in.
 func (c *Chan) SendChargedInHelper() {
 	c.charge()
 	c.transmit()

@@ -1,4 +1,4 @@
-// Package via is the fixture home of the layering and costcharge cases.
+// Package via is the fixture home of the layering and provider-rooted chargeflow cases.
 package via
 
 import (
@@ -19,10 +19,10 @@ func (p *Port) ChargeHost(d int64) {}
 
 // UnchargedSend reaches the fabric without paying — must flag.
 func (n *Network) UnchargedSend() {
-	n.cluster.Send(64) // costcharge violation: no ChargeHost in this body
+	n.cluster.Send(64) // chargeflow violation: no charge on the path from this exported entry point
 }
 
-// ChargedSend pays host cost in the same body — must NOT flag.
+// ChargedSend pays host cost before the transmit — must NOT flag.
 func (n *Network) ChargedSend(p *Port) {
 	p.ChargeHost(100)
 	n.cluster.Send(64)
@@ -30,3 +30,11 @@ func (n *Network) ChargedSend(p *Port) {
 
 // Upward exists so the mpi import is used.
 func Upward(m map[int]string) []string { return mpi.GoodSortedKeys(m) }
+
+// onTimer is handed to the scheduler as a function value, so nothing in the
+// module calls it: it runs in its own activation and must pay for its own
+// transmit — chargeflow must flag it as an entry point even though it is
+// unexported.
+func (n *Network) onTimer() {
+	n.cluster.Send(8) // chargeflow violation: callback transmits uncharged
+}

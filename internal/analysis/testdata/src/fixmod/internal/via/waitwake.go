@@ -1,4 +1,4 @@
-// waitwake.go is the fixture home of the wait/wake pairing cases.
+// waitwake.go is the fixture home of the single-body wait/wake pairing cases.
 package via
 
 // Status is the fixture descriptor-completion set; StatusPending is the
@@ -19,7 +19,7 @@ type Descriptor struct {
 // notifyActivity is the policy-listed waker.
 func (p *Port) notifyActivity() {}
 
-// VI mirrors the state machine the waitwake rule audits.
+// VI mirrors the state machine the wakereach rule audits.
 type VI struct {
 	port  *Port
 	state ViState
@@ -32,7 +32,7 @@ func CloseBad(vi *VI) {
 	if vi.state == ViClosed {
 		return
 	}
-	vi.state = ViClosed // waitwake violation: no waker on this path
+	vi.state = ViClosed // wakereach violation: no waker on this path
 }
 
 // CloseGood wakes on every transitioning path — must NOT flag.

@@ -4,9 +4,9 @@
 package via
 
 // failQuiet moves queued descriptors into a waiter-visible status and
-// deliberately does not wake: its callers own the obligation. (The per-body
-// waitwake rule flags it here because the fixture policy strips the
-// allowlist; wakereach instead verifies the callers below.)
+// deliberately does not wake: its callers own the obligation. The helper
+// is therefore not reported itself; wakereach verifies that each of the
+// callers below discharges what it inherited.
 func failQuiet(vi *VI, s Status) {
 	for _, d := range vi.sendQ {
 		d.Status = s
@@ -30,4 +30,29 @@ func AbortGood(vi *VI) {
 func AbortDeferred(vi *VI) {
 	defer vi.port.notifyActivity()
 	failQuiet(vi, StatusDisconnected)
+}
+
+// completeQuiet publishes a completion and leaves the wake to its callers.
+// Every one of them wakes, so nothing is reported — neither here nor there.
+func completeQuiet(d *Descriptor) {
+	d.Status = StatusSuccess
+}
+
+// CompleteGood discharges the helper's obligation — must NOT flag.
+func CompleteGood(vi *VI, d *Descriptor) {
+	completeQuiet(d)
+	vi.port.notifyActivity()
+}
+
+// dropQuiet is the same shape of helper, but its only caller never wakes.
+// The helper itself must NOT flag: the obligation is reported where it
+// escapes.
+func dropQuiet(d *Descriptor) {
+	d.Status = StatusDisconnected
+}
+
+// onDisconnect is a fabric callback (no module callers): it inherits the
+// helper's obligation and returns without a wake — must flag, at the call.
+func onDisconnect(d *Descriptor) {
+	dropQuiet(d) // wakereach violation: nobody above this frame can wake
 }

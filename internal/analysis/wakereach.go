@@ -3,53 +3,58 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"sort"
+	"go/types"
 )
 
-// WakeReachAnalyzer is the interprocedural extension of waitwake: a
-// waiter-visible state transition made anywhere in a call chain must be
-// reachable by a wake through the call graph before the obligation escapes
-// the waitwake scope. Where waitwake trusts its allowlist ("the callers
-// wake"), this rule propagates the obligation into those callers and
-// checks that they actually do.
+// wakereach abstract states (bit indices into the dataflow bitset): whether
+// an un-woken transition is pending, and whether a deferred waker is armed
+// (a deferred waker runs at return, after every later transition, so it
+// clears pending at the exit no matter what follows it textually).
+const (
+	wrPending  = 1 << 0
+	wrDeferred = 1 << 1
+)
+
+// WakeReachAnalyzer enforces the wait/wake pairing on the VIA state
+// machine: a waiter-visible state transition made anywhere in a call chain
+// must be reached by a policy-listed waker (Port.notifyActivity) through
+// the call graph before the obligation escapes the wake scope. A helper
+// may leave the wake to its callers; the rule propagates the obligation
+// into those callers and checks that they actually discharge it.
 func WakeReachAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "wakereach",
 		Doc:  "a park-visible transition must be reached by a wake through the call graph",
-		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": a process parked in
-VipRecvWait/WaitActivity runs again only when a completion or state change
-wakes it, so every transition into a waiter-visible state owes a
-notifyActivity before control leaves the provider. The PR 3 VI.Close hang
-is the motivating case: Close failed pending descriptors (a transition
-helpers made on its behalf) and returned without the wake, leaving a
-parked RecvWait asleep forever in virtual time. The per-body waitwake
-rule catches this shape only when transition and return share a function;
-helpers like failPending are excused by allowlist with the *claim* that
-every caller wakes. This rule verifies the claim: it computes, over the
-shared call graph, alwaysWakes(F) — every path through F wakes — and
-owesWake(F) — some path transitions (directly, or by calling an owing
-helper) and returns without a wake (direct, deferred, or via an
-alwaysWakes callee). The obligation may flow upward between in-scope
-functions, because a caller can legitimately own the wake; the diagnostic
-fires when an owing function's obligation escapes — it is exported, is
-called from outside Policy.WaitWakeScope, or has no module callers at
-all — so no caller inside the provider can discharge it. Owner-thread
-entry points whose caller is by definition not parked are justified in
-Policy.WakeReachAllow.`,
-		Run: runWakeReach,
+		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": the paper's on-demand design
+blocks inside VipRecvWait/WaitActivity until "something observable
+happened on the port" — the waiting process is parked in virtual time and
+runs again only when a completion or state change wakes it. That makes
+every transition into a waiter-visible state (assigning a via.ViState or
+via.Status location anything but the Policy.WakeStates non-observable
+markers: StatusSuccess, StatusDisconnected, ViError, ViClosed, ...) half
+of a contract: the other half is a Policy.Wakers call (notifyActivity)
+before control leaves the provider, or the waiter sleeps forever and the
+simulation deadlocks with virtual time unable to advance. The PR 3
+VI.Close hang is the motivating case: Close failed pending descriptors (a
+transition helpers made on its behalf) and returned without the wake,
+hanging a parked RecvWait. This rule computes, over the shared call
+graph, alwaysWakes(F) — every path through F wakes — and owesWake(F) —
+some path transitions (directly, or by calling an owing helper) and
+returns without a wake (direct, deferred, or via an alwaysWakes callee).
+The obligation may flow upward between in-scope functions, because a
+caller can legitimately own the wake (failPending's callers do); the
+diagnostic fires when an owing function's obligation escapes — it is
+exported, is called from outside Policy.WakeScope, or has no module
+callers at all — so no caller inside the provider can discharge it.
+Owner-thread entry points whose caller is by definition not parked are
+justified under Policy.Exceptions["wakereach"].`,
+		Subject: subjFunc,
+		Run:     runWakeReach,
 	}
 }
 
 func runWakeReach(m *Module, p *Policy) []Diagnostic {
 	ip := m.Interproc()
-
-	calleeQual := func(pkg *Package, call *ast.CallExpr) string {
-		obj := calleeObject(pkg.Info, call)
-		if obj == nil {
-			return ""
-		}
-		return relQualified(m.Path, objectQualifiedName(obj))
-	}
 
 	// alwaysWakes: greatest fixpoint — every path through F wakes, directly
 	// or through a callee that always wakes. Policy-listed wakers qualify by
@@ -62,9 +67,7 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		woke := false
 		inspectSkipLits(node, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if wwIsWakerCall(m, p, pkg, call) {
-					woke = true
-				} else if q := calleeQual(pkg, call); always[q] && ip.Funcs[q] != nil {
+				if q := calleeName(m, pkg, call); p.Wakers[q] || (always[q] && ip.Funcs[q] != nil) {
 					woke = true
 				}
 			}
@@ -73,31 +76,21 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		return woke
 	}
 	ip.fixpoint(func(key string) bool {
-		if !always[key] || p.WaitWakeWakers[key] {
+		if !always[key] || p.Wakers[key] {
 			return false
 		}
 		f := ip.Funcs[key]
-		var body *ast.BlockStmt
-		for _, u := range f.Units {
-			if u.lit == nil {
-				body = u.body
-				break
-			}
-		}
-		if body == nil {
-			return false
-		}
 		// Bit 0: not yet woken on some path. A deferred waker runs at
 		// return, so for exit-state purposes it wakes the paths through it.
-		exit := exitMayState(body, 1<<0, func(node ast.Node, in uint64) uint64 {
+		exit := exitMayState(f.Decl.Body, 1<<0, func(node ast.Node, in uint64) uint64 {
+			woke := false
 			if def, ok := node.(*ast.DeferStmt); ok {
-				if wwIsWakerCall(m, p, f.Pkg, def.Call) || wwLitContainsWaker(m, p, f.Pkg, def.Call) {
-					return lkApply(in, func(s int) int { return 1 })
-				}
-				return in
+				woke = wrDefersWaker(m, p, f.Pkg, def)
+			} else {
+				woke = wakesHere(f.Pkg, node)
 			}
-			if wakesHere(f.Pkg, node) {
-				return lkApply(in, func(s int) int { return 1 })
+			if woke {
+				return mapStates(in, func(int) int { return 1 })
 			}
 			return in
 		})
@@ -115,10 +108,10 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 	witness := map[string]ast.Node{}
 	inScope := func(key string) bool {
 		f := ip.Funcs[key]
-		return f != nil && p.WaitWakeScope[f.Pkg.Rel]
+		return f != nil && p.WakeScope[f.Pkg.Rel]
 	}
 	ip.fixpoint(func(key string) bool {
-		if owes[key] || !inScope(key) || p.WaitWakeWakers[key] {
+		if owes[key] || !inScope(key) || p.Wakers[key] {
 			return false
 		}
 		f := ip.Funcs[key]
@@ -127,14 +120,10 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 			exit := exitMayState(u.body, 1<<0, func(node ast.Node, in uint64) uint64 {
 				return wrTransfer(m, p, f.Pkg, ip, always, owes, node, in, &firstTrigger)
 			})
-			for s := 0; s < wwStates; s++ {
-				if exit&(1<<s) == 0 || s&wwPending == 0 || s&wwDeferred != 0 {
-					continue
-				}
+			// Pending with no deferred waker armed: some path returns owing.
+			if exit&(1<<wrPending) != 0 {
 				owes[key] = true
-				if witness[key] == nil && firstTrigger != nil {
-					witness[key] = firstTrigger
-				}
+				witness[key] = firstTrigger
 				return true
 			}
 		}
@@ -143,13 +132,8 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 
 	// The obligation escapes when no in-scope caller can discharge it.
 	var ds []Diagnostic
-	var owing []string
-	for key := range owes {
-		owing = append(owing, key)
-	}
-	sort.Strings(owing)
-	for _, key := range owing {
-		if _, allowed := p.WakeReachAllow[key]; allowed {
+	for _, key := range sortedKeys(owes) {
+		if p.excused("wakereach", key) {
 			continue
 		}
 		f := ip.Funcs[key]
@@ -163,7 +147,7 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		default:
 			for _, c := range callers {
 				if !inScope(c) {
-					escape = fmt.Sprintf("it is called from %s, outside the waitwake scope", c)
+					escape = fmt.Sprintf("it is called from %s, outside the wake scope", c)
 					break
 				}
 			}
@@ -171,54 +155,44 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		if escape == "" {
 			continue // every caller is in scope and inherits the obligation
 		}
-		pos := witness[key]
-		if pos == nil {
-			pos = f.Decl
-		}
 		ds = append(ds, Diagnostic{
-			Pos:  m.Position(pos.Pos()),
+			Pos:  m.Position(witness[key].Pos()),
 			Rule: "wakereach",
-			Message: fmt.Sprintf("%s moves state a blocked waiter observes (directly or via a helper) and can return without any wake reaching it: %s; a parked WaitActivity would sleep forever — wake on every path, or justify the owner-thread contract in Policy.WakeReachAllow",
+			Message: fmt.Sprintf("%s moves state a blocked waiter observes (directly or via a helper) and can return without any wake (notifyActivity) reaching it: %s; a parked WaitActivity would sleep forever — wake on every path, or justify the owner-thread contract under Policy.Exceptions[\"wakereach\"]",
 				key, escape),
 		})
 	}
 	return ds
 }
 
-// wrTransfer folds one CFG node into the wwPending/wwDeferred state set,
-// extending the waitwake transfer with interprocedural effects: a call to
-// an owing helper raises the obligation; a call to an alwaysWakes callee
-// discharges it.
+// wrTransfer folds one CFG node into the wrPending/wrDeferred state set: a
+// transition, or a call to an owing helper, raises the obligation; a waker,
+// or a call to an alwaysWakes callee, discharges it; a deferred waker arms
+// the discharge for every later return. (No statement in scope both
+// transitions and wakes, so raise-then-wake order inside one node is moot.)
 func wrTransfer(m *Module, p *Policy, pkg *Package, ip *Interproc, always, owes map[string]bool, node ast.Node, in uint64, firstTrigger *ast.Node) uint64 {
 	if def, ok := node.(*ast.DeferStmt); ok {
-		if wwIsWakerCall(m, p, pkg, def.Call) || wwLitContainsWaker(m, p, pkg, def.Call) {
-			return wwApply(in, func(s int) int { return s | wwDeferred })
+		if wrDefersWaker(m, p, pkg, def) {
+			return mapStates(in, func(s int) int { return s | wrDeferred })
 		}
 		return in
 	}
 	out := in
-	raise := len(wwTriggers(m, p, pkg, node, false)) > 0
+	raise := wrTransitions(m, p, pkg, node)
 	wake := false
 	inspectSkipLits(node, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if wwIsWakerCall(m, p, pkg, call) {
+		q := calleeName(m, pkg, call)
+		switch {
+		case p.Wakers[q]:
 			wake = true
-			return true
-		}
-		obj := calleeObject(pkg.Info, call)
-		if obj == nil {
-			return true
-		}
-		q := relQualified(m.Path, objectQualifiedName(obj))
-		if ip.Funcs[q] == nil {
-			return true
-		}
-		if owes[q] {
+		case ip.Funcs[q] == nil:
+		case owes[q]:
 			raise = true
-		} else if always[q] {
+		case always[q]:
 			wake = true
 		}
 		return true
@@ -227,10 +201,91 @@ func wrTransfer(m *Module, p *Policy, pkg *Package, ip *Interproc, always, owes 
 		if *firstTrigger == nil {
 			*firstTrigger = node
 		}
-		out = wwApply(out, func(s int) int { return s | wwPending })
+		out = mapStates(out, func(s int) int { return s | wrPending })
 	}
 	if wake {
-		out = wwApply(out, func(s int) int { return s &^ wwPending })
+		out = mapStates(out, func(s int) int { return s &^ wrPending })
 	}
 	return out
+}
+
+// wrTransitions reports whether node contains a waiter-visible state
+// assignment (not descending into literals — those are separate units). An
+// assignment counts when the LHS is a selector of a Policy.WakeStates type
+// and the RHS is not one of the type's listed non-observable constants; an
+// RHS the analysis cannot resolve to a constant counts (conservative:
+// failPending's parameterized status is a transition, discharged by its
+// callers).
+func wrTransitions(m *Module, p *Policy, pkg *Package, node ast.Node) bool {
+	found := false
+	inspectSkipLits(node, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || found {
+			return !found
+		}
+		for i, lhs := range as.Lhs {
+			se, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			t := pkg.Info.TypeOf(se)
+			named, ok := t.(*types.Named)
+			if !ok || named.Obj().Pkg() == nil {
+				continue
+			}
+			qual := relQualified(m.Path, named.Obj().Pkg().Path()) + "." + named.Obj().Name()
+			nonObservable, watched := p.WakeStates[qual]
+			if !watched {
+				continue
+			}
+			if len(as.Lhs) == len(as.Rhs) && wrIsNonObservableConst(pkg, as.Rhs[i], nonObservable) {
+				continue
+			}
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+func wrIsNonObservableConst(pkg *Package, rhs ast.Expr, nonObservable []string) bool {
+	var obj types.Object
+	switch e := ast.Unparen(rhs).(type) {
+	case *ast.Ident:
+		obj = pkg.Info.Uses[e]
+	case *ast.SelectorExpr:
+		obj = pkg.Info.Uses[e.Sel]
+	default:
+		return false
+	}
+	c, ok := obj.(*types.Const)
+	if !ok {
+		return false
+	}
+	for _, name := range nonObservable {
+		if c.Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// wrDefersWaker reports whether def arms a wake at return: a deferred
+// waker call, or a deferred `func() { ... }()` literal containing one.
+func wrDefersWaker(m *Module, p *Policy, pkg *Package, def *ast.DeferStmt) bool {
+	if p.Wakers[calleeName(m, pkg, def.Call)] {
+		return true
+	}
+	lit, ok := def.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		return false
+	}
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && p.Wakers[calleeName(m, pkg, c)] {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"viampi/internal/mpi"
+	"viampi/internal/obs"
 	"viampi/internal/simnet"
 	"viampi/internal/trace"
 )
@@ -19,7 +20,8 @@ func TestReplayTracesMatchAnalytic(t *testing.T) {
 	for _, p := range All() {
 		rec := trace.New(n, false)
 		cfg := replayCfg(n)
-		cfg.Trace = rec
+		cfg.Obs = obs.NewBus()
+		rec.Attach(cfg.Obs)
 		if _, err := Replay(p, cfg, 2, 64); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -145,12 +145,9 @@ type Config struct {
 	StartEvict func(ch *Channel)
 
 	// ConnTimeout bounds one connection attempt; 0 arms no timers (the
-	// default — timing-neutral for fault-free runs). ConnRetryMax caps
-	// attempts (default 8); ConnBackoff seeds the exponential backoff
-	// between attempts (default 200 µs).
-	ConnTimeout  simnet.Duration
-	ConnRetryMax int
-	ConnBackoff  simnet.Duration
+	// default — timing-neutral for fault-free runs). A timed-out attempt
+	// is retried up to connRetryMax times with exponential backoff.
+	ConnTimeout simnet.Duration
 
 	// EpRanks optionally shares one endpoint→rank table (the inverse of
 	// Addrs) across every rank's manager. When nil the manager builds its
@@ -294,19 +291,15 @@ func (b *base) ReleaseChannel(rank int) {
 	}
 }
 
-// retryMax and backoff resolve the retry knobs' defaults.
-func (b *base) retryMax() int {
-	if b.cfg.ConnRetryMax > 0 {
-		return b.cfg.ConnRetryMax
-	}
-	return 8
-}
+// connRetryMax caps the attempts one connection gets before it is abandoned;
+// connBackoff seeds the exponential backoff between them.
+const (
+	connRetryMax = 8
+	connBackoff  = 200 * simnet.Microsecond
+)
 
-func (b *base) backoff(attempts int) simnet.Duration {
-	d := b.cfg.ConnBackoff
-	if d <= 0 {
-		d = 200 * simnet.Microsecond
-	}
+func backoff(attempts int) simnet.Duration {
+	d := connBackoff
 	if attempts > 1 {
 		d <<= uint(attempts - 1)
 	}
@@ -333,13 +326,13 @@ func (b *base) issue(ch *Channel, remote via.Addr, disc uint64) error {
 // the run loudly once the attempt budget is spent — parked sends must never
 // be stranded silently.
 func (b *base) scheduleRetry(ch *Channel, why string) {
-	if ch.attempts >= b.retryMax() {
+	if ch.attempts >= connRetryMax {
 		b.cfg.Port.Owner().Sim().Failf(
 			"core: rank %d→%d connection %s after %d attempts; %d parked sends stranded",
 			b.cfg.Rank, ch.Rank, why, ch.attempts, ch.Parked())
 		return
 	}
-	d := b.backoff(ch.attempts)
+	d := backoff(ch.attempts)
 	ch.deadline = 0
 	ch.retryAt = b.cfg.Port.Owner().Now().Add(d)
 	b.cfg.Port.NotifyAfter(d)
@@ -419,13 +412,13 @@ func (b *base) connectWithRetry(ch *Channel, remote via.Addr, disc uint64) error
 		default:
 			return err
 		}
-		if ch.attempts >= b.retryMax() {
+		if ch.attempts >= connRetryMax {
 			return fmt.Errorf("core: rank %d→%d connection failed after %d attempts: %w",
 				b.cfg.Rank, ch.Rank, ch.attempts, err)
 		}
 		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnRetry,
 			Rank: int32(b.cfg.Rank), Peer: int32(ch.Rank), A: int64(ch.attempts)})
-		p.Owner().Sleep(b.backoff(ch.attempts))
+		p.Owner().Sleep(backoff(ch.attempts))
 	}
 }
 

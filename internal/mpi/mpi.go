@@ -25,7 +25,6 @@ import (
 	"viampi/internal/fabric"
 	"viampi/internal/obs"
 	"viampi/internal/simnet"
-	"viampi/internal/trace"
 	"viampi/internal/via"
 )
 
@@ -84,9 +83,8 @@ type Config struct {
 	Faults *via.FaultPlan
 	// ConnTimeout bounds one connection attempt before it is cancelled and
 	// retried with backoff; 0 arms no timers (the default — timing-neutral
-	// for fault-free runs). ConnRetries caps attempts (default 8).
+	// for fault-free runs).
 	ConnTimeout simnet.Duration
-	ConnRetries int
 
 	Seed     int64
 	Deadline simnet.Duration // abort guard on virtual time; 0 = none
@@ -98,22 +96,16 @@ type Config struct {
 	// prevents and must never be set otherwise.
 	UnsafeNoSendFifo bool
 
-	// TuneCost and TuneFabric allow experiments to perturb the device
-	// model after defaults are applied.
-	TuneCost   func(*via.CostModel)
-	TuneFabric func(*fabric.Config)
-
-	// Trace, when set, records every point-to-point message (user and
-	// collective-internal) for communication-pattern analysis. It is fed
-	// from the observability bus (an Obs bus is created implicitly when
-	// only Trace is set).
-	Trace *trace.Recorder
+	// TuneCost allows experiments to perturb the device model after
+	// defaults are applied.
+	TuneCost func(*via.CostModel)
 
 	// Obs, when set, is the observability event bus: every layer (simnet,
 	// fabric, via, core, mpi) stamps structured events onto it in virtual
-	// time. Attach an obs.Recorder for Perfetto export or an obs.Collector
-	// for metrics before calling Run. Nil disables all instrumentation at
-	// zero per-event cost.
+	// time. Attach an obs.Recorder for Perfetto export, an obs.Collector
+	// for metrics or a trace.Recorder for communication-pattern analysis
+	// before calling Run. Nil disables all instrumentation at zero
+	// per-event cost.
 	Obs *obs.Bus
 
 	// Profile enables per-call time accounting (PMPI-style); results are
@@ -201,9 +193,6 @@ func (c *Config) normalize() (fabric.Config, error) {
 	}
 	if c.TuneCost != nil {
 		c.TuneCost(&c.cost)
-	}
-	if c.TuneFabric != nil {
-		c.TuneFabric(&fcfg)
 	}
 	return fcfg, nil
 }
@@ -297,7 +286,7 @@ func (w *World) WritePhases(out io.Writer) {
 		rows = append(rows, obs.PhaseRow{Rank: rs.Rank, Elapsed: int64(w.Elapsed), P: rs.Phases})
 	}
 	if len(rows) == 0 {
-		fmt.Fprintln(out, "phases: empty (run with Config.Obs or Config.Trace set)")
+		fmt.Fprintln(out, "phases: empty (run with Config.Obs set)")
 		return
 	}
 	obs.WritePhaseTable(out, rows)
@@ -317,14 +306,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 		sim.SetDeadline(simnet.Time(cfg.Deadline))
 	}
 	bus := cfg.Obs
-	if bus == nil && cfg.Trace != nil {
-		// Tracing rides on the event bus; create a private one.
-		bus = obs.NewBus()
-	}
 	sim.SetObs(bus)
-	if cfg.Trace != nil {
-		cfg.Trace.Attach(bus)
-	}
 	net := via.NewNetwork(sim, fcfg, cfg.cost)
 	if cfg.Faults != nil {
 		if cfg.Faults.Seed == 0 {
@@ -412,7 +394,6 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				CanEvict:       r.canEvict,
 				StartEvict:     r.startEvict,
 				ConnTimeout:    cfg.ConnTimeout,
-				ConnRetryMax:   cfg.ConnRetries,
 			}
 			mgr, err := core.NewManager(cfg.Policy, mcfg)
 			if err != nil {

@@ -66,6 +66,8 @@ func TestEventLogStream(t *testing.T) {
 	if got, err := mgrs[1].Recv(0, tmo); err != nil || string(got) != "recorded" {
 		t.Fatalf("recv: %q %v", got, err)
 	}
+	waitUp(t, mgrs[0], 1)
+	waitUp(t, mgrs[1], 0)
 
 	for i, log := range logs {
 		if _, _, err := log.CloseStream(); err != nil {

@@ -1,6 +1,7 @@
 package tcpvia
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -210,13 +211,21 @@ func (m *Manager) connectAll() error {
 	return nil
 }
 
-// adoptLoop services incoming connection requests under on-demand.
+// adoptWait is how long adoptLoop blocks in one WaitRequest before asking
+// again; an idle interval is not a reason to stop adopting.
+var adoptWait = time.Hour
+
+// adoptLoop services incoming connection requests under on-demand until the
+// node closes.
 func (m *Manager) adoptLoop() {
 	defer m.adoptWG.Done()
 	for {
-		req, err := m.node.WaitRequest(0, time.Hour)
+		req, err := m.node.WaitRequest(0, adoptWait)
+		if errors.Is(err, ErrTimeout) {
+			continue
+		}
 		if err != nil {
-			return // node closed
+			return // ErrClosed
 		}
 		rank := m.rankOf(req.From)
 		if rank < 0 {
@@ -406,8 +415,8 @@ func (m *Manager) Connections() int {
 	return n
 }
 
-// Close tears down all channels and stops the snapshot loop (writing one
-// final snapshot).
+// Close tears down all channels, stops the snapshot loop (writing one final
+// snapshot), and closes the node so the adopt loop ends before Close returns.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -429,4 +438,8 @@ func (m *Manager) Close() {
 			ch.Vi.Close()
 		}
 	}
+	// The listener's close error has no caller to go to here; Node.Close is
+	// idempotent, so an owner that wants it closes the node first.
+	_ = m.node.Close()
+	m.adoptWG.Wait()
 }

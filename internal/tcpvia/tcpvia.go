@@ -316,12 +316,17 @@ func (n *Node) handleInbound(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		// Their dial wins: adopt this connection for our dialing VI.
+		// Their dial wins: adopt this connection for our dialing VI. The
+		// write lock is held from before the state turns Connected until
+		// kAccept is out, so a send that starts the moment the state is
+		// visible queues behind the handshake frame instead of overtaking it.
 		delete(n.outgoing, disc)
+		out.writeMu.Lock()
 		out.adoptLocked(conn, viID)
 		n.stats.VisConnected++
 		n.mu.Unlock()
 		writeFrame(conn, kAccept, u32(out.id))
+		out.writeMu.Unlock()
 		out.startReader()
 		return
 	}
@@ -384,8 +389,12 @@ func (n *Node) waitLocked(deadline time.Time) {
 
 // Accept completes a pending request on vi. The VI may be Idle, or
 // Connecting with a matching (disc, peer) — the latter is a crossing dial
-// resolving through the request queue; the VI adopts the inbound connection
-// and the outstanding dial completes benignly when it observes the state.
+// resolving through the request queue, settled by the same tie-break as
+// handleInbound: if the peer's dial wins, the VI adopts the inbound
+// connection and the outstanding dial completes benignly when it observes
+// the state; if ours wins, the request is answered kBusy and Accept returns
+// ErrBadState, leaving the dial to carry the connection. Without the
+// tie-break each end could keep the connection the other one drops.
 func (n *Node) Accept(req *PeerRequest, vi *VI) error {
 	req.doneMu.Lock()
 	defer req.doneMu.Unlock()
@@ -399,17 +408,27 @@ func (n *Node) Accept(req *PeerRequest, vi *VI) error {
 		vi.remote = req.From
 		vi.disc = req.Disc
 	case vi.state == Connecting && vi.disc == req.Disc && vi.remote == req.From:
+		if n.addr < req.From {
+			n.mu.Unlock()
+			req.done = true
+			writeFrame(req.conn, kBusy, nil)
+			req.conn.Close()
+			return fmt.Errorf("%w: crossing dial to %s wins the tie-break", ErrBadState, req.From)
+		}
 		delete(n.outgoing, req.Disc)
 	default:
+		st := vi.state
 		n.mu.Unlock()
-		return fmt.Errorf("%w: Accept in state %v", ErrBadState, vi.state)
+		return fmt.Errorf("%w: Accept in state %v", ErrBadState, st)
 	}
 	req.done = true
+	vi.writeMu.Lock() // as in handleInbound: no send may overtake kAccept
 	vi.adoptLocked(req.conn, req.viID)
 	n.stats.VisConnected++
 	n.mu.Unlock()
-
-	if err := writeFrame(req.conn, kAccept, u32(vi.id)); err != nil {
+	err := writeFrame(req.conn, kAccept, u32(vi.id))
+	vi.writeMu.Unlock()
+	if err != nil {
 		return err
 	}
 	vi.startReader()
@@ -434,9 +453,9 @@ func (req *PeerRequest) Reject() {
 // connection deterministically.
 func (n *Node) ConnectPeer(vi *VI, remote string, disc uint64, timeout time.Duration) error {
 	n.mu.Lock()
-	if vi.state != Idle {
+	if st := vi.state; st != Idle {
 		n.mu.Unlock()
-		return fmt.Errorf("%w: ConnectPeer in state %v", ErrBadState, vi.state)
+		return fmt.Errorf("%w: ConnectPeer in state %v", ErrBadState, st)
 	}
 	// A matching request may already be queued: adopt it directly.
 	for i, r := range n.pending {

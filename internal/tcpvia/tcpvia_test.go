@@ -179,6 +179,57 @@ func TestCrossingDialsResolveToOneConnection(t *testing.T) {
 	}
 }
 
+// TestCrossingDialAfterRequestDequeued covers the crossing the adopt loop
+// produces: B has already taken A's request off the pending queue when B's
+// own dial to A starts, so B accepts the request onto a Connecting VI while
+// A's listener sees B's dial. Both ends must settle on the same TCP
+// connection, whichever way the address tie-break falls.
+func TestCrossingDialAfterRequestDequeued(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		a, b := newNode(t), newNode(t)
+		viA, err := a.CreateVi()
+		if err != nil {
+			t.Fatal(err)
+		}
+		viB, err := b.CreateVi()
+		if err != nil {
+			t.Fatal(err)
+		}
+		errA, errB := make(chan error, 1), make(chan error, 1)
+		go func() { errA <- a.ConnectPeer(viA, b.Addr(), 9, tmo) }()
+		req, err := b.WaitRequest(9, tmo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { errB <- b.ConnectPeer(viB, a.Addr(), 9, tmo) }()
+		for viB.State() == Idle {
+			runtime.Gosched() // until B's dial is in flight
+		}
+		// Accept may lose to B's own dial (the tie-break, or the dial simply
+		// finishing first); the dial then carries the connection, and the
+		// request is answered the way the adopt loop answers it.
+		if err := b.Accept(req, viB); err != nil {
+			req.Reject()
+		}
+		if ea, eb := <-errA, <-errB; ea != nil || eb != nil {
+			t.Fatalf("round %d: %v %v", round, ea, eb)
+		}
+		for _, dir := range [][2]*VI{{viA, viB}, {viB, viA}} {
+			if err := dir[1].PostRecv(make([]byte, 16)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dir[0].PostSend([]byte("x")); err != nil {
+				t.Fatalf("round %d send: %v", round, err)
+			}
+			if _, _, err := dir[1].RecvWait(tmo); err != nil {
+				t.Fatalf("round %d recv: %v", round, err)
+			}
+		}
+		a.Close()
+		b.Close()
+	}
+}
+
 func TestRejectedRequest(t *testing.T) {
 	a, b := newNode(t), newNode(t)
 	vi, err := a.CreateVi()
@@ -291,6 +342,19 @@ func group(t *testing.T, n int, policy string) []*Manager {
 	return mgrs
 }
 
+// waitUp blocks until m's channel to peer is marked up. A message can arrive
+// before the goroutine that dialed (or adopted) its connection has finished
+// the bookkeeping — FIFO drain, counters, log events — so tests that inspect
+// that bookkeeping wait for it instead of assuming Recv implies it.
+func waitUp(t *testing.T, m *Manager, peer int) {
+	t.Helper()
+	select {
+	case <-m.channel(peer).upped:
+	case <-time.After(tmo):
+		t.Fatalf("rank %d: channel to %d never came up", m.rank, peer)
+	}
+}
+
 func TestStaticManagerFullMesh(t *testing.T) {
 	const n = 4
 	mgrs := group(t, n, "static")
@@ -341,6 +405,8 @@ func TestOnDemandManagerRing(t *testing.T) {
 		if got := m.node.Stats().VisCreated; got > 2 {
 			t.Errorf("rank %d created %d VIs, want <= 2 under on-demand", i, got)
 		}
+		waitUp(t, m, (i+1)%n)
+		waitUp(t, m, (i+n-1)%n)
 		if got := m.Connections(); got != 2 {
 			t.Errorf("rank %d connections = %d, want 2", i, got)
 		}
@@ -349,6 +415,29 @@ func TestOnDemandManagerRing(t *testing.T) {
 
 // TestOnDemandFifoPreservesOrder: sends issued before the handshake finishes
 // must arrive in order (the §3.4 FIFO on a real network).
+// TestAdoptLoopSurvivesIdleTimeouts: an on-demand manager whose adopt loop
+// has sat through several empty wait intervals must still answer the next
+// dial. (The loop used to treat the interval's ErrTimeout like ErrClosed and
+// exit, leaving every later request unanswered in the node's pending queue.)
+func TestAdoptLoopSurvivesIdleTimeouts(t *testing.T) {
+	old := adoptWait
+	adoptWait = 5 * time.Millisecond
+	// Registered before group's cleanup, so it runs after every manager has
+	// closed and its adopt loop — the only reader — has exited.
+	t.Cleanup(func() { adoptWait = old })
+	mgrs := group(t, 2, "ondemand")
+
+	time.Sleep(10 * adoptWait) // idle long enough for at least two timeouts
+
+	if err := mgrs[0].Send(1, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	waitUp(t, mgrs[0], 1)
+	if got, err := mgrs[1].Recv(0, tmo); err != nil || string(got) != "late" {
+		t.Fatalf("recv: %q %v", got, err)
+	}
+}
+
 func TestOnDemandFifoPreservesOrder(t *testing.T) {
 	mgrs := group(t, 2, "ondemand")
 	const n = 50
