@@ -94,8 +94,9 @@ scale-smoke:
 	$(GO) test ./internal/mpi -run 'TestOnDemandRing1024Sparse|TestOnDemandRing2048Sparse|TestStartupEventsLinear' -count=1 -timeout 120s
 
 # Capture/replay round trip on the real binaries: record a run, re-render
-# the trace offline, require byte identity with the live artifact, then
-# exercise -diff on both verdicts — same-Config runs (different seeds are
+# the trace offline, require byte identity with the live artifact, render
+# the matrix, call profile and phase table from the bundle (each must print),
+# then exercise -diff on both verdicts — same-Config runs (different seeds are
 # byte-identical under fault-free CG, so the diff must exit 0) and
 # different-policy runs (the diff must flag the divergence and exit 1).
 replay-smoke:
@@ -108,6 +109,12 @@ replay-smoke:
 	$$tmp/viampi-replay -trace $$tmp/replay.json $$tmp/a.bin > /dev/null; \
 	cmp -s $$tmp/live.json $$tmp/replay.json || { echo "replay-smoke: replayed trace differs from live artifact"; exit 1; }; \
 	$$tmp/viampi-replay -summary $$tmp/a.bin > /dev/null; \
+	for report in matrix profile phases; do \
+		$$tmp/viampi-replay -$$report $$tmp/a.bin > $$tmp/$$report.txt \
+			|| { echo "replay-smoke: viampi-replay -$$report failed"; exit 1; }; \
+		test -s $$tmp/$$report.txt && ! grep -q ': empty' $$tmp/$$report.txt \
+			|| { echo "replay-smoke: viampi-replay -$$report printed nothing from the bundle"; exit 1; }; \
+	done; \
 	$$tmp/mpirun-sim -np 8 -conn ondemand -seed 2 -record $$tmp/b.bin CG S > /dev/null; \
 	$$tmp/viampi-replay -diff $$tmp/a.bin $$tmp/b.bin > /dev/null \
 		|| { echo "replay-smoke: same-Config bundles reported divergent"; exit 1; }; \
@@ -115,7 +122,7 @@ replay-smoke:
 	if $$tmp/viampi-replay -diff $$tmp/a.bin $$tmp/c.bin > /dev/null; then \
 		echo "replay-smoke: diff failed to flag divergent runs"; exit 1; \
 	fi; \
-	echo "replay-smoke: record -> replay byte-identical; diff verdicts correct"
+	echo "replay-smoke: record -> replay byte-identical; matrix, profile and phases render; diff verdicts correct"
 
 # The batch runner's merge-determinism contract on the real binary: the same
 # tiny grid rendered at -j1 and -j2 must be byte-identical (the in-tree

@@ -21,7 +21,7 @@ import (
 func main() {
 	var (
 		op     = flag.String("op", "latency", "latency | bandwidth | barrier | allreduce | init")
-		device = flag.String("device", "clan", "clan | bvia")
+		device = flag.String("device", "clan", "clan | bvia | ib")
 		policy = flag.String("policy", "ondemand", "static-cs | static-p2p | ondemand")
 		wait   = flag.String("wait", "polling", "polling | spinwait")
 		procs  = flag.Int("procs", 8, "process count (collectives, init)")

@@ -18,24 +18,22 @@ import (
 	"viampi/internal/obs"
 	"viampi/internal/obs/capture"
 	"viampi/internal/simnet"
-	"viampi/internal/trace"
 	"viampi/internal/via"
 )
 
 func main() {
 	var (
-		np      = flag.Int("np", 8, "number of processes")
-		device  = flag.String("device", "clan", "clan | bvia")
-		conn    = flag.String("conn", "ondemand", "static-cs | static-p2p | ondemand")
-		wait    = flag.String("wait", "polling", "polling | spinwait")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		matrix  = flag.Bool("matrix", false, "print the communication matrix after the run")
-		profile = flag.Bool("profile", false, "print per-MPI-call time accounting after the run")
-		traceTo = flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON `file`")
-		metrics = flag.Bool("metrics", false, "print the metrics registry after the run")
-		phases  = flag.Bool("phases", false, "print the per-rank phase decomposition after the run")
-		record  = flag.String("record", "", "write the full event stream as a capture bundle to `file` (replay with viampi-replay)")
+		np     = flag.Int("np", 8, "number of processes")
+		device = flag.String("device", "clan", "clan | bvia | ib")
+		conn   = flag.String("conn", "ondemand", "static-cs | static-p2p | ondemand")
+		wait   = flag.String("wait", "polling", "polling | spinwait")
+		seed   = flag.Int64("seed", 1, "simulation seed")
+		record = flag.String("record", "", "write the full event stream as a capture bundle to `file` (replay with viampi-replay)")
 	)
+	// -matrix -profile -metrics -phases -trace: the same folds, flags and
+	// renderer viampi-replay applies to a recorded bundle.
+	var reports obs.Reports
+	reports.Flags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: mpirun-sim [flags] <benchmark> <class>")
@@ -64,25 +62,9 @@ func main() {
 		Seed:     *seed,
 		Deadline: 8 * 3600 * simnet.Second,
 	}
-	cfg.Profile = *profile
-
-	var rec *trace.Recorder
-	var flight *obs.Recorder
-	var reg *obs.Registry
-	if *matrix || *traceTo != "" || *metrics || *phases || *record != "" {
+	if reports.Any() || *record != "" {
 		cfg.Obs = obs.NewBus()
-	}
-	if *matrix {
-		rec = trace.New(*np, false)
-		rec.Attach(cfg.Obs)
-	}
-	if *traceTo != "" {
-		flight = obs.NewRecorder()
-		flight.Attach(cfg.Obs)
-	}
-	if *metrics {
-		reg = obs.NewRegistry()
-		obs.NewCollector(reg).Attach(cfg.Obs)
+		reports.Attach(cfg.Obs, *np)
 	}
 	var cw *capture.Writer
 	var cf *os.File
@@ -120,38 +102,9 @@ func main() {
 	fmt.Printf("  VIs/process (avg)  : %.2f\n", w.AvgVIs())
 	fmt.Printf("  VI utilization     : %.2f\n", w.AvgUtilization())
 	fmt.Printf("  pinned memory total: %.1f kB\n", float64(w.TotalPinnedPeak())/1024)
-	if rec != nil {
-		fmt.Println()
-		rec.RenderMatrix(os.Stdout)
-		rec.Summary(os.Stdout)
-	}
-	if *profile {
-		fmt.Println()
-		w.WriteProfile(os.Stdout)
-	}
-	if *metrics {
-		fmt.Println()
-		reg.WriteText(os.Stdout)
-	}
-	if *phases {
-		fmt.Println()
-		w.WritePhases(os.Stdout)
-	}
-	if flight != nil {
-		f, err := os.Create(*traceTo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := flight.WritePerfetto(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d events to %s (open in ui.perfetto.dev)\n", flight.Len(), *traceTo)
+	if err := reports.Render(os.Stdout, true); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if cw != nil {
 		err := cw.Close()

@@ -1,15 +1,15 @@
 // Command viampi-replay re-renders, summarizes, and diffs capture bundles
 // recorded with mpirun-sim -record (or dumped by the tcpvia flight
-// recorder) — the offline half of the obs pipeline. Because every exporter
-// is a pure function of the event stream, replaying a bundle through the
-// same consumers reproduces the live run's artifacts byte for byte: the
-// Perfetto trace, the metrics registry in any format, the phase table.
+// recorder) — the offline half of the obs pipeline. Every report is a fold
+// over the event stream and obs.Reports is the one place they are flagged,
+// attached and rendered, so -matrix -profile -metrics -phases -trace print
+// from a bundle exactly what mpirun-sim printed from the live run.
 //
 // Examples:
 //
 //	viampi-replay -summary run.bin
 //	viampi-replay -trace trace.json run.bin
-//	viampi-replay -metrics -phases run.bin
+//	viampi-replay -matrix -profile -metrics -phases run.bin
 //	viampi-replay -csv metrics.csv -json metrics.json run.bin
 //	viampi-replay -diff a.bin b.bin
 //	viampi-replay -diff -j4 a1.bin b1.bin a2.bin b2.bin   # batch: diff pairs
@@ -29,15 +29,14 @@ import (
 func main() {
 	var (
 		summary = flag.Bool("summary", false, "print the bundle header and per-kind event counts")
-		traceTo = flag.String("trace", "", "re-render the Perfetto/Chrome trace-event JSON to `file`")
-		metrics = flag.Bool("metrics", false, "print the metrics registry (text form)")
 		csvTo   = flag.String("csv", "", "write the metrics registry as CSV to `file`")
 		jsonTo  = flag.String("json", "", "write the metrics registry as JSON to `file`")
-		phases  = flag.Bool("phases", false, "print the per-rank phase decomposition")
 		diff    = flag.Bool("diff", false, "compare bundle pairs: first structural divergence and per-kind deltas")
 		jobsN   = flag.Int("j", 0, "worker pool size for batch -diff (0 = GOMAXPROCS); output is byte-identical at every -j")
 		quiet   = flag.Bool("q", false, "suppress the progress/ETA line")
 	)
+	var reports obs.Reports
+	reports.Flags(flag.CommandLine)
 	flag.Parse()
 
 	if *diff {
@@ -100,7 +99,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if !*summary && *traceTo == "" && !*metrics && *csvTo == "" && *jsonTo == "" && !*phases {
+	if !*summary && !reports.Any() && *csvTo == "" && *jsonTo == "" {
 		*summary = true // bare invocation: show what the bundle is
 	}
 	b := readBundle(flag.Arg(0))
@@ -109,36 +108,26 @@ func main() {
 		writeSummary(os.Stdout, b)
 	}
 
-	// Feed the bundle through the same consumers a live run attaches; each
-	// exporter's output is then byte-identical to what the run produced.
+	// Feed the bundle through the folds a live run attaches; each report is
+	// then byte-identical to what the run produced.
 	bus := obs.NewBus()
-	var flight *obs.Recorder
+	reports.Attach(bus, b.Header.World)
 	var reg *obs.Registry
-	if *traceTo != "" {
-		flight = obs.NewRecorder()
-		flight.Attach(bus)
-	}
-	if *metrics || *csvTo != "" || *jsonTo != "" {
+	if *csvTo != "" || *jsonTo != "" {
 		reg = obs.NewRegistry()
 		obs.NewCollector(reg).Attach(bus)
 	}
 	b.EmitAll(bus)
 
-	if *traceTo != "" {
-		toFile(*traceTo, func(f *os.File) error { return flight.WritePerfetto(f) })
-		fmt.Printf("wrote %d events to %s (open in ui.perfetto.dev)\n", flight.Len(), *traceTo)
-	}
-	if *metrics {
-		reg.WriteText(os.Stdout)
+	if err := reports.Render(os.Stdout, *summary); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *csvTo != "" {
 		toFile(*csvTo, func(f *os.File) error { reg.WriteCSV(f); return nil })
 	}
 	if *jsonTo != "" {
 		toFile(*jsonTo, func(f *os.File) error { reg.WriteJSON(f); return nil })
-	}
-	if *phases {
-		obs.WritePhaseTable(os.Stdout, b.PhaseRows())
 	}
 }
 

@@ -7,8 +7,10 @@
 // node's connection and message events are kept in a bounded in-memory ring
 // (wall-clock stamps) and dumped as capture bundles at exit — or on
 // SIGINT/SIGTERM, or on a crash — for offline inspection with
-// viampi-replay. -snapshot additionally tails periodic metrics JSON to a
-// file while the run is live.
+// viampi-replay. -snapshot tails rank 0's metrics to a file as periodic JSON
+// while the run is live: the flight recorder's events folded by the same
+// obs.Collector behind mpirun-sim -metrics, so the keys are the simulator's
+// ("events.conn.up", "events.fifo.park", "fifo.drained_total", ...).
 package main
 
 import (
@@ -22,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"viampi/internal/obs"
 	"viampi/internal/obs/capture"
 	"viampi/internal/tcpvia"
 )
@@ -117,8 +118,10 @@ func main() {
 			peers[i] = n.Addr()
 		}
 		logs := make([]*tcpvia.EventLog, *np)
-		if *record != "" {
-			for i := range logs {
+		for i := range logs {
+			// The snapshot is written from rank 0's log, so -snapshot needs
+			// that one even when nothing is dumped.
+			if *record != "" || (i == 0 && snapOut != nil) {
 				l, err := tcpvia.NewEventLog(capture.Header{
 					World:  *np,
 					Device: "tcpvia",
@@ -130,9 +133,11 @@ func main() {
 					log.Fatal(err)
 				}
 				logs[i] = l
-				flightMu.Lock()
-				flightLogs[fmt.Sprintf("tcpring-%s-rank%d.bin", policy, i)] = l
-				flightMu.Unlock()
+				if *record != "" {
+					flightMu.Lock()
+					flightLogs[fmt.Sprintf("tcpring-%s-rank%d.bin", policy, i)] = l
+					flightMu.Unlock()
+				}
 			}
 		}
 		mgrs := make([]*tcpvia.Manager, *np)
@@ -148,7 +153,6 @@ func main() {
 					Timeout: 10 * time.Second, Log: logs[i],
 				}
 				if i == 0 && snapOut != nil {
-					cfg.Metrics = obs.NewRegistry()
 					cfg.SnapshotEvery = time.Duration(*snapMs) * time.Millisecond
 					cfg.SnapshotTo = snapOut
 				}

@@ -25,7 +25,6 @@ import (
 	"viampi/internal/obs/capture"
 	"viampi/internal/simnet"
 	"viampi/internal/sweep"
-	"viampi/internal/trace"
 	"viampi/internal/via"
 )
 
@@ -90,9 +89,7 @@ func reportDivergence(t *testing.T, first, second []byte) {
 // It returns errors instead of taking a testing.T so dual runs can execute
 // on concurrent sweep workers.
 func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
-	rec := trace.New(cfg.Procs, true)
 	cfg.Obs = obs.NewBus()
-	rec.Attach(cfg.Obs)
 	cfg.Deadline = 30 * simnet.Second
 	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
 	if err != nil {
@@ -121,11 +118,19 @@ func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) 
 			rs.PinnedPeak, rs.MsgsSent, rs.BytesSent, rs.WaitWakeups,
 			int64(rs.ComputeTime))
 	}
-	for _, ev := range rec.Events() {
-		put(ev.TimeNs, int64(ev.Src), int64(ev.Dst), int64(ev.Bytes), int64(ev.Tag))
+	b, err := capture.ReadBundle(bytes.NewReader(bundle.Bytes()))
+	if err != nil {
+		return "", nil, fmt.Errorf("decoding capture bundle: %w", err)
 	}
-	if len(rec.Events()) == 0 {
-		return "", nil, fmt.Errorf("replay (%s, %d procs) recorded no trace events; the digest would be vacuous", cfg.Policy, cfg.Procs)
+	sends := 0
+	for _, ev := range b.Events {
+		if ev.Kind == obs.EvMsgSend {
+			put(ev.T, int64(ev.Rank), int64(ev.Peer), ev.A, ev.B)
+			sends++
+		}
+	}
+	if sends == 0 {
+		return "", nil, fmt.Errorf("replay (%s, %d procs) recorded no message sends; the digest would be vacuous", cfg.Policy, cfg.Procs)
 	}
 	return hex.EncodeToString(h.Sum(nil)), bundle.Bytes(), nil
 }

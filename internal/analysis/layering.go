@@ -8,8 +8,8 @@ import (
 )
 
 // LayeringAnalyzer enforces the ARCHITECTURE.md import DAG: every package
-// imports strictly downward, the shared leaves (trace) import nothing from
-// the module, and the restricted leaves (tcpvia, analysis) are reachable
+// imports strictly downward, the shared leaves (obs, sweep) import nothing
+// from the module but each other, and the restricted leaves (tcpvia, analysis) are reachable
 // only from drivers.
 func LayeringAnalyzer() *Analyzer {
 	return &Analyzer{
@@ -18,9 +18,9 @@ func LayeringAnalyzer() *Analyzer {
 		Explain: `docs/ARCHITECTURE.md, "Layering contract": examples/cmd call the
 workloads (bench, npb, apps), which sit on mpi, which plugs in core, which
 drives via, which emits frames into fabric, which schedules on simnet. Each
-package only imports downward. internal/obs and internal/trace are passive
-observers any layer may feed, but they import nothing from the module except
-each other (trace subscribes to the obs bus); internal/tcpvia is
+package only imports downward. internal/obs is the passive observer any
+layer may feed — the bus, and the folds that turn its event stream into
+reports — and imports nothing from the module; internal/tcpvia is
 the real-socket twin of internal/via and is reachable only from drivers.
 An upward (or sideways) import collapses the layering that makes the
 simulation analyzable — e.g. via reaching into mpi would let device models

@@ -18,7 +18,7 @@ const (
 )
 
 // LocksAnalyzer enforces the leaf-lock discipline on the one place viampi
-// tolerates a mutex (the tcpvia metrics leaf) and on any other lock the code
+// tolerates a mutex (the tcpvia event-log leaf) and on any other lock the code
 // grows: every Lock is paired with an Unlock or defer-Unlock on all CFG
 // paths, no Lock while the same mutex may already be held, and — for
 // policy-declared leaf locks — no call into a layered simulation package
@@ -30,12 +30,12 @@ func LocksAnalyzer() *Analyzer {
 		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": the simulated world is
 single-threaded by construction (the determinism rule bans sync there), so
 the only mutexes in the tree live in internal/tcpvia, the real-socket twin
-that talks to actual kernel threads. Its metrics mutex is documented as a
+that talks to actual kernel threads. Its event-log mutex is documented as a
 *leaf* lock: acquired last, released before calling anything that could
 take another lock. That contract is what makes the lock hierarchy trivially
 deadlock-free — the moment a leaf-held thread re-enters a layered package
 (via, fabric, mpi...), it can reach code that parks, takes node locks, or
-calls back into metrics, and the hierarchy is gone. This rule checks, per
+calls back into the log, and the hierarchy is gone. This rule checks, per
 CFG path: a Lock is always discharged by an Unlock or defer-Unlock before
 return (a leaked lock hangs the next reader the way a missed wake hangs a
 waiter); a Lock never re-acquires a mutex that may already be held
@@ -50,7 +50,7 @@ resolves into a package with a layer assignment in the DAG.`,
 type lockOp struct {
 	call  *ast.CallExpr
 	key   string // textual receiver ("n.mu"): one dataflow domain per key
-	field string // qualified field ("internal/tcpvia.(Manager).metricsMu") or ""
+	field string // qualified field ("internal/tcpvia.(EventLog).mu") or ""
 	lock  bool   // Lock/RLock vs Unlock/RUnlock
 	read  bool   // RLock/RUnlock (shared: re-acquiring is not self-deadlock)
 }
@@ -301,7 +301,7 @@ func classifyLockOp(m *Module, pkg *Package, call *ast.CallExpr) *lockOp {
 
 // exprText renders the receiver expression as the dataflow key. Same
 // spelling ⇒ same mutex within one function body, which holds for the
-// receiver chains this codebase uses (n.mu, m.metricsMu).
+// receiver chains this codebase uses (n.mu, l.mu).
 func exprText(e ast.Expr) string {
 	var buf bytes.Buffer
 	_ = printer.Fprint(&buf, token.NewFileSet(), e)

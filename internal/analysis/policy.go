@@ -22,7 +22,7 @@ type Policy struct {
 	TopLayer int
 	// SharedLeaves are importable from every layer but may themselves
 	// import only the standard library and other shared leaves
-	// (internal/obs; internal/trace, which consumes obs events).
+	// (internal/obs and its capture codec; internal/sweep).
 	SharedLeaves map[string]bool `subject:"package"`
 	// RestrictedLeaves are importable only from the top layer and may
 	// import no module package (internal/tcpvia: the real-socket twin;
@@ -161,13 +161,12 @@ func DefaultPolicy() *Policy {
 		TopLayer: 9,
 		SharedLeaves: map[string]bool{
 			// Passive observers: every simulation layer may stamp events on
-			// the obs bus or feed the trace recorder, and neither may reach
-			// back into the simulation (obs imports nothing; trace imports
-			// obs to subscribe). Keeping them leaves guarantees
+			// the obs bus, and obs (the bus, the folds that turn the stream
+			// into reports, the capture codec) may never reach back into
+			// the simulation. Keeping them leaves guarantees
 			// instrumentation can never alter what it observes.
 			"internal/obs":         true,
 			"internal/obs/capture": true,
-			"internal/trace":       true,
 			// The batch runner: every layer may fan hermetic jobs over it
 			// (bench grids, the fault matrix, cmd drivers), and it imports
 			// only the standard library, so the edge can never reach back
@@ -189,7 +188,7 @@ func DefaultPolicy() *Policy {
 		},
 
 		MapOrderStrict: map[string]string{
-			"internal/obs":         "metrics/trace emission: output is golden-tested byte-for-byte, so every map walk must go through sorted keys",
+			"internal/obs":         "report/metrics/trace emission: output is golden-tested and compared live-vs-replay byte-for-byte, so every map walk (the call profile's included) must go through sorted keys",
 			"internal/obs/capture": "bundle encoding: record and replay must produce identical bytes, so no map walk may touch the stream",
 		},
 
@@ -252,8 +251,7 @@ func DefaultPolicy() *Policy {
 		},
 
 		LeafLocks: map[string]string{
-			"internal/tcpvia.(Manager).metricsMu": "guards the obs metrics registry only; acquired last, released before any node/channel lock or call back into the stack",
-			"internal/tcpvia.(EventLog).mu":       "guards the wall-clock capture sinks (ring + stream writer) only; acquired last, never held across a call back into the stack",
+			"internal/tcpvia.(EventLog).mu": "guards the wall-clock capture sinks (ring + stream writer) and the metrics fold over the same events only; acquired last, never held across a call back into the stack",
 		},
 
 		HotPaths: map[string]string{
@@ -395,6 +393,9 @@ func DefaultPolicy() *Policy {
 func FixturePolicy() *Policy {
 	p := DefaultPolicy()
 	p.Exceptions = nil
+	// The fixture's leaf lock is its own: the locks cases hang off a
+	// Manager.metricsMu the real tcpvia no longer has.
+	p.LeafLocks["internal/tcpvia.(Manager).metricsMu"] = "fixture leaf lock: guards a counter only"
 	// The fixture's toy state machine is not the connection protocol the
 	// product-automaton models encode; only extraction runs on fixtures.
 	p.FSMModelCheck = false

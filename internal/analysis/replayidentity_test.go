@@ -1,14 +1,20 @@
 package analysis
 
-// The capture pipeline's contract, observed end to end: every artifact a
-// live run renders (Perfetto trace, metrics in all three formats, the phase
-// table) must be byte-identical when re-rendered offline from the run's
-// capture bundle. This is what makes a bundle a faithful flight record —
-// ship the .bin, regenerate everything else.
+// The capture pipeline's contract, observed end to end: every report a live
+// run renders (communication matrix, call profile, metrics, phase table,
+// Perfetto trace) must be byte-identical when re-rendered offline from the
+// run's capture bundle. Both sides go through obs.Reports — the one
+// flag→attach→render path mpirun-sim and viampi-replay share — so this is
+// what makes a bundle a faithful flight record: ship the .bin, regenerate
+// everything else.
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"viampi/internal/apps"
@@ -18,76 +24,44 @@ import (
 	"viampi/internal/simnet"
 )
 
-// artifacts are the rendered outputs under comparison.
+// artifacts are the rendered outputs under comparison: what obs.Reports
+// printed, the trace file it wrote, and the registry's two machine formats
+// (viampi-replay -csv/-json).
 type artifacts struct {
-	perfetto, metricsText, metricsCSV, metricsJSON, phaseTable string
+	reports, perfetto, metricsCSV, metricsJSON string
 }
 
-func renderFrom(t *testing.T, rec *obs.Recorder, reg *obs.Registry, rows []obs.PhaseRow) artifacts {
+// renderAll attaches all five reports (through their flags, as the binaries
+// do) to bus for a job of world ranks, lets feed produce the event stream,
+// and renders. tracePath is shared by the live and the replayed side so the
+// trace receipt line is comparable too.
+func renderAll(t *testing.T, bus *obs.Bus, world int, tracePath string, feed func()) artifacts {
 	t.Helper()
-	var tr, mt, mc, mj, ph bytes.Buffer
-	if err := rec.WritePerfetto(&tr); err != nil {
-		t.Fatalf("perfetto: %v", err)
+	var reports obs.Reports
+	fs := flag.NewFlagSet("reports", flag.ContinueOnError)
+	reports.Flags(fs)
+	if err := fs.Parse([]string{"-matrix", "-profile", "-metrics", "-phases", "-trace", tracePath}); err != nil {
+		t.Fatal(err)
 	}
-	reg.WriteText(&mt)
-	reg.WriteCSV(&mc)
-	reg.WriteJSON(&mj)
-	obs.WritePhaseTable(&ph, rows)
-	return artifacts{tr.String(), mt.String(), mc.String(), mj.String(), ph.String()}
-}
-
-// liveRun executes the CG replay with the full consumer stack plus a capture
-// writer, returning the live artifacts and the sealed bundle bytes.
-func liveRun(t *testing.T, cfg mpi.Config, rounds, msgBytes int) (artifacts, []byte) {
-	t.Helper()
-	bus := obs.NewBus()
-	rec := obs.NewRecorder()
-	rec.Attach(bus)
+	reports.Attach(bus, world)
 	reg := obs.NewRegistry()
-	obs.NewCollector(reg).Attach(bus)
-	cfg.Obs = bus
-	cfg.Deadline = 30 * simnet.Second
-	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
+	col := obs.NewCollector(reg)
+	col.Attach(bus)
+	defer col.Detach()
+
+	feed()
+
+	var out, mc, mj bytes.Buffer
+	if err := reports.Render(&out, false); err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	trace, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes)
-	if err != nil {
-		t.Fatalf("replay (%s, %d procs): %v", cfg.Policy, cfg.Procs, err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatalf("sealing bundle: %v", err)
-	}
-
-	// Live phase rows come from the World, exactly as mpi.World.WritePhases
-	// builds them.
-	var rows []obs.PhaseRow
-	for _, rs := range w.Ranks {
-		if rs.Phases != nil {
-			rows = append(rows, obs.PhaseRow{Rank: rs.Rank, Elapsed: int64(w.Elapsed), P: rs.Phases})
-		}
-	}
-	if len(rows) != cfg.Procs {
-		t.Fatalf("%d phase rows for %d ranks", len(rows), cfg.Procs)
-	}
-	return renderFrom(t, rec, reg, rows), bundle.Bytes()
-}
-
-// replayBundle decodes the bundle and re-renders every artifact through
-// fresh consumers.
-func replayBundle(t *testing.T, raw []byte) artifacts {
-	t.Helper()
-	b, err := capture.ReadBundle(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("decoding bundle: %v", err)
-	}
-	bus := obs.NewBus()
-	rec := obs.NewRecorder()
-	rec.Attach(bus)
-	reg := obs.NewRegistry()
-	obs.NewCollector(reg).Attach(bus)
-	b.EmitAll(bus)
-	return renderFrom(t, rec, reg, b.PhaseRows())
+	reg.WriteCSV(&mc)
+	reg.WriteJSON(&mj)
+	return artifacts{out.String(), string(trace), mc.String(), mj.String()}
 }
 
 func compareArtifacts(t *testing.T, live, replayed artifacts) {
@@ -106,25 +80,49 @@ func compareArtifacts(t *testing.T, live, replayed artifacts) {
 		}
 		t.Errorf("%s differs in length: live %d bytes, replay %d bytes", name, len(a), len(b))
 	}
+	check("reports", live.reports, replayed.reports)
 	check("perfetto trace", live.perfetto, replayed.perfetto)
-	check("metrics text", live.metricsText, replayed.metricsText)
 	check("metrics CSV", live.metricsCSV, replayed.metricsCSV)
 	check("metrics JSON", live.metricsJSON, replayed.metricsJSON)
-	check("phase table", live.phaseTable, replayed.phaseTable)
 }
 
 // TestReplayReproducesLiveArtifacts is the record→replay identity matrix:
-// 8 and 16 ranks under both connection-policy families.
+// 8 and 16 ranks under both connection-policy families, all five reports.
 func TestReplayReproducesLiveArtifacts(t *testing.T) {
 	const rounds, msgBytes = 2, 1024
 	for _, policy := range []string{"static-p2p", "ondemand"} {
 		for _, procs := range []int{8, 16} {
 			t.Run(fmt.Sprintf("%s/p%d", policy, procs), func(t *testing.T) {
-				cfg := mpi.Config{Procs: procs, Policy: policy, Seed: 42}
-				live, bundle := liveRun(t, cfg, rounds, msgBytes)
-				replayed := replayBundle(t, bundle)
+				tracePath := filepath.Join(t.TempDir(), "trace.json")
+				cfg := mpi.Config{Procs: procs, Policy: policy, Seed: 42,
+					Obs: obs.NewBus(), Deadline: 30 * simnet.Second}
+				cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := renderAll(t, cfg.Obs, procs, tracePath, func() {
+					if _, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes); err != nil {
+						t.Fatalf("replay (%s, %d procs): %v", policy, procs, err)
+					}
+				})
+				if err := cw.Close(); err != nil {
+					t.Fatalf("sealing bundle: %v", err)
+				}
+
+				b, err := capture.ReadBundle(bytes.NewReader(bundle.Bytes()))
+				if err != nil {
+					t.Fatalf("decoding bundle: %v", err)
+				}
+				bus := obs.NewBus()
+				replayed := renderAll(t, bus, b.Header.World, tracePath, func() { b.EmitAll(bus) })
+
 				compareArtifacts(t, live, replayed)
-				if live.perfetto == "" || live.metricsJSON == "" || live.phaseTable == "" {
+				for _, section := range []string{"communication matrix", "imbal", "counter events.msg.send", "progress-poll", "wrote "} {
+					if !strings.Contains(live.reports, section) {
+						t.Fatalf("live reports lack %q; the identity check would be vacuous:\n%s", section, live.reports)
+					}
+				}
+				if live.perfetto == "" || live.metricsJSON == "" {
 					t.Fatal("live artifacts empty; the identity check would be vacuous")
 				}
 			})

@@ -6,7 +6,6 @@ import (
 	"viampi/internal/mpi"
 	"viampi/internal/obs"
 	"viampi/internal/simnet"
-	"viampi/internal/trace"
 )
 
 func replayCfg(procs int) mpi.Config {
@@ -18,10 +17,10 @@ func replayCfg(procs int) mpi.Config {
 func TestReplayTracesMatchAnalytic(t *testing.T) {
 	const n = 16
 	for _, p := range All() {
-		rec := trace.New(n, false)
+		rec := obs.NewMatrix(n)
 		cfg := replayCfg(n)
 		cfg.Obs = obs.NewBus()
-		rec.Attach(cfg.Obs)
+		cfg.Obs.Subscribe(rec.Consume)
 		if _, err := Replay(p, cfg, 2, 64); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

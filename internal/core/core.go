@@ -461,11 +461,41 @@ func (b *base) waitAllUp(poll func()) {
 }
 
 // ---------------------------------------------------------------------------
-// Static peer-to-peer
+// Static policies
+
+// static is what the two eager policies share: every channel exists once
+// Init returns, so Channel only looks up, ConnectAll has nothing left to do
+// and Poll only progresses the handshakes Init started. They differ in Init
+// alone.
+type static struct {
+	*base
+	name string
+}
+
+// Name implements Manager.
+func (m *static) Name() string { return m.name }
+
+// Channel implements Manager; with a static mesh every channel exists.
+func (m *static) Channel(rank int) (*Channel, error) {
+	ch := m.channels[rank]
+	if ch == nil {
+		return nil, fmt.Errorf("core: %s has no channel to rank %d", m.name, rank)
+	}
+	return ch, nil
+}
+
+// ConnectAll implements Manager (a no-op for a static mesh).
+func (m *static) ConnectAll() error { return nil }
+
+// Poll implements Manager.
+func (m *static) Poll() {
+	m.progressHandshakes()
+	m.promoteConnected()
+}
 
 // StaticPeerToPeer builds the fully-connected mesh with concurrent
 // peer-to-peer handshakes during Init.
-type StaticPeerToPeer struct{ *base }
+type StaticPeerToPeer struct{ static }
 
 // NewStaticPeerToPeer creates the manager.
 func NewStaticPeerToPeer(cfg Config) (*StaticPeerToPeer, error) {
@@ -473,11 +503,8 @@ func NewStaticPeerToPeer(cfg Config) (*StaticPeerToPeer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StaticPeerToPeer{base: b}, nil
+	return &StaticPeerToPeer{static{b, "static-p2p"}}, nil
 }
-
-// Name implements Manager.
-func (m *StaticPeerToPeer) Name() string { return "static-p2p" }
 
 // Init issues all N-1 peer requests, then progresses them together.
 func (m *StaticPeerToPeer) Init() error {
@@ -497,31 +524,10 @@ func (m *StaticPeerToPeer) Init() error {
 	return nil
 }
 
-// Channel implements Manager; with a static mesh every channel exists.
-func (m *StaticPeerToPeer) Channel(rank int) (*Channel, error) {
-	ch := m.channels[rank]
-	if ch == nil {
-		return nil, fmt.Errorf("core: static-p2p has no channel to rank %d", rank)
-	}
-	return ch, nil
-}
-
-// ConnectAll implements Manager (a no-op for a static mesh).
-func (m *StaticPeerToPeer) ConnectAll() error { return nil }
-
-// Poll implements Manager.
-func (m *StaticPeerToPeer) Poll() {
-	m.progressHandshakes()
-	m.promoteConnected()
-}
-
-// ---------------------------------------------------------------------------
-// Static client-server
-
 // StaticClientServer reproduces MVICH's original serialized client-server
 // startup: for each pair the lower rank is the server; servers accept
 // expected peers strictly in rank order.
-type StaticClientServer struct{ *base }
+type StaticClientServer struct{ static }
 
 // NewStaticClientServer creates the manager.
 func NewStaticClientServer(cfg Config) (*StaticClientServer, error) {
@@ -529,11 +535,8 @@ func NewStaticClientServer(cfg Config) (*StaticClientServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StaticClientServer{base: b}, nil
+	return &StaticClientServer{static{b, "static-cs"}}, nil
 }
-
-// Name implements Manager.
-func (m *StaticClientServer) Name() string { return "static-cs" }
 
 // Init connects as client to all lower ranks (in order), then serves all
 // higher ranks strictly in rank order. The in-order accepts are the
@@ -572,24 +575,6 @@ func (m *StaticClientServer) Init() error {
 	}
 	m.waitAllUp(m.Poll)
 	return nil
-}
-
-// Channel implements Manager.
-func (m *StaticClientServer) Channel(rank int) (*Channel, error) {
-	ch := m.channels[rank]
-	if ch == nil {
-		return nil, fmt.Errorf("core: static-cs has no channel to rank %d", rank)
-	}
-	return ch, nil
-}
-
-// ConnectAll implements Manager (no-op for a static mesh).
-func (m *StaticClientServer) ConnectAll() error { return nil }
-
-// Poll implements Manager.
-func (m *StaticClientServer) Poll() {
-	m.progressHandshakes()
-	m.promoteConnected()
 }
 
 // ---------------------------------------------------------------------------

@@ -158,9 +158,6 @@ func (c *Cluster) AttachNode(node int, handler Handler) (int, error) {
 // NodeOf returns the node hosting endpoint id.
 func (c *Cluster) NodeOf(id int) int { return c.eps[id].node }
 
-// Endpoints returns the number of attached endpoints.
-func (c *Cluster) Endpoints() int { return len(c.eps) }
-
 // Send injects a frame into the network at the current virtual time after
 // extra (the sender-side processing delay computed by the device model, e.g.
 // NIC doorbell service). Delivery order between a fixed (src,dst) pair is

@@ -19,7 +19,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"viampi/internal/core"
 	"viampi/internal/fabric"
@@ -32,7 +31,7 @@ import (
 type Config struct {
 	Procs int // number of ranks (required)
 
-	// Device selects the VIA personality: "clan" (default) or "bvia".
+	// Device selects the VIA personality: "clan" (default), "bvia" or "ib".
 	Device string
 	// ProcsPerNode sets process placement; 0 defaults to 4 on clan (the
 	// paper's quad-CPU nodes) and 1 on bvia (its Berkeley VIA limitation).
@@ -102,15 +101,12 @@ type Config struct {
 
 	// Obs, when set, is the observability event bus: every layer (simnet,
 	// fabric, via, core, mpi) stamps structured events onto it in virtual
-	// time. Attach an obs.Recorder for Perfetto export, an obs.Collector
-	// for metrics or a trace.Recorder for communication-pattern analysis
-	// before calling Run. Nil disables all instrumentation at zero
-	// per-event cost.
+	// time, and Run closes the stream with the per-rank phase epilogue.
+	// Every report about a run is an obs fold over that stream — subscribe
+	// obs.Reports (matrix, call profile, metrics, phases, Perfetto trace) or
+	// a single fold's Consume before calling Run. Nil disables all
+	// instrumentation at zero per-event cost.
 	Obs *obs.Bus
-
-	// Profile enables per-call time accounting (PMPI-style); results are
-	// returned in RankStats.Profile and rendered by World.WriteProfile.
-	Profile bool
 
 	// BarrierAlg selects the barrier algorithm: "rd" (default, recursive
 	// doubling), "dissemination", or "tree" (binomial combine+broadcast).
@@ -213,8 +209,6 @@ type RankStats struct {
 	BytesSent     int64
 	WaitWakeups   int64
 	ComputeTime   simnet.Duration
-	Profile       map[string]*CallStat // nil unless Config.Profile
-	Phases        *obs.Phases          // nil unless observability is on
 }
 
 // World is the result of a run.
@@ -272,24 +266,6 @@ func (w *World) TotalPinnedPeak() int64 {
 		t += rs.PinnedPeak
 	}
 	return t
-}
-
-// WritePhases renders the per-rank phase decomposition — where each rank's
-// virtual time went (compute, eager, rendezvous, connect, credit stalls,
-// progress polling). Empty unless observability was enabled for the run.
-func (w *World) WritePhases(out io.Writer) {
-	rows := make([]obs.PhaseRow, 0, len(w.Ranks))
-	for _, rs := range w.Ranks {
-		if rs.Phases == nil {
-			continue
-		}
-		rows = append(rows, obs.PhaseRow{Rank: rs.Rank, Elapsed: int64(w.Elapsed), P: rs.Phases})
-	}
-	if len(rows) == 0 {
-		fmt.Fprintln(out, "phases: empty (run with Config.Obs set)")
-		return
-	}
-	obs.WritePhaseTable(out, rows)
 }
 
 // Run executes main on cfg.Procs simulated ranks and returns the collected
@@ -372,14 +348,9 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 			r.bus = sim.Obs()
 			if r.bus != nil {
 				r.phases = &obs.Phases{}
+				r.prof = &profiler{proc: p, rank: int32(i), bus: r.bus}
 				r.sendSeq = make(map[int]int64)
 				r.recvSeq = make(map[int]int64)
-			}
-			if cfg.Profile || r.bus != nil {
-				r.prof = &profiler{proc: p, rank: int32(i), bus: r.bus}
-				if cfg.Profile {
-					r.prof.stats = map[string]*CallStat{}
-				}
 			}
 
 			r.bootstrap(addrs)
@@ -445,10 +416,6 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				WaitWakeups:   st.WaitWakeups,
 				ComputeTime:   p.BusyTime(),
 			}
-			if r.prof != nil {
-				world.Ranks[i].Profile = r.prof.stats
-			}
-			world.Ranks[i].Phases = r.phases
 			if r.bus != nil {
 				// Run-epilogue phase records: one event per phase with the
 				// rank's charged nanoseconds, so a capture bundle carries

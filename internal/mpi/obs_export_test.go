@@ -134,13 +134,10 @@ func TestPerfettoStaticHasNoLateConnects(t *testing.T) {
 	}
 }
 
-// TestWriteProfileSpreadColumns pins the per-rank spread columns: a
-// point-to-point call issued by one of two ranks must show imbalance 2.00
-// and a zero rank-min, while the header names every column.
-func TestWriteProfileSpreadColumns(t *testing.T) {
-	cfg := testCfg(2)
-	cfg.Profile = true
-	w := runWorld(t, cfg, func(r *Rank) {
+// sendRecv is the one-message program of the report tests below: rank 0
+// sends 32 bytes to rank 1.
+func sendRecv(t *testing.T) func(r *Rank) {
+	return func(r *Rank) {
 		c := r.World()
 		if r.Rank() == 0 {
 			if err := c.Send(1, 0, make([]byte, 32)); err != nil {
@@ -151,9 +148,16 @@ func TestWriteProfileSpreadColumns(t *testing.T) {
 				t.Error(err)
 			}
 		}
-	})
+	}
+}
+
+// TestProfileSpreadColumns pins the per-rank spread columns: a
+// point-to-point call issued by one of two ranks must show imbalance 2.00
+// and a zero rank-min, while the header names every column.
+func TestProfileSpreadColumns(t *testing.T) {
+	prof := profiledWorld(t, testCfg(2), sendRecv(t))
 	var buf bytes.Buffer
-	w.WriteProfile(&buf)
+	prof.WriteText(&buf)
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	header := lines[0]
@@ -182,27 +186,18 @@ func TestWriteProfileSpreadColumns(t *testing.T) {
 	}
 }
 
-// TestWritePhasesTable checks the per-rank phase decomposition renders one
-// row per rank and accounts time into the connect column under on-demand.
-func TestWritePhasesTable(t *testing.T) {
+// TestPhaseTableFromRun checks the run epilogue feeds the phase fold: one
+// row per rank, with time accounted into the connect column under on-demand.
+func TestPhaseTableFromRun(t *testing.T) {
 	cfg := testCfg(2)
 	cfg.Policy = "ondemand"
-	bus := obs.NewBus()
-	cfg.Obs = bus
-	w := runWorld(t, cfg, func(r *Rank) {
-		c := r.World()
-		if r.Rank() == 0 {
-			if err := c.Send(1, 0, make([]byte, 32)); err != nil {
-				t.Error(err)
-			}
-		} else {
-			if _, err := c.Recv(make([]byte, 64), 0, 0); err != nil {
-				t.Error(err)
-			}
-		}
-	})
+	cfg.Obs = obs.NewBus()
+	table := obs.NewPhaseTable()
+	sub := cfg.Obs.Subscribe(table.Consume)
+	defer cfg.Obs.Unsubscribe(sub)
+	runWorld(t, cfg, sendRecv(t))
 	var buf bytes.Buffer
-	w.WritePhases(&buf)
+	table.WriteText(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "connect") || !strings.Contains(out, "rank") {
 		t.Fatalf("phase table header:\n%s", out)
@@ -218,12 +213,17 @@ func TestWritePhasesTable(t *testing.T) {
 	}
 }
 
-// TestWritePhasesEmptyWithoutBus pins the disabled-path rendering.
-func TestWritePhasesEmptyWithoutBus(t *testing.T) {
-	w := runWorld(t, testCfg(2), func(r *Rank) {})
+// TestNoPhasesWithoutBus: a run without a bus charges no phases and
+// emits no epilogue, so there is nothing for a phase fold to render.
+func TestNoPhasesWithoutBus(t *testing.T) {
+	runWorld(t, testCfg(2), func(r *Rank) {
+		if r.phases != nil {
+			t.Error("phase accumulator built without Config.Obs")
+		}
+	})
 	var buf bytes.Buffer
-	w.WritePhases(&buf)
+	obs.NewPhaseTable().WriteText(&buf)
 	if !strings.Contains(buf.String(), "empty") {
-		t.Fatalf("phase rendering without a bus: %s", buf.String())
+		t.Fatalf("phase rendering without events: %s", buf.String())
 	}
 }

@@ -1,42 +1,24 @@
 package mpi
 
 import (
-	"fmt"
-	"io"
-	"sort"
-
 	"viampi/internal/obs"
 	"viampi/internal/simnet"
 )
 
-// Profiling layer (the moral equivalent of PMPI): when Config.Profile is
-// set, every blocking MPI entry point records its call count and virtual
-// time per rank. The paper's analysis style — "IS is communication bound",
-// "MG calls barrier, allreduce and bcast" — comes straight out of this kind
-// of accounting.
-
-// CallStat is one entry point's accumulated profile on one rank.
-type CallStat struct {
-	Calls int64
-	Time  simnet.Duration
-}
-
-// profiler accumulates per-call statistics for one rank. Only the
-// outermost MPI entry point on the call stack records (a Waitall inside
-// Alltoall is charged to Alltoall, not double-counted). When an
-// observability bus is attached, outermost entry points also become
-// call-span events (rendered as slices on the rank's trace track); stats
-// stay nil unless Config.Profile asked for the table.
+// profiler turns MPI entry points into call-span events (the moral
+// equivalent of PMPI): only the outermost entry point on the call stack
+// emits, so a Waitall inside Alltoall is charged to Alltoall, not
+// double-counted. It exists exactly when the observability bus does; the
+// per-call table is the obs.CallProfile fold over its events.
 type profiler struct {
 	proc  *simnet.Proc
-	stats map[string]*CallStat
 	depth int
 	rank  int32
 	bus   *obs.Bus
 }
 
-// enter starts timing an entry point; the returned func stops it.
-// A nil profiler (profiling disabled) costs one branch.
+// enter starts an entry point's span; the returned func ends it.
+// A nil profiler (observability off) costs one branch.
 func (p *profiler) enter(name string) func() {
 	if p == nil {
 		return func() {}
@@ -45,97 +27,11 @@ func (p *profiler) enter(name string) func() {
 	if p.depth > 1 {
 		return func() { p.depth-- }
 	}
-	start := p.proc.Now()
-	p.bus.Emit(obs.Event{T: int64(start), Kind: obs.EvCallBegin,
+	p.bus.Emit(obs.Event{T: int64(p.proc.Now()), Kind: obs.EvCallBegin,
 		Rank: p.rank, Peer: -1, Name: name})
 	return func() {
 		p.depth--
-		end := p.proc.Now()
-		p.bus.Emit(obs.Event{T: int64(end), Kind: obs.EvCallEnd,
+		p.bus.Emit(obs.Event{T: int64(p.proc.Now()), Kind: obs.EvCallEnd,
 			Rank: p.rank, Peer: -1, Name: name})
-		if p.stats == nil {
-			return
-		}
-		st := p.stats[name]
-		if st == nil {
-			st = &CallStat{}
-			p.stats[name] = st
-		}
-		st.Calls++
-		st.Time += end.Sub(start)
-	}
-}
-
-// Profile returns this rank's per-call statistics (nil unless
-// Config.Profile was set).
-func (r *Rank) Profile() map[string]*CallStat {
-	if r.prof == nil {
-		return nil
-	}
-	return r.prof.stats
-}
-
-// WriteProfile renders a rank-aggregated profile: per entry point, total
-// calls and virtual time across all ranks (sorted by time), plus the
-// per-rank spread — the fastest and slowest single-rank totals and the
-// imbalance ratio max/avg (1.00 = perfectly balanced; ranks that never
-// issued the call count as zero time, so a point-to-point call concentrated
-// on one rank shows its concentration here).
-func (w *World) WriteProfile(out io.Writer) {
-	nr := len(w.Ranks)
-	byCall := map[string][]simnet.Duration{} // per-rank time, indexed by rank
-	calls := map[string]int64{}
-	for i, rs := range w.Ranks {
-		for name, st := range rs.Profile {
-			v := byCall[name]
-			if v == nil {
-				v = make([]simnet.Duration, nr)
-				byCall[name] = v
-			}
-			v[i] = st.Time
-			calls[name] += st.Calls
-		}
-	}
-	if len(byCall) == 0 {
-		fmt.Fprintln(out, "profile: empty (run with Config.Profile = true)")
-		return
-	}
-	total := map[string]simnet.Duration{}
-	names := make([]string, 0, len(byCall))
-	for n, v := range byCall {
-		names = append(names, n)
-		for _, t := range v {
-			total[n] += t
-		}
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if total[names[i]] != total[names[j]] {
-			return total[names[i]] > total[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	fmt.Fprintf(out, "%-12s %10s %14s %12s %12s %12s %7s\n",
-		"call", "count", "total time", "avg", "rank min", "rank max", "imbal")
-	for _, n := range names {
-		v := byCall[n]
-		min, max := v[0], v[0]
-		for _, t := range v[1:] {
-			if t < min {
-				min = t
-			}
-			if t > max {
-				max = t
-			}
-		}
-		avg := simnet.Duration(0)
-		if calls[n] > 0 {
-			avg = total[n] / simnet.Duration(calls[n])
-		}
-		imbal := 1.0
-		if total[n] > 0 {
-			imbal = float64(max) * float64(nr) / float64(total[n])
-		}
-		fmt.Fprintf(out, "%-12s %10d %14s %12s %12s %12s %7.2f\n",
-			n, calls[n], total[n], avg, min, max, imbal)
 	}
 }

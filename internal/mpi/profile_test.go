@@ -4,12 +4,24 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"viampi/internal/obs"
 )
 
+// profiledWorld runs main with the obs.CallProfile fold subscribed to the
+// run's bus — the only way a per-call table is produced.
+func profiledWorld(t *testing.T, cfg Config, main func(r *Rank)) *obs.CallProfile {
+	t.Helper()
+	cfg.Obs = obs.NewBus()
+	prof := obs.NewCallProfile(cfg.Procs)
+	sub := cfg.Obs.Subscribe(prof.Consume)
+	defer cfg.Obs.Unsubscribe(sub)
+	runWorld(t, cfg, main)
+	return prof
+}
+
 func TestProfileAccounting(t *testing.T) {
-	cfg := testCfg(4)
-	cfg.Profile = true
-	w := runWorld(t, cfg, func(r *Rank) {
+	prof := profiledWorld(t, testCfg(4), func(r *Rank) {
 		c := r.World()
 		for i := 0; i < 10; i++ {
 			if err := c.Barrier(); err != nil {
@@ -28,43 +40,36 @@ func TestProfileAccounting(t *testing.T) {
 			}
 		}
 	})
-	p0 := w.Ranks[0].Profile
-	if p0 == nil {
-		t.Fatal("no profile collected")
+	if got := prof.Calls("Barrier"); got != 4*10 {
+		t.Fatalf("Barrier calls = %d, want 10 on each of 4 ranks", got)
 	}
-	if p0["Barrier"] == nil || p0["Barrier"].Calls != 10 {
-		t.Fatalf("Barrier profile = %+v", p0["Barrier"])
-	}
-	if p0["Barrier"].Time <= 0 {
+	if prof.Time("Barrier", 0) <= 0 {
 		t.Fatal("Barrier time not accounted")
 	}
-	if p0["Send"] == nil || p0["Send"].Calls != 1 {
-		t.Fatalf("Send profile = %+v", p0["Send"])
+	if got := prof.Calls("Send"); got != 1 {
+		t.Fatalf("Send calls = %d", got)
 	}
 	// Nested Wait inside Barrier/Send must NOT appear separately.
-	if p0["Wait"] != nil || p0["Waitall"] != nil {
-		t.Fatalf("nested calls leaked into profile: %+v %+v", p0["Wait"], p0["Waitall"])
+	if prof.Calls("Wait") != 0 || prof.Calls("Waitall") != 0 {
+		t.Fatalf("nested calls leaked into profile: Wait %d, Waitall %d", prof.Calls("Wait"), prof.Calls("Waitall"))
 	}
 	var buf bytes.Buffer
-	w.WriteProfile(&buf)
+	prof.WriteText(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "Barrier") || !strings.Contains(out, "call") {
-		t.Fatalf("WriteProfile output:\n%s", out)
+		t.Fatalf("profile output:\n%s", out)
 	}
 }
 
+// TestProfileDisabledByDefault: without a bus no rank carries a profiler,
+// so the untraced path pays one nil branch per entry point and nothing else.
 func TestProfileDisabledByDefault(t *testing.T) {
-	w := runWorld(t, testCfg(2), func(r *Rank) {
+	runWorld(t, testCfg(2), func(r *Rank) {
+		if r.prof != nil {
+			t.Error("profiler built without Config.Obs")
+		}
 		if err := r.World().Barrier(); err != nil {
 			t.Error(err)
 		}
 	})
-	if w.Ranks[0].Profile != nil {
-		t.Fatal("profile collected without Config.Profile")
-	}
-	var buf bytes.Buffer
-	w.WriteProfile(&buf)
-	if !strings.Contains(buf.String(), "empty") {
-		t.Fatalf("empty profile rendering: %s", buf.String())
-	}
 }

@@ -47,7 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"viampi/internal/obs"
 )
@@ -290,6 +290,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: header ends in world size", ErrTruncated)
 	}
+	if world > math.MaxInt32 {
+		// Ranks travel as int32 and the report folds size their tables by
+		// the world, so a larger claim is damage, not a bigger job.
+		return nil, fmt.Errorf("%w: world size %d beyond the rank range", ErrCorrupt, world)
+	}
 	rd.h.World = int(world)
 	if rd.h.Seed, err = binary.ReadVarint(br); err != nil {
 		return nil, fmt.Errorf("%w: header ends in seed", ErrTruncated)
@@ -423,47 +428,12 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 }
 
 // EmitAll replays the bundle's events onto a bus in recorded order — the
-// bridge back into every existing obs consumer (Recorder, Collector,
-// trace.Recorder): attach them, EmitAll, and render exactly what the live
-// run would have rendered.
+// bridge back into every obs fold (obs.Reports attaches all of them):
+// attach, EmitAll, and render exactly what the live run rendered.
 func (b *Bundle) EmitAll(bus *obs.Bus) {
 	for _, e := range b.Events {
 		bus.Emit(e)
 	}
-}
-
-// PhaseRows rebuilds the phase-table inputs from the run-epilogue events:
-// one EvPhase per (rank, phase) carrying charged nanoseconds, and EvRunEnd
-// carrying the elapsed time every row is normalized against. Feeding the
-// result to obs.WritePhaseTable reproduces the live run's table.
-func (b *Bundle) PhaseRows() []obs.PhaseRow {
-	var elapsed int64
-	perRank := make(map[int32]*obs.Phases)
-	var ranks []int
-	for _, e := range b.Events {
-		switch e.Kind {
-		case obs.EvPhase:
-			p := perRank[e.Rank]
-			if p == nil {
-				p = &obs.Phases{}
-				perRank[e.Rank] = p
-				ranks = append(ranks, int(e.Rank))
-			}
-			if e.A >= 0 && e.A < int64(obs.NumPhases) {
-				p.Ns[e.A] = e.B
-			}
-		case obs.EvRunEnd:
-			elapsed = e.T
-		default:
-			// Protocol events carry no phase accounting.
-		}
-	}
-	sort.Ints(ranks)
-	rows := make([]obs.PhaseRow, 0, len(ranks))
-	for _, rk := range ranks {
-		rows = append(rows, obs.PhaseRow{Rank: rk, Elapsed: elapsed, P: perRank[int32(rk)]})
-	}
-	return rows
 }
 
 // Ring is a bounded event buffer with the same Consume interface as Writer:

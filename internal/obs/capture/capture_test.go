@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -189,6 +190,9 @@ func TestCorruptionSpecific(t *testing.T) {
 		{"magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic},
 		{"version", func(b []byte) []byte { b[4] = 99; return b }, ErrVersion},
 		{"clock", func(b []byte) []byte { b[5] = 9; return b }, ErrCorrupt},
+		{"world", func(b []byte) []byte { // one-byte world 8 → a ten-byte 2^63
+			return append(append(b[:6:6], binary.AppendUvarint(nil, 1<<63)...), b[7:]...)
+		}, ErrCorrupt},
 		{"digest", func(b []byte) []byte {
 			b[bytes.Index(b, []byte("bench="))] ^= 1 // config text no longer matches its digest
 			return b

@@ -56,7 +56,7 @@ func (c *Collector) Attach(b *Bus) {
 	if b == nil {
 		return
 	}
-	c.bus, c.sub = b, b.Subscribe(c.consume)
+	c.bus, c.sub = b, b.Subscribe(c.Consume)
 }
 
 // Detach unsubscribes the collector; the registry keeps its counts.
@@ -71,7 +71,9 @@ func pairKey(rank, peer int32) uint64 {
 	return uint64(uint32(rank))<<32 | uint64(uint32(peer))
 }
 
-func (c *Collector) consume(e Event) {
+// Consume folds one event into the registry. Exported for callers that own
+// their event stream rather than a Bus (tcpvia's EventLog).
+func (c *Collector) Consume(e Event) {
 	c.reg.Inc("events."+e.Kind.String(), 1)
 	switch e.Kind {
 	case EvMsgSend:

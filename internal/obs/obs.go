@@ -1,10 +1,13 @@
 // Package obs is the virtual-time flight recorder: a typed event bus every
-// simulation layer emits into, a metrics registry folded from those events,
-// and exporters (Chrome trace-event / Perfetto JSON, phase decomposition)
-// that make the paper's quantities — VIs created vs. used, where init time
-// goes, credit stalls, FIFO parking — visible for any run.
+// simulation layer emits into, and every report about a run as a fold over
+// that one event stream — the communication matrix, the per-call profile,
+// the metrics registry, the phase table, the Chrome trace-event / Perfetto
+// JSON — which make the paper's quantities (distinct destinations, VIs
+// created vs. used, where init time goes, credit stalls, FIFO parking)
+// visible for any run. Reports is the one place the folds are flagged,
+// attached and rendered, for a live bus and a replayed bundle alike.
 //
-// The package is a shared leaf like internal/trace: any layer may import it,
+// The package is a shared leaf: any layer may import it,
 // it imports only the standard library, and it contains no clocks of its own.
 // Every event carries the simnet virtual timestamp its emitter observed, so
 // the whole layer is a pure function of the run's Config. When observability
@@ -48,7 +51,7 @@ const (
 	EvFrameEnqueue // A = wire bytes, B = egress serialization wait (ns)
 	EvFrameDeliver // A = wire bytes
 
-	// User messages (one per point-to-point send; what trace.Recorder
+	// User messages (one per point-to-point send; what the Matrix fold
 	// consumes). A = bytes, B = tag, C = per-(src,dst) sequence number.
 	EvMsgSend
 	EvMsgRecv // A = bytes, B = tag, C = per-(src,dst) sequence number

@@ -169,11 +169,12 @@ func TestRecorderRuns(t *testing.T) {
 }
 
 func TestPhaseTableResidual(t *testing.T) {
-	p := &Phases{}
-	p.Add(PhaseCompute, 600)
-	p.Add(PhaseConnect, 300)
+	table := NewPhaseTable()
+	table.Consume(Event{Kind: EvPhase, Rank: 0, A: int64(PhaseCompute), B: 600})
+	table.Consume(Event{Kind: EvPhase, Rank: 0, A: int64(PhaseConnect), B: 300})
+	table.Consume(Event{Kind: EvRunEnd, T: 1000, Rank: -1, A: 1})
 	var buf bytes.Buffer
-	WritePhaseTable(&buf, []PhaseRow{{Rank: 0, Elapsed: 1000, P: p}})
+	table.WriteText(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "compute") || !strings.Contains(out, "credit-stall") {
 		t.Fatalf("missing phase columns:\n%s", out)

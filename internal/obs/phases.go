@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Phase decomposition: where a rank's virtual time went. This is the report
@@ -71,34 +72,70 @@ func (ph *Phases) Total() int64 {
 	return t
 }
 
-// PhaseRow is one rank's line in the phase report.
-type PhaseRow struct {
-	Rank    int
-	Elapsed int64 // the rank's total virtual nanoseconds (the denominator)
-	P       *Phases
+// PhaseTable folds the run epilogue mpi.Run emits — one EvPhase per (rank,
+// phase) carrying the charged nanoseconds, then EvRunEnd carrying the
+// elapsed time every row is normalized against — into the per-rank phase
+// decomposition.
+type PhaseTable struct {
+	elapsed int64
+	perRank map[int]*Phases
+	ranks   []int // keys of perRank, in arrival order until rendered
 }
 
-// WritePhaseTable renders the per-rank phase decomposition: one row per
-// rank, a column per phase (milliseconds and percent of elapsed), with
-// "other" computed as the residual so the row always sums to Elapsed.
-func WritePhaseTable(w io.Writer, rows []PhaseRow) {
+// NewPhaseTable returns an empty phase table.
+func NewPhaseTable() *PhaseTable {
+	return &PhaseTable{perRank: map[int]*Phases{}}
+}
+
+// Consume notes one epilogue record.
+func (t *PhaseTable) Consume(e Event) {
+	switch e.Kind {
+	case EvPhase:
+		rank := int(e.Rank)
+		p := t.perRank[rank]
+		if p == nil {
+			p = &Phases{}
+			t.perRank[rank] = p
+			t.ranks = append(t.ranks, rank)
+		}
+		if e.A >= 0 && e.A < int64(NumPhases) {
+			p.Ns[e.A] = e.B
+		}
+	case EvRunEnd:
+		t.elapsed = e.T
+	default:
+		// Protocol events carry no phase accounting.
+	}
+}
+
+// WriteText renders the decomposition — where each rank's virtual time went:
+// one row per rank in rank order, a column per phase (milliseconds and
+// percent of elapsed), with "other" computed as the residual so the row
+// always sums to the run's elapsed time.
+func (t *PhaseTable) WriteText(w io.Writer) {
+	if len(t.ranks) == 0 {
+		fmt.Fprintln(w, "phases: empty (no run epilogue in the event stream)")
+		return
+	}
+	sort.Ints(t.ranks)
 	fmt.Fprintf(w, "%-5s %10s", "rank", "elapsed")
 	for p := PhaseCompute; p < NumPhases; p++ {
 		fmt.Fprintf(w, " %18s", p.String())
 	}
 	fmt.Fprintln(w)
-	for _, row := range rows {
-		fmt.Fprintf(w, "%-5d %8.2fms", row.Rank, float64(row.Elapsed)/1e6)
+	for _, rank := range t.ranks {
+		ph := t.perRank[rank]
+		fmt.Fprintf(w, "%-5d %8.2fms", rank, float64(t.elapsed)/1e6)
 		for p := PhaseCompute; p < NumPhases; p++ {
-			ns := row.P.Ns[p]
+			ns := ph.Ns[p]
 			if p == PhaseOther {
-				if resid := row.Elapsed - row.P.Total() + row.P.Ns[PhaseOther]; resid > 0 {
+				if resid := t.elapsed - ph.Total() + ph.Ns[PhaseOther]; resid > 0 {
 					ns = resid
 				}
 			}
 			pct := 0.0
-			if row.Elapsed > 0 {
-				pct = 100 * float64(ns) / float64(row.Elapsed)
+			if t.elapsed > 0 {
+				pct = 100 * float64(ns) / float64(t.elapsed)
 			}
 			fmt.Fprintf(w, " %10.2fms %5.1f%%", float64(ns)/1e6, pct)
 		}

@@ -305,8 +305,6 @@ type Proc struct {
 	busy  Duration // total time charged via Compute
 	slept Duration // total time in Sleep
 	idle  Duration // total time parked waiting for events
-
-	userData interface{}
 }
 
 // unwound is the private panic that unwinds a process Run has released.
@@ -323,13 +321,6 @@ func (p *Proc) Sim() *Sim { return p.sim }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
-
-// SetUserData attaches an arbitrary value to the process (e.g. its MPI rank
-// state); UserData retrieves it.
-func (p *Proc) SetUserData(v interface{}) { p.userData = v }
-
-// UserData returns the value set with SetUserData, or nil.
-func (p *Proc) UserData() interface{} { return p.userData }
 
 // BusyTime returns total virtual time this process spent in Compute.
 func (p *Proc) BusyTime() Duration { return p.busy }

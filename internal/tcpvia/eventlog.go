@@ -1,6 +1,7 @@
 package tcpvia
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -17,20 +18,26 @@ import (
 // header says ClockWall, so consumers know the stamps mean elapsed wall
 // time, not virtual time).
 //
-// Two sinks, independently optional:
+// Two capture sinks, independently optional:
 //
 //   - a streaming capture.Writer, for bounded-length runs that want the
 //     complete record on disk as it happens;
 //   - a bounded capture.Ring, for long-lived processes that want the last N
 //     events dumped on demand — on a signal, on a crash, at exit.
+//
+// Every event is also folded through an obs.Collector — the fold behind
+// mpirun-sim -metrics — so the live metrics carry the same key names as the
+// simulator's and there is no second counting path beside the log.
 type EventLog struct {
 	base time.Time
 
-	// mu is a leaf lock: it guards the two capture sinks only, and nothing
-	// under it calls back into the stack.
-	mu     sync.Mutex
-	ring   *capture.Ring
-	stream *capture.Writer
+	// mu is a leaf lock: it guards the capture sinks and the metrics fold
+	// only, and nothing under it calls back into the stack.
+	mu      sync.Mutex
+	ring    *capture.Ring
+	stream  *capture.Writer
+	metrics *obs.Registry
+	fold    *obs.Collector
 }
 
 // NewEventLog builds a wall-clock log. ringCap > 0 keeps the most recent
@@ -39,7 +46,8 @@ type EventLog struct {
 // file). The header's clock source is forced to wall time.
 func NewEventLog(h capture.Header, ringCap int, stream io.Writer) (*EventLog, error) {
 	h.Clock = capture.ClockWall
-	l := &EventLog{base: time.Now()}
+	l := &EventLog{base: time.Now(), metrics: obs.NewRegistry()}
+	l.fold = obs.NewCollector(l.metrics)
 	if ringCap > 0 {
 		l.ring = capture.NewRing(h, ringCap)
 	}
@@ -77,7 +85,23 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 	if l.stream != nil {
 		l.stream.Consume(e)
 	}
+	l.fold.Consume(e)
 	l.mu.Unlock()
+}
+
+// WriteMetricsJSON writes the metrics folded so far as one JSON document,
+// rendered under the lock and written outside it so a slow writer never
+// stalls emitters. Safe from any goroutine; no-op on a nil log.
+func (l *EventLog) WriteMetricsJSON(w io.Writer) error {
+	if l == nil {
+		return nil
+	}
+	var doc bytes.Buffer
+	l.mu.Lock()
+	l.metrics.WriteJSON(&doc)
+	l.mu.Unlock()
+	_, err := w.Write(doc.Bytes())
+	return err
 }
 
 // DumpRing writes the retained ring events as a complete bundle — the

@@ -204,21 +204,25 @@ func TestNilEventLogIsInert(t *testing.T) {
 	}
 }
 
-// TestManagerMetricsSnapshots: the periodic snapshot loop writes JSON
-// documents carrying the tcpvia counters, including one final snapshot at
-// Close.
+// TestManagerMetricsSnapshots: the periodic snapshot loop writes the log's
+// metrics as JSON documents — under the obs.Collector key names, the same
+// keys mpirun-sim -metrics prints — including one final snapshot at Close.
 func TestManagerMetricsSnapshots(t *testing.T) {
 	nodes := []*Node{newNode(t), newNode(t)}
 	peers := []string{nodes[0].Addr(), nodes[1].Addr()}
 	var snaps bytes.Buffer
-	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	mgrs := make([]*Manager, 2)
 	for i := range mgrs {
 		cfg := ManagerConfig{
 			Node: nodes[i], Rank: i, Peers: peers, Policy: "ondemand",
-			Timeout: tmo, Metrics: regs[i],
+			Timeout: tmo,
 		}
 		if i == 0 {
+			log, err := NewEventLog(wallHeader(i), 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Log = log
 			cfg.SnapshotEvery = 5 * time.Millisecond
 			cfg.SnapshotTo = &snaps
 		}
@@ -234,15 +238,22 @@ func TestManagerMetricsSnapshots(t *testing.T) {
 	if _, err := mgrs[1].Recv(0, tmo); err != nil {
 		t.Fatal(err)
 	}
+	waitUp(t, mgrs[0], 1)
 	time.Sleep(25 * time.Millisecond)
 	for _, m := range mgrs {
 		m.Close() // stops the loop after one final snapshot
 	}
 	got := snaps.String()
-	if strings.Count(got, "{") < 2 {
+	if strings.Count(got, "{\"counters\"") < 2 {
 		t.Fatalf("expected multiple snapshots, got:\n%s", got)
 	}
-	if !strings.Contains(got, "tcpvia.conn.up") {
-		t.Fatalf("snapshots missing tcpvia counters:\n%s", got)
+	last := got[strings.LastIndex(got, "{\"counters\""):]
+	for _, key := range []string{`"events.vi.create":1`, `"events.fifo.park":1`, `"events.conn.up":1`, `"fifo.drained_total":1`, `"fifo.depth":{"cur":1,"max":1}`} {
+		if !strings.Contains(last, key) {
+			t.Fatalf("final snapshot lacks %s:\n%s", key, last)
+		}
+	}
+	if strings.Contains(got, "tcpvia.") {
+		t.Fatalf("snapshot still carries a tcpvia.* counter:\n%s", got)
 	}
 }

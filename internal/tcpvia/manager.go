@@ -30,31 +30,17 @@ type Manager struct {
 	closed   bool
 	adoptWG  sync.WaitGroup
 
-	// metricsMu guards metrics alone (the registry is not goroutine-safe
-	// and this stack is genuinely concurrent). It is a leaf lock: never
-	// held while acquiring mu or a channel lock.
-	metricsMu sync.Mutex
-	metrics   *obs.Registry
-
-	// log is the optional wall-clock flight recorder; EventLog serializes
-	// itself, so emissions need no manager lock.
+	// log is the optional wall-clock flight recorder and the manager's one
+	// emission path: it folds every event into the metrics the snapshot
+	// loop writes. EventLog serializes itself, so emissions need no manager
+	// lock.
 	log *EventLog
 
 	snapStop chan struct{}
 	snapWG   sync.WaitGroup
 }
 
-// count bumps a named counter on the attached registry (nil = no metrics).
-func (m *Manager) count(name string, n int64) {
-	if m.metrics == nil {
-		return
-	}
-	m.metricsMu.Lock()
-	m.metrics.Inc(name, n)
-	m.metricsMu.Unlock()
-}
-
-// logEvent tees a protocol event into the flight recorder (nil = no log).
+// logEvent records a protocol event in the flight recorder (nil = no log).
 func (m *Manager) logEvent(kind obs.Kind, peer int, a, b int64) {
 	m.log.Emit(kind, int32(m.rank), int32(peer), a, b, 0, "")
 }
@@ -64,10 +50,12 @@ type Channel struct {
 	Rank int
 	Vi   *VI
 
-	mu    sync.Mutex
-	up    bool
-	fifo  [][]byte
-	upped chan struct{}
+	mu      sync.Mutex
+	up      bool
+	dialing bool  // an on-demand dial is in flight
+	err     error // why the last dial failed; cleared if the peer's dial brings the channel up
+	fifo    [][]byte
+	upped   chan struct{}
 }
 
 // Up reports whether the channel's connection is established and drained.
@@ -75,6 +63,13 @@ func (c *Channel) Up() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.up
+}
+
+// dialErr reports why the channel's on-demand dial failed, if it did.
+func (c *Channel) dialErr() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // ManagerConfig configures NewManager.
@@ -87,18 +82,15 @@ type ManagerConfig struct {
 	BufSize  int      // receive buffer size (default 64 KiB)
 	Timeout  time.Duration
 
-	// Metrics, when set, receives connection and FIFO counters
-	// ("tcpvia.conn.up", "tcpvia.fifo.parked", ...). The manager
-	// serializes its own access; readers should dump after Close.
-	Metrics *obs.Registry
-
 	// Log, when set, receives every connection, FIFO, and message event
 	// with wall-clock stamps — the live twin of the simulator's capture
-	// bundle. The EventLog serializes itself.
+	// bundle — and folds them into the same metrics mpirun-sim -metrics
+	// prints ("events.conn.up", "fifo.drained_total", ...). The EventLog
+	// serializes itself.
 	Log *EventLog
 
-	// SnapshotEvery, with SnapshotTo and Metrics all set, writes a JSON
-	// metrics snapshot to SnapshotTo at that interval (and once more at
+	// SnapshotEvery, with SnapshotTo and Log all set, writes the log's
+	// metrics as JSON to SnapshotTo at that interval (and once more at
 	// Close) — cheap liveness observability for long-running processes.
 	SnapshotEvery time.Duration
 	SnapshotTo    io.Writer
@@ -126,7 +118,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		policy:   cfg.Policy,
 		channels: make(map[int]*Channel),
 		recvPool: cfg.RecvPool,
-		metrics:  cfg.Metrics,
 		log:      cfg.Log,
 	}
 	m.bufSize = cfg.BufSize
@@ -143,7 +134,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	default:
 		return nil, fmt.Errorf("tcpvia: unknown policy %q", cfg.Policy)
 	}
-	if cfg.SnapshotEvery > 0 && cfg.SnapshotTo != nil && cfg.Metrics != nil {
+	if cfg.SnapshotEvery > 0 && cfg.SnapshotTo != nil && cfg.Log != nil {
 		m.snapStop = make(chan struct{})
 		m.snapWG.Add(1)
 		go m.snapshotLoop(cfg.SnapshotEvery, cfg.SnapshotTo)
@@ -151,7 +142,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	return m, nil
 }
 
-// snapshotLoop periodically dumps the metrics registry as one JSON document
+// snapshotLoop periodically dumps the log's metrics as one JSON document
 // per tick — a heartbeat a human (or a scraper) can tail.
 func (m *Manager) snapshotLoop(every time.Duration, out io.Writer) {
 	defer m.snapWG.Done()
@@ -160,20 +151,14 @@ func (m *Manager) snapshotLoop(every time.Duration, out io.Writer) {
 	for {
 		select {
 		case <-m.snapStop:
-			// One final snapshot so the tail of the file reflects the full run.
-			m.snapshot(out)
+			// One final snapshot so the tail of the file reflects the full
+			// run. A heartbeat has no caller to report a failed write to.
+			_ = m.log.WriteMetricsJSON(out)
 			return
 		case <-t.C:
-			m.snapshot(out)
+			_ = m.log.WriteMetricsJSON(out)
 		}
 	}
-}
-
-// snapshot writes one metrics JSON document under the metrics leaf lock.
-func (m *Manager) snapshot(out io.Writer) {
-	m.metricsMu.Lock()
-	m.metrics.WriteJSON(out)
-	m.metricsMu.Unlock()
 }
 
 // pairDisc is the canonical discriminator for a rank pair (never 0, since 0
@@ -230,7 +215,6 @@ func (m *Manager) adoptLoop() {
 		rank := m.rankOf(req.From)
 		if rank < 0 {
 			req.Reject()
-			m.count("tcpvia.conn.rejected", 1)
 			m.logEvent(obs.EvConnReject, -1, 0, 0)
 			continue
 		}
@@ -321,19 +305,40 @@ func (m *Manager) markUp(ch *Channel) {
 		ch.Vi.PostSend(data)
 	}
 	if len(ch.fifo) > 0 {
-		m.count("tcpvia.fifo.drained", int64(len(ch.fifo)))
 		m.logEvent(obs.EvFifoDrain, ch.Rank, int64(len(ch.fifo)), 0)
 	}
 	ch.fifo = nil
-	ch.up = true
-	m.count("tcpvia.conn.up", 1)
+	ch.up, ch.err = true, nil
 	m.logEvent(obs.EvConnUp, ch.Rank, int64(pairDisc(m.rank, ch.Rank)), 0)
 	close(ch.upped)
 }
 
+// dial starts the on-demand connect for ch unless the channel is up, a dial
+// is already in flight, or the last one failed — and returns that failure,
+// so a send parked behind a dead dial is never stranded silently.
+func (m *Manager) dial(ch *Channel) error {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if ch.up || ch.dialing || ch.err != nil {
+		return ch.err
+	}
+	ch.dialing = true
+	go func() {
+		_, err := m.establish(ch.Rank)
+		ch.mu.Lock()
+		ch.dialing = false
+		if err != nil && !ch.up {
+			ch.err = fmt.Errorf("tcpvia: connect to rank %d: %w", ch.Rank, err)
+		}
+		ch.mu.Unlock()
+	}()
+	return nil
+}
+
 // Send transmits data to a peer rank. Under on-demand, the first send
 // triggers connection establishment; sends racing the handshake are parked
-// in the FIFO and drained in order, so no message is ever discarded.
+// in the FIFO and drained in order, so no message is ever discarded. Once
+// the dial has failed, Send reports why instead of parking.
 func (m *Manager) Send(rank int, data []byte) error {
 	if rank == m.rank {
 		return fmt.Errorf("tcpvia: self-send not supported at this layer")
@@ -344,20 +349,17 @@ func (m *Manager) Send(rank int, data []byte) error {
 	}
 	ch.mu.Lock()
 	if !ch.up {
+		if err := ch.err; err != nil {
+			ch.mu.Unlock()
+			return err
+		}
 		// Park a copy (the caller may reuse its buffer immediately).
-		cp := append([]byte(nil), data...)
-		first := len(ch.fifo) == 0 && m.policy == "ondemand"
-		ch.fifo = append(ch.fifo, cp)
+		ch.fifo = append(ch.fifo, append([]byte(nil), data...))
 		depth := len(ch.fifo)
 		ch.mu.Unlock()
-		m.count("tcpvia.fifo.parked", 1)
 		m.logEvent(obs.EvFifoPark, rank, int64(depth), int64(len(data)))
-		if first {
-			go func() {
-				if _, err := m.establish(rank); err != nil {
-					_ = err // the FIFO stays parked; Recv/timeouts surface it
-				}
-			}()
+		if m.policy == "ondemand" {
+			return m.dial(ch)
 		}
 		return nil
 	}
@@ -369,28 +371,29 @@ func (m *Manager) Send(rank int, data []byte) error {
 	if st == Discarded {
 		return fmt.Errorf("tcpvia: send discarded in state %v", ch.Vi.State())
 	}
-	m.count("tcpvia.msgs.sent", 1)
 	m.logEvent(obs.EvMsgSend, rank, int64(len(data)), 0)
 	return nil
 }
 
-// Recv blocks for the next message from a peer rank.
+// Recv blocks for the next message from a peer rank; a failed dial to that
+// peer is reported in place of the timeout it would otherwise cause.
 func (m *Manager) Recv(rank int, timeout time.Duration) ([]byte, error) {
 	ch := m.channel(rank)
 	if ch.Vi == nil {
 		return nil, ErrTooManyVIs
 	}
-	if m.policy == "ondemand" && !ch.Up() {
+	if m.policy == "ondemand" {
 		// Receiver-side connect (paper §4): a receive for a specific source
 		// initiates the connection if the sender has not already.
-		select {
-		case <-ch.upped:
-		default:
-			go m.establish(rank)
+		if err := m.dial(ch); err != nil {
+			return nil, err
 		}
 	}
 	buf, ln, err := ch.Vi.RecvWait(timeout)
 	if err != nil {
+		if derr := ch.dialErr(); derr != nil {
+			return nil, derr
+		}
 		return nil, err
 	}
 	out := make([]byte, ln)

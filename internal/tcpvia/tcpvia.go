@@ -336,15 +336,9 @@ func (n *Node) handleInbound(conn net.Conn) {
 	n.mu.Unlock()
 }
 
-// PendingRequest returns (and removes) an incoming connection request,
-// optionally filtered by discriminator (disc == 0 matches any; use
-// WaitRequest for blocking). It returns nil when none is queued.
-func (n *Node) PendingRequest(disc uint64) *PeerRequest {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pendingLocked(disc)
-}
-
+// pendingLocked returns (and removes) a queued incoming connection request,
+// optionally filtered by discriminator (disc == 0 matches any), or nil when
+// none is queued. The node lock is held.
 func (n *Node) pendingLocked(disc uint64) *PeerRequest {
 	for i, r := range n.pending {
 		if disc == 0 || r.Disc == disc {

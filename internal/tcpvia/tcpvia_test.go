@@ -3,6 +3,7 @@ package tcpvia
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -459,6 +460,46 @@ func TestOnDemandFifoPreservesOrder(t *testing.T) {
 
 // TestManagerBidirectionalStress exchanges messages both ways on every pair
 // concurrently under on-demand.
+// TestFailedDialSurfacesOnSendAndRecv: nobody listens at the peer's address,
+// so the on-demand dial behind the first (parked) send fails. The failure
+// must reach the caller — the next Send and a Recv return it — instead of
+// every later send parking behind the stranded message and reporting success
+// on a rank that never calls Recv.
+func TestFailedDialSurfacesOnSendAndRecv(t *testing.T) {
+	node := newNode(t)
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreachable := gone.Addr().String()
+	if err := gone.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ManagerConfig{
+		Node: node, Rank: 0, Peers: []string{node.Addr(), unreachable},
+		Policy: "ondemand", Timeout: tmo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+
+	if err := m.Send(1, []byte("first")); err != nil {
+		t.Fatalf("the first send parks behind the dial it starts: %v", err)
+	}
+	var sendErr error
+	for deadline := time.Now().Add(tmo); sendErr == nil && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		sendErr = m.Send(1, []byte("later"))
+	}
+	if sendErr == nil {
+		t.Fatal("sends to an unreachable peer kept returning nil: the parked messages are stranded silently")
+	}
+	if _, err := m.Recv(1, tmo); err == nil || err.Error() != sendErr.Error() {
+		t.Fatalf("Recv = %v, want the dial failure Send reported (%v)", err, sendErr)
+	}
+}
+
 func TestManagerBidirectionalStress(t *testing.T) {
 	const n = 4
 	const msgs = 40

@@ -61,9 +61,3 @@ func (m *MemoryRegistry) Pinned() int64 { return m.cur }
 
 // PeakPinned returns the high-water mark of pinned bytes.
 func (m *MemoryRegistry) PeakPinned() int64 { return m.peak }
-
-// Limit returns the configured limit (0 = unlimited).
-func (m *MemoryRegistry) Limit() int64 { return m.limit }
-
-// Regions returns the number of live registrations.
-func (m *MemoryRegistry) Regions() int { return len(m.regions) }

@@ -62,9 +62,6 @@ func (n *Network) Sim() *simnet.Sim { return n.sim }
 // Cluster returns the underlying fabric.
 func (n *Network) Cluster() *fabric.Cluster { return n.cluster }
 
-// Cost returns the device cost model.
-func (n *Network) Cost() CostModel { return n.cost }
-
 // Ports returns all opened ports in open order.
 func (n *Network) Ports() []*Port { return n.ports }
 

@@ -47,10 +47,6 @@ func (vi *VI) ID() int { return vi.id }
 // State returns the connection state.
 func (vi *VI) State() ViState { return vi.state }
 
-// RemoteAddr returns the connected peer's port address (valid once
-// connected).
-func (vi *VI) RemoteAddr() Addr { return Addr{Ep: vi.remoteEp} }
-
 // Port returns the owning port.
 func (vi *VI) Port() *Port { return vi.port }
 
@@ -59,9 +55,6 @@ func (vi *VI) Disc() uint64 { return vi.disc }
 
 // SendQueueLen returns the number of posted, unreaped send descriptors.
 func (vi *VI) SendQueueLen() int { return len(vi.sendQ) }
-
-// RecvQueueLen returns the number of posted, unreaped receive descriptors.
-func (vi *VI) RecvQueueLen() int { return len(vi.recvQ) }
 
 // PostRecv posts a receive descriptor. VIA requires receives to be posted
 // before the matching message arrives; posting is legal in any pre-connected
