@@ -292,6 +292,42 @@ func BenchmarkPingpongWallClock(b *testing.B) {
 	}
 }
 
+// BenchmarkEagerRoundTrip runs b.N 8-byte blocking round trips inside one
+// mpi.Run, so ns/op and allocs/op are per steady-state round trip through
+// the whole stack (BenchmarkPingpongWallClock above is 50 round trips and
+// dominated by boot). 0 allocs/op is the invariant: every hop of the message
+// path is a recycled object (hotalloc pins the bodies, internal/mpi's
+// TestRoundTripAllocs the count).
+func BenchmarkEagerRoundTrip(b *testing.B) {
+	b.ReportAllocs()
+	_, err := mpi.Run(mpi.Config{Procs: 2, Deadline: 3600 * simnet.Second}, func(r *mpi.Rank) {
+		c := r.World()
+		buf := make([]byte, 8)
+		peer := 1 - r.Rank()
+		if r.Rank() == 0 {
+			b.ResetTimer() // boot and connection setup are behind us
+		}
+		for i := 0; i < b.N; i++ {
+			if r.Rank() == 0 {
+				if err := c.Send(peer, 0, buf); err != nil {
+					r.Abort(1, err.Error())
+				}
+			}
+			if _, err := c.Recv(buf, peer, 0); err != nil {
+				r.Abort(1, err.Error())
+			}
+			if r.Rank() == 1 {
+				if err := c.Send(peer, 0, buf); err != nil {
+					r.Abort(1, err.Error())
+				}
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulator event throughput via a
 // dense all-to-all, to track harness overhead itself.
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -273,6 +273,25 @@ func resolveInterfaceCall(m *Module, ifaceMethod *types.Func, namedTypes []*type
 	return keys
 }
 
+// isEventEdge reports whether call is the scheduler's dispatch of an event
+// object: a method call through a Policy.EventEdges interface.
+func isEventEdge(m *Module, p *Policy, pkg *Package, call *ast.CallExpr) bool {
+	fn, ok := calleeObject(pkg.Info, call).(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named, ok := recv.Type().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	_, edge := p.EventEdges[relQualified(m.Path, named.Obj().Pkg().Path())+"."+named.Obj().Name()]
+	return edge
+}
+
 // inModule reports whether pkg belongs to the module under analysis.
 func inModule(m *Module, pkg *types.Package) bool {
 	if pkg == nil {

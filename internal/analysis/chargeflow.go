@@ -28,11 +28,11 @@ F's entry reaches a transmit (a ChargeRequired call, or a call into an
 uncharged callee) with no prior charge (a ChargeFuncs call, or a call into
 an alwaysCharges callee). A diagnostic fires, citing the first witness
 site, for every uncharged entry point of a Policy.ChargeRootPkgs package
-(mpi, via, core): a function that is exported, or that nothing in the
-module calls — the scheduler and fabric callbacks, which run in their own
-activation and are reached only through function values. Reviewed
-exceptions (the out-of-band bootstrap network, boot-time attach) live
-under Policy.Exceptions["chargeflow"].`,
+(mpi, via, core): a function that is exported, that nothing in the module
+calls (a callback passed as a function value), or that the scheduler fires
+through a Policy.EventEdges interface (an event is its own activation, so
+the edge is not followed). Reviewed exceptions (the out-of-band bootstrap
+network, boot-time attach) live under Policy.Exceptions["chargeflow"].`,
 		Subject: subjFunc,
 		Run:     runChargeFlow,
 	}
@@ -95,6 +95,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 	// each with its "may be uncharged here" entry state. The dataflow only
 	// depends on `always` (now fixed), so this runs once.
 	sites := map[string][]cfSite{}
+	eventTarget := map[string]bool{} // functions the scheduler fires through a Policy.EventEdges interface
 	skip := func(key string) bool {
 		return p.ChargeFuncs[key] || p.excused("chargeflow", key)
 	}
@@ -118,6 +119,14 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 				qual := calleeName(m, f.Pkg, call)
 				transmits := p.ChargeRequired[qual]
 				callees := resolveSiteCallees(ip, key, call)
+				if isEventEdge(m, p, f.Pkg, call) {
+					// The event runs in its own activation: not on this path,
+					// but an entry point of its own.
+					for _, callee := range callees {
+						eventTarget[callee] = true
+					}
+					return true
+				}
 				if !transmits && len(callees) == 0 {
 					return true
 				}
@@ -166,13 +175,14 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 		return false
 	})
 
-	// Report the entry points of the root packages: exported functions, and
+	// Report the entry points of the root packages: exported functions,
 	// functions with no module callers (callbacks handed to the scheduler or
-	// the fabric as function values, which the call graph cannot follow).
+	// the fabric as function values, which the call graph cannot follow),
+	// and the event objects the scheduler fires.
 	var ds []Diagnostic
 	for _, key := range ip.Keys {
 		f := ip.Funcs[key]
-		if !uncharged[key] || !p.ChargeRootPkgs[f.Pkg.Rel] || !(f.Exported || len(ip.Callers(key)) == 0) {
+		if !uncharged[key] || !p.ChargeRootPkgs[f.Pkg.Rel] || !(f.Exported || len(ip.Callers(key)) == 0 || eventTarget[key]) {
 			continue
 		}
 		w := witness[key]

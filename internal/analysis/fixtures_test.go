@@ -68,8 +68,9 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/via/seqcheck.go:29: seqcheck",       // sendAfterClose: post on the VI it just closed
 		"internal/via/seqcheck.go:38: seqcheck",       // evictMaybe: closed on the evict branch, sent after the join
 		"internal/via/via.go:6: layering",             // via imports mpi (upward)
-		"internal/via/via.go:22: chargeflow",          // UnchargedSend: exported via entry point, Cluster.Send with no charge
-		"internal/via/via.go:39: chargeflow",          // onTimer: a callback nothing calls is an entry point too
+		"internal/via/via.go:23: chargeflow",          // UnchargedSend: exported via entry point, Cluster.Send with no charge
+		"internal/via/via.go:40: chargeflow",          // onTimer: a callback nothing calls is an entry point too
+		"internal/via/via.go:48: chargeflow",          // frame.Fire: an event the scheduler fires is one too; WaitActivity, parked in the loop that fires it, is not flagged
 		"internal/via/waitwake.go:35: wakereach",      // CloseBad is exported and owes the wake itself
 		"internal/via/wakereach.go:20: wakereach",     // AbortBad inherits failQuiet's obligation, never wakes
 		"internal/via/wakereach.go:57: wakereach",     // onDisconnect inherits dropQuiet's; completeQuiet's callers all wake

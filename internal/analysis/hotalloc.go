@@ -8,13 +8,13 @@ import (
 )
 
 // HotAllocAnalyzer enforces the zero-allocation discipline on
-// policy-annotated hot paths: the nil-bus obs emit path and the
-// progress-poll loop. It flags the allocation idioms Go cannot keep off the
-// heap — address-taken composite literals, slice/map literals, make/new,
-// closures, non-constant string concatenation, and implicit interface
-// boxing at call arguments. Failure-path callees in Policy.ColdCalls
-// (Sim.Failf, panic) are excused from the boxing check: a path that aborts
-// the run may allocate.
+// policy-annotated hot paths: the nil-bus obs emit path, the progress-poll
+// loop and the message path. It flags the allocation idioms Go cannot keep
+// off the heap — address-taken composite literals, slice/map literals,
+// make/new, closures, non-constant string concatenation, and implicit
+// interface boxing of non-pointer values at call arguments. Failure-path
+// callees in Policy.ColdCalls (Sim.Failf) are excused from the boxing check:
+// a path that aborts the run may allocate.
 func HotAllocAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",
@@ -32,7 +32,7 @@ paper's measurements must not contain. Functions in Policy.HotPaths carry
 that promise in code review; this rule keeps it honest by flagging the
 constructs that defeat escape analysis or allocate by definition: &T{...},
 slice/map literals, make/new, closures, non-constant string concatenation,
-and concrete values passed to interface parameters (boxing). Cold
+and non-pointer values passed to interface parameters (boxing). Cold
 failure-path callees (Policy.ColdCalls) are exempt from boxing — a path
 that kills the run may allocate on its way out.`,
 		Run: runHotAlloc,
@@ -158,6 +158,10 @@ func hotAllocCheckCall(m *Module, p *Policy, pkg *Package, call *ast.CallExpr, f
 		}
 		if basic, ok := at.(*types.Basic); ok && basic.Kind() == types.UntypedNil {
 			continue
+		}
+		switch at.Underlying().(type) {
+		case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
+			continue // pointer-shaped: stored in the interface word itself
 		}
 		flag(arg.Pos(), fmt.Sprintf("passing concrete %s as interface argument boxes (allocates)", at.String()))
 	}

@@ -61,6 +61,16 @@ type Policy struct {
 	// them to a ChargeRequired transmit must pass a charge.
 	ChargeRootPkgs map[string]bool `subject:"package"`
 
+	// EventEdges names the interface types through which the scheduler
+	// dispatches a device model's pre-allocated event objects (the value is
+	// the reason). An event runs in device context at its own virtual time,
+	// not on the CPU of whichever process was parked in the loop that popped
+	// it, so chargeflow does not follow the edge and audits its targets as
+	// entry points in their own right; wakereach keeps it, which makes the
+	// scheduler — outside every wake scope — the caller a Fire method's
+	// owed wake escapes to.
+	EventEdges map[string]string `subject:"type"`
+
 	// ExhaustiveStrict lists policy-qualified functions whose switches must
 	// name every enum member even when they carry a default: the default is
 	// a fallback ("unknown"), not a handler, so a new member reaching it is
@@ -203,13 +213,20 @@ func DefaultPolicy() *Policy {
 			"internal/via.(Network).serviceTx": true,
 			"internal/via.(Network).serviceRx": true,
 			"internal/via.(Network).sendFrame": true,
-			"internal/simnet.(Proc).Compute":   true,
-			"internal/simnet.(Proc).Sleep":     true,
+			// sendFrame's continuation: the frame's transmit hop injects what
+			// serviceTx booked there, its receive hop runs the dispatch that
+			// handleFrame's serviceRx booked.
+			"internal/via.(wireMsg).Fire":    true,
+			"internal/simnet.(Proc).Compute": true,
+			"internal/simnet.(Proc).Sleep":   true,
 		},
 		ChargeRootPkgs: map[string]bool{
 			"internal/mpi":  true,
 			"internal/via":  true,
 			"internal/core": true,
+		},
+		EventEdges: map[string]string{
+			"internal/simnet.Action": "Sim.loop fires frames, in-flight records and send completions through it",
 		},
 
 		ExhaustiveStrict: map[string]string{
@@ -273,11 +290,35 @@ func DefaultPolicy() *Policy {
 			"internal/via.(VI).SendDone":            "send-completion poll, called in a drain loop every progress pass",
 			"internal/via.(VI).recvDone":            "receive-completion poll on the wait path",
 			"internal/via.(CQ).Done":                "completion-queue poll, called in a drain loop every progress pass",
+			// The message path, Comm.Send to Comm.Recv: every hop is a recycled
+			// object that is its own event, so a steady-state eager message
+			// allocates nothing below the MPI request (and a blocking call's
+			// request is recycled too). Free lists grow in cold helpers.
+			"internal/mpi.(Rank).post":             "outbound packet routing: park FIFO, flow queue or emit",
+			"internal/mpi.(Rank).emit":             "posts every outbound packet to its VI",
+			"internal/mpi.(Rank).newPkt":           "packet free list, one take per outbound packet",
+			"internal/mpi.(Rank).wire":             "send-descriptor free list and wire encoding, once per emit",
+			"internal/mpi.(Rank).emitted":          "completes the riding request and frees the packet, once per emit",
+			"internal/mpi.encodeInto":              "wire encoding into the recycled descriptor buffer",
+			"internal/via.(VI).PostSend":           "one per message sent",
+			"internal/via.(VI).PostRecv":           "one per message received (the pool buffer is re-posted)",
+			"internal/via.(VI).transmit":           "fragments a send into recycled frames",
+			"internal/via.(VI).handleData":         "reassembles every arriving data frame",
+			"internal/via.(txDone).Fire":           "send-completion event, one per send",
+			"internal/via.(CQ).push":               "one per receive completion",
+			"internal/via.(Network).sendFrame":     "takes a frame off the free list and books NIC service, once per frame",
+			"internal/via.(Network).release":       "returns a dispatched frame to the free list",
+			"internal/via.(wireMsg).Fire":          "both NIC-service hops of every frame",
+			"internal/via.(Port).handleFrame":      "fabric delivery callback, once per frame",
+			"internal/fabric.(Cluster).Send":       "once per frame",
+			"internal/fabric.(Cluster).takeFlight": "in-flight record free list, one take per frame",
+			"internal/fabric.(flight).Fire":        "both fabric hops of every frame",
 			// The simnet scheduler substrate: every virtual event in every
 			// figure passes through these, so the zero-alloc property the
 			// BenchmarkSimCore rail measures is locked in statically here.
 			"internal/simnet.(Sim).loop":         "the event loop itself; pops and dispatches every simulated event in whichever coroutine has control",
 			"internal/simnet.(Sim).schedule":     "event admission: every timer, wake, and callback passes through",
+			"internal/simnet.(Sim).AtAction":     "schedules a pre-allocated event object; the device models' only way in",
 			"internal/simnet.(Sim).heapPush":     "4-ary heap insert on the scheduling path",
 			"internal/simnet.(Sim).heapPop":      "4-ary heap extract on the dispatch path",
 			"internal/simnet.(eventRing).push":   "same-instant FIFO admission (the Wake/Yield fast path)",

@@ -9,3 +9,14 @@ type Proc struct{}
 
 // Compute charges CPU cost (ChargeFuncs in the policy).
 func (p *Proc) Compute(d int64) {}
+
+// Action mirrors the real simnet.Action: a pre-allocated object the
+// scheduler fires as its own event (Policy.EventEdges).
+type Action interface{ Fire(arg uint64) }
+
+// Sim mirrors the scheduler: Park runs the event loop in place, firing
+// whatever device events come up while the process waits.
+type Sim struct{ next Action }
+
+// Park blocks the caller; the events it fires meanwhile are not its work.
+func (s *Sim) Park() { s.next.Fire(0) }

@@ -4,6 +4,7 @@ package via
 import (
 	"fixmod/internal/fabric"
 	"fixmod/internal/mpi" // layering violation: via may not import mpi
+	"fixmod/internal/simnet"
 )
 
 // Network mirrors the real via.Network shape.
@@ -38,3 +39,16 @@ func Upward(m map[int]string) []string { return mpi.GoodSortedKeys(m) }
 func (n *Network) onTimer() {
 	n.cluster.Send(8) // chargeflow violation: callback transmits uncharged
 }
+
+// frame is a pre-allocated event object: the scheduler fires it through
+// simnet.Action, so it is an entry point and must pay for its own transmit.
+type frame struct{ n *Network }
+
+func (f *frame) Fire(uint64) {
+	f.n.cluster.Send(8) // chargeflow violation: event transmits uncharged
+}
+
+// WaitActivity parks in the scheduler loop, which fires frames meanwhile.
+// The event edge is not followed: a blocking primitive does not transmit —
+// must NOT flag.
+func (p *Port) WaitActivity(s *simnet.Sim) { s.Park() }

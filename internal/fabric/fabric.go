@@ -98,6 +98,8 @@ type Cluster struct {
 	tx  []port // per node
 	rx  []port // per node
 
+	free *flight // recycled in-flight records
+
 	// FramesDelivered counts frames handed to endpoint handlers.
 	FramesDelivered uint64
 	// MgmtFrames counts out-of-band deliveries.
@@ -158,61 +160,97 @@ func (c *Cluster) AttachNode(node int, handler Handler) (int, error) {
 // NodeOf returns the node hosting endpoint id.
 func (c *Cluster) NodeOf(id int) int { return c.eps[id].node }
 
+// flight is one frame in transit: the scheduler event for each of its hops.
+// A frame fires twice — flightEgress books the source port and the wire,
+// flightDeliver hands it to the destination's handler — and the record then
+// returns to the cluster's free list, so a frame costs no allocation once
+// the list has grown to the number of frames in flight at once.
+type flight struct {
+	c    *Cluster
+	f    Frame
+	next *flight // free list link
+}
+
+// The hops of a frame, passed as the event argument.
+const (
+	flightEgress  uint64 = iota // queue on the source node's transmit port
+	flightDeliver               // receive serialization done: call the handler
+	flightMgmt                  // out-of-band delivery: no port, no wire model
+)
+
+// takeFlight pops a record off the free list (or grows it) and loads f.
+func (c *Cluster) takeFlight(f Frame) *flight {
+	if f.Src < 0 || f.Src >= len(c.eps) || f.Dst < 0 || f.Dst >= len(c.eps) {
+		c.badEndpoints(f)
+	}
+	fl := c.free
+	if fl == nil {
+		fl = c.newFlight()
+	}
+	c.free, fl.next = fl.next, nil
+	fl.f = f
+	return fl
+}
+
+func (c *Cluster) badEndpoints(f Frame) {
+	panic(fmt.Sprintf("fabric: send with bad endpoints src=%d dst=%d (have %d)", f.Src, f.Dst, len(c.eps)))
+}
+
+// newFlight grows the free list (cold path: runs once per frame of the
+// in-flight high-water mark).
+func (c *Cluster) newFlight() *flight { return &flight{c: c} }
+
+// Fire runs one hop of the frame (scheduler context).
+func (fl *flight) Fire(hop uint64) {
+	c, f := fl.c, fl.f
+	now := c.sim.Now()
+	if hop == flightEgress {
+		src, dst := c.eps[f.Src].node, c.eps[f.Dst].node
+		// Egress serialization wait: how long the frame queued behind
+		// earlier traffic before its node's transmit port was free.
+		wait := c.tx[src].freeAt.Sub(now)
+		if wait < 0 {
+			wait = 0
+		}
+		c.sim.Obs().Emit(obs.Event{T: int64(now), Kind: obs.EvFrameEnqueue,
+			Rank: int32(f.Src), Peer: int32(f.Dst), A: int64(f.Size), B: int64(wait)})
+		txDone := c.tx[src].reserve(now, f.Size, c.cfg.BandwidthBps)
+		deliverAt := txDone.Add(c.cfg.SameNodeLatency)
+		if src != dst {
+			// Receive-side serialization (ingress DMA shares the port).
+			arriveAt := txDone.Add(c.cfg.WireLatency + c.cfg.SwitchLatency)
+			deliverAt = c.rx[dst].reserve(arriveAt, f.Size, c.cfg.BandwidthBps)
+		}
+		c.sim.AtAction(deliverAt, fl, flightDeliver)
+		return
+	}
+	// The record is free before the handler runs: the handler may send.
+	fl.f = Frame{}
+	fl.next, c.free = c.free, fl
+	if hop == flightMgmt {
+		c.MgmtFrames++
+	} else {
+		c.FramesDelivered++
+		c.sim.Obs().Emit(obs.Event{T: int64(now), Kind: obs.EvFrameDeliver,
+			Rank: int32(f.Dst), Peer: int32(f.Src), A: int64(f.Size)})
+	}
+	c.eps[f.Dst].handler(f)
+}
+
 // Send injects a frame into the network at the current virtual time after
 // extra (the sender-side processing delay computed by the device model, e.g.
 // NIC doorbell service). Delivery order between a fixed (src,dst) pair is
 // FIFO as long as extra is non-decreasing per pair — the via layer guarantees
 // this by serializing through each NIC's service loop.
 func (c *Cluster) Send(f Frame, extra simnet.Duration) {
-	if f.Src < 0 || f.Src >= len(c.eps) || f.Dst < 0 || f.Dst >= len(c.eps) {
-		panic(fmt.Sprintf("fabric: Send with bad endpoints src=%d dst=%d (have %d)", f.Src, f.Dst, len(c.eps)))
-	}
-	src, dst := c.eps[f.Src], c.eps[f.Dst]
-	c.sim.After(extra, func() {
-		now := c.sim.Now()
-		// Egress serialization wait: how long the frame queued behind
-		// earlier traffic before its node's transmit port was free.
-		wait := c.tx[src.node].freeAt.Sub(now)
-		if wait < 0 {
-			wait = 0
-		}
-		c.sim.Obs().Emit(obs.Event{T: int64(now), Kind: obs.EvFrameEnqueue,
-			Rank: int32(f.Src), Peer: int32(f.Dst), A: int64(f.Size), B: int64(wait)})
-		txDone := c.tx[src.node].reserve(now, f.Size, c.cfg.BandwidthBps)
-		var arriveAt simnet.Time
-		if src.node == dst.node {
-			arriveAt = txDone.Add(c.cfg.SameNodeLatency)
-		} else {
-			arriveAt = txDone.Add(c.cfg.WireLatency + c.cfg.SwitchLatency)
-		}
-		// Receive-side serialization (ingress DMA shares the port).
-		var deliverAt simnet.Time
-		if src.node == dst.node {
-			deliverAt = arriveAt
-		} else {
-			deliverAt = c.rx[dst.node].reserve(arriveAt, f.Size, c.cfg.BandwidthBps)
-		}
-		c.sim.At(deliverAt, func() {
-			c.FramesDelivered++
-			c.sim.Obs().Emit(obs.Event{T: int64(c.sim.Now()), Kind: obs.EvFrameDeliver,
-				Rank: int32(f.Dst), Peer: int32(f.Src), A: int64(f.Size)})
-			dst.handler(f)
-		})
-	})
+	c.sim.AtAction(c.sim.Now().Add(extra), c.takeFlight(f), flightEgress)
 }
 
 // SendMgmt delivers a frame over the out-of-band management network: fixed
 // latency, no NIC serialization. Used for job bootstrap (rank/address
 // exchange), mirroring MVICH's TCP-based process manager.
 func (c *Cluster) SendMgmt(f Frame) {
-	if f.Src < 0 || f.Src >= len(c.eps) || f.Dst < 0 || f.Dst >= len(c.eps) {
-		panic(fmt.Sprintf("fabric: SendMgmt with bad endpoints src=%d dst=%d", f.Src, f.Dst))
-	}
-	dst := c.eps[f.Dst]
-	c.sim.After(c.cfg.MgmtLatency, func() {
-		c.MgmtFrames++
-		dst.handler(f)
-	})
+	c.sim.AtAction(c.sim.Now().Add(c.cfg.MgmtLatency), c.takeFlight(f), flightMgmt)
 }
 
 // TxBytes returns total bytes serialized out of node n.

@@ -295,3 +295,43 @@ func TestPropertyPairFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// roundTrips runs n frame round trips between two parked processes on
+// different nodes inside one simulation.
+func roundTrips(t *testing.T, n int) {
+	s := simnet.New(1)
+	c := New(s, testConfig())
+	var procs [3]*simnet.Proc // endpoints 0 and 2 sit on nodes 0 and 1
+	for i := range procs {
+		if _, err := c.Attach(func(Frame) { procs[i].Wake() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	procs[0] = s.Spawn("a", 0, func(p *simnet.Proc) {
+		for i := 0; i < n; i++ {
+			c.Send(Frame{Src: 0, Dst: 2, Size: 64}, 0)
+			p.Park()
+		}
+	})
+	procs[2] = s.Spawn("b", 0, func(p *simnet.Proc) {
+		for i := 0; i < n; i++ {
+			p.Park()
+			c.Send(Frame{Src: 2, Dst: 0, Size: 64}, 0)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The allocation rail at the fabric boundary: a frame is a recycled record
+// that is its own event, so a round trip allocates nothing. Measured by
+// difference between two run lengths of one simulation, so boot cancels.
+func TestRoundTripAllocs(t *testing.T) {
+	const n = 200
+	short := testing.AllocsPerRun(5, func() { roundTrips(t, n) })
+	long := testing.AllocsPerRun(5, func() { roundTrips(t, 10*n) })
+	if perRT := (long - short) / (9 * n); perRT > 0.01 {
+		t.Errorf("%.3f allocations per frame round trip (%v for %d, %v for %d), want 0", perRT, short, n, long, 10*n)
+	}
+}

@@ -8,8 +8,8 @@ import (
 // FuzzPacketDecode checks that decode never panics and that
 // encode(decode(x)) is stable for valid packets.
 func FuzzPacketDecode(f *testing.F) {
-	f.Add(encode(hdr{kind: pktEager, srcRank: 1, tag: 2, ctx: 3, size: 4}, []byte("hello")))
-	f.Add(encode(hdr{kind: pktRts, size: 1 << 20, sreq: 42}, nil))
+	f.Add(encodeInto(nil, hdr{kind: pktEager, srcRank: 1, tag: 2, ctx: 3, size: 4}, []byte("hello")))
+	f.Add(encodeInto(nil, hdr{kind: pktRts, size: 1 << 20, sreq: 42}, nil))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -20,7 +20,7 @@ func FuzzPacketDecode(f *testing.F) {
 		// Round-trip through encode: the decoded header and payload must
 		// survive (padding bytes are canonicalized to zero by encode, so we
 		// compare decoded forms, not raw bytes).
-		h2, p2, err := decode(encode(h, payload))
+		h2, p2, err := decode(encodeInto(nil, h, payload))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -831,7 +831,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	h := hdr{kind: pktCts, srcRank: 3, tag: -1, ctx: 7, size: 123456,
 		credits: 9, sreq: 1 << 40, rreq: -5, rkey: 0xdeadbeef}
 	payload := []byte("0123456789")
-	b := encode(h, payload)
+	b := encodeInto(nil, h, payload)
 	h2, p2, err := decode(b)
 	if err != nil {
 		t.Fatal(err)

@@ -63,10 +63,16 @@ type hdr struct {
 	rkey    uint64
 }
 
-// encode appends the header and payload into a fresh buffer.
-func encode(h hdr, payload []byte) []byte {
-	b := make([]byte, hdrSize+len(payload))
-	b[0] = h.kind
+// encodeInto writes the header and payload into b's storage, growing it when
+// it is too small, and returns the wire buffer. b is a recycled buffer, so
+// all hdrSize header bytes are written, the padding too.
+func encodeInto(b []byte, h hdr, payload []byte) []byte {
+	n := hdrSize + len(payload)
+	if cap(b) < n {
+		b = growWire(n)
+	}
+	b = b[:n]
+	b[0], b[1], b[2], b[3] = h.kind, 0, 0, 0
 	le := binary.LittleEndian
 	le.PutUint32(b[4:], uint32(h.srcRank))
 	le.PutUint32(b[8:], uint32(h.tag))
@@ -79,6 +85,10 @@ func encode(h hdr, payload []byte) []byte {
 	copy(b[hdrSize:], payload)
 	return b
 }
+
+// growWire allocates a wire buffer (cold path: a recycled descriptor's
+// buffer settles at the largest packet it has carried).
+func growWire(n int) []byte { return make([]byte, n) }
 
 // decode parses a wire buffer into its header and payload view.
 func decode(b []byte) (hdr, []byte, error) {

@@ -20,7 +20,8 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.r.Wait(req)
+	_, err = c.r.waitOwn(req)
+	return err
 }
 
 // Ssend is the blocking synchronous-mode send: it completes only after the
@@ -31,7 +32,8 @@ func (c *Comm) Ssend(dst, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.r.Wait(req)
+	_, err = c.r.waitOwn(req)
+	return err
 }
 
 // Issend starts a nonblocking synchronous-mode send.
@@ -47,7 +49,8 @@ func (c *Comm) Rsend(dst, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.r.Wait(req)
+	_, err = c.r.waitOwn(req)
+	return err
 }
 
 // Bsend is the buffered-mode send: it copies data into library-owned storage
@@ -72,7 +75,8 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 		return nil, fmt.Errorf("mpi: Isend to rank %d of %d", dst, c.Size())
 	}
 	world := c.ranks[dst]
-	req := &Request{r: r, dstWorld: world, mode: mode, data: data}
+	req := r.newReq()
+	*req = Request{r: r, dstWorld: world, mode: mode, data: data}
 
 	r.obsSend(world, len(data), tag)
 	if world == r.rank {
@@ -95,12 +99,10 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 	}
 	cs.userSends++
 	if len(data) <= r.cfg.EagerThreshold && mode != ModeSynchronous {
-		r.post(cs, &pkt{
-			hdr: hdr{kind: pktEager, srcRank: int32(c.myrank), tag: int32(tag),
-				ctx: ctx, size: int32(len(data))},
-			payload: data,
-			onEmit:  req.complete, // standard mode: local completion once buffered
-		})
+		// Standard mode: the request rides on the packet and completes
+		// locally once the data is buffered.
+		r.post(cs, r.newPkt(hdr{kind: pktEager, srcRank: int32(c.myrank), tag: int32(tag),
+			ctx: ctx, size: int32(len(data))}, data, req))
 		return req, nil
 	}
 
@@ -109,8 +111,8 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 	id := r.nextReq
 	r.sendReqs[id] = req
 	cs.pendingRdv++
-	r.post(cs, &pkt{hdr: hdr{kind: pktRts, srcRank: int32(c.myrank), tag: int32(tag),
-		ctx: ctx, size: int32(len(data)), sreq: id}})
+	r.post(cs, r.newPkt(hdr{kind: pktRts, srcRank: int32(c.myrank), tag: int32(tag),
+		ctx: ctx, size: int32(len(data)), sreq: id}, nil, nil))
 	return req, nil
 }
 
@@ -127,10 +129,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	if err := c.r.Wait(req); err != nil {
-		return Status{}, err
-	}
-	return req.status, nil
+	return c.r.waitOwn(req)
 }
 
 func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
@@ -138,7 +137,8 @@ func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		return nil, fmt.Errorf("mpi: Irecv from rank %d of %d", src, c.Size())
 	}
-	req := &Request{r: r, isRecv: true, buf: buf, src: src, tag: tag, ctx: ctx}
+	req := r.newReq()
+	*req = Request{r: r, isRecv: true, buf: buf, src: src, tag: tag, ctx: ctx}
 
 	// Paper §3.5: a receive from ANY_SOURCE forces connections to everyone
 	// in the communicator; §4: a specific-source receive initiates the
@@ -199,10 +199,36 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 	if err != nil {
 		return Status{}, err
 	}
-	if err := c.r.Waitall(sreq, rreq); err != nil {
+	err = c.r.Waitall(sreq, rreq)
+	st := rreq.status
+	c.r.freeReqs = append(c.r.freeReqs, sreq, rreq)
+	if err != nil {
 		return Status{}, err
 	}
-	return rreq.status, nil
+	return st, nil
+}
+
+// newReq takes a Request off the free list (or grows it). Only the blocking
+// calls, whose request never leaves the library, give theirs back.
+func (r *Rank) newReq() *Request {
+	if k := len(r.freeReqs) - 1; k >= 0 {
+		q := r.freeReqs[k]
+		r.freeReqs = r.freeReqs[:k]
+		return q
+	}
+	return new(Request)
+}
+
+// waitOwn is Wait for a blocking call's own request: once it completes no
+// queue, map or packet refers to it, so it is recycled.
+func (r *Rank) waitOwn(q *Request) (Status, error) {
+	err := r.Wait(q)
+	st := q.status
+	r.freeReqs = append(r.freeReqs, q)
+	if err != nil {
+		return Status{}, err
+	}
+	return st, nil
 }
 
 // Wait blocks until the request completes, driving progress (MPI_Wait).

@@ -31,11 +31,14 @@ type chanState struct {
 	umqRefs      int    // unexpected RTS entries still referencing this channel
 }
 
-// pkt is an outbound packet, possibly parked awaiting credits.
+// pkt is an outbound packet, possibly parked awaiting a connection or
+// credits. Packets come from Rank.newPkt and return to its free list once
+// emitted; until then exactly one queue owns each: the channel's park FIFO,
+// flowQ or pendingClose.
 type pkt struct {
 	hdr     hdr
-	payload []byte
-	onEmit  func() // runs when the packet is actually posted to the VI
+	payload []byte   // eager data: the caller's buffer until emit copies it
+	req     *Request // completes when the packet is actually posted to the VI
 }
 
 // Rank is one MPI process: the user-facing handle passed to the program's
@@ -70,6 +73,13 @@ type Rank struct {
 	sendReqs map[int64]*Request // awaiting CTS
 	recvReqs map[int64]*Request // awaiting FIN
 	detached []*Request         // buffered-mode sends owned by the library
+
+	// Free lists of the outbound path: packets, and send descriptors with
+	// the wire buffers they carry (tagged with the rank in UserPtr; an RDMA
+	// write's descriptor points at user data and never comes here).
+	freePkts  []*pkt
+	freeSends []*via.Descriptor
+	freeReqs  []*Request // blocking calls' requests (see waitOwn)
 
 	ctxCounter int32
 
@@ -266,7 +276,7 @@ func (r *Rank) canEvict(ch *core.Channel) bool {
 func (r *Rank) startEvict(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
 	cs.closing, cs.evict = true, true
-	r.emit(cs, &pkt{hdr: hdr{kind: pktBye, srcRank: int32(r.rank)}})
+	r.emit(cs, r.newPkt(hdr{kind: pktBye, srcRank: int32(r.rank)}, nil, nil))
 }
 
 // quiescent is the responder-side check for accepting a peer's BYE: the
@@ -341,12 +351,8 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 		if r.cfg.UnsafeNoSendFifo {
 			// Ablation path: post to the unconnected VI and let VIA discard
 			// it — the bug class the FIFO exists to prevent.
-			buf := encode(p.hdr, p.payload)
-			d := &via.Descriptor{Buf: buf, Len: len(buf)}
-			_ = cs.ch.Vi.PostSend(d)
-			if p.onEmit != nil {
-				p.onEmit()
-			}
+			_ = cs.ch.Vi.PostSend(r.wire(p))
+			r.emitted(cs, p)
 			return
 		}
 		cs.ch.Park(p)
@@ -374,13 +380,57 @@ func (r *Rank) creditNeed(p *pkt) int {
 	return 2
 }
 
+// newPkt takes a packet off the free list (or grows it).
+func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
+	var p *pkt
+	if k := len(r.freePkts) - 1; k >= 0 {
+		p, r.freePkts = r.freePkts[k], r.freePkts[:k]
+	} else {
+		p = growPkts()
+	}
+	p.hdr, p.payload, p.req = h, payload, req
+	return p
+}
+
+// growPkts and growSends grow the free lists (cold paths: each settles at
+// the number of packets queued, or sends unreaped, at once).
+func growPkts() *pkt { return new(pkt) }
+
+func (r *Rank) growSends() *via.Descriptor { return &via.Descriptor{UserPtr: r} }
+
+// wire encodes p into a recycled send descriptor. progressStep returns the
+// descriptor to the free list when it reaps the completed send.
+func (r *Rank) wire(p *pkt) *via.Descriptor {
+	var d *via.Descriptor
+	if k := len(r.freeSends) - 1; k >= 0 {
+		d, r.freeSends = r.freeSends[k], r.freeSends[:k]
+	} else {
+		d = r.growSends()
+	}
+	d.Buf = encodeInto(d.Buf, p.hdr, p.payload)
+	d.Len = len(d.Buf)
+	return d
+}
+
+// emitted runs once p has been posted to the VI: the request riding on it
+// completes and the packet is free.
+func (r *Rank) emitted(cs *chanState, p *pkt) {
+	if p.req != nil {
+		if p.hdr.kind == pktFin {
+			cs.pendingRdv-- // the rendezvous ends with its FIN
+		}
+		p.req.complete()
+	}
+	*p = pkt{}
+	r.freePkts = append(r.freePkts, p)
+}
+
 // emit actually posts the packet to the VI.
 func (r *Rank) emit(cs *chanState, p *pkt) {
 	p.hdr.credits = int32(cs.freed)
 	cs.freed = 0
-	buf := encode(p.hdr, p.payload)
+	d := r.wire(p)
 	r.port.ChargeHost(simnet.Duration(len(p.payload)) * r.cfg.cost.HostCopyPerByte)
-	d := &via.Descriptor{Buf: buf, Len: len(buf)}
 	if err := cs.ch.Vi.PostSend(d); err != nil {
 		r.proc.Sim().Failf("mpi: rank %d post to %d: %v", r.rank, cs.peer, err)
 		return
@@ -415,9 +465,7 @@ func (r *Rank) emit(cs *chanState, p *pkt) {
 				Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(p.hdr.size), B: int64(p.hdr.credits)})
 		}
 	}
-	if p.onEmit != nil {
-		p.onEmit()
-	}
+	r.emitted(cs, p)
 }
 
 // ---------------------------------------------------------------------------
@@ -464,7 +512,10 @@ func (r *Rank) progressStep() {
 	// behaviour is identical whether channels were created eagerly or on
 	// demand, and each poll costs O(live channels), not O(world size).
 	for _, cs := range r.active {
-		for cs.ch.Vi.SendDone() != nil {
+		for d := cs.ch.Vi.SendDone(); d != nil; d = cs.ch.Vi.SendDone() {
+			if d.UserPtr == r {
+				r.freeSends = append(r.freeSends, d)
+			}
 		}
 	}
 
@@ -530,11 +581,9 @@ func (r *Rank) progressStep() {
 	}
 }
 
-// sendCreditReturn emits an explicit credit-return packet. Kept out of
-// progressStep: it fires at most once per pool half-drain, and the packet
-// construction would otherwise be the only allocation on the per-poll path.
+// sendCreditReturn emits an explicit credit-return packet.
 func (r *Rank) sendCreditReturn(cs *chanState) {
-	r.emit(cs, &pkt{hdr: hdr{kind: pktCredit, srcRank: int32(r.rank)}})
+	r.emit(cs, r.newPkt(hdr{kind: pktCredit, srcRank: int32(r.rank)}, nil, nil))
 }
 
 // waitProgress blocks until cond holds, interleaving progress with the
@@ -639,9 +688,9 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 		}
 		if r.quiescent(cs) {
 			cs.closing = true
-			r.emit(cs, &pkt{hdr: hdr{kind: pktByeAck, srcRank: int32(r.rank)}})
+			r.emit(cs, r.newPkt(hdr{kind: pktByeAck, srcRank: int32(r.rank)}, nil, nil))
 		} else {
-			r.post(cs, &pkt{hdr: hdr{kind: pktByeNack, srcRank: int32(r.rank)}})
+			r.post(cs, r.newPkt(hdr{kind: pktByeNack, srcRank: int32(r.rank)}, nil, nil))
 		}
 	case pktByeAck:
 		// The peer is drained; closing the VI sends the DISC that drives
@@ -729,10 +778,10 @@ func (r *Rank) acceptRendezvous(req *Request, h hdr, cs *chanState) {
 	id := r.nextReq
 	r.recvReqs[id] = req
 	cs.pendingRdv++
-	r.post(cs, &pkt{hdr: hdr{
+	r.post(cs, r.newPkt(hdr{
 		kind: pktCts, srcRank: int32(r.rank), ctx: h.ctx,
 		sreq: h.sreq, rreq: id, rkey: key, size: h.size,
-	}})
+	}, nil, nil))
 }
 
 // rendezvousData RDMA-writes the payload and sends FIN; the send request
@@ -747,11 +796,5 @@ func (r *Rank) rendezvousData(cs *chanState, req *Request, h hdr) {
 		r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvRdma,
 			Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(len(req.data))})
 	}
-	r.post(cs, &pkt{
-		hdr: hdr{kind: pktFin, srcRank: int32(r.rank), ctx: h.ctx, rreq: h.rreq},
-		onEmit: func() {
-			cs.pendingRdv--
-			req.complete()
-		},
-	})
+	r.post(cs, r.newPkt(hdr{kind: pktFin, srcRank: int32(r.rank), ctx: h.ctx, rreq: h.rreq}, nil, req))
 }

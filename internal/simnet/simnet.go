@@ -12,6 +12,13 @@
 // paper figure funnels through Sim.Run, so the scheduler hot path (event
 // admission, heap maintenance, dispatch, park) is kept allocation-free in
 // steady state; the viampi-vet hotalloc rule enforces it.
+//
+// A device model schedules work with AtAction: the event is a pre-allocated
+// object of the model's own (a frame in flight, a descriptor awaiting its
+// completion) that the scheduler calls back through the one-method Action
+// interface, so a message crosses fabric and via without allocating either.
+// At and After take a plain func for the rare paths (handshake timers, test
+// scaffolding) where a closure's allocation does not matter.
 package simnet
 
 import (
@@ -68,16 +75,29 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// evKind discriminates the scheduler's typed events. The common cases —
-// timer wakes from Sleep/Compute/ParkTimeout/Wake and process starts — carry
-// their parameters in the event value itself and are dispatched in a switch,
-// so the hot path never allocates a closure. Only general At/After callbacks
-// (device models) pay for a func value.
+// Action is a scheduled occurrence that is its own event: a pre-allocated
+// object the scheduler calls at the time given to AtAction, with the argument
+// given there. One object may be scheduled many times (a frame fires once per
+// hop, a recycled descriptor once per post); arg tells the firings apart.
+type Action interface {
+	Fire(arg uint64)
+}
+
+// funcAction carries a general At/After callback as an Action. A func value
+// is pointer-shaped, so the conversion to the interface does not allocate.
+type funcAction func()
+
+func (f funcAction) Fire(uint64) { f() }
+
+// evKind discriminates the scheduler's typed events. Timer wakes from
+// Sleep/Compute/ParkTimeout/Wake and process starts carry their parameters
+// in the event value itself and are dispatched in a switch; everything else
+// is an Action, so no event allocates on its way through the scheduler.
 type evKind uint8
 
 const (
-	evFunc         evKind = iota // run fn (general At/After callback)
-	evTimerWake                  // wake proc if still parked at parkSeq
+	evAction       evKind = iota // act.Fire(arg)
+	evTimerWake                  // wake proc if still parked at generation arg
 	evTimerTimeout               // as evTimerWake, but reports a timeout
 	evProcStart                  // first dispatch of proc (emits EvProcStart)
 )
@@ -87,12 +107,12 @@ const (
 // plain values: the queues below hold []event, never *event, so scheduling
 // does not allocate per event.
 type event struct {
-	at      Time
-	seq     uint64
-	parkSeq uint64 // evTimerWake/evTimerTimeout: park generation to match
-	proc    *Proc  // evTimerWake/evTimerTimeout/evProcStart
-	fn      func() // evFunc
-	kind    evKind
+	at   Time
+	seq  uint64
+	arg  uint64 // timer kinds: park generation to match; evAction: Fire's argument
+	proc *Proc  // evTimerWake/evTimerTimeout/evProcStart
+	act  Action // evAction
+	kind evKind
 }
 
 // before reports whether e fires before f: earlier timestamp, or equal
@@ -126,7 +146,7 @@ func (r *eventRing) push(ev event) {
 
 func (r *eventRing) pop() event {
 	ev := r.buf[r.head]
-	r.buf[r.head] = event{} // release fn/proc for GC
+	r.buf[r.head] = event{} // release act/proc for GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return ev
@@ -236,7 +256,7 @@ func (s *Sim) heapPop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release fn/proc for GC
+	h[n] = event{} // release act/proc for GC
 	h = h[:n]
 	s.heap = h
 	if n > 0 {
@@ -269,9 +289,14 @@ func (s *Sim) heapPop() event {
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error in the caller; it is clamped to now to keep time monotonic.
-func (s *Sim) At(t Time, fn func()) {
+func (s *Sim) At(t Time, fn func()) { s.AtAction(t, funcAction(fn), 0) }
+
+// AtAction schedules a.Fire(arg) at virtual time t (clamped to now like At).
+// The scheduler keeps no state of its own for the event beyond the queue
+// slot, so a caller that recycles a may do so as soon as Fire has run.
+func (s *Sim) AtAction(t Time, a Action, arg uint64) {
 	s.seq++
-	s.schedule(event{at: t, seq: s.seq, kind: evFunc, fn: fn})
+	s.schedule(event{at: t, seq: s.seq, kind: evAction, act: a, arg: arg})
 }
 
 // After schedules fn to run d from now.
@@ -389,7 +414,7 @@ func (p *Proc) Sleep(d Duration) {
 	s := p.sim
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerWake,
-		proc: p, parkSeq: p.parkSeq + 1})
+		proc: p, arg: p.parkSeq + 1})
 	start := s.now
 	p.park()
 	p.slept += s.now.Sub(start)
@@ -405,7 +430,7 @@ func (p *Proc) Compute(d Duration) {
 	start := s.now
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerWake,
-		proc: p, parkSeq: p.parkSeq + 1})
+		proc: p, arg: p.parkSeq + 1})
 	p.park()
 	p.busy += s.now.Sub(start)
 	p.idle -= s.now.Sub(start)
@@ -423,7 +448,7 @@ func (p *Proc) ParkTimeout(d Duration) bool {
 	s := p.sim
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerTimeout,
-		proc: p, parkSeq: p.parkSeq + 1})
+		proc: p, arg: p.parkSeq + 1})
 	p.park()
 	return !p.timedOut
 }
@@ -442,7 +467,7 @@ func (p *Proc) WakeAfter(d Duration) {
 	}
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerWake,
-		proc: p, parkSeq: seq})
+		proc: p, arg: seq})
 }
 
 // Yield gives other events scheduled at the current instant a chance to run
@@ -455,7 +480,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // the process carries on with no switch. It returns false when control must
 // go back to Run, either to resume s.target or, with s.target nil, because
 // the run is over (stopError says why). Timer wakes and process starts are
-// dispatched from the event value itself; only evFunc calls a func value.
+// dispatched from the event value itself; evAction calls the event's object.
 func (s *Sim) loop(self *Proc) bool {
 	for s.failure == nil {
 		var ev event
@@ -478,11 +503,11 @@ func (s *Sim) loop(self *Proc) bool {
 		}
 		s.EventCount++
 		switch ev.kind {
-		case evFunc:
-			ev.fn()
+		case evAction:
+			ev.act.Fire(ev.arg)
 		case evTimerWake, evTimerTimeout:
 			p := ev.proc
-			if p.parked && p.parkSeq == ev.parkSeq {
+			if p.parked && p.parkSeq == ev.arg {
 				p.parked = false
 				p.timedOut = ev.kind == evTimerTimeout
 				if p == self {

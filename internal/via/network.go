@@ -18,6 +18,8 @@ type Network struct {
 
 	faults *FaultPlan
 
+	free *wireMsg // recycled frames
+
 	// DroppedNoDescriptor counts messages that arrived on a VI with no
 	// posted receive descriptor (a flow-control violation in the upper
 	// layer; the VI enters the error state).
@@ -128,14 +130,20 @@ func (n *Network) serviceRx(nd int) simnet.Time {
 	return ns.rxFree
 }
 
-// sendFrame pushes a wire message from port p into the fabric after NIC
-// transmit service, returning the time the NIC finished accepting it (which
-// is when the associated descriptor completes locally).
-func (n *Network) sendFrame(p *Port, dstEp int, m *wireMsg, payloadLen int) simnet.Time {
+// The NIC-service hops of a frame, passed as the event argument.
+const (
+	hopTx uint64 = iota // transmit service done: inject into the fabric
+	hopRx               // receive service done: dispatch at the destination port
+)
+
+// sendFrame pushes a frame with header hdr and a copy of data from port p
+// into the fabric after NIC transmit service, returning the time the NIC
+// finished accepting it (which is when the associated descriptor completes
+// locally). wireLen is the payload size the wire charges for.
+func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLen int) simnet.Time {
 	txDone := n.serviceTx(p.node)
-	size := payloadLen + n.cost.FrameHeaderBytes
 	var extra simnet.Duration
-	if m.kind == kindConnReq && n.faults != nil {
+	if hdr.kind == kindConnReq && n.faults != nil {
 		if n.faults.dropReq(p.ep, dstEp, n.sim.Now()) {
 			// The NIC accepted the frame (service time is booked and the
 			// descriptor completes); the wire lost it.
@@ -149,10 +157,50 @@ func (n *Network) sendFrame(p *Port, dstEp int, m *wireMsg, payloadLen int) simn
 			extra = d
 		}
 	}
-	n.sim.At(txDone, func() {
-		n.cluster.Send(fabric.Frame{Src: p.ep, Dst: dstEp, Size: size, Payload: m}, extra)
-	})
+	m := n.free
+	if m == nil {
+		m = n.newFrame()
+	}
+	n.free = m.next
+	buf := m.buf
+	if cap(buf) < len(data) {
+		buf = growFrameBuf(len(data))
+	}
+	*m = hdr
+	m.buf, m.data = buf, buf[:len(data)]
+	copy(m.data, data)
+	m.port, m.dstEp, m.size, m.extra = p, dstEp, wireLen+n.cost.FrameHeaderBytes, extra
+	n.sim.AtAction(txDone, m, hopTx)
 	return txDone
+}
+
+// newFrame and growFrameBuf grow the free list and a frame's buffer (cold
+// paths: the list settles at the number of frames in flight at once, a buffer
+// at the largest fragment it has carried — exactly that, no size classes).
+func (n *Network) newFrame() *wireMsg { return &wireMsg{} }
+
+func growFrameBuf(size int) []byte { return make([]byte, size) }
+
+// release returns a dispatched (or dropped) frame to the free list.
+func (n *Network) release(m *wireMsg) {
+	*m = wireMsg{buf: m.buf, next: n.free}
+	n.free = m
+}
+
+// Fire runs one NIC-service hop of the frame (scheduler context): after
+// transmit service it enters the fabric; after receive service the
+// destination port dispatches it and, unless a VI's preConnQ took it over,
+// the frame is free.
+func (m *wireMsg) Fire(hop uint64) {
+	p := m.port
+	if hop == hopTx {
+		p.net.cluster.Send(fabric.Frame{Src: p.ep, Dst: m.dstEp, Size: m.size, Payload: m}, m.extra)
+		return
+	}
+	p.dispatch(m)
+	if !m.held {
+		p.net.release(m)
+	}
 }
 
 // OpenVIsOnNode reports open VI endpoints on node nd (for tests/harness).

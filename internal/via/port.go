@@ -231,7 +231,7 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 		return fmt.Errorf("via: VI belongs to a different port")
 	}
 	if vi.state != ViIdle {
-		return fmt.Errorf("%w: ConnectPeerRequest in state %v", ErrBadState, vi.state)
+		return vi.badState("ConnectPeerRequest")
 	}
 	p.owner.Compute(p.net.cost.ConnectLocalCost) // OS involvement
 	vi.state = ViConnecting
@@ -250,9 +250,9 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 		}
 	}
 	p.outgoing[connKey{remote.Ep, disc}] = vi
-	p.net.sendFrame(p, remote.Ep, &wireMsg{
+	p.net.sendFrame(p, remote.Ep, wireMsg{
 		kind: kindConnReq, srcEp: p.ep, srcVi: vi.id, disc: disc,
-	}, 64)
+	}, nil, 64)
 	return nil
 }
 
@@ -266,7 +266,7 @@ func (p *Port) CancelConnect(vi *VI) error {
 		return fmt.Errorf("via: VI belongs to a different port")
 	}
 	if vi.state != ViConnecting {
-		return fmt.Errorf("%w: CancelConnect in state %v", ErrBadState, vi.state)
+		return vi.badState("CancelConnect")
 	}
 	delete(p.outgoing, connKey{vi.remoteEp, vi.disc})
 	vi.resetHandshake()
@@ -359,7 +359,7 @@ func (p *Port) Accept(req *PeerRequest, vi *VI) error {
 		return fmt.Errorf("via: VI belongs to a different port")
 	}
 	if vi.state != ViIdle {
-		return fmt.Errorf("%w: Accept in state %v", ErrBadState, vi.state)
+		return vi.badState("Accept")
 	}
 	p.owner.Compute(p.net.cost.ConnectLocalCost)
 	vi.state = ViConnecting
@@ -382,9 +382,9 @@ func (p *Port) Reject(req *PeerRequest) {
 	}
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnReject,
 		Rank: int32(p.ep), Peer: int32(req.From.Ep), A: int64(req.Disc)})
-	p.net.sendFrame(p, req.From.Ep, &wireMsg{
+	p.net.sendFrame(p, req.From.Ep, wireMsg{
 		kind: kindConnNack, srcEp: p.ep, disc: req.Disc, dstVi: req.RemoteVi,
-	}, 64)
+	}, nil, 64)
 }
 
 // establishAfter moves vi to ViConnected after d, and optionally sends the
@@ -400,26 +400,27 @@ func (p *Port) establishAfter(vi *VI, remoteVi int, d simnet.Duration, sendAck b
 		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
 			Rank: int32(p.ep), Peer: int32(vi.remoteEp), A: int64(vi.disc)})
 		if sendAck {
-			p.net.sendFrame(p, vi.remoteEp, &wireMsg{
+			p.net.sendFrame(p, vi.remoteEp, wireMsg{
 				kind: kindConnAck, srcEp: p.ep, srcVi: vi.id, disc: vi.disc, dstVi: remoteVi,
-			}, 64)
+			}, nil, 64)
 		}
 		vi.deliverHeld()
 		p.notifyActivity()
 	})
 }
 
-// handleFrame is the fabric delivery callback: it books NIC receive service
-// and then dispatches the wire message.
+// handleFrame is the fabric delivery callback: it books NIC receive service,
+// after which the frame's second hop dispatches it.
 func (p *Port) handleFrame(f fabric.Frame) {
 	m := f.Payload.(*wireMsg)
 	if m.kind == kindOob {
-		// Management-network traffic does not touch the VIA NIC.
+		// Management-network traffic does not touch the VIA NIC (nor the
+		// frame free list: the receiver keeps the message's bytes).
 		p.dispatch(m)
 		return
 	}
-	deliverAt := p.net.serviceRx(p.node)
-	p.net.sim.At(deliverAt, func() { p.dispatch(m) })
+	m.port = p
+	p.net.sim.AtAction(p.net.serviceRx(p.node), m, hopRx)
 }
 
 func (p *Port) dispatch(m *wireMsg) {
@@ -432,9 +433,9 @@ func (p *Port) dispatch(m *wireMsg) {
 			// Injected refusal: the endpoint is (transiently) not accepting
 			// connections; NACK so the initiator's retry machinery engages.
 			p.net.ConnReqsRefused++
-			p.net.sendFrame(p, m.srcEp, &wireMsg{
+			p.net.sendFrame(p, m.srcEp, wireMsg{
 				kind: kindConnNack, srcEp: p.ep, disc: m.disc, dstVi: m.srcVi,
-			}, 64)
+			}, nil, 64)
 			return
 		}
 		key := connKey{m.srcEp, m.disc}

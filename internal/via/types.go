@@ -3,6 +3,8 @@ package via
 import (
 	"errors"
 	"fmt"
+
+	"viampi/internal/simnet"
 )
 
 // Status is the completion status of a descriptor.
@@ -109,8 +111,11 @@ type Descriptor struct {
 	// UserPtr lets upper layers attach context (e.g. the MPI request).
 	UserPtr interface{}
 
-	vi   *VI
-	rdma bool
+	vi *VI
+	// gen counts posts. A send's completion event carries the generation it
+	// was scheduled under, so an event outlived by its post (the VI failed the
+	// descriptor and the owner posted it again) completes nothing.
+	gen uint64
 }
 
 // Done reports whether the descriptor has completed (any status).
@@ -130,7 +135,12 @@ const (
 	kindOob
 )
 
-// wireMsg is the payload carried inside a fabric frame.
+// wireMsg is the payload carried inside a fabric frame, and the scheduler
+// event for both of the frame's NIC-service hops (see Fire). Every frame on
+// the NIC path comes from the Network's free list and returns to it once the
+// receiving port has dispatched it; callers describe a frame with a wireMsg
+// literal holding the header fields, which sendFrame copies into a recycled
+// one.
 type wireMsg struct {
 	kind   byte
 	srcEp  int
@@ -140,8 +150,17 @@ type wireMsg struct {
 	seq    uint64 // per-VI data sequence, for assertions
 	offset int    // fragment offset within the message
 	total  int    // total message length
-	data   []byte // fragment payload (copied at post time)
+	data   []byte // fragment payload: the sender's bytes, copied into buf at post time
 
 	rdmaKey uint64 // RDMA target key
 	rdmaOff int    // base offset of the RDMA write
+
+	// In-flight state, owned by sendFrame/handleFrame.
+	port  *Port           // whose NIC is serving the frame: the sender's, then the receiver's
+	dstEp int             // destination endpoint
+	size  int             // bytes on the wire
+	extra simnet.Duration // injected handshake delay (FaultPlan)
+	held  bool            // parked in a VI's preConnQ, which now owns the frame
+	buf   []byte          // backing store of data, kept across recycling
+	next  *wireMsg        // free-list link
 }

@@ -56,6 +56,11 @@ func (vi *VI) Disc() uint64 { return vi.disc }
 // SendQueueLen returns the number of posted, unreaped send descriptors.
 func (vi *VI) SendQueueLen() int { return len(vi.sendQ) }
 
+// badState is the error for an operation the VI's current state forbids.
+func (vi *VI) badState(op string) error {
+	return fmt.Errorf("%w: %s in state %v", ErrBadState, op, vi.state)
+}
+
 // PostRecv posts a receive descriptor. VIA requires receives to be posted
 // before the matching message arrives; posting is legal in any pre-connected
 // or connected state.
@@ -63,9 +68,10 @@ func (vi *VI) PostRecv(d *Descriptor) error {
 	switch vi.state {
 	case ViIdle, ViConnecting, ViConnected:
 	default:
-		return fmt.Errorf("%w: PostRecv in state %v", ErrBadState, vi.state)
+		return vi.badState("PostRecv")
 	}
 	d.vi = vi
+	d.gen++
 	d.Status = StatusPending
 	d.XferLen = 0
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
@@ -80,7 +86,7 @@ func (vi *VI) PostRecv(d *Descriptor) error {
 // pre-connection sends above the VIA layer.
 func (vi *VI) PostSend(d *Descriptor) error {
 	d.vi = vi
-	d.rdma = false
+	d.gen++
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
 	if vi.state != ViConnected {
 		d.Status = StatusNotConnected
@@ -90,9 +96,7 @@ func (vi *VI) PostSend(d *Descriptor) error {
 	}
 	d.Status = StatusPending
 	vi.sendQ = append(vi.sendQ, d)
-	vi.transmit(d, d.Buf[:d.Len], &wireMsg{
-		kind: kindData, dstVi: vi.remoteVi, seq: vi.seqOut,
-	})
+	vi.transmit(d, wireMsg{kind: kindData, seq: vi.seqOut})
 	vi.seqOut++
 	vi.usedTx = true
 	vi.port.stats.MsgsSent++
@@ -105,58 +109,53 @@ func (vi *VI) PostSend(d *Descriptor) error {
 // remote receive descriptor is consumed.
 func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 	if vi.state != ViConnected {
-		return fmt.Errorf("%w: PostRdmaWrite in state %v", ErrBadState, vi.state)
+		return vi.badState("PostRdmaWrite")
 	}
 	d.vi = vi
-	d.rdma = true
+	d.gen++
 	d.Status = StatusPending
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
 	vi.sendQ = append(vi.sendQ, d)
-	vi.transmit(d, d.Buf[:d.Len], &wireMsg{
-		kind: kindRdma, dstVi: vi.remoteVi, rdmaKey: d.RdmaKey, rdmaOff: d.RdmaOffset,
-	})
+	vi.transmit(d, wireMsg{kind: kindRdma, rdmaKey: d.RdmaKey, rdmaOff: d.RdmaOffset})
 	vi.port.stats.BytesSent += int64(d.Len)
 	return nil
 }
 
-// transmit fragments data into MTU-sized frames, pushes them through NIC
-// service and the fabric, and completes d when the NIC has accepted the last
-// fragment. proto carries the kind-specific header fields.
-func (vi *VI) transmit(d *Descriptor, data []byte, proto *wireMsg) {
+// transmit fragments d.Buf[:d.Len] into MTU-sized frames, pushes them through
+// NIC service and the fabric, and completes d when the NIC has accepted the
+// last fragment. hdr carries the kind-specific header fields. Each frame
+// takes its own copy of its fragment (hardware would DMA from the pinned
+// buffer before completion; completing before delivery means the sender may
+// reuse its buffer).
+func (vi *VI) transmit(d *Descriptor, hdr wireMsg) {
 	net := vi.port.net
-	mtu := net.cost.MTU
-	total := len(data)
-	// Capture the payload at post time (hardware would DMA from the pinned
-	// buffer before completion; completing before delivery means the sender
-	// may reuse its buffer, so we must copy).
-	snapshot := make([]byte, total)
-	copy(snapshot, data)
-
+	data := d.Buf[:d.Len]
+	hdr.srcEp, hdr.srcVi, hdr.dstVi, hdr.total = vi.port.ep, vi.id, vi.remoteVi, len(data)
 	var lastTx simnet.Time
-	off := 0
 	for {
-		end := off + mtu
-		if end > total {
-			end = total
-		}
-		m := &wireMsg{
-			kind: proto.kind, srcEp: vi.port.ep, srcVi: vi.id, dstVi: proto.dstVi,
-			seq: proto.seq, offset: off, total: total, data: snapshot[off:end],
-			rdmaKey: proto.rdmaKey, rdmaOff: proto.rdmaOff,
-		}
-		lastTx = net.sendFrame(vi.port, vi.remoteEp, m, end-off)
-		off = end
-		if off >= total {
+		end := min(hdr.offset+net.cost.MTU, len(data))
+		lastTx = net.sendFrame(vi.port, vi.remoteEp, hdr, data[hdr.offset:end], end-hdr.offset)
+		hdr.offset = end
+		if end >= len(data) {
 			break
 		}
 	}
-	net.sim.At(lastTx, func() {
-		if d.Status == StatusPending {
-			d.Status = StatusSuccess
-			d.XferLen = total
-			vi.port.notifyActivity()
-		}
-	})
+	net.sim.AtAction(lastTx, (*txDone)(d), d.gen)
+}
+
+// txDone is a send descriptor as the scheduler event that completes it (the
+// method stays off Descriptor's exported surface).
+type txDone Descriptor
+
+// Fire completes the post of generation gen, if it is still the
+// descriptor's current post and nothing has failed it meanwhile.
+func (t *txDone) Fire(gen uint64) {
+	d := (*Descriptor)(t)
+	if gen == d.gen && d.Status == StatusPending {
+		d.Status = StatusSuccess
+		d.XferLen = d.Len
+		d.vi.port.notifyActivity()
+	}
 }
 
 // handleData processes an arriving data frame (scheduler context, after NIC
@@ -167,6 +166,7 @@ func (vi *VI) handleData(m *wireMsg) {
 		// The peer completed its side of the handshake first and already
 		// transmitted; hold the frame until our transition fires.
 		vi.preConnQ = append(vi.preConnQ, m)
+		m.held = true
 		return
 	}
 	if vi.state != ViConnected {
@@ -233,13 +233,24 @@ func (vi *VI) handleData(m *wireMsg) {
 }
 
 // deliverHeld replays frames that arrived before the connection transition
-// completed, in arrival order. Called exactly once at establishment.
+// completed, in arrival order, and frees them. Called exactly once at
+// establishment.
 func (vi *VI) deliverHeld() {
 	held := vi.preConnQ
 	vi.preConnQ = nil
 	for _, m := range held {
+		m.held = false
 		vi.handleData(m)
+		vi.port.net.release(m)
 	}
+}
+
+// dropHeld frees the frames of a connection attempt that never established.
+func (vi *VI) dropHeld() {
+	for _, m := range vi.preConnQ {
+		vi.port.net.release(m)
+	}
+	vi.preConnQ = nil
 }
 
 // enterError transitions the VI to the error state and fails all pending
@@ -272,7 +283,7 @@ func (vi *VI) SendDone() *Descriptor {
 	vi.port.ChargeHost(vi.port.net.cost.PollOverhead)
 	if len(vi.sendQ) > 0 && vi.sendQ[0].Done() {
 		d := vi.sendQ[0]
-		vi.sendQ = vi.sendQ[1:]
+		vi.sendQ = popFront(vi.sendQ)
 		return d
 	}
 	return nil
@@ -292,7 +303,7 @@ func (vi *VI) RecvDone() *Descriptor {
 func (vi *VI) recvDone() *Descriptor {
 	if len(vi.recvQ) > 0 && vi.recvQ[0].Done() {
 		d := vi.recvQ[0]
-		vi.recvQ = vi.recvQ[1:]
+		vi.recvQ = popFront(vi.recvQ)
 		return d
 	}
 	return nil
@@ -350,7 +361,7 @@ func (vi *VI) resetHandshake() {
 	vi.remoteEp = -1
 	vi.remoteVi = -1
 	vi.disc = 0
-	vi.preConnQ = nil
+	vi.dropHeld()
 }
 
 // Close disconnects (notifying the peer) and destroys the VI, releasing its
@@ -361,9 +372,9 @@ func (vi *VI) Close() {
 	}
 	switch vi.state {
 	case ViConnected:
-		vi.port.net.sendFrame(vi.port, vi.remoteEp, &wireMsg{
+		vi.port.net.sendFrame(vi.port, vi.remoteEp, wireMsg{
 			kind: kindDisc, srcEp: vi.port.ep, srcVi: vi.id, dstVi: vi.remoteVi,
-		}, 32)
+		}, nil, 32)
 	case ViConnecting:
 		// Abandon the outstanding request so a late ACK or crossing REQ
 		// cannot resurrect a VI that no longer exists.

@@ -14,6 +14,8 @@ import (
 type env struct {
 	sim *simnet.Sim
 	net *Network
+
+	maxHeld int // see pairScribbled
 }
 
 func newEnv(nodes, ppn int, cost CostModel) *env {
@@ -198,8 +200,16 @@ func TestClientServerConnectAndReject(t *testing.T) {
 // runs the two bodies.
 func establishDataPair(t *testing.T, e *env, a, b func(p *simnet.Proc, port *Port, vi *VI)) {
 	t.Helper()
+	establishDataPairWith(t, e.pair, a, b)
+}
+
+// establishDataPairWith is establishDataPair over a given way of running the
+// two processes (env.pair, or pairScribbled).
+func establishDataPairWith(t *testing.T, pair func(t *testing.T, a, b func(p *simnet.Proc, port *Port)),
+	a, b func(p *simnet.Proc, port *Port, vi *VI)) {
+	t.Helper()
 	addrs := make([]Addr, 2)
-	e.pair(t,
+	pair(t,
 		func(p *simnet.Proc, port *Port) {
 			addrs[0] = port.Addr()
 			p.Sleep(10 * simnet.Microsecond)
