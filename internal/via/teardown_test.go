@@ -271,3 +271,42 @@ func TestCancelConnectAbandonsRequest(t *testing.T) {
 }
 
 func time10ms() simnet.Duration { return 10 * simnet.Millisecond }
+
+// Close fails the pending descriptors and lets go of them: a port keeps every
+// VI it ever created (VisUsed counts them), so a closed VI that kept its
+// queues would pin its whole receive pool until the end of the run.
+func TestCloseDropsQueues(t *testing.T) {
+	e := newEnv(2, 1, ClanCost())
+	establishDataPair(t, e,
+		func(p *simnet.Proc, port *Port, vi *VI) {
+			recvs := make([]*Descriptor, 4)
+			for i := range recvs {
+				recvs[i] = &Descriptor{Buf: make([]byte, 64)}
+				if err := vi.PostRecv(recvs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send := &Descriptor{Buf: make([]byte, 64), Len: 64}
+			if err := vi.PostSend(send); err != nil {
+				t.Fatal(err)
+			}
+			vi.Close()
+			for _, d := range append(recvs, send) {
+				if d.Status != StatusDisconnected {
+					t.Errorf("descriptor status after Close = %v, want disconnected", d.Status)
+				}
+			}
+			if len(vi.sendQ)+len(vi.recvQ)+len(vi.preConnQ) != 0 || vi.SendDone() != nil {
+				t.Errorf("closed VI still holds %d sends, %d receives, %d frames",
+					len(vi.sendQ), len(vi.recvQ), len(vi.preConnQ))
+			}
+			if port.vis[vi.id] != vi {
+				t.Error("the port forgot the closed VI; VisUsed counts it")
+			}
+		},
+		func(p *simnet.Proc, port *Port, vi *VI) {
+			if err := vi.PostRecv(&Descriptor{Buf: make([]byte, 64)}); err != nil {
+				t.Fatal(err)
+			}
+		})
+}

@@ -365,7 +365,8 @@ func (vi *VI) resetHandshake() {
 }
 
 // Close disconnects (notifying the peer) and destroys the VI, releasing its
-// NIC slot. Pending descriptors complete with StatusDisconnected.
+// NIC slot. Pending descriptors complete with StatusDisconnected and leave
+// the VI: a closed VI has nothing to reap.
 func (vi *VI) Close() {
 	if vi.state == ViClosed {
 		return
@@ -384,6 +385,11 @@ func (vi *VI) Close() {
 		// already tore the connection down, and closed returned above.
 	}
 	vi.failPending(StatusDisconnected)
+	// The descriptors carry their status now; the queues go, or every VI the
+	// port ever closed would keep its receive pool reachable through
+	// Port.vis (which keeps the VI itself, for VisUsed) until the run ends.
+	vi.sendQ, vi.recvQ = nil, nil
+	vi.dropHeld()
 	vi.state = ViClosed
 	vi.port.liveVIs--
 	vi.port.net.nodes[vi.port.node].openVIs--
