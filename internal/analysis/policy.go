@@ -61,14 +61,12 @@ type Policy struct {
 	// them to a ChargeRequired transmit must pass a charge.
 	ChargeRootPkgs map[string]bool `subject:"package"`
 
-	// EventEdges names the interface types through which the scheduler
-	// dispatches a device model's pre-allocated event objects (the value is
-	// the reason). An event runs in device context at its own virtual time,
-	// not on the CPU of whichever process was parked in the loop that popped
-	// it, so chargeflow does not follow the edge and audits its targets as
-	// entry points in their own right; wakereach keeps it, which makes the
-	// scheduler — outside every wake scope — the caller a Fire method's
-	// owed wake escapes to.
+	// EventEdges names the interface types through which the scheduler fires
+	// a device model's pre-allocated event objects (the value is the reason).
+	// An event runs in device context at its own virtual time, not on the CPU
+	// of whichever process was parked in the loop that popped it: chargeflow
+	// does not follow the edge and audits its targets as entry points;
+	// wakereach keeps it, so a Fire that owes a wake escapes to the scheduler.
 	EventEdges map[string]string `subject:"type"`
 
 	// ExhaustiveStrict lists policy-qualified functions whose switches must

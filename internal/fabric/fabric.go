@@ -163,8 +163,7 @@ func (c *Cluster) NodeOf(id int) int { return c.eps[id].node }
 // flight is one frame in transit: the scheduler event for each of its hops.
 // A frame fires twice — flightEgress books the source port and the wire,
 // flightDeliver hands it to the destination's handler — and the record then
-// returns to the cluster's free list, so a frame costs no allocation once
-// the list has grown to the number of frames in flight at once.
+// returns to the cluster's free list, which settles at the in-flight peak.
 type flight struct {
 	c    *Cluster
 	f    Frame

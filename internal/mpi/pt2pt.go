@@ -16,24 +16,14 @@ func (c *Comm) IsendMode(mode SendMode, dst, tag int, data []byte) (*Request, er
 // Send is the blocking standard-mode send.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Send")()
-	req, err := c.Isend(dst, tag, data)
-	if err != nil {
-		return err
-	}
-	_, err = c.r.waitOwn(req)
-	return err
+	return c.send(ModeStandard, dst, tag, data)
 }
 
 // Ssend is the blocking synchronous-mode send: it completes only after the
 // matching receive has started (always rendezvous).
 func (c *Comm) Ssend(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Ssend")()
-	req, err := c.IsendMode(ModeSynchronous, dst, tag, data)
-	if err != nil {
-		return err
-	}
-	_, err = c.r.waitOwn(req)
-	return err
+	return c.send(ModeSynchronous, dst, tag, data)
 }
 
 // Issend starts a nonblocking synchronous-mode send.
@@ -45,11 +35,16 @@ func (c *Comm) Issend(dst, tag int, data []byte) (*Request, error) {
 // standard mode; the caller asserts a matching receive is already posted.
 func (c *Comm) Rsend(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Rsend")()
-	req, err := c.IsendMode(ModeReady, dst, tag, data)
+	return c.send(ModeReady, dst, tag, data)
+}
+
+// send is the blocking send in any mode.
+func (c *Comm) send(mode SendMode, dst, tag int, data []byte) error {
+	req, err := c.isendCtx(mode, dst, tag, data, c.ctx)
 	if err != nil {
 		return err
 	}
-	_, err = c.r.waitOwn(req)
+	_, err = c.r.reclaim(req, c.r.Wait(req))
 	return err
 }
 
@@ -129,7 +124,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return c.r.waitOwn(req)
+	return c.r.reclaim(req, c.r.Wait(req))
 }
 
 func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
@@ -200,29 +195,33 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 		return Status{}, err
 	}
 	err = c.r.Waitall(sreq, rreq)
-	st := rreq.status
-	c.r.freeReqs = append(c.r.freeReqs, sreq, rreq)
-	if err != nil {
-		return Status{}, err
+	c.r.reclaim(sreq, nil)
+	return c.r.reclaim(rreq, err)
+}
+
+// pop takes the last element off a free list; nil when it is empty.
+func pop[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
 	}
-	return st, nil
+	x := (*free)[k]
+	*free = (*free)[:k]
+	return x
 }
 
 // newReq takes a Request off the free list (or grows it). Only the blocking
 // calls, whose request never leaves the library, give theirs back.
 func (r *Rank) newReq() *Request {
-	if k := len(r.freeReqs) - 1; k >= 0 {
-		q := r.freeReqs[k]
-		r.freeReqs = r.freeReqs[:k]
+	if q := pop(&r.freeReqs); q != nil {
 		return q
 	}
 	return new(Request)
 }
 
-// waitOwn is Wait for a blocking call's own request: once it completes no
-// queue, map or packet refers to it, so it is recycled.
-func (r *Rank) waitOwn(q *Request) (Status, error) {
-	err := r.Wait(q)
+// reclaim ends a blocking call: it recycles the call's own completed request
+// (no queue, map or packet refers to it any more) and returns its outcome.
+func (r *Rank) reclaim(q *Request, err error) (Status, error) {
 	st := q.status
 	r.freeReqs = append(r.freeReqs, q)
 	if err != nil {

@@ -79,7 +79,7 @@ type Rank struct {
 	// write's descriptor points at user data and never comes here).
 	freePkts  []*pkt
 	freeSends []*via.Descriptor
-	freeReqs  []*Request // blocking calls' requests (see waitOwn)
+	freeReqs  []*Request // blocking calls' requests (see reclaim)
 
 	ctxCounter int32
 
@@ -382,10 +382,8 @@ func (r *Rank) creditNeed(p *pkt) int {
 
 // newPkt takes a packet off the free list (or grows it).
 func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
-	var p *pkt
-	if k := len(r.freePkts) - 1; k >= 0 {
-		p, r.freePkts = r.freePkts[k], r.freePkts[:k]
-	} else {
+	p := pop(&r.freePkts)
+	if p == nil {
 		p = growPkts()
 	}
 	p.hdr, p.payload, p.req = h, payload, req
@@ -401,10 +399,8 @@ func (r *Rank) growSends() *via.Descriptor { return &via.Descriptor{UserPtr: r} 
 // wire encodes p into a recycled send descriptor. progressStep returns the
 // descriptor to the free list when it reaps the completed send.
 func (r *Rank) wire(p *pkt) *via.Descriptor {
-	var d *via.Descriptor
-	if k := len(r.freeSends) - 1; k >= 0 {
-		d, r.freeSends = r.freeSends[k], r.freeSends[:k]
-	} else {
+	d := pop(&r.freeSends)
+	if d == nil {
 		d = r.growSends()
 	}
 	d.Buf = encodeInto(d.Buf, p.hdr, p.payload)
@@ -576,14 +572,9 @@ func (r *Rank) progressStep() {
 			// blocked waiting for the peer's credits, the explicit return
 			// must still go out or both sides starve (the last credit is
 			// reserved for exactly this packet).
-			r.sendCreditReturn(cs)
+			r.emit(cs, r.newPkt(hdr{kind: pktCredit, srcRank: int32(r.rank)}, nil, nil))
 		}
 	}
-}
-
-// sendCreditReturn emits an explicit credit-return packet.
-func (r *Rank) sendCreditReturn(cs *chanState) {
-	r.emit(cs, r.newPkt(hdr{kind: pktCredit, srcRank: int32(r.rank)}, nil, nil))
 }
 
 // waitProgress blocks until cond holds, interleaving progress with the
