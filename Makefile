@@ -69,13 +69,15 @@ bench-smoke:
 # zero-allocation event loop and message path. 0 allocs/op on BenchmarkSimCore
 # and on BenchmarkEagerRoundTrip (one steady-state round trip through the
 # whole stack) is an invariant (also enforced statically by the hotalloc
-# analyzer). Run at
+# analyzer); BenchmarkReconnectCycle is the connection path's rail (one
+# evict-teardown-reconnect cycle: 4 allocs/op, the two VI endpoints and the
+# unexpected-queue entry of a message that beat its receive). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first
 # run of a process at GOMAXPROCS=2 sometimes reads ~50 % high on its own.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock|BenchmarkEagerRoundTrip' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
+	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
 
 # Scheduler-core snapshot; events/virtual_ns are deterministic, wall fields
 # are machine-dependent (see the note field in the JSON).
@@ -85,7 +87,7 @@ bench-sim-snapshot:
 # Millisecond-scale pass over the simcore rail; part of `make check`.
 bench-sim-smoke:
 	$(GO) run ./cmd/benchsnap -simcore -smoke > /dev/null
-	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip' -benchtime 1000x ./internal/simnet . > /dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchtime 1000x ./internal/simnet . > /dev/null
 
 # Thousand-rank worlds, run uncached with a hard wall-time lid: the 1024-
 # and 2048-rank on-demand rings plus the O(n)-startup-events assertion.

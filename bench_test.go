@@ -328,6 +328,53 @@ func BenchmarkEagerRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkReconnectCycle is the connection path's rail: rank 0 may keep one
+// VI and alternates between two partners, so every one of its b.N messages
+// evicts the other channel (BYE handshake, teardown) and establishes a fresh
+// one. ns/op, B/op and allocs/op are per reconnect cycle, both ends of it;
+// what remains is the two VI endpoints and what the provider queues per
+// handshake — the eager pool, the channel state and the queues come off the
+// free lists (internal/mpi's TestReconnectCycleAllocs holds the count).
+func BenchmarkReconnectCycle(b *testing.B) {
+	b.ReportAllocs()
+	cfg := mpi.Config{Procs: 3, MaxVIs: 1, Seed: 1, Deadline: 3600 * simnet.Second}
+	w, err := mpi.Run(cfg, func(r *mpi.Rank) {
+		c := r.World()
+		buf := make([]byte, 8)
+		fail := func(err error) { r.Abort(1, err.Error()) }
+		if r.Rank() == 0 {
+			b.ResetTimer() // boot is behind us
+			for i := 0; i < b.N; i++ {
+				dst := 1 + i%2
+				if err := c.Send(dst, 0, buf); err != nil {
+					fail(err)
+				}
+				if _, err := c.Recv(buf, dst, 0); err != nil {
+					fail(err)
+				}
+			}
+			return
+		}
+		for i := r.Rank() - 1; i < b.N; i += 2 {
+			// Probe first: a posted receive would connect to rank 0 at once
+			// and hold the channel open; a probing partner stays passive.
+			c.Probe(0, 0)
+			if _, err := c.Recv(buf, 0, 0); err != nil {
+				fail(err)
+			}
+			if err := c.Send(0, 0, buf); err != nil {
+				fail(err)
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := w.Ranks[0].VisCreated; got != b.N {
+		b.Fatalf("rank 0 created %d VIs over %d messages: not every message reconnected", got, b.N)
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulator event throughput via a
 // dense all-to-all, to track harness overhead itself.
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -311,6 +311,23 @@ func DefaultPolicy() *Policy {
 			"internal/fabric.(Cluster).Send":       "once per frame",
 			"internal/fabric.(Cluster).takeFlight": "in-flight record free list, one take per frame",
 			"internal/fabric.(flight).Fire":        "both fabric hops of every frame",
+			// The connection path, prepareChannel to teardownChannel: what a
+			// channel builds comes off free lists and goes back, so a
+			// reconnect allocates the two VI endpoints and nothing else. Free
+			// lists grow in cold helpers here too.
+			"internal/mpi.(Rank).newChanState":     "channel-state free list, one take per connection",
+			"internal/mpi.(Rank).growPool":         "eager-pool free list, one take per pre-posted buffer",
+			"internal/mpi.(Rank).teardownChannel":  "returns the pool (through VI.Close) and the channel state, once per teardown",
+			"internal/mpi.(Rank).handleDisconnect": "remote-teardown adoption, once per peer-closed VI",
+			"internal/via.(VI).Close":              "hands the unfinished receives and the work queues back, once per VI",
+			"internal/via.(Port).keepQueues":       "work-queue stash, one put per closed VI",
+			"internal/via.(Port).newPeerRequest":   "incoming-request free list, one take per unmatched REQ",
+			"internal/via.(Port).establish":        "books the handshake-completion event on the VI itself",
+			"internal/via.(VI).establishAfter":     "handshake-completion event, one per connection end",
+			"internal/via.(Port).NotifyAfter":      "books the retry-deadline event on the port itself",
+			"internal/via.(portNotify).Fire":       "retry-deadline event",
+			"internal/core.(base).takeChannel":     "channel free list, one take per connection",
+			"internal/core.(base).ReleaseChannel":  "channel free list, one put per teardown",
 			// The simnet scheduler substrate: every virtual event in every
 			// figure passes through these, so the zero-alloc property the
 			// BenchmarkSimCore rail measures is locked in statically here.
@@ -335,12 +352,15 @@ func DefaultPolicy() *Policy {
 		ColdCalls: map[string]bool{
 			"internal/simnet.(Sim).Failf": true, // records a failure and kills the run; its fmt args may box
 		},
-		// The eager-pool buffer lifecycle (growPool get → teardownChannel
-		// put) rides on the pinned-memory pair below: pool buffers ARE
-		// registered regions, so tracking Register/Deregister through the
-		// memHandles field covers it. The pendingClose enqueue/replay pair
-		// is a protocol obligation, not a handle, and is proved by the fsm
-		// rule's eviction model (no stuck pendingClose).
+		// An eager pool's registration is per channel (growPool Register →
+		// teardownChannel Deregister, tracked through the memHandles field
+		// by the pinned-memory pair below); its buffer memory is per rank —
+		// descriptors circulate between Rank.freeRecvs and the VIs, are
+		// never released, and so are no pair: internal/mpi's
+		// TestStaleCQEntryAfterTeardown holds "each returns exactly once".
+		// The pendingClose enqueue/replay pair is a protocol obligation, not
+		// a handle, and is proved by the fsm rule's eviction model (no stuck
+		// pendingClose).
 		PairedSpecs: []PairedSpec{
 			{
 				Resource: "pinned memory registration",

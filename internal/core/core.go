@@ -104,10 +104,11 @@ func (c *Channel) obsDrain(n int) {
 // Parked returns the number of parked sends.
 func (c *Channel) Parked() int { return len(c.fifo) }
 
-// DrainParked removes and returns all parked sends in FIFO order.
+// DrainParked removes and returns all parked sends in FIFO order. The slice
+// is the FIFO's own storage: it is good until the next Park.
 func (c *Channel) DrainParked() []interface{} {
 	f := c.fifo
-	c.fifo = nil
+	c.fifo = f[:0]
 	if len(f) > 0 {
 		c.obsDrain(len(f))
 	}
@@ -210,6 +211,7 @@ type base struct {
 	order    []*Channel       // live channels sorted by Rank; all scans use this
 	epToRank map[int]int
 	everUp   map[int]bool // rank ever had an established channel (reconnect metric)
+	free     []*Channel   // released channels, reused by newChannel
 }
 
 func newBase(cfg Config) (*base, error) {
@@ -254,7 +256,10 @@ func (b *base) newChannel(rank int) (*Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := &Channel{Rank: rank, Vi: vi}
+	ch := b.takeChannel()
+	// The one place a channel's fields are set for a new life: everything
+	// but the FIFO's (empty) backing array starts from zero.
+	*ch = Channel{Rank: rank, Vi: vi, fifo: ch.fifo[:0]}
 	b.channels[rank] = ch
 	b.insertOrdered(ch)
 	if b.cfg.PrepareChannel != nil {
@@ -262,6 +267,18 @@ func (b *base) newChannel(rank int) (*Channel, error) {
 	}
 	return ch, nil
 }
+
+// takeChannel takes a released channel off the free list, or grows it.
+func (b *base) takeChannel() *Channel {
+	if ch := simnet.Pop(&b.free); ch != nil {
+		return ch
+	}
+	return growChannels()
+}
+
+// growChannels grows the free list (cold path: it settles at the number of
+// channels live at once).
+func growChannels() *Channel { return new(Channel) }
 
 // markUp promotes a connected channel and hands it to the MPI layer.
 func (b *base) markUp(ch *Channel) {
@@ -280,12 +297,14 @@ func (b *base) markUp(ch *Channel) {
 	}
 }
 
-// ReleaseChannel implements Manager.
+// ReleaseChannel implements Manager. The Channel itself is recycled: the
+// next newChannel, for any rank, may hand the same object out again.
 func (b *base) ReleaseChannel(rank int) {
 	delete(b.channels, rank)
 	for i, ch := range b.order {
 		if ch.Rank == rank {
 			b.order = append(b.order[:i], b.order[i+1:]...)
+			b.free = append(b.free, ch)
 			break
 		}
 	}

@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"viampi/internal/simnet"
+)
 
 // Isend starts a standard-mode nonblocking send of data to dst (comm rank)
 // with the given tag.
@@ -199,21 +203,10 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 	return c.r.reclaim(rreq, err)
 }
 
-// pop takes the last element off a free list; nil when it is empty.
-func pop[T any](free *[]*T) *T {
-	k := len(*free) - 1
-	if k < 0 {
-		return nil
-	}
-	x := (*free)[k]
-	*free = (*free)[:k]
-	return x
-}
-
 // newReq takes a Request off the free list (or grows it). Only the blocking
 // calls, whose request never leaves the library, give theirs back.
 func (r *Rank) newReq() *Request {
-	if q := pop(&r.freeReqs); q != nil {
+	if q := simnet.Pop(&r.freeReqs); q != nil {
 		return q
 	}
 	return new(Request)

@@ -81,6 +81,15 @@ type Rank struct {
 	freeSends []*via.Descriptor
 	freeReqs  []*Request // blocking calls' requests (see reclaim)
 
+	// Free lists of the connection path: what prepareChannel builds,
+	// teardownChannel gives back. A receive descriptor keeps its eager
+	// buffer, unzeroed: a reader only ever sees Buf[:XferLen]. Between
+	// growPool and its way back here exactly one of its VI's receive queue,
+	// a CQ entry or the progressStep iteration handling it holds it.
+	freeRecvs []*via.Descriptor
+	freeChans []*chanState
+	down      []*chanState // progressStep's scratch: channels whose VI the peer closed
+
 	ctxCounter int32
 
 	initTime simnet.Duration
@@ -102,8 +111,8 @@ type Rank struct {
 // umsg is an entry in the unexpected message queue.
 type umsg struct {
 	h       hdr
-	payload []byte // eager only (copied out of the pool buffer)
-	cs      *chanState
+	payload []byte     // eager only (copied out of the pool buffer)
+	cs      *chanState // RTS only: held against teardown by umqRefs
 }
 
 // Rank returns this process's rank in the world communicator.
@@ -202,7 +211,7 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 	if r.cfg.DynamicCredits {
 		initial = r.cfg.InitialCredits
 	}
-	cs := &chanState{peer: peer, ch: ch, credits: initial}
+	cs := r.newChanState(peer, ch, initial)
 	ch.UserData = cs
 	i := sort.Search(len(r.active), func(k int) bool { return r.active[k].peer >= peer })
 	r.active = append(r.active, nil)
@@ -212,11 +221,35 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 		r.peakLive = len(r.active)
 	}
 	r.viToChan[ch.Vi] = cs
+	ch.Vi.RecycleRecvs(&r.freeRecvs)
 	r.growPool(cs, initial)
 }
 
-// growPool registers and pre-posts n more eager receive buffers on cs.
+// newChanState takes a torn-down channel's state off the free list (or grows
+// it) and is the one place its fields are set for a new life: everything but
+// the (empty) backing arrays of its queues starts from zero.
+func (r *Rank) newChanState(peer int, ch *core.Channel, credits int) *chanState {
+	cs := simnet.Pop(&r.freeChans)
+	if cs == nil {
+		cs = growChans()
+	}
+	*cs = chanState{peer: peer, ch: ch, credits: credits,
+		flowQ: cs.flowQ[:0], memHandles: cs.memHandles[:0], pendingClose: cs.pendingClose[:0]}
+	return cs
+}
+
+// forgetFreeRecvs is a test hook: while set, every growPool starts from an
+// empty free list, so each buffer it posts is fresh — the run a recycling
+// run's accounting must equal (TestPoolRecyclingKeepsAccounting).
+var forgetFreeRecvs bool
+
+// growPool registers and pre-posts n more eager receive buffers on cs. The
+// registration is the channel's; the buffers are the rank's, recycled from
+// one connection to the next.
 func (r *Rank) growPool(cs *chanState, n int) {
+	if forgetFreeRecvs {
+		r.freeRecvs = r.freeRecvs[:0]
+	}
 	bufSize := r.cfg.eagerBufSize()
 	h, err := r.port.Memory().Register(int64(bufSize * n))
 	if err != nil {
@@ -225,7 +258,10 @@ func (r *Rank) growPool(cs *chanState, n int) {
 	}
 	cs.memHandles = append(cs.memHandles, h)
 	for i := 0; i < n; i++ {
-		d := &via.Descriptor{Buf: make([]byte, bufSize)}
+		d := simnet.Pop(&r.freeRecvs)
+		if d == nil {
+			d = growRecvs(bufSize)
+		}
 		if err := cs.ch.Vi.PostRecv(d); err != nil {
 			r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.peer, err)
 			return
@@ -293,9 +329,7 @@ func (r *Rank) quiescent(cs *chanState) bool {
 // tables and the connection manager, and re-post any sends that arrived
 // during the handshake on a fresh connection.
 func (r *Rank) teardownChannel(cs *chanState) {
-	held := cs.pendingClose
-	cs.pendingClose = nil
-	cs.closing = false
+	peer, held := cs.peer, cs.pendingClose
 	delete(r.viToChan, cs.ch.Vi)
 	for i, c := range r.active {
 		if c == cs {
@@ -303,25 +337,26 @@ func (r *Rank) teardownChannel(cs *chanState) {
 			break
 		}
 	}
-	cs.ch.Vi.Close()
+	cs.ch.Vi.Close() // the unfinished receives of the pool go back to freeRecvs
 	for _, h := range cs.memHandles {
 		if err := r.port.Memory().Deregister(h); err != nil {
-			r.proc.Sim().Failf("mpi: rank %d release eager pool for %d: %v", r.rank, cs.peer, err)
+			r.proc.Sim().Failf("mpi: rank %d release eager pool for %d: %v", r.rank, peer, err)
 		}
 	}
-	cs.memHandles = nil
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
-	r.mgr.ReleaseChannel(cs.peer)
+	r.mgr.ReleaseChannel(peer)
 	if len(held) > 0 {
-		ncs, err := r.channel(cs.peer)
+		// cs is still off the free list: held is its pendingClose.
+		ncs, err := r.channel(peer)
 		if err != nil {
-			r.proc.Sim().Failf("mpi: rank %d reconnect to %d: %v", r.rank, cs.peer, err)
+			r.proc.Sim().Failf("mpi: rank %d reconnect to %d: %v", r.rank, peer, err)
 			return
 		}
 		for _, p := range held {
 			r.post(ncs, p)
 		}
 	}
+	r.freeChans = append(r.freeChans, cs)
 }
 
 // handleDisconnect adopts a VI the remote side closed. During a BYE
@@ -382,7 +417,7 @@ func (r *Rank) creditNeed(p *pkt) int {
 
 // newPkt takes a packet off the free list (or grows it).
 func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
-	p := pop(&r.freePkts)
+	p := simnet.Pop(&r.freePkts)
 	if p == nil {
 		p = growPkts()
 	}
@@ -390,16 +425,21 @@ func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
 	return p
 }
 
-// growPkts and growSends grow the free lists (cold paths: each settles at
-// the number of packets queued, or sends unreaped, at once).
+// growPkts, growSends, growRecvs and growChans grow the free lists (cold
+// paths: each settles at the number of packets queued, sends unreaped, eager
+// buffers posted, or channels live, at once).
 func growPkts() *pkt { return new(pkt) }
 
 func (r *Rank) growSends() *via.Descriptor { return &via.Descriptor{UserPtr: r} }
 
+func growRecvs(bufSize int) *via.Descriptor { return &via.Descriptor{Buf: make([]byte, bufSize)} }
+
+func growChans() *chanState { return new(chanState) }
+
 // wire encodes p into a recycled send descriptor. progressStep returns the
 // descriptor to the free list when it reaps the completed send.
 func (r *Rank) wire(p *pkt) *via.Descriptor {
-	d := pop(&r.freeSends)
+	d := simnet.Pop(&r.freeSends)
 	if d == nil {
 		d = r.growSends()
 	}
@@ -490,7 +530,7 @@ func (r *Rank) progressStep() {
 	// release the channel here before its reconnect request (which the
 	// per-pair FIFO guarantees arrives after the DISC) can be accepted.
 	// Collect first — teardownChannel splices r.active.
-	var down []*chanState
+	down := r.down[:0]
 	for _, cs := range r.active {
 		if cs.ch.Vi.State() == via.ViDisconnected {
 			down = append(down, cs)
@@ -499,6 +539,7 @@ func (r *Rank) progressStep() {
 	for _, cs := range down {
 		r.handleDisconnect(cs)
 	}
+	r.down = down
 
 	r.mgr.Poll()
 
@@ -532,15 +573,22 @@ func (r *Rank) progressStep() {
 				r.proc.Sim().Failf("mpi: rank %d arrival on unknown VI", r.rank)
 				return
 			}
+			// Completed before its VI closed, so Close left it to this
+			// entry: now that the frame has been read, it is free.
+			r.freeRecvs = append(r.freeRecvs, d)
 			continue
 		}
 		if d.Status != via.StatusSuccess {
 			continue // descriptor failed with the connection; ignore
 		}
 		r.handlePacket(cs, d.Buf[:d.XferLen])
-		// Recycle the pool buffer immediately.
-		if err := vi.PostRecv(d); err == nil {
+		// Re-post the pool buffer immediately — unless the packet tore its
+		// own channel down (BYE_ACK, crossing BYE) or the peer's DISC has
+		// arrived meanwhile: then it is the rank's again.
+		if vi.State() == via.ViConnected && vi.PostRecv(d) == nil {
 			cs.freed++
+		} else {
+			r.freeRecvs = append(r.freeRecvs, d)
 		}
 	}
 
@@ -553,7 +601,7 @@ func (r *Rank) progressStep() {
 		}
 		for len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
 			p := cs.flowQ[0]
-			cs.flowQ = cs.flowQ[1:]
+			cs.flowQ = simnet.PopFront(cs.flowQ)
 			r.emit(cs, p)
 		}
 		if cs.freed >= cs.posted/2 && cs.credits >= 1 {
@@ -633,7 +681,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 			r.deliverEager(req, h, payload)
 		} else {
 			cp := append([]byte(nil), payload...)
-			r.umq = append(r.umq, &umsg{h: h, payload: cp, cs: cs})
+			r.umq = append(r.umq, &umsg{h: h, payload: cp})
 			r.obsUnexpected()
 		}
 	case pktRts:

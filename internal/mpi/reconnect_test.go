@@ -1,0 +1,431 @@
+package mpi
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"viampi/internal/obs"
+	"viampi/internal/simnet"
+	"viampi/internal/via"
+)
+
+// What a channel builds at prepareChannel — the eager pool, its own state,
+// the core.Channel, the VI's work queues — is recycled from one connection
+// to the next; these tests hold what that can break: an allocation creeping
+// back into the reconnect cycle, a pool buffer with two owners, a descriptor
+// lost or returned twice, and the pinned-memory accounting, which must not
+// know that the host memory behind it is reused.
+
+// reconnects runs n messages from rank 0 to two alternating partners under a
+// one-VI cap, so that every message evicts one channel (BYE handshake,
+// teardown) and establishes the other: n reconnect cycles.
+func reconnects(t *testing.T, n int) {
+	w, err := Run(Config{Procs: 3, MaxVIs: 1, Seed: 1, Deadline: 600 * simnet.Second}, func(r *Rank) {
+		c := r.World()
+		buf := make([]byte, 8)
+		if r.Rank() == 0 {
+			for i := 0; i < n; i++ {
+				dst := 1 + i%2
+				if err := c.Send(dst, 0, buf); err != nil {
+					r.Abort(1, err.Error())
+				}
+				if _, err := c.Recv(buf, dst, 0); err != nil {
+					r.Abort(1, err.Error())
+				}
+			}
+			return
+		}
+		for i := r.Rank() - 1; i < n; i += 2 {
+			// Probe first: a posted receive would connect to rank 0 at once
+			// and hold the channel open; a probing partner stays passive.
+			c.Probe(0, 0)
+			if _, err := c.Recv(buf, 0, 0); err != nil {
+				r.Abort(1, err.Error())
+			}
+			if err := c.Send(0, 0, buf); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Ranks[0].VisCreated; got != n {
+		t.Fatalf("rank 0 created %d VIs over %d messages: not every message reconnected", got, n)
+	}
+}
+
+// The allocation rail of the connection path, by difference between two run
+// lengths of one simulation so that boot cancels. What a reconnect cycle
+// still allocates is its two VI endpoints and the unexpected-queue entry,
+// with its copy of the payload, of each message that beat its receive (the
+// probing partner's always does): 4 a cycle.
+func TestReconnectCycleAllocs(t *testing.T) {
+	const n = 100
+	short := testing.AllocsPerRun(5, func() { reconnects(t, n) })
+	long := testing.AllocsPerRun(5, func() { reconnects(t, 10*n) })
+	if perCycle := (long - short) / (9 * n); perCycle > 4.5 {
+		t.Errorf("%.2f allocations per reconnect cycle (%v for %d, %v for %d), want at most 4.5", perCycle, short, n, long, 10*n)
+	}
+}
+
+// distinct reports whether no descriptor is on the free list twice.
+func distinct(free []*via.Descriptor) bool {
+	seen := make(map[*via.Descriptor]bool, len(free))
+	for _, d := range free {
+		if seen[d] {
+			return false
+		}
+		seen[d] = true
+	}
+	return true
+}
+
+// A completion that a closed VI left in the CQ must be read as the message
+// left it, and its descriptor must come back exactly once. Ranks 0 and 1
+// evict each other at the same instant (crossing BYEs); rank 1 polls, adopts
+// rank 0's BYE as the acknowledgement and closes, while rank 0 sleeps: when
+// it wakes, rank 1's BYE is a CQ entry, completed, on a VI whose DISC has
+// arrived too. The teardown scan closes that VI before the drain reaches the
+// entry. Had Close taken the completed descriptor as well, the free list
+// would hold it twice (and the next pool to post it would erase XferLen
+// under the entry: "arrival on unknown VI").
+func TestStaleCQEntryAfterTeardown(t *testing.T) {
+	const credits = 4
+	cfg := Config{Procs: 4, MaxVIs: 1, CreditCount: credits, Deadline: 600 * simnet.Second}
+	_, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		in, out := make([]byte, 8), make([]byte, 8)
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		if me >= 2 {
+			// Probe does not connect (a specific-source Recv would): ranks 0
+			// and 1 alone decide when these channels exist.
+			c.Probe(me-2, 0)
+			if _, err := c.Recv(in, me-2, 0); err != nil {
+				fail("%v", err)
+			}
+			return
+		}
+		if _, err := c.Sendrecv(1-me, 0, out, 1-me, 0, in); err != nil {
+			fail("%v", err)
+		}
+		// Let the NIC accept the send and reap it: the channel is quiescent.
+		r.Compute(10e-6)
+		c.Iprobe(1-me, 1)
+		if me == 1 {
+			if err := c.Send(3, 0, out); err != nil {
+				fail("%v", err)
+			}
+			return
+		}
+		if _, err := r.channel(2); err != nil { // evicts the channel to rank 1
+			fail("%v", err)
+		}
+		r.Proc().Sleep(100 * simnet.Microsecond)
+		if n := r.cq.Len(); n != 1 || len(r.freeRecvs) != 0 {
+			fail("before the pass: %d CQ entries, %d free receives; want rank 1's BYE alone and none", n, len(r.freeRecvs))
+		}
+		r.progressStep()
+		if r.cq.Len() != 0 || len(r.freeRecvs) != credits || !distinct(r.freeRecvs) {
+			fail("after the pass: %d CQ entries, %d free receives (distinct: %v); want 0 and the closed channel's %d, each once",
+				r.cq.Len(), len(r.freeRecvs), distinct(r.freeRecvs), credits)
+		}
+		if err := c.Send(2, 0, out); err != nil {
+			fail("%v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The accounting is the paper's result; the host memory behind it is not.
+// A capped run — every phase of a shift pattern evicts and reconnects — must
+// report the same pinned_bytes gauge stream, the same PinnedPeak, event count
+// and end time whether its pools are recycled or made fresh at every take.
+func TestPoolRecyclingKeepsAccounting(t *testing.T) {
+	type gauge struct {
+		t    int64
+		rank int32
+		v    int64
+	}
+	type record struct {
+		gauges  []gauge
+		peaks   []int64
+		events  uint64
+		elapsed simnet.Duration
+		vis     int
+	}
+	run := func(fresh bool) record {
+		forgetFreeRecvs = fresh
+		defer func() { forgetFreeRecvs = false }()
+		var rec record
+		bus := obs.NewBus()
+		bus.Subscribe(func(e obs.Event) {
+			if e.Kind == obs.EvGauge && e.Name == "pinned_bytes" {
+				rec.gauges = append(rec.gauges, gauge{e.T, e.Rank, e.A})
+			}
+		})
+		const n = 6
+		cfg := Config{Procs: n, MaxVIs: 2, DynamicCredits: true, Seed: 7, Obs: bus, Deadline: 600 * simnet.Second}
+		w, err := Run(cfg, func(r *Rank) {
+			c := r.World()
+			in, out := make([]byte, 64), make([]byte, 64)
+			for ph := 1; ph < n; ph++ {
+				for i := 0; i < 8; i++ {
+					if _, err := c.Sendrecv((r.Rank()+ph)%n, ph, out, (r.Rank()-ph+n)%n, ph, in); err != nil {
+						r.Abort(1, err.Error())
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rs := range w.Ranks {
+			rec.peaks = append(rec.peaks, rs.PinnedPeak)
+			rec.vis += rs.VisCreated
+		}
+		rec.events, rec.elapsed = w.Net.Sim().EventCount, w.Elapsed
+		return rec
+	}
+	recycled, fresh := run(false), run(true)
+	if recycled.vis <= 6*2 || len(recycled.gauges) == 0 {
+		t.Fatalf("%d VIs created, %d gauge samples: the cap never forced a reconnect", recycled.vis, len(recycled.gauges))
+	}
+	if fmt.Sprint(recycled) != fmt.Sprint(fresh) {
+		t.Errorf("accounting differs between recycled and fresh pools:\nrecycled: %d gauges, peaks %v, %d events, end %v\nfresh:    %d gauges, peaks %v, %d events, end %v",
+			len(recycled.gauges), recycled.peaks, recycled.events, recycled.elapsed,
+			len(fresh.gauges), fresh.peaks, fresh.events, fresh.elapsed)
+	}
+}
+
+// poolMsg is message i that src sends dst under tag: size bytes, none of them
+// the scribbler's.
+func poolMsg(src, dst, tag, i, size int) []byte {
+	b := make([]byte, size)
+	for k := range b {
+		b[k] = byte(src*89+dst*53+tag*17+i*31+k*7) & 0x7f
+	}
+	return b
+}
+
+// A scribbler that overwrites every free receive buffer of every rank every
+// 100 ns — any buffer on a free list while a VI, a CQ entry or handlePacket
+// still reads it delivers a damaged message — while four ranks under a
+// one-VI cap go through each way a pool buffer travels: crossing BYEs (both
+// ends evict each other at once), an eviction the peer accepts and one it
+// refuses (BYE_NACK: a rendezvous is in flight), eager messages that wait in
+// the unexpected queue while their channel is torn down and reconnected, and
+// a burst that runs the credits out and, with dynamic credits, grows the pool
+// from the free list.
+func TestPoolRecyclingKeepsPayloads(t *testing.T) {
+	for _, cfg := range []Config{
+		{MaxVIs: 1, CreditCount: 4},
+		{MaxVIs: 1, CreditCount: 16, DynamicCredits: true},
+	} {
+		name := fmt.Sprintf("credits=%d,dynamic=%v", cfg.CreditCount, cfg.DynamicCredits)
+		t.Run(name, func(t *testing.T) { poolRecyclingKeepsPayloads(t, cfg) })
+	}
+}
+
+func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
+	const (
+		np    = 4
+		size  = 200
+		big   = 1000 // above the eager threshold: rendezvous
+		burst = 12
+	)
+	cfg.Procs, cfg.EagerThreshold, cfg.Deadline = np, 256, 600*simnet.Second
+	var (
+		ranks    [np]*Rank
+		running  = np
+		crossing bool // both ends of a channel closing as evictors at once
+		nacked   bool // an evictor's channel seen open again on the same VI
+		parked   bool // an unexpected eager message whose channel is gone
+		grew     bool // a pool beyond its initial size
+		scribble int  // buffers overwritten
+		evicting = map[*via.VI]bool{}
+	)
+	tick := func() {
+		for _, r := range ranks {
+			if r == nil {
+				continue
+			}
+			if !distinct(r.freeRecvs) {
+				r.Abort(1, "a receive descriptor is on the free list twice")
+			}
+			for _, d := range r.freeRecvs {
+				for k := range d.Buf {
+					d.Buf[k] = 0xEE
+				}
+				scribble++
+			}
+			for _, cs := range r.active {
+				vi := cs.ch.Vi
+				if cs.closing && cs.evict {
+					evicting[vi] = true
+					if peer := ranks[cs.peer]; peer != nil {
+						for _, pcs := range peer.active {
+							crossing = crossing || pcs.peer == r.rank && pcs.closing && pcs.evict
+						}
+					}
+				}
+				nacked = nacked || evicting[vi] && !cs.closing
+				grew = grew || cs.posted > r.cfg.InitialCredits && r.cfg.DynamicCredits
+			}
+			for _, u := range r.umq {
+				if u.h.kind != pktEager {
+					continue
+				}
+				live := false
+				for _, cs := range r.active {
+					live = live || cs.peer == int(u.h.srcRank)
+				}
+				parked = parked || !live
+			}
+		}
+	}
+	_, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		ranks[me] = r
+		defer func() { running-- }()
+		if me == 0 {
+			r.Proc().Sim().Spawn("scribbler", r.Proc().Now(), func(p *simnet.Proc) {
+				for running > 0 {
+					tick()
+					p.Sleep(100)
+				}
+			})
+		}
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		in := make([]byte, big)
+		send := func(dst, tag, i int) {
+			out := poolMsg(me, dst, tag, i, size)
+			if err := c.Send(dst, tag, out); err != nil {
+				fail("%v", err)
+			}
+		}
+		recv := func(src, tag, i, size int) {
+			st, err := c.Recv(in, src, tag)
+			if err != nil {
+				fail("%v", err)
+			}
+			if st.Count != size || !bytes.Equal(in[:size], poolMsg(src, me, tag, i, size)) {
+				fail("rank %d: message %d of tag %d from %d damaged or out of order", me, i, tag, src)
+			}
+		}
+		// settle lets the NIC accept the last sends and reaps them, so that
+		// the channel to peer is quiescent (evictable).
+		settle := func(peer int) {
+			r.Compute(10e-6)
+			c.Iprobe(peer, 99)
+		}
+		// Ranks 0 and 1 drive; 2 and 3 follow, and stay passive where it
+		// matters (Probe does not connect, a specific-source Recv would).
+		mate, cross := me^1, (me+2)%np
+
+		// 1. Crossing BYEs: the pairs 0-1 and 2-3 connect, then 0 and 1 turn
+		// to 2 and 3 at the same instant and evict each other, as do 2 and 3
+		// when the requests reach them.
+		out := poolMsg(me, mate, 1, 0, size)
+		if _, err := c.Sendrecv(mate, 1, out, mate, 1, in); err != nil {
+			fail("%v", err)
+		}
+		if !bytes.Equal(in[:size], poolMsg(mate, me, 1, 0, size)) {
+			fail("rank %d: first exchange damaged", me)
+		}
+		settle(mate)
+		if me < 2 {
+			send(cross, 2, 0)
+			recv(cross, 3, 0, size)
+		} else {
+			c.Probe(cross, 2)
+			recv(cross, 2, 0, size)
+			send(cross, 3, 0)
+		}
+
+		// 2. Parked across a teardown: three eager messages wait in the
+		// follower's unexpected queue while the driver evicts the channel
+		// (the follower accepts), talks to its mate, and reconnects.
+		if me < 2 {
+			for i := 0; i < 3; i++ {
+				send(cross, 4, i)
+			}
+			send(cross, 5, 0)
+			settle(cross)
+			out := poolMsg(me, mate, 6, 0, size)
+			if _, err := c.Sendrecv(mate, 6, out, mate, 6, in); err != nil {
+				fail("%v", err)
+			}
+			if !bytes.Equal(in[:size], poolMsg(mate, me, 6, 0, size)) {
+				fail("rank %d: exchange with mate damaged", me)
+			}
+			settle(mate)
+			send(cross, 7, 0)
+		} else {
+			recv(cross, 5, 0, size)
+			c.Probe(cross, 7)
+			for i := 0; i < 3; i++ {
+				recv(cross, 4, i, size)
+			}
+			recv(cross, 7, 0, size)
+		}
+
+		// 3. A refused eviction: the follower starts a rendezvous toward the
+		// driver, which — computing, so not polling — then turns to its mate
+		// and sends BYE on a channel that looks idle from its side.
+		if me < 2 {
+			send(cross, 8, 0)
+			settle(cross)
+			r.Compute(100e-6)
+			q, err := c.Isend(mate, 9, poolMsg(me, mate, 9, 0, size))
+			if err != nil {
+				fail("%v", err)
+			}
+			recv(cross, 10, 0, big)
+			recv(mate, 9, 0, size)
+			if err := r.Wait(q); err != nil {
+				fail("%v", err)
+			}
+		} else {
+			recv(cross, 8, 0, size)
+			if err := c.Ssend(cross, 10, poolMsg(me, cross, 10, 0, big)); err != nil {
+				fail("%v", err)
+			}
+		}
+
+		// 4. A burst over the credits: flow control, and pool growth.
+		if me < 2 {
+			reqs := make([]*Request, burst)
+			for i := range reqs {
+				var err error
+				if reqs[i], err = c.Isend(cross, 11, poolMsg(me, cross, 11, i, size)); err != nil {
+					fail("%v", err)
+				}
+			}
+			if err := r.Waitall(reqs...); err != nil {
+				fail("%v", err)
+			}
+		} else {
+			for i := 0; i < burst; i++ {
+				recv(cross, 11, i, size)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !crossing || !nacked || !parked || grew != cfg.DynamicCredits || scribble == 0 {
+		t.Errorf("crossing BYEs %v, refused eviction %v, message parked across a teardown %v, pool growth %v (dynamic credits %v), %d buffers scribbled: the test must pass through all of them",
+			crossing, nacked, parked, grew, cfg.DynamicCredits, scribble)
+	}
+	for _, r := range ranks {
+		if limit := r.peakLive * cfg.CreditCount; len(r.freeRecvs) > limit {
+			t.Errorf("rank %d: %d free receive descriptors for at most %d channels of %d at once", r.rank, len(r.freeRecvs), r.peakLive, cfg.CreditCount)
+		}
+	}
+}

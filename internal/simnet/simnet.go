@@ -161,6 +161,28 @@ func (r *eventRing) grow() {
 	r.buf, r.head = nb, 0
 }
 
+// PopFront removes q[0] in place. The backing array and its capacity stay, so
+// a queue that drains and refills never reallocates; it serves the layers'
+// short FIFOs (one VI's posted descriptors, one channel's stalled packets),
+// where the copy is a few words.
+func PopFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	var zero T
+	q[n] = zero
+	return q[:n]
+}
+
+// Pop takes the last element off a free list; nil when it is empty.
+func Pop[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
+	}
+	x := (*free)[k]
+	*free = (*free)[:k]
+	return x
+}
+
 // Sim is a single-threaded discrete-event simulation.
 // Create one with New, add processes with Spawn, then call Run.
 //

@@ -19,17 +19,6 @@ type cqEntry struct {
 // NewCQ creates a completion queue on port.
 func NewCQ(port *Port) *CQ { return &CQ{port: port} }
 
-// popFront removes q[0] in place. The backing array and its capacity stay, so
-// a queue that drains and refills never reallocates; the queues it serves
-// hold at most one VI's (or one port's) posted descriptors, so the copy is
-// short.
-func popFront[T any](q []T) []T {
-	n := copy(q, q[1:])
-	var zero T
-	q[n] = zero
-	return q[:n]
-}
-
 func (q *CQ) push(vi *VI, d *Descriptor) {
 	q.entries = append(q.entries, cqEntry{vi, d})
 }
@@ -45,7 +34,7 @@ func (q *CQ) Done() (*VI, *Descriptor) {
 		return nil, nil
 	}
 	e := q.entries[0]
-	q.entries = popFront(q.entries)
+	q.entries = simnet.PopFront(q.entries)
 	// Detach the descriptor from its VI's posted queue.
 	for i, d := range e.vi.recvQ {
 		if d == e.d {

@@ -57,9 +57,13 @@ type Port struct {
 	owner *simnet.Proc
 	mem   *MemoryRegistry
 
-	vis     []*VI
+	vis     []*VI // by VI id; a closed VI's slot is nil
 	nextVi  int
 	liveVIs int // VIs created and not yet closed, held under MaxVIsPerPort
+	visUsed int // VIs, open or closed, that carried a data message
+
+	spareQs  []viQueues     // emptied work queues of closed VIs
+	freeReqs []*PeerRequest // consumed incoming requests
 
 	outgoing        map[connKey]*VI // VIs with an outstanding REQ
 	pendingIncoming []*PeerRequest  // unmatched incoming REQs
@@ -188,6 +192,9 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	}
 	p.ChargeHost(p.net.cost.CreateViCost)
 	vi := &VI{port: p, id: p.nextVi, recvCQ: cq}
+	if k := len(p.spareQs) - 1; k >= 0 {
+		vi.viQueues, p.spareQs = p.spareQs[k], p.spareQs[:k]
+	}
 	p.nextVi++
 	p.vis = append(p.vis, vi)
 	p.liveVIs++
@@ -196,6 +203,15 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvViCreate,
 		Rank: int32(p.ep), Peer: -1, A: int64(p.stats.VisCreated)})
 	return vi, nil
+}
+
+// keepQueues empties a closing VI's work queues, whole backing arrays (a
+// removal from the middle leaves a copy of the last pointer past the end),
+// and keeps them for the next VI.
+func (p *Port) keepQueues(q viQueues) {
+	clear(q.sendQ[:cap(q.sendQ)])
+	clear(q.recvQ[:cap(q.recvQ)])
+	p.spareQs = append(p.spareQs, viQueues{q.sendQ[:0], q.recvQ[:0]})
 }
 
 // RegisterRdmaTarget registers buf as an RDMA write target and returns the
@@ -245,7 +261,8 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 	for i, req := range p.pendingIncoming {
 		if req.From.Ep == remote.Ep && req.Disc == disc {
 			p.pendingIncoming = append(p.pendingIncoming[:i], p.pendingIncoming[i+1:]...)
-			p.establishAfter(vi, req.RemoteVi, p.net.cost.ConnectProcCost, true)
+			p.establish(vi, req.RemoteVi)
+			p.freeReqs = append(p.freeReqs, req)
 			return nil
 		}
 	}
@@ -278,8 +295,14 @@ func (p *Port) CancelConnect(vi *VI) error {
 // parked process re-examines its handshakes when a timeout expires; the
 // sticky activity flag makes a spurious notification harmless.
 func (p *Port) NotifyAfter(d simnet.Duration) {
-	p.net.sim.After(d, p.notifyActivity)
+	p.net.sim.AtAction(p.net.sim.Now().Add(d), (*portNotify)(p), 0)
 }
+
+// portNotify is a port as the scheduler event NotifyAfter books.
+type portNotify Port
+
+// Fire delivers the notification.
+func (n *portNotify) Fire(uint64) { (*Port)(n).notifyActivity() }
 
 // ConnectPeerWait blocks until vi leaves ViConnecting, with a timeout
 // (negative = infinite). It returns nil once connected.
@@ -367,16 +390,18 @@ func (p *Port) Accept(req *PeerRequest, vi *VI) error {
 	vi.disc = req.Disc
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnAccept,
 		Rank: int32(p.ep), Peer: int32(req.From.Ep), A: int64(req.Disc)})
-	p.establishAfter(vi, req.RemoteVi, p.net.cost.ConnectProcCost, true)
+	p.establish(vi, req.RemoteVi)
 	return nil
 }
 
 // Reject refuses an incoming request, consuming it from the pending list if
 // it is still there.
 func (p *Port) Reject(req *PeerRequest) {
+	consumed := false
 	for i, r := range p.pendingIncoming {
 		if r == req {
 			p.pendingIncoming = append(p.pendingIncoming[:i], p.pendingIncoming[i+1:]...)
+			consumed = true
 			break
 		}
 	}
@@ -385,28 +410,54 @@ func (p *Port) Reject(req *PeerRequest) {
 	p.net.sendFrame(p, req.From.Ep, wireMsg{
 		kind: kindConnNack, srcEp: p.ep, disc: req.Disc, dstVi: req.RemoteVi,
 	}, nil, 64)
+	if consumed {
+		p.freeReqs = append(p.freeReqs, req)
+	}
 }
 
-// establishAfter moves vi to ViConnected after d, and optionally sends the
-// ACK that lets the remote side complete.
-func (p *Port) establishAfter(vi *VI, remoteVi int, d simnet.Duration, sendAck bool) {
-	p.net.sim.After(d, func() {
-		if vi.state != ViConnecting {
-			return
-		}
-		vi.remoteVi = remoteVi
-		vi.state = ViConnected
-		p.stats.VisConnected++
-		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
-			Rank: int32(p.ep), Peer: int32(vi.remoteEp), A: int64(vi.disc)})
-		if sendAck {
-			p.net.sendFrame(p, vi.remoteEp, wireMsg{
-				kind: kindConnAck, srcEp: p.ep, srcVi: vi.id, disc: vi.disc, dstVi: remoteVi,
-			}, nil, 64)
-		}
-		vi.deliverHeld()
-		p.notifyActivity()
-	})
+// newPeerRequest takes a request consumed from the pending list (by a
+// matching ConnectPeerRequest, or Reject) off the free list, or grows it. One
+// that ConnectWaitDisc handed to its caller never comes back.
+func (p *Port) newPeerRequest() *PeerRequest {
+	if req := simnet.Pop(&p.freeReqs); req != nil {
+		return req
+	}
+	return growPeerRequests()
+}
+
+// growPeerRequests grows the free list (cold path: it settles at the number
+// of requests pending at once).
+func growPeerRequests() *PeerRequest { return new(PeerRequest) }
+
+// establish books vi's move to ViConnected, and the ACK that lets the remote
+// side complete, for when the provider has processed the handshake.
+func (p *Port) establish(vi *VI, remoteVi int) {
+	p.net.sim.AtAction(p.net.sim.Now().Add(p.net.cost.ConnectProcCost), (*viEstablish)(vi), uint64(remoteVi))
+}
+
+// viEstablish is a connecting VI as the scheduler event establish books.
+type viEstablish VI
+
+// Fire runs after the provider's processing delay.
+func (e *viEstablish) Fire(remoteVi uint64) { (*VI)(e).establishAfter(int(remoteVi)) }
+
+// establishAfter connects vi to remoteVi once the processing delay is over,
+// unless the attempt was abandoned meanwhile.
+func (vi *VI) establishAfter(remoteVi int) {
+	p := vi.port
+	if vi.state != ViConnecting {
+		return
+	}
+	vi.remoteVi = remoteVi
+	vi.state = ViConnected
+	p.stats.VisConnected++
+	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
+		Rank: int32(p.ep), Peer: int32(vi.remoteEp), A: int64(vi.disc)})
+	p.net.sendFrame(p, vi.remoteEp, wireMsg{
+		kind: kindConnAck, srcEp: p.ep, srcVi: vi.id, disc: vi.disc, dstVi: remoteVi,
+	}, nil, 64)
+	vi.deliverHeld()
+	p.notifyActivity()
 }
 
 // handleFrame is the fabric delivery callback: it books NIC receive service,
@@ -442,12 +493,12 @@ func (p *Port) dispatch(m *wireMsg) {
 		if vi, ok := p.outgoing[key]; ok && vi.state == ViConnecting {
 			// Crossing peer requests: both sides establish.
 			delete(p.outgoing, key)
-			p.establishAfter(vi, m.srcVi, p.net.cost.ConnectProcCost, true)
+			p.establish(vi, m.srcVi)
 			return
 		}
-		p.pendingIncoming = append(p.pendingIncoming, &PeerRequest{
-			From: Addr{Ep: m.srcEp}, Disc: m.disc, RemoteVi: m.srcVi,
-		})
+		req := p.newPeerRequest()
+		*req = PeerRequest{From: Addr{Ep: m.srcEp}, Disc: m.disc, RemoteVi: m.srcVi}
+		p.pendingIncoming = append(p.pendingIncoming, req)
 		p.notifyActivity()
 	case kindConnAck:
 		key := connKey{m.srcEp, m.disc}
@@ -513,7 +564,7 @@ func (p *Port) RecvOob() (from Addr, data []byte, ok bool) {
 		return Addr{}, nil, false
 	}
 	m := p.oobQ[0]
-	p.oobQ = p.oobQ[1:]
+	p.oobQ = simnet.PopFront(p.oobQ)
 	return m.from, m.data, true
 }
 
@@ -539,12 +590,4 @@ func (p *Port) Close() {
 
 // VisUsed counts VIs that carried at least one data message in either
 // direction — the numerator of the paper's resource-utilization metric.
-func (p *Port) VisUsed() int {
-	n := 0
-	for _, vi := range p.vis {
-		if vi != nil && (vi.usedTx || vi.usedRx) {
-			n++
-		}
-	}
-	return n
-}
+func (p *Port) VisUsed() int { return p.visUsed }

@@ -169,7 +169,9 @@ func (e *env) pairScribbled(t *testing.T, a, b func(p *simnet.Proc, port *Port))
 			}
 			for _, port := range e.net.ports {
 				for _, vi := range port.vis {
-					e.maxHeld = max(e.maxHeld, len(vi.preConnQ))
+					if vi != nil {
+						e.maxHeld = max(e.maxHeld, len(vi.preConnQ))
+					}
 				}
 			}
 			p.Sleep(100)

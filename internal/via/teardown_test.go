@@ -272,9 +272,9 @@ func TestCancelConnectAbandonsRequest(t *testing.T) {
 
 func time10ms() simnet.Duration { return 10 * simnet.Millisecond }
 
-// Close fails the pending descriptors and lets go of them: a port keeps every
-// VI it ever created (VisUsed counts them), so a closed VI that kept its
-// queues would pin its whole receive pool until the end of the run.
+// Close fails the pending descriptors and lets go of them, and the port lets
+// go of the VI: nothing a closed VI held stays reachable until the end of
+// the run.
 func TestCloseDropsQueues(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
 	establishDataPair(t, e,
@@ -300,13 +300,144 @@ func TestCloseDropsQueues(t *testing.T) {
 				t.Errorf("closed VI still holds %d sends, %d receives, %d frames",
 					len(vi.sendQ), len(vi.recvQ), len(vi.preConnQ))
 			}
-			if port.vis[vi.id] != vi {
-				t.Error("the port forgot the closed VI; VisUsed counts it")
+			if port.vis[vi.id] != nil {
+				t.Error("the port still holds the closed VI")
 			}
 		},
 		func(p *simnet.Proc, port *Port, vi *VI) {
 			if err := vi.PostRecv(&Descriptor{Buf: make([]byte, 64)}); err != nil {
 				t.Fatal(err)
+			}
+		})
+}
+
+// Under connection churn a port must not grow with the VIs it has closed:
+// Close clears the VI's slot (a frame addressed to it finds nothing, as it
+// found a closed VI before), the work queues it leaves with the port name no
+// descriptor, and VisUsed — a counter, not a scan — still counts every VI
+// that carried data, open or closed.
+func TestClosedVIsAreNotRetained(t *testing.T) {
+	const cycles = 40
+	e := newEnv(2, 1, ClanCost())
+	addrs := make([]Addr, 2)
+	opened := 0
+	body := func(me int) func(p *simnet.Proc, port *Port) {
+		return func(p *simnet.Proc, port *Port) {
+			addrs[me] = port.Addr()
+			for opened++; opened < 2; {
+				p.Sleep(simnet.Microsecond)
+			}
+			for i := 0; i < cycles; i++ {
+				vi, err := port.CreateVi()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				postRecvs(t, vi, 3, 64)
+				if err := port.ConnectPeerRequest(vi, addrs[1-me], uint64(i+1)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := port.ConnectPeerWait(vi, WaitPoll, -1); err != nil {
+					t.Error(err)
+					return
+				}
+				if me == 0 {
+					// Every other connection carries a message; the rest stay unused.
+					if i%2 == 0 {
+						sendStream(t, vi, i, 1, 64)
+						if _, err := vi.SendWait(WaitPoll, -1); err != nil {
+							t.Error(err)
+						}
+					}
+				} else {
+					if i%2 == 0 {
+						recvStream(t, vi, i, 1, 64)
+					}
+					for vi.State() == ViConnected {
+						port.WaitActivity(WaitPoll)
+					}
+				}
+				vi.Close()
+			}
+			if got := port.VisUsed(); got != cycles/2 {
+				t.Errorf("port %d: VisUsed = %d after %d VIs of which every other carried data, want %d", me, got, cycles, cycles/2)
+			}
+			if len(port.vis) != cycles {
+				t.Errorf("port %d: %d VI slots for %d VIs", me, len(port.vis), cycles)
+			}
+			for id, vi := range port.vis {
+				if vi != nil {
+					t.Errorf("port %d still holds closed VI %d", me, id)
+				}
+			}
+			if len(port.outgoing) != 0 || len(port.spareQs) > 1 {
+				t.Errorf("port %d: %d outgoing requests, %d spare queue pairs after a one-VI-at-a-time churn, want 0 and at most 1",
+					me, len(port.outgoing), len(port.spareQs))
+			}
+			for _, q := range port.spareQs {
+				for _, d := range append(q.sendQ[:cap(q.sendQ)], q.recvQ[:cap(q.recvQ)]...) {
+					if d != nil {
+						t.Errorf("port %d: a spare work queue still names a descriptor", me)
+					}
+				}
+			}
+		}
+	}
+	e.pair(t, body(0), body(1))
+}
+
+// Close hands the owner's free list the receives that never completed, and
+// only those: a completed one the owner has not reaped is still named by its
+// CQ entry, which must find it as the message left it.
+func TestCloseReturnsUnfinishedRecvs(t *testing.T) {
+	e := newEnv(2, 1, ClanCost())
+	addrs := make([]Addr, 2)
+	e.pair(t,
+		func(p *simnet.Proc, port *Port) {
+			addrs[0] = port.Addr()
+			p.Sleep(10 * simnet.Microsecond)
+			vi, err := port.CreateVi()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := port.ConnectPeerRequest(vi, addrs[1], 5); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := port.ConnectPeerWait(vi, WaitPoll, -1); err != nil {
+				t.Error(err)
+				return
+			}
+			sendStream(t, vi, 0, 1, 64)
+		},
+		func(p *simnet.Proc, port *Port) {
+			addrs[1] = port.Addr()
+			cq := NewCQ(port)
+			var free []*Descriptor
+			vi, err := port.CreateViCQ(cq)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			vi.RecycleRecvs(&free)
+			postRecvs(t, vi, 4, 64)
+			posted := append([]*Descriptor(nil), vi.recvQ...)
+			if err := port.ConnectPeerRequest(vi, addrs[0], 5); err != nil {
+				t.Error(err)
+				return
+			}
+			for cq.Len() == 0 {
+				port.WaitActivity(WaitPoll)
+			}
+			vi.Close()
+			if len(free) != 3 || free[0] != posted[1] || free[1] != posted[2] || free[2] != posted[3] {
+				t.Errorf("Close returned %d receives, want the 3 that never completed, in post order", len(free))
+			}
+			got, d := cq.Done()
+			if got != vi || d != posted[0] || d.Status != StatusSuccess || !bytes.Equal(d.Buf[:d.XferLen], pattern(0, 64)) {
+				t.Errorf("the completion left in the CQ did not survive its VI's Close intact")
 			}
 		})
 }

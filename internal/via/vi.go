@@ -18,8 +18,7 @@ type VI struct {
 	remoteVi int
 	disc     uint64
 
-	sendQ []*Descriptor // posted sends, FIFO; completed in order
-	recvQ []*Descriptor // posted receives, FIFO; consumed in arrival order
+	viQueues
 
 	recvCQ *CQ
 
@@ -37,8 +36,18 @@ type VI struct {
 	seqOut uint64
 	seqIn  uint64
 
-	usedTx bool
-	usedRx bool
+	used bool // carried a data message, in either direction (Port.VisUsed)
+
+	// recvFree, when set, is the owner's free list of receive descriptors:
+	// Close returns the posted receives that never completed to it.
+	recvFree *[]*Descriptor
+}
+
+// viQueues are a VI's work queues. Close empties them and leaves them with
+// the port, and the next VI the port creates posts into the same arrays.
+type viQueues struct {
+	sendQ []*Descriptor // posted sends, FIFO; completed in order
+	recvQ []*Descriptor // posted receives, FIFO; consumed in arrival order
 }
 
 // ID returns the VI's id, unique within its port.
@@ -52,6 +61,20 @@ func (vi *VI) Port() *Port { return vi.port }
 
 // Disc returns the discriminator the connection was established under.
 func (vi *VI) Disc() uint64 { return vi.disc }
+
+// RecycleRecvs names the free list this VI's receive descriptors come from.
+// Close appends to it the posted receives that never completed. A completed
+// one is not handed back: a CQ entry may still name it, and the owner meets
+// it again when it reaps that entry.
+func (vi *VI) RecycleRecvs(free *[]*Descriptor) { vi.recvFree = free }
+
+// markUsed counts the VI toward Port.VisUsed on its first data message.
+func (vi *VI) markUsed() {
+	if !vi.used {
+		vi.used = true
+		vi.port.visUsed++
+	}
+}
 
 // SendQueueLen returns the number of posted, unreaped send descriptors.
 func (vi *VI) SendQueueLen() int { return len(vi.sendQ) }
@@ -98,7 +121,7 @@ func (vi *VI) PostSend(d *Descriptor) error {
 	vi.sendQ = append(vi.sendQ, d)
 	vi.transmit(d, wireMsg{kind: kindData, seq: vi.seqOut})
 	vi.seqOut++
-	vi.usedTx = true
+	vi.markUsed()
 	vi.port.stats.MsgsSent++
 	vi.port.stats.BytesSent += int64(d.Len)
 	return nil
@@ -222,7 +245,7 @@ func (vi *VI) handleData(m *wireMsg) {
 		vi.seqIn++
 		d.Status = StatusSuccess
 		d.XferLen = m.total
-		vi.usedRx = true
+		vi.markUsed()
 		p.stats.MsgsRecv++
 		p.stats.BytesRecv += int64(m.total)
 		if vi.recvCQ != nil {
@@ -283,7 +306,7 @@ func (vi *VI) SendDone() *Descriptor {
 	vi.port.ChargeHost(vi.port.net.cost.PollOverhead)
 	if len(vi.sendQ) > 0 && vi.sendQ[0].Done() {
 		d := vi.sendQ[0]
-		vi.sendQ = popFront(vi.sendQ)
+		vi.sendQ = simnet.PopFront(vi.sendQ)
 		return d
 	}
 	return nil
@@ -303,7 +326,7 @@ func (vi *VI) RecvDone() *Descriptor {
 func (vi *VI) recvDone() *Descriptor {
 	if len(vi.recvQ) > 0 && vi.recvQ[0].Done() {
 		d := vi.recvQ[0]
-		vi.recvQ = popFront(vi.recvQ)
+		vi.recvQ = simnet.PopFront(vi.recvQ)
 		return d
 	}
 	return nil
@@ -366,7 +389,7 @@ func (vi *VI) resetHandshake() {
 
 // Close disconnects (notifying the peer) and destroys the VI, releasing its
 // NIC slot. Pending descriptors complete with StatusDisconnected and leave
-// the VI: a closed VI has nothing to reap.
+// the VI: a closed VI has nothing to reap, and the port forgets it.
 func (vi *VI) Close() {
 	if vi.state == ViClosed {
 		return
@@ -385,12 +408,19 @@ func (vi *VI) Close() {
 		// already tore the connection down, and closed returned above.
 	}
 	vi.failPending(StatusDisconnected)
-	// The descriptors carry their status now; the queues go, or every VI the
-	// port ever closed would keep its receive pool reachable through
-	// Port.vis (which keeps the VI itself, for VisUsed) until the run ends.
-	vi.sendQ, vi.recvQ = nil, nil
+	// The descriptors carry their status now; the queues go.
+	if vi.recvFree != nil {
+		for _, d := range vi.recvQ {
+			if d.Status != StatusSuccess {
+				*vi.recvFree = append(*vi.recvFree, d)
+			}
+		}
+	}
+	vi.port.keepQueues(vi.viQueues)
+	vi.viQueues = viQueues{}
 	vi.dropHeld()
 	vi.state = ViClosed
+	vi.port.vis[vi.id] = nil
 	vi.port.liveVIs--
 	vi.port.net.nodes[vi.port.node].openVIs--
 	// Like enterError: a waiter parked in WaitActivity must observe the
