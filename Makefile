@@ -4,9 +4,9 @@ GO ?= go
 # byte-identical at any -j, so the default is simply all host cores.
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check fmt vet build test race analyze fsm-dot figures bench-snapshot bench-smoke bench-sim bench-sim-snapshot bench-sim-smoke replay-smoke scale-smoke sweep-smoke
+.PHONY: check fmt vet build test race analyze fsm-dot golden figures bench-sim bench-sim-smoke replay-smoke
 
-check: fmt vet build test race analyze bench-smoke bench-sim-smoke replay-smoke scale-smoke sweep-smoke
+check: fmt vet build test race analyze bench-sim-smoke replay-smoke
 
 # gofmt -l prints offending files; any output is a failure.
 fmt:
@@ -19,8 +19,13 @@ vet:
 build:
 	$(GO) build ./...
 
+# The timeout is the lid on the thousand-rank worlds (internal/mpi's 1024-
+# and 2048-rank on-demand rings, the O(n)-startup-events assertion): they
+# only stay fast because per-rank state is O(live connections) and the
+# startup barrier is park/broadcast — a regression in either shows up here
+# as a timeout, not a slow drift.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 300s ./...
 
 # internal/tcpvia has real concurrency (goroutines, sockets, locks);
 # internal/mpi and internal/core are single-threaded by design, so -race
@@ -52,18 +57,20 @@ analyze:
 fsm-dot:
 	$(GO) run ./cmd/viampi-vet -root . -fsm-dot > docs/connection-fsm.dot
 
+# Virtual time is pinned by three golden sets that `test` regenerates and
+# compares: every experiment's quick-mode table in every rendered form
+# (internal/bench/testdata/golden), the dual-run digests and capture-bundle
+# hashes (internal/analysis/testdata/digests.golden), and mpirun-sim's full
+# report of CG.S on 8 ranks (testdata/mpirun-sim.golden). A change that
+# moves virtual time shows up as a golden diff: regenerate here, review the
+# diff, commit it with the change.
+golden:
+	$(GO) test ./internal/bench -run 'TestGolden' -update
+	$(GO) test ./internal/analysis -run 'DualRunDeterminism' -update
+	$(GO) test . -run 'TestToolMpirunSim' -update
+
 figures:
 	$(GO) run ./cmd/figures -all -quick -j $(NPROC)
-
-# Full microbenchmark snapshot; the output is deterministic for a fixed
-# seed, so regenerate and commit BENCH_micro.json when perf-relevant code
-# changes, and the diff is the review artifact.
-bench-snapshot:
-	$(GO) run ./cmd/benchsnap -j $(NPROC) -out BENCH_micro.json
-
-# Tiny subset proving the snapshot path works; part of `make check`.
-bench-smoke:
-	$(GO) run ./cmd/benchsnap -smoke -j $(NPROC) > /dev/null
 
 # Scheduler-core wall-clock benchmarks: the measurement rail for the
 # zero-allocation event loop and message path. 0 allocs/op on BenchmarkSimCore
@@ -76,26 +83,13 @@ bench-smoke:
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first
 # run of a process at GOMAXPROCS=2 sometimes reads ~50 % high on its own.
+# These are allocation rails; host time end to end is benchmark/'s job.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
+	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
 
-# Scheduler-core snapshot; events/virtual_ns are deterministic, wall fields
-# are machine-dependent (see the note field in the JSON).
-bench-sim-snapshot:
-	$(GO) run ./cmd/benchsnap -simcore -out BENCH_simcore.json
-
-# Millisecond-scale pass over the simcore rail; part of `make check`.
+# Millisecond-scale pass over the same rails; part of `make check`.
 bench-sim-smoke:
-	$(GO) run ./cmd/benchsnap -simcore -smoke > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchtime 1000x ./internal/simnet . > /dev/null
-
-# Thousand-rank worlds, run uncached with a hard wall-time lid: the 1024-
-# and 2048-rank on-demand rings plus the O(n)-startup-events assertion.
-# These only stay this fast because per-rank state is O(live connections)
-# and the startup barrier is park/broadcast — a regression in either shows
-# up here as a timeout, not a slow drift.
-scale-smoke:
-	$(GO) test ./internal/mpi -run 'TestOnDemandRing1024Sparse|TestOnDemandRing2048Sparse|TestStartupEventsLinear' -count=1 -timeout 120s
 
 # Capture/replay round trip on the real binaries: record a run, re-render
 # the trace offline, require byte identity with the live artifact, render
@@ -127,18 +121,3 @@ replay-smoke:
 		echo "replay-smoke: diff failed to flag divergent runs"; exit 1; \
 	fi; \
 	echo "replay-smoke: record -> replay byte-identical; matrix, profile and phases render; diff verdicts correct"
-
-# The batch runner's merge-determinism contract on the real binary: the same
-# tiny grid rendered at -j1 and -j2 must be byte-identical (the in-tree
-# TestMergeDeterminism proves it at the library layer; this proves the
-# driver plumbing adds nothing nondeterministic on top).
-sweep-smoke:
-	@tmp=$$(mktemp -d) || exit 1; \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	set -e; \
-	$(GO) build -o $$tmp/figures ./cmd/figures; \
-	$$tmp/figures -run ext-evict -quick -q -j 1 > $$tmp/j1.txt; \
-	$$tmp/figures -run ext-evict -quick -q -j 2 > $$tmp/j2.txt; \
-	cmp -s $$tmp/j1.txt $$tmp/j2.txt || { \
-		echo "sweep-smoke: -j1 and -j2 artifacts differ — the merge leaked completion order"; exit 1; }; \
-	echo "sweep-smoke: -j1 and -j2 artifacts byte-identical"

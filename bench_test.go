@@ -278,26 +278,12 @@ func BenchmarkNPBKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkPingpongWallClock measures the real (host) time one full
-// simulated ping-pong run costs — the wall-clock rail for the scheduler
-// hot path. Virtual-time results are pinned elsewhere (BENCH_micro.json);
-// this benchmark exists so a scheduler change that alters only wall-clock
-// cost still shows up in `go test -bench`.
-func BenchmarkPingpongWallClock(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Pingpong("clan", bench.OnDemand, 8, 50, 0, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEagerRoundTrip runs b.N 8-byte blocking round trips inside one
 // mpi.Run, so ns/op and allocs/op are per steady-state round trip through
-// the whole stack (BenchmarkPingpongWallClock above is 50 round trips and
-// dominated by boot). 0 allocs/op is the invariant: every hop of the message
-// path is a recycled object (hotalloc pins the bodies, internal/mpi's
-// TestRoundTripAllocs the count).
+// the whole stack, boot and connection setup excluded. 0 allocs/op is the
+// invariant: every hop of the message path is a recycled object (hotalloc
+// pins the bodies, internal/mpi's TestRoundTripAllocs the count). What a
+// whole run costs the host, boot included, is benchmark/'s pingpong_8b.
 func BenchmarkEagerRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	_, err := mpi.Run(mpi.Config{Procs: 2, Deadline: 3600 * simnet.Second}, func(r *mpi.Rank) {
@@ -372,26 +358,5 @@ func BenchmarkReconnectCycle(b *testing.B) {
 	}
 	if got := w.Ranks[0].VisCreated; got != b.N {
 		b.Fatalf("rank 0 created %d VIs over %d messages: not every message reconnected", got, b.N)
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulator event throughput via a
-// dense all-to-all, to track harness overhead itself.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := mpi.Config{Procs: 16, Deadline: 600 * simnet.Second}
-		w, err := mpi.Run(cfg, func(r *mpi.Rank) {
-			c := r.World()
-			n := c.Size()
-			for round := 0; round < 5; round++ {
-				if err := c.Alltoall(make([]byte, 128*n), make([]byte, 128*n), 128); err != nil {
-					return
-				}
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = w
 	}
 }

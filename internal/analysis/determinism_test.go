@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"viampi/internal/apps"
@@ -146,11 +148,48 @@ func runDigest(t *testing.T, cfg mpi.Config, rounds, msgBytes int) (string, []by
 	return hash, bundle
 }
 
+// checkDigestGolden compares a case's digest, and the SHA-256 of its whole
+// capture bundle (every event: kind, rank, peer, arguments, timestamp), with
+// the case's line in testdata/digests.golden. The file holds one
+// "<test name> <digest> <bundle sha256>" line per dual-run case, sorted;
+// -update rewrites the line of every case that runs.
+func checkDigestGolden(t *testing.T, digest string, bundle []byte) {
+	t.Helper()
+	sum := sha256.Sum256(bundle)
+	line := fmt.Sprintf("%s %s %s", t.Name(), digest, hex.EncodeToString(sum[:]))
+	path := filepath.Join("testdata", "digests.golden")
+	data, err := os.ReadFile(path)
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	golden := map[string]string{} // test name → its line
+	for _, l := range strings.Split(string(data), "\n") {
+		if name, _, ok := strings.Cut(l, " "); ok {
+			golden[name] = l
+		}
+	}
+	if golden[t.Name()] == line {
+		return
+	}
+	if !*updateGolden {
+		t.Fatalf("run digest drifted from %s — this Config no longer produces the event stream or per-rank statistics it did at the last commit:\n  got  %q\n  want %q\nreview the change, then regenerate with `make golden`", path, line, golden[t.Name()])
+	}
+	golden[t.Name()] = line
+	lines := make([]string, 0, len(golden))
+	for _, l := range golden {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // dualDigest runs two same-Config replays side by side on the batch
 // runner's workers — the dual-run determinism check and a live test that
-// concurrent simulations stay isolated — and fails the test on divergence.
-// mkCfg builds a fresh Config per run so per-run state (fault plans, buses)
-// is never shared.
+// concurrent simulations stay isolated — and fails the test on divergence
+// between the runs or from the committed golden. mkCfg builds a fresh Config
+// per run so per-run state (fault plans, buses) is never shared.
 func dualDigest(t *testing.T, mkCfg func() mpi.Config, rounds, msgBytes int,
 	digest func(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error)) {
 	t.Helper()
@@ -176,6 +215,7 @@ func dualDigest(t *testing.T, mkCfg func() mpi.Config, rounds, msgBytes int,
 		reportDivergence(t, res[0].bundle, res[1].bundle)
 		t.Fatalf("two runs with identical Configs diverged:\n  run 1: %s\n  run 2: %s", res[0].hash, res[1].hash)
 	}
+	checkDigestGolden(t, res[0].hash, res[0].bundle)
 }
 
 // TestDualRunDeterminism asserts byte-identical digests for every

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/rules.golden from the live registry")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/rules.golden and testdata/digests.golden from the live tree")
 
 // ruleDoc renders the registry exactly the way the viampi-vet driver does:
 // the -list / bare -rules listing first, then every rule's -explain output

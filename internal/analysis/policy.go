@@ -344,10 +344,11 @@ func DefaultPolicy() *Policy {
 			"internal/simnet.(Proc).ParkTimeout": "timeout-wake arm + park on the progress-wait path",
 			"internal/simnet.(Proc).WakeAfter":   "cross-process wake scheduling; runs on every completion notify",
 			// The batch runner's per-completion bookkeeping: it sits inside
-			// the timed region of the SweepWallClock rail, so it must not add
-			// GC pressure to the measurement (rendering, the fmt-heavy half,
-			// only runs when a progress sink is attached).
-			"internal/sweep.(tracker).advance": "runs on every job completion inside the SweepWallClock timed region; a counter bump under an uncontended lock must stay allocation-free",
+			// every timed sweep (benchmark/'s figures_quick workload and its
+			// sweep.* metrics), so it must not add GC pressure to the
+			// measurement (rendering, the fmt-heavy half, only runs when a
+			// progress sink is attached).
+			"internal/sweep.(tracker).advance": "runs on every job completion inside benchmark/'s timed sweeps (figures_quick, sweep.speedup); a counter bump under an uncontended lock must stay allocation-free",
 		},
 		ColdCalls: map[string]bool{
 			"internal/simnet.(Sim).Failf": true, // records a failure and kills the run; its fmt args may box
@@ -412,7 +413,6 @@ func DefaultPolicy() *Policy {
 				"internal/tcpvia":   "real-socket twin of internal/via; wall-clock deadlines and goroutines are its job",
 				"examples/tcpring":  "drives internal/tcpvia over real TCP; measures wall time by design",
 				"internal/analysis": "static-analysis tooling; never on a simulation path",
-				"cmd/benchsnap":     "wall-clock rail for BENCH_simcore.json; the virtual-time snapshot it also emits is pinned byte-stable by make check",
 				"cmd/viampi-vet":    "analysis driver; the -json timing line measures host load/analyze wall time and goes to stderr, never near a simulation path",
 				"internal/sweep":    "the one sanctioned home for naked goroutines, sync primitives, and wall-clock reads outside simulated time: jobs are hermetic whole simulations, and the index-ordered merge erases completion order, so host scheduling never reaches an artifact",
 			},
@@ -437,8 +437,8 @@ func DefaultPolicy() *Policy {
 			},
 			// Run-scoped resources reaped wholesale at teardown.
 			"paired": {
-				"internal/bench.Pingpong": "the idle extra VIs are Figure 1's independent variable; the whole Port dies with the run",
-				"cmd/vibench.prepare":     "deliberately provisions idle VIs to measure per-VI cost; the Port dies with the process",
+				"internal/bench.Pingpong":   "the idle extra VIs are Figure 1's independent variable; the whole Port dies with the run",
+				"internal/bench.viaConnect": "ext-vibe deliberately provisions idle VIs to measure per-VI cost; the Port dies with its two-process simulation",
 			},
 		},
 	}

@@ -168,6 +168,8 @@ func Experiments() []Experiment {
 		{"ext-npb", "FT and LU — the kernels the paper omitted", ExtNpb},
 		{"ext-evict", "Eviction extension: latency vs. VI cap (Berkeley VIA)", ExtEvict},
 		{"ext-init", "Init-cost extension: startup and first-message cost to 4096 procs", ExtInit},
+		{"ext-micro", "Micro snapshot in exact integers (virtual ns, events, bytes)", ExtMicro},
+		{"ext-vibe", "VIA substrate without MPI (VIBe-style microbenchmarks)", ExtVibe},
 	}
 }
 

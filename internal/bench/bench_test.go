@@ -9,6 +9,37 @@ import (
 
 var quick = Options{Quick: true, Seed: 1}
 
+// quickTables memoises one quick-mode run per (experiment, Workers), so the
+// shape tests below, the SVG test and TestGolden read the same tables and
+// each experiment runs once per worker count in the whole package. The shape
+// tests read the Workers=2 tables, the ones TestGolden's first pass needs.
+var quickTables = map[tableKey]*Table{}
+
+type tableKey struct {
+	id      string
+	workers int
+}
+
+func quickTable(t *testing.T, id string, workers int) *Table {
+	t.Helper()
+	key := tableKey{id, workers}
+	if tb, ok := quickTables[key]; ok {
+		return tb
+	}
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := quick
+	opt.Workers = workers
+	tb, err := e.Run(opt)
+	if err != nil {
+		t.Fatalf("%s at Workers=%d: %v", id, workers, err)
+	}
+	quickTables[key] = tb
+	return tb
+}
+
 // cell parses a table cell as float.
 func cell(t *testing.T, tb *Table, row, col int) float64 {
 	t.Helper()
@@ -20,8 +51,8 @@ func cell(t *testing.T, tb *Table, row, col int) float64 {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	if len(Experiments()) != 23 {
-		t.Fatalf("have %d experiments, want 23 (every paper table+figure plus 7 extensions)", len(Experiments()))
+	if len(Experiments()) != 25 {
+		t.Fatalf("have %d experiments, want 25 (every paper table+figure plus 9 extensions)", len(Experiments()))
 	}
 	seen := map[string]bool{}
 	for _, e := range Experiments() {
@@ -68,10 +99,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	tb, err := Fig1(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig1", 2)
 	// Latency must increase monotonically with the VI count on BVIA.
 	prev := 0.0
 	for i := range tb.Rows {
@@ -84,20 +112,14 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestTable1Complete(t *testing.T) {
-	tb, err := Table1(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "table1", 2)
 	if len(tb.Rows) != 12 { // 6 apps x 2 sizes
 		t.Fatalf("table1 rows = %d, want 12", len(tb.Rows))
 	}
 }
 
 func TestFig2LatencyShapes(t *testing.T) {
-	tb, err := Fig2a(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig2a", 2)
 	// All three mechanisms agree at small sizes (paper: same performance).
 	p0 := cell(t, tb, 0, 1)
 	s0 := cell(t, tb, 0, 2)
@@ -116,10 +138,7 @@ func TestFig2LatencyShapes(t *testing.T) {
 	if p0 < 5 || p0 > 40 {
 		t.Errorf("fig2a small-message latency %vus outside plausible band", p0)
 	}
-	tb2, err := Fig2b(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb2 := quickTable(t, "fig2b", 2)
 	b0 := cell(t, tb2, 0, 1)
 	if b0 <= p0 {
 		t.Errorf("BVIA latency %v not above cLAN %v", b0, p0)
@@ -138,10 +157,7 @@ func rel(a, b float64) float64 {
 }
 
 func TestFig3BandwidthShapes(t *testing.T) {
-	tb, err := Fig3a(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig3a", 2)
 	// Find the 4999 and 5001 rows: the eager->rendezvous switch must dent
 	// the curve (paper notes the jump at the 5000-byte threshold).
 	var bw4999, bw5001, bwBig float64
@@ -168,10 +184,7 @@ func TestFig3BandwidthShapes(t *testing.T) {
 }
 
 func TestFig4BarrierShapes(t *testing.T) {
-	tb, err := Fig4a(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig4a", 2)
 	last := len(tb.Rows) - 1
 	poll := cell(t, tb, last, 1)
 	spin := cell(t, tb, last, 2)
@@ -182,10 +195,7 @@ func TestFig4BarrierShapes(t *testing.T) {
 	if rel(poll, od) > 0.10 {
 		t.Errorf("fig4a: ondemand %v deviates >10%% from polling %v", od, poll)
 	}
-	tb2, err := Fig4b(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb2 := quickTable(t, "fig4b", 2)
 	last = len(tb2.Rows) - 1
 	st := cell(t, tb2, last, 1)
 	odb := cell(t, tb2, last, 2)
@@ -195,10 +205,7 @@ func TestFig4BarrierShapes(t *testing.T) {
 }
 
 func TestFig5AllreduceShapes(t *testing.T) {
-	tb, err := Fig5b(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig5b", 2)
 	last := len(tb.Rows) - 1
 	st := cell(t, tb, last, 1)
 	od := cell(t, tb, last, 2)
@@ -208,10 +215,7 @@ func TestFig5AllreduceShapes(t *testing.T) {
 }
 
 func TestFig8InitShapes(t *testing.T) {
-	tb, err := Fig8a(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig8a", 2)
 	last := len(tb.Rows) - 1
 	cs := cell(t, tb, last, 1)
 	p2p := cell(t, tb, last, 2)
@@ -231,10 +235,7 @@ func TestFig8InitShapes(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	tb, err := Table2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "table2", 2)
 	byName := map[string][]int{}
 	for i, row := range tb.Rows {
 		byName[row[0]] = append(byName[row[0]], i)
@@ -284,10 +285,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestFig6Fig7Table3Shapes(t *testing.T) {
-	f6, err := Fig6(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6 := quickTable(t, "fig6", 2)
 	for i, row := range f6.Rows {
 		spin := cell(t, f6, i, 1)
 		od := cell(t, f6, i, 2)
@@ -298,10 +296,7 @@ func TestFig6Fig7Table3Shapes(t *testing.T) {
 			t.Errorf("fig6 %s: spinwait %v better than polling?", row[0], spin)
 		}
 	}
-	f7, err := Fig7(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f7 := quickTable(t, "fig7", 2)
 	for i, row := range f7.Rows {
 		od := cell(t, f7, i, 1)
 		// Quick mode runs class S, which is too short to amortize the
@@ -310,10 +305,7 @@ func TestFig6Fig7Table3Shapes(t *testing.T) {
 			t.Errorf("fig7 %s: on-demand normalized %v, want <= ~1 on BVIA", row[0], od)
 		}
 	}
-	t3, err := Table3(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := quickTable(t, "table3", 2)
 	if len(t3.Rows) != len(clanCases(quick))+len(bviaCases(quick)) {
 		t.Fatalf("table3 rows = %d", len(t3.Rows))
 	}
@@ -324,10 +316,7 @@ func TestFig6Fig7Table3Shapes(t *testing.T) {
 }
 
 func TestExtensionExperiments(t *testing.T) {
-	sc, err := ExtScale(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := quickTable(t, "ext-scale", 2)
 	// Static-cs init grows superlinearly; on-demand stays near-flat; static
 	// pinned memory grows quadratically in total while on-demand is linear.
 	first, last := 0, len(sc.Rows)-1
@@ -342,10 +331,7 @@ func TestExtensionExperiments(t *testing.T) {
 		t.Errorf("ext-scale: static pinned %.1f MB not >> on-demand %.1f MB", pinS, pinO)
 	}
 
-	dy, err := ExtDynamic(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dy := quickTable(t, "ext-dynamic", 2)
 	if len(dy.Rows) != 3 {
 		t.Fatalf("ext-dynamic rows = %d", len(dy.Rows))
 	}
@@ -363,10 +349,7 @@ func TestExtensionExperiments(t *testing.T) {
 		t.Errorf("ext-dynamic run time %.3f ms too far above static %.3f ms", tDyn, tStatic)
 	}
 
-	ev, err := ExtEvict(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := quickTable(t, "ext-evict", 2)
 	if len(ev.Rows) != 4 {
 		t.Fatalf("ext-evict rows = %d", len(ev.Rows))
 	}
@@ -390,10 +373,7 @@ func TestExtensionExperiments(t *testing.T) {
 			ev.Rows[lastEv][3], ev.Rows[0][3])
 	}
 
-	ib, err := ExtIB(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ib := quickTable(t, "ext-ib", 2)
 	for i := range ib.Rows {
 		lat := cell(t, ib, i, 1)
 		if lat >= 7.2 { // must be faster than cLAN's small-message latency

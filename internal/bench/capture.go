@@ -1,12 +1,12 @@
 package bench
 
-// Capture-overhead workload for the wall-clock measurement rail: the same
-// CG replay run twice, once with only a counting subscriber on the bus and
-// once with a capture.Writer encoding every event into the void. The event
-// count, virtual time, and bundle size are pure functions of the workload
-// shape; cmd/benchsnap times the two variants against the host clock and
-// reports the recording tax. Like simcore.go, this file stays
-// wall-clock-free — timing is the caller's job.
+// Capture workload: the same CG replay run twice, once with only a counting
+// subscriber on the bus and once with a capture.Writer encoding every event
+// into the void. The event count, virtual time, and bundle size are pure
+// functions of the workload shape and are pinned as rows of ext-micro; what
+// recording costs the host is benchmark/'s capture.* and trace.overhead_pct
+// metrics. Like simcore.go, this file stays wall-clock-free — timing is the
+// caller's job.
 
 import (
 	"fmt"

@@ -67,16 +67,16 @@ func extInitRun(n int, mech Mechanism, seed int64) (extInitResult, error) {
 	}, nil
 }
 
-// InitBoot boots a procs-rank world with an empty main — MPI_Init plus
+// bootCost boots a procs-rank world with an empty main — MPI_Init plus
 // MPI_Finalize and nothing else — and reports the scheduler event count and
-// virtual elapsed time. It is the init-cost rail for BENCH_simcore.json:
-// the deterministic fields pin that booting a world costs O(procs) events
-// (the sleep-poll startup barrier made this superlinear under staggered
-// arrival), and the wall-clock wrapper in benchsnap records what a
-// thousand-rank boot costs this host. Credits and the eager threshold are
-// tuned down as in ExtInit so static meshes stay within host memory.
-func InitBoot(mech Mechanism, procs int) (SimCoreResult, error) {
-	cfg := baseConfig("clan", mech, procs, 1)
+// the virtual elapsed time. It is ext-micro's init-cost row: booting a world
+// under on-demand must cost O(procs) events (a sleep-poll startup barrier
+// once made this superlinear under staggered arrival), while the static boot
+// carries the dense mesh's full connection storm. Credits and the eager
+// threshold are tuned down as in extInitRun so static meshes stay within
+// host memory.
+func bootCost(mech Mechanism, procs int, seed int64) (events uint64, virtual simnet.Duration, err error) {
+	cfg := baseConfig("clan", mech, procs, seed)
 	cfg.CreditCount = 4
 	cfg.EagerThreshold = 64
 	var sim *simnet.Sim
@@ -86,13 +86,9 @@ func InitBoot(mech Mechanism, procs int) (SimCoreResult, error) {
 		}
 	})
 	if err != nil {
-		return SimCoreResult{}, err
+		return 0, 0, err
 	}
-	return SimCoreResult{
-		Name:      fmt.Sprintf("init-boot/%s/np=%d", mech.Name, procs),
-		Events:    sim.EventCount,
-		VirtualNS: int64(w.Elapsed),
-	}, nil
+	return sim.EventCount, w.Elapsed, nil
 }
 
 // ExtInit sweeps MPI_Init cost, first-message latency, and peak per-rank

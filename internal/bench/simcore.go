@@ -4,9 +4,9 @@ package bench
 // workload exercises one hot path of the internal/simnet scheduler — timer
 // wakes, park/wake handoffs, and callback churn — with no MPI or VIA model
 // on top, so its event count and virtual elapsed time are pure functions of
-// the workload shape. cmd/benchsnap times these against the host clock to
-// produce BENCH_simcore.json; this package stays wall-clock-free because it
-// is on the determinism-scanned side of the policy.
+// the workload shape. benchmark/ times these against the host clock (its
+// simnet.*_ns_per_event metrics); this package stays wall-clock-free because
+// it is on the determinism-scanned side of the policy.
 
 import (
 	"fmt"
@@ -18,7 +18,6 @@ import (
 // VirtualNS are deterministic for a given shape; wall-clock timing is the
 // caller's job.
 type SimCoreResult struct {
-	Name      string
 	Events    uint64 // scheduler events dispatched
 	VirtualNS int64  // virtual time consumed by the run
 }
@@ -40,7 +39,6 @@ func SimCoreSleepCycle(procs, cycles int) (SimCoreResult, error) {
 		return SimCoreResult{}, err
 	}
 	return SimCoreResult{
-		Name:      fmt.Sprintf("sleep-cycle/procs=%d/cycles=%d", procs, cycles),
 		Events:    s.EventCount,
 		VirtualNS: int64(s.Now()),
 	}, nil
@@ -69,7 +67,6 @@ func SimCoreParkWake(rounds int) (SimCoreResult, error) {
 		return SimCoreResult{}, err
 	}
 	return SimCoreResult{
-		Name:      fmt.Sprintf("park-wake/rounds=%d", rounds),
 		Events:    s.EventCount,
 		VirtualNS: int64(s.Now()),
 	}, nil
@@ -100,7 +97,6 @@ func SimCoreEventChurn(events int) (SimCoreResult, error) {
 		return SimCoreResult{}, err
 	}
 	return SimCoreResult{
-		Name:      fmt.Sprintf("event-churn/events=%d", events),
 		Events:    s.EventCount,
 		VirtualNS: int64(s.Now()),
 	}, nil

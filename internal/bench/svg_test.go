@@ -95,21 +95,17 @@ func TestRenderSVGDegenerateTables(t *testing.T) {
 	}
 }
 
-// TestRenderSVGEveryExperiment renders each quick experiment's table,
-// asserting the figure-shaped ones chart cleanly and none panic.
+// TestRenderSVGEveryExperiment parses the chart of every figure-shaped
+// experiment (TestGolden pins the bytes; this asserts they are well-formed
+// single-rooted SVG).
 func TestRenderSVGEveryExperiment(t *testing.T) {
-	for _, id := range []string{"fig1", "fig8a"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := e.Run(quick)
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range Experiments() {
+		if !strings.HasPrefix(e.ID, "fig") {
+			continue
 		}
 		var buf bytes.Buffer
-		if err := tb.RenderSVG(&buf); err != nil {
-			t.Fatalf("%s: %v", id, err)
+		if err := quickTable(t, e.ID, 2).RenderSVG(&buf); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
 		svgCounts(t, buf.Bytes())
 	}
