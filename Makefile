@@ -78,18 +78,24 @@ figures:
 # whole stack) is an invariant (also enforced statically by the hotalloc
 # analyzer); BenchmarkReconnectCycle is the connection path's rail (one
 # evict-teardown-reconnect cycle: 4 allocs/op, the two VI endpoints and the
-# unexpected-queue entry of a message that beat its receive). Run at
+# unexpected-queue entry of a message that beat its receive), BenchmarkMeshBoot
+# the static mesh's (a 64-rank static-p2p world through Init and Finalize:
+# ~5,700 allocs/op, ~90 per rank and next to nothing per connection, because
+# the managers reserve slabs at Init; ~70,000 means a first connection is
+# building its objects one allocation at a time again). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first
 # run of a process at GOMAXPROCS=2 sometimes reads ~50 % high on its own.
 # These are allocation rails; host time end to end is benchmark/'s job.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
+	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle|BenchmarkMeshBoot' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
 
-# Millisecond-scale pass over the same rails; part of `make check`.
+# Millisecond-scale pass over the same rails; part of `make check`. One op of
+# BenchmarkMeshBoot is a whole 64-rank world, so it runs three, not a thousand.
 bench-sim-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchtime 1000x ./internal/simnet . > /dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkMeshBoot' -benchtime 3x . > /dev/null
 
 # Capture/replay round trip on the real binaries: record a run, re-render
 # the trace offline, require byte identity with the live artifact, render

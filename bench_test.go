@@ -360,3 +360,27 @@ func BenchmarkReconnectCycle(b *testing.B) {
 		b.Fatalf("rank 0 created %d VIs over %d messages: not every message reconnected", got, b.N)
 	}
 }
+
+// BenchmarkMeshBoot is the static mesh's rail: one op is a whole static-p2p
+// world of meshBootProcs ranks through MPI_Init and MPI_Finalize with no user
+// message (benchmark/'s mesh_boot at a quarter of the ranks). Every connection
+// is a first connection, so nothing comes off a free list: what allocs/op
+// holds down is the slabs the managers reserve at Init, what ns/conn holds
+// down is a poll that visits no idle channel.
+func BenchmarkMeshBoot(b *testing.B) {
+	const meshBootProcs = 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := mpi.Run(mpi.Config{
+			Procs: meshBootProcs, Policy: "static-p2p", CreditCount: 4, EagerThreshold: 64,
+			Seed: 1, Deadline: 3600 * simnet.Second,
+		}, func(*mpi.Rank) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := w.Ranks[0].VisCreated; got != meshBootProcs-1 {
+			b.Fatalf("rank 0 created %d VIs, want %d", got, meshBootProcs-1)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(meshBootProcs*(meshBootProcs-1)/2), "ns/conn")
+}

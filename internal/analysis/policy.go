@@ -275,7 +275,7 @@ func DefaultPolicy() *Policy {
 			"internal/obs/capture.(Writer).Consume": "bundle encoder: runs once per bus event while recording; steady-state zero-alloc is the capture-overhead contract (append into the reused buffer, warm intern table)",
 			"internal/obs/capture.(Ring).Consume":   "bounded flight-recorder store: runs once per bus event in live tcpvia capture",
 			"internal/mpi.(Rank).progress":          "MPID_DeviceCheck wrapper, entered on every MPI call",
-			"internal/mpi.(Rank).progressStep":      "per-poll channel scan; an allocation here scales with poll count, not traffic",
+			"internal/mpi.(Rank).progressStep":      "the device-check pass; an allocation here scales with poll count, not traffic",
 			"internal/mpi.(Rank).waitProgress":      "blocking-wait loop around progress",
 			"internal/mpi.(Rank).blockedPhase":      "classifier inside the blocking-wait loop",
 			"internal/mpi.(Rank).obsSend":           "nil-bus emit helper on the send fast path",
@@ -288,6 +288,14 @@ func DefaultPolicy() *Policy {
 			"internal/via.(VI).SendDone":            "send-completion poll, called in a drain loop every progress pass",
 			"internal/via.(VI).recvDone":            "receive-completion poll on the wait path",
 			"internal/via.(CQ).Done":                "completion-queue poll, called in a drain loop every progress pass",
+			// The walks over the live channels that a poll makes, each behind
+			// the counter that says whether it can find anything.
+			"internal/mpi.(Rank).adoptDisconnects":    "per-poll teardown scan, guarded by the port's DISC count",
+			"internal/mpi.(Rank).reapSends":           "per-poll send-completion scan, or its charges alone while nothing is unreaped",
+			"internal/mpi.(Rank).flowPass":            "per-poll flow-queue drain and credit returns, guarded by flowDirty",
+			"internal/via.(Port).ChargeIdlePolls":     "one PollOverhead per live VI on every poll that finds no send to reap",
+			"internal/core.(base).progressHandshakes": "per-poll retry/timeout scan, guarded by the pending count",
+			"internal/core.(base).promoteConnected":   "per-poll promotion scan, guarded by the pending count",
 			// The message path, Comm.Send to Comm.Recv: every hop is a recycled
 			// object that is its own event, so a steady-state eager message
 			// allocates nothing below the MPI request (and a blocking call's
@@ -299,6 +307,7 @@ func DefaultPolicy() *Policy {
 			"internal/mpi.(Rank).emitted":          "completes the riding request and frees the packet, once per emit",
 			"internal/mpi.encodeInto":              "wire encoding into the recycled descriptor buffer",
 			"internal/via.(VI).PostSend":           "one per message sent",
+			"internal/via.(VI).queueSend":          "send-queue append and the port's unreaped count, once per post",
 			"internal/via.(VI).PostRecv":           "one per message received (the pool buffer is re-posted)",
 			"internal/via.(VI).transmit":           "fragments a send into recycled frames",
 			"internal/via.(VI).handleData":         "reassembles every arriving data frame",
@@ -314,9 +323,14 @@ func DefaultPolicy() *Policy {
 			// The connection path, prepareChannel to teardownChannel: what a
 			// channel builds comes off free lists and goes back, so a
 			// reconnect allocates the two VI endpoints and nothing else. Free
-			// lists grow in cold helpers here too.
-			"internal/mpi.(Rank).newChanState":     "channel-state free list, one take per connection",
-			"internal/mpi.(Rank).growPool":         "eager-pool free list, one take per pre-posted buffer",
+			// lists grow in cold helpers here too, and what a static mesh's
+			// first connections take is made, one allocation a kind, by the
+			// three cold reserve bodies ((base).reserve, (Rank).reserve,
+			// (Port).Reserve) and carved at the same take sites.
+			"internal/mpi.(Rank).newChanState":     "channel-state free list and slab, one take per connection",
+			"internal/mpi.(Rank).growPool":         "registers and posts a pool, one takeRecv per pre-posted buffer",
+			"internal/mpi.(Rank).takeRecv":         "eager-pool free list and slab, one take per pre-posted buffer",
+			"internal/simnet.Carve":                "slab cursor, one move per first-connect object",
 			"internal/mpi.(Rank).teardownChannel":  "returns the pool (through VI.Close) and the channel state, once per teardown",
 			"internal/mpi.(Rank).handleDisconnect": "remote-teardown adoption, once per peer-closed VI",
 			"internal/via.(VI).Close":              "hands the unfinished receives and the work queues back, once per VI",

@@ -31,6 +31,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"viampi/internal/obs"
@@ -126,6 +127,12 @@ type Config struct {
 	// NewVi, when set, creates VIs for channels (e.g. bound to a completion
 	// queue). Defaults to Port.CreateVi.
 	NewVi func() (*via.VI, error)
+	// Reserve runs once, before the first channel, when the policy knows
+	// how many channels it is about to make (a static mesh: Size-1, or what
+	// the port's VI limit leaves of it; an on-demand manager never calls
+	// it): the MPI layer makes what n PrepareChannel calls will take in one
+	// allocation a kind. It may charge no host time and register nothing.
+	Reserve func(n int)
 	// PrepareChannel runs as soon as the channel's VI exists (before the
 	// connection completes): the MPI layer pre-posts its eager receive
 	// descriptors here, so no message can ever beat the buffers.
@@ -212,6 +219,12 @@ type base struct {
 	epToRank map[int]int
 	everUp   map[int]bool // rank ever had an established channel (reconnect metric)
 	free     []*Channel   // released channels, reused by newChannel
+	slab     []Channel    // what reserve made, carved by takeChannel before it grows
+
+	// pending counts the channels not yet Up: newChannel makes one, markUp
+	// and the release of one that never came up each take one away. At zero
+	// the handshake scans have nothing to find.
+	pending int
 }
 
 func newBase(cfg Config) (*base, error) {
@@ -234,6 +247,24 @@ func newBase(cfg Config) (*base, error) {
 }
 
 func (b *base) PeekChannel(rank int) *Channel { return b.channels[rank] }
+
+// reserve prepares for the n channels a static policy is about to make, no
+// more than the port has VIs left for (past that limit Init fails anyway): the
+// channels are one allocation, the tables are sized once, and the layers on
+// either side do the same for what they build per channel.
+func (b *base) reserve(n int) {
+	n = min(n, b.cfg.Port.VIRoom())
+	if n <= 0 {
+		return
+	}
+	b.slab = make([]Channel, n)
+	b.order = slices.Grow(b.order, n)
+	b.channels = simnet.Presize(b.channels, n)
+	b.everUp = simnet.Presize(b.everUp, n)
+	if b.cfg.Reserve != nil {
+		b.cfg.Reserve(n)
+	}
+}
 
 // insertOrdered adds ch to the rank-sorted scan list.
 func (b *base) insertOrdered(ch *Channel) {
@@ -262,15 +293,20 @@ func (b *base) newChannel(rank int) (*Channel, error) {
 	*ch = Channel{Rank: rank, Vi: vi, fifo: ch.fifo[:0]}
 	b.channels[rank] = ch
 	b.insertOrdered(ch)
+	b.pending++
 	if b.cfg.PrepareChannel != nil {
 		b.cfg.PrepareChannel(ch)
 	}
 	return ch, nil
 }
 
-// takeChannel takes a released channel off the free list, or grows it.
+// takeChannel takes a released channel off the free list, else the next of
+// reserve's slab, or grows.
 func (b *base) takeChannel() *Channel {
 	if ch := simnet.Pop(&b.free); ch != nil {
+		return ch
+	}
+	if ch := simnet.Carve(&b.slab); ch != nil {
 		return ch
 	}
 	return growChannels()
@@ -283,6 +319,7 @@ func growChannels() *Channel { return new(Channel) }
 // markUp promotes a connected channel and hands it to the MPI layer.
 func (b *base) markUp(ch *Channel) {
 	ch.Up = true
+	b.pending--
 	ch.deadline, ch.retryAt, ch.attempts = 0, 0, 0
 	if ch.reconnect != 0 {
 		p := b.cfg.Port
@@ -305,6 +342,9 @@ func (b *base) ReleaseChannel(rank int) {
 		if ch.Rank == rank {
 			b.order = append(b.order[:i], b.order[i+1:]...)
 			b.free = append(b.free, ch)
+			if !ch.Up {
+				b.pending--
+			}
 			break
 		}
 	}
@@ -372,6 +412,9 @@ func (b *base) reissue(ch *Channel) {
 // cancelled the attempt); without this the parked sends would be stranded
 // forever.
 func (b *base) progressHandshakes() {
+	if b.pending == 0 {
+		return
+	}
 	now := b.cfg.Port.Owner().Now()
 	for _, ch := range b.order {
 		if ch.Up || ch.attempts == 0 {
@@ -443,6 +486,9 @@ func (b *base) connectWithRetry(ch *Channel, remote via.Addr, disc uint64) error
 
 // promoteConnected flips channels whose handshake completed.
 func (b *base) promoteConnected() {
+	if b.pending == 0 {
+		return
+	}
 	for _, ch := range b.order {
 		if !ch.Up && ch.Vi.State() == via.ViConnected {
 			b.markUp(ch)
@@ -450,15 +496,7 @@ func (b *base) promoteConnected() {
 	}
 }
 
-func (b *base) PendingConnections() int {
-	n := 0
-	for _, ch := range b.order {
-		if !ch.Up {
-			n++
-		}
-	}
-	return n
-}
+func (b *base) PendingConnections() int { return b.pending }
 
 func (b *base) Finalize() {
 	for _, ch := range b.order {
@@ -527,6 +565,7 @@ func NewStaticPeerToPeer(cfg Config) (*StaticPeerToPeer, error) {
 
 // Init issues all N-1 peer requests, then progresses them together.
 func (m *StaticPeerToPeer) Init() error {
+	m.reserve(m.cfg.Size - 1)
 	for r := 0; r < m.cfg.Size; r++ {
 		if r == m.cfg.Rank {
 			continue
@@ -561,6 +600,7 @@ func NewStaticClientServer(cfg Config) (*StaticClientServer, error) {
 // higher ranks strictly in rank order. The in-order accepts are the
 // serialization measured in Figure 8a.
 func (m *StaticClientServer) Init() error {
+	m.reserve(m.cfg.Size - 1)
 	me := m.cfg.Rank
 	for r := 0; r < me; r++ {
 		ch, err := m.newChannel(r)

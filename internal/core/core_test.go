@@ -560,3 +560,126 @@ func TestPropertyOnDemandVIsEqualPartners(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// baseOf reaches the state the three managers share.
+func baseOf(t *testing.T, m Manager) *base {
+	switch m := m.(type) {
+	case *StaticPeerToPeer:
+		return m.base
+	case *StaticClientServer:
+		return m.base
+	case *OnDemand:
+		return m.base
+	}
+	t.Fatalf("no base in %T", m)
+	return nil
+}
+
+// PendingConnections is a count kept at the three places it can move; at
+// every one of them, under every policy, it must equal a walk over the
+// channels counting those not up — the scan it replaced — and at zero the
+// handshake scans must have nothing left to find.
+func TestPendingCountMatchesScan(t *testing.T) {
+	const n = 5
+	for _, policy := range Policies() {
+		checks := 0
+		runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
+			var b *base
+			check := func(*Channel) {
+				want := 0
+				for _, ch := range b.order {
+					if !ch.Up {
+						want++
+					}
+				}
+				if got := b.PendingConnections(); got != want {
+					t.Errorf("%s rank %d: PendingConnections %d, %d channels not up", policy, rank, got, want)
+				}
+				checks++
+			}
+			cfg := managerConfig(rank, n, port, addrs)
+			cfg.PrepareChannel, cfg.OnChannelUp = check, check
+			mgr, err := NewManager(policy, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b = baseOf(t, mgr)
+			if err := mgr.Init(); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := mgr.ConnectAll(); err != nil {
+				t.Error(err)
+				return
+			}
+			b.waitAllUp(mgr.Poll)
+			check(nil)
+			// Releasing a channel that is up leaves the count alone; one
+			// released before it came up leaves the count with it.
+			if policy == "ondemand" && rank == 0 {
+				mgr.PeekChannel(1).Vi.Close()
+				mgr.ReleaseChannel(1)
+				check(nil)
+				ch, err := mgr.Channel(1)
+				if err != nil || mgr.PendingConnections() != 1 {
+					t.Errorf("reconnect: err %v, %d pending, want 1", err, mgr.PendingConnections())
+					return
+				}
+				ch.Vi.Close()
+				mgr.ReleaseChannel(1)
+				check(nil)
+			}
+		})
+		if checks < 2*n*(n-1) {
+			t.Errorf("%s: %d checks, want one per channel made and one per channel up at least", policy, checks)
+		}
+	}
+}
+
+// A static manager reserves for its whole mesh, but never for more channels
+// than the port has VIs left: Init is going to fail at the limit, and what it
+// reserved — here, and through Config.Reserve above — stops there too.
+func TestReserveStopsAtViLimit(t *testing.T) {
+	const (
+		n     = 6
+		limit = 3
+	)
+	cost := via.ClanCost()
+	cost.MaxVIsPerPort = limit
+	for _, policy := range []string{"static-p2p", "static-cs"} {
+		s := simnet.New(1)
+		net := via.NewNetwork(s, via.ClanFabric(n, 1), cost)
+		addrs := make([]via.Addr, n)
+		for r := range addrs {
+			addrs[r] = via.Addr{Ep: r}
+		}
+		s.Spawn("rank0", 0, func(p *simnet.Proc) {
+			port, err := net.Open(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := port.CreateVi(); err != nil { // one of the three is taken
+				t.Error(err)
+				return
+			}
+			reserved := -1
+			cfg := managerConfig(0, n, port, addrs)
+			cfg.Reserve = func(k int) { reserved = k }
+			mgr, err := NewManager(policy, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b := baseOf(t, mgr)
+			b.reserve(n - 1)
+			if reserved != limit-1 || len(b.slab) != limit-1 {
+				t.Errorf("%s: reserved %d above, %d channels here, want the %d VIs the port has left", policy, reserved, len(b.slab), limit-1)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

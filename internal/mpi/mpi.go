@@ -120,6 +120,14 @@ type Config struct {
 
 func (c *Config) eagerBufSize() int { return hdrSize + c.EagerThreshold }
 
+// initialPool is the number of receive buffers a new channel pre-posts.
+func (c *Config) initialPool() int {
+	if c.DynamicCredits {
+		return c.InitialCredits
+	}
+	return c.CreditCount
+}
+
 // normalize applies defaults and resolves the device profile.
 func (c *Config) normalize() (fabric.Config, error) {
 	if c.Procs <= 0 {
@@ -268,6 +276,10 @@ func (w *World) TotalPinnedPeak() int64 {
 	return t
 }
 
+// newRankHook is a test hook: when set, it sees every Rank as Run makes it,
+// before MPI_Init — the one way to watch what Init builds while it builds it.
+var newRankHook func(r *Rank)
+
 // Run executes main on cfg.Procs simulated ranks and returns the collected
 // statistics. It is the analogue of mpirun: it boots the virtual cluster,
 // performs the out-of-band process-table exchange, runs MPI_Init under the
@@ -352,6 +364,9 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				r.sendSeq = make(map[int]int64)
 				r.recvSeq = make(map[int]int64)
 			}
+			if newRankHook != nil {
+				newRankHook(r)
+			}
 
 			r.bootstrap(addrs)
 
@@ -359,6 +374,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				Rank: i, Size: n, Port: port, Addrs: addrs, Mode: cfg.WaitMode,
 				EpRanks:        epRanks,
 				NewVi:          func() (*via.VI, error) { return port.CreateViCQ(r.cq) },
+				Reserve:        r.reserve,
 				PrepareChannel: r.prepareChannel,
 				OnChannelUp:    r.onChannelUp,
 				MaxVIs:         cfg.MaxVIs,
@@ -388,12 +404,6 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 			r.finalize()
 
 			st := port.Stats()
-			dests := 0
-			for _, cs := range r.active {
-				if cs.userSends > 0 {
-					dests++
-				}
-			}
 			// A rank that never created a VI has used none of nothing:
 			// report 0, not the perfect 1.0 the old default claimed (it
 			// inflated AvgUtilization for worlds with idle ranks).
@@ -408,7 +418,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				VisCreated:    st.VisCreated,
 				VisUsed:       port.VisUsed(),
 				Utilization:   util,
-				DistinctDests: dests,
+				DistinctDests: r.distinctDests(),
 				PeakChans:     r.peakLive,
 				PinnedPeak:    port.Memory().PeakPinned(),
 				MsgsSent:      st.MsgsSent,

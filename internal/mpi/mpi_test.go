@@ -880,6 +880,30 @@ func TestDistinctDestsCount(t *testing.T) {
 	if w.Ranks[5].DistinctDests != 0 {
 		t.Errorf("rank 5 dests = %d, want 0", w.Ranks[5].DistinctDests)
 	}
+
+	// Under a VI cap the channels that carried the sends are mostly gone by
+	// finalize; the peers they addressed still count, each once however often
+	// its channel was rebuilt.
+	for _, maxVIs := range []int{0, 2} {
+		cfg := Config{Procs: 8, MaxVIs: maxVIs, Deadline: 60 * simnet.Second}
+		w := runWorld(t, cfg, func(r *Rank) {
+			c := r.World()
+			in, out := make([]byte, 4), []byte("x")
+			for _, shift := range []int{1, 2, 3, 1, 2, 3} {
+				if _, err := c.Sendrecv((r.Rank()+shift)%8, 0, out, (r.Rank()+8-shift)%8, 0, in); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		for _, rs := range w.Ranks {
+			if rs.DistinctDests != 3 {
+				t.Errorf("MaxVIs=%d: rank %d dests = %d, want 3", maxVIs, rs.Rank, rs.DistinctDests)
+			}
+			if maxVIs > 0 && rs.VisCreated <= 6 {
+				t.Errorf("MaxVIs=%d: rank %d created %d VIs: the cap never forced a reconnect", maxVIs, rs.Rank, rs.VisCreated)
+			}
+		}
+	}
 }
 
 func ExampleRun() {

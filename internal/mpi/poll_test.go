@@ -1,0 +1,112 @@
+package mpi
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"viampi/internal/simnet"
+	"viampi/internal/via"
+)
+
+// A poll skips a walk over the live channels when a counter says it would
+// find nothing. This test redoes every walk the old way at the moment the
+// decision is made — any VI the peer closed, the channels not yet up, the
+// send descriptors queued over all VIs, whether the flow/credit pass would
+// emit — and fails the run on the first disagreement, while the random
+// program runs under every policy, VI caps that force evictions and
+// reconnects, dropped and refused connection requests, and static or growing
+// pools. Every shortcut must have been both taken and not taken.
+func TestPollShortcutsEqualScans(t *testing.T) {
+	var taken [scanFlow + 1][2]int // per scan: polls that made it, polls that skipped it
+	pollAudit = func(r *Rank, scan pollScan, skip bool) {
+		fail := func(format string, args ...any) {
+			r.proc.Sim().Failf("rank %d, %s: %s", r.rank, [...]string{"teardown scan", "handshake scans", "send reap", "flow pass"}[scan], fmt.Sprintf(format, args...))
+		}
+		switch scan {
+		case scanTeardown:
+			for _, cs := range r.active {
+				if skip && cs.ch.Vi.State() == via.ViDisconnected {
+					fail("skipped with peer %d's VI disconnected", cs.peer)
+				}
+			}
+		case scanHandshake:
+			n := 0
+			for _, cs := range r.active {
+				if !cs.ch.Up {
+					n++
+				}
+			}
+			if got := r.mgr.PendingConnections(); got != n || skip != (n == 0) {
+				fail("%d channels not up, the manager counts %d (skip %v)", n, got, skip)
+			}
+		case scanReap:
+			n := 0
+			for _, cs := range r.active {
+				n += cs.ch.Vi.SendQueueLen()
+			}
+			if got := r.port.UnreapedSends(); got != n || skip != (n == 0) {
+				fail("%d sends queued over the VIs, the port counts %d (skip %v)", n, got, skip)
+			}
+		case scanFlow:
+			for _, cs := range r.active {
+				if !skip || !cs.ch.Up || cs.closing {
+					continue
+				}
+				if len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
+					fail("skipped with a packet to peer %d that has its credits", cs.peer)
+				}
+				if cs.freed >= cs.posted/2 && cs.credits >= 1 {
+					fail("skipped with a credit return to peer %d due (%d of %d freed)", cs.peer, cs.freed, cs.posted)
+				}
+			}
+		}
+		if skip {
+			taken[scan][1]++
+		} else {
+			taken[scan][0]++
+		}
+	}
+	defer func() { pollAudit = nil }()
+
+	const n = 6
+	plans := map[string]func() *via.FaultPlan{
+		"none":   func() *via.FaultPlan { return nil },
+		"drop":   func() *via.FaultPlan { return &via.FaultPlan{DropConnReq: 0.3} },
+		"refuse": func() *via.FaultPlan { return &via.FaultPlan{RefuseConnReq: 0.3} },
+	}
+	prog := randProgram(3, n)
+	var ref [][]byte
+	for _, pol := range []string{"static-p2p", "static-cs", "ondemand"} {
+		for _, maxVIs := range []int{0, 1, 2} {
+			if maxVIs > 0 && pol != "ondemand" {
+				continue // a cap needs a policy that can reconnect
+			}
+			for _, faults := range []string{"none", "drop", "refuse"} {
+				for _, dynamic := range []bool{false, true} {
+					name := fmt.Sprintf("%s/MaxVIs=%d/%s/dynamic=%v", pol, maxVIs, faults, dynamic)
+					results := make([][]byte, n)
+					cfg := Config{Procs: n, Policy: pol, MaxVIs: maxVIs, Faults: plans[faults](),
+						DynamicCredits: dynamic, Seed: 3, Deadline: 120 * simnet.Second}
+					if _, err := Run(cfg, func(r *Rank) { results[r.Rank()] = prog(r) }); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if ref == nil {
+						ref = results
+					}
+					for rk := range results {
+						if !bytes.Equal(ref[rk], results[rk]) {
+							t.Fatalf("%s: rank %d's checksum differs from the first run's", name, rk)
+						}
+					}
+				}
+			}
+		}
+	}
+	for scan, c := range taken {
+		if c[0] == 0 || c[1] == 0 {
+			t.Errorf("scan %d: made %d times, skipped %d times; the test must pass through both", scan, c[0], c[1])
+		}
+	}
+	t.Logf("made/skipped: teardown %v, handshake %v, reap %v, flow %v", taken[0], taken[1], taken[2], taken[3])
+}

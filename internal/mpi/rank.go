@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"viampi/internal/core"
@@ -88,7 +89,24 @@ type Rank struct {
 	// a CQ entry or the progressStep iteration handling it holds it.
 	freeRecvs []*via.Descriptor
 	freeChans []*chanState
-	down      []*chanState // progressStep's scratch: channels whose VI the peer closed
+	down      []*chanState // adoptDisconnects' scratch: channels whose VI the peer closed
+
+	// What reserve made for a mesh whose size the policy knew at Init, one
+	// allocation a kind, carved by cursor where the free lists above run dry:
+	// channel states, and receive descriptors with their eager buffers
+	// (bufSlab holds one buffer for each descriptor left in recvSlab).
+	chanSlab []chanState
+	recvSlab []via.Descriptor
+	bufSlab  []byte
+
+	// What lets a poll skip the scans that would find nothing (see
+	// adoptDisconnects and flowPass; the port and the manager keep the rest).
+	seenDisconnects int  // Port.Disconnects at the last teardown scan
+	flowDirty       bool // an input of flowPass changed since it last ran
+
+	// pastDests holds the peers of torn-down channels that had carried user
+	// sends (RankStats.DistinctDests counts them with the live ones).
+	pastDests map[int]bool
 
 	ctxCounter int32
 
@@ -207,10 +225,7 @@ type abortPanic struct{ code int }
 // connection can complete — so data can never arrive without a descriptor.
 func (r *Rank) prepareChannel(ch *core.Channel) {
 	peer := ch.Rank
-	initial := r.cfg.CreditCount
-	if r.cfg.DynamicCredits {
-		initial = r.cfg.InitialCredits
-	}
+	initial := r.cfg.initialPool()
 	cs := r.newChanState(peer, ch, initial)
 	ch.UserData = cs
 	i := sort.Search(len(r.active), func(k int) bool { return r.active[k].peer >= peer })
@@ -225,11 +240,34 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 	r.growPool(cs, initial)
 }
 
-// newChanState takes a torn-down channel's state off the free list (or grows
-// it) and is the one place its fields are set for a new life: everything but
-// the (empty) backing arrays of its queues starts from zero.
+// reserve prepares for the n channels a static manager is about to make
+// (core.Config.Reserve): their states — each with room for its pool's
+// one registration — and the descriptors and buffers of their initial pools
+// are one allocation a kind, the tables are sized once, and the port does the
+// same below. Nothing is registered, posted or charged: the model cannot tell.
+func (r *Rank) reserve(n int) {
+	initial, bufSize := r.cfg.initialPool(), r.cfg.eagerBufSize()
+	r.chanSlab = make([]chanState, n)
+	handles := make([]via.MemHandle, n)
+	for i := range r.chanSlab {
+		r.chanSlab[i].memHandles = handles[i : i : i+1]
+	}
+	r.recvSlab = make([]via.Descriptor, n*initial)
+	r.bufSlab = make([]byte, n*initial*bufSize)
+	r.active = slices.Grow(r.active, n)
+	r.viToChan = simnet.Presize(r.viToChan, n)
+	r.port.Reserve(n, initial)
+}
+
+// newChanState takes a torn-down channel's state off the free list (else the
+// next of reserve's slab, or grows) and is the one place its fields are set
+// for a new life: everything but the (empty) backing arrays of its queues
+// starts from zero.
 func (r *Rank) newChanState(peer int, ch *core.Channel, credits int) *chanState {
 	cs := simnet.Pop(&r.freeChans)
+	if cs == nil {
+		cs = simnet.Carve(&r.chanSlab)
+	}
 	if cs == nil {
 		cs = growChans()
 	}
@@ -258,22 +296,34 @@ func (r *Rank) growPool(cs *chanState, n int) {
 	}
 	cs.memHandles = append(cs.memHandles, h)
 	for i := 0; i < n; i++ {
-		d := simnet.Pop(&r.freeRecvs)
-		if d == nil {
-			d = growRecvs(bufSize)
-		}
-		if err := cs.ch.Vi.PostRecv(d); err != nil {
+		if err := cs.ch.Vi.PostRecv(r.takeRecv(bufSize)); err != nil {
 			r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.peer, err)
 			return
 		}
 	}
 	cs.posted += n
+	r.flowDirty = true // posted is half of the credit-return condition
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
+}
+
+// takeRecv takes a receive descriptor with its eager buffer off the free
+// list, else carves the next of reserve's slabs, or grows. A carved buffer's
+// capacity ends where its neighbour begins.
+func (r *Rank) takeRecv(bufSize int) *via.Descriptor {
+	if d := simnet.Pop(&r.freeRecvs); d != nil {
+		return d
+	}
+	if d := simnet.Carve(&r.recvSlab); d != nil {
+		d.Buf, r.bufSlab = r.bufSlab[:bufSize:bufSize], r.bufSlab[bufSize:]
+		return d
+	}
+	return growRecvs(bufSize)
 }
 
 // onChannelUp drains the paper's pre-posted send FIFO in order (§3.4).
 func (r *Rank) onChannelUp(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
+	r.flowDirty = true // flowPass looks at Up channels only
 	for _, item := range ch.DrainParked() {
 		r.post(cs, item.(*pkt))
 	}
@@ -337,6 +387,9 @@ func (r *Rank) teardownChannel(cs *chanState) {
 			break
 		}
 	}
+	if cs.userSends > 0 {
+		r.rememberDest(peer)
+	}
 	cs.ch.Vi.Close() // the unfinished receives of the pool go back to freeRecvs
 	for _, h := range cs.memHandles {
 		if err := r.port.Memory().Deregister(h); err != nil {
@@ -357,6 +410,27 @@ func (r *Rank) teardownChannel(cs *chanState) {
 		}
 	}
 	r.freeChans = append(r.freeChans, cs)
+}
+
+// rememberDest records that a channel now gone carried user sends to peer. A
+// cold helper: the set grows once per peer, however often it reconnects.
+func (r *Rank) rememberDest(peer int) {
+	if r.pastDests == nil {
+		r.pastDests = make(map[int]bool)
+	}
+	r.pastDests[peer] = true
+}
+
+// distinctDests counts the peers this rank addressed user sends to, over live
+// channels and torn-down ones alike.
+func (r *Rank) distinctDests() int {
+	n := len(r.pastDests)
+	for _, cs := range r.active {
+		if cs.userSends > 0 && !r.pastDests[cs.peer] {
+			n++
+		}
+	}
+	return n
 }
 
 // handleDisconnect adopts a VI the remote side closed. During a BYE
@@ -395,6 +469,7 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 	}
 	if len(cs.flowQ) > 0 || cs.credits < r.creditNeed(p) {
 		cs.flowQ = append(cs.flowQ, p)
+		r.flowDirty = true
 		if r.bus != nil {
 			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvCreditStall,
 				Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(len(cs.flowQ))})
@@ -524,37 +599,39 @@ func (r *Rank) progress() {
 	r.phases.Add(obs.PhaseProgress, int64(r.proc.Now().Sub(start)))
 }
 
-// progressStep is the single device-check pass.
+// pollAudit is a test hook: when set, every scan a poll may skip reports its
+// decision before acting on it, so that a test can redo the scan the old way
+// and compare.
+var pollAudit func(r *Rank, scan pollScan, skip bool)
+
+// pollScan names the walks over the live channels that a poll makes only when
+// a counter says they can find something.
+type pollScan int
+
+const (
+	scanTeardown  pollScan = iota // adoptDisconnects: VIs the peer closed
+	scanHandshake                 // Manager.Poll: channels mid-handshake
+	scanReap                      // reapSends: completed send descriptors
+	scanFlow                      // flowPass: stalled packets and credit returns
+)
+
+// progressStep is the single device-check pass. What it costs the host is
+// O(work) plus one charged poll per live VI: every walk over the live
+// channels is guarded by a counter that the layer owning the event keeps, and
+// each guard is exact — a skipped scan would have found nothing and charged
+// nothing (reapSends charges what its scan would have).
 func (r *Rank) progressStep() {
 	// Adopt remote teardowns before connection progress: a peer's DISC must
 	// release the channel here before its reconnect request (which the
 	// per-pair FIFO guarantees arrives after the DISC) can be accepted.
-	// Collect first — teardownChannel splices r.active.
-	down := r.down[:0]
-	for _, cs := range r.active {
-		if cs.ch.Vi.State() == via.ViDisconnected {
-			down = append(down, cs)
-		}
-	}
-	for _, cs := range down {
-		r.handleDisconnect(cs)
-	}
-	r.down = down
+	r.adoptDisconnects()
 
+	if pollAudit != nil {
+		pollAudit(r, scanHandshake, r.mgr.PendingConnections() == 0)
+	}
 	r.mgr.Poll()
 
-	// Reap send completions so VIA queues don't grow without bound. All
-	// channel scans run in peer-rank order (active is kept sorted — MVICH's
-	// device check walks its per-destination table by rank), so progress
-	// behaviour is identical whether channels were created eagerly or on
-	// demand, and each poll costs O(live channels), not O(world size).
-	for _, cs := range r.active {
-		for d := cs.ch.Vi.SendDone(); d != nil; d = cs.ch.Vi.SendDone() {
-			if d.UserPtr == r {
-				r.freeSends = append(r.freeSends, d)
-			}
-		}
-	}
+	r.reapSends()
 
 	// Drain arrivals.
 	for {
@@ -562,6 +639,7 @@ func (r *Rank) progressStep() {
 		if d == nil {
 			break
 		}
+		r.flowDirty = true // credits and freed counts move with arrivals
 		cs, ok := r.viToChan[vi]
 		if !ok {
 			// A torn-down channel can leave teardown control frames in the
@@ -592,9 +670,81 @@ func (r *Rank) progressStep() {
 		}
 	}
 
-	// Flow-queue drain and credit returns. Closing channels are skipped:
-	// their flow queue is empty by the quiescence checks, and granting
-	// credits on a dying channel would only race its teardown.
+	r.flowPass()
+}
+
+// adoptDisconnects tears down the channels whose VI the peer closed. The walk
+// runs only when the port has counted a DISC since the last one: that arrival
+// is the one way into ViDisconnected, and a walk tears down every such VI it
+// finds, so while the count stands there is none. The count is read before
+// the walk — a DISC that lands while handleDisconnect has the process parked
+// in a reconnect is left to the next poll, as it always was.
+func (r *Rank) adoptDisconnects() {
+	n := r.port.Disconnects()
+	skip := n == r.seenDisconnects
+	if pollAudit != nil {
+		pollAudit(r, scanTeardown, skip)
+	}
+	if skip {
+		return
+	}
+	r.seenDisconnects = n
+	// Collect first — teardownChannel splices r.active.
+	down := r.down[:0]
+	for _, cs := range r.active {
+		if cs.ch.Vi.State() == via.ViDisconnected {
+			down = append(down, cs)
+		}
+	}
+	for _, cs := range down {
+		r.handleDisconnect(cs)
+	}
+	r.down = down
+}
+
+// reapSends reaps send completions so VIA queues don't grow without bound.
+// All channel scans run in peer-rank order (active is kept sorted — MVICH's
+// device check walks its per-destination table by rank), so progress
+// behaviour is identical whether channels were created eagerly or on demand.
+// Polling a VI costs PollOverhead whether or not it has anything: that charge
+// per live VI is the paper's polling-cost model, and it is made here either
+// way. With no send unreaped anywhere on the port — only this process posts,
+// so that stays true through the loop's debt flushes — the polls would all
+// come back empty, and the same charges are made without visiting a VI.
+func (r *Rank) reapSends() {
+	idle := r.port.UnreapedSends() == 0
+	if pollAudit != nil {
+		pollAudit(r, scanReap, idle)
+	}
+	if idle {
+		r.port.ChargeIdlePolls(len(r.active))
+		return
+	}
+	for _, cs := range r.active {
+		for d := cs.ch.Vi.SendDone(); d != nil; d = cs.ch.Vi.SendDone() {
+			if d.UserPtr == r {
+				r.freeSends = append(r.freeSends, d)
+			}
+		}
+	}
+}
+
+// flowPass drains the flow queues and returns credits. Closing channels are
+// skipped: their flow queue is empty by the quiescence checks, and granting
+// credits on a dying channel would only race its teardown. A pass leaves no
+// channel able to emit, and what could change that is marked in flowDirty
+// where it happens — an arrival (credits, freed), a packet queued for
+// credits, a channel coming up or leaving a refused BYE handshake, a pool
+// growing — so a pass with nothing marked would emit nothing and is skipped.
+func (r *Rank) flowPass() {
+	skip := !r.flowDirty
+	if pollAudit != nil {
+		pollAudit(r, scanFlow, skip)
+	}
+	if skip {
+		return
+	}
+	r.flowDirty = false // what the pass itself marks (growPool) is for the next
 	for _, cs := range r.active {
 		if !cs.ch.Up || cs.closing {
 			continue
@@ -740,6 +890,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 		// the sends held during the handshake.
 		cs.closing, cs.evict = false, false
 		cs.ch.Evicting = false
+		r.flowDirty = true // flowPass looks at this channel again
 		held := cs.pendingClose
 		cs.pendingClose = nil
 		for _, p := range held {

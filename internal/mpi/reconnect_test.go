@@ -220,13 +220,23 @@ func poolMsg(src, dst, tag, i, size int) []byte {
 // refuses (BYE_NACK: a rendezvous is in flight), eager messages that wait in
 // the unexpected queue while their channel is torn down and reconnected, and
 // a burst that runs the credits out and, with dynamic credits, grows the pool
-// from the free list.
+// from the free list. The static worlds tear nothing down; what is free there
+// is the rest of the slabs their pools are carved from, and the scribbler —
+// running from before MPI_Init — overwrites that while the first pools carved
+// from it already hold messages: every rank opens by filling every peer's
+// pool with eager messages as long as a buffer, and under static-cs rank 0
+// does so while the higher ranks are still building their meshes.
 func TestPoolRecyclingKeepsPayloads(t *testing.T) {
 	for _, cfg := range []Config{
-		{MaxVIs: 1, CreditCount: 4},
-		{MaxVIs: 1, CreditCount: 16, DynamicCredits: true},
+		{Policy: "ondemand", MaxVIs: 1, CreditCount: 4},
+		{Policy: "ondemand", MaxVIs: 1, CreditCount: 16, DynamicCredits: true},
+		{Policy: "static-p2p", CreditCount: 4},
+		{Policy: "static-cs", CreditCount: 4},
 	} {
 		name := fmt.Sprintf("credits=%d,dynamic=%v", cfg.CreditCount, cfg.DynamicCredits)
+		if cfg.Policy != "ondemand" {
+			name = cfg.Policy + "," + name
+		}
 		t.Run(name, func(t *testing.T) { poolRecyclingKeepsPayloads(t, cfg) })
 	}
 }
@@ -247,6 +257,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		parked   bool // an unexpected eager message whose channel is gone
 		grew     bool // a pool beyond its initial size
 		scribble int  // buffers overwritten
+		busySlab bool // a slab overwritten while a pool carved from it held a message
 		evicting = map[*via.VI]bool{}
 	)
 	tick := func() {
@@ -263,6 +274,11 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 				}
 				scribble++
 			}
+			for k := range r.bufSlab {
+				r.bufSlab[k] = 0xEE
+			}
+			scribble += len(r.recvSlab)
+			busySlab = busySlab || len(r.recvSlab) > 0 && r.cq.Len() > 0
 			for _, cs := range r.active {
 				vi := cs.ch.Vi
 				if cs.closing && cs.evict {
@@ -288,12 +304,10 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			}
 		}
 	}
-	_, err := Run(cfg, func(r *Rank) {
-		c := r.World()
-		me := r.Rank()
-		ranks[me] = r
-		defer func() { running-- }()
-		if me == 0 {
+	// The scribbler starts with the first rank, before any MPI_Init.
+	newRankHook = func(r *Rank) {
+		ranks[r.rank] = r
+		if r.rank == 0 {
 			r.Proc().Sim().Spawn("scribbler", r.Proc().Now(), func(p *simnet.Proc) {
 				for running > 0 {
 					tick()
@@ -301,6 +315,12 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 				}
 			})
 		}
+	}
+	defer func() { newRankHook = nil }()
+	_, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		defer func() { running-- }()
 		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
 		in := make([]byte, big)
 		send := func(dst, tag, i int) {
@@ -317,6 +337,31 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			if st.Count != size || !bytes.Equal(in[:size], poolMsg(src, me, tag, i, size)) {
 				fail("rank %d: message %d of tag %d from %d damaged or out of order", me, i, tag, src)
 			}
+		}
+		if cfg.Policy != "ondemand" {
+			// Fill every pool: all the credits but the reserved one, each
+			// message reaching the last byte of its buffer, none read before
+			// the receiver is out of MPI_Init and has sent its own.
+			const tag, full = 20, 256
+			var reqs []*Request
+			for dst := 0; dst < np; dst++ {
+				for i := 0; dst != me && i < cfg.CreditCount-1; i++ {
+					q, err := c.Isend(dst, tag, poolMsg(me, dst, tag, i, full))
+					if err != nil {
+						fail("%v", err)
+					}
+					reqs = append(reqs, q)
+				}
+			}
+			if err := r.Waitall(reqs...); err != nil {
+				fail("%v", err)
+			}
+			for src := 0; src < np; src++ {
+				for i := 0; src != me && i < cfg.CreditCount-1; i++ {
+					recv(src, tag, i, full)
+				}
+			}
+			return
 		}
 		// settle lets the NIC accept the last sends and reaps them, so that
 		// the channel to peer is quiescent (evictable).
@@ -419,9 +464,24 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !crossing || !nacked || !parked || grew != cfg.DynamicCredits || scribble == 0 {
-		t.Errorf("crossing BYEs %v, refused eviction %v, message parked across a teardown %v, pool growth %v (dynamic credits %v), %d buffers scribbled: the test must pass through all of them",
-			crossing, nacked, parked, grew, cfg.DynamicCredits, scribble)
+	switch cfg.Policy {
+	case "static-p2p":
+		// No rank is out of MPI_Init before every rank has carved its last
+		// pool: the slabs are scribbled, but never beside a message. What
+		// this world holds is neighbours within a slab, each filled to its
+		// last byte at once.
+		if scribble == 0 {
+			t.Error("no slab scribbled")
+		}
+	case "static-cs":
+		if !busySlab {
+			t.Errorf("%d buffers scribbled, none while a pool carved from the same slab held a message: the test must overwrite a slab in use", scribble)
+		}
+	default:
+		if !crossing || !nacked || !parked || grew != cfg.DynamicCredits || scribble == 0 {
+			t.Errorf("crossing BYEs %v, refused eviction %v, message parked across a teardown %v, pool growth %v (dynamic credits %v), %d buffers scribbled: the test must pass through all of them",
+				crossing, nacked, parked, grew, cfg.DynamicCredits, scribble)
+		}
 	}
 	for _, r := range ranks {
 		if limit := r.peakLive * cfg.CreditCount; len(r.freeRecvs) > limit {

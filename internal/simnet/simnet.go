@@ -183,6 +183,28 @@ func Pop[T any](free *[]*T) *T {
 	return x
 }
 
+// Carve takes the next element off a slab — objects of one kind made in one
+// allocation, for an owner that knew how many it would need — by moving the
+// slab's cursor; nil when the slab is used up. A take site tries its free
+// list, then its slab, then grows.
+func Carve[T any](slab *[]T) *T {
+	s := *slab
+	if len(s) == 0 {
+		return nil
+	}
+	*slab = s[1:]
+	return &s[0]
+}
+
+// Presize returns m, or while m is still empty a map with room for n entries,
+// so that filling it does not grow it a doubling at a time.
+func Presize[K comparable, V any](m map[K]V, n int) map[K]V {
+	if len(m) > 0 {
+		return m
+	}
+	return make(map[K]V, n)
+}
+
 // Sim is a single-threaded discrete-event simulation.
 // Create one with New, add processes with Spawn, then call Run.
 //

@@ -52,10 +52,10 @@ func IsTerminal(f *os.File) bool {
 // tracker is the runner's progress state: a done counter plus the
 // wall-clock start the ETA extrapolates from. Workers bump it on every
 // completion, so the bookkeeping half (advance) is registered as a
-// zero-allocation hot path in the vet policy — it runs inside the timed
-// region of the SweepWallClock rail and must not add GC pressure to the
-// measurement — while the fmt-heavy rendering half only runs when a
-// progress sink is attached.
+// zero-allocation hot path in the vet policy — it runs inside every sweep
+// benchmark/ times (figures_quick, sweep.speedup) and must not add GC
+// pressure to the measurement — while the fmt-heavy rendering half only
+// runs when a progress sink is attached.
 type tracker struct {
 	mu       sync.Mutex
 	label    string

@@ -2,6 +2,7 @@ package via
 
 import (
 	"fmt"
+	"slices"
 
 	"viampi/internal/fabric"
 	"viampi/internal/obs"
@@ -65,8 +66,20 @@ type Port struct {
 	spareQs  []viQueues     // emptied work queues of closed VIs
 	freeReqs []*PeerRequest // consumed incoming requests
 
+	// What Reserve made for the VIs its caller is about to create, one
+	// allocation a kind, carved by cursor at the take sites before they grow.
+	viSlab    []VI
+	recvQSlab []*Descriptor // receive queues, recvDepth entries each
+	recvDepth int
+	reqSlab   []PeerRequest
+
 	outgoing        map[connKey]*VI // VIs with an outstanding REQ
 	pendingIncoming []*PeerRequest  // unmatched incoming REQs
+
+	// What lets the owner's poll skip a walk over its VIs (see UnreapedSends
+	// and Disconnects): each is kept at the sites that own the event.
+	unreaped    int // sends posted and not yet reaped, over all VIs
+	disconnects int // VIs a peer's DISC moved to ViDisconnected, ever
 
 	activity     bool
 	parkedInWait bool
@@ -191,9 +204,17 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 		return nil, fmt.Errorf("%w: %d", ErrTooManyVIs, p.net.cost.MaxVIsPerPort)
 	}
 	p.ChargeHost(p.net.cost.CreateViCost)
-	vi := &VI{port: p, id: p.nextVi, recvCQ: cq}
+	vi := simnet.Carve(&p.viSlab)
+	if vi == nil {
+		vi = new(VI)
+	}
+	*vi = VI{port: p, id: p.nextVi, recvCQ: cq}
 	if k := len(p.spareQs) - 1; k >= 0 {
 		vi.viQueues, p.spareQs = p.spareQs[k], p.spareQs[:k]
+	} else if k := p.recvDepth; k > 0 && len(p.recvQSlab) >= k {
+		// Cap-limited: a pool that outgrows the depth reallocates, it
+		// never appends into the next VI's queue.
+		vi.recvQ, p.recvQSlab = p.recvQSlab[:0:k], p.recvQSlab[k:]
 	}
 	p.nextVi++
 	p.vis = append(p.vis, vi)
@@ -203,6 +224,26 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvViCreate,
 		Rank: int32(p.ep), Peer: -1, A: int64(p.stats.VisCreated)})
 	return vi, nil
+}
+
+// VIRoom returns how many more VIs the port may hold under MaxVIsPerPort.
+func (p *Port) VIRoom() int { return p.net.cost.MaxVIsPerPort - p.liveVIs }
+
+// Reserve prepares the port for n VIs its owner is about to create, each
+// pre-posting recvDepth receives: the endpoints, their receive queues and the
+// requests of the peers that connect first are one allocation each, and the
+// tables the handshakes fill are sized once. It creates nothing the model
+// knows of — no VI, no registration, no host charge — and a caller that knows
+// no count (an on-demand manager) simply never calls it. Room beyond VIRoom
+// would never be used.
+func (p *Port) Reserve(n, recvDepth int) {
+	p.viSlab = make([]VI, n)
+	p.recvQSlab, p.recvDepth = make([]*Descriptor, n*recvDepth), recvDepth
+	p.reqSlab = make([]PeerRequest, n)
+	p.vis = slices.Grow(p.vis, n)
+	p.pendingIncoming = slices.Grow(p.pendingIncoming, n)
+	p.outgoing = simnet.Presize(p.outgoing, n)
+	p.mem.regions = simnet.Presize(p.mem.regions, n)
 }
 
 // keepQueues empties a closing VI's work queues, whole backing arrays (a
@@ -416,10 +457,14 @@ func (p *Port) Reject(req *PeerRequest) {
 }
 
 // newPeerRequest takes a request consumed from the pending list (by a
-// matching ConnectPeerRequest, or Reject) off the free list, or grows it. One
-// that ConnectWaitDisc handed to its caller never comes back.
+// matching ConnectPeerRequest, or Reject) off the free list, else the next of
+// Reserve's slab, or grows. One that ConnectWaitDisc handed to its caller
+// never comes back.
 func (p *Port) newPeerRequest() *PeerRequest {
 	if req := simnet.Pop(&p.freeReqs); req != nil {
+		return req
+	}
+	if req := simnet.Carve(&p.reqSlab); req != nil {
 		return req
 	}
 	return growPeerRequests()
@@ -525,6 +570,7 @@ func (p *Port) dispatch(m *wireMsg) {
 	case kindDisc:
 		if vi := p.lookupVi(m.dstVi); vi != nil && vi.state == ViConnected {
 			vi.state = ViDisconnected
+			p.disconnects++
 			vi.failPending(StatusDisconnected)
 			p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvDisconnect,
 				Rank: int32(p.ep), Peer: int32(m.srcEp)})
@@ -586,6 +632,26 @@ func (p *Port) Close() {
 		}
 	}
 	p.closed = true
+}
+
+// UnreapedSends returns the send descriptors posted on the port's VIs and not
+// yet reaped by SendDone. Only the owner posts, so while it reads 0 every
+// VI's SendDone would find an empty queue.
+func (p *Port) UnreapedSends() int { return p.unreaped }
+
+// Disconnects counts the VIs a peer's DISC has moved to ViDisconnected since
+// the port opened. That arrival is the only way into the state, so an owner
+// that has dealt with every such VI has nothing new to find until the count
+// moves.
+func (p *Port) Disconnects() int { return p.disconnects }
+
+// ChargeIdlePolls charges what SendDone charges on n VIs with nothing posted:
+// PollOverhead each, through ChargeHost one poll at a time, so the debt is
+// flushed at the instants the per-VI polls flush it.
+func (p *Port) ChargeIdlePolls(n int) {
+	for ; n > 0; n-- {
+		p.ChargeHost(p.net.cost.PollOverhead)
+	}
 }
 
 // VisUsed counts VIs that carried at least one data message in either

@@ -455,3 +455,116 @@ func TestFrameRecyclingKeepsPayloads(t *testing.T) {
 			})
 	})
 }
+
+// Reserve makes what the next VIs take in one allocation a kind and is
+// invisible to the model: no VI, no registration, no host time. The VIs carved
+// from it must not share a receive queue — a pool that outgrows the reserved
+// depth reallocates instead of appending into its neighbour's — and a port
+// asked for more VIs than it reserved grows as it always did.
+func TestReserveCarvesApart(t *testing.T) {
+	const n, depth = 2, 3
+	e := newEnv(2, 1, ClanCost())
+	e.pair(t,
+		func(p *simnet.Proc, port *Port) {
+			room, events := port.VIRoom(), e.sim.EventCount
+			port.Reserve(n, depth)
+			if st := port.Stats(); st.VisCreated != 0 || port.Memory().Pinned() != 0 || port.debt != 0 ||
+				port.VIRoom() != room || e.sim.EventCount != events {
+				t.Errorf("Reserve showed: %d VIs, %d B pinned, %v of debt, room %d → %d, events %d → %d",
+					st.VisCreated, port.Memory().Pinned(), port.debt, room, port.VIRoom(), events, e.sim.EventCount)
+			}
+			var vis []*VI
+			for i := 0; i < n+1; i++ {
+				vi, err := port.CreateVi()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				vis = append(vis, vi)
+			}
+			if len(port.viSlab) != 0 || len(port.recvQSlab) != 0 {
+				t.Errorf("%d VIs and %d queue slots left in the slabs after creating %d VIs", len(port.viSlab), len(port.recvQSlab), n+1)
+			}
+			for i, vi := range vis[:n] {
+				if cap(vi.recvQ) != depth {
+					t.Errorf("VI %d: receive queue of cap %d, want the reserved depth %d", i, cap(vi.recvQ), depth)
+				}
+			}
+			// Outgrow the first queue while the second holds its own.
+			mark := &Descriptor{Buf: make([]byte, 8)}
+			if err := vis[1].PostRecv(mark); err != nil {
+				t.Error(err)
+			}
+			for i := 0; i < depth+1; i++ {
+				if err := vis[0].PostRecv(&Descriptor{Buf: make([]byte, 8)}); err != nil {
+					t.Error(err)
+				}
+			}
+			if len(vis[1].recvQ) != 1 || vis[1].recvQ[0] != mark {
+				t.Error("posting past the reserved depth on one VI reached into the next VI's receive queue")
+			}
+			if req := port.newPeerRequest(); len(port.reqSlab) != n-1 || req == nil {
+				t.Errorf("%d requests left in a slab of %d after one take", len(port.reqSlab), n)
+			}
+		},
+		func(p *simnet.Proc, port *Port) {})
+}
+
+// The port keeps two counts for an owner that polls many VIs: the sends
+// posted and not yet reaped, over all VIs and however they leave the queues,
+// and the VIs a peer's DISC has disconnected.
+func TestPortCountsUnreapedSendsAndDisconnects(t *testing.T) {
+	e := newEnv(2, 1, ClanCost())
+	closed := false
+	establishDataPair(t, e,
+		func(p *simnet.Proc, port *Port, vi *VI) {
+			post := func() {
+				if err := vi.PostSend(&Descriptor{Buf: make([]byte, 8), Len: 8}); err != nil {
+					t.Error(err)
+				}
+			}
+			post()
+			post()
+			if got := port.UnreapedSends(); got != 2 {
+				t.Errorf("%d unreaped sends after two posts", got)
+			}
+			if _, err := vi.SendWait(WaitPoll, -1); err != nil {
+				t.Error(err)
+			}
+			if got := port.UnreapedSends(); got != 1 {
+				t.Errorf("%d unreaped sends after reaping one of two", got)
+			}
+			post()
+			vi.Close() // two still queued: Close drops them with the queue
+			closed = true
+			if got := port.UnreapedSends(); got != 0 {
+				t.Errorf("%d unreaped sends after Close", got)
+			}
+			idle, _ := port.CreateVi()
+			if err := idle.PostSend(&Descriptor{Buf: make([]byte, 8), Len: 8}); err != nil {
+				t.Error(err)
+			}
+			if got := port.UnreapedSends(); got != 1 {
+				t.Errorf("%d unreaped sends after a post the unconnected VI discarded", got)
+			}
+			if idle.SendDone() == nil || port.UnreapedSends() != 0 {
+				t.Errorf("%d unreaped sends after reaping the discarded post", port.UnreapedSends())
+			}
+		},
+		func(p *simnet.Proc, port *Port, vi *VI) {
+			postRecvs(t, vi, 3, 8)
+			if got := port.Disconnects(); got != 0 {
+				t.Errorf("%d disconnects before the peer closed", got)
+			}
+			for !closed || vi.State() == ViConnected {
+				port.WaitActivity(WaitPoll)
+			}
+			if got := port.Disconnects(); vi.State() != ViDisconnected || got != 1 {
+				t.Errorf("state %v, %d disconnects after the peer's Close", vi.State(), got)
+			}
+			vi.Close()
+			if got := port.Disconnects(); got != 1 {
+				t.Errorf("%d disconnects after closing the disconnected VI: the count only rises", got)
+			}
+		})
+}

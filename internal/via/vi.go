@@ -114,11 +114,11 @@ func (vi *VI) PostSend(d *Descriptor) error {
 	if vi.state != ViConnected {
 		d.Status = StatusNotConnected
 		vi.port.net.DiscardedSends++
-		vi.sendQ = append(vi.sendQ, d)
+		vi.queueSend(d)
 		return nil
 	}
 	d.Status = StatusPending
-	vi.sendQ = append(vi.sendQ, d)
+	vi.queueSend(d)
 	vi.transmit(d, wireMsg{kind: kindData, seq: vi.seqOut})
 	vi.seqOut++
 	vi.markUsed()
@@ -138,10 +138,17 @@ func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 	d.gen++
 	d.Status = StatusPending
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
-	vi.sendQ = append(vi.sendQ, d)
+	vi.queueSend(d)
 	vi.transmit(d, wireMsg{kind: kindRdma, rdmaKey: d.RdmaKey, rdmaOff: d.RdmaOffset})
 	vi.port.stats.BytesSent += int64(d.Len)
 	return nil
+}
+
+// queueSend puts a posted descriptor on the send queue, where it stays until
+// SendDone reaps it or Close drops the queue.
+func (vi *VI) queueSend(d *Descriptor) {
+	vi.sendQ = append(vi.sendQ, d)
+	vi.port.unreaped++
 }
 
 // transmit fragments d.Buf[:d.Len] into MTU-sized frames, pushes them through
@@ -307,6 +314,7 @@ func (vi *VI) SendDone() *Descriptor {
 	if len(vi.sendQ) > 0 && vi.sendQ[0].Done() {
 		d := vi.sendQ[0]
 		vi.sendQ = simnet.PopFront(vi.sendQ)
+		vi.port.unreaped--
 		return d
 	}
 	return nil
@@ -416,6 +424,7 @@ func (vi *VI) Close() {
 			}
 		}
 	}
+	vi.port.unreaped -= len(vi.sendQ)
 	vi.port.keepQueues(vi.viQueues)
 	vi.viQueues = viQueues{}
 	vi.dropHeld()
