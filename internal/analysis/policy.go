@@ -299,7 +299,8 @@ func DefaultPolicy() *Policy {
 			// The message path, Comm.Send to Comm.Recv: every hop is a recycled
 			// object that is its own event, so a steady-state eager message
 			// allocates nothing below the MPI request (and a blocking call's
-			// request is recycled too). Free lists grow in cold helpers.
+			// request is recycled too). Free lists grow in cold helpers
+			// (newFrame, growFrameBuf, growLanding, growPkts, growSends).
 			"internal/mpi.(Rank).post":             "outbound packet routing: park FIFO, flow queue or emit",
 			"internal/mpi.(Rank).emit":             "posts every outbound packet to its VI",
 			"internal/mpi.(Rank).newPkt":           "packet free list, one take per outbound packet",
@@ -308,9 +309,11 @@ func DefaultPolicy() *Policy {
 			"internal/mpi.encodeInto":              "wire encoding into the recycled descriptor buffer",
 			"internal/via.(VI).PostSend":           "one per message sent",
 			"internal/via.(VI).queueSend":          "send-queue append and the port's unreaped count, once per post",
-			"internal/via.(VI).PostRecv":           "one per message received (the pool buffer is re-posted)",
+			"internal/via.(VI).PostRecv":           "one per message received (the pool receive is re-posted)",
 			"internal/via.(VI).transmit":           "fragments a send into recycled frames",
 			"internal/via.(VI).handleData":         "reassembles every arriving data frame",
+			"internal/via.(Port).lendLanding":      "landing-buffer free list, one take per message that lands in an unbacked receive",
+			"internal/via.(Port).ReturnLanding":    "landing-buffer free list, one put per message read",
 			"internal/via.(txDone).Fire":           "send-completion event, one per send",
 			"internal/via.(CQ).push":               "one per receive completion",
 			"internal/via.(Network).sendFrame":     "takes a frame off the free list and books NIC service, once per frame",
@@ -369,10 +372,14 @@ func DefaultPolicy() *Policy {
 		},
 		// An eager pool's registration is per channel (growPool Register →
 		// teardownChannel Deregister, tracked through the memHandles field
-		// by the pinned-memory pair below); its buffer memory is per rank —
-		// descriptors circulate between Rank.freeRecvs and the VIs, are
-		// never released, and so are no pair: internal/mpi's
+		// by the pinned-memory pair below); its descriptors are per rank —
+		// they circulate between Rank.freeRecvs and the VIs, are never
+		// released, and so are no pair: internal/mpi's
 		// TestStaleCQEntryAfterTeardown holds "each returns exactly once".
+		// Its buffers are the port's, lent while a message is in one
+		// (lendLanding → ReturnLanding): the lender is the NIC side, not a
+		// caller that could leak a handle, so that is no pair either, and
+		// TestLandingBuffersAllReturn holds "every port ends with none out".
 		// The pendingClose enqueue/replay pair is a protocol obligation, not
 		// a handle, and is proved by the fsm rule's eviction model (no stuck
 		// pendingClose).

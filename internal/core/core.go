@@ -266,12 +266,15 @@ func (b *base) reserve(n int) {
 	}
 }
 
-// insertOrdered adds ch to the rank-sorted scan list.
+// insertOrdered adds ch to the rank-sorted scan list: at the end when it sorts
+// there (a static boot makes its channels in rank order), else in its place.
 func (b *base) insertOrdered(ch *Channel) {
-	i := sort.Search(len(b.order), func(k int) bool { return b.order[k].Rank >= ch.Rank })
-	b.order = append(b.order, nil)
-	copy(b.order[i+1:], b.order[i:])
-	b.order[i] = ch
+	b.order = append(b.order, ch)
+	if n := len(b.order) - 1; n > 0 && b.order[n-1].Rank >= ch.Rank {
+		i := sort.Search(n, func(k int) bool { return b.order[k].Rank >= ch.Rank })
+		copy(b.order[i+1:], b.order[i:n])
+		b.order[i] = ch
+	}
 }
 
 // newChannel creates the VI for rank and runs PrepareChannel.

@@ -1,11 +1,9 @@
 package mpi
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
-	"viampi/internal/simnet"
 	"viampi/internal/via"
 )
 
@@ -69,40 +67,7 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 	}
 	defer func() { pollAudit = nil }()
 
-	const n = 6
-	plans := map[string]func() *via.FaultPlan{
-		"none":   func() *via.FaultPlan { return nil },
-		"drop":   func() *via.FaultPlan { return &via.FaultPlan{DropConnReq: 0.3} },
-		"refuse": func() *via.FaultPlan { return &via.FaultPlan{RefuseConnReq: 0.3} },
-	}
-	prog := randProgram(3, n)
-	var ref [][]byte
-	for _, pol := range []string{"static-p2p", "static-cs", "ondemand"} {
-		for _, maxVIs := range []int{0, 1, 2} {
-			if maxVIs > 0 && pol != "ondemand" {
-				continue // a cap needs a policy that can reconnect
-			}
-			for _, faults := range []string{"none", "drop", "refuse"} {
-				for _, dynamic := range []bool{false, true} {
-					name := fmt.Sprintf("%s/MaxVIs=%d/%s/dynamic=%v", pol, maxVIs, faults, dynamic)
-					results := make([][]byte, n)
-					cfg := Config{Procs: n, Policy: pol, MaxVIs: maxVIs, Faults: plans[faults](),
-						DynamicCredits: dynamic, Seed: 3, Deadline: 120 * simnet.Second}
-					if _, err := Run(cfg, func(r *Rank) { results[r.Rank()] = prog(r) }); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if ref == nil {
-						ref = results
-					}
-					for rk := range results {
-						if !bytes.Equal(ref[rk], results[rk]) {
-							t.Fatalf("%s: rank %d's checksum differs from the first run's", name, rk)
-						}
-					}
-				}
-			}
-		}
-	}
+	randomWorlds(t, func(string, *World) {})
 	for scan, c := range taken {
 		if c[0] == 0 || c[1] == 0 {
 			t.Errorf("scan %d: made %d times, skipped %d times; the test must pass through both", scan, c[0], c[1])

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"viampi/internal/simnet"
+	"viampi/internal/via"
 )
 
 // randProgram generates a deterministic, valid MPI program from a seed: a
@@ -130,6 +131,49 @@ func randProgram(seed int64, n int) func(r *Rank) []byte {
 			}
 		}
 		return sum
+	}
+}
+
+// randomWorlds runs one random program on six ranks under every policy, VI
+// caps that force evictions and reconnects, dropped and refused connection
+// requests, and static or growing pools — thirty worlds — requires the same
+// per-rank checksums of all of them, and hands each finished world to check.
+func randomWorlds(t *testing.T, check func(name string, w *World)) {
+	const n = 6
+	plans := map[string]func() *via.FaultPlan{
+		"none":   func() *via.FaultPlan { return nil },
+		"drop":   func() *via.FaultPlan { return &via.FaultPlan{DropConnReq: 0.3} },
+		"refuse": func() *via.FaultPlan { return &via.FaultPlan{RefuseConnReq: 0.3} },
+	}
+	prog := randProgram(3, n)
+	var ref [][]byte
+	for _, pol := range []string{"static-p2p", "static-cs", "ondemand"} {
+		for _, maxVIs := range []int{0, 1, 2} {
+			if maxVIs > 0 && pol != "ondemand" {
+				continue // a cap needs a policy that can reconnect
+			}
+			for _, faults := range []string{"none", "drop", "refuse"} {
+				for _, dynamic := range []bool{false, true} {
+					name := fmt.Sprintf("%s/MaxVIs=%d/%s/dynamic=%v", pol, maxVIs, faults, dynamic)
+					results := make([][]byte, n)
+					cfg := Config{Procs: n, Policy: pol, MaxVIs: maxVIs, Faults: plans[faults](),
+						DynamicCredits: dynamic, Seed: 3, Deadline: 120 * simnet.Second}
+					w, err := Run(cfg, func(r *Rank) { results[r.Rank()] = prog(r) })
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if ref == nil {
+						ref = results
+					}
+					for rk := range results {
+						if !bytes.Equal(ref[rk], results[rk]) {
+							t.Fatalf("%s: rank %d's checksum differs from the first run's", name, rk)
+						}
+					}
+					check(name, w)
+				}
+			}
+		}
 	}
 }
 

@@ -83,21 +83,20 @@ type Rank struct {
 	freeReqs  []*Request // blocking calls' requests (see reclaim)
 
 	// Free lists of the connection path: what prepareChannel builds,
-	// teardownChannel gives back. A receive descriptor keeps its eager
-	// buffer, unzeroed: a reader only ever sees Buf[:XferLen]. Between
-	// growPool and its way back here exactly one of its VI's receive queue,
-	// a CQ entry or the progressStep iteration handling it holds it.
+	// teardownChannel gives back. A receive descriptor is posted unbacked
+	// and holds no buffer here: the port lends it one while a message is in
+	// it, and progressStep hands that back before the descriptor moves on.
+	// Between growPool and its way back here exactly one of its VI's receive
+	// queue, a CQ entry or the progressStep iteration handling it holds it.
 	freeRecvs []*via.Descriptor
 	freeChans []*chanState
 	down      []*chanState // adoptDisconnects' scratch: channels whose VI the peer closed
 
 	// What reserve made for a mesh whose size the policy knew at Init, one
 	// allocation a kind, carved by cursor where the free lists above run dry:
-	// channel states, and receive descriptors with their eager buffers
-	// (bufSlab holds one buffer for each descriptor left in recvSlab).
+	// channel states and receive descriptors.
 	chanSlab []chanState
 	recvSlab []via.Descriptor
-	bufSlab  []byte
 
 	// What lets a poll skip the scans that would find nothing (see
 	// adoptDisconnects and flowPass; the port and the manager keep the rest).
@@ -129,7 +128,7 @@ type Rank struct {
 // umsg is an entry in the unexpected message queue.
 type umsg struct {
 	h       hdr
-	payload []byte     // eager only (copied out of the pool buffer)
+	payload []byte     // eager only (copied out of the landing buffer)
 	cs      *chanState // RTS only: held against teardown by umqRefs
 }
 
@@ -228,10 +227,13 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 	initial := r.cfg.initialPool()
 	cs := r.newChanState(peer, ch, initial)
 	ch.UserData = cs
-	i := sort.Search(len(r.active), func(k int) bool { return r.active[k].peer >= peer })
-	r.active = append(r.active, nil)
-	copy(r.active[i+1:], r.active[i:])
-	r.active[i] = cs
+	// A static boot makes its channels in rank order: the new peer goes last.
+	r.active = append(r.active, cs)
+	if n := len(r.active) - 1; n > 0 && r.active[n-1].peer >= peer {
+		i := sort.Search(n, func(k int) bool { return r.active[k].peer >= peer })
+		copy(r.active[i+1:], r.active[i:n])
+		r.active[i] = cs
+	}
 	if len(r.active) > r.peakLive {
 		r.peakLive = len(r.active)
 	}
@@ -242,18 +244,17 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 
 // reserve prepares for the n channels a static manager is about to make
 // (core.Config.Reserve): their states — each with room for its pool's
-// one registration — and the descriptors and buffers of their initial pools
-// are one allocation a kind, the tables are sized once, and the port does the
-// same below. Nothing is registered, posted or charged: the model cannot tell.
+// one registration — and the descriptors of their initial pools are one
+// allocation a kind, the tables are sized once, and the port does the same
+// below. Nothing is registered, posted or charged: the model cannot tell.
 func (r *Rank) reserve(n int) {
-	initial, bufSize := r.cfg.initialPool(), r.cfg.eagerBufSize()
+	initial := r.cfg.initialPool()
 	r.chanSlab = make([]chanState, n)
 	handles := make([]via.MemHandle, n)
 	for i := range r.chanSlab {
 		r.chanSlab[i].memHandles = handles[i : i : i+1]
 	}
 	r.recvSlab = make([]via.Descriptor, n*initial)
-	r.bufSlab = make([]byte, n*initial*bufSize)
 	r.active = slices.Grow(r.active, n)
 	r.viToChan = simnet.Presize(r.viToChan, n)
 	r.port.Reserve(n, initial)
@@ -277,13 +278,15 @@ func (r *Rank) newChanState(peer int, ch *core.Channel, credits int) *chanState 
 }
 
 // forgetFreeRecvs is a test hook: while set, every growPool starts from an
-// empty free list, so each buffer it posts is fresh — the run a recycling
+// empty free list, so each descriptor it posts is fresh — the run a recycling
 // run's accounting must equal (TestPoolRecyclingKeepsAccounting).
 var forgetFreeRecvs bool
 
-// growPool registers and pre-posts n more eager receive buffers on cs. The
-// registration is the channel's; the buffers are the rank's, recycled from
-// one connection to the next.
+// growPool registers and pre-posts n more eager receives on cs, unbacked. The
+// registration (all n buffers' worth: the model pins the whole pool) is the
+// channel's; the descriptors are the rank's, recycled from one connection to
+// the next; host memory for a buffer is the port's, lent while a message is
+// in it.
 func (r *Rank) growPool(cs *chanState, n int) {
 	if forgetFreeRecvs {
 		r.freeRecvs = r.freeRecvs[:0]
@@ -306,15 +309,14 @@ func (r *Rank) growPool(cs *chanState, n int) {
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
 }
 
-// takeRecv takes a receive descriptor with its eager buffer off the free
-// list, else carves the next of reserve's slabs, or grows. A carved buffer's
-// capacity ends where its neighbour begins.
+// takeRecv takes an unbacked receive descriptor of capacity bufSize off the
+// free list, else carves the next of reserve's slab, or grows.
 func (r *Rank) takeRecv(bufSize int) *via.Descriptor {
 	if d := simnet.Pop(&r.freeRecvs); d != nil {
 		return d
 	}
 	if d := simnet.Carve(&r.recvSlab); d != nil {
-		d.Buf, r.bufSlab = r.bufSlab[:bufSize:bufSize], r.bufSlab[bufSize:]
+		d.Len = bufSize
 		return d
 	}
 	return growRecvs(bufSize)
@@ -502,12 +504,12 @@ func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
 
 // growPkts, growSends, growRecvs and growChans grow the free lists (cold
 // paths: each settles at the number of packets queued, sends unreaped, eager
-// buffers posted, or channels live, at once).
+// receives posted, or channels live, at once).
 func growPkts() *pkt { return new(pkt) }
 
 func (r *Rank) growSends() *via.Descriptor { return &via.Descriptor{UserPtr: r} }
 
-func growRecvs(bufSize int) *via.Descriptor { return &via.Descriptor{Buf: make([]byte, bufSize)} }
+func growRecvs(bufSize int) *via.Descriptor { return &via.Descriptor{Len: bufSize} }
 
 func growChans() *chanState { return new(chanState) }
 
@@ -652,7 +654,9 @@ func (r *Rank) progressStep() {
 				return
 			}
 			// Completed before its VI closed, so Close left it to this
-			// entry: now that the frame has been read, it is free.
+			// entry: now that the frame has been read, its buffer is the
+			// port's again and the descriptor is free.
+			r.port.ReturnLanding(d)
 			r.freeRecvs = append(r.freeRecvs, d)
 			continue
 		}
@@ -660,7 +664,11 @@ func (r *Rank) progressStep() {
 			continue // descriptor failed with the connection; ignore
 		}
 		r.handlePacket(cs, d.Buf[:d.XferLen])
-		// Re-post the pool buffer immediately — unless the packet tore its
+		// The packet has been read — an eager payload is copied out, into the
+		// receive it matched or the unexpected queue — and nothing else keeps
+		// the landing buffer: back to the port before the descriptor moves on.
+		r.port.ReturnLanding(d)
+		// Re-post the pool receive immediately — unless the packet tore its
 		// own channel down (BYE_ACK, crossing BYE) or the peer's DISC has
 		// arrived meanwhile: then it is the rank's again.
 		if vi.State() == via.ViConnected && vi.PostRecv(d) == nil {

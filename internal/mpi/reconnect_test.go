@@ -10,12 +10,14 @@ import (
 	"viampi/internal/via"
 )
 
-// What a channel builds at prepareChannel — the eager pool, its own state,
-// the core.Channel, the VI's work queues — is recycled from one connection
-// to the next; these tests hold what that can break: an allocation creeping
-// back into the reconnect cycle, a pool buffer with two owners, a descriptor
-// lost or returned twice, and the pinned-memory accounting, which must not
-// know that the host memory behind it is reused.
+// What a channel builds at prepareChannel — the eager pool's descriptors, its
+// own state, the core.Channel, the VI's work queues — is recycled from one
+// connection to the next, and the buffer a message lands in is the port's,
+// lent for as long as the message is in it; these tests hold what that can
+// break: an allocation creeping back into the reconnect cycle, a landing
+// buffer with two owners, a descriptor lost or returned twice, and the
+// pinned-memory accounting, which must not know that the host memory behind
+// it is reused.
 
 // reconnects runs n messages from rank 0 to two alternating partners under a
 // one-VI cap, so that every message evicts one channel (BYE handshake,
@@ -124,13 +126,24 @@ func TestStaleCQEntryAfterTeardown(t *testing.T) {
 			fail("%v", err)
 		}
 		r.Proc().Sleep(100 * simnet.Microsecond)
-		if n := r.cq.Len(); n != 1 || len(r.freeRecvs) != 0 {
-			fail("before the pass: %d CQ entries, %d free receives; want rank 1's BYE alone and none", n, len(r.freeRecvs))
+		if _, lent := r.port.Landing(); r.cq.Len() != 1 || len(r.freeRecvs) != 0 || lent != 1 {
+			fail("before the pass: %d CQ entries, %d free receives, %d landing buffers out; want rank 1's BYE alone, in a buffer of the port's, and none",
+				r.cq.Len(), len(r.freeRecvs), lent)
 		}
 		r.progressStep()
 		if r.cq.Len() != 0 || len(r.freeRecvs) != credits || !distinct(r.freeRecvs) {
 			fail("after the pass: %d CQ entries, %d free receives (distinct: %v); want 0 and the closed channel's %d, each once",
 				r.cq.Len(), len(r.freeRecvs), distinct(r.freeRecvs), credits)
+		}
+		// The entry's descriptor came back bare: the frame read, its buffer
+		// went to the port before the descriptor went to the free list.
+		if _, lent := r.port.Landing(); lent != 0 {
+			fail("after the pass: %d landing buffers out, want 0", lent)
+		}
+		for _, d := range r.freeRecvs {
+			if d.Buf != nil {
+				fail("after the pass: a free receive holds a buffer")
+			}
 		}
 		if err := c.Send(2, 0, out); err != nil {
 			fail("%v", err)
@@ -212,20 +225,23 @@ func poolMsg(src, dst, tag, i, size int) []byte {
 	return b
 }
 
-// A scribbler that overwrites every free receive buffer of every rank every
-// 100 ns — any buffer on a free list while a VI, a CQ entry or handlePacket
-// still reads it delivers a damaged message — while four ranks under a
-// one-VI cap go through each way a pool buffer travels: crossing BYEs (both
-// ends evict each other at once), an eviction the peer accepts and one it
-// refuses (BYE_NACK: a rendezvous is in flight), eager messages that wait in
-// the unexpected queue while their channel is torn down and reconnected, and
-// a burst that runs the credits out and, with dynamic credits, grows the pool
-// from the free list. The static worlds tear nothing down; what is free there
-// is the rest of the slabs their pools are carved from, and the scribbler —
-// running from before MPI_Init — overwrites that while the first pools carved
-// from it already hold messages: every rank opens by filling every peer's
-// pool with eager messages as long as a buffer, and under static-cs rank 0
-// does so while the higher ranks are still building their meshes.
+// A scribbler that overwrites every free landing buffer of every port, to its
+// capacity, every 100 ns and at every event on the bus — any buffer on a
+// port's free list while a VI, a CQ entry or handlePacket still reads it
+// delivers a damaged message, and a message-receive event is stamped inside
+// handlePacket before the payload is copied out, so giving the buffer back
+// ahead of handlePacket instead of after it fails every world here — while
+// four ranks under a one-VI cap go through each way a pool receive travels:
+// crossing BYEs (both ends evict each other at once), an eviction the peer
+// accepts and one it refuses (BYE_NACK: a rendezvous is in flight), eager
+// messages that wait in the unexpected queue while their channel is torn down
+// and reconnected, and a burst that runs the credits out and, with dynamic
+// credits, grows the pool from the free list. The static worlds tear nothing
+// down; every rank there opens by filling every peer's pool with eager
+// messages as long as a buffer, so that each port has a buffer out for every
+// message landed and not yet read, and the ones already read and handed back
+// are overwritten beside them; under static-cs rank 0 does so while the
+// higher ranks are still building their meshes.
 func TestPoolRecyclingKeepsPayloads(t *testing.T) {
 	for _, cfg := range []Config{
 		{Policy: "ondemand", MaxVIs: 1, CreditCount: 4},
@@ -257,7 +273,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		parked   bool // an unexpected eager message whose channel is gone
 		grew     bool // a pool beyond its initial size
 		scribble int  // buffers overwritten
-		busySlab bool // a slab overwritten while a pool carved from it held a message
+		beside   bool // a port's free buffers overwritten while it had others out, holding messages
 		evicting = map[*via.VI]bool{}
 	)
 	tick := func() {
@@ -266,19 +282,22 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 				continue
 			}
 			if !distinct(r.freeRecvs) {
-				r.Abort(1, "a receive descriptor is on the free list twice")
+				r.proc.Sim().Failf("rank %d: a receive descriptor is on the free list twice", r.rank)
 			}
 			for _, d := range r.freeRecvs {
-				for k := range d.Buf {
-					d.Buf[k] = 0xEE
+				if d.Buf != nil {
+					r.proc.Sim().Failf("rank %d: a free receive descriptor holds a buffer", r.rank)
+				}
+			}
+			free, out := r.port.Landing()
+			for _, b := range free {
+				b = b[:cap(b)]
+				for k := range b {
+					b[k] = 0xEE
 				}
 				scribble++
 			}
-			for k := range r.bufSlab {
-				r.bufSlab[k] = 0xEE
-			}
-			scribble += len(r.recvSlab)
-			busySlab = busySlab || len(r.recvSlab) > 0 && r.cq.Len() > 0
+			beside = beside || len(free) > 0 && out > 0
 			for _, cs := range r.active {
 				vi := cs.ch.Vi
 				if cs.closing && cs.evict {
@@ -317,6 +336,8 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		}
 	}
 	defer func() { newRankHook = nil }()
+	cfg.Obs = obs.NewBus()
+	cfg.Obs.Subscribe(func(obs.Event) { tick() })
 	_, err := Run(cfg, func(r *Rank) {
 		c := r.World()
 		me := r.Rank()
@@ -464,24 +485,12 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch cfg.Policy {
-	case "static-p2p":
-		// No rank is out of MPI_Init before every rank has carved its last
-		// pool: the slabs are scribbled, but never beside a message. What
-		// this world holds is neighbours within a slab, each filled to its
-		// last byte at once.
-		if scribble == 0 {
-			t.Error("no slab scribbled")
-		}
-	case "static-cs":
-		if !busySlab {
-			t.Errorf("%d buffers scribbled, none while a pool carved from the same slab held a message: the test must overwrite a slab in use", scribble)
-		}
-	default:
-		if !crossing || !nacked || !parked || grew != cfg.DynamicCredits || scribble == 0 {
-			t.Errorf("crossing BYEs %v, refused eviction %v, message parked across a teardown %v, pool growth %v (dynamic credits %v), %d buffers scribbled: the test must pass through all of them",
-				crossing, nacked, parked, grew, cfg.DynamicCredits, scribble)
-		}
+	if !beside {
+		t.Errorf("%d buffers scribbled, none while its port had another out holding a message: the test must overwrite free buffers beside busy ones", scribble)
+	}
+	if cfg.Policy == "ondemand" && (!crossing || !nacked || !parked || grew != cfg.DynamicCredits) {
+		t.Errorf("crossing BYEs %v, refused eviction %v, message parked across a teardown %v, pool growth %v (dynamic credits %v): the test must pass through all of them",
+			crossing, nacked, parked, grew, cfg.DynamicCredits)
 	}
 	for _, r := range ranks {
 		if limit := r.peakLive * cfg.CreditCount; len(r.freeRecvs) > limit {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 
 	"viampi/internal/obs"
@@ -10,20 +11,32 @@ import (
 
 // A static manager knows at Init how many channels it will build, and each
 // layer makes what they take in one allocation a kind (reserve). These tests
-// hold what that can break: an allocation per first connection creeping back,
-// slabs sized past what the port can ever use, and a carved buffer that
-// overlaps its neighbour.
+// hold what that can break: an allocation per first connection creeping back
+// — or the bytes of an eager buffer, which a pool no longer brings — and slabs
+// sized past what the port can ever use.
 
-// bootAllocs is the allocation count of one static-p2p world of np ranks
-// through MPI_Init and MPI_Finalize.
-func bootAllocs(t *testing.T, np int) float64 {
-	return testing.AllocsPerRun(1, func() {
-		cfg := Config{Procs: np, Policy: "static-p2p", CreditCount: 4, EagerThreshold: 64,
-			Deadline: 600 * simnet.Second}
-		if _, err := Run(cfg, func(*Rank) {}); err != nil {
-			t.Fatal(err)
-		}
-	})
+// hostCost runs one world and returns what it allocated on the host, objects
+// and bytes, with the world.
+func hostCost(t *testing.T, cfg Config, main func(*Rank)) (w *World, allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := Run(cfg, main)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// bootCost is what one static-p2p world of np ranks allocates through
+// MPI_Init and MPI_Finalize. The pool is mesh_boot's four receives, at the
+// default eager size, so that a buffer made for any of them would outweigh
+// everything else a connection end holds.
+func bootCost(t *testing.T, np int) (allocs, bytes float64) {
+	cfg := Config{Procs: np, Policy: "static-p2p", CreditCount: 4, Deadline: 600 * simnet.Second}
+	_, allocs, bytes = hostCost(t, cfg, func(*Rank) {})
+	return allocs, bytes
 }
 
 // The allocation rail of a first connection. A boot allocates a + b·np +
@@ -31,13 +44,23 @@ func bootAllocs(t *testing.T, np int) float64 {
 // two world sizes still carries b (about 90 per rank, which at these sizes
 // would read as a whole allocation per end); the second difference over three
 // equally spaced sizes leaves 2h²·c alone. Before the slabs c was 15.5 — each
-// end's VI, channel, channel state, descriptors, buffers and queue growth.
+// end's VI, channel, channel state, descriptors, buffers and queue growth. In
+// bytes, by the same difference, an end is its VI, its channel and channel
+// state, four bare descriptors and their queue slots; a pool that brought its
+// buffers again would add 4 × 5,048 to that.
 func TestFirstConnectAllocs(t *testing.T) {
 	const h = 16
-	a1, a2, a3 := bootAllocs(t, h), bootAllocs(t, 2*h), bootAllocs(t, 3*h)
+	bootCost(t, h) // what a process allocates once
+	a1, b1 := bootCost(t, h)
+	a2, b2 := bootCost(t, 2*h)
+	a3, b3 := bootCost(t, 3*h)
 	if perEnd := (a3 - 2*a2 + a1) / (2 * h * h); perEnd > 0.5 {
 		t.Errorf("%.2f allocations per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 0.5",
 			perEnd, a1, a2, a3, h, 2*h, 3*h)
+	}
+	if perEnd := (b3 - 2*b2 + b1) / (2 * h * h); perEnd > 1200 {
+		t.Errorf("%.0f bytes per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 1,200 (803 measured)",
+			perEnd, b1, b2, b3, h, 2*h, 3*h)
 	}
 }
 
@@ -79,64 +102,5 @@ func TestReserveBoundedByViLimit(t *testing.T) {
 		if left := (limit - len(r.active) + 1) * cfg.CreditCount; len(r.recvSlab) > left {
 			t.Errorf("rank %d: %d receive descriptors left with %d of %d channels made", r.rank, len(r.recvSlab), len(r.active), limit)
 		}
-	}
-}
-
-// Buffers carved from one slab must not reach into each other or into what
-// is still free: every carved buffer is filled to its capacity with its own
-// byte while the uncarved rest is overwritten, and each must read back whole.
-// Past the slab, takeRecv grows one at a time as it always did.
-func TestSlabCarvedBuffersKeepApart(t *testing.T) {
-	const (
-		n     = 3
-		extra = 2
-	)
-	cfg := Config{Procs: 1, CreditCount: 4, EagerThreshold: 100}
-	if _, err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	bufSize := cfg.eagerBufSize()
-	sim := simnet.New(1)
-	net := via.NewNetwork(sim, via.ClanFabric(1, 1), cfg.cost)
-	sim.Spawn("owner", 0, func(p *simnet.Proc) {
-		port, err := net.Open(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		r := &Rank{proc: p, port: port, cfg: &cfg}
-		r.reserve(n)
-		var taken []*via.Descriptor
-		for i := 0; i < n*cfg.CreditCount+extra; i++ {
-			d := r.takeRecv(bufSize)
-			if len(d.Buf) != bufSize || cap(d.Buf) != bufSize {
-				t.Errorf("descriptor %d: buffer of len %d cap %d, want %d and %d: an over-long write would reach its neighbour",
-					i, len(d.Buf), cap(d.Buf), bufSize, bufSize)
-				return
-			}
-			full := d.Buf[:cap(d.Buf)]
-			for k := range full {
-				full[k] = byte(i + 1)
-			}
-			for k := range r.bufSlab {
-				r.bufSlab[k] = 0xEE
-			}
-			taken = append(taken, d)
-		}
-		if len(r.recvSlab) != 0 || len(r.bufSlab) != 0 {
-			t.Errorf("%d descriptors and %d buffer bytes left in the slabs after taking %d more than they held",
-				len(r.recvSlab), len(r.bufSlab), extra)
-		}
-		for i, d := range taken {
-			for k, b := range d.Buf {
-				if b != byte(i+1) {
-					t.Errorf("descriptor %d: byte %d reads %#x, want %#x: buffers overlap", i, k, b, byte(i+1))
-					return
-				}
-			}
-		}
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

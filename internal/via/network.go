@@ -174,12 +174,16 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 	return txDone
 }
 
-// newFrame and growFrameBuf grow the free list and a frame's buffer (cold
-// paths: the list settles at the number of frames in flight at once, a buffer
-// at the largest fragment it has carried — exactly that, no size classes).
+// newFrame, growFrameBuf and growLanding grow the frame free list, a frame's
+// buffer and a port's stock of landing buffers (cold paths: the list settles
+// at the number of frames in flight at once, a buffer at the largest fragment
+// it has carried — exactly that, no size classes — and the stock at the number
+// of messages landed and not yet read at once).
 func (n *Network) newFrame() *wireMsg { return &wireMsg{} }
 
 func growFrameBuf(size int) []byte { return make([]byte, size) }
+
+func growLanding(size int) []byte { return make([]byte, size) }
 
 // release returns a dispatched (or dropped) frame to the free list.
 func (n *Network) release(m *wireMsg) {

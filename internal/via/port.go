@@ -47,6 +47,7 @@ type PortStats struct {
 	RdmaBytes    int64
 	ConnReqsSent int
 	WaitWakeups  int64 // blocking waits that overran the spin budget
+	LandingPeak  int   // most landing buffers out on loan at once
 }
 
 // Port is a process's handle on the VIA provider (cf. VipOpenNic). All
@@ -72,6 +73,12 @@ type Port struct {
 	recvQSlab []*Descriptor // receive queues, recvDepth entries each
 	recvDepth int
 	reqSlab   []PeerRequest
+
+	// Landing buffers, lent to unbacked receives (lendLanding, ReturnLanding):
+	// the free ones, most recently returned last, and the count out on loan.
+	// A buffer is never zeroed: a reader only ever sees Buf[:XferLen].
+	landing    [][]byte
+	landingOut int
 
 	outgoing        map[connKey]*VI // VIs with an outstanding REQ
 	pendingIncoming []*PeerRequest  // unmatched incoming REQs
@@ -254,6 +261,38 @@ func (p *Port) keepQueues(q viQueues) {
 	clear(q.recvQ[:cap(q.recvQ)])
 	p.spareQs = append(p.spareQs, viQueues{q.sendQ[:0], q.recvQ[:0]})
 }
+
+// lendLanding lends d, an unbacked receive that a message is about to land in,
+// a buffer of d.Len bytes: the one returned last if it is large enough (it is
+// the likeliest to be in cache), else a new one.
+func (p *Port) lendLanding(d *Descriptor) {
+	if k := len(p.landing) - 1; k >= 0 && cap(p.landing[k]) >= d.Len {
+		d.Buf, p.landing = p.landing[k][:d.Len], p.landing[:k]
+	} else {
+		d.Buf = growLanding(d.Len)
+	}
+	d.lent = true
+	p.landingOut++
+	p.stats.LandingPeak = max(p.stats.LandingPeak, p.landingOut)
+}
+
+// ReturnLanding takes back the buffer d was lent, if it holds one: the owner
+// calls it once it has read Buf[:XferLen] of a completed receive (and Close
+// does for one that failed with a message part-way in). Nothing may keep a
+// slice of the buffer beyond this call. A receive that brought its own Buf
+// keeps it.
+func (p *Port) ReturnLanding(d *Descriptor) {
+	if !d.lent {
+		return
+	}
+	p.landing = append(p.landing, d.Buf)
+	d.Buf, d.lent = nil, false
+	p.landingOut--
+}
+
+// Landing returns the port's free landing buffers (the live list, for tests
+// that overwrite whatever is free) and the number out on loan.
+func (p *Port) Landing() (free [][]byte, out int) { return p.landing, p.landingOut }
 
 // RegisterRdmaTarget registers buf as an RDMA write target and returns the
 // key a remote peer can address it with (carried in rendezvous CTS

@@ -8,7 +8,7 @@ import (
 )
 
 // Status is the completion status of a descriptor.
-type Status int
+type Status int32
 
 // Descriptor completion statuses.
 const (
@@ -78,6 +78,7 @@ var (
 	ErrClosed         = errors.New("via: port or VI closed")
 	ErrUnknownRdmaKey = errors.New("via: unknown RDMA target key")
 	ErrNotRegistered  = errors.New("via: buffer not in a registered region")
+	ErrNoRoom         = errors.New("via: receive descriptor has neither a buffer nor a capacity")
 )
 
 // Addr is the network address of a port (a process's NIC handle).
@@ -97,16 +98,24 @@ type PeerRequest struct {
 // Descriptor is a work request posted to a VI queue. Exactly one of the
 // send/receive/RDMA uses applies per descriptor. The Buf slice must lie in a
 // registered memory region of the posting port.
+//
+// A receive either brings its landing buffer (Buf, with Len 0: a message may
+// be as long as len(Buf)) or is posted unbacked (Buf nil, Len its capacity):
+// the port then lends it a buffer of Len bytes when a message's first fragment
+// claims it, and the owner hands the buffer back with Port.ReturnLanding once
+// it has read Buf[:XferLen]. Registration is accounted by size alone
+// (MemoryRegistry), so an unbacked receive pins what a backed one does.
 type Descriptor struct {
-	Buf []byte // data to send, or receive landing buffer
-	Len int    // bytes to send; for receives, set on completion
+	Buf []byte // data to send, or receive landing buffer (nil: lent by the port while a message is in it)
+	Len int    // bytes to send; capacity of an unbacked receive, 0 for one that brings its Buf
 
 	// RDMA write fields (send-queue descriptors only).
 	RdmaKey    uint64 // remote target key from RegisterRdmaTarget
 	RdmaOffset int    // byte offset within the remote target
 
 	Status  Status
-	XferLen int // bytes actually transferred
+	lent    bool // Buf is the port's, on loan (shares Status's word: the struct stays 96 bytes)
+	XferLen int  // bytes actually transferred
 
 	// UserPtr lets upper layers attach context (e.g. the MPI request).
 	UserPtr interface{}

@@ -86,12 +86,17 @@ func (vi *VI) badState(op string) error {
 
 // PostRecv posts a receive descriptor. VIA requires receives to be posted
 // before the matching message arrives; posting is legal in any pre-connected
-// or connected state.
+// or connected state. A receive with no room at all — no Buf to land in and no
+// Len for the port to lend against — is refused here, with ErrNoRoom: posted,
+// it would break the connection at the first arrival.
 func (vi *VI) PostRecv(d *Descriptor) error {
 	switch vi.state {
 	case ViIdle, ViConnecting, ViConnected:
 	default:
 		return vi.badState("PostRecv")
+	}
+	if d.Buf == nil && d.Len <= 0 {
+		return ErrNoRoom
 	}
 	d.vi = vi
 	d.gen++
@@ -230,7 +235,13 @@ func (vi *VI) handleData(m *wireMsg) {
 			vi.enterError()
 			return
 		}
+		if next.Buf == nil && m.total <= next.Len {
+			// Unbacked: the message lands in a buffer of the port's, which
+			// the owner hands back when it has read it.
+			p.lendLanding(next)
+		}
 		if m.total > len(next.Buf) {
+			// No room (for an unbacked receive, Len: nothing was lent).
 			p.net.DroppedNoDescriptor++
 			vi.enterError()
 			return
@@ -416,10 +427,13 @@ func (vi *VI) Close() {
 		// already tore the connection down, and closed returned above.
 	}
 	vi.failPending(StatusDisconnected)
-	// The descriptors carry their status now; the queues go.
-	if vi.recvFree != nil {
-		for _, d := range vi.recvQ {
-			if d.Status != StatusSuccess {
+	// The descriptors carry their status now; the queues go. A receive that
+	// failed with a message part-way in still holds the buffer it was lent:
+	// nobody reads half a message, so the port takes it back here.
+	for _, d := range vi.recvQ {
+		if d.Status != StatusSuccess {
+			vi.port.ReturnLanding(d)
+			if vi.recvFree != nil {
 				*vi.recvFree = append(*vi.recvFree, d)
 			}
 		}
