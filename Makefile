@@ -80,9 +80,11 @@ figures:
 # evict-teardown-reconnect cycle: 4 allocs/op, the two VI endpoints and the
 # unexpected-queue entry of a message that beat its receive), BenchmarkMeshBoot
 # the static mesh's (a 64-rank static-p2p world through Init and Finalize:
-# ~5,700 allocs/op, ~90 per rank and next to nothing per connection, because
+# ~5,500 allocs/op, ~90 per rank and next to nothing per connection, because
 # the managers reserve slabs at Init; ~70,000 means a first connection is
-# building its objects one allocation at a time again). Run at
+# building its objects one allocation at a time again. 3.35 MB/op, 1,663
+# B/conn, because a pre-posted pool is a count on its VI; 5.06 MB/op means
+# every pool receive is a descriptor again). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first

@@ -8,6 +8,7 @@ package viampi
 // `go run ./cmd/figures -all` for the full-size reproduction.
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -366,10 +367,16 @@ func BenchmarkReconnectCycle(b *testing.B) {
 // message (benchmark/'s mesh_boot at a quarter of the ranks). Every connection
 // is a first connection, so nothing comes off a free list: what allocs/op
 // holds down is the slabs the managers reserve at Init, what ns/conn holds
-// down is a poll that visits no idle channel.
+// down is a poll that visits no idle channel, and what B/conn (both ends, and
+// the connection's share of the world) holds down is a pool that is a count:
+// a descriptor or a queue slot per pre-posted receive would add 96 or 8 bytes
+// × 2 × CreditCount to it.
 func BenchmarkMeshBoot(b *testing.B) {
 	const meshBootProcs = 64
+	const conns = meshBootProcs * (meshBootProcs - 1) / 2
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		w, err := mpi.Run(mpi.Config{
 			Procs: meshBootProcs, Policy: "static-p2p", CreditCount: 4, EagerThreshold: 64,
@@ -382,5 +389,7 @@ func BenchmarkMeshBoot(b *testing.B) {
 			b.Fatalf("rank 0 created %d VIs, want %d", got, meshBootProcs-1)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(meshBootProcs*(meshBootProcs-1)/2), "ns/conn")
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/conns, "ns/conn")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/conns, "B/conn")
 }

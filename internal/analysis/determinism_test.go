@@ -34,7 +34,7 @@ import (
 // leaves behind two diffable bundles instead of just two hashes. It returns
 // errors rather than failing a testing.T because it runs on sweep workers,
 // where t.Fatalf is illegal.
-func attachCapture(cfg *mpi.Config, rounds, msgBytes int) (*capture.Writer, *bytes.Buffer, error) {
+func attachCapture(cfg *mpi.Config, label string, rounds, msgBytes int) (*capture.Writer, *bytes.Buffer, error) {
 	var bundle bytes.Buffer
 	cw, err := capture.NewWriter(&bundle, capture.Header{
 		Clock:  capture.ClockVirtual,
@@ -42,7 +42,7 @@ func attachCapture(cfg *mpi.Config, rounds, msgBytes int) (*capture.Writer, *byt
 		Seed:   cfg.Seed,
 		Device: cfg.Device,
 		Policy: cfg.Policy,
-		Label:  "CG.replay",
+		Label:  label,
 		Config: fmt.Sprintf("procs=%d policy=%s seed=%d maxvis=%d rounds=%d msgBytes=%d",
 			cfg.Procs, cfg.Policy, cfg.Seed, cfg.MaxVIs, rounds, msgBytes),
 	})
@@ -91,18 +91,25 @@ func reportDivergence(t *testing.T, first, second []byte) {
 // It returns errors instead of taking a testing.T so dual runs can execute
 // on concurrent sweep workers.
 func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
+	hash, bundle, _, err := digestOf(cfg, "CG.replay", rounds, msgBytes, apps.ReplayMain(apps.CG(), rounds, msgBytes))
+	return hash, bundle, err
+}
+
+// digestOf is runDigestErr for any program: main runs under cfg, captured
+// under label, and the decoded bundle is returned beside its bytes.
+func digestOf(cfg mpi.Config, label string, rounds, msgBytes int, main func(*mpi.Rank)) (string, []byte, *capture.Bundle, error) {
 	cfg.Obs = obs.NewBus()
 	cfg.Deadline = 30 * simnet.Second
-	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
+	cw, bundle, err := attachCapture(&cfg, label, rounds, msgBytes)
 	if err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
-	w, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes)
+	w, err := mpi.Run(cfg, main)
 	if err != nil {
-		return "", nil, fmt.Errorf("replay (%s, %d procs): %w", cfg.Policy, cfg.Procs, err)
+		return "", nil, nil, fmt.Errorf("%s (%s, %d procs): %w", label, cfg.Policy, cfg.Procs, err)
 	}
 	if err := cw.Close(); err != nil {
-		return "", nil, fmt.Errorf("sealing capture bundle: %w", err)
+		return "", nil, nil, fmt.Errorf("sealing capture bundle: %w", err)
 	}
 
 	h := sha256.New()
@@ -122,7 +129,7 @@ func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) 
 	}
 	b, err := capture.ReadBundle(bytes.NewReader(bundle.Bytes()))
 	if err != nil {
-		return "", nil, fmt.Errorf("decoding capture bundle: %w", err)
+		return "", nil, nil, fmt.Errorf("decoding capture bundle: %w", err)
 	}
 	sends := 0
 	for _, ev := range b.Events {
@@ -132,9 +139,9 @@ func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) 
 		}
 	}
 	if sends == 0 {
-		return "", nil, fmt.Errorf("replay (%s, %d procs) recorded no message sends; the digest would be vacuous", cfg.Policy, cfg.Procs)
+		return "", nil, nil, fmt.Errorf("%s (%s, %d procs) recorded no message sends; the digest would be vacuous", label, cfg.Policy, cfg.Procs)
 	}
-	return hex.EncodeToString(h.Sum(nil)), bundle.Bytes(), nil
+	return hex.EncodeToString(h.Sum(nil)), bundle.Bytes(), b, nil
 }
 
 // runDigest is the sequential single-run wrapper kept for the digest-moves
@@ -256,19 +263,69 @@ func TestDualRunDeterminismLargeWorld(t *testing.T) {
 }
 
 // TestEvictionDualRunDeterminism extends the dual-run property to capped
-// on-demand runs: with MaxVIs far below N-1 the eviction/reconnect machinery
-// fires constantly, and its victim selection, BYE handshakes, and parked-send
-// replays must all be pure functions of the Config.
+// on-demand runs: with MaxVIs below the number of peers a rank has live at
+// once, the eviction/reconnect machinery fires constantly, and its victim
+// selection, BYE handshakes, and parked-send replays must all be pure
+// functions of the Config. The CG replay (p8, p16) never does that: its ranks
+// post every receive and send of a round before waiting, so all their
+// channels are requested before one is up to evict, the cap being soft — no
+// MaxVIs makes it evict, and its two digests equal the uncapped on-demand
+// ones, pinning only that a cap that does not bind changes nothing. The shift
+// cases run a program whose cap binds, and refuse a run that evicted nothing.
 func TestEvictionDualRunDeterminism(t *testing.T) {
 	const rounds, msgBytes = 2, 1024
-	for _, procs := range []int{8, 16} {
-		procs := procs
-		t.Run(fmt.Sprintf("p%d", procs), func(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		procs, maxVIs int
+		digest        func(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error)
+	}{
+		{"p8", 8, 3, runDigestErr},
+		{"p16", 16, 3, runDigestErr},
+		{"shift-p8-cap1", 8, 1, shiftDigest},
+		{"shift-p8-cap3", 8, 3, shiftDigest},
+		{"shift-p16-cap1", 16, 1, shiftDigest},
+		{"shift-p16-cap3", 16, 3, shiftDigest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dualDigest(t, func() mpi.Config {
-				return mpi.Config{Procs: procs, Policy: "ondemand", MaxVIs: 3, Seed: 42}
-			}, rounds, msgBytes, runDigestErr)
+				return mpi.Config{Procs: tc.procs, Policy: "ondemand", MaxVIs: tc.maxVIs, Seed: 42}
+			}, rounds, msgBytes, tc.digest)
 		})
 	}
+}
+
+// shiftDigest digests a program that a VI cap below two binds on at every
+// step: for each distance in turn, rounds blocking exchanges with the ranks
+// that far ahead and behind (benchmark/'s evict_churn, in order), so that the
+// channels of the last distance are idle, up and evictable when the next one
+// connects. A run that evicted nothing is refused: it would pin nothing about
+// eviction.
+func shiftDigest(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
+	n := cfg.Procs
+	hash, bundle, b, err := digestOf(cfg, "shift", rounds, msgBytes, func(r *mpi.Rank) {
+		c := r.World()
+		in, out := make([]byte, msgBytes), make([]byte, msgBytes)
+		for d := 1; d < n; d++ {
+			for i := 0; i < rounds; i++ {
+				if _, err := c.Sendrecv((r.Rank()+d)%n, d, out, (r.Rank()-d+n)%n, d, in); err != nil {
+					r.Abort(1, err.Error())
+				}
+			}
+		}
+	})
+	if err != nil {
+		return "", nil, err
+	}
+	evictions := 0
+	for _, ev := range b.Events {
+		if ev.Kind == obs.EvEvict {
+			evictions++
+		}
+	}
+	if evictions == 0 {
+		return "", nil, fmt.Errorf("shift (%d procs, MaxVIs=%d) evicted nothing: the cap does not bind", n, cfg.MaxVIs)
+	}
+	return hash, bundle, nil
 }
 
 // TestFaultDualRunDeterminism pins the fault injector's hash-seeded design:
@@ -303,7 +360,7 @@ func obsDigest(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
 	obs.NewCollector(reg).Attach(bus)
 	cfg.Obs = bus
 	cfg.Deadline = 30 * simnet.Second
-	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
+	cw, bundle, err := attachCapture(&cfg, "CG.replay", rounds, msgBytes)
 	if err != nil {
 		return "", nil, err
 	}

@@ -309,11 +309,12 @@ func DefaultPolicy() *Policy {
 			"internal/mpi.encodeInto":              "wire encoding into the recycled descriptor buffer",
 			"internal/via.(VI).PostSend":           "one per message sent",
 			"internal/via.(VI).queueSend":          "send-queue append and the port's unreaped count, once per post",
-			"internal/via.(VI).PostRecv":           "one per message received (the pool receive is re-posted)",
+			"internal/via.(VI).PostRecv":           "one per message received on a VI that takes descriptors (the receive is re-posted)",
+			"internal/via.(VI).PostRecvPool":       "one per message received on a pool (the receive it claimed is re-armed), n posts' charges per pool",
 			"internal/via.(VI).transmit":           "fragments a send into recycled frames",
 			"internal/via.(VI).handleData":         "reassembles every arriving data frame",
-			"internal/via.(Port).lendLanding":      "landing-buffer free list, one take per message that lands in an unbacked receive",
-			"internal/via.(Port).ReturnLanding":    "landing-buffer free list, one put per message read",
+			"internal/via.(Port).lendLanding":      "landing free list (descriptor and buffer), one take per message that claims a pool receive",
+			"internal/via.(Port).ReturnLanding":    "landing free list, one put per message read",
 			"internal/via.(txDone).Fire":           "send-completion event, one per send",
 			"internal/via.(CQ).push":               "one per receive completion",
 			"internal/via.(Network).sendFrame":     "takes a frame off the free list and books NIC service, once per frame",
@@ -331,12 +332,11 @@ func DefaultPolicy() *Policy {
 			// three cold reserve bodies ((base).reserve, (Rank).reserve,
 			// (Port).Reserve) and carved at the same take sites.
 			"internal/mpi.(Rank).newChanState":     "channel-state free list and slab, one take per connection",
-			"internal/mpi.(Rank).growPool":         "registers and posts a pool, one takeRecv per pre-posted buffer",
-			"internal/mpi.(Rank).takeRecv":         "eager-pool free list and slab, one take per pre-posted buffer",
+			"internal/mpi.(Rank).growPool":         "registers a pool and posts it as a count, once per connection (and per dynamic doubling)",
 			"internal/simnet.Carve":                "slab cursor, one move per first-connect object",
-			"internal/mpi.(Rank).teardownChannel":  "returns the pool (through VI.Close) and the channel state, once per teardown",
+			"internal/mpi.(Rank).teardownChannel":  "releases the pool's registration and returns the channel state, once per teardown",
 			"internal/mpi.(Rank).handleDisconnect": "remote-teardown adoption, once per peer-closed VI",
-			"internal/via.(VI).Close":              "hands the unfinished receives and the work queues back, once per VI",
+			"internal/via.(VI).Close":              "hands a half-landed receive and the work queues back to the port, once per VI",
 			"internal/via.(Port).keepQueues":       "work-queue stash, one put per closed VI",
 			"internal/via.(Port).newPeerRequest":   "incoming-request free list, one take per unmatched REQ",
 			"internal/via.(Port).establish":        "books the handshake-completion event on the VI itself",
@@ -372,14 +372,13 @@ func DefaultPolicy() *Policy {
 		},
 		// An eager pool's registration is per channel (growPool Register →
 		// teardownChannel Deregister, tracked through the memHandles field
-		// by the pinned-memory pair below); its descriptors are per rank —
-		// they circulate between Rank.freeRecvs and the VIs, are never
-		// released, and so are no pair: internal/mpi's
-		// TestStaleCQEntryAfterTeardown holds "each returns exactly once".
-		// Its buffers are the port's, lent while a message is in one
-		// (lendLanding → ReturnLanding): the lender is the NIC side, not a
-		// caller that could leak a handle, so that is no pair either, and
-		// TestLandingBuffersAllReturn holds "every port ends with none out".
+		// by the pinned-memory pair below); its receives are a count on the
+		// VI and nobody's handle. A descriptor and its buffer are the port's,
+		// lent while a message is in them (lendLanding → ReturnLanding): the
+		// lender is the NIC side, not a caller that could leak a handle, so
+		// that is no pair either; internal/mpi's TestStaleCQEntryAfterTeardown
+		// holds "each returns exactly once" and TestLandingBuffersAllReturn
+		// "every port ends with none out".
 		// The pendingClose enqueue/replay pair is a protocol obligation, not
 		// a handle, and is proved by the fsm rule's eviction model (no stuck
 		// pendingClose).

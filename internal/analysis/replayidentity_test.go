@@ -96,7 +96,7 @@ func TestReplayReproducesLiveArtifacts(t *testing.T) {
 				tracePath := filepath.Join(t.TempDir(), "trace.json")
 				cfg := mpi.Config{Procs: procs, Policy: policy, Seed: 42,
 					Obs: obs.NewBus(), Deadline: 30 * simnet.Second}
-				cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
+				cw, bundle, err := attachCapture(&cfg, "CG.replay", rounds, msgBytes)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,24 +6,26 @@ import (
 	"viampi/internal/simnet"
 )
 
-// An eager pool's receives are posted unbacked: the port lends one a buffer
-// when a message lands in it and the progress engine hands the buffer back
-// when the message has been read, so host memory follows the messages landed
-// and unread, not channels × credits — while the model pins every byte of
-// every pool, as it always did.
+// An eager pool's receives are posted as a count: the port lends a message a
+// descriptor and a buffer when it claims one and the progress engine hands
+// both back when the message has been read, so host memory follows the
+// messages landed and unread, not channels × credits — while the model pins
+// every byte of every pool, as it always did.
 
 // Every world of the random program — every policy, VI caps that evict and
 // reconnect, dropped and refused requests, static and growing pools — ends
-// with no buffer out on any port, and at its busiest a port had lent a small
-// part of what its pools had posted.
+// with no descriptor (and so no buffer) out on any port and every one the
+// port ever made on its free list, once, and at its busiest a port had lent a
+// small part of what its pools had posted.
 func TestLandingBuffersAllReturn(t *testing.T) {
 	most := 0
 	randomWorlds(t, func(name string, w *World) {
 		for i, p := range w.Net.Ports() {
-			_, out := p.Landing()
+			free, out := p.Landing()
 			peak, posted := p.Stats().LandingPeak, w.Ranks[i].PeakChans*w.Cfg.initialPool()
-			if out != 0 {
-				t.Errorf("%s: rank %d ended with %d landing buffers out", name, i, out)
+			if out != 0 || len(free) != peak || !distinct(free) {
+				t.Errorf("%s: rank %d ended with %d landing descriptors out and %d free (distinct: %v), want 0 and the %d it made, each once",
+					name, i, out, len(free), distinct(free), peak)
 			}
 			if peak == 0 || 2*peak > posted {
 				t.Errorf("%s: rank %d had %d landing buffers out at most, with %d receives posted on %d channels; want some, and far fewer than posted",
@@ -36,10 +38,11 @@ func TestLandingBuffersAllReturn(t *testing.T) {
 }
 
 // A static mesh at the paper's pool size — 24 receives of 5,048 bytes on each
-// of 127 VIs, 15 MB pinned per rank, 2 GB over the world — is simulable: the
-// model pins all of it, and the host allocates for the messages that land.
+// of 255 VIs, 31 MB pinned per rank, 7.9 GB over the world — is simulable: the
+// model pins all of it, and the host allocates for the messages that land
+// (a descriptor for each of the 1.6 M receives alone would be 150 MB).
 func TestStaticMeshAtPaperPoolSize(t *testing.T) {
-	const np = 128
+	const np = 256
 	cfg := Config{Procs: np, Policy: "static-p2p", Deadline: 600 * simnet.Second}
 	w, _, got := hostCost(t, cfg, func(r *Rank) {
 		c := r.World()

@@ -14,7 +14,10 @@ import (
 // emit — and fails the run on the first disagreement, while the random
 // program runs under every policy, VI caps that force evictions and
 // reconnects, dropped and refused connection requests, and static or growing
-// pools. Every shortcut must have been both taken and not taken.
+// pools. Every shortcut must have been both taken and not taken. A pool is a
+// count too, kept on the VI beside the rank's own: at every poll the receives
+// of the connected channels that are not armed are messages landed and unread,
+// each in a descriptor of the port's that is out.
 func TestPollShortcutsEqualScans(t *testing.T) {
 	var taken [scanFlow + 1][2]int // per scan: polls that made it, polls that skipped it
 	pollAudit = func(r *Rank, scan pollScan, skip bool) {
@@ -23,10 +26,20 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 		}
 		switch scan {
 		case scanTeardown:
+			claimed := 0
 			for _, cs := range r.active {
 				if skip && cs.ch.Vi.State() == via.ViDisconnected {
 					fail("skipped with peer %d's VI disconnected", cs.peer)
 				}
+				if armed, _ := cs.ch.Vi.RecvPool(); cs.ch.Vi.State() == via.ViConnected {
+					if armed > cs.posted {
+						fail("peer %d's VI holds %d receives of a pool of %d", cs.peer, armed, cs.posted)
+					}
+					claimed += cs.posted - armed
+				}
+			}
+			if _, out := r.port.Landing(); claimed > out {
+				fail("%d pool receives claimed and not re-armed, %d landing descriptors out", claimed, out)
 			}
 		case scanHandshake:
 			n := 0

@@ -82,21 +82,17 @@ type Rank struct {
 	freeSends []*via.Descriptor
 	freeReqs  []*Request // blocking calls' requests (see reclaim)
 
-	// Free lists of the connection path: what prepareChannel builds,
-	// teardownChannel gives back. A receive descriptor is posted unbacked
-	// and holds no buffer here: the port lends it one while a message is in
-	// it, and progressStep hands that back before the descriptor moves on.
-	// Between growPool and its way back here exactly one of its VI's receive
-	// queue, a CQ entry or the progressStep iteration handling it holds it.
-	freeRecvs []*via.Descriptor
+	// Free list of the connection path: what prepareChannel builds,
+	// teardownChannel gives back. An eager pool is not on it: the channel holds
+	// a registration and the VI a count, and a receive descriptor, with its
+	// buffer, is the port's, out only from a message's first fragment until
+	// progressStep has read the message.
 	freeChans []*chanState
 	down      []*chanState // adoptDisconnects' scratch: channels whose VI the peer closed
 
 	// What reserve made for a mesh whose size the policy knew at Init, one
-	// allocation a kind, carved by cursor where the free lists above run dry:
-	// channel states and receive descriptors.
+	// allocation, carved by cursor where the free list above runs dry.
 	chanSlab []chanState
-	recvSlab []via.Descriptor
 
 	// What lets a poll skip the scans that would find nothing (see
 	// adoptDisconnects and flowPass; the port and the manager keep the rest).
@@ -238,26 +234,23 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 		r.peakLive = len(r.active)
 	}
 	r.viToChan[ch.Vi] = cs
-	ch.Vi.RecycleRecvs(&r.freeRecvs)
 	r.growPool(cs, initial)
 }
 
 // reserve prepares for the n channels a static manager is about to make
 // (core.Config.Reserve): their states — each with room for its pool's
-// one registration — and the descriptors of their initial pools are one
-// allocation a kind, the tables are sized once, and the port does the same
-// below. Nothing is registered, posted or charged: the model cannot tell.
+// one registration — are one allocation, the tables are sized once, and the
+// port does the same below. Nothing is registered, posted or charged: the
+// model cannot tell.
 func (r *Rank) reserve(n int) {
-	initial := r.cfg.initialPool()
 	r.chanSlab = make([]chanState, n)
 	handles := make([]via.MemHandle, n)
 	for i := range r.chanSlab {
 		r.chanSlab[i].memHandles = handles[i : i : i+1]
 	}
-	r.recvSlab = make([]via.Descriptor, n*initial)
 	r.active = slices.Grow(r.active, n)
 	r.viToChan = simnet.Presize(r.viToChan, n)
-	r.port.Reserve(n, initial)
+	r.port.Reserve(n)
 }
 
 // newChanState takes a torn-down channel's state off the free list (else the
@@ -277,20 +270,11 @@ func (r *Rank) newChanState(peer int, ch *core.Channel, credits int) *chanState 
 	return cs
 }
 
-// forgetFreeRecvs is a test hook: while set, every growPool starts from an
-// empty free list, so each descriptor it posts is fresh — the run a recycling
-// run's accounting must equal (TestPoolRecyclingKeepsAccounting).
-var forgetFreeRecvs bool
-
-// growPool registers and pre-posts n more eager receives on cs, unbacked. The
+// growPool registers and pre-posts n more eager receives on cs. The
 // registration (all n buffers' worth: the model pins the whole pool) is the
-// channel's; the descriptors are the rank's, recycled from one connection to
-// the next; host memory for a buffer is the port's, lent while a message is
-// in it.
+// channel's; the receives are a count on the VI; a descriptor and the host
+// memory of a buffer are the port's, lent while a message is in them.
 func (r *Rank) growPool(cs *chanState, n int) {
-	if forgetFreeRecvs {
-		r.freeRecvs = r.freeRecvs[:0]
-	}
 	bufSize := r.cfg.eagerBufSize()
 	h, err := r.port.Memory().Register(int64(bufSize * n))
 	if err != nil {
@@ -298,28 +282,13 @@ func (r *Rank) growPool(cs *chanState, n int) {
 		return
 	}
 	cs.memHandles = append(cs.memHandles, h)
-	for i := 0; i < n; i++ {
-		if err := cs.ch.Vi.PostRecv(r.takeRecv(bufSize)); err != nil {
-			r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.peer, err)
-			return
-		}
+	if err := cs.ch.Vi.PostRecvPool(n, bufSize); err != nil {
+		r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.peer, err)
+		return
 	}
 	cs.posted += n
 	r.flowDirty = true // posted is half of the credit-return condition
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
-}
-
-// takeRecv takes an unbacked receive descriptor of capacity bufSize off the
-// free list, else carves the next of reserve's slab, or grows.
-func (r *Rank) takeRecv(bufSize int) *via.Descriptor {
-	if d := simnet.Pop(&r.freeRecvs); d != nil {
-		return d
-	}
-	if d := simnet.Carve(&r.recvSlab); d != nil {
-		d.Len = bufSize
-		return d
-	}
-	return growRecvs(bufSize)
 }
 
 // onChannelUp drains the paper's pre-posted send FIFO in order (§3.4).
@@ -392,7 +361,7 @@ func (r *Rank) teardownChannel(cs *chanState) {
 	if cs.userSends > 0 {
 		r.rememberDest(peer)
 	}
-	cs.ch.Vi.Close() // the unfinished receives of the pool go back to freeRecvs
+	cs.ch.Vi.Close()
 	for _, h := range cs.memHandles {
 		if err := r.port.Memory().Deregister(h); err != nil {
 			r.proc.Sim().Failf("mpi: rank %d release eager pool for %d: %v", r.rank, peer, err)
@@ -502,14 +471,12 @@ func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
 	return p
 }
 
-// growPkts, growSends, growRecvs and growChans grow the free lists (cold
-// paths: each settles at the number of packets queued, sends unreaped, eager
-// receives posted, or channels live, at once).
+// growPkts, growSends and growChans grow the free lists (cold paths: each
+// settles at the number of packets queued, sends unreaped, or channels live,
+// at once).
 func growPkts() *pkt { return new(pkt) }
 
 func (r *Rank) growSends() *via.Descriptor { return &via.Descriptor{UserPtr: r} }
-
-func growRecvs(bufSize int) *via.Descriptor { return &via.Descriptor{Len: bufSize} }
 
 func growChans() *chanState { return new(chanState) }
 
@@ -654,10 +621,8 @@ func (r *Rank) progressStep() {
 				return
 			}
 			// Completed before its VI closed, so Close left it to this
-			// entry: now that the frame has been read, its buffer is the
-			// port's again and the descriptor is free.
+			// entry: now that the frame has been read, it is the port's again.
 			r.port.ReturnLanding(d)
-			r.freeRecvs = append(r.freeRecvs, d)
 			continue
 		}
 		if d.Status != via.StatusSuccess {
@@ -666,15 +631,13 @@ func (r *Rank) progressStep() {
 		r.handlePacket(cs, d.Buf[:d.XferLen])
 		// The packet has been read — an eager payload is copied out, into the
 		// receive it matched or the unexpected queue — and nothing else keeps
-		// the landing buffer: back to the port before the descriptor moves on.
+		// the descriptor or its landing buffer: back to the port.
 		r.port.ReturnLanding(d)
-		// Re-post the pool receive immediately — unless the packet tore its
-		// own channel down (BYE_ACK, crossing BYE) or the peer's DISC has
-		// arrived meanwhile: then it is the rank's again.
-		if vi.State() == via.ViConnected && vi.PostRecv(d) == nil {
+		// Re-arm the pool receive the message claimed, immediately — unless
+		// the packet tore its own channel down (BYE_ACK, crossing BYE) or the
+		// peer's DISC has arrived meanwhile.
+		if vi.State() == via.ViConnected && vi.PostRecvPool(1, r.cfg.eagerBufSize()) == nil {
 			cs.freed++
-		} else {
-			r.freeRecvs = append(r.freeRecvs, d)
 		}
 	}
 

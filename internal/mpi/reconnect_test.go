@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"viampi/internal/obs"
@@ -10,14 +11,14 @@ import (
 	"viampi/internal/via"
 )
 
-// What a channel builds at prepareChannel — the eager pool's descriptors, its
-// own state, the core.Channel, the VI's work queues — is recycled from one
-// connection to the next, and the buffer a message lands in is the port's,
-// lent for as long as the message is in it; these tests hold what that can
-// break: an allocation creeping back into the reconnect cycle, a landing
-// buffer with two owners, a descriptor lost or returned twice, and the
-// pinned-memory accounting, which must not know that the host memory behind
-// it is reused.
+// What a channel builds at prepareChannel — its own state, the core.Channel,
+// the VI's work queues — is recycled from one connection to the next, its
+// eager pool is a registration and a count, and the descriptor and buffer a
+// message lands in are the port's, lent for as long as the message is unread;
+// these tests hold what that can break: an allocation creeping back into the
+// reconnect cycle, a landing buffer with two owners, a descriptor lost or
+// returned twice, and the pinned-memory accounting, which must not know that
+// the host memory behind it is reused — or that most of it is never there.
 
 // reconnects runs n messages from rank 0 to two alternating partners under a
 // one-VI cap, so that every message evicts one channel (BYE handshake,
@@ -72,7 +73,7 @@ func TestReconnectCycleAllocs(t *testing.T) {
 	}
 }
 
-// distinct reports whether no descriptor is on the free list twice.
+// distinct reports whether no descriptor is on a port's free list twice.
 func distinct(free []*via.Descriptor) bool {
 	seen := make(map[*via.Descriptor]bool, len(free))
 	for _, d := range free {
@@ -90,9 +91,9 @@ func distinct(free []*via.Descriptor) bool {
 // rank 0's BYE as the acknowledgement and closes, while rank 0 sleeps: when
 // it wakes, rank 1's BYE is a CQ entry, completed, on a VI whose DISC has
 // arrived too. The teardown scan closes that VI before the drain reaches the
-// entry. Had Close taken the completed descriptor as well, the free list
-// would hold it twice (and the next pool to post it would erase XferLen
-// under the entry: "arrival on unknown VI").
+// entry. Had Close taken the completed descriptor back as well, the port's
+// free list would hold it twice (and the next message to claim it would erase
+// XferLen under the entry: "arrival on unknown VI").
 func TestStaleCQEntryAfterTeardown(t *testing.T) {
 	const credits = 4
 	cfg := Config{Procs: 4, MaxVIs: 1, CreditCount: credits, Deadline: 600 * simnet.Second}
@@ -126,24 +127,17 @@ func TestStaleCQEntryAfterTeardown(t *testing.T) {
 			fail("%v", err)
 		}
 		r.Proc().Sleep(100 * simnet.Microsecond)
-		if _, lent := r.port.Landing(); r.cq.Len() != 1 || len(r.freeRecvs) != 0 || lent != 1 {
-			fail("before the pass: %d CQ entries, %d free receives, %d landing buffers out; want rank 1's BYE alone, in a buffer of the port's, and none",
-				r.cq.Len(), len(r.freeRecvs), lent)
+		made := r.port.Stats().LandingPeak // no two messages were ever unread at once here
+		if free, lent := r.port.Landing(); r.cq.Len() != 1 || made != 1 || len(free) != 0 || lent != 1 {
+			fail("before the pass: %d CQ entries, %d landing descriptors free of %d made, %d out; want rank 1's BYE alone, in the port's one descriptor, out",
+				r.cq.Len(), len(free), made, lent)
 		}
 		r.progressStep()
-		if r.cq.Len() != 0 || len(r.freeRecvs) != credits || !distinct(r.freeRecvs) {
-			fail("after the pass: %d CQ entries, %d free receives (distinct: %v); want 0 and the closed channel's %d, each once",
-				r.cq.Len(), len(r.freeRecvs), distinct(r.freeRecvs), credits)
-		}
-		// The entry's descriptor came back bare: the frame read, its buffer
-		// went to the port before the descriptor went to the free list.
-		if _, lent := r.port.Landing(); lent != 0 {
-			fail("after the pass: %d landing buffers out, want 0", lent)
-		}
-		for _, d := range r.freeRecvs {
-			if d.Buf != nil {
-				fail("after the pass: a free receive holds a buffer")
-			}
+		// The frame read, the entry's descriptor is the port's again, once;
+		// the closed channel's other receives were a count and left nothing.
+		if free, lent := r.port.Landing(); r.cq.Len() != 0 || len(free) != made || !distinct(free) || lent != 0 {
+			fail("after the pass: %d CQ entries, %d landing descriptors free (distinct: %v), %d out; want 0, the %d ever made, each once, and 0",
+				r.cq.Len(), len(free), distinct(free), lent, made)
 		}
 		if err := c.Send(2, 0, out); err != nil {
 			fail("%v", err)
@@ -156,62 +150,52 @@ func TestStaleCQEntryAfterTeardown(t *testing.T) {
 
 // The accounting is the paper's result; the host memory behind it is not.
 // A capped run — every phase of a shift pattern evicts and reconnects — must
-// report the same pinned_bytes gauge stream, the same PinnedPeak, event count
-// and end time whether its pools are recycled or made fresh at every take.
+// report the pinned_bytes gauge stream, PinnedPeak, event count and end time
+// it reported when every pool receive was a descriptor of its own, made fresh
+// at every connection (pinned from the commit before the counted pool, where
+// recycled and fresh pools read alike).
 func TestPoolRecyclingKeepsAccounting(t *testing.T) {
 	type gauge struct {
 		t    int64
 		rank int32
 		v    int64
 	}
-	type record struct {
-		gauges  []gauge
-		peaks   []int64
-		events  uint64
-		elapsed simnet.Duration
-		vis     int
-	}
-	run := func(fresh bool) record {
-		forgetFreeRecvs = fresh
-		defer func() { forgetFreeRecvs = false }()
-		var rec record
-		bus := obs.NewBus()
-		bus.Subscribe(func(e obs.Event) {
-			if e.Kind == obs.EvGauge && e.Name == "pinned_bytes" {
-				rec.gauges = append(rec.gauges, gauge{e.T, e.Rank, e.A})
-			}
-		})
-		const n = 6
-		cfg := Config{Procs: n, MaxVIs: 2, DynamicCredits: true, Seed: 7, Obs: bus, Deadline: 600 * simnet.Second}
-		w, err := Run(cfg, func(r *Rank) {
-			c := r.World()
-			in, out := make([]byte, 64), make([]byte, 64)
-			for ph := 1; ph < n; ph++ {
-				for i := 0; i < 8; i++ {
-					if _, err := c.Sendrecv((r.Rank()+ph)%n, ph, out, (r.Rank()-ph+n)%n, ph, in); err != nil {
-						r.Abort(1, err.Error())
-					}
+	var gauges []gauge
+	bus := obs.NewBus()
+	bus.Subscribe(func(e obs.Event) {
+		if e.Kind == obs.EvGauge && e.Name == "pinned_bytes" {
+			gauges = append(gauges, gauge{e.T, e.Rank, e.A})
+		}
+	})
+	const np = 6
+	cfg := Config{Procs: np, MaxVIs: 2, DynamicCredits: true, Seed: 7, Obs: bus, Deadline: 600 * simnet.Second}
+	w, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		in, out := make([]byte, 64), make([]byte, 64)
+		for ph := 1; ph < np; ph++ {
+			for i := 0; i < 8; i++ {
+				if _, err := c.Sendrecv((r.Rank()+ph)%np, ph, out, (r.Rank()-ph+np)%np, ph, in); err != nil {
+					r.Abort(1, err.Error())
 				}
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		for _, rs := range w.Ranks {
-			rec.peaks = append(rec.peaks, rs.PinnedPeak)
-			rec.vis += rs.VisCreated
-		}
-		rec.events, rec.elapsed = w.Net.Sim().EventCount, w.Elapsed
-		return rec
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	recycled, fresh := run(false), run(true)
-	if recycled.vis <= 6*2 || len(recycled.gauges) == 0 {
-		t.Fatalf("%d VIs created, %d gauge samples: the cap never forced a reconnect", recycled.vis, len(recycled.gauges))
+	var peaks []int64
+	vis := 0
+	for _, rs := range w.Ranks {
+		peaks = append(peaks, rs.PinnedPeak)
+		vis += rs.VisCreated
 	}
-	if fmt.Sprint(recycled) != fmt.Sprint(fresh) {
-		t.Errorf("accounting differs between recycled and fresh pools:\nrecycled: %d gauges, peaks %v, %d events, end %v\nfresh:    %d gauges, peaks %v, %d events, end %v",
-			len(recycled.gauges), recycled.peaks, recycled.events, recycled.elapsed,
-			len(fresh.gauges), fresh.peaks, fresh.events, fresh.elapsed)
+	stream := fnv.New64a()
+	fmt.Fprint(stream, gauges)
+	got := fmt.Sprintf("%d gauges %#x, peaks %v, %d events, end %d ns, %d VIs",
+		len(gauges), stream.Sum64(), peaks, w.Net.Sim().EventCount, int64(w.Elapsed), vis)
+	const want = "142 gauges 0x583c67cbe8f04c48, peaks [141344 141344 141344 181728 141344 141344], 3542 events, end 3774835 ns, 54 VIs"
+	if got != want {
+		t.Errorf("accounting of the capped run moved:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -225,18 +209,19 @@ func poolMsg(src, dst, tag, i, size int) []byte {
 	return b
 }
 
-// A scribbler that overwrites every free landing buffer of every port, to its
-// capacity, every 100 ns and at every event on the bus — any buffer on a
-// port's free list while a VI, a CQ entry or handlePacket still reads it
-// delivers a damaged message, and a message-receive event is stamped inside
-// handlePacket before the payload is copied out, so giving the buffer back
-// ahead of handlePacket instead of after it fails every world here — while
+// A scribbler that overwrites every free landing descriptor of every port —
+// its buffer, to its capacity, and its Status, XferLen and UserPtr — every
+// 100 ns and at every event on the bus — any descriptor on a port's free list
+// while a VI, a CQ entry or handlePacket still reads it delivers a damaged
+// message, and a message-receive event is stamped inside handlePacket before
+// the payload is copied out, so giving the descriptor back ahead of
+// handlePacket instead of after it fails every world here — while
 // four ranks under a one-VI cap go through each way a pool receive travels:
 // crossing BYEs (both ends evict each other at once), an eviction the peer
 // accepts and one it refuses (BYE_NACK: a rendezvous is in flight), eager
 // messages that wait in the unexpected queue while their channel is torn down
 // and reconnected, and a burst that runs the credits out and, with dynamic
-// credits, grows the pool from the free list. The static worlds tear nothing
+// credits, grows the pool. The static worlds tear nothing
 // down; every rank there opens by filling every peer's pool with eager
 // messages as long as a buffer, so that each port has a buffer out for every
 // message landed and not yet read, and the ones already read and handed back
@@ -281,20 +266,16 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			if r == nil {
 				continue
 			}
-			if !distinct(r.freeRecvs) {
-				r.proc.Sim().Failf("rank %d: a receive descriptor is on the free list twice", r.rank)
-			}
-			for _, d := range r.freeRecvs {
-				if d.Buf != nil {
-					r.proc.Sim().Failf("rank %d: a free receive descriptor holds a buffer", r.rank)
-				}
-			}
 			free, out := r.port.Landing()
-			for _, b := range free {
-				b = b[:cap(b)]
+			if !distinct(free) {
+				r.proc.Sim().Failf("rank %d: a landing descriptor is on the port's free list twice", r.rank)
+			}
+			for _, d := range free {
+				b := d.Buf[:cap(d.Buf)]
 				for k := range b {
 					b[k] = 0xEE
 				}
+				d.Status, d.XferLen, d.UserPtr = via.StatusErrorState, 0xEEEE, r
 				scribble++
 			}
 			beside = beside || len(free) > 0 && out > 0
@@ -493,8 +474,9 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			crossing, nacked, parked, grew, cfg.DynamicCredits)
 	}
 	for _, r := range ranks {
-		if limit := r.peakLive * cfg.CreditCount; len(r.freeRecvs) > limit {
-			t.Errorf("rank %d: %d free receive descriptors for at most %d channels of %d at once", r.rank, len(r.freeRecvs), r.peakLive, cfg.CreditCount)
+		// The port made a descriptor only when every one it had was out.
+		if free, out := r.port.Landing(); len(free)+out != r.port.Stats().LandingPeak {
+			t.Errorf("rank %d: %d landing descriptors free and %d out, with at most %d messages unread at once", r.rank, len(free), out, r.port.Stats().LandingPeak)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 }
 
 // newFrame, growFrameBuf and growLanding grow the frame free list, a frame's
-// buffer and a port's stock of landing buffers (cold paths: the list settles
+// buffer and a port's stock of landing descriptors (cold paths: the list settles
 // at the number of frames in flight at once, a buffer at the largest fragment
 // it has carried — exactly that, no size classes — and the stock at the number
 // of messages landed and not yet read at once).
@@ -183,7 +183,7 @@ func (n *Network) newFrame() *wireMsg { return &wireMsg{} }
 
 func growFrameBuf(size int) []byte { return make([]byte, size) }
 
-func growLanding(size int) []byte { return make([]byte, size) }
+func growLanding(size int) *Descriptor { return &Descriptor{Buf: make([]byte, size)} }
 
 // release returns a dispatched (or dropped) frame to the free list.
 func (n *Network) release(m *wireMsg) {

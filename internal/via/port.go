@@ -69,15 +69,14 @@ type Port struct {
 
 	// What Reserve made for the VIs its caller is about to create, one
 	// allocation a kind, carved by cursor at the take sites before they grow.
-	viSlab    []VI
-	recvQSlab []*Descriptor // receive queues, recvDepth entries each
-	recvDepth int
-	reqSlab   []PeerRequest
+	viSlab  []VI
+	reqSlab []PeerRequest
 
-	// Landing buffers, lent to unbacked receives (lendLanding, ReturnLanding):
-	// the free ones, most recently returned last, and the count out on loan.
-	// A buffer is never zeroed: a reader only ever sees Buf[:XferLen].
-	landing    [][]byte
+	// Landing descriptors, each with its buffer, lent to the messages that
+	// claim a receive of a counted pool (lendLanding, ReturnLanding): the free
+	// ones, most recently returned last, and the count out on loan. A buffer is
+	// never zeroed: a reader only ever sees Buf[:XferLen].
+	landing    []*Descriptor
 	landingOut int
 
 	outgoing        map[connKey]*VI // VIs with an outstanding REQ
@@ -218,10 +217,6 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	*vi = VI{port: p, id: p.nextVi, recvCQ: cq}
 	if k := len(p.spareQs) - 1; k >= 0 {
 		vi.viQueues, p.spareQs = p.spareQs[k], p.spareQs[:k]
-	} else if k := p.recvDepth; k > 0 && len(p.recvQSlab) >= k {
-		// Cap-limited: a pool that outgrows the depth reallocates, it
-		// never appends into the next VI's queue.
-		vi.recvQ, p.recvQSlab = p.recvQSlab[:0:k], p.recvQSlab[k:]
 	}
 	p.nextVi++
 	p.vis = append(p.vis, vi)
@@ -236,16 +231,14 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 // VIRoom returns how many more VIs the port may hold under MaxVIsPerPort.
 func (p *Port) VIRoom() int { return p.net.cost.MaxVIsPerPort - p.liveVIs }
 
-// Reserve prepares the port for n VIs its owner is about to create, each
-// pre-posting recvDepth receives: the endpoints, their receive queues and the
-// requests of the peers that connect first are one allocation each, and the
-// tables the handshakes fill are sized once. It creates nothing the model
-// knows of — no VI, no registration, no host charge — and a caller that knows
-// no count (an on-demand manager) simply never calls it. Room beyond VIRoom
-// would never be used.
-func (p *Port) Reserve(n, recvDepth int) {
+// Reserve prepares the port for n VIs its owner is about to create: the
+// endpoints and the requests of the peers that connect first are one
+// allocation each, and the tables the handshakes fill are sized once. It
+// creates nothing the model knows of — no VI, no registration, no host charge
+// — and a caller that knows no count (an on-demand manager) simply never calls
+// it. Room beyond VIRoom would never be used.
+func (p *Port) Reserve(n int) {
 	p.viSlab = make([]VI, n)
-	p.recvQSlab, p.recvDepth = make([]*Descriptor, n*recvDepth), recvDepth
 	p.reqSlab = make([]PeerRequest, n)
 	p.vis = slices.Grow(p.vis, n)
 	p.pendingIncoming = slices.Grow(p.pendingIncoming, n)
@@ -262,37 +255,41 @@ func (p *Port) keepQueues(q viQueues) {
 	p.spareQs = append(p.spareQs, viQueues{q.sendQ[:0], q.recvQ[:0]})
 }
 
-// lendLanding lends d, an unbacked receive that a message is about to land in,
-// a buffer of d.Len bytes: the one returned last if it is large enough (it is
-// the likeliest to be in cache), else a new one.
-func (p *Port) lendLanding(d *Descriptor) {
-	if k := len(p.landing) - 1; k >= 0 && cap(p.landing[k]) >= d.Len {
-		d.Buf, p.landing = p.landing[k][:d.Len], p.landing[:k]
+// lendLanding lends the message about to land on vi, which has just claimed a
+// receive of vi's pool, a pending descriptor with a buffer of the pool's
+// capacity: the one returned last if its buffer is large enough (it is the
+// likeliest to be in cache), else a new one.
+func (p *Port) lendLanding(vi *VI) *Descriptor {
+	n := int(vi.poolCap)
+	var d *Descriptor
+	if k := len(p.landing) - 1; k >= 0 && cap(p.landing[k].Buf) >= n {
+		d, p.landing = p.landing[k], p.landing[:k]
 	} else {
-		d.Buf = growLanding(d.Len)
+		d = growLanding(n)
 	}
-	d.lent = true
+	d.Buf, d.Status, d.XferLen, d.vi, d.lent = d.Buf[:n], StatusPending, 0, vi, true
 	p.landingOut++
 	p.stats.LandingPeak = max(p.stats.LandingPeak, p.landingOut)
+	return d
 }
 
-// ReturnLanding takes back the buffer d was lent, if it holds one: the owner
-// calls it once it has read Buf[:XferLen] of a completed receive (and Close
-// does for one that failed with a message part-way in). Nothing may keep a
-// slice of the buffer beyond this call. A receive that brought its own Buf
-// keeps it.
+// ReturnLanding takes back d and its buffer, if they are the port's: the owner
+// calls it once it has read Buf[:XferLen] of a completed pool receive (and
+// Close does for one that failed with a message part-way in). Nothing may keep
+// d, or a slice of the buffer, beyond this call. A descriptor that was posted
+// with PostRecv stays its owner's.
 func (p *Port) ReturnLanding(d *Descriptor) {
 	if !d.lent {
 		return
 	}
-	p.landing = append(p.landing, d.Buf)
-	d.Buf, d.lent = nil, false
+	d.lent = false
+	p.landing = append(p.landing, d)
 	p.landingOut--
 }
 
-// Landing returns the port's free landing buffers (the live list, for tests
-// that overwrite whatever is free) and the number out on loan.
-func (p *Port) Landing() (free [][]byte, out int) { return p.landing, p.landingOut }
+// Landing returns the port's free landing descriptors (the live list, for
+// tests that overwrite whatever is free) and the number out on loan.
+func (p *Port) Landing() (free []*Descriptor, out int) { return p.landing, p.landingOut }
 
 // RegisterRdmaTarget registers buf as an RDMA write target and returns the
 // key a remote peer can address it with (carried in rendezvous CTS

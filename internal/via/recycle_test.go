@@ -458,16 +458,16 @@ func TestFrameRecyclingKeepsPayloads(t *testing.T) {
 
 // Reserve makes what the next VIs take in one allocation a kind and is
 // invisible to the model: no VI, no registration, no host time. The VIs carved
-// from it must not share a receive queue — a pool that outgrows the reserved
-// depth reallocates instead of appending into its neighbour's — and a port
-// asked for more VIs than it reserved grows as it always did.
+// from it are apart — a pool posted on one, a descriptor queued on another,
+// stay where they were posted, and no receive queue is made ahead of a message
+// — and a port asked for more VIs than it reserved grows as it always did.
 func TestReserveCarvesApart(t *testing.T) {
-	const n, depth = 2, 3
+	const n = 2
 	e := newEnv(2, 1, ClanCost())
 	e.pair(t,
 		func(p *simnet.Proc, port *Port) {
 			room, events := port.VIRoom(), e.sim.EventCount
-			port.Reserve(n, depth)
+			port.Reserve(n)
 			if st := port.Stats(); st.VisCreated != 0 || port.Memory().Pinned() != 0 || port.debt != 0 ||
 				port.VIRoom() != room || e.sim.EventCount != events {
 				t.Errorf("Reserve showed: %d VIs, %d B pinned, %v of debt, room %d → %d, events %d → %d",
@@ -482,26 +482,21 @@ func TestReserveCarvesApart(t *testing.T) {
 				}
 				vis = append(vis, vi)
 			}
-			if len(port.viSlab) != 0 || len(port.recvQSlab) != 0 {
-				t.Errorf("%d VIs and %d queue slots left in the slabs after creating %d VIs", len(port.viSlab), len(port.recvQSlab), n+1)
+			if len(port.viSlab) != 0 {
+				t.Errorf("%d VIs left in the slab after creating %d VIs", len(port.viSlab), n+1)
 			}
-			for i, vi := range vis[:n] {
-				if cap(vi.recvQ) != depth {
-					t.Errorf("VI %d: receive queue of cap %d, want the reserved depth %d", i, cap(vi.recvQ), depth)
-				}
-			}
-			// Outgrow the first queue while the second holds its own.
 			mark := &Descriptor{Buf: make([]byte, 8)}
 			if err := vis[1].PostRecv(mark); err != nil {
 				t.Error(err)
 			}
-			for i := 0; i < depth+1; i++ {
-				if err := vis[0].PostRecv(&Descriptor{Buf: make([]byte, 8)}); err != nil {
-					t.Error(err)
-				}
+			if err := vis[0].PostRecvPool(4, 8); err != nil {
+				t.Error(err)
 			}
-			if len(vis[1].recvQ) != 1 || vis[1].recvQ[0] != mark {
-				t.Error("posting past the reserved depth on one VI reached into the next VI's receive queue")
+			if k, _ := vis[0].RecvPool(); k != 4 || cap(vis[0].recvQ) != 0 {
+				t.Errorf("VI 0: pool of %d with a receive queue of cap %d, want 4 and no queue before a message claims one", k, cap(vis[0].recvQ))
+			}
+			if k, _ := vis[1].RecvPool(); k != 0 || len(vis[1].recvQ) != 1 || vis[1].recvQ[0] != mark {
+				t.Error("a pool posted on one VI of the slab showed on the next")
 			}
 			if req := port.newPeerRequest(); len(port.reqSlab) != n-1 || req == nil {
 				t.Errorf("%d requests left in a slab of %d after one take", len(port.reqSlab), n)

@@ -387,9 +387,10 @@ func TestClosedVIsAreNotRetained(t *testing.T) {
 	e.pair(t, body(0), body(1))
 }
 
-// Close hands the owner's free list the receives that never completed, and
-// only those: a completed one the owner has not reaped is still named by its
-// CQ entry, which must find it as the message left it.
+// Close leaves to its CQ entry a pool receive that completed and the owner
+// has not reaped — the entry must find it as the message left it, and the
+// owner hands it back once read — and has nothing else to hand anyone: the
+// receives no message claimed were never descriptors.
 func TestCloseReturnsUnfinishedRecvs(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
 	addrs := make([]Addr, 2)
@@ -415,15 +416,15 @@ func TestCloseReturnsUnfinishedRecvs(t *testing.T) {
 		func(p *simnet.Proc, port *Port) {
 			addrs[1] = port.Addr()
 			cq := NewCQ(port)
-			var free []*Descriptor
 			vi, err := port.CreateViCQ(cq)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			vi.RecycleRecvs(&free)
-			postRecvs(t, vi, 4, 64)
-			posted := append([]*Descriptor(nil), vi.recvQ...)
+			if err := vi.PostRecvPool(4, 64); err != nil {
+				t.Error(err)
+				return
+			}
 			if err := port.ConnectPeerRequest(vi, addrs[0], 5); err != nil {
 				t.Error(err)
 				return
@@ -432,12 +433,16 @@ func TestCloseReturnsUnfinishedRecvs(t *testing.T) {
 				port.WaitActivity(WaitPoll)
 			}
 			vi.Close()
-			if len(free) != 3 || free[0] != posted[1] || free[1] != posted[2] || free[2] != posted[3] {
-				t.Errorf("Close returned %d receives, want the 3 that never completed, in post order", len(free))
+			if free, out := port.Landing(); len(free) != 0 || out != 1 {
+				t.Errorf("after Close: %d landing descriptors free, %d out; want the completed one still out and nothing else ever made", len(free), out)
 			}
 			got, d := cq.Done()
-			if got != vi || d != posted[0] || d.Status != StatusSuccess || !bytes.Equal(d.Buf[:d.XferLen], pattern(0, 64)) {
+			if got != vi || d.Status != StatusSuccess || !bytes.Equal(d.Buf[:d.XferLen], pattern(0, 64)) {
 				t.Errorf("the completion left in the CQ did not survive its VI's Close intact")
+			}
+			port.ReturnLanding(d)
+			if free, out := port.Landing(); len(free) != 1 || free[0] != d || out != 0 {
+				t.Errorf("after the entry was reaped and read: %d free, %d out; want the one descriptor back", len(free), out)
 			}
 		})
 }

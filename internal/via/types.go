@@ -78,7 +78,7 @@ var (
 	ErrClosed         = errors.New("via: port or VI closed")
 	ErrUnknownRdmaKey = errors.New("via: unknown RDMA target key")
 	ErrNotRegistered  = errors.New("via: buffer not in a registered region")
-	ErrNoRoom         = errors.New("via: receive descriptor has neither a buffer nor a capacity")
+	ErrNoRoom         = errors.New("via: receive has no room: no buffer, or a pool of no capacity")
 )
 
 // Addr is the network address of a port (a process's NIC handle).
@@ -99,22 +99,24 @@ type PeerRequest struct {
 // send/receive/RDMA uses applies per descriptor. The Buf slice must lie in a
 // registered memory region of the posting port.
 //
-// A receive either brings its landing buffer (Buf, with Len 0: a message may
-// be as long as len(Buf)) or is posted unbacked (Buf nil, Len its capacity):
-// the port then lends it a buffer of Len bytes when a message's first fragment
-// claims it, and the owner hands the buffer back with Port.ReturnLanding once
-// it has read Buf[:XferLen]. Registration is accounted by size alone
-// (MemoryRegistry), so an unbacked receive pins what a backed one does.
+// A receive posted with PostRecv brings its landing buffer: a message may be
+// as long as len(Buf), and Len is not read. The receives of a counted pool
+// (PostRecvPool) have no descriptor while they wait: the port lends one, with
+// a buffer of the pool's capacity, to each message whose first fragment claims
+// a receive, the completion names it, and the owner hands both back with
+// Port.ReturnLanding once it has read Buf[:XferLen]. Registration is accounted
+// by size alone (MemoryRegistry), so a pool pins what as many backed receives
+// do.
 type Descriptor struct {
-	Buf []byte // data to send, or receive landing buffer (nil: lent by the port while a message is in it)
-	Len int    // bytes to send; capacity of an unbacked receive, 0 for one that brings its Buf
+	Buf []byte // data to send, or receive landing buffer
+	Len int    // bytes to send (unused by a receive)
 
 	// RDMA write fields (send-queue descriptors only).
 	RdmaKey    uint64 // remote target key from RegisterRdmaTarget
 	RdmaOffset int    // byte offset within the remote target
 
 	Status  Status
-	lent    bool // Buf is the port's, on loan (shares Status's word: the struct stays 96 bytes)
+	lent    bool // the port's, on loan to a pool receive (shares Status's word: the struct stays 96 bytes)
 	XferLen int  // bytes actually transferred
 
 	// UserPtr lets upper layers attach context (e.g. the MPI request).

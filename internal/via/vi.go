@@ -2,6 +2,7 @@ package via
 
 import (
 	"fmt"
+	"math"
 
 	"viampi/internal/simnet"
 )
@@ -38,16 +39,19 @@ type VI struct {
 
 	used bool // carried a data message, in either direction (Port.VisUsed)
 
-	// recvFree, when set, is the owner's free list of receive descriptors:
-	// Close returns the posted receives that never completed to it.
-	recvFree *[]*Descriptor
+	// The counted pool (PostRecvPool): pool receives of poolCap bytes each,
+	// posted and not yet claimed by a message. They are a number; a descriptor
+	// exists, in recvQ, from a message's first fragment until the owner has
+	// read it. (Two halves of one word: a reconnect allocates its VI, and the
+	// struct stays in its size class.)
+	pool, poolCap int32
 }
 
 // viQueues are a VI's work queues. Close empties them and leaves them with
 // the port, and the next VI the port creates posts into the same arrays.
 type viQueues struct {
 	sendQ []*Descriptor // posted sends, FIFO; completed in order
-	recvQ []*Descriptor // posted receives, FIFO; consumed in arrival order
+	recvQ []*Descriptor // posted receives (of a counted pool: the claimed ones), FIFO; consumed in arrival order
 }
 
 // ID returns the VI's id, unique within its port.
@@ -62,11 +66,9 @@ func (vi *VI) Port() *Port { return vi.port }
 // Disc returns the discriminator the connection was established under.
 func (vi *VI) Disc() uint64 { return vi.disc }
 
-// RecycleRecvs names the free list this VI's receive descriptors come from.
-// Close appends to it the posted receives that never completed. A completed
-// one is not handed back: a CQ entry may still name it, and the owner meets
-// it again when it reaps that entry.
-func (vi *VI) RecycleRecvs(free *[]*Descriptor) { vi.recvFree = free }
+// RecvPool returns the counted pool: the receives posted and unclaimed, and
+// the capacity of each (0 on a VI that takes descriptors).
+func (vi *VI) RecvPool() (n, capacity int) { return int(vi.pool), int(vi.poolCap) }
 
 // markUsed counts the VI toward Port.VisUsed on its first data message.
 func (vi *VI) markUsed() {
@@ -84,18 +86,24 @@ func (vi *VI) badState(op string) error {
 	return fmt.Errorf("%w: %s in state %v", ErrBadState, op, vi.state)
 }
 
-// PostRecv posts a receive descriptor. VIA requires receives to be posted
-// before the matching message arrives; posting is legal in any pre-connected
-// or connected state. A receive with no room at all — no Buf to land in and no
-// Len for the port to lend against — is refused here, with ErrNoRoom: posted,
-// it would break the connection at the first arrival.
+// canPostRecv reports whether the VI's state takes a receive. VIA requires
+// receives to be posted before the matching message arrives; posting is legal
+// in any pre-connected or connected state.
+func (vi *VI) canPostRecv() bool {
+	return vi.state == ViIdle || vi.state == ViConnecting || vi.state == ViConnected
+}
+
+// PostRecv posts a receive descriptor that brings its landing buffer. One
+// with no Buf is refused here, with ErrNoRoom: posted, it would break the
+// connection at the first arrival. A VI that holds a counted pool takes no
+// descriptors (ErrBadState).
 func (vi *VI) PostRecv(d *Descriptor) error {
-	switch vi.state {
-	case ViIdle, ViConnecting, ViConnected:
-	default:
+	switch {
+	case !vi.canPostRecv():
 		return vi.badState("PostRecv")
-	}
-	if d.Buf == nil && d.Len <= 0 {
+	case vi.poolCap != 0:
+		return vi.badState("PostRecv beside a counted pool")
+	case d.Buf == nil:
 		return ErrNoRoom
 	}
 	d.vi = vi
@@ -104,6 +112,35 @@ func (vi *VI) PostRecv(d *Descriptor) error {
 	d.XferLen = 0
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
 	vi.recvQ = append(vi.recvQ, d)
+	return nil
+}
+
+// PostRecvPool posts n more receives of capacity bytes each, with no buffers:
+// an eager pool is n identical receives, so the VI holds it as a count, and
+// the port lends a descriptor and its landing buffer to each message that
+// claims one (the owner hands both back with Port.ReturnLanding once it has
+// read the message, and posts one more here). It is n posts to the model —
+// PostOverhead each, through ChargeHost one at a time, so the debt is flushed
+// at the instants n PostRecv calls flush it, and each receive is there for a
+// message only once its own post is paid. A capacity of 0 or less is refused
+// with ErrNoRoom; a VI takes descriptors or one pool of one capacity, never
+// both (ErrBadState).
+func (vi *VI) PostRecvPool(n, capacity int) error {
+	switch {
+	case !vi.canPostRecv():
+		return vi.badState("PostRecvPool")
+	case vi.poolCap == 0 && len(vi.recvQ) > 0:
+		return vi.badState("PostRecvPool beside posted descriptors")
+	case vi.poolCap != 0 && int(vi.poolCap) != capacity:
+		return vi.badState("PostRecvPool of a second capacity")
+	case capacity <= 0 || capacity > math.MaxInt32:
+		return ErrNoRoom
+	}
+	vi.poolCap = int32(capacity)
+	for ; n > 0; n-- {
+		vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
+		vi.pool++
+	}
 	return nil
 }
 
@@ -219,29 +256,29 @@ func (vi *VI) handleData(m *wireMsg) {
 			p.net.sim.Failf("via: fragment before message start on vi %d@%d", vi.id, p.ep)
 			return
 		}
-		// Consume the oldest still-pending receive descriptor (completed
-		// ones may linger in the queue until the host reaps them).
 		var next *Descriptor
-		for _, d := range vi.recvQ {
-			if !d.Done() {
-				next = d
-				break
+		if vi.poolCap != 0 {
+			// Counted pool: the message claims one of the receives, and lands
+			// in a descriptor and buffer of the port's, which the owner hands
+			// back when it has read it. One too long claims and is lent nothing.
+			if vi.pool > 0 && m.total <= int(vi.poolCap) {
+				vi.pool--
+				next = p.lendLanding(vi)
+				vi.recvQ = append(vi.recvQ, next)
+			}
+		} else {
+			// Consume the oldest still-pending receive descriptor (completed
+			// ones may linger in the queue until the host reaps them).
+			for _, d := range vi.recvQ {
+				if !d.Done() {
+					next = d
+					break
+				}
 			}
 		}
-		if next == nil {
+		if next == nil || m.total > len(next.Buf) {
 			// VIA reliable delivery: arriving data with no posted receive
-			// descriptor breaks the connection.
-			p.net.DroppedNoDescriptor++
-			vi.enterError()
-			return
-		}
-		if next.Buf == nil && m.total <= next.Len {
-			// Unbacked: the message lands in a buffer of the port's, which
-			// the owner hands back when it has read it.
-			p.lendLanding(next)
-		}
-		if m.total > len(next.Buf) {
-			// No room (for an unbacked receive, Len: nothing was lent).
+			// descriptor, or none with room, breaks the connection.
 			p.net.DroppedNoDescriptor++
 			vi.enterError()
 			return
@@ -427,15 +464,14 @@ func (vi *VI) Close() {
 		// already tore the connection down, and closed returned above.
 	}
 	vi.failPending(StatusDisconnected)
-	// The descriptors carry their status now; the queues go. A receive that
-	// failed with a message part-way in still holds the buffer it was lent:
-	// nobody reads half a message, so the port takes it back here.
+	// The descriptors carry their status now; the queues go. A pool receive
+	// that failed with a message part-way in is still the port's, on loan:
+	// nobody reads half a message, so the port takes it back here. A completed
+	// one stays out: a CQ entry names it, and the owner hands it back when it
+	// has reaped that entry and read the message.
 	for _, d := range vi.recvQ {
 		if d.Status != StatusSuccess {
 			vi.port.ReturnLanding(d)
-			if vi.recvFree != nil {
-				*vi.recvFree = append(*vi.recvFree, d)
-			}
 		}
 	}
 	vi.port.unreaped -= len(vi.sendQ)
