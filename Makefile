@@ -38,7 +38,8 @@ race:
 
 # The invariant analyzers also run inside `go test` (the selfcheck); this
 # target is the direct, human-readable form. The wall-time budget keeps the
-# whole-program interprocedural pass (call graph + four fixpoint rules)
+# whole-program interprocedural pass (the call graph, the rules that
+# propagate summaries over it to a fixpoint, hotalloc's reachability walk)
 # honest: load dominates, so analysis must stay cheap enough to run on
 # every `make check`.
 ANALYZE_BUDGET ?= 120
@@ -63,10 +64,13 @@ fsm-dot:
 # hashes (internal/analysis/testdata/digests.golden), and mpirun-sim's full
 # report of CG.S on 8 ranks (testdata/mpirun-sim.golden). A change that
 # moves virtual time shows up as a golden diff: regenerate here, review the
-# diff, commit it with the change.
+# diff, commit it with the change. The fourth golden is not virtual time but
+# is regenerated the same way: the set of bodies hotalloc derives from the
+# policy's roots (internal/analysis/testdata/hotset.golden) — a body that
+# became hot, or stopped being, is a line of its diff.
 golden:
 	$(GO) test ./internal/bench -run 'TestGolden' -update
-	$(GO) test ./internal/analysis -run 'DualRunDeterminism' -update
+	$(GO) test ./internal/analysis -run 'DualRunDeterminism|TestHotSetGolden' -update
 	$(GO) test . -run 'TestToolMpirunSim' -update
 
 figures:

@@ -1,11 +1,11 @@
 package viampi
 
-// One Go benchmark per table and figure in the paper's evaluation section,
-// plus ablation benchmarks for the design choices called out in DESIGN.md.
-// Each benchmark iteration regenerates the artifact in quick mode (small
-// classes, few sweep points) and reports key virtual-time metrics so
-// `go test -bench=. -benchmem` doubles as a smoke evaluation. Run
-// `go run ./cmd/figures -all` for the full-size reproduction.
+// Go benchmarks that report what nothing else does: the ping-pong and NPB
+// kernels' virtual-time metrics per device and mechanism, the ablations of the
+// design choices called out in DESIGN.md, and the allocation rails (`make
+// bench-sim`). The paper's tables and figures have no benchmark here: `go run
+// ./cmd/figures` regenerates them, internal/bench's TestGolden pins their
+// quick-mode bytes, and host time is benchmark/'s to measure.
 
 import (
 	"runtime"
@@ -18,37 +18,6 @@ import (
 	"viampi/internal/simnet"
 	"viampi/internal/via"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	e, err := bench.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(bench.Options{Quick: true, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig1_BviaLatencyVsVIs(b *testing.B)  { benchExperiment(b, "fig1") }
-func BenchmarkTable1_AppDestinations(b *testing.B) { benchExperiment(b, "table1") }
-func BenchmarkTable2_VIUsage(b *testing.B)         { benchExperiment(b, "table2") }
-func BenchmarkFig2a_LatencyClan(b *testing.B)      { benchExperiment(b, "fig2a") }
-func BenchmarkFig2b_LatencyBvia(b *testing.B)      { benchExperiment(b, "fig2b") }
-func BenchmarkFig3a_BandwidthClan(b *testing.B)    { benchExperiment(b, "fig3a") }
-func BenchmarkFig3b_BandwidthBvia(b *testing.B)    { benchExperiment(b, "fig3b") }
-func BenchmarkFig4a_BarrierClan(b *testing.B)      { benchExperiment(b, "fig4a") }
-func BenchmarkFig4b_BarrierBvia(b *testing.B)      { benchExperiment(b, "fig4b") }
-func BenchmarkFig5a_AllreduceClan(b *testing.B)    { benchExperiment(b, "fig5a") }
-func BenchmarkFig5b_AllreduceBvia(b *testing.B)    { benchExperiment(b, "fig5b") }
-func BenchmarkFig6_NpbClan(b *testing.B)           { benchExperiment(b, "fig6") }
-func BenchmarkFig7_NpbBvia(b *testing.B)           { benchExperiment(b, "fig7") }
-func BenchmarkFig8a_InitTimeClan(b *testing.B)     { benchExperiment(b, "fig8a") }
-func BenchmarkFig8b_InitTimeBvia(b *testing.B)     { benchExperiment(b, "fig8b") }
-func BenchmarkTable3_NpbTimes(b *testing.B)        { benchExperiment(b, "table3") }
-func BenchmarkExtScale(b *testing.B)               { benchExperiment(b, "ext-scale") }
-func BenchmarkExtDynamic(b *testing.B)             { benchExperiment(b, "ext-dynamic") }
 
 // BenchmarkPingpong reports the simulated one-way latency per device and
 // mechanism as a custom metric (virtual_us).

@@ -2,8 +2,8 @@ package analysis
 
 // callgraph.go is the whole-program interprocedural layer: an index of every
 // declared function in the module, a call graph over them, and the shared
-// traversal helpers the summary-propagation analyzers (lockorder, protocol,
-// chargeflow, wakereach) are built on.
+// traversal helpers the summary-propagation analyzers (locks, protocol,
+// chargeflow, wakereach) and hotalloc's reachability walk are built on.
 //
 // Resolution is deliberately conservative in the direction that loses paths
 // rather than inventing them, with one exception that adds paths: a call
@@ -24,8 +24,8 @@ package analysis
 // graph is about *what* can run, not *when*.
 //
 // The graph is built once per Module and cached (Module.Interproc), so the
-// four interprocedural analyzers — and the stale-policy sweep — share one
-// index instead of re-deriving it per rule.
+// interprocedural analyzers — and the stale-policy sweep — share one index
+// instead of re-deriving it per rule.
 
 import (
 	"go/ast"
@@ -357,4 +357,51 @@ func exitMayState(body *ast.BlockStmt, entryState uint64, transfer func(node ast
 		return s
 	})
 	return in[g.exit]
+}
+
+// mayStateAt finds the recorded may-state for the CFG node containing the
+// target call. CFG nodes are statements (or bare condition expressions), so
+// the lookup walks up from the call through its ancestors to the nearest
+// node the dataflow recorded. An unrecorded target sits in an unreached
+// block (dead code) and reports false.
+func mayStateAt(states map[ast.Node]uint64, body *ast.BlockStmt, target ast.Node) (uint64, bool) {
+	var found uint64
+	ok := false
+	var stack []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if ok {
+			return false // drain without pushing; n's children are skipped
+		}
+		if n == target {
+			if s, rec := states[n]; rec {
+				found, ok = s, true
+			} else {
+				for i := len(stack) - 1; i >= 0; i-- {
+					if s, rec := states[stack[i]]; rec {
+						found, ok = s, true
+						break
+					}
+				}
+			}
+			return false
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return found, ok
+}
+
+// resolveSiteCallees returns the resolved callees of one call expression,
+// looked up in the shared per-function site list.
+func resolveSiteCallees(ip *Interproc, key string, call *ast.CallExpr) []string {
+	for _, site := range ip.Calls(key) {
+		if site.Call == call {
+			return site.Callees
+		}
+	}
+	return nil
 }

@@ -130,7 +130,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 				if !transmits && len(callees) == 0 {
 					return true
 				}
-				in, reached := loStateAt(states, u.body, n)
+				in, reached := mayStateAt(states, u.body, n)
 				if !reached {
 					return true
 				}

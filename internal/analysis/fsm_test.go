@@ -45,6 +45,33 @@ func TestFSMDotExtractsTheRealMachine(t *testing.T) {
 	}
 }
 
+// TestModelEdgesExistInTheCode ties the product-automaton models below to the
+// tree: each transition they abstract must be in the machine extracted from
+// the code, or the models prove things about a protocol nobody runs.
+func TestModelEdgesExistInTheCode(t *testing.T) {
+	p := DefaultPolicy()
+	const typeKey = "internal/via.ViState"
+	mach, errMsg := extractFSM(loadRepo(t), p, typeKey, p.FSMStates[typeKey])
+	if errMsg != "" {
+		t.Fatal(errMsg)
+	}
+	for _, req := range [][2]string{
+		{"ViIdle", "ViConnecting"},        // issue / accept
+		{"ViConnecting", "ViConnected"},   // handshake completes
+		{"ViConnecting", "ViIdle"},        // NACK reset (resetHandshake)
+		{"ViConnected", "ViDisconnected"}, // peer disconnect
+		{"ViConnected", "ViClosed"},       // eviction close
+	} {
+		found := false
+		for _, e := range mach.Edges {
+			found = found || e.To == req[1] && e.From[req[0]]
+		}
+		if !found {
+			t.Errorf("extracted machine for %s has no %s → %s transition, but the connection models depend on it", typeKey, req[0], req[1])
+		}
+	}
+}
+
 // TestConnectionModelAdoptionOn is the establishment proof: with crossing-
 // request adoption (the PR 3 rule), the 2-peer product automaton under
 // request drop/refusal/reordering is deadlock-free, livelock-free, and

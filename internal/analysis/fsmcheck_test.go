@@ -1,10 +1,10 @@
 package analysis
 
-// fsmcheck.go model-checks the two distributed protocols the connection
+// fsmcheck_test.go model-checks the two distributed protocols the connection
 // manager implements, as small 2-peer product automata explored exhaustively
 // by BFS. The per-peer machines are abstractions of the extracted ViState
-// FSM (fsm.go validates that the transitions they rely on exist in the
-// code); the in-flight messages are single-bit flags (establishment) or
+// FSM (TestModelEdgesExistInTheCode asserts the transitions they rely on
+// exist in the code); the in-flight messages are single-bit flags (establishment) or
 // short FIFO queues (eviction), and the fault plan's drop/refuse behaviors
 // are nondeterministic moves gated by a monotone fault switch — faults can
 // stop happening, never start, which is exactly the "eventually the network

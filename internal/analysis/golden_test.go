@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/rules.golden and testdata/digests.golden from the live tree")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/rules.golden, testdata/hotset.golden and testdata/digests.golden from the live tree")
 
 // ruleDoc renders the registry exactly the way the viampi-vet driver does:
 // the -list / bare -rules listing first, then every rule's -explain output
@@ -29,12 +29,12 @@ func ruleDoc() string {
 }
 
 // TestRuleDocGolden pins the -list, bare -rules, and per-rule -explain text
-// for the full 13-analyzer registry against testdata/rules.golden.
+// for the full 12-analyzer registry against testdata/rules.golden.
 // Regenerate deliberately with:
 //
 //	go test ./internal/analysis/ -run TestRuleDocGolden -update
 func TestRuleDocGolden(t *testing.T) {
-	const wantRules = 13
+	const wantRules = 12
 	if n := len(Analyzers()); n != wantRules {
 		t.Errorf("registry size: got %d analyzers, want %d", n, wantRules)
 	}

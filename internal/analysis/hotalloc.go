@@ -5,20 +5,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// HotAllocAnalyzer enforces the zero-allocation discipline on
-// policy-annotated hot paths: the nil-bus obs emit path, the progress-poll
-// loop and the message path. It flags the allocation idioms Go cannot keep
-// off the heap — address-taken composite literals, slice/map literals,
-// make/new, closures, non-constant string concatenation, and implicit
-// interface boxing of non-pointer values at call arguments. Failure-path
-// callees in Policy.ColdCalls (Sim.Failf) are excused from the boxing check:
-// a path that aborts the run may allocate.
+// HotAllocAnalyzer enforces the zero-allocation discipline on the hot paths:
+// the nil-bus obs emit path, the progress-poll loop, the message and
+// connection paths, the scheduler. The policy names only their roots; the
+// rule checks every body the call graph reaches from one (hotSet). It flags
+// the allocation idioms Go cannot keep off the heap — address-taken composite
+// literals, slice/map literals, make/new, closures, non-constant string
+// concatenation, and implicit interface boxing of non-pointer values at call
+// arguments. The walk stops at cold calls (isCold) and ignores what their
+// arguments build: a path that fails, or grows a free list, may allocate.
 func HotAllocAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",
-		Doc:  "policy-annotated hot paths must not allocate",
+		Doc:  "every body reachable from a hot root must not allocate",
 		Explain: `docs/ARCHITECTURE.md, "Observability" and "Enforced invariants": the obs
 bus is wired into every layer on the premise that instrumentation can never
 alter what it observes — the disabled (nil-bus) emit path is pinned at zero
@@ -26,38 +28,109 @@ allocations by benchmark so leaving tracing off costs nothing. The progress
 engine makes the same promise for a different reason: MVICH's
 MPID_DeviceCheck runs on every MPI call and every blocking wait, so an
 allocation there scales with poll count, not message count, and its cost
-(and eventual GC pauses in the real-code twin) would be charged to whichever
-rank happens to poll — exactly the kind of hidden, load-dependent cost the
-paper's measurements must not contain. Functions in Policy.HotPaths carry
-that promise in code review; this rule keeps it honest by flagging the
-constructs that defeat escape analysis or allocate by definition: &T{...},
-slice/map literals, make/new, closures, non-constant string concatenation,
-and non-pointer values passed to interface parameters (boxing). Cold
-failure-path callees (Policy.ColdCalls) are exempt from boxing — a path
-that kills the run may allocate on its way out.`,
-		Run: runHotAlloc,
+would be charged to whichever rank happens to poll — exactly the kind of
+hidden, load-dependent cost the paper's measurements must not contain. The
+message and connection paths keep it by recycling every object they use.
+Nobody lists the bodies that carry the promise: Policy.HotRoots names entry
+points (Comm.Send, Comm.Recv, Rank.progress, callbacks only ever handed
+over as function values), every Fire the scheduler dispatches through a
+Policy.EventEdges interface is a root unlisted, and the hot set is what the
+call graph reaches from those (testdata/hotset.golden is the derived list).
+In each such body this rule flags the constructs that defeat escape
+analysis or allocate by definition: &T{...}, slice/map literals, make/new,
+closures, non-constant string concatenation, and non-pointer values passed
+to interface parameters (boxing). The walk does not enter cold callees, nor
+look at what their arguments build: Policy.ColdCalls (failure paths, the
+Init-time reserves), fmt.Errorf, and the free-list growers, which the tree
+names grow*. A body that allocates by design is excused whole, with its
+reason, under Policy.Exceptions["hotalloc"]; the walk still passes through.`,
+		Subject: subjFunc,
+		Run:     runHotAlloc,
 	}
 }
 
 func runHotAlloc(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
 	ip := m.Interproc()
-	for _, name := range sortedKeys(p.HotPaths) {
-		if f := ip.Funcs[name]; f != nil { // a dangling entry is the stale sweep's report
-			ds = append(ds, checkHotAlloc(m, p, f.Pkg, f.Decl, name, p.HotPaths[name])...)
+	hot := hotSet(m, p)
+	for _, name := range sortedKeys(hot) {
+		if !p.excused("hotalloc", name) {
+			f := ip.Funcs[name]
+			ds = append(ds, checkHotAlloc(m, p, f.Pkg, f.Decl, name, hotChain(hot, name))...)
 		}
 	}
 	return ds
 }
 
-func checkHotAlloc(m *Module, p *Policy, pkg *Package, fd *ast.FuncDecl, name, why string) []Diagnostic {
+// hotSet derives the bodies held to the discipline: every function the call
+// graph reaches from a Policy.HotRoots entry or from an event the scheduler
+// fires (the targets of any call through a Policy.EventEdges interface),
+// cold callees excluded. The value is the caller the walk came from, "" for
+// a root.
+func hotSet(m *Module, p *Policy) map[string]string {
+	ip := m.Interproc()
+	from := map[string]string{}
+	var work []string
+	reach := func(key, caller string) {
+		if _, seen := from[key]; !seen && ip.Funcs[key] != nil {
+			from[key] = caller
+			work = append(work, key)
+		}
+	}
+	for _, root := range sortedKeys(p.HotRoots) {
+		reach(root, "") // a dangling root is the stale sweep's report
+	}
+	for _, key := range ip.Keys {
+		for _, site := range ip.Calls(key) {
+			if isEventEdge(m, p, ip.Funcs[key].Pkg, site.Call) {
+				for _, target := range site.Callees {
+					reach(target, "")
+				}
+			}
+		}
+	}
+	for ; len(work) > 0; work = work[1:] {
+		caller, pkg := work[0], ip.Funcs[work[0]].Pkg
+		var cold *ast.CallExpr // the last cold call seen: its arguments are as cold as it is
+		for _, site := range ip.Calls(caller) {
+			switch {
+			case cold != nil && cold.Pos() <= site.Call.Pos() && site.Call.Pos() < cold.End():
+			case isCold(p, calleeName(m, pkg, site.Call)):
+				cold = site.Call
+			default:
+				for _, callee := range site.Callees {
+					reach(callee, caller)
+				}
+			}
+		}
+	}
+	return from
+}
+
+// isCold reports whether the hot walk stops at a call to key: a
+// Policy.ColdCalls entry, a free-list grower (the tree names them grow*), or
+// fmt.Errorf — a path that builds an error is a failure path.
+func isCold(p *Policy, key string) bool {
+	return p.ColdCalls[key] || key == "fmt.Errorf" || strings.HasPrefix(key[strings.LastIndex(key, ".")+1:], "grow")
+}
+
+// hotChain renders how the walk reached name, root first.
+func hotChain(hot map[string]string, name string) string {
+	chain := name
+	for at := hot[name]; at != ""; at = hot[at] {
+		chain = at + " → " + chain
+	}
+	return chain
+}
+
+func checkHotAlloc(m *Module, p *Policy, pkg *Package, fd *ast.FuncDecl, name, chain string) []Diagnostic {
 	var ds []Diagnostic
 	flag := func(pos token.Pos, what string) {
 		ds = append(ds, Diagnostic{
 			Pos:  m.Position(pos),
 			Rule: "hotalloc",
-			Message: fmt.Sprintf("%s is a zero-allocation hot path (%s): %s — hoist it out of the hot path or move the work to a cold helper",
-				name, why, what),
+			Message: fmt.Sprintf("%s is on a zero-allocation hot path (%s): %s — hoist it out of the hot path or move the work to a cold grow* helper",
+				name, chain, what),
 		})
 	}
 	var concatEnd token.Pos // suppress nested reports inside a flagged a+b+c chain
@@ -87,7 +160,10 @@ func checkHotAlloc(m *Module, p *Policy, pkg *Package, fd *ast.FuncDecl, name, w
 			// are the idiomatic emit payload: not flagged.
 
 		case *ast.CallExpr:
-			hotAllocCheckCall(m, p, pkg, n, flag)
+			if isCold(p, calleeName(m, pkg, n)) {
+				return false // what a cold call's arguments build is built on the cold path
+			}
+			hotAllocCheckCall(m, pkg, n, flag)
 
 		case *ast.BinaryExpr:
 			if n.Op != token.ADD || n.Pos() < concatEnd {
@@ -114,7 +190,7 @@ func checkHotAlloc(m *Module, p *Policy, pkg *Package, fd *ast.FuncDecl, name, w
 
 // hotAllocCheckCall flags make/new and implicit interface boxing at call
 // arguments.
-func hotAllocCheckCall(m *Module, p *Policy, pkg *Package, call *ast.CallExpr, flag func(token.Pos, string)) {
+func hotAllocCheckCall(m *Module, pkg *Package, call *ast.CallExpr, flag func(token.Pos, string)) {
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion, not a call
 	}
@@ -126,10 +202,6 @@ func hotAllocCheckCall(m *Module, p *Policy, pkg *Package, call *ast.CallExpr, f
 			}
 			return // other builtins (append, len, copy, panic) have no boxing
 		}
-	}
-	// Cold callees may box: the call aborts or records a failure.
-	if p.ColdCalls[calleeName(m, pkg, call)] {
-		return
 	}
 	sig, ok := pkg.Info.TypeOf(call.Fun).Underlying().(*types.Signature)
 	if !ok {

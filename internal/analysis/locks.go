@@ -7,186 +7,241 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
-// locks abstract states (bit indices): whether this mutex may be held, and
-// whether a deferred Unlock is armed.
+// The abstract states of one mutex on one path (bit indices of the may-set):
+// whether it is held, and whether a deferred Unlock is armed.
 const (
 	lkHeld     = 1 << 0
 	lkDeferred = 1 << 1
 )
 
-// LocksAnalyzer enforces the leaf-lock discipline on the one place viampi
-// tolerates a mutex (the tcpvia event-log leaf) and on any other lock the code
-// grows: every Lock is paired with an Unlock or defer-Unlock on all CFG
-// paths, no Lock while the same mutex may already be held, and — for
-// policy-declared leaf locks — no call into a layered simulation package
-// while the leaf is held.
+// LocksAnalyzer is the whole-program lock discipline. One held-state dataflow
+// per mutex per body yields both halves: the per-path reports — a Lock some
+// path never unlocks, a Lock of a mutex that may already be held, an Unlock of
+// one that cannot be, a call into a layered package under a leaf lock — and
+// the global acquisition-order graph, an edge A→B wherever B is acquired
+// (directly, or by anything a call reaches) while A may be held, whose every
+// cycle is a potential deadlock.
 func LocksAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "locks",
-		Doc:  "every Lock pairs with an Unlock on all paths; leaf locks never held across layered calls",
+		Doc:  "every Lock pairs with an Unlock on all paths, no leaf lock is held across a layered call, the lock-order graph is acyclic",
 		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": the simulated world is
 single-threaded by construction (the determinism rule bans sync there), so
-the only mutexes in the tree live in internal/tcpvia, the real-socket twin
-that talks to actual kernel threads. Its event-log mutex is documented as a
-*leaf* lock: acquired last, released before calling anything that could
-take another lock. That contract is what makes the lock hierarchy trivially
-deadlock-free — the moment a leaf-held thread re-enters a layered package
-(via, fabric, mpi...), it can reach code that parks, takes node locks, or
-calls back into the log, and the hierarchy is gone. This rule checks, per
-CFG path: a Lock is always discharged by an Unlock or defer-Unlock before
-return (a leaked lock hangs the next reader the way a missed wake hangs a
-waiter); a Lock never re-acquires a mutex that may already be held
-(self-deadlock); and while a Policy.LeafLocks mutex may be held, no call
-resolves into a package with a layer assignment in the DAG.`,
-		Subject: subjFunc,
+every mutex in the tree lives where real threads do: the real-socket twin
+internal/tcpvia (Node.mu, Manager.mu, Channel.mu, VI.writeMu,
+PeerRequest.doneMu, the EventLog leaf), the batch runner's progress tracker
+and the tcpring example. One held-state dataflow per mutex over every body
+yields two things. Per CFG path: a Lock is always discharged by an Unlock
+or a deferred Unlock before return (a leaked lock hangs the next acquirer
+the way a missed wake hangs a waiter); a Lock never re-acquires a mutex
+that may already be held, and an Unlock never releases one that cannot be;
+and while a Policy.LeafLocks mutex may be held — a leaf is acquired last
+and released first — no call resolves into a package with a layer in the
+DAG, where it could park, take node locks or call back into the log.
+Across the program: deadlock is a global property (thread 1 holding A while
+acquiring B against thread 2 holding B while acquiring A, both functions
+locally impeccable), so the rule derives from the shared call graph the
+locks each function may transitively acquire, adds an order edge A→B at
+every acquisition of B, or call that can acquire B, while A may be held,
+and reports each cycle with one witness site per edge; F holding A and
+calling a G that locks A again is the cycle of length one. Lock identity is
+the declared struct field ("internal/tcpvia.(Node).mu"), so all instances
+of a field share one node — coarse, but the granularity a lock hierarchy is
+written at. Reviewed exceptions go under Policy.Exceptions["locks"], keyed
+"A -> B", with why the two orders can never be live concurrently.`,
+		Subject: subjLockEdge,
 		Run:     runLocks,
 	}
 }
 
 // lockOp classifies one mutex call site.
 type lockOp struct {
-	call  *ast.CallExpr
-	key   string // textual receiver ("n.mu"): one dataflow domain per key
-	field string // qualified field ("internal/tcpvia.(EventLog).mu") or ""
-	lock  bool   // Lock/RLock vs Unlock/RUnlock
-	read  bool   // RLock/RUnlock (shared: re-acquiring is not self-deadlock)
+	// id names the mutex: its qualified struct field, or — for a mutex that
+	// is no field (a package-level or local variable) — its spelling.
+	id   string
+	lock bool // Lock/RLock vs Unlock/RUnlock
+	read bool // RLock/RUnlock (shared: re-acquiring is not self-deadlock)
+}
+
+// lockEdge is one order edge with its first witness site.
+type lockEdge struct {
+	from, to string
+	pos      ast.Node // the acquisition (or call) establishing the edge
+	via      string   // function containing the witness
+	callee   string   // non-empty when the edge goes through a call chain
 }
 
 func runLocks(m *Module, p *Policy) []Diagnostic {
-	var ds []Diagnostic
-	m.Interproc().eachUnit(p, "locks", func(f *IPFunc, u funcUnit) {
-		ds = append(ds, checkLocks(m, p, f.Pkg, u)...)
-	})
-	return ds
+	ds, edges := lockFacts(m, p)
+	return append(ds, reportLockCycles(m, p, edges)...)
 }
 
-func checkLocks(m *Module, p *Policy, pkg *Package, u funcUnit) []Diagnostic {
-	// Collect the mutex keys this unit touches; no keys, no CFG needed.
-	keys := map[string]bool{}
-	var order []string
+// lockFacts returns the per-path reports and the order graph, keyed "A -> B".
+func lockFacts(m *Module, p *Policy) ([]Diagnostic, map[string]*lockEdge) {
+	ip := m.Interproc()
+
+	// Summary: the set of mutexes each function may transitively acquire
+	// *synchronously*, via a union fixpoint over the call graph. Literal
+	// bodies are excluded on both sides — a literal runs in its own
+	// activation (a goroutine, a timer callback, a scheduled event), so its
+	// acquisitions are not held on the calling path. The time.AfterFunc
+	// wake-up in tcpvia's waitLocked is the live example: folding it in
+	// would report a Node.mu self-deadlock on a path that cannot exist.
+	acquires := map[string]map[string]bool{}
+	declCallees := map[string][]string{}
+	for _, key := range ip.Keys {
+		f := ip.Funcs[key]
+		acquires[key] = map[string]bool{}
+		callees := map[string]bool{}
+		for _, u := range f.Units {
+			if u.lit != nil {
+				continue
+			}
+			inspectSkipLits(u.body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if op := classifyLockOp(m, f.Pkg, call); op != nil && op.lock {
+					acquires[key][op.id] = true
+				}
+				for _, callee := range resolveSiteCallees(ip, key, call) {
+					callees[callee] = true
+				}
+				return true
+			})
+		}
+		declCallees[key] = sortedKeys(callees)
+	}
+	ip.fixpoint(func(key string) bool {
+		set := acquires[key]
+		before := len(set)
+		for _, callee := range declCallees[key] {
+			for id := range acquires[callee] {
+				set[id] = true
+			}
+		}
+		return len(set) != before
+	})
+
+	var ds []Diagnostic
+	edges := map[string]*lockEdge{}
+	for _, key := range ip.Keys {
+		f := ip.Funcs[key]
+		for _, u := range f.Units {
+			for _, id := range unitLocks(m, f.Pkg, u) {
+				ds = append(ds, checkLock(m, p, f.Pkg, u, id, acquires, edges)...)
+			}
+		}
+	}
+	return ds, edges
+}
+
+// unitLocks returns the sorted mutexes this unit itself locks or unlocks.
+func unitLocks(m *Module, pkg *Package, u funcUnit) []string {
+	set := map[string]bool{}
+	inspectSkipLits(u.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if op := classifyLockOp(m, pkg, call); op != nil {
+				set[op.id] = true
+			}
+		}
+		return true
+	})
+	return sortedKeys(set)
+}
+
+// checkLock runs the held-state dataflow for one mutex over one body, then
+// walks the body in source order (deterministic reports and witnesses) asking
+// of every call what the state before it allows: the per-path reports come
+// back as diagnostics, the order edges go into edges.
+func checkLock(m *Module, p *Policy, pkg *Package, u funcUnit, id string, acquires map[string]map[string]bool, edges map[string]*lockEdge) []Diagnostic {
+	ip := m.Interproc()
+	var ds []Diagnostic
+	report := func(at ast.Node, format string, args ...any) {
+		ds = append(ds, Diagnostic{Pos: m.Position(at.Pos()), Rule: "locks", Message: u.name + ": " + fmt.Sprintf(format, args...)})
+	}
+	addEdge := func(to string, witness ast.Node, callee string) {
+		if key := id + " -> " + to; edges[key] == nil {
+			edges[key] = &lockEdge{from: id, to: to, pos: witness, via: u.name, callee: callee}
+		}
+	}
+	transfer := func(node ast.Node, in uint64) uint64 { return lkTransfer(m, pkg, id, node, in) }
+	states := nodeMayStates(u.body, 1<<0, transfer) // entry: not held, no defer
+
+	var firstLock *ast.CallExpr
 	inspectSkipLits(u.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if op := classifyLockOp(m, pkg, call); op != nil && !keys[op.key] {
-			keys[op.key] = true
-			order = append(order, op.key)
+		in, reached := mayStateAt(states, u.body, call)
+		if !reached {
+			return true
+		}
+		held := lkAnyHeld(in)
+		switch op := classifyLockOp(m, pkg, call); {
+		case op == nil && held:
+			// An ordinary call under the lock: the leaf contract, and whatever
+			// the callee can acquire.
+			if leaf := p.LeafLocks[id]; leaf != "" {
+				if rel, layered := lkLayeredCallee(m, p, pkg, call); layered {
+					report(call, "call into layered package %s while leaf lock %s may be held; the leaf contract (%s) is acquire-last/release-first — release before re-entering the stack", rel, id, leaf)
+				}
+			}
+			for _, callee := range resolveSiteCallees(ip, u.name, call) {
+				for _, to := range sortedKeys(acquires[callee]) {
+					addEdge(to, call, callee)
+				}
+			}
+		case op == nil:
+		case op.id != id:
+			if op.lock && held {
+				addEdge(op.id, call, "")
+			}
+		case op.lock:
+			if firstLock == nil {
+				firstLock = call
+			}
+			if held && !op.read {
+				report(call, "%s.Lock while it may already be held (self-deadlock)", id)
+			}
+		case !held && u.lit == nil: // a literal may unlock what the body that made it locked
+			report(call, "%s.Unlock while it cannot be held on any path here", id)
 		}
 		return true
 	})
-	if len(order) == 0 {
-		return nil
-	}
-
-	g := buildCFG(u.body)
-	var ds []Diagnostic
-	for _, key := range order {
-		ds = append(ds, checkLockKey(m, p, pkg, u, g, key)...)
-	}
-	return ds
-}
-
-// checkLockKey runs the held-state dataflow for one mutex key: a fixpoint
-// pass to compute block in-states, then one deterministic reporting pass.
-func checkLockKey(m *Module, p *Policy, pkg *Package, u funcUnit, g *cfg, key string) []Diagnostic {
-	transfer := func(report func(Diagnostic)) func(blk *cfgBlock, in uint64) uint64 {
-		return func(blk *cfgBlock, in uint64) uint64 {
-			for _, node := range blk.nodes {
-				in = lkTransferNode(m, p, pkg, u, key, node, in, report)
-			}
-			return in
-		}
-	}
-	in := blockStates(g, 1<<0, transfer(nil)) // entry: not held, no defer
-
-	// Reporting pass: revisit reached blocks in construction order with the
-	// final in-states, so diagnostics are emitted deterministically and
-	// exactly once per site.
-	var ds []Diagnostic
-	report := transfer(func(d Diagnostic) { ds = append(ds, d) })
-	for _, blk := range g.blocks {
-		if s, reached := in[blk]; reached {
-			report(blk, s)
-		}
-	}
-	var firstLock *ast.CallExpr
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && firstLock == nil {
-			if op := classifyLockOp(m, pkg, call); op != nil && op.key == key && op.lock {
-				firstLock = call
-			}
-		}
-		return firstLock == nil
-	})
 
 	// Held with no deferred Unlock armed: some path returns still locked.
-	if in[g.exit]&(1<<lkHeld) != 0 && firstLock != nil {
-		ds = append(ds, Diagnostic{
-			Pos:  m.Position(firstLock.Pos()),
-			Rule: "locks",
-			Message: fmt.Sprintf("%s: %s.Lock has no Unlock on some path to return; a leaked lock hangs the next acquirer — add defer %s.Unlock() or unlock on every path",
-				u.name, key, key),
-		})
+	if firstLock != nil && exitMayState(u.body, 1<<0, transfer)&(1<<lkHeld) != 0 {
+		report(firstLock, "%s.Lock has no Unlock on some path to return; a leaked lock hangs the next acquirer — add a deferred Unlock or unlock on every path", id)
 	}
 	return ds
 }
 
-// lkTransferNode folds one CFG node into the held-state set for key,
-// reporting per-site violations when report is non-nil.
-func lkTransferNode(m *Module, p *Policy, pkg *Package, u funcUnit, key string, node ast.Node, in uint64, report func(Diagnostic)) uint64 {
+// lkTransfer folds one CFG node into the held-state set of one mutex.
+func lkTransfer(m *Module, pkg *Package, id string, node ast.Node, in uint64) uint64 {
 	// defer mu.Unlock() (direct or inside a deferred literal) arms the
 	// deferred bit; it discharges the lock at return on every later path.
 	if def, ok := node.(*ast.DeferStmt); ok {
-		if lkDeferredUnlocks(m, pkg, def, key) {
+		if lkDeferredUnlocks(m, pkg, def, id) {
 			return mapStates(in, func(s int) int { return s | lkDeferred })
 		}
 		return in
 	}
-
 	out := in
 	inspectSkipLits(node, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		op := classifyLockOp(m, pkg, call)
-		switch {
-		case op != nil && op.key == key && op.lock:
-			if !op.read && lkAnyHeld(out) && report != nil {
-				report(Diagnostic{
-					Pos:  m.Position(call.Pos()),
-					Rule: "locks",
-					Message: fmt.Sprintf("%s: %s.Lock while %s may already be held (self-deadlock)",
-						u.name, key, key),
-				})
-			}
-			out = mapStates(out, func(s int) int { return s | lkHeld })
-		case op != nil && op.key == key && !op.lock:
-			if !lkAnyHeld(out) && report != nil {
-				report(Diagnostic{
-					Pos:     m.Position(call.Pos()),
-					Rule:    "locks",
-					Message: fmt.Sprintf("%s: %s.Unlock while %s cannot be held on any path here", u.name, key, key),
-				})
-			}
-			out = mapStates(out, func(s int) int { return s &^ lkHeld })
-		case op == nil:
-			// Ordinary call: the leaf-lock re-entry check.
-			leaf := lkLeafFor(m, p, pkg, u, key)
-			if leaf == "" || !lkAnyHeld(out) {
-				return true
-			}
-			if rel, layered := lkLayeredCallee(m, p, pkg, call); layered && report != nil {
-				report(Diagnostic{
-					Pos:  m.Position(call.Pos()),
-					Rule: "locks",
-					Message: fmt.Sprintf("%s: call into layered package %s while leaf lock %s may be held; the leaf contract (%s) is acquire-last/release-first — release before re-entering the stack",
-						u.name, rel, key, leaf),
-				})
+		if call, ok := n.(*ast.CallExpr); ok {
+			if op := classifyLockOp(m, pkg, call); op != nil && op.id == id {
+				if op.lock {
+					out = mapStates(out, func(s int) int { return s | lkHeld })
+				} else {
+					out = mapStates(out, func(s int) int { return s &^ lkHeld })
+				}
 			}
 		}
 		return true
@@ -197,27 +252,6 @@ func lkTransferNode(m *Module, p *Policy, pkg *Package, u funcUnit, key string, 
 // lkAnyHeld reports whether any reachable state holds the lock.
 func lkAnyHeld(set uint64) bool {
 	return set&(1<<lkHeld) != 0 || set&(1<<(lkHeld|lkDeferred)) != 0
-}
-
-// lkLeafFor returns the LeafLocks justification when key names a declared
-// leaf mutex in this unit (matched via the qualified field of any lock op
-// with this key), else "".
-func lkLeafFor(m *Module, p *Policy, pkg *Package, u funcUnit, key string) string {
-	why := ""
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if op := classifyLockOp(m, pkg, call); op != nil && op.key == key && op.field != "" {
-			if j, isLeaf := p.LeafLocks[op.field]; isLeaf {
-				why = j
-				return false
-			}
-		}
-		return true
-	})
-	return why
 }
 
 // lkLayeredCallee reports whether call resolves into a package with a layer
@@ -236,20 +270,17 @@ func lkLayeredCallee(m *Module, p *Policy, pkg *Package, call *ast.CallExpr) (st
 	return rel, layered
 }
 
-// lkDeferredUnlocks reports whether def discharges key: `defer mu.Unlock()`
+// lkDeferredUnlocks reports whether def discharges id: `defer mu.Unlock()`
 // or a deferred literal whose body unlocks it.
-func lkDeferredUnlocks(m *Module, pkg *Package, def *ast.DeferStmt, key string) bool {
-	if op := classifyLockOp(m, pkg, def.Call); op != nil && op.key == key && !op.lock {
-		return true
-	}
-	lit, ok := def.Call.Fun.(*ast.FuncLit)
-	if !ok {
-		return false
+func lkDeferredUnlocks(m *Module, pkg *Package, def *ast.DeferStmt, id string) bool {
+	deferred := ast.Node(def.Call)
+	if lit, ok := def.Call.Fun.(*ast.FuncLit); ok {
+		deferred = lit.Body
 	}
 	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(deferred, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if op := classifyLockOp(m, pkg, call); op != nil && op.key == key && !op.lock {
+			if op := classifyLockOp(m, pkg, call); op != nil && op.id == id && !op.lock {
 				found = true
 			}
 		}
@@ -292,18 +323,103 @@ func classifyLockOp(m *Module, pkg *Package, call *ast.CallExpr) *lockOp {
 	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
 		return nil
 	}
-	op := &lockOp{call: call, key: exprText(se.X), lock: lock, read: read}
+	op := &lockOp{lock: lock, read: read}
 	if rse, ok := ast.Unparen(se.X).(*ast.SelectorExpr); ok {
-		op.field = fieldQualified(m, pkg, rse)
+		op.id = fieldQualified(m, pkg, rse)
+	}
+	if op.id == "" {
+		var buf bytes.Buffer
+		_ = printer.Fprint(&buf, token.NewFileSet(), se.X) // a bytes.Buffer write cannot fail
+		op.id = buf.String()
 	}
 	return op
 }
 
-// exprText renders the receiver expression as the dataflow key. Same
-// spelling ⇒ same mutex within one function body, which holds for the
-// receiver chains this codebase uses (n.mu, l.mu).
-func exprText(e ast.Expr) string {
-	var buf bytes.Buffer
-	_ = printer.Fprint(&buf, token.NewFileSet(), e)
-	return buf.String()
+// reportLockCycles finds cycles in the order graph and renders one
+// diagnostic per cycle, anchored at the lexicographically-first edge's
+// witness.
+func reportLockCycles(m *Module, p *Policy, edges map[string]*lockEdge) []Diagnostic {
+	succ := map[string][]string{}
+	for _, id := range sortedKeys(edges) {
+		if e := edges[id]; !p.excused("locks", id) {
+			succ[e.from] = append(succ[e.from], e.to)
+		}
+	}
+	var ds []Diagnostic
+	reported := map[string]bool{}
+	for _, start := range sortedKeys(succ) {
+		cycle := findCycleFrom(succ, start)
+		if cycle == nil {
+			continue
+		}
+		sig := cycleSignature(cycle)
+		if reported[sig] {
+			continue
+		}
+		reported[sig] = true
+		var parts []string
+		for i := range cycle {
+			e := edges[cycle[i]+" -> "+cycle[(i+1)%len(cycle)]]
+			via := e.via
+			if e.callee != "" {
+				via += " -> " + e.callee
+			}
+			file := strings.TrimPrefix(m.Position(e.pos.Pos()).Filename, m.Root+"/")
+			parts = append(parts, fmt.Sprintf("%s acquired while %s held (%s, %s:%d)",
+				e.to, e.from, via, file, m.Position(e.pos.Pos()).Line))
+		}
+		first := edges[cycle[0]+" -> "+cycle[1%len(cycle)]]
+		ds = append(ds, Diagnostic{
+			Pos:  m.Position(first.pos.Pos()),
+			Rule: "locks",
+			Message: fmt.Sprintf("lock-order cycle (potential deadlock): %s; every thread must acquire these locks in one global order — restructure, or justify under Policy.Exceptions[\"locks\"]",
+				strings.Join(parts, "; ")),
+		})
+	}
+	return ds
+}
+
+// findCycleFrom returns the node sequence of a cycle reachable from start
+// that passes through start, or nil. DFS over sorted successors keeps the
+// result deterministic.
+func findCycleFrom(succ map[string][]string, start string) []string {
+	var stack []string
+	onStack := map[string]bool{}
+	var dfs func(n string) []string
+	dfs = func(n string) []string {
+		stack = append(stack, n)
+		onStack[n] = true
+		next := append([]string(nil), succ[n]...)
+		sort.Strings(next)
+		for _, t := range next {
+			if t == start {
+				return append([]string(nil), stack...)
+			}
+			if !onStack[t] {
+				if c := dfs(t); c != nil {
+					return c
+				}
+			}
+		}
+		stack = stack[:len(stack)-1]
+		onStack[n] = false
+		return nil
+	}
+	return dfs(start)
+}
+
+// cycleSignature canonicalizes a cycle (rotation-invariant) so each is
+// reported once.
+func cycleSignature(cycle []string) string {
+	best := 0
+	for i := range cycle {
+		if cycle[i] < cycle[best] {
+			best = i
+		}
+	}
+	var parts []string
+	for i := range cycle {
+		parts = append(parts, cycle[(best+i)%len(cycle)])
+	}
+	return strings.Join(parts, "->")
 }

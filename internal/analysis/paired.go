@@ -583,7 +583,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 			if ob.spec != spec || !prRootedAt(info, call, ob.objs) {
 				continue
 			}
-			in, reached := loStateAt(states, u.body, site)
+			in, reached := mayStateAt(states, u.body, site)
 			if !reached {
 				continue
 			}

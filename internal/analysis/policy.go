@@ -99,11 +99,16 @@ type Policy struct {
 	// while one is held, no call may re-enter a layered simulation package.
 	LeafLocks map[string]string `subject:"struct field"`
 
-	// HotPaths maps policy-qualified functions to the reason they are hot;
-	// their bodies must stay allocation-free (see hotalloc).
-	HotPaths map[string]string `subject:"function"`
-	// ColdCalls are failure-path callees whose arguments may box: the call
-	// records a failure or aborts the run.
+	// HotRoots names the entry points of the zero-allocation paths (the value
+	// is why the root is hot). The hot set itself is derived: hotalloc checks
+	// every body the call graph reaches from a root, or from an event a
+	// Policy.EventEdges interface fires (testdata/hotset.golden is the list).
+	// A root is a body nothing hot calls by name — an API entry point, or a
+	// callback handed over as a function value.
+	HotRoots map[string]string `subject:"function"`
+	// ColdCalls are callees the hot walk does not enter and whose arguments
+	// may box: they run on failure, or once per high-water mark. The
+	// free-list growers need no entry — any function named grow* is cold.
 	ColdCalls map[string]bool `subject:"function"`
 
 	// PairedSpecs declares the acquire/release obligations the paired rule
@@ -118,11 +123,6 @@ type Policy struct {
 	// graph from every assignment to that field, flags states that are
 	// never entered, and renders the machine as DOT (-fsm-dot).
 	FSMStates map[string]string `subject:"type=struct field"`
-	// FSMModelCheck enables exhaustive model checking of the 2-peer
-	// connection and eviction product automata against the extracted
-	// machine. Off for fixture modules, whose toy machines are not the
-	// protocol the models encode.
-	FSMModelCheck bool
 
 	// SeqCheckClose lists the functions that close or evict a channel; the
 	// value records what each dismantles. After one of these runs on a
@@ -269,106 +269,35 @@ func DefaultPolicy() *Policy {
 			"internal/tcpvia.(EventLog).mu": "guards the wall-clock capture sinks (ring + stream writer) and the metrics fold over the same events only; acquired last, never held across a call back into the stack",
 		},
 
-		HotPaths: map[string]string{
-			"internal/obs.(Bus).Emit":               "nil-bus disabled path runs on every instrumented event; pinned at zero allocations by BenchmarkEmitDisabled",
-			"internal/obs.(Phases).Add":             "called on every progress pass and blocking wait",
+		HotRoots: map[string]string{
+			"internal/mpi.(Comm).Send":     "the message path, send side: every hop below it is a recycled object that is its own event, so a steady-state eager message allocates nothing (BenchmarkEagerRoundTrip)",
+			"internal/mpi.(Comm).Recv":     "the message path, receive side, and through Wait the blocking-wait loop",
+			"internal/mpi.(Rank).progress": "MPID_DeviceCheck, entered on every MPI call: an allocation under it scales with poll count, not traffic; the connection managers' Poll hangs off it",
+			// Bodies nothing calls by name: handed over as function values.
+			"internal/via.(Port).handleFrame":       "fabric delivery callback, once per frame",
+			"internal/mpi.(Rank).prepareChannel":    "the connection path's hook: what a channel builds comes off free lists, so a reconnect allocates the two VI endpoints and nothing else (BenchmarkReconnectCycle)",
 			"internal/obs/capture.(Writer).Consume": "bundle encoder: runs once per bus event while recording; steady-state zero-alloc is the capture-overhead contract (append into the reused buffer, warm intern table)",
 			"internal/obs/capture.(Ring).Consume":   "bounded flight-recorder store: runs once per bus event in live tcpvia capture",
-			"internal/mpi.(Rank).progress":          "MPID_DeviceCheck wrapper, entered on every MPI call",
-			"internal/mpi.(Rank).progressStep":      "the device-check pass; an allocation here scales with poll count, not traffic",
-			"internal/mpi.(Rank).waitProgress":      "blocking-wait loop around progress",
-			"internal/mpi.(Rank).blockedPhase":      "classifier inside the blocking-wait loop",
-			"internal/mpi.(Rank).obsSend":           "nil-bus emit helper on the send fast path",
-			"internal/mpi.(Rank).obsRecv":           "nil-bus emit helper on the receive fast path",
-			"internal/mpi.(Rank).obsGauge":          "nil-bus emit helper in the progress engine",
-			"internal/mpi.(Rank).obsUnexpected":     "nil-bus emit helper on the unexpected-queue path",
-			"internal/via.(Port).notifyActivity":    "runs on every completion and state change",
-			"internal/via.(Port).ChargeHost":        "runs on every post/poll; the cost model itself must cost nothing",
-			"internal/via.(Port).FlushDebt":         "cost-model flush on the block/charge path",
-			"internal/via.(VI).SendDone":            "send-completion poll, called in a drain loop every progress pass",
-			"internal/via.(VI).recvDone":            "receive-completion poll on the wait path",
-			"internal/via.(CQ).Done":                "completion-queue poll, called in a drain loop every progress pass",
-			// The walks over the live channels that a poll makes, each behind
-			// the counter that says whether it can find anything.
-			"internal/mpi.(Rank).adoptDisconnects":    "per-poll teardown scan, guarded by the port's DISC count",
-			"internal/mpi.(Rank).reapSends":           "per-poll send-completion scan, or its charges alone while nothing is unreaped",
-			"internal/mpi.(Rank).flowPass":            "per-poll flow-queue drain and credit returns, guarded by flowDirty",
-			"internal/via.(Port).ChargeIdlePolls":     "one PollOverhead per live VI on every poll that finds no send to reap",
-			"internal/core.(base).progressHandshakes": "per-poll retry/timeout scan, guarded by the pending count",
-			"internal/core.(base).promoteConnected":   "per-poll promotion scan, guarded by the pending count",
-			// The message path, Comm.Send to Comm.Recv: every hop is a recycled
-			// object that is its own event, so a steady-state eager message
-			// allocates nothing below the MPI request (and a blocking call's
-			// request is recycled too). Free lists grow in cold helpers
-			// (newFrame, growFrameBuf, growLanding, growPkts, growSends).
-			"internal/mpi.(Rank).post":             "outbound packet routing: park FIFO, flow queue or emit",
-			"internal/mpi.(Rank).emit":             "posts every outbound packet to its VI",
-			"internal/mpi.(Rank).newPkt":           "packet free list, one take per outbound packet",
-			"internal/mpi.(Rank).wire":             "send-descriptor free list and wire encoding, once per emit",
-			"internal/mpi.(Rank).emitted":          "completes the riding request and frees the packet, once per emit",
-			"internal/mpi.encodeInto":              "wire encoding into the recycled descriptor buffer",
-			"internal/via.(VI).PostSend":           "one per message sent",
-			"internal/via.(VI).queueSend":          "send-queue append and the port's unreaped count, once per post",
-			"internal/via.(VI).PostRecv":           "one per message received on a VI that takes descriptors (the receive is re-posted)",
-			"internal/via.(VI).PostRecvPool":       "one per message received on a pool (the receive it claimed is re-armed), n posts' charges per pool",
-			"internal/via.(VI).transmit":           "fragments a send into recycled frames",
-			"internal/via.(VI).handleData":         "reassembles every arriving data frame",
-			"internal/via.(Port).lendLanding":      "landing free list (descriptor and buffer), one take per message that claims a pool receive",
-			"internal/via.(Port).ReturnLanding":    "landing free list, one put per message read",
-			"internal/via.(txDone).Fire":           "send-completion event, one per send",
-			"internal/via.(CQ).push":               "one per receive completion",
-			"internal/via.(Network).sendFrame":     "takes a frame off the free list and books NIC service, once per frame",
-			"internal/via.(Network).release":       "returns a dispatched frame to the free list",
-			"internal/via.(wireMsg).Fire":          "both NIC-service hops of every frame",
-			"internal/via.(Port).handleFrame":      "fabric delivery callback, once per frame",
-			"internal/fabric.(Cluster).Send":       "once per frame",
-			"internal/fabric.(Cluster).takeFlight": "in-flight record free list, one take per frame",
-			"internal/fabric.(flight).Fire":        "both fabric hops of every frame",
-			// The connection path, prepareChannel to teardownChannel: what a
-			// channel builds comes off free lists and goes back, so a
-			// reconnect allocates the two VI endpoints and nothing else. Free
-			// lists grow in cold helpers here too, and what a static mesh's
-			// first connections take is made, one allocation a kind, by the
-			// three cold reserve bodies ((base).reserve, (Rank).reserve,
-			// (Port).Reserve) and carved at the same take sites.
-			"internal/mpi.(Rank).newChanState":     "channel-state free list and slab, one take per connection",
-			"internal/mpi.(Rank).growPool":         "registers a pool and posts it as a count, once per connection (and per dynamic doubling)",
-			"internal/simnet.Carve":                "slab cursor, one move per first-connect object",
-			"internal/mpi.(Rank).teardownChannel":  "releases the pool's registration and returns the channel state, once per teardown",
-			"internal/mpi.(Rank).handleDisconnect": "remote-teardown adoption, once per peer-closed VI",
-			"internal/via.(VI).Close":              "hands a half-landed receive and the work queues back to the port, once per VI",
-			"internal/via.(Port).keepQueues":       "work-queue stash, one put per closed VI",
-			"internal/via.(Port).newPeerRequest":   "incoming-request free list, one take per unmatched REQ",
-			"internal/via.(Port).establish":        "books the handshake-completion event on the VI itself",
-			"internal/via.(VI).establishAfter":     "handshake-completion event, one per connection end",
-			"internal/via.(Port).NotifyAfter":      "books the retry-deadline event on the port itself",
-			"internal/via.(portNotify).Fire":       "retry-deadline event",
-			"internal/core.(base).takeChannel":     "channel free list, one take per connection",
-			"internal/core.(base).ReleaseChannel":  "channel free list, one put per teardown",
-			// The simnet scheduler substrate: every virtual event in every
-			// figure passes through these, so the zero-alloc property the
-			// BenchmarkSimCore rail measures is locked in statically here.
-			"internal/simnet.(Sim).loop":         "the event loop itself; pops and dispatches every simulated event in whichever coroutine has control",
-			"internal/simnet.(Sim).schedule":     "event admission: every timer, wake, and callback passes through",
-			"internal/simnet.(Sim).AtAction":     "schedules a pre-allocated event object; the device models' only way in",
-			"internal/simnet.(Sim).heapPush":     "4-ary heap insert on the scheduling path",
-			"internal/simnet.(Sim).heapPop":      "4-ary heap extract on the dispatch path",
-			"internal/simnet.(eventRing).push":   "same-instant FIFO admission (the Wake/Yield fast path)",
-			"internal/simnet.(eventRing).pop":    "same-instant FIFO extract",
-			"internal/simnet.(Proc).park":        "runs on every blocking primitive: the event loop in place, then a return (self-wake) or a coroutine switch to Run",
-			"internal/simnet.(Proc).Sleep":       "timer-wake arm + park; the single hottest primitive in the stack",
-			"internal/simnet.(Proc).Compute":     "CPU-cost charge: timer-wake arm + park",
-			"internal/simnet.(Proc).ParkTimeout": "timeout-wake arm + park on the progress-wait path",
-			"internal/simnet.(Proc).WakeAfter":   "cross-process wake scheduling; runs on every completion notify",
-			// The batch runner's per-completion bookkeeping: it sits inside
-			// every timed sweep (benchmark/'s figures_quick workload and its
-			// sweep.* metrics), so it must not add GC pressure to the
-			// measurement (rendering, the fmt-heavy half, only runs when a
-			// progress sink is attached).
-			"internal/sweep.(tracker).advance": "runs on every job completion inside benchmark/'s timed sweeps (figures_quick, sweep.speedup); a counter bump under an uncontended lock must stay allocation-free",
+			// Entry points below MPI that benchmark/'s ladder, ext-vibe and the
+			// scheduler rail drive directly.
+			"internal/via.(VI).PostRecv":   "one per message received on a VI that takes descriptors (the receive is re-posted)",
+			"internal/via.(VI).RecvWait":   "the descriptor-form blocking receive",
+			"internal/simnet.(Proc).Sleep": "timer-wake arm + park, the scheduler's hottest primitive (BenchmarkSimCore)",
+			// The batch runner's per-completion bookkeeping sits inside every
+			// timed sweep (benchmark/'s figures_quick workload and its sweep.*
+			// metrics); rendering, the fmt-heavy half, only runs when a progress
+			// sink is attached.
+			"internal/sweep.(tracker).advance": "a counter bump under an uncontended lock on every job completion; must add no GC pressure to the measurement",
 		},
 		ColdCalls: map[string]bool{
-			"internal/simnet.(Sim).Failf": true, // records a failure and kills the run; its fmt args may box
+			"internal/simnet.(Sim).Failf":            true, // records a failure and kills the run
+			"internal/mpi.(Request).failf":           true, // fails the request
+			"internal/via.(VI).badState":             true, // builds ErrBadState
+			"internal/fabric.(Cluster).badEndpoints": true, // panics
+			"internal/core.(base).reserve":           true, // a static manager's slabs, once at Init
+			"internal/mpi.(Rank).reserve":            true,
+			"internal/via.(Port).Reserve":            true,
+			"internal/mpi.(Rank).rememberDest":       true, // grows once per peer, however often it reconnects
 		},
 		// An eager pool's registration is per channel (growPool Register →
 		// teardownChannel Deregister, tracked through the memHandles field
@@ -412,7 +341,6 @@ func DefaultPolicy() *Policy {
 		FSMStates: map[string]string{
 			"internal/via.ViState": "internal/via.(VI).state",
 		},
-		FSMModelCheck: true,
 		SeqCheckClose: map[string]string{
 			"internal/mpi.(Rank).teardownChannel": "dismantles the channel: closes the VI, deregisters pool memory, forgets the peer",
 			"internal/via.(VI).Close":             "disconnects and retires the endpoint; descriptors posted after this are lost",
@@ -455,6 +383,16 @@ func DefaultPolicy() *Policy {
 				"internal/via.(Port).CancelConnect": "owner-thread entry point: the canceling process is running, not parked; the kindConnNack dispatch path through resetHandshake is verified separately and wakes",
 				"internal/via.(VI).PostSend":        "owner-thread entry point: the pre-connection discard completes synchronously for the poster, which by definition is not parked",
 			},
+			// Hot bodies that allocate by design. The whole body is excused, and
+			// the walk still goes through it to what it calls.
+			"hotalloc": {
+				"internal/mpi.(Rank).handlePacket":   "the unexpected-queue entry of a message that beat its receive: one per such message, the fourth of BenchmarkReconnectCycle's 4 allocs/op",
+				"internal/mpi.(Comm).isendCtx":       "the same entry, and the payload copy, for a send to self with no receive posted",
+				"internal/mpi.(Rank).rendezvousData": "the RDMA-write descriptor of a rendezvous: one per message above the eager threshold, which also pins and unpins memory",
+				"internal/mpi.(profiler).enter":      "with tracing on, a span's end is a closure over the profiler; a nil profiler (tracing off) returns the capture-free func, which is static (BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
+				"internal/mpi.(Rank).Wait":           "the completion predicate handed to waitProgress is called and dropped: the compiler keeps it on the stack (-gcflags=-m: does not escape; BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
+				"internal/via.(VI).RecvWait":         "the poll closure handed to VI.wait is called and dropped: the compiler keeps it on the stack (-gcflags=-m: does not escape)",
+			},
 			// Run-scoped resources reaped wholesale at teardown.
 			"paired": {
 				"internal/bench.Pingpong":   "the idle extra VIs are Figure 1's independent variable; the whole Port dies with the run",
@@ -467,7 +405,7 @@ func DefaultPolicy() *Policy {
 // FixturePolicy derives a policy for a fixture module under testdata/: same
 // rule set, no exceptions, so fixtures exercise the rules raw. Structural
 // configuration (strict functions, tag fields, wakers, leaf locks, hot
-// paths) is kept: the fixture declares types and functions under the same
+// roots) is kept: the fixture declares types and functions under the same
 // module-relative names the real policy points at.
 func FixturePolicy() *Policy {
 	p := DefaultPolicy()
@@ -475,8 +413,5 @@ func FixturePolicy() *Policy {
 	// The fixture's leaf lock is its own: the locks cases hang off a
 	// Manager.metricsMu the real tcpvia no longer has.
 	p.LeafLocks["internal/tcpvia.(Manager).metricsMu"] = "fixture leaf lock: guards a counter only"
-	// The fixture's toy state machine is not the connection protocol the
-	// product-automaton models encode; only extraction runs on fixtures.
-	p.FSMModelCheck = false
 	return p
 }

@@ -57,13 +57,13 @@ func TestRunAllSorted(t *testing.T) {
 // author to update docs, fixtures, and this suite together.
 func TestRegistryComplete(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 13 {
-		t.Fatalf("Analyzers() returned %d rules, want 13", len(as))
+	if len(as) != 12 {
+		t.Fatalf("Analyzers() returned %d rules, want 12", len(as))
 	}
 	wantNames := []string{
 		"layering", "determinism", "maporder",
 		"exhaustive", "locks", "hotalloc",
-		"lockorder", "protocol", "chargeflow", "wakereach",
+		"protocol", "chargeflow", "wakereach",
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

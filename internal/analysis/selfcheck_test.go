@@ -5,6 +5,7 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/types"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -58,26 +59,107 @@ func TestPolicyNotStale(t *testing.T) {
 	}
 }
 
+// TestHotSetGolden pins the set of bodies hotalloc derives from the policy's
+// roots against testdata/hotset.golden, so a change that makes a body hot — or
+// cuts one off from every root — is a one-line diff in review. Regenerate with
+// `make golden` (or -update).
+func TestHotSetGolden(t *testing.T) {
+	m := loadRepo(t)
+	hot := hotSet(m, DefaultPolicy())
+	got := strings.Join(sortedKeys(hot), "\n") + "\n"
+	path := filepath.Join("testdata", "hotset.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		committed := map[string]bool{}
+		for _, name := range strings.Fields(string(want)) {
+			committed[name] = true
+			if _, ok := hot[name]; !ok {
+				t.Errorf("no longer hot: %s", name)
+			}
+		}
+		for _, name := range sortedKeys(hot) {
+			if !committed[name] {
+				t.Errorf("newly hot: %s (%s)", name, hotChain(hot, name))
+			}
+		}
+		t.Error("the derived hot set drifted from testdata/hotset.golden; review the change, then regenerate with -update")
+	}
+
+	// The derivation replaced a hand-kept table (Policy.HotPaths, 74 bodies
+	// when it was deleted). Every body it named that still exists is derived,
+	// or is named here with the reason it is not.
+	notDerived := map[string]string{
+		"internal/mpi.(Rank).growPool": "cold by the grow* convention: it runs once per connection and per dynamic doubling, and what it calls (Register, PostRecvPool, obsGauge) is hot through other callers",
+	}
+	for _, name := range strings.Fields(handListedHotPaths) {
+		_, derived := hot[name]
+		if m.Interproc().Funcs[name] != nil && !derived && notDerived[name] == "" {
+			t.Errorf("%s was hand-listed as hot and is reached from no root", name)
+		}
+	}
+}
+
+// handListedHotPaths is the key set of Policy.HotPaths as last committed.
+const handListedHotPaths = `
+internal/obs.(Bus).Emit internal/obs.(Phases).Add internal/obs/capture.(Writer).Consume
+internal/obs/capture.(Ring).Consume internal/mpi.(Rank).progress internal/mpi.(Rank).progressStep
+internal/mpi.(Rank).waitProgress internal/mpi.(Rank).blockedPhase internal/mpi.(Rank).obsSend
+internal/mpi.(Rank).obsRecv internal/mpi.(Rank).obsGauge internal/mpi.(Rank).obsUnexpected
+internal/via.(Port).notifyActivity internal/via.(Port).ChargeHost internal/via.(Port).FlushDebt
+internal/via.(VI).SendDone internal/via.(VI).recvDone internal/via.(CQ).Done
+internal/mpi.(Rank).adoptDisconnects internal/mpi.(Rank).reapSends internal/mpi.(Rank).flowPass
+internal/via.(Port).ChargeIdlePolls internal/core.(base).progressHandshakes internal/core.(base).promoteConnected
+internal/mpi.(Rank).post internal/mpi.(Rank).emit internal/mpi.(Rank).newPkt
+internal/mpi.(Rank).wire internal/mpi.(Rank).emitted internal/mpi.encodeInto
+internal/via.(VI).PostSend internal/via.(VI).queueSend internal/via.(VI).PostRecv
+internal/via.(VI).PostRecvPool internal/via.(VI).transmit internal/via.(VI).handleData
+internal/via.(Port).lendLanding internal/via.(Port).ReturnLanding internal/via.(txDone).Fire
+internal/via.(CQ).push internal/via.(Network).sendFrame internal/via.(Network).release
+internal/via.(wireMsg).Fire internal/via.(Port).handleFrame internal/fabric.(Cluster).Send
+internal/fabric.(Cluster).takeFlight internal/fabric.(flight).Fire internal/mpi.(Rank).newChanState
+internal/mpi.(Rank).growPool internal/simnet.Carve internal/mpi.(Rank).teardownChannel
+internal/mpi.(Rank).handleDisconnect internal/via.(VI).Close internal/via.(Port).keepQueues
+internal/via.(Port).newPeerRequest internal/via.(Port).establish internal/via.(VI).establishAfter
+internal/via.(Port).NotifyAfter internal/via.(portNotify).Fire internal/core.(base).takeChannel
+internal/core.(base).ReleaseChannel internal/simnet.(Sim).loop internal/simnet.(Sim).schedule
+internal/simnet.(Sim).AtAction internal/simnet.(Sim).heapPush internal/simnet.(Sim).heapPop
+internal/simnet.(eventRing).push internal/simnet.(eventRing).pop internal/simnet.(Proc).park
+internal/simnet.(Proc).Sleep internal/simnet.(Proc).Compute internal/simnet.(Proc).ParkTimeout
+internal/simnet.(Proc).WakeAfter internal/sweep.(tracker).advance`
+
 // TestSeededStaleEntryIsCaught plants entries pointing at code that does
 // not exist — a renamed excused function, a deleted package (excused, and
-// holding a layer), a lock-order edge naming a removed mutex, a table for a
-// rule that does not exist — and requires StalePolicy to name each one.
+// holding a layer), a lock-order edge naming a removed mutex, a hot root and a
+// hotalloc exception whose functions are gone, a table for a rule that does
+// not exist — and requires StalePolicy to name each one.
 func TestSeededStaleEntryIsCaught(t *testing.T) {
 	m := loadRepo(t)
 	p := DefaultPolicy()
 	p.Exceptions["maporder"] = map[string]string{"internal/via.(Port).zzRenamedAway": "seeded: function no longer exists"}
 	p.Exceptions["determinism"]["internal/zzdeleted"] = "seeded: package no longer exists"
-	p.Exceptions["lockorder"] = map[string]string{"internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone": "seeded: mutex field no longer exists"}
+	p.Exceptions["locks"] = map[string]string{"internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone": "seeded: mutex field no longer exists"}
 	p.Exceptions["costcharge"] = map[string]string{"internal/via.(Port).SendOob": "seeded: the rule no longer exists"}
 	p.Layers["internal/zzdeleted"] = 3 // seeded: a deleted package keeps its layer
+	p.HotRoots["internal/mpi.(Comm).zzSend"] = "seeded: a root that no longer exists"
+	p.Exceptions["hotalloc"]["internal/mpi.(Rank).zzHandlePacket"] = "seeded: an excused body that no longer exists"
 
 	got := StalePolicy(m, p)
 	for _, wantSub := range []string{
 		`policy.Exceptions["maporder"]["internal/via.(Port).zzRenamedAway"]`,
 		`policy.Exceptions["determinism"]["internal/zzdeleted"]`,
-		`policy.Exceptions["lockorder"]["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"]`,
+		`policy.Exceptions["locks"]["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"]`,
 		`policy.Exceptions["costcharge"] names no rule`,
 		`policy.Layers["internal/zzdeleted"]`,
+		`policy.HotRoots["internal/mpi.(Comm).zzSend"]`,
+		`policy.Exceptions["hotalloc"]["internal/mpi.(Rank).zzHandlePacket"]`,
 	} {
 		found := false
 		for _, w := range got {
@@ -89,8 +171,8 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 			t.Errorf("seeded stale entry not reported: want a message containing %s\ngot: %v", wantSub, got)
 		}
 	}
-	if len(got) != 5 {
-		t.Errorf("stale count: got %d, want exactly the 5 seeded entries: %v", len(got), got)
+	if len(got) != 7 {
+		t.Errorf("stale count: got %d, want exactly the 7 seeded entries: %v", len(got), got)
 	}
 }
 

@@ -182,7 +182,7 @@ func seqCheckUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string) []Dia
 		if site == nil {
 			return true
 		}
-		in, reached := loStateAt(states, u.body, site)
+		in, reached := mayStateAt(states, u.body, site)
 		if !reached {
 			return true
 		}

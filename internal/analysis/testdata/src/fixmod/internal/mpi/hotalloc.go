@@ -1,6 +1,6 @@
 // hotalloc.go is the fixture home of the hot-path allocation cases:
-// Rank.progress is annotated in Policy.HotPaths, so each allocating
-// construct in it is one violation class.
+// Rank.progress is a Policy.HotRoots entry, so each allocating construct in
+// it is one violation class, and so is what it calls.
 package mpi
 
 // Rank mirrors the real progress-engine owner.
@@ -21,9 +21,28 @@ func (r *Rank) progress(tag string) {
 	msg := "rank:" + tag // hotalloc violation: string concatenation
 	_ = msg
 	sink(r.n) // hotalloc violation: interface boxing
+	r.step()
+	r.growNames()
 }
 
-// Cold is not annotated: the same constructs — must NOT flag.
+// step is named nowhere in the policy: it is hot because progress calls it.
+func (r *Rank) step() {
+	r.names = make([]string, 4) // hotalloc violation: a callee of a hot root
+}
+
+// growNames is a free-list grower by name, so the walk does not enter it —
+// must NOT flag.
+func (r *Rank) growNames() { r.names = append(r.names, make([]string, 8)...) }
+
+// tick is an event object: the scheduler fires it through simnet.Action, so
+// its Fire is hot without anything naming it (or calling it by name).
+type tick struct{ log []byte }
+
+func (t *tick) Fire(uint64) {
+	t.log = make([]byte, 8) // hotalloc violation: an event the scheduler fires
+}
+
+// Cold is reached from no root: the same constructs — must NOT flag.
 func Cold(tag string) string {
 	b := make([]byte, 1)
 	_ = b

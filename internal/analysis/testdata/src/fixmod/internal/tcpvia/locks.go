@@ -50,3 +50,17 @@ func (m *Manager) CountBranches(fast bool) int {
 	m.metricsMu.Unlock()
 	return m.n
 }
+
+// CountDeferredLiteral unlocks inside a deferred literal and, still holding
+// the lock, calls something that takes a second one: the rule must see the
+// unlock (no leak report) and record the order edge metricsMu → Node.mu
+// (nothing takes the two the other way round, so no cycle) — must NOT flag.
+func (m *Manager) CountDeferredLiteral(n *Node) int {
+	m.metricsMu.Lock()
+	defer func() {
+		m.n++
+		m.metricsMu.Unlock()
+	}()
+	n.lockNode()
+	return m.n
+}

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"viampi/internal/obs"
 	"viampi/internal/simnet"
@@ -270,11 +269,11 @@ func (b *base) reserve(n int) {
 // there (a static boot makes its channels in rank order), else in its place.
 func (b *base) insertOrdered(ch *Channel) {
 	b.order = append(b.order, ch)
-	if n := len(b.order) - 1; n > 0 && b.order[n-1].Rank >= ch.Rank {
-		i := sort.Search(n, func(k int) bool { return b.order[k].Rank >= ch.Rank })
-		copy(b.order[i+1:], b.order[i:n])
-		b.order[i] = ch
+	i := len(b.order) - 1
+	for ; i > 0 && b.order[i-1].Rank >= ch.Rank; i-- {
+		b.order[i] = b.order[i-1]
 	}
+	b.order[i] = ch
 }
 
 // newChannel creates the VI for rank and runs PrepareChannel.

@@ -184,7 +184,7 @@ func (c *Cluster) takeFlight(f Frame) *flight {
 	}
 	fl := c.free
 	if fl == nil {
-		fl = c.newFlight()
+		fl = c.growFlights()
 	}
 	c.free, fl.next = fl.next, nil
 	fl.f = f
@@ -195,9 +195,9 @@ func (c *Cluster) badEndpoints(f Frame) {
 	panic(fmt.Sprintf("fabric: send with bad endpoints src=%d dst=%d (have %d)", f.Src, f.Dst, len(c.eps)))
 }
 
-// newFlight grows the free list (cold path: runs once per frame of the
+// growFlights grows the free list (cold path: runs once per frame of the
 // in-flight high-water mark).
-func (c *Cluster) newFlight() *flight { return &flight{c: c} }
+func (c *Cluster) growFlights() *flight { return &flight{c: c} }
 
 // Fire runs one hop of the frame (scheduler context).
 func (fl *flight) Fire(hop uint64) {

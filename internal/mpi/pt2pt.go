@@ -209,8 +209,12 @@ func (r *Rank) newReq() *Request {
 	if q := simnet.Pop(&r.freeReqs); q != nil {
 		return q
 	}
-	return new(Request)
+	return growReqs()
 }
+
+// growReqs grows the request free list (cold path: a blocking call's request
+// comes back at reclaim; a non-blocking call's is the caller's to keep).
+func growReqs() *Request { return new(Request) }
 
 // reclaim ends a blocking call: it recycles the call's own completed request
 // (no queue, map or packet refers to it any more) and returns its outcome.

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"viampi/internal/core"
 	"viampi/internal/obs"
@@ -225,11 +224,11 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 	ch.UserData = cs
 	// A static boot makes its channels in rank order: the new peer goes last.
 	r.active = append(r.active, cs)
-	if n := len(r.active) - 1; n > 0 && r.active[n-1].peer >= peer {
-		i := sort.Search(n, func(k int) bool { return r.active[k].peer >= peer })
-		copy(r.active[i+1:], r.active[i:n])
-		r.active[i] = cs
+	i := len(r.active) - 1
+	for ; i > 0 && r.active[i-1].peer >= peer; i-- {
+		r.active[i] = r.active[i-1]
 	}
+	r.active[i] = cs
 	if len(r.active) > r.peakLive {
 		r.peakLive = len(r.active)
 	}
@@ -557,7 +556,7 @@ func (r *Rank) emit(cs *chanState, p *pkt) {
 // another type of nonblocking communication request" (§3.3). The wrapper
 // only charges the pass to the progress phase; the pass itself lives in
 // progressStep so the per-poll work stays closure-free (both functions are
-// zero-allocation hot paths, policy.HotPaths).
+// zero-allocation hot paths, under a Policy.HotRoots entry).
 func (r *Rank) progress() {
 	if r.phases == nil {
 		r.progressStep()

@@ -74,7 +74,7 @@ func newTracker(label string, total int, progress ProgressFunc) *tracker {
 }
 
 // advance records one finished job. Kept free of formatting (and of
-// allocation — see Policy.HotPaths) so batches run with progress disabled
+// allocation — a Policy.HotRoots entry) so batches run with progress disabled
 // pay nothing here but a counter bump under an uncontended lock.
 func (t *tracker) advance() {
 	t.mu.Lock()

@@ -159,7 +159,7 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 	}
 	m := n.free
 	if m == nil {
-		m = n.newFrame()
+		m = n.growFrames()
 	}
 	n.free = m.next
 	buf := m.buf
@@ -174,12 +174,12 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 	return txDone
 }
 
-// newFrame, growFrameBuf and growLanding grow the frame free list, a frame's
+// growFrames, growFrameBuf and growLanding grow the frame free list, a frame's
 // buffer and a port's stock of landing descriptors (cold paths: the list settles
 // at the number of frames in flight at once, a buffer at the largest fragment
 // it has carried — exactly that, no size classes — and the stock at the number
 // of messages landed and not yet read at once).
-func (n *Network) newFrame() *wireMsg { return &wireMsg{} }
+func (n *Network) growFrames() *wireMsg { return &wireMsg{} }
 
 func growFrameBuf(size int) []byte { return make([]byte, size) }
 
