@@ -4,7 +4,7 @@ GO ?= go
 # byte-identical at any -j, so the default is simply all host cores.
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check fmt vet build test race analyze fsm-dot golden figures bench-sim bench-sim-smoke replay-smoke
+.PHONY: check fmt vet build test race analyze fsm-dot golden figures bench-sim bench-sim-smoke replay-smoke loc
 
 check: fmt vet build test race analyze bench-sim-smoke replay-smoke
 
@@ -75,6 +75,17 @@ golden:
 
 figures:
 	$(GO) run ./cmd/figures -all -quick -j $(NPROC)
+
+# Lines per package, code and tests apart (`wc -l`; testdata/ left out): the
+# one command ROADMAP's size tables, CHANGES.md and a re-anchor quote.
+loc:
+	@printf '%-24s %9s %7s\n' package non-test test; \
+	for d in . benchmark cmd/* examples/* internal/* internal/obs/capture; do \
+		ls $$d/*.go >/dev/null 2>&1 || continue; \
+		code=$$(ls $$d/*.go | grep -v _test.go | xargs cat 2>/dev/null | wc -l); \
+		tests=$$(ls $$d/*_test.go 2>/dev/null | xargs cat 2>/dev/null | wc -l); \
+		printf '%-24s %9d %7d\n' $$d $$code $$tests; \
+	done
 
 # Scheduler-core wall-clock benchmarks: the measurement rail for the
 # zero-allocation event loop and message path. 0 allocs/op on BenchmarkSimCore

@@ -3,28 +3,29 @@
 // strictly-downward package layering, and total determinism of virtual time
 // (a run is a pure function of its Config).
 //
-// Twelve analyzers ship (see the Analyzers registry), one per invariant.
-// Three are syntactic: layering checks the import DAG, determinism bans
-// wall-clock/global-rand/goroutines/locks in simulated code, and maporder
-// flags order-sensitive iteration over Go maps. One, exhaustive (switches
-// over closed constant sets handle every member), needs only the
-// intraprocedural CFG + dataflow framework in cfg.go. Five are
-// interprocedural, built on the whole-program call graph and
-// summary-propagation fixpoint in callgraph.go: locks (Lock/Unlock pairing
-// and the leaf-lock contract on every path, and an acyclic global
-// lock-acquisition-order graph), hotalloc (every body reachable from the
-// policy's hot roots stays allocation-free), protocol (wire kinds sent and
-// dispatcher arms agree in both directions), chargeflow (every path from an
-// entry point to a fabric transmit charges CPU cost), and wakereach (a
-// park-visible transition is reached by a wake through the call graph).
-// Three are the resource-lifetime and protocol-model rules: paired
-// (every policy-declared acquire — pinned-memory registration, VI slots,
-// bus subscriptions, capture writers — is released on every path, with
-// escape-to-field and ownership-transfer summaries), fsm (the connection
-// state machine extracted from the code has no dead states and matches the
-// committed DOT diagram; the package's tests model-check its 2-peer product
-// automata), and seqcheck (no send on a closed or evicted channel without an
-// interposed rebind through the reconnect path).
+// One analyzer ships per invariant (the Analyzers registry is the list;
+// `viampi-vet -list` prints it). Three are syntactic: layering checks the
+// import DAG, determinism bans wall-clock/global-rand/goroutines/locks in
+// simulated code, and maporder flags order-sensitive iteration over Go maps.
+// One walks the typed syntax once: exhaustive (switches over closed constant
+// sets handle every member, and for the wire kinds the senders and the
+// dispatcher's arms agree in both directions). The path rules are clients of
+// one per-body dataflow harness (flow.go: the CFG of cfg.go built once per
+// body, a may-analysis over it, "every path through F does X") and of the
+// whole-program call graph and summary-propagation fixpoint in callgraph.go:
+// locks (Lock/Unlock pairing and the leaf-lock contract on every path, and
+// an acyclic global lock-acquisition-order graph), chargeflow (every path
+// from an entry point to a fabric transmit charges CPU cost), wakereach (a
+// park-visible transition is reached by a wake through the call graph), and
+// paired (every policy-declared acquire — pinned-memory registration, VI
+// slots, bus subscriptions, capture writers — is released on every path,
+// once, with escape-to-field and ownership-transfer summaries, and no send
+// rides a closed or evicted channel without an interposed rebind through the
+// reconnect path). hotalloc walks the same call graph: every body reachable
+// from the policy's hot roots stays allocation-free. fsm extracts the
+// connection state machine from the code, requires every state to be
+// entered and matches the committed DOT diagram; the package's tests
+// model-check its 2-peer product automata.
 // Legitimate exceptions live in one table, Policy.Exceptions, so they are
 // declared in code review rather than scattered as comments — and the
 // stale-policy sweep (stale.go) fails the build when an exception no longer
@@ -90,12 +91,10 @@ func Analyzers() []*Analyzer {
 		ExhaustiveAnalyzer(),
 		LocksAnalyzer(),
 		HotAllocAnalyzer(),
-		ProtocolAnalyzer(),
 		ChargeFlowAnalyzer(),
 		WakeReachAnalyzer(),
 		PairedAnalyzer(),
 		FSMAnalyzer(),
-		SeqCheckAnalyzer(),
 	}
 }
 

@@ -2,8 +2,8 @@ package analysis
 
 // callgraph.go is the whole-program interprocedural layer: an index of every
 // declared function in the module, a call graph over them, and the shared
-// traversal helpers the summary-propagation analyzers (locks, protocol,
-// chargeflow, wakereach) and hotalloc's reachability walk are built on.
+// traversal helpers the summary-propagation analyzers (locks, chargeflow,
+// wakereach, paired) and hotalloc's reachability walk are built on.
 //
 // Resolution is deliberately conservative in the direction that loses paths
 // rather than inventing them, with one exception that adds paths: a call
@@ -61,9 +61,14 @@ type Interproc struct {
 	// analyzers this run — the -json driver reports it on stderr so CI can
 	// watch convergence cost.
 	Sweeps int
+	// CFGs counts the bodies a path rule asked a control-flow graph for; each
+	// is built once and shared (flow.go), so it is bounded by the bodies in
+	// the module whatever the number of rules and sweeps.
+	CFGs int
 
 	calls   map[string][]IPCall // per function, source order (literals included)
 	callers map[string][]string // inverse edges, sorted+deduped
+	flows   map[*ast.BlockStmt]*unitFlow
 }
 
 // Interproc returns the module's interprocedural index, building it on first
@@ -105,6 +110,7 @@ func buildInterproc(m *Module) *Interproc {
 		Funcs:   map[string]*IPFunc{},
 		calls:   map[string][]IPCall{},
 		callers: map[string][]string{},
+		flows:   map[*ast.BlockStmt]*unitFlow{},
 	}
 	// Pass 1: the function index, and the method-set table interface
 	// resolution draws from.
@@ -318,81 +324,6 @@ func (ip *Interproc) fixpoint(step func(key string) bool) {
 			}
 		}
 	}
-}
-
-// nodeMayStates runs the shared bitset dataflow over one unit body and
-// returns, for every CFG node, the may-state *before* the node executes —
-// the building block the interprocedural analyzers use to ask "what may be
-// held / owed at this call site".
-func nodeMayStates(body *ast.BlockStmt, entryState uint64, transfer func(node ast.Node, in uint64) uint64) map[ast.Node]uint64 {
-	g := buildCFG(body)
-	in := blockStates(g, entryState, func(b *cfgBlock, s uint64) uint64 {
-		for _, node := range b.nodes {
-			s = transfer(node, s)
-		}
-		return s
-	})
-	states := map[ast.Node]uint64{}
-	for _, blk := range g.blocks {
-		s, reached := in[blk]
-		if !reached {
-			continue
-		}
-		for _, node := range blk.nodes {
-			states[node] = s
-			s = transfer(node, s)
-		}
-	}
-	return states
-}
-
-// exitMayState folds one unit body and returns the may-state at the
-// function exit (after any fall-off-the-end path and every return).
-func exitMayState(body *ast.BlockStmt, entryState uint64, transfer func(node ast.Node, in uint64) uint64) uint64 {
-	g := buildCFG(body)
-	in := blockStates(g, entryState, func(b *cfgBlock, s uint64) uint64 {
-		for _, node := range b.nodes {
-			s = transfer(node, s)
-		}
-		return s
-	})
-	return in[g.exit]
-}
-
-// mayStateAt finds the recorded may-state for the CFG node containing the
-// target call. CFG nodes are statements (or bare condition expressions), so
-// the lookup walks up from the call through its ancestors to the nearest
-// node the dataflow recorded. An unrecorded target sits in an unreached
-// block (dead code) and reports false.
-func mayStateAt(states map[ast.Node]uint64, body *ast.BlockStmt, target ast.Node) (uint64, bool) {
-	var found uint64
-	ok := false
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if ok {
-			return false // drain without pushing; n's children are skipped
-		}
-		if n == target {
-			if s, rec := states[n]; rec {
-				found, ok = s, true
-			} else {
-				for i := len(stack) - 1; i >= 0; i-- {
-					if s, rec := states[stack[i]]; rec {
-						found, ok = s, true
-						break
-					}
-				}
-			}
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return found, ok
 }
 
 // resolveSiteCallees returns the resolved callees of one call expression,

@@ -27,6 +27,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // cfgBlock is one basic block: nodes executed in order, then a jump to one
@@ -416,6 +417,64 @@ func inspectSkipLits(n ast.Node, fn func(ast.Node) bool) {
 			return false
 		}
 		return fn(n)
+	})
+}
+
+// containsNode reports whether pred holds for any node under root, literals
+// included.
+func containsNode(root ast.Node, pred func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		found = found || n != nil && pred(n)
+		return !found
+	})
+	return found
+}
+
+// identObj returns the variable a bare identifier denotes; nil for any other
+// expression, and for the blank identifier.
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return info.ObjectOf(id)
+	}
+	return nil
+}
+
+// rootVar returns the variable a selector/index/deref chain starts from.
+func rootVar(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if v, ok := info.Uses[x].(*types.Var); ok {
+				return v
+			}
+			return nil // a package or a function, not a variable
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// inspectPath is inspectSkipLits that also hands fn the chain of nodes
+// enclosing n, outermost first.
+func inspectPath(root ast.Node, fn func(n ast.Node, path []ast.Node) bool) {
+	var path []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			path = path[:len(path)-1]
+			return true
+		}
+		if _, isLit := n.(*ast.FuncLit); isLit || !fn(n, path) {
+			return false
+		}
+		path = append(path, n)
+		return true
 	})
 }
 

@@ -51,49 +51,20 @@ type cfSite struct {
 func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 	ip := m.Interproc()
 
-	// alwaysCharges: greatest fixpoint — start optimistic, strike functions
-	// with a charge-free path to return. ChargeFuncs members are charges by
-	// definition.
-	always := map[string]bool{}
-	for _, key := range ip.Keys {
-		always[key] = true
-	}
-	// Bit 0: no charge yet on some path. A charge on a path moves it to
-	// bit 1. Charges inside literals run in a later activation and do not
-	// count for the calling path.
+	// alwaysCharges(F): every path through F charges before returning.
+	// ChargeFuncs members are charges by definition.
+	_, charges := ip.alwaysOnEveryPath(p.ChargeFuncs)
+	// Bit 0: no charge yet on some path.
 	transfer := func(pkg *Package, node ast.Node, in uint64) uint64 {
-		charged := false
-		inspectSkipLits(node, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if q := calleeName(m, pkg, call); p.ChargeFuncs[q] || (always[q] && ip.Funcs[q] != nil) {
-					charged = true
-				}
-			}
-			return true
-		})
-		if charged {
-			return mapStates(in, func(int) int { return 1 })
+		if charges(pkg, node) {
+			return 0
 		}
 		return in
 	}
-	ip.fixpoint(func(key string) bool {
-		if !always[key] || p.ChargeFuncs[key] {
-			return false
-		}
-		f := ip.Funcs[key]
-		exit := exitMayState(f.Decl.Body, 1<<0, func(node ast.Node, in uint64) uint64 {
-			return transfer(f.Pkg, node, in)
-		})
-		if exit&(1<<0) != 0 {
-			always[key] = false
-			return true
-		}
-		return false
-	})
 
 	// Precompute, per function, the sites the uncharged fixpoint inspects,
 	// each with its "may be uncharged here" entry state. The dataflow only
-	// depends on `always` (now fixed), so this runs once.
+	// depends on alwaysCharges (now fixed), so this runs once.
 	sites := map[string][]cfSite{}
 	eventTarget := map[string]bool{} // functions the scheduler fires through a Policy.EventEdges interface
 	skip := func(key string) bool {
@@ -108,7 +79,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 			// A literal runs in its own activation (a scheduled callback),
 			// where nothing charged by the enclosing body is still "on the
 			// path" — it starts uncharged.
-			states := nodeMayStates(u.body, 1<<0, func(node ast.Node, in uint64) uint64 {
+			states := ip.flow(u.body).solve(1<<0, func(node ast.Node, in uint64) uint64 {
 				return transfer(f.Pkg, node, in)
 			})
 			inspectSkipLits(u.body, func(n ast.Node) bool {
@@ -130,7 +101,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 				if !transmits && len(callees) == 0 {
 					return true
 				}
-				in, reached := mayStateAt(states, u.body, n)
+				in, reached := states.before(call)
 				if !reached {
 					return true
 				}

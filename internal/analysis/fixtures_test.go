@@ -65,10 +65,10 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/via/paired.go:76: paired",           // doubleRelease: second Deregister of a dead handle
 		"internal/via/paired.go:91: paired",           // storeLeak: field (holder).h has no releasing path
 		"internal/via/paired.go:125: paired",          // wrapperCallerLeaks: obligation inherited from acquireWrapped
-		"internal/via/protocol.go:17: protocol",       // kindDisc arm is dead: nothing sends it
-		"internal/via/protocol.go:38: protocol",       // kindConnNack sent, no dispatcher arm
-		"internal/via/seqcheck.go:29: seqcheck",       // sendAfterClose: post on the VI it just closed
-		"internal/via/seqcheck.go:38: seqcheck",       // evictMaybe: closed on the evict branch, sent after the join
+		"internal/via/protocol.go:17: exhaustive",     // kindDisc arm is dead: nothing sends it
+		"internal/via/protocol.go:38: exhaustive",     // kindConnNack sent, no dispatcher arm
+		"internal/via/seqcheck.go:29: paired",         // sendAfterClose: post on the VI it just closed
+		"internal/via/seqcheck.go:38: paired",         // evictMaybe: closed on the evict branch, sent after the join
 		"internal/via/via.go:6: layering",             // via imports mpi (upward)
 		"internal/via/via.go:23: chargeflow",          // UnchargedSend: exported via entry point, Cluster.Send with no charge
 		"internal/via/via.go:40: chargeflow",          // onTimer: a callback nothing calls is an entry point too
@@ -116,12 +116,12 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 		{"locks", "Unlock"},
 		{"locks", "one global order"},
 		{"hotalloc", "hot path"},
-		{"protocol", "handler arm"},
+		{"exhaustive", "handler arm"},
 		{"chargeflow", "ChargeHost"},
 		{"wakereach", "notifyActivity"},
 		{"paired", `Policy.Exceptions["paired"]`},
 		{"fsm", "wire a transition"},
-		{"seqcheck", `Policy.Exceptions["seqcheck"]`},
+		{"paired", "rides a dead endpoint"},
 	}
 	for _, want := range wantSubstrings {
 		seen := false

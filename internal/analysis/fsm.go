@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -123,8 +124,7 @@ func extractFSM(m *Module, p *Policy, typeKey, fieldKey string) (*fsmMachine, st
 		f := ip.Funcs[key]
 		info := f.Pkg.Info
 		for _, u := range f.Units {
-			parent := prParentMap(u.body)
-			inspectSkipLits(u.body, func(n ast.Node) bool {
+			inspectPath(u.body, func(n ast.Node, path []ast.Node) bool {
 				as, ok := n.(*ast.AssignStmt)
 				if !ok {
 					return true
@@ -144,13 +144,8 @@ func extractFSM(m *Module, p *Policy, typeKey, fieldKey string) (*fsmMachine, st
 					if to == "" {
 						continue // non-constant target: outside the machine
 					}
-					base, _ := seqBaseIdent(sel.X)
-					var baseObj types.Object
-					if base != nil {
-						baseObj = info.Uses[base]
-					}
-					from := fsmFromSet(m, p, info, u, parent, as, sel, baseObj, stateByName)
-					trigger := fsmTrigger(m, p, info, u, parent, as, key)
+					from := fsmFromSet(info, path, as, sel, rootVar(info, sel.X), stateByName)
+					trigger := fsmTrigger(p, path, key)
 					mach.Edges = append(mach.Edges, fsmEdge{From: from, To: to, Trigger: trigger, Pos: as.Pos()})
 				}
 				return true
@@ -211,7 +206,7 @@ func fsmConstName(info *types.Info, e ast.Expr, states map[string]bool) string {
 // guards dominating it: enclosing if conditions and switch cases over the
 // same field of the same base object, and early-return guards among the
 // lexically preceding statements of every enclosing block.
-func fsmFromSet(m *Module, p *Policy, info *types.Info, u funcUnit, parent map[ast.Node]ast.Node, site ast.Node, fieldSel *ast.SelectorExpr, baseObj types.Object, states map[string]bool) map[string]bool {
+func fsmFromSet(info *types.Info, path []ast.Node, site ast.Node, fieldSel *ast.SelectorExpr, baseObj types.Object, states map[string]bool) map[string]bool {
 	from := map[string]bool{}
 	for s := range states {
 		from[s] = true
@@ -233,8 +228,7 @@ func fsmFromSet(m *Module, p *Policy, info *types.Info, u funcUnit, parent map[a
 		if baseObj == nil {
 			return true
 		}
-		base, _ := seqBaseIdent(sel.X)
-		return base != nil && info.Uses[base] == baseObj
+		return rootVar(info, sel.X) == baseObj
 	}
 	applyCompare := func(e ast.Expr, negate bool) {
 		be, ok := ast.Unparen(e).(*ast.BinaryExpr)
@@ -279,17 +273,21 @@ func fsmFromSet(m *Module, p *Policy, info *types.Info, u funcUnit, parent map[a
 		walk(e)
 	}
 
-	// Enclosing guards: walk ancestors of the assignment.
-	for n, par := site, parent[site]; par != nil; n, par = par, parent[par] {
-		switch ps := par.(type) {
+	// Enclosing guards: walk ancestors of the assignment. chain[i-1] is the
+	// parent of chain[i].
+	chain := append(path[:len(path):len(path)], site)
+	for i := len(chain) - 1; i > 0; i-- {
+		n := chain[i]
+		switch ps := chain[i-1].(type) {
 		case *ast.IfStmt:
 			if fsmInStmt(ps.Body, n) {
 				applyCond(ps.Cond, false)
 			}
 		case *ast.CaseClause:
-			// A case of a switch over the field constrains to its constants.
-			if sw, ok := parent[par].(*ast.BlockStmt); ok {
-				if swStmt, ok := parent[sw].(*ast.SwitchStmt); ok && swStmt.Tag != nil && sameField(swStmt.Tag) && len(ps.List) > 0 {
+			// A case of a switch over the field constrains to its constants
+			// (a clause sits in the switch's body block).
+			if i >= 3 {
+				if swStmt, ok := chain[i-3].(*ast.SwitchStmt); ok && swStmt.Tag != nil && sameField(swStmt.Tag) && len(ps.List) > 0 {
 					keep := map[string]bool{}
 					for _, e := range ps.List {
 						if s := fsmConstName(info, e, states); s != "" {
@@ -310,8 +308,9 @@ func fsmFromSet(m *Module, p *Policy, info *types.Info, u funcUnit, parent map[a
 
 	// Early-return guards: in every enclosing block, a preceding
 	// "if <field cmp Const> { return }" constrains everything after it.
-	for n, par := site, parent[site]; par != nil; n, par = par, parent[par] {
-		blk, ok := par.(*ast.BlockStmt)
+	for i := len(chain) - 1; i > 0; i-- {
+		n := chain[i]
+		blk, ok := chain[i-1].(*ast.BlockStmt)
 		if !ok {
 			continue
 		}
@@ -351,19 +350,18 @@ func fsmAlwaysExits(body *ast.BlockStmt) bool {
 
 // fsmTrigger labels an edge: inside a protocol dispatcher it is the wire
 // kind of the enclosing case clause, otherwise the assigning function.
-func fsmTrigger(m *Module, p *Policy, info *types.Info, u funcUnit, parent map[ast.Node]ast.Node, site ast.Node, key string) string {
-	if _, isDispatch := p.ProtocolDispatch[key]; isDispatch {
-		for n := parent[site]; n != nil; n = parent[n] {
-			cc, ok := n.(*ast.CaseClause)
-			if !ok || len(cc.List) == 0 {
-				continue
-			}
-			if id, ok := ast.Unparen(cc.List[0]).(*ast.Ident); ok {
-				return id.Name
-			}
-			if sel, ok := ast.Unparen(cc.List[0]).(*ast.SelectorExpr); ok {
-				return sel.Sel.Name
-			}
+func fsmTrigger(p *Policy, path []ast.Node, key string) string {
+	dispatcher := slices.ContainsFunc(p.WireKinds, func(wk WireKind) bool { return wk.Dispatch == key })
+	for i := len(path) - 1; i >= 0 && dispatcher; i-- {
+		cc, ok := path[i].(*ast.CaseClause)
+		if !ok || len(cc.List) == 0 {
+			continue
+		}
+		if id, ok := ast.Unparen(cc.List[0]).(*ast.Ident); ok {
+			return id.Name
+		}
+		if sel, ok := ast.Unparen(cc.List[0]).(*ast.SelectorExpr); ok {
+			return sel.Sel.Name
 		}
 	}
 	if dot := strings.LastIndex(key, "."); dot >= 0 {

@@ -29,16 +29,11 @@ func ruleDoc() string {
 }
 
 // TestRuleDocGolden pins the -list, bare -rules, and per-rule -explain text
-// for the full 12-analyzer registry against testdata/rules.golden.
+// for the whole registry against testdata/rules.golden.
 // Regenerate deliberately with:
 //
 //	go test ./internal/analysis/ -run TestRuleDocGolden -update
 func TestRuleDocGolden(t *testing.T) {
-	const wantRules = 12
-	if n := len(Analyzers()); n != wantRules {
-		t.Errorf("registry size: got %d analyzers, want %d", n, wantRules)
-	}
-
 	got := ruleDoc()
 	path := filepath.Join("testdata", "rules.golden")
 	if *updateGolden {

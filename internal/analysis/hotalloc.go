@@ -13,7 +13,8 @@ import (
 // connection paths, the scheduler. The policy names only their roots; the
 // rule checks every body the call graph reaches from one (hotSet). It flags
 // the allocation idioms Go cannot keep off the heap — address-taken composite
-// literals, slice/map literals, make/new, closures, non-constant string
+// literals, slice/map literals, make/new, closures (but for one handed
+// straight to a function that only calls it), non-constant string
 // concatenation, and implicit interface boxing of non-pointer values at call
 // arguments. The walk stops at cold calls (isCold) and ignores what their
 // arguments build: a path that fails, or grows a free list, may allocate.
@@ -39,11 +40,16 @@ call graph reaches from those (testdata/hotset.golden is the derived list).
 In each such body this rule flags the constructs that defeat escape
 analysis or allocate by definition: &T{...}, slice/map literals, make/new,
 closures, non-constant string concatenation, and non-pointer values passed
-to interface parameters (boxing). The walk does not enter cold callees, nor
-look at what their arguments build: Policy.ColdCalls (failure paths, the
-Init-time reserves), fmt.Errorf, and the free-list growers, which the tree
-names grow*. A body that allocates by design is excused whole, with its
-reason, under Policy.Exceptions["hotalloc"]; the walk still passes through.`,
+to interface parameters (boxing). One closure is not an allocation: a
+literal passed straight to a module function that does nothing with that
+parameter but call it (the completion predicate Wait hands waitProgress)
+stays on the caller's stack, and its body is checked as part of the caller.
+The walk does not enter cold callees, nor look at what their arguments
+build: Policy.ColdCalls (failure paths, the Init-time reserves), fmt.Errorf,
+and the free-list growers, which the tree names grow*. A body that allocates
+by design is small and named for it (Rank.enqueueUnexpected) and is excused,
+with its reason, under Policy.Exceptions["hotalloc"]; the walk still passes
+through.`,
 		Subject: subjFunc,
 		Run:     runHotAlloc,
 	}
@@ -134,11 +140,14 @@ func checkHotAlloc(m *Module, p *Policy, pkg *Package, fd *ast.FuncDecl, name, c
 		})
 	}
 	var concatEnd token.Pos // suppress nested reports inside a flagged a+b+c chain
+	onStack := map[*ast.FuncLit]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			flag(n.Pos(), "closure literal allocates (captures escape)")
-			return false // the literal body is a different activation
+			if !onStack[n] {
+				flag(n.Pos(), "closure literal allocates (captures escape)")
+				return false // the literal body is a different activation
+			}
 
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
@@ -164,6 +173,11 @@ func checkHotAlloc(m *Module, p *Policy, pkg *Package, fd *ast.FuncDecl, name, c
 				return false // what a cold call's arguments build is built on the cold path
 			}
 			hotAllocCheckCall(m, pkg, n, flag)
+			for i, arg := range n.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok && onlyCalls(m.Interproc(), name, n, i) {
+					onStack[lit] = true // runs in this activation: its body is this body
+				}
+			}
 
 		case *ast.BinaryExpr:
 			if n.Op != token.ADD || n.Pos() < concatEnd {
@@ -237,4 +251,35 @@ func hotAllocCheckCall(m *Module, pkg *Package, call *ast.CallExpr, flag func(to
 		}
 		flag(arg.Pos(), fmt.Sprintf("passing concrete %s as interface argument boxes (allocates)", at.String()))
 	}
+}
+
+// onlyCalls reports whether every module function the call may invoke does
+// nothing with its i-th parameter but call it — never stores, returns,
+// forwards or captures it. A literal passed there does not escape, so the
+// compiler keeps it on the caller's stack.
+func onlyCalls(ip *Interproc, caller string, call *ast.CallExpr, i int) bool {
+	callees := resolveSiteCallees(ip, caller, call)
+	for _, key := range callees {
+		f := ip.Funcs[key]
+		sig := f.Pkg.Info.Defs[f.Decl.Name].Type().(*types.Signature)
+		if i >= sig.Params().Len() || sig.Variadic() && i == sig.Params().Len()-1 {
+			return false
+		}
+		called := map[*ast.Ident]bool{} // identifiers in call position, outside any literal
+		inspectSkipLits(f.Decl.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
+					called[id] = true
+				}
+			}
+			return true
+		})
+		if containsNode(f.Decl.Body, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			return ok && f.Pkg.Info.Uses[id] == sig.Params().At(i) && !called[id]
+		}) {
+			return false
+		}
+	}
+	return len(callees) > 0
 }

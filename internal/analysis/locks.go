@@ -171,7 +171,7 @@ func checkLock(m *Module, p *Policy, pkg *Package, u funcUnit, id string, acquir
 		}
 	}
 	transfer := func(node ast.Node, in uint64) uint64 { return lkTransfer(m, pkg, id, node, in) }
-	states := nodeMayStates(u.body, 1<<0, transfer) // entry: not held, no defer
+	states := ip.flow(u.body).solve(1<<0, transfer) // entry: not held, no defer
 
 	var firstLock *ast.CallExpr
 	inspectSkipLits(u.body, func(n ast.Node) bool {
@@ -179,7 +179,7 @@ func checkLock(m *Module, p *Policy, pkg *Package, u funcUnit, id string, acquir
 		if !ok {
 			return true
 		}
-		in, reached := mayStateAt(states, u.body, call)
+		in, reached := states.before(call)
 		if !reached {
 			return true
 		}
@@ -217,7 +217,7 @@ func checkLock(m *Module, p *Policy, pkg *Package, u funcUnit, id string, acquir
 	})
 
 	// Held with no deferred Unlock armed: some path returns still locked.
-	if firstLock != nil && exitMayState(u.body, 1<<0, transfer)&(1<<lkHeld) != 0 {
+	if firstLock != nil && states.exit()&(1<<lkHeld) != 0 {
 		report(firstLock, "%s.Lock has no Unlock on some path to return; a leaked lock hangs the next acquirer — add a deferred Unlock or unlock on every path", id)
 	}
 	return ds
@@ -228,8 +228,10 @@ func lkTransfer(m *Module, pkg *Package, id string, node ast.Node, in uint64) ui
 	// defer mu.Unlock() (direct or inside a deferred literal) arms the
 	// deferred bit; it discharges the lock at return on every later path.
 	if def, ok := node.(*ast.DeferStmt); ok {
-		if lkDeferredUnlocks(m, pkg, def, id) {
-			return mapStates(in, func(s int) int { return s | lkDeferred })
+		for _, call := range deferred(def) {
+			if op := classifyLockOp(m, pkg, call); op != nil && op.id == id && !op.lock {
+				return mapStates(in, func(s int) int { return s | lkDeferred })
+			}
 		}
 		return in
 	}
@@ -268,25 +270,6 @@ func lkLayeredCallee(m *Module, p *Policy, pkg *Package, call *ast.CallExpr) (st
 	}
 	_, layered := p.Layers[rel]
 	return rel, layered
-}
-
-// lkDeferredUnlocks reports whether def discharges id: `defer mu.Unlock()`
-// or a deferred literal whose body unlocks it.
-func lkDeferredUnlocks(m *Module, pkg *Package, def *ast.DeferStmt, id string) bool {
-	deferred := ast.Node(def.Call)
-	if lit, ok := def.Call.Fun.(*ast.FuncLit); ok {
-		deferred = lit.Body
-	}
-	found := false
-	ast.Inspect(deferred, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op := classifyLockOp(m, pkg, call); op != nil && op.id == id && !op.lock {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // classifyLockOp recognizes mutex method calls: <expr>.Lock/Unlock/RLock/

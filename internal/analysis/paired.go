@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // PairedAnalyzer is the interprocedural must-release rule: every call to an
@@ -12,11 +14,13 @@ import (
 // discharged on every CFG path out of the acquiring function — by a paired
 // release, a defer of one, an escape into a struct field that some function
 // in the module releases, a return that hands ownership to the caller, or
-// an argument pass that transfers it to a callee.
+// an argument pass that transfers it to a callee. Three verdicts come out of
+// the one per-body dataflow: a leak, a double release, and a use after
+// release.
 func PairedAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "paired",
-		Doc:  "acquired resources (pinned memory, VI slots, subscriptions, bundle writers) are released on every path",
+		Doc:  "acquired resources (pinned memory, VI slots, subscriptions, bundle writers) are released on every path, once, and not used afterwards",
 		Explain: `docs/ARCHITECTURE.md, the pinned-memory limit and VI-slot cap: registered
 memory and VI endpoints are the scarce resources the paper's scalability
 argument is about (Table 2's VI utilization; the eager-pool registration
@@ -34,692 +38,569 @@ the caller via return (the caller inherits the obligation — wrapper
 functions become acquire sites themselves), or to a callee as an argument.
 A path that reaches return still holding the obligation, a discarded
 acquire result, and a second release of an already-released handle are
-each diagnosed. Reviewed exceptions (run-scoped handles reaped wholesale
-at process death) live under Policy.Exceptions["paired"] with their
-justification.`,
+each diagnosed. The third verdict is the eviction/reconnect lifecycle's:
+teardownChannel dismantles a channel (closes the VI, deregisters eager-pool
+memory, forgets the peer), so a send posted afterwards on the same variable
+rides a dead endpoint and is silently lost — what the PR 3 quiescence
+handshake exists to prevent. A spec's Uses are the calls that need the
+resource live (Rank.post/emit, VI.PostSend/PostRdmaWrite): a release marks
+the variables it is rooted at, rebinding one clears the mark (the reconnect
+path returns a fresh channel), and a use rooted at a still-marked variable
+is diagnosed; the releasers' own bodies re-post holds by design and are
+exempt. Reviewed exceptions (run-scoped handles reaped wholesale at process
+death) live under Policy.Exceptions["paired"] with their justification.`,
 		Subject: subjFunc,
 		Run:     runPaired,
 	}
 }
 
+// prTables indexes the policy's specs by qualified callee; the value is the
+// index into Policy.PairedSpecs. acquires grows between rounds: a function
+// that returns ownership of a handle it acquired is an acquire site for its
+// callers.
+type prTables struct{ acquires, releases, uses map[string]int }
+
 // prObligation is one acquire site being tracked through a unit body.
 type prObligation struct {
 	spec     int
-	node     ast.Node // the CFG-level statement containing the acquire
+	node     ast.Node // the CFG node containing the acquire
 	pos      token.Pos
 	objs     map[types.Object]bool // locals that hold the handle
 	errObj   types.Object          // the error result bound at the acquire, if any
 	acquired string                // qualified name of the acquire callee
 	deferRel bool                  // discharged by a deferred release
-	retOwned bool                  // escapes to the caller via return
-	released bool                  // some non-deferred release roots at it
-	leaked   bool                  // a path reaches exit still holding it
+	o, r     uint64                // state bits: outstanding; released on some incoming path
+}
+
+// prField is a struct field a handle of one spec is parked in.
+type prField struct {
+	spec  int
+	field string // policy-qualified "rel/pkg.(Owner).field"
 }
 
 // prFieldStore is one handle stored into a struct field, resolved globally.
 type prFieldStore struct {
-	spec     int
-	field    string // policy-qualified "rel/pkg.(Owner).field"
+	prField
 	pos      token.Pos
 	acquired string
 }
 
-// prResult accumulates one whole-module pass.
+// prResult accumulates one whole-module round.
 type prResult struct {
-	diags       []Diagnostic
-	stores      []prFieldStore
-	releasedFld map[string]bool // "spec#field" discharged by some release site
-	retOwned    map[string]int  // function key -> spec it returns ownership of
+	diags    []Diagnostic
+	stores   []prFieldStore
+	released map[prField]bool // discharged by some release site
+	retOwned map[string]int   // function key -> spec it returns ownership of
 }
 
 func runPaired(m *Module, p *Policy) []Diagnostic {
-	if len(p.PairedSpecs) == 0 {
-		return nil
-	}
 	ip := m.Interproc()
-
-	// acquires/releases: qualified callee -> spec index. Derived acquires
-	// (functions that return ownership of a handle they acquired) are added
-	// between rounds until the set is stable.
-	acquires := map[string]int{}
-	releases := map[string]int{}
-	primary := map[string]bool{}
+	tab := &prTables{acquires: map[string]int{}, releases: map[string]int{}, uses: map[string]int{}}
 	for i, spec := range p.PairedSpecs {
-		for _, a := range spec.Acquires {
-			acquires[a] = i
-			primary[a] = true
+		for _, name := range spec.Acquires {
+			tab.acquires[name] = i
 		}
-		for _, r := range spec.Releases {
-			releases[r] = i
-			primary[r] = true
+		for _, name := range spec.Releases {
+			tab.releases[name] = i
+		}
+		for _, name := range spec.Uses {
+			tab.uses[name] = i
 		}
 	}
 
-	var res prResult
-	for {
+	// Rounds: derived acquires (functions that return ownership of a handle
+	// they acquired) join the table until the set is stable.
+	var res *prResult
+	for grew := true; grew; {
 		ip.Sweeps++
-		res = prAnalyzeModule(m, ip, p, acquires, releases, primary)
-		grew := false
+		res = &prResult{released: map[prField]bool{}, retOwned: map[string]int{}}
+		ip.eachUnit(p, "paired", func(f *IPFunc, u funcUnit) {
+			pu := &prUnit{m: m, p: p, tab: tab, res: res, pkg: f.Pkg, info: f.Pkg.Info, u: u, key: f.Key, fl: ip.flow(u.body),
+				fieldLocal: map[types.Object]string{}, masks: map[ast.Node]*prMasks{}}
+			pu.collect()
+			released := pu.releases()
+			for _, ob := range pu.obs {
+				pu.effects(ob)
+			}
+			pu.report(released)
+		})
+		grew = false
 		for _, key := range sortedKeys(res.retOwned) {
-			if _, known := acquires[key]; !known && !primary[key] {
-				acquires[key] = res.retOwned[key]
+			if _, known := tab.acquires[key]; !known {
+				tab.acquires[key] = res.retOwned[key]
 				grew = true
 			}
 		}
-		if !grew {
-			break
-		}
 	}
 
-	ds := res.diags
 	// Global field pass: every handle parked in a struct field needs some
 	// release in the module that discharges through that field.
 	for _, st := range res.stores {
-		if res.releasedFld[fmt.Sprintf("%d#%s", st.spec, st.field)] {
-			continue
+		if !res.released[st.prField] {
+			spec := p.PairedSpecs[st.spec]
+			res.diags = append(res.diags, Diagnostic{Pos: m.Position(st.pos), Rule: "paired",
+				Message: fmt.Sprintf("%s from %s is stored into %s, but no function releases through that field — add a releasing path calling %s, or justify under Policy.Exceptions[\"paired\"]",
+					spec.Resource, st.acquired, st.field, strings.Join(spec.Releases, " / "))})
 		}
-		spec := p.PairedSpecs[st.spec]
-		ds = append(ds, Diagnostic{
-			Pos:  m.Position(st.pos),
-			Rule: "paired",
-			Message: fmt.Sprintf("%s from %s is stored into %s, but no function releases through that field — add a releasing path calling %s, or justify under Policy.Exceptions[\"paired\"]",
-				spec.Resource, st.acquired, st.field, prJoin(spec.Releases)),
-		})
 	}
-	return ds
+	return res.diags
 }
 
-// prAnalyzeModule runs one whole-module round with the current acquire set.
-func prAnalyzeModule(m *Module, ip *Interproc, p *Policy, acquires, releases map[string]int, primary map[string]bool) prResult {
-	res := prResult{
-		releasedFld: map[string]bool{},
-		retOwned:    map[string]int{},
-	}
-	ip.eachUnit(p, "paired", func(f *IPFunc, u funcUnit) {
-		prAnalyzeUnit(m, p, f, u, f.Key, acquires, releases, primary, &res)
-	})
-	return res
+// prCall is one call in a unit body.
+type prCall struct {
+	call     *ast.CallExpr
+	qual     string // policy-qualified callee
+	deferred bool   // inside a defer statement: it runs at return, not here
 }
 
-func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acquires, releases map[string]int, primary map[string]bool, res *prResult) {
-	info := f.Pkg.Info
-	qualOf := func(call *ast.CallExpr) string {
-		obj := calleeObject(info, call)
-		if obj == nil {
-			return ""
-		}
-		return relQualified(m.Path, objectQualifiedName(obj))
-	}
+// prBind is one assignment or var declaration: lhs[i] = rhs[i], or every lhs
+// from the one multi-value rhs.
+type prBind struct {
+	lhs, rhs []ast.Expr
+	at       ast.Node
+}
 
-	parent := prParentMap(u.body)
-	cfgNodes := prCFGNodeSet(u.body)
-	// cfgStmt walks from an inner node up to the statement (or condition
-	// expression) the dataflow records states for.
-	cfgStmt := func(n ast.Node) ast.Node {
-		for n != nil {
-			if cfgNodes[n] {
-				return n
+// prMasks is what one CFG node does to the state word: out = in &^ clr | set.
+// Clearing before setting gives the precedence the verdicts need: a release
+// inside a return statement is a release (the return's clear agrees with it),
+// and an acquire node leaves its own obligation outstanding.
+type prMasks struct{ clr, set uint64 }
+
+// prUnit is one body under analysis: the module-wide tables it reads and
+// feeds, what collect found in the body, and the dataflow being assembled.
+type prUnit struct {
+	m    *Module
+	p    *Policy
+	tab  *prTables
+	res  *prResult
+	pkg  *Package
+	info *types.Info
+	u    funcUnit
+	key  string // policy-qualified name of the enclosing declaration
+	fl   *unitFlow
+
+	obs     []*prObligation
+	calls   []prCall
+	binds   []*prBind
+	ifs     []*ast.IfStmt
+	returns []*ast.ReturnStmt
+	defers  []*ast.DeferStmt
+	// fieldLocal: a local bound from a field selector (x := s.f, x := s.f[i],
+	// for _, x := range s.f) releases through that field.
+	fieldLocal map[types.Object]string
+
+	bits  int // state bits handed out; past 64 a tracked thing gets none and goes unjudged
+	masks map[ast.Node]*prMasks
+}
+
+func (pu *prUnit) bit() uint64 {
+	pu.bits++
+	return 1 << (pu.bits - 1)
+}
+
+// at returns the masks of the CFG node containing n.
+func (pu *prUnit) at(n ast.Node) *prMasks {
+	site := pu.fl.site(n)
+	if pu.masks[site] == nil {
+		pu.masks[site] = &prMasks{}
+	}
+	return pu.masks[site]
+}
+
+func (pu *prUnit) diag(pos token.Pos, format string, args ...any) {
+	pu.res.diags = append(pu.res.diags, Diagnostic{Pos: pu.m.Position(pos), Rule: "paired",
+		Message: fmt.Sprintf(format, args...) + `, or justify under Policy.Exceptions["paired"]`})
+}
+
+// collect is the one walk over the body: it files every call, binding,
+// branch, return and defer the later phases read, in source order, and
+// settles each acquire by the statement it is the whole value of.
+func (pu *prUnit) collect() {
+	bind := func(lhs, rhs []ast.Expr, at ast.Node) {
+		pu.binds = append(pu.binds, &prBind{lhs, rhs, at})
+		for i, r := range rhs {
+			targets := lhs // one multi-value call binds every target
+			if len(rhs) > 1 {
+				targets = lhs[i : i+1]
 			}
-			n = parent[n]
-		}
-		return nil
-	}
-
-	// Field-rooted locals: a local bound from a field selector (x := s.f,
-	// for _, x := range s.f, x := s.f[i]) releases through that field.
-	fieldLocal := map[types.Object]string{}
-	bindField := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if obj == nil {
-			return
-		}
-		if fk := prFieldKeyOf(m, info, rhs); fk != "" {
-			fieldLocal[obj] = fk
+			if len(targets) == 1 {
+				pu.bindField(targets[0], r)
+			}
+			if call, spec := pu.acquire(r); call != nil {
+				pu.bound(call, spec, targets)
+			}
 		}
 	}
-	inspectSkipLits(u.body, func(n ast.Node) bool {
+	var deferEnd token.Pos
+	inspectSkipLits(pu.u.body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					bindField(n.Lhs[i], n.Rhs[i])
+		case *ast.ExprStmt:
+			if call, spec := pu.acquire(n.X); call != nil {
+				pu.discarded(call, spec)
+			}
+		case *ast.ReturnStmt:
+			pu.returns = append(pu.returns, n)
+			for _, r := range n.Results {
+				if call, spec := pu.acquire(r); call != nil {
+					pu.returnsOwned(spec)
 				}
 			}
+		case *ast.AssignStmt:
+			bind(n.Lhs, n.Rhs, n)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, name := range n.Names {
+				lhs[i] = name
+			}
+			bind(lhs, n.Values, n)
 		case *ast.RangeStmt:
 			if n.Value != nil {
-				bindField(n.Value, n.X)
+				pu.bindField(n.Value, n.X)
 			}
+		case *ast.IfStmt:
+			pu.ifs = append(pu.ifs, n)
+		case *ast.DeferStmt:
+			pu.defers = append(pu.defers, n)
+			deferEnd = n.End()
+		case *ast.CallExpr:
+			pu.calls = append(pu.calls, prCall{n, calleeName(pu.m, pu.pkg, n), n.Pos() < deferEnd})
 		}
 		return true
 	})
+}
 
-	// Release sites discharge field obligations module-wide: any field
-	// mentioned in the receiver chain or arguments of a release call (or a
-	// field a local argument was bound from) counts as released. This runs
-	// for every unit, including units of functions being skipped for local
-	// obligations, because the releasing method is usually not the storer.
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		spec, isRel := releases[qualOf(call)]
-		if !isRel {
-			return true
-		}
-		mark := func(fk string) {
-			if fk != "" {
-				res.releasedFld[fmt.Sprintf("%d#%s", spec, fk)] = true
+// acquire returns e as a call to an acquire function, with its spec; nil when
+// e is anything else (the pair's own implementation included).
+func (pu *prUnit) acquire(e ast.Expr) (*ast.CallExpr, int) {
+	if call, ok := e.(*ast.CallExpr); ok {
+		if qual := calleeName(pu.m, pu.pkg, call); qual != pu.key {
+			if spec, isAcq := pu.tab.acquires[qual]; isAcq {
+				return call, spec
 			}
 		}
-		ast.Inspect(call, func(cn ast.Node) bool {
-			switch cn := cn.(type) {
-			case *ast.SelectorExpr:
-				mark(prSelectorFieldKey(m, info, cn))
-			case *ast.Ident:
-				if obj := info.Uses[cn]; obj != nil {
-					mark(fieldLocal[obj])
-				}
-			}
-			return true
-		})
-		return true
-	})
-
-	// Collect obligations: acquire calls classified by their binding context.
-	var obs []*prObligation
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		qual := qualOf(call)
-		spec, isAcq := acquires[qual]
-		if !isAcq || qual == key {
-			return true // not an acquire, or the pair's own implementation
-		}
-		specDesc := p.PairedSpecs[spec]
-		switch ctx := parent[call].(type) {
-		case *ast.ExprStmt:
-			res.diags = append(res.diags, Diagnostic{
-				Pos:  m.Position(call.Pos()),
-				Rule: "paired",
-				Message: fmt.Sprintf("result of %s is discarded, so the %s can never be released — bind the handle and release it (%s), or justify under Policy.Exceptions[\"paired\"]",
-					qual, specDesc.Resource, prJoin(specDesc.Releases)),
-			})
-		case *ast.ReturnStmt:
-			// Ownership moves to the caller. Only a declaration body makes a
-			// wrapper summary: a literal returns to whoever invokes the
-			// closure, which the call graph cannot see.
-			if u.lit == nil && !primary[key] {
-				res.retOwned[key] = spec
-			}
-		case *ast.AssignStmt, *ast.ValueSpec:
-			targets, errObj := prAcquireTargets(info, ctx, call)
-			objs := map[types.Object]bool{}
-			allBlank := true
-			for _, t := range targets {
-				switch t := t.(type) {
-				case *ast.Ident:
-					if t.Name == "_" {
-						continue
-					}
-					allBlank = false
-					if obj := info.Defs[t]; obj != nil {
-						objs[obj] = true
-					} else if obj := info.Uses[t]; obj != nil {
-						objs[obj] = true
-					}
-				default:
-					allBlank = false
-					if fk := prFieldKeyOf(m, info, t); fk != "" {
-						res.stores = append(res.stores, prFieldStore{spec: spec, field: fk, pos: call.Pos(), acquired: qual})
-					}
-				}
-			}
-			if allBlank {
-				res.diags = append(res.diags, Diagnostic{
-					Pos:  m.Position(call.Pos()),
-					Rule: "paired",
-					Message: fmt.Sprintf("result of %s is discarded, so the %s can never be released — bind the handle and release it (%s), or justify under Policy.Exceptions[\"paired\"]",
-						qual, specDesc.Resource, prJoin(specDesc.Releases)),
-				})
-				return true
-			}
-			if len(objs) == 0 {
-				return true // stored straight into fields; the global pass owns it
-			}
-			site := cfgStmt(call)
-			if site == nil {
-				return true
-			}
-			obs = append(obs, &prObligation{
-				spec: spec, node: site, pos: call.Pos(),
-				objs: objs, errObj: errObj, acquired: qual,
-			})
-		}
-		return true
-	})
-
-	if len(obs) == 0 {
-		return
 	}
-	if len(obs) > 32 {
-		obs = obs[:32] // bitset width; no real unit approaches this
-	}
+	return nil, 0
+}
 
+func (pu *prUnit) discarded(call *ast.CallExpr, spec int) {
+	desc := pu.p.PairedSpecs[spec]
+	pu.diag(call.Pos(), "result of %s is discarded, so the %s can never be released — bind the handle and release it (%s)",
+		calleeName(pu.m, pu.pkg, call), desc.Resource, strings.Join(desc.Releases, " / "))
+}
+
+// returnsOwned notes that this function hands a handle of spec to its
+// caller, who inherits the obligation. Only a declaration body makes a
+// wrapper summary — a literal returns to whoever invokes the closure, which
+// the call graph cannot see — and never the pair's own implementation.
+func (pu *prUnit) returnsOwned(spec int) {
+	_, acquire := pu.tab.acquires[pu.key]
+	_, release := pu.tab.releases[pu.key]
+	if pu.u.lit == nil && !acquire && !release {
+		pu.res.retOwned[pu.key] = spec
+	}
+}
+
+// bound settles an acquire whose results are bound to targets: locals hold
+// the handle and make it an obligation, the error result marks the acquire's
+// failure path, a field is a store for the global pass, and all blank is a
+// discarded result.
+func (pu *prUnit) bound(call *ast.CallExpr, spec int, targets []ast.Expr) {
+	ob := &prObligation{spec: spec, node: pu.fl.site(call), pos: call.Pos(), objs: map[types.Object]bool{}, acquired: calleeName(pu.m, pu.pkg, call)}
+	allBlank := true
+	for _, t := range targets {
+		obj := identObj(pu.info, t)
+		if id, ok := ast.Unparen(t).(*ast.Ident); ok && id.Name == "_" {
+			continue
+		}
+		switch {
+		case obj != nil && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()):
+			ob.errObj = obj
+			continue
+		case obj != nil:
+			ob.objs[obj] = true
+		default:
+			pu.store(ob, pu.fieldKey(t), call.Pos())
+		}
+		allBlank = false
+	}
+	switch {
+	case allBlank:
+		pu.discarded(call, spec)
+	case len(ob.objs) > 0:
+		ob.o, ob.r = pu.bit(), pu.bit()
+		pu.obs = append(pu.obs, ob)
+	}
+}
+
+func (pu *prUnit) bindField(lhs, rhs ast.Expr) {
+	if obj, fk := identObj(pu.info, lhs), pu.fieldKey(rhs); obj != nil && fk != "" {
+		pu.fieldLocal[obj] = fk
+	}
+}
+
+// fieldKey resolves s.f or s.f[i] to "rel/pkg.(Owner).f"; "" for anything
+// else.
+func (pu *prUnit) fieldKey(e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.IndexExpr:
+		return pu.fieldKey(x.X)
+	case *ast.SelectorExpr:
+		return fieldQualified(pu.m, pu.pkg, x)
+	}
+	return ""
+}
+
+func (pu *prUnit) store(ob *prObligation, field string, pos token.Pos) {
+	if field != "" {
+		pu.res.stores = append(pu.res.stores, prFieldStore{prField{ob.spec, field}, pos, ob.acquired})
+	}
+}
+
+// effects fills the mask table with what each CFG node does to ob, from
+// what collect filed.
+func (pu *prUnit) effects(ob *prObligation) {
+	info := pu.info
 	// Alias closure: plain ident-to-ident copies extend the handle set.
 	for pass := 0; pass < 2; pass++ {
-		inspectSkipLits(u.body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i := range as.Lhs {
-				lhs, lok := ast.Unparen(as.Lhs[i]).(*ast.Ident)
-				rhs, rok := ast.Unparen(as.Rhs[i]).(*ast.Ident)
-				if !lok || !rok || lhs.Name == "_" {
-					continue
-				}
-				src := info.Uses[rhs]
-				dst := info.Defs[lhs]
-				if dst == nil {
-					dst = info.Uses[lhs]
-				}
-				if src == nil || dst == nil {
-					continue
-				}
-				for _, ob := range obs {
-					if ob.objs[src] {
-						ob.objs[dst] = true
-					}
+		for _, b := range pu.binds {
+			for i := 0; i < len(b.lhs) && len(b.lhs) == len(b.rhs); i++ {
+				if dst := identObj(info, b.lhs[i]); dst != nil && ob.objs[identObj(info, b.rhs[i])] {
+					ob.objs[dst] = true
 				}
 			}
-			return true
-		})
-	}
-
-	// Deferred releases discharge everywhere (defers run on every exit,
-	// including panics), and defers of closures releasing the handle count.
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		def, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
 		}
-		for _, ob := range obs {
-			if prContainsRelease(info, m, def, releases, ob) {
-				ob.deferRel = true
-			}
-		}
-		return true
-	})
-
-	// Per-node effects: for each obligation, bit 2i = outstanding, bit 2i+1
-	// = released on some incoming path.
-	type prEffect struct {
-		acquire bool
-		release bool
-		clear   bool // escape, transfer, or error-path kill
 	}
-	effects := map[ast.Node][]prEffect{}
-	effectAt := func(n ast.Node, i int) *prEffect {
-		row := effects[n]
-		if row == nil {
-			row = make([]prEffect, len(obs))
-			effects[n] = row
+	pu.at(ob.node).set |= ob.o
+	// Deferred releases discharge everywhere: defers run on every exit.
+	for _, def := range pu.defers {
+		for _, call := range deferred(def) {
+			ob.deferRel = ob.deferRel || pu.releaseOf(call, ob)
 		}
-		return &row[i]
-	}
-	for i, ob := range obs {
-		effectAt(ob.node, i).acquire = true
 	}
 
 	// Error-path kills and nil-guard releases hang off if statements.
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		lhs, op, ok := prNilCompare(ifs.Cond)
-		if !ok {
-			return true
-		}
-		id, isIdent := ast.Unparen(lhs).(*ast.Ident)
-		if !isIdent {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		for i, ob := range obs {
-			if obj == ob.errObj {
-				// The acquire failed on this branch: no resource to release.
-				switch {
-				case op == token.NEQ:
-					for _, s := range ifs.Body.List {
-						effectAt(s, i).clear = true
-					}
-				case op == token.EQL && ifs.Else != nil:
-					prMarkBranch(ifs.Else, func(s ast.Stmt) { effectAt(s, i).clear = true })
-				}
-			}
-			if ob.objs[obj] && op == token.NEQ && prContainsRelease(info, m, ifs.Body, releases, ob) {
-				// "if h != nil { release(h) }": acquired implies non-nil, so
-				// both branches discharge. The condition is the CFG node.
-				effectAt(ifs.Cond, i).clear = true
+	for _, ifs := range pu.ifs {
+		v, nonNil := prNonNilBranch(info, ifs)
+		if v != nil && v == ob.errObj && nonNil != nil {
+			// The acquire failed on this branch: no resource to release.
+			for _, n := range pu.fl.within(nonNil) {
+				pu.at(n).clr |= ob.o
 			}
 		}
-		return true
-	})
+		if ob.objs[v] && nonNil == ast.Stmt(ifs.Body) && pu.releasesIn(ifs.Body, ob) {
+			// "if h != nil { release(h) }": acquired implies non-nil, so both
+			// branches discharge. The condition is the CFG node.
+			pu.at(ifs.Cond).clr |= ob.o
+		}
+	}
 
-	// Releases, returns, escapes, transfers.
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			return false // deferred effects already folded in
-		case *ast.CallExpr:
-			qual := qualOf(n)
-			if spec, isRel := releases[qual]; isRel {
-				site := cfgStmt(n)
-				for i, ob := range obs {
-					if ob.spec != spec || site == nil {
-						continue
-					}
-					if prRootedAt(info, n, ob.objs) {
-						effectAt(site, i).release = true
-						ob.released = true
-					}
-				}
-				return true
-			}
-			if _, isAcq := acquires[qual]; isAcq {
-				return true
-			}
+	for _, c := range pu.calls {
+		_, isAcq := pu.tab.acquires[c.qual]
+		_, isRel := pu.tab.releases[c.qual]
+		switch {
+		case c.deferred: // folded in above
+		case pu.releaseOf(c.call, ob):
+			pu.at(c.call).clr |= ob.o
+			pu.at(c.call).set |= ob.r
+		case !isAcq && !isRel && slices.ContainsFunc(c.call.Args, func(arg ast.Expr) bool { return prMentions(info, arg, ob.objs) }):
 			// Handle passed as an argument: ownership transfers to the
 			// callee (receivers are reads, not transfers).
-			site := cfgStmt(n)
-			for i, ob := range obs {
-				if site == nil {
-					continue
-				}
-				for _, arg := range n.Args {
-					if prMentions(info, arg, ob.objs) {
-						effectAt(site, i).clear = true
-						break
-					}
-				}
+			pu.at(c.call).clr |= ob.o
+		}
+	}
+
+	for _, ret := range pu.returns {
+		if prMentions(info, ret, ob.objs) {
+			pu.at(ret).clr |= ob.o
+			// "return h.Close()" releases; any other mention hands the handle
+			// to the caller.
+			if !pu.releasesIn(ret, ob) {
+				pu.returnsOwned(ob.spec)
 			}
-		case *ast.ReturnStmt:
-			for i, ob := range obs {
-				if !prMentions(info, n, ob.objs) {
-					continue
-				}
-				effectAt(n, i).clear = true
-				if prContainsRelease(info, m, n, releases, ob) {
-					continue // "return h.Close()" releases; nothing transfers
-				}
-				if u.lit == nil && !primary[key] {
-					ob.retOwned = true
-					res.retOwned[key] = ob.spec
-				} else {
-					ob.retOwned = true // literal: caller unknown, stay silent
-				}
+		}
+	}
+
+	// Handle stored through a selector/index, or captured by a composite
+	// literal: the obligation escapes this function.
+	for _, b := range pu.binds {
+		escaped := false
+		for j := 0; j < len(b.lhs) && len(b.lhs) == len(b.rhs); j++ {
+			// Only a store of the handle itself (conversions and & unwrapped)
+			// escapes; "res.Events = cw.Events()" stores a stat read, not the
+			// writer.
+			if _, local := ast.Unparen(b.lhs[j]).(*ast.Ident); !local && prIsHandle(info, b.rhs[j], ob.objs) {
+				escaped = true
+				pu.store(ob, pu.fieldKey(b.lhs[j]), b.at.Pos())
 			}
-		case *ast.AssignStmt:
-			// Handle stored through a selector/index, or captured by a
-			// composite literal: the obligation escapes this function.
-			for i, ob := range obs {
-				if n == ob.node {
-					continue
-				}
-				escaped := false
-				for j, l := range n.Lhs {
-					if _, isIdent := ast.Unparen(l).(*ast.Ident); isIdent {
-						continue
-					}
-					// Only a store of the handle itself (conversions and &
-					// unwrapped) escapes; "res.Events = cw.Events()" stores a
-					// stat read, not the writer.
-					var r ast.Expr
-					if len(n.Rhs) == len(n.Lhs) {
-						r = n.Rhs[j]
-					} else if len(n.Rhs) == 1 {
-						r = n.Rhs[0]
-					}
-					if r == nil || !prIsHandle(info, r, ob.objs) {
-						continue
-					}
-					escaped = true
-					if fk := prFieldKeyOf(m, info, l); fk != "" {
-						res.stores = append(res.stores, prFieldStore{spec: ob.spec, field: fk, pos: n.Pos(), acquired: ob.acquired})
-					}
-				}
-				for _, r := range n.Rhs {
-					for _, st := range prCompositeStores(m, info, r, ob) {
-						res.stores = append(res.stores, st)
-						escaped = true
-					}
-				}
-				if escaped {
-					if site := cfgStmt(n); site != nil {
-						effectAt(site, i).clear = true
-					}
+		}
+		for _, r := range b.rhs {
+			escaped = pu.compositeStores(r, ob) || escaped
+		}
+		if escaped && pu.fl.site(b.at) != ob.node {
+			pu.at(b.at).clr |= ob.o
+		}
+	}
+}
+
+// releases settles the body's release calls. Each discharges, module-wide,
+// every field in its receiver chain or arguments (or one a local argument was
+// bound from): the releasing method is usually not the storer. And it opens
+// the third verdict, whose universe is variables, not acquire sites: a
+// release of a spec with Uses marks the variables it is rooted at, and
+// rebinding one clears the mark (cs, err = r.channel(peer) hands back a fresh
+// channel). It returns each such variable's state bit — "released on some
+// path" — with the masks already in the table.
+func (pu *prUnit) releases() map[types.Object]uint64 {
+	released := map[types.Object]uint64{}
+	_, releaser := pu.tab.releases[pu.key] // its own body drains and re-posts what it holds by design
+	for _, c := range pu.calls {
+		spec, isRel := pu.tab.releases[c.qual]
+		if !isRel {
+			continue
+		}
+		ast.Inspect(c.call, func(n ast.Node) bool {
+			switch n := n.(type) { // a "" field is no store's key
+			case *ast.SelectorExpr:
+				pu.res.released[prField{spec, fieldQualified(pu.m, pu.pkg, n)}] = true
+			case *ast.Ident:
+				pu.res.released[prField{spec, pu.fieldLocal[pu.info.Uses[n]]}] = true
+			}
+			return true
+		})
+		if releaser || len(pu.p.PairedSpecs[spec].Uses) == 0 {
+			continue
+		}
+		// A release dismantles its pointer arguments (the channel being torn
+		// down), or the base of its receiver chain when it has none.
+		var roots []types.Object
+		for _, arg := range c.call.Args {
+			if v := identObj(pu.info, arg); v != nil {
+				if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
+					roots = append(roots, v)
 				}
 			}
 		}
-		return true
+		if len(roots) == 0 {
+			roots = append(roots, rootVar(pu.info, c.call.Fun))
+		}
+		for _, v := range roots {
+			if v != nil && released[v] == 0 {
+				released[v] = pu.bit()
+			}
+			pu.at(c.call).set |= released[v]
+		}
+	}
+	for _, b := range pu.binds {
+		for _, l := range b.lhs {
+			pu.at(b.at).clr |= released[identObj(pu.info, l)]
+		}
+	}
+	return released
+}
+
+// report solves the dataflow and renders the three verdicts.
+func (pu *prUnit) report(released map[types.Object]uint64) {
+	if len(pu.masks) == 0 {
+		return // nothing to follow in this body
+	}
+	states := pu.fl.solve(0, func(node ast.Node, in uint64) uint64 {
+		if e := pu.masks[node]; e != nil {
+			in = in&^e.clr | e.set
+		}
+		return in
 	})
 
-	// Dataflow. Effect precedence per node: release beats clear (a release
-	// inside a return statement is a release), acquire applies last so an
-	// acquire node leaves its own obligation outstanding.
-	transfer := func(node ast.Node, in uint64) uint64 {
-		row, ok := effects[node]
-		if !ok {
-			return in
-		}
-		out := in
-		for i := range obs {
-			e := row[i]
-			o, r := uint64(1)<<(2*i), uint64(1)<<(2*i+1)
-			switch {
-			case e.release:
-				out = (out &^ o) | r
-			case e.clear:
-				out &^= o
-			}
-			if e.acquire {
-				out |= o
-			}
-		}
-		return out
-	}
-	states := nodeMayStates(u.body, 0, transfer)
-	exit := exitMayState(u.body, 0, transfer)
-
-	for i, ob := range obs {
-		o := uint64(1) << (2 * i)
-		spec := p.PairedSpecs[ob.spec]
-		if exit&o != 0 && !ob.deferRel {
-			res.diags = append(res.diags, Diagnostic{
-				Pos:  m.Position(ob.pos),
-				Rule: "paired",
-				Message: fmt.Sprintf("%s acquired by %s here is not released on every path out of %s: a return is reachable with the handle still held — release it (%s), defer the release, or justify under Policy.Exceptions[\"paired\"]",
-					spec.Resource, ob.acquired, key, prJoin(spec.Releases)),
-			})
-			ob.leaked = true
+	for _, ob := range pu.obs {
+		if states.exit()&ob.o != 0 && !ob.deferRel {
+			spec := pu.p.PairedSpecs[ob.spec]
+			pu.diag(ob.pos, "%s acquired by %s here is not released on every path out of %s: a return is reachable with the handle still held — release it (%s), defer the release",
+				spec.Resource, ob.acquired, pu.key, strings.Join(spec.Releases, " / "))
 		}
 	}
 
-	// Double-release detection: a release site whose incoming state has the
-	// released bit set and the outstanding bit clear fires on every path
-	// after a first release. Deferred releases are not re-flagged against
-	// themselves, but an explicit release alongside a defer is.
-	inspectSkipLits(u.body, func(n ast.Node) bool {
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
-			return false
+	for _, c := range pu.calls {
+		in, reached := states.before(c.call)
+		if !reached {
+			continue
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		spec, isRel := releases[qualOf(call)]
-		if !isRel {
-			return true
-		}
-		site := cfgStmt(call)
-		if site == nil {
-			return true
-		}
-		for i, ob := range obs {
-			if ob.spec != spec || !prRootedAt(info, call, ob.objs) {
+		// Double release: a release site whose incoming state has the
+		// released bit set and the outstanding bit clear fires on every path
+		// after a first release. Deferred releases are not re-flagged against
+		// themselves, but an explicit release alongside a defer is.
+		for _, ob := range pu.obs {
+			if c.deferred || !pu.releaseOf(c.call, ob) {
 				continue
 			}
-			in, reached := mayStateAt(states, u.body, site)
-			if !reached {
-				continue
-			}
-			o, r := uint64(1)<<(2*i), uint64(1)<<(2*i+1)
-			if in&r != 0 && in&o == 0 {
-				res.diags = append(res.diags, Diagnostic{
-					Pos:  m.Position(call.Pos()),
-					Rule: "paired",
-					Message: fmt.Sprintf("%s from %s is already released on every path reaching this second release — double release corrupts the %s accounting; remove one, or justify under Policy.Exceptions[\"paired\"]",
-						spec2Name(p, spec), ob.acquired, p.PairedSpecs[spec].Resource),
-				})
+			resource := pu.p.PairedSpecs[ob.spec].Resource
+			if in&ob.r != 0 && in&ob.o == 0 {
+				pu.diag(c.call.Pos(), "%s from %s is already released on every path reaching this second release — double release corrupts the %s accounting; remove one",
+					resource, ob.acquired, resource)
 			}
 			if ob.deferRel {
-				res.diags = append(res.diags, Diagnostic{
-					Pos:  m.Position(call.Pos()),
-					Rule: "paired",
-					Message: fmt.Sprintf("%s from %s is released both here and by a deferred release in the same function — the defer makes this a double release; remove one, or justify under Policy.Exceptions[\"paired\"]",
-						spec2Name(p, spec), ob.acquired),
-				})
+				pu.diag(c.call.Pos(), "%s from %s is released both here and by a deferred release in the same function — the defer makes this a double release; remove one",
+					resource, ob.acquired)
 			}
 		}
-		return true
+		// Use after release: a use rides the base of its receiver chain and
+		// of every argument.
+		if spec, isUse := pu.tab.uses[c.qual]; isUse {
+			for _, e := range append([]ast.Expr{c.call.Fun}, c.call.Args...) {
+				if v := rootVar(pu.info, e); in&released[v] != 0 {
+					desc := pu.p.PairedSpecs[spec]
+					pu.diag(c.call.Pos(), "%s in %s is rooted at %s, whose %s was already released on some path (%s) — the descriptor rides a dead endpoint and is silently lost; rebind the variable through the reconnect path first",
+						c.qual, pu.key, v.Name(), desc.Resource, strings.Join(desc.Releases, " / "))
+					break
+				}
+			}
+		}
+	}
+}
+
+// releaseOf reports whether call releases ob: a release of its spec whose
+// receiver or some argument is one of its handles.
+func (pu *prUnit) releaseOf(call *ast.CallExpr, ob *prObligation) bool {
+	spec, isRel := pu.tab.releases[calleeName(pu.m, pu.pkg, call)]
+	sel, method := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return isRel && spec == ob.spec && (method && prIsHandle(pu.info, sel.X, ob.objs) ||
+		slices.ContainsFunc(call.Args, func(arg ast.Expr) bool { return prIsHandle(pu.info, arg, ob.objs) }))
+}
+
+// releasesIn reports whether n (descending into literals: deferred closures
+// run too) contains a release of ob.
+func (pu *prUnit) releasesIn(n ast.Node, ob *prObligation) bool {
+	return containsNode(n, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		return ok && pu.releaseOf(call, ob)
 	})
-}
-
-func spec2Name(p *Policy, spec int) string { return p.PairedSpecs[spec].Resource }
-
-// prAcquireTargets returns the binding targets matching the acquire call in
-// an assignment or declaration, plus the error-typed target if present.
-func prAcquireTargets(info *types.Info, ctx ast.Node, call *ast.CallExpr) ([]ast.Expr, types.Object) {
-	var lhs, rhs []ast.Expr
-	switch ctx := ctx.(type) {
-	case *ast.AssignStmt:
-		lhs, rhs = ctx.Lhs, ctx.Rhs
-	case *ast.ValueSpec:
-		for _, n := range ctx.Names {
-			lhs = append(lhs, n)
-		}
-		rhs = ctx.Values
-	default:
-		return nil, nil
-	}
-	var targets []ast.Expr
-	if len(rhs) == 1 {
-		targets = lhs // multi-value call: all targets bind its results
-	} else {
-		for i, r := range rhs {
-			if ast.Unparen(r) == call && i < len(lhs) {
-				targets = []ast.Expr{lhs[i]}
-			}
-		}
-	}
-	var errObj types.Object
-	var rest []ast.Expr
-	for _, t := range targets {
-		id, ok := ast.Unparen(t).(*ast.Ident)
-		if ok && id.Name != "_" {
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			if obj != nil && obj.Type() != nil && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
-				errObj = obj
-				continue
-			}
-		}
-		rest = append(rest, t)
-	}
-	return rest, errObj
-}
-
-// prRootedAt reports whether the release call's receiver base or any
-// argument (conversions unwrapped) is one of the obligation's handles.
-func prRootedAt(info *types.Info, call *ast.CallExpr, objs map[types.Object]bool) bool {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && objs[info.Uses[id]] {
-			return true
-		}
-	}
-	for _, arg := range call.Args {
-		if id, ok := ast.Unparen(prUnconvert(info, arg)).(*ast.Ident); ok && objs[info.Uses[id]] {
-			return true
-		}
-	}
-	return false
-}
-
-// prContainsRelease reports whether n (descending into literals: deferred
-// closures run too) contains a release of ob's spec rooted at its handles.
-func prContainsRelease(info *types.Info, m *Module, n ast.Node, releases map[string]int, ob *prObligation) bool {
-	found := false
-	ast.Inspect(n, func(cn ast.Node) bool {
-		call, ok := cn.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		obj := calleeObject(info, call)
-		if obj == nil {
-			return true
-		}
-		if spec, isRel := releases[relQualified(m.Path, objectQualifiedName(obj))]; isRel && spec == ob.spec && prRootedAt(info, call, ob.objs) {
-			found = true
-		}
-		return true
-	})
-	return found
 }
 
 // prIsHandle reports whether e *is* one of the obligation's handles —
-// possibly behind parentheses, type conversions, or a unary & — as opposed
-// to merely mentioning one (a method call on the handle, an arithmetic use).
+// possibly behind parentheses, type conversions (via.MemHandle(req.rmem)
+// roots at req.rmem), or a unary & — as opposed to merely mentioning one (a
+// method call on the handle, an arithmetic use).
 func prIsHandle(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool {
-	e = ast.Unparen(prUnconvert(info, e))
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		return len(x.Args) == 1 && info.Types[x.Fun].IsType() && prIsHandle(info, x.Args[0], objs)
+	case *ast.UnaryExpr:
+		return x.Op == token.AND && prIsHandle(info, x.X, objs)
 	}
-	id, ok := e.(*ast.Ident)
-	return ok && objs[info.Uses[id]]
+	return objs[identObj(info, e)]
 }
 
 // prMentions reports whether any handle ident occurs inside n.
 func prMentions(info *types.Info, n ast.Node, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(n, func(cn ast.Node) bool {
-		if id, ok := cn.(*ast.Ident); ok && objs[info.Uses[id]] {
-			found = true
-		}
-		return true
+	return containsNode(n, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && objs[info.Uses[id]]
 	})
-	return found
 }
 
-// prCompositeStores finds composite-literal fields capturing a handle:
-// &Win{mem: mem} parks the obligation in (Win).mem.
-func prCompositeStores(m *Module, info *types.Info, e ast.Expr, ob *prObligation) []prFieldStore {
-	var stores []prFieldStore
+// compositeStores files composite-literal fields capturing a handle —
+// &Win{mem: mem} parks the obligation in (Win).mem — and reports whether it
+// found any.
+func (pu *prUnit) compositeStores(e ast.Expr, ob *prObligation) bool {
+	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok {
@@ -727,160 +608,37 @@ func prCompositeStores(m *Module, info *types.Info, e ast.Expr, ob *prObligation
 		}
 		for _, el := range lit.Elts {
 			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
+			if !ok || !prIsHandle(pu.info, kv.Value, ob.objs) {
 				continue
 			}
-			if !prIsHandle(info, kv.Value, ob.objs) {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if fv, ok := info.Uses[key].(*types.Var); ok && fv.IsField() {
-				if fk := prFieldVarKey(m, fv, info.TypeOf(lit)); fk != "" {
-					stores = append(stores, prFieldStore{spec: ob.spec, field: fk, pos: kv.Pos(), acquired: ob.acquired})
+			key, _ := kv.Key.(*ast.Ident)
+			if fv, ok := pu.info.Uses[key].(*types.Var); ok && fv.IsField() {
+				if fk := fieldOfType(pu.m, pu.info.TypeOf(lit), key.Name); fk != "" {
+					pu.store(ob, fk, kv.Pos())
+					found = true
 				}
 			}
 		}
 		return true
 	})
-	return stores
+	return found
 }
 
-// prFieldKeyOf resolves an expression to a struct-field key when it is a
-// field selector (or index/slice thereof): s.f, s.f[i].
-func prFieldKeyOf(m *Module, info *types.Info, e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		return prSelectorFieldKey(m, info, e)
-	case *ast.IndexExpr:
-		return prFieldKeyOf(m, info, e.X)
-	}
-	return ""
-}
-
-// prSelectorFieldKey resolves a selector to "rel/pkg.(Owner).field" when it
-// selects a struct field.
-func prSelectorFieldKey(m *Module, info *types.Info, sel *ast.SelectorExpr) string {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return ""
-	}
-	fv, ok := s.Obj().(*types.Var)
-	if !ok {
-		return ""
-	}
-	return prFieldVarKey(m, fv, s.Recv())
-}
-
-// prFieldVarKey renders a field variable with its owner type.
-func prFieldVarKey(m *Module, fv *types.Var, recv types.Type) string {
-	if recv == nil || fv.Pkg() == nil {
-		return ""
-	}
-	for {
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return relQualified(m.Path, fv.Pkg().Path()+".("+named.Obj().Name()+")."+fv.Name())
-}
-
-// prUnconvert strips type conversions: via.MemHandle(req.rmem) roots at
-// req.rmem.
-func prUnconvert(info *types.Info, e ast.Expr) ast.Expr {
-	for {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return e
-		}
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-			e = call.Args[0]
-			continue
-		}
-		return e
-	}
-}
-
-// prNilCompare matches "x != nil" / "x == nil" and returns the non-nil side.
-func prNilCompare(cond ast.Expr) (ast.Expr, token.Token, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+// prNonNilBranch matches an if over "x != nil" / "x == nil" for a variable x
+// and returns x with the branch taken when it is not nil (nil: no else).
+func prNonNilBranch(info *types.Info, ifs *ast.IfStmt) (types.Object, ast.Stmt) {
+	be, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.NEQ && be.Op != token.EQL) {
-		return nil, 0, false
+		return nil, nil
 	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
+	x, y := identObj(info, be.X), identObj(info, be.Y)
+	if null := types.Universe.Lookup("nil"); x == null {
+		x = y
+	} else if y != null {
+		return nil, nil
 	}
-	switch {
-	case isNil(be.Y):
-		return be.X, be.Op, true
-	case isNil(be.X):
-		return be.Y, be.Op, true
+	if be.Op == token.EQL {
+		return x, ifs.Else
 	}
-	return nil, 0, false
-}
-
-// prMarkBranch applies fn to the top-level statements of an else branch
-// (either a block or a chained if).
-func prMarkBranch(s ast.Stmt, fn func(ast.Stmt)) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			fn(st)
-		}
-	case *ast.IfStmt:
-		fn(s)
-	}
-}
-
-// prParentMap records each node's parent within one unit body, literals
-// excluded (they are separate units).
-func prParentMap(body *ast.BlockStmt) map[ast.Node]ast.Node {
-	parent := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parent[n] = stack[len(stack)-1]
-		}
-		if _, isLit := n.(*ast.FuncLit); isLit && n != body {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parent
-}
-
-// prCFGNodeSet collects the nodes the CFG records states for.
-func prCFGNodeSet(body *ast.BlockStmt) map[ast.Node]bool {
-	set := map[ast.Node]bool{}
-	for _, blk := range buildCFG(body).blocks {
-		for _, n := range blk.nodes {
-			set[n] = true
-		}
-	}
-	return set
-}
-
-func prJoin(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " / "
-		}
-		out += n
-	}
-	return out
+	return x, ifs.Body
 }

@@ -74,16 +74,9 @@ type Policy struct {
 	// a fallback ("unknown"), not a handler, so a new member reaching it is
 	// silent data loss. The value is the reason.
 	ExhaustiveStrict map[string]string `subject:"function"`
-	// TagFields maps a qualified struct field ("internal/via.(wireMsg).kind")
-	// to the anchor constant of its wire-code const block; a switch over the
-	// field must cover every constant declared in that block.
-	TagFields map[string]string `subject:"struct field=constant"`
-
-	// ProtocolDispatch maps each wire dispatcher (policy-qualified function)
-	// to the TagFields kind field it switches over. The protocol rule checks
-	// every kind the module sends against the dispatcher's arms, and every
-	// arm against the senders.
-	ProtocolDispatch map[string]string `subject:"function=struct field"`
+	// WireKinds declares the wire-code tag fields: one table for what the
+	// exhaustive rule needs to know about each.
+	WireKinds []WireKind
 
 	// WakeScope lists packages whose state machines have parked waiters
 	// (the VIA provider).
@@ -124,14 +117,6 @@ type Policy struct {
 	// never entered, and renders the machine as DOT (-fsm-dot).
 	FSMStates map[string]string `subject:"type=struct field"`
 
-	// SeqCheckClose lists the functions that close or evict a channel; the
-	// value records what each dismantles. After one of these runs on a
-	// variable, the seqcheck rule forbids sends rooted at the same variable
-	// until it is rebound (the reconnect path returns a fresh channel).
-	SeqCheckClose map[string]string `subject:"function"`
-	// SeqCheckSend lists the send entry points the rule guards.
-	SeqCheckSend map[string]string `subject:"function"`
-
 	// Exceptions is the one table of reviewed exceptions: rule name →
 	// excused subject → justification. What a subject is — a function, a
 	// package, a constant, a lock edge — is the rule's Analyzer.Subject;
@@ -150,6 +135,21 @@ type PairedSpec struct {
 	Resource string   // what the handle pins, for messages
 	Acquires []string `subject:"function"` // policy-qualified functions returning an owned handle
 	Releases []string `subject:"function"` // policy-qualified functions that discharge it
+	// Uses are the calls that need the resource live. After a release ran
+	// on a variable, no use may be rooted at that variable until it is
+	// rebound (the reconnect path returns a fresh channel).
+	Uses []string `subject:"function"`
+}
+
+// WireKind is one wire-code tag field.
+type WireKind struct {
+	Field string `subject:"struct field"` // "internal/via.(wireMsg).kind"
+	// Anchor is one constant of the field's wire-code const block; a switch
+	// over the field must cover every constant declared in that block.
+	Anchor string `subject:"constant"`
+	// Dispatch is the function that receives the kind: it must have an arm
+	// for every kind the module sends, and none for a kind nothing sends.
+	Dispatch string `subject:"function"`
 }
 
 // DefaultPolicy returns the policy for the viampi module — the encoded form
@@ -238,14 +238,9 @@ func DefaultPolicy() *Policy {
 			"internal/tcpvia.(ViState).String":    "real-socket twin mirrors via.ViState.String",
 			"internal/obs/capture.(Clock).String": "clock-source names appear in bundle summaries and diff reports; a new source falling to \"unknown\" mislabels every report",
 		},
-		TagFields: map[string]string{
-			"internal/via.(wireMsg).kind": "internal/via.kindConnReq",
-			"internal/mpi.(hdr).kind":     "internal/mpi.pktEager",
-		},
-
-		ProtocolDispatch: map[string]string{
-			"internal/via.(Port).dispatch":     "internal/via.(wireMsg).kind",
-			"internal/mpi.(Rank).handlePacket": "internal/mpi.(hdr).kind",
+		WireKinds: []WireKind{
+			{Field: "internal/via.(wireMsg).kind", Anchor: "internal/via.kindConnReq", Dispatch: "internal/via.(Port).dispatch"},
+			{Field: "internal/mpi.(hdr).kind", Anchor: "internal/mpi.pktEager", Dispatch: "internal/mpi.(Rank).handlePacket"},
 		},
 
 		WakeScope: map[string]bool{
@@ -325,7 +320,14 @@ func DefaultPolicy() *Policy {
 			{
 				Resource: "VI endpoint slot",
 				Acquires: []string{"internal/via.(Port).CreateVi", "internal/via.(Port).CreateViCQ"},
-				Releases: []string{"internal/via.(VI).Close"},
+				// teardownChannel dismantles the whole channel: closes the VI,
+				// deregisters pool memory, forgets the peer.
+				Releases: []string{"internal/via.(VI).Close", "internal/mpi.(Rank).teardownChannel"},
+				// Descriptors posted after a release are lost.
+				Uses: []string{
+					"internal/mpi.(Rank).post", "internal/mpi.(Rank).emit", // the channel send FIFO, and control packets past it
+					"internal/via.(VI).PostSend", "internal/via.(VI).PostRdmaWrite",
+				},
 			},
 			{
 				Resource: "event-bus subscription",
@@ -341,17 +343,6 @@ func DefaultPolicy() *Policy {
 		FSMStates: map[string]string{
 			"internal/via.ViState": "internal/via.(VI).state",
 		},
-		SeqCheckClose: map[string]string{
-			"internal/mpi.(Rank).teardownChannel": "dismantles the channel: closes the VI, deregisters pool memory, forgets the peer",
-			"internal/via.(VI).Close":             "disconnects and retires the endpoint; descriptors posted after this are lost",
-		},
-		SeqCheckSend: map[string]string{
-			"internal/mpi.(Rank).post":        "enqueue on the channel send FIFO",
-			"internal/mpi.(Rank).emit":        "control-packet send on the channel",
-			"internal/via.(VI).PostSend":      "post a send descriptor on the VI work queue",
-			"internal/via.(VI).PostRdmaWrite": "post an RDMA write on the VI work queue",
-		},
-
 		Exceptions: map[string]map[string]string{
 			// Packages outside the simulated world: code there may use
 			// wall-clock time, goroutines and locks (and iterate maps in any
@@ -383,15 +374,13 @@ func DefaultPolicy() *Policy {
 				"internal/via.(Port).CancelConnect": "owner-thread entry point: the canceling process is running, not parked; the kindConnNack dispatch path through resetHandshake is verified separately and wakes",
 				"internal/via.(VI).PostSend":        "owner-thread entry point: the pre-connection discard completes synchronously for the poster, which by definition is not parked",
 			},
-			// Hot bodies that allocate by design. The whole body is excused, and
-			// the walk still goes through it to what it calls.
+			// Hot bodies that allocate by design: each is small and named for
+			// what it allocates, so excusing it whole leaves nothing else
+			// unchecked. The walk still goes through it to what it calls.
 			"hotalloc": {
-				"internal/mpi.(Rank).handlePacket":   "the unexpected-queue entry of a message that beat its receive: one per such message, the fourth of BenchmarkReconnectCycle's 4 allocs/op",
-				"internal/mpi.(Comm).isendCtx":       "the same entry, and the payload copy, for a send to self with no receive posted",
-				"internal/mpi.(Rank).rendezvousData": "the RDMA-write descriptor of a rendezvous: one per message above the eager threshold, which also pins and unpins memory",
-				"internal/mpi.(profiler).enter":      "with tracing on, a span's end is a closure over the profiler; a nil profiler (tracing off) returns the capture-free func, which is static (BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
-				"internal/mpi.(Rank).Wait":           "the completion predicate handed to waitProgress is called and dropped: the compiler keeps it on the stack (-gcflags=-m: does not escape; BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
-				"internal/via.(VI).RecvWait":         "the poll closure handed to VI.wait is called and dropped: the compiler keeps it on the stack (-gcflags=-m: does not escape)",
+				"internal/mpi.(Rank).enqueueUnexpected": "the unexpected-queue entry (and, for an eager message, the payload copy) of a message that beat its receive: one per such message, the fourth of BenchmarkReconnectCycle's 4 allocs/op",
+				"internal/mpi.(Rank).rendezvousData":    "the RDMA-write descriptor of a rendezvous: one per message above the eager threshold, which also pins and unpins memory",
+				"internal/mpi.(profiler).enter":         "with tracing on, a span's end is a closure over the profiler; a nil profiler (tracing off) returns the capture-free func, which is static (BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
 			},
 			// Run-scoped resources reaped wholesale at teardown.
 			"paired": {

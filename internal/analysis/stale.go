@@ -42,8 +42,8 @@ func StalePolicy(m *Module, p *Policy) []string {
 
 // walkSubjects visits every module reference held in the tagged tables of
 // one policy struct: map keys, string map values when the tag names a
-// second kind after "=", string slice elements, and — recursively — the
-// fields of struct slices (PairedSpecs).
+// second kind after "=", string slice elements, tagged strings, and —
+// recursively — the fields of struct slices (PairedSpecs, WireKinds).
 func walkSubjects(v reflect.Value, prefix string, check func(table, key, kind string)) {
 	for i := 0; i < v.NumField(); i++ {
 		field, fv := v.Type().Field(i), v.Field(i)
@@ -57,6 +57,8 @@ func walkSubjects(v reflect.Value, prefix string, check func(table, key, kind st
 		tag, tagged := field.Tag.Lookup("subject")
 		keyKind, valKind, _ := strings.Cut(tag, "=")
 		switch {
+		case fv.Kind() == reflect.String && tagged:
+			check(table, fv.String(), keyKind)
 		case fv.Kind() != reflect.Map && fv.Kind() != reflect.Slice, tag == "-":
 		case !tagged:
 			panic("analysis: Policy." + table + " declares no subject tag, so the stale sweep cannot check it")

@@ -52,7 +52,7 @@ func StateDefaulted(s ViState) bool {
 }
 
 // Wire-code byte block: untyped members over a basic type, keyed by
-// Policy.TagFields("internal/via.(wireMsg).kind" → kindConnReq).
+// Policy.WireKinds ("internal/via.(wireMsg).kind", anchor kindConnReq).
 const (
 	kindConnReq byte = iota + 1
 	kindConnAck

@@ -1,11 +1,11 @@
 // protocol.go is the fixture home of the wire-conformance cases. The
-// dispatcher carries an explicit default, so the exhaustive rule is
-// satisfied — everything flagged here is what the protocol rule adds on
-// top: senders and dispatcher arms must agree in both directions.
+// dispatcher carries an explicit default, so the exhaustive rule's switch
+// half is satisfied — everything flagged here is what its sender half adds
+// on top: senders and dispatcher arms must agree in both directions.
 package via
 
-// dispatch is the registered dispatcher (Policy.ProtocolDispatch maps it to
-// the wireMsg.kind tag field). The default is a fallback, not a handler, so
+// dispatch is the registered dispatcher (Policy.WireKinds maps the
+// wireMsg.kind tag field to it). The default is a fallback, not a handler, so
 // the missing kindConnNack arm is still a conformance hole; the kindDisc
 // arm is dead because nothing in the module sends it — both must flag.
 func (p *Port) dispatch(m *wireMsg) int {
@@ -14,7 +14,7 @@ func (p *Port) dispatch(m *wireMsg) int {
 		return 1
 	case kindConnAck:
 		return 2
-	case kindDisc: // protocol violation: handled but never sent
+	case kindDisc: // exhaustive violation: handled but never sent
 		return 3
 	default:
 		return 0
@@ -35,5 +35,5 @@ func SendAck() wireMsg {
 // SendNack constructs a kind the dispatcher has no arm for — must flag
 // (the receiver would silently drop the NACK: the PR 3 bug class).
 func SendNack() wireMsg {
-	return wireMsg{kind: kindConnNack} // protocol violation: sent but unhandled
+	return wireMsg{kind: kindConnNack} // exhaustive violation: sent but unhandled
 }

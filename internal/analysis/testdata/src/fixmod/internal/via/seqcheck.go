@@ -1,9 +1,9 @@
-// seqcheck.go is the fixture home of the send-after-close cases: VI.Close
-// and VI.PostSend mirror the policy-listed closer and send entry point.
+// seqcheck.go is the fixture home of the paired rule's send-after-close
+// cases: VI.Close and VI.PostSend mirror the VI slot's release and use.
 package via
 
-// Close tears the fixture VI down (Policy.SeqCheckClose; its own body is
-// exempt from the seqcheck rule by design).
+// Close tears the fixture VI down (a Releases entry of the VI-slot spec; a
+// releaser's own body is exempt from the use-after-release verdict).
 func (vi *VI) Close() {
 	if vi.state == ViClosed {
 		return
@@ -12,7 +12,7 @@ func (vi *VI) Close() {
 	vi.port.notifyActivity()
 }
 
-// PostSend queues a descriptor (Policy.SeqCheckSend).
+// PostSend queues a descriptor (a Uses entry of the VI-slot spec).
 func (vi *VI) PostSend(d *Descriptor) error {
 	vi.sendQ = append(vi.sendQ, d)
 	return nil

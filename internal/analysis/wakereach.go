@@ -56,50 +56,9 @@ justified under Policy.Exceptions["wakereach"].`,
 func runWakeReach(m *Module, p *Policy) []Diagnostic {
 	ip := m.Interproc()
 
-	// alwaysWakes: greatest fixpoint — every path through F wakes, directly
-	// or through a callee that always wakes. Policy-listed wakers qualify by
-	// definition.
-	always := map[string]bool{}
-	for _, key := range ip.Keys {
-		always[key] = true
-	}
-	wakesHere := func(pkg *Package, node ast.Node) bool {
-		woke := false
-		inspectSkipLits(node, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if q := calleeName(m, pkg, call); p.Wakers[q] || (always[q] && ip.Funcs[q] != nil) {
-					woke = true
-				}
-			}
-			return true
-		})
-		return woke
-	}
-	ip.fixpoint(func(key string) bool {
-		if !always[key] || p.Wakers[key] {
-			return false
-		}
-		f := ip.Funcs[key]
-		// Bit 0: not yet woken on some path. A deferred waker runs at
-		// return, so for exit-state purposes it wakes the paths through it.
-		exit := exitMayState(f.Decl.Body, 1<<0, func(node ast.Node, in uint64) uint64 {
-			woke := false
-			if def, ok := node.(*ast.DeferStmt); ok {
-				woke = wrDefersWaker(m, p, f.Pkg, def)
-			} else {
-				woke = wakesHere(f.Pkg, node)
-			}
-			if woke {
-				return mapStates(in, func(int) int { return 1 })
-			}
-			return in
-		})
-		if exit&(1<<0) != 0 {
-			always[key] = false
-			return true
-		}
-		return false
-	})
+	// alwaysWakes(F): every path through F wakes, directly or through a
+	// callee that always wakes. Policy-listed wakers qualify by definition.
+	always, wakes := ip.alwaysOnEveryPath(p.Wakers)
 
 	// owesWake: least fixpoint over the in-scope functions. The transfer
 	// depends on the evolving owes map (a call to an owing helper raises the
@@ -117,9 +76,9 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		f := ip.Funcs[key]
 		for _, u := range f.Units {
 			var firstTrigger ast.Node
-			exit := exitMayState(u.body, 1<<0, func(node ast.Node, in uint64) uint64 {
-				return wrTransfer(m, p, f.Pkg, ip, always, owes, node, in, &firstTrigger)
-			})
+			exit := ip.flow(u.body).solve(1<<0, func(node ast.Node, in uint64) uint64 {
+				return wrTransfer(m, p, f.Pkg, always, owes, wakes, node, in, &firstTrigger)
+			}).exit()
 			// Pending with no deferred waker armed: some path returns owing.
 			if exit&(1<<wrPending) != 0 {
 				owes[key] = true
@@ -170,9 +129,9 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 // or a call to an alwaysWakes callee, discharges it; a deferred waker arms
 // the discharge for every later return. (No statement in scope both
 // transitions and wakes, so raise-then-wake order inside one node is moot.)
-func wrTransfer(m *Module, p *Policy, pkg *Package, ip *Interproc, always, owes map[string]bool, node ast.Node, in uint64, firstTrigger *ast.Node) uint64 {
+func wrTransfer(m *Module, p *Policy, pkg *Package, always, owes map[string]bool, wakes func(*Package, ast.Node) bool, node ast.Node, in uint64, firstTrigger *ast.Node) uint64 {
 	if def, ok := node.(*ast.DeferStmt); ok {
-		if wrDefersWaker(m, p, pkg, def) {
+		if wakes(pkg, def) {
 			return mapStates(in, func(s int) int { return s | wrDeferred })
 		}
 		return in
@@ -185,11 +144,11 @@ func wrTransfer(m *Module, p *Policy, pkg *Package, ip *Interproc, always, owes 
 		if !ok {
 			return true
 		}
-		q := calleeName(m, pkg, call)
-		switch {
+		// A helper that wakes and then transitions both always wakes and
+		// owes: what it leaves behind is the obligation.
+		switch q := calleeName(m, pkg, call); {
 		case p.Wakers[q]:
 			wake = true
-		case ip.Funcs[q] == nil:
 		case owes[q]:
 			raise = true
 		case always[q]:
@@ -268,24 +227,4 @@ func wrIsNonObservableConst(pkg *Package, rhs ast.Expr, nonObservable []string) 
 		}
 	}
 	return false
-}
-
-// wrDefersWaker reports whether def arms a wake at return: a deferred
-// waker call, or a deferred `func() { ... }()` literal containing one.
-func wrDefersWaker(m *Module, p *Policy, pkg *Package, def *ast.DeferStmt) bool {
-	if p.Wakers[calleeName(m, pkg, def.Call)] {
-		return true
-	}
-	lit, ok := def.Call.Fun.(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok && p.Wakers[calleeName(m, pkg, c)] {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

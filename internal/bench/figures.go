@@ -67,35 +67,54 @@ func Table1(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// latencySweep is the Figure 2 series: one-way latency across message sizes.
-func latencySweep(id, title, device string, mechs []Mechanism, opt Options) (*Table, error) {
-	cols := []string{"bytes"}
+// sweepAxis is what a mechanism sweep varies down its rows: the column
+// header, and the key in cell IDs and errors.
+type sweepAxis struct{ header, key string }
+
+var (
+	axisBytes = sweepAxis{"bytes", "bytes"}
+	axisProcs = sweepAxis{"procs", "np"}
+)
+
+// mechSweep is the shape Figures 2-5 and 8 share: one row per value of the
+// axis, one column per mechanism, every cell its own simulated world.
+func mechSweep(id, title string, axis sweepAxis, unit string, xs []int, mechs []Mechanism, opt Options,
+	cell func(x int, mech Mechanism) (string, error)) (*Table, error) {
+	cols := []string{axis.header}
 	for _, m := range mechs {
-		cols = append(cols, m.Name+" (us)")
+		cols = append(cols, m.Name+" ("+unit+")")
 	}
 	t := &Table{ID: id, Title: title, Columns: cols}
+	cells, err := gridCells(opt, id, len(xs), len(mechs),
+		func(r, c int) string { return cellID(id, axis.key, xs[r], mechs[c].Name) },
+		func(r, c int) (string, error) {
+			s, err := cell(xs[r], mechs[c])
+			if err != nil {
+				return "", fmt.Errorf("%s %s=%d mech=%s: %w", id, axis.key, xs[r], mechs[c].Name, err)
+			}
+			return s, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, x := range xs {
+		t.AddRow(append([]string{fmt.Sprint(x)}, cells[i]...)...)
+	}
+	return t, nil
+}
+
+// latencySweep is the Figure 2 series: one-way latency across message sizes.
+func latencySweep(id, title, device string, mechs []Mechanism, opt Options) (*Table, error) {
 	sizes := []int{4, 16, 64, 256, 1024, 4096, 8192, 16384}
 	iters := 30
 	if opt.Quick {
 		sizes = []int{4, 1024, 16384}
 		iters = 8
 	}
-	cells, err := gridCells(opt, id, len(sizes), len(mechs),
-		func(r, c int) string { return cellID(id, "bytes", sizes[r], mechs[c].Name) },
-		func(r, c int) (string, error) {
-			l, err := Pingpong(device, mechs[c], sizes[r], iters, 0, opt.Seed)
-			if err != nil {
-				return "", fmt.Errorf("%s size=%d mech=%s: %w", id, sizes[r], mechs[c].Name, err)
-			}
-			return fmtMicros(l), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, sz := range sizes {
-		t.AddRow(append([]string{fmt.Sprint(sz)}, cells[i]...)...)
-	}
-	return t, nil
+	return mechSweep(id, title, axisBytes, "us", sizes, mechs, opt, func(size int, mech Mechanism) (string, error) {
+		l, err := Pingpong(device, mech, size, iters, 0, opt.Seed)
+		return fmtMicros(l), err
+	})
 }
 
 // Fig2a regenerates Figure 2(a): latency on cLAN for static-polling,
@@ -113,34 +132,20 @@ func Fig2b(opt Options) (*Table, error) {
 
 // bandwidthSweep is the Figure 3 series.
 func bandwidthSweep(id, title, device string, mechs []Mechanism, opt Options) (*Table, error) {
-	cols := []string{"bytes"}
-	for _, m := range mechs {
-		cols = append(cols, m.Name+" (MB/s)")
-	}
-	t := &Table{ID: id, Title: title, Columns: cols,
-		Notes: []string{"the eager->rendezvous switch at 5000 bytes causes the jump the paper notes"}}
 	sizes := []int{256, 1024, 4096, 4999, 5001, 8192, 16384, 65536, 262144}
 	iters := 40
 	if opt.Quick {
 		sizes = []int{1024, 4999, 5001, 65536}
 		iters = 10
 	}
-	cells, err := gridCells(opt, id, len(sizes), len(mechs),
-		func(r, c int) string { return cellID(id, "bytes", sizes[r], mechs[c].Name) },
-		func(r, c int) (string, error) {
-			bw, err := Bandwidth(device, mechs[c], sizes[r], iters, opt.Seed)
-			if err != nil {
-				return "", fmt.Errorf("%s size=%d mech=%s: %w", id, sizes[r], mechs[c].Name, err)
-			}
-			return fmtF(bw), nil
-		})
-	if err != nil {
-		return nil, err
+	t, err := mechSweep(id, title, axisBytes, "MB/s", sizes, mechs, opt, func(size int, mech Mechanism) (string, error) {
+		bw, err := Bandwidth(device, mech, size, iters, opt.Seed)
+		return fmtF(bw), err
+	})
+	if err == nil {
+		t.Notes = []string{"the eager->rendezvous switch at 5000 bytes causes the jump the paper notes"}
 	}
-	for i, sz := range sizes {
-		t.AddRow(append([]string{fmt.Sprint(sz)}, cells[i]...)...)
-	}
-	return t, nil
+	return t, err
 }
 
 // Fig3a regenerates Figure 3(a): bandwidth on cLAN.
@@ -159,31 +164,14 @@ func Fig3b(opt Options) (*Table, error) {
 // process counts.
 func collectiveVsProcs(id, title, device string, mechs []Mechanism, procsList []int,
 	op func(c *mpi.Comm, scratch []byte) error, opt Options) (*Table, error) {
-	cols := []string{"procs"}
-	for _, m := range mechs {
-		cols = append(cols, m.Name+" (us)")
-	}
-	t := &Table{ID: id, Title: title, Columns: cols}
 	iters := 200
 	if opt.Quick {
 		iters = 20
 	}
-	cells, err := gridCells(opt, id, len(procsList), len(mechs),
-		func(r, c int) string { return cellID(id, "np", procsList[r], mechs[c].Name) },
-		func(r, c int) (string, error) {
-			l, err := CollectiveLatency(device, mechs[c], procsList[r], iters, op, opt.Seed)
-			if err != nil {
-				return "", fmt.Errorf("%s procs=%d mech=%s: %w", id, procsList[r], mechs[c].Name, err)
-			}
-			return fmtMicros(l), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range procsList {
-		t.AddRow(append([]string{fmt.Sprint(n)}, cells[i]...)...)
-	}
-	return t, nil
+	return mechSweep(id, title, axisProcs, "us", procsList, mechs, opt, func(procs int, mech Mechanism) (string, error) {
+		l, err := CollectiveLatency(device, mech, procs, iters, op, opt.Seed)
+		return fmtMicros(l), err
+	})
 }
 
 func clanProcsList(opt Options) []int {
@@ -234,27 +222,10 @@ func Fig5b(opt Options) (*Table, error) {
 
 // initSweep is the Figure 8 series.
 func initSweep(id, title, device string, mechs []Mechanism, procsList []int, opt Options) (*Table, error) {
-	cols := []string{"procs"}
-	for _, m := range mechs {
-		cols = append(cols, m.Name+" (ms)")
-	}
-	t := &Table{ID: id, Title: title, Columns: cols}
-	cells, err := gridCells(opt, id, len(procsList), len(mechs),
-		func(r, c int) string { return cellID(id, "np", procsList[r], mechs[c].Name) },
-		func(r, c int) (string, error) {
-			d, err := InitTime(device, mechs[c], procsList[r], opt.Seed)
-			if err != nil {
-				return "", fmt.Errorf("%s procs=%d mech=%s: %w", id, procsList[r], mechs[c].Name, err)
-			}
-			return fmt.Sprintf("%.2f", d.Seconds()*1e3), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range procsList {
-		t.AddRow(append([]string{fmt.Sprint(n)}, cells[i]...)...)
-	}
-	return t, nil
+	return mechSweep(id, title, axisProcs, "ms", procsList, mechs, opt, func(procs int, mech Mechanism) (string, error) {
+		d, err := InitTime(device, mech, procs, opt.Seed)
+		return fmt.Sprintf("%.2f", d.Seconds()*1e3), err
+	})
 }
 
 // Fig8a regenerates Figure 8(a): MPI_Init time on cLAN for the serialized

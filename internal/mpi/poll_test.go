@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"viampi/internal/simnet"
 	"viampi/internal/via"
 )
 
@@ -14,10 +15,11 @@ import (
 // emit — and fails the run on the first disagreement, while the random
 // program runs under every policy, VI caps that force evictions and
 // reconnects, dropped and refused connection requests, and static or growing
-// pools. Every shortcut must have been both taken and not taken. A pool is a
-// count too, kept on the VI beside the rank's own: at every poll the receives
-// of the connected channels that are not armed are messages landed and unread,
-// each in a descriptor of the port's that is out.
+// pools, and then through the four worlds of flowWorlds, each built around one
+// of the inputs of the flow pass. Every shortcut must have been both taken and
+// not taken. A pool is a count too, kept on the VI beside the rank's own: at
+// every poll the receives of the connected channels that are not armed are
+// messages landed and unread, each in a descriptor of the port's that is out.
 func TestPollShortcutsEqualScans(t *testing.T) {
 	var taken [scanFlow + 1][2]int // per scan: polls that made it, polls that skipped it
 	pollAudit = func(r *Rank, scan pollScan, skip bool) {
@@ -81,10 +83,168 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 	defer func() { pollAudit = nil }()
 
 	randomWorlds(t, func(string, *World) {})
+	flowWorlds(t)
 	for scan, c := range taken {
 		if c[0] == 0 || c[1] == 0 {
 			t.Errorf("scan %d: made %d times, skipped %d times; the test must pass through both", scan, c[0], c[1])
 		}
 	}
 	t.Logf("made/skipped: teardown %v, handshake %v, reap %v, flow %v", taken[0], taken[1], taken[2], taken[3])
+}
+
+// flowWorlds runs, under whatever audit the caller installed, the worlds in
+// which an input of the flow pass moves some other way than by a plain arrival
+// on an idle channel — each a place flowPass's skip ("nothing arrived in this
+// poll") would be wrong if its comment's argument were:
+//
+//   - a burst of eager sends on a warm channel with four credits: packets
+//     queue for credits, returns come back piggybacked and explicit;
+//   - a channel that comes up with more sends parked in its FIFO than it has
+//     credits: the drain at onChannelUp emits some and queues the rest;
+//   - a pool that doubles, under DynamicCredits, while a burst is consuming it;
+//   - an eviction the peer refuses (it has a rendezvous in flight) while eager
+//     messages from that peer are read off the closing channel, so a credit
+//     return is due on a channel the passes skip until BYE_NACK reopens it.
+//
+// Each world checks payload order itself, and must be seen, at some poll, in
+// the state it is named for.
+func flowWorlds(t *testing.T) {
+	t.Helper()
+	msg := func(i int) []byte { return []byte{byte(i), byte(i >> 8), 0x5A} }
+	burst := func(r *Rank, peer, tag, n int) {
+		c := r.World()
+		reqs := make([]*Request, n)
+		for i := range reqs {
+			var err error
+			if reqs[i], err = c.Isend(peer, tag, msg(i)); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+		if err := r.Waitall(reqs...); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+	drain := func(r *Rank, peer, tag, n int) {
+		buf := make([]byte, 8)
+		for i := 0; i < n; i++ {
+			st, err := r.World().Recv(buf, peer, tag)
+			if err != nil || st.Count != 3 || buf[0] != byte(i) || buf[1] != byte(i>>8) {
+				r.Abort(1, fmt.Sprintf("rank %d: message %d of tag %d from %d lost, damaged or out of order (%v)", r.Rank(), i, tag, peer, err))
+			}
+		}
+	}
+	hello := func(r *Rank, peer int) {
+		in := make([]byte, 8)
+		if _, err := r.World().Sendrecv(peer, 0, msg(0), peer, 0, in); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+	evicting := map[*via.VI]bool{} // channels seen closing as evictor with arrivals read and no credit returned
+	worlds := []struct {
+		name string
+		cfg  Config
+		seen func(cs *chanState) bool
+		prog func(r *Rank)
+	}{
+		{"credit-starved burst", Config{Procs: 2, Policy: "ondemand", CreditCount: 4}, func(cs *chanState) bool {
+			return len(cs.flowQ) > 0 && cs.userSends > 1
+		}, func(r *Rank) {
+			hello(r, 1-r.Rank())
+			if r.Rank() == 0 {
+				burst(r, 1, 1, 40)
+				drain(r, 1, 2, 40)
+			} else {
+				r.Compute(50e-6) // let the sender run out of credits first
+				drain(r, 0, 1, 40)
+				burst(r, 0, 2, 40)
+			}
+		}},
+		{"more parked sends than credits", Config{Procs: 2, Policy: "ondemand", CreditCount: 4}, func(cs *chanState) bool {
+			return !cs.ch.Up && cs.ch.Parked() > cs.credits
+		}, func(r *Rank) {
+			if r.Rank() == 0 {
+				burst(r, 1, 1, 12) // the first send asks for the connection; all twelve park
+			} else {
+				r.Compute(50e-6)
+				drain(r, 0, 1, 12)
+			}
+		}},
+		{"pool grows mid-burst", Config{Procs: 2, Policy: "ondemand", CreditCount: 32, DynamicCredits: true}, func(cs *chanState) bool {
+			return cs.posted > 4 && cs.posted < 32 // past InitialCredits, short of CreditCount
+		}, func(r *Rank) {
+			hello(r, 1-r.Rank())
+			if r.Rank() == 0 {
+				burst(r, 1, 1, 100)
+			} else {
+				drain(r, 0, 1, 100)
+			}
+		}},
+		{"BYE refused over unread arrivals", Config{Procs: 3, Policy: "ondemand", MaxVIs: 1, CreditCount: 8, EagerThreshold: 256}, func(cs *chanState) bool {
+			if cs.closing && cs.evict && cs.freed >= cs.posted/2 {
+				evicting[cs.ch.Vi] = true
+			}
+			return evicting[cs.ch.Vi] && !cs.closing // the same VI, open again
+		}, func(r *Rank) {
+			c := r.World()
+			switch r.Rank() {
+			case 0:
+				hello(r, 1)
+				r.Compute(10e-6)
+				c.Iprobe(1, 99) // reap the hello: the channel must look idle
+				// Not polling: rank 1's eager messages and its RTS land unread.
+				r.Compute(200e-6)
+				// The cap is one VI: this evicts the channel to 1 (Isend, not
+				// Send, which would poll first and find the RTS). Rank 1,
+				// mid-rendezvous, refuses.
+				q, err := c.Isend(2, 3, msg(0))
+				if err != nil {
+					r.Abort(1, err.Error())
+				}
+				drain(r, 1, 1, 4)
+				if err := r.Wait(q); err != nil {
+					r.Abort(1, err.Error())
+				}
+				big := make([]byte, 1000)
+				if st, err := c.Recv(big, 1, 2); err != nil || st.Count != len(big) {
+					r.Abort(1, fmt.Sprintf("rendezvous from 1: %v", err))
+				}
+			case 1:
+				hello(r, 0)
+				r.Compute(30e-6) // past rank 0's reap
+				burst(r, 0, 1, 4)
+				q, err := c.Isend(0, 2, make([]byte, 1000)) // the RTS goes out now
+				if err != nil {
+					r.Abort(1, err.Error())
+				}
+				// Not polling either: the BYE waits, and rank 0 reads the
+				// burst off a channel that is still closing.
+				r.Compute(500e-6)
+				if err := r.Wait(q); err != nil {
+					r.Abort(1, err.Error())
+				}
+			case 2:
+				c.Probe(0, 3) // a specific-source Recv would connect first, and leave rank 0 nothing to evict for
+				drain(r, 0, 3, 1)
+			}
+		}},
+	}
+	audit := pollAudit
+	defer func() { pollAudit = audit }()
+	for _, w := range worlds {
+		seen := false
+		pollAudit = func(r *Rank, scan pollScan, skip bool) {
+			for _, cs := range r.active {
+				seen = seen || w.seen(cs)
+			}
+			if audit != nil {
+				audit(r, scan, skip)
+			}
+		}
+		w.cfg.Deadline = 10 * simnet.Second
+		if _, err := Run(w.cfg, w.prog); err != nil {
+			t.Errorf("%s: %v", w.name, err)
+		} else if !seen {
+			t.Errorf("%s: the world never reached the state it is named for", w.name)
+		}
+	}
 }

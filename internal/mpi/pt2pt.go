@@ -85,8 +85,7 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 		if rq := r.matchPRQ(h); rq != nil {
 			r.deliverEager(rq, h, data)
 		} else {
-			cp := append([]byte(nil), data...)
-			r.umq = append(r.umq, &umsg{h: h, payload: cp})
+			r.enqueueUnexpected(h, data, nil)
 		}
 		req.complete()
 		return req, nil

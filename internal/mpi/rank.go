@@ -93,10 +93,10 @@ type Rank struct {
 	// allocation, carved by cursor where the free list above runs dry.
 	chanSlab []chanState
 
-	// What lets a poll skip the scans that would find nothing (see
-	// adoptDisconnects and flowPass; the port and the manager keep the rest).
-	seenDisconnects int  // Port.Disconnects at the last teardown scan
-	flowDirty       bool // an input of flowPass changed since it last ran
+	// What lets a poll skip the teardown scan when it would find nothing (see
+	// adoptDisconnects; the port and the manager keep the other counters, and
+	// flowPass needs none: the poll knows whether anything arrived).
+	seenDisconnects int // Port.Disconnects at the last teardown scan
 
 	// pastDests holds the peers of torn-down channels that had carried user
 	// sends (RankStats.DistinctDests counts them with the live ones).
@@ -286,14 +286,12 @@ func (r *Rank) growPool(cs *chanState, n int) {
 		return
 	}
 	cs.posted += n
-	r.flowDirty = true // posted is half of the credit-return condition
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
 }
 
 // onChannelUp drains the paper's pre-posted send FIFO in order (§3.4).
 func (r *Rank) onChannelUp(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
-	r.flowDirty = true // flowPass looks at Up channels only
 	for _, item := range ch.DrainParked() {
 		r.post(cs, item.(*pkt))
 	}
@@ -439,7 +437,6 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 	}
 	if len(cs.flowQ) > 0 || cs.credits < r.creditNeed(p) {
 		cs.flowQ = append(cs.flowQ, p)
-		r.flowDirty = true
 		if r.bus != nil {
 			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvCreditStall,
 				Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(len(cs.flowQ))})
@@ -602,12 +599,13 @@ func (r *Rank) progressStep() {
 	r.reapSends()
 
 	// Drain arrivals.
+	arrived := false
 	for {
 		vi, d := r.cq.Done()
 		if d == nil {
 			break
 		}
-		r.flowDirty = true // credits and freed counts move with arrivals
+		arrived = true
 		cs, ok := r.viToChan[vi]
 		if !ok {
 			// A torn-down channel can leave teardown control frames in the
@@ -640,7 +638,7 @@ func (r *Rank) progressStep() {
 		}
 	}
 
-	r.flowPass()
+	r.flowPass(arrived)
 }
 
 // adoptDisconnects tears down the channels whose VI the peer closed. The walk
@@ -701,20 +699,30 @@ func (r *Rank) reapSends() {
 
 // flowPass drains the flow queues and returns credits. Closing channels are
 // skipped: their flow queue is empty by the quiescence checks, and granting
-// credits on a dying channel would only race its teardown. A pass leaves no
-// channel able to emit, and what could change that is marked in flowDirty
-// where it happens — an arrival (credits, freed), a packet queued for
-// credits, a channel coming up or leaving a refused BYE handshake, a pool
-// growing — so a pass with nothing marked would emit nothing and is skipped.
-func (r *Rank) flowPass() {
-	skip := !r.flowDirty
+// credits on a dying channel would only race its teardown.
+//
+// A pass leaves no open channel (up, not closing) able to emit: each has an
+// empty flow queue or fewer than the two credits its head needs, and no
+// credit return due (freed < posted/2, or no credit). Only an arrival in this
+// poll's drain can change that, so a poll that drained nothing skips the
+// pass. credits grow nowhere but in handlePacket, freed nowhere but at the
+// drain's re-arm (the pass's own pool growth is returned by the credit packet
+// it emits next), and both run under the drain. The other inputs move the
+// other way or not at all: post queues a packet only behind a stuck head or
+// for want of credits; growPool raises posted, and with it the bar for a
+// return; a channel comes up with nothing freed of a pool of at least four,
+// and its parked sends go through post; and the BYE_NACK that reopens a
+// closing channel — the one way arrivals read earlier can fall due later —
+// is itself an arrival. TestPollShortcutsEqualScans redoes the pass's test at
+// every skip, in worlds built around each of these.
+func (r *Rank) flowPass(arrived bool) {
+	skip := !arrived
 	if pollAudit != nil {
 		pollAudit(r, scanFlow, skip)
 	}
 	if skip {
 		return
 	}
-	r.flowDirty = false // what the pass itself marks (growPool) is for the next
 	for _, cs := range r.active {
 		if !cs.ch.Up || cs.closing {
 			continue
@@ -800,18 +808,14 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 		if req := r.matchPRQ(h); req != nil {
 			r.deliverEager(req, h, payload)
 		} else {
-			cp := append([]byte(nil), payload...)
-			r.umq = append(r.umq, &umsg{h: h, payload: cp})
-			r.obsUnexpected()
+			r.enqueueUnexpected(h, payload, nil)
 		}
 	case pktRts:
 		r.obsRecv(cs, h)
 		if req := r.matchPRQ(h); req != nil {
 			r.acceptRendezvous(req, h, cs)
 		} else {
-			r.umq = append(r.umq, &umsg{h: h, cs: cs})
-			cs.umqRefs++
-			r.obsUnexpected()
+			r.enqueueUnexpected(h, nil, cs)
 		}
 	case pktCts:
 		req, ok := r.sendReqs[h.sreq]
@@ -860,7 +864,6 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 		// the sends held during the handshake.
 		cs.closing, cs.evict = false, false
 		cs.ch.Evicting = false
-		r.flowDirty = true // flowPass looks at this channel again
 		held := cs.pendingClose
 		cs.pendingClose = nil
 		for _, p := range held {
@@ -869,6 +872,23 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 	default:
 		r.proc.Sim().Failf("mpi: rank %d unknown packet kind %s", r.rank, pktKindString(h.kind))
 	}
+}
+
+// enqueueUnexpected files a message that beat its receive — the one place
+// the message path allocates by design, one entry per such message — and
+// reports the queue's depth. An eager message's payload is copied out of
+// wherever it sits (a landing buffer about to go back to the port, the
+// sender's own buffer on a send to self); an RTS carries none and is held
+// against its channel's teardown instead.
+func (r *Rank) enqueueUnexpected(h hdr, payload []byte, cs *chanState) {
+	u := &umsg{h: h, cs: cs}
+	if cs == nil {
+		u.payload = append([]byte(nil), payload...)
+	} else {
+		cs.umqRefs++
+	}
+	r.umq = append(r.umq, u)
+	r.obsUnexpected()
 }
 
 // obsUnexpected reports the unexpected-queue depth after an append.

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"viampi/internal/obs"
 )
@@ -393,11 +394,13 @@ func (r *Reader) readString() (string, error) {
 	if n > maxString {
 		return "", fmt.Errorf("%w: string length %d", ErrCorrupt, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	// Grown by the bytes that are there, not sized by the length the stream
+	// claims: a ten-byte bundle must not cost a megabyte.
+	var sb strings.Builder
+	if _, err := io.CopyN(&sb, r.br, int64(n)); err != nil {
 		return "", ErrTruncated
 	}
-	return string(buf), nil
+	return sb.String(), nil
 }
 
 // Bundle is a fully-decoded capture: header plus the ordered event stream.

@@ -57,7 +57,7 @@ func randomEvents(seed int64, n int) []obs.Event {
 	return evs
 }
 
-func encode(t *testing.T, h Header, evs []obs.Event) []byte {
+func encode(t testing.TB, h Header, evs []obs.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, h)

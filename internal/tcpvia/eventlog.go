@@ -70,6 +70,8 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 	if l == nil {
 		return
 	}
+	// Stamped under the lock: the stream's order is the stamps' order.
+	l.mu.Lock()
 	e := obs.Event{
 		T:    time.Since(l.base).Nanoseconds(),
 		Kind: kind,
@@ -78,7 +80,6 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 		A:    a, B: b, C: c,
 		Name: name,
 	}
-	l.mu.Lock()
 	if l.ring != nil {
 		l.ring.Consume(e)
 	}
