@@ -54,9 +54,11 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 	// alwaysCharges(F): every path through F charges before returning.
 	// ChargeFuncs members are charges by definition.
 	_, charges := ip.alwaysOnEveryPath(p.ChargeFuncs)
-	// Bit 0: no charge yet on some path.
+	// Bit 0: no charge yet on some path. A deferred charge runs at return,
+	// after every transmit below the defer: it counts toward alwaysCharges,
+	// never at a site.
 	transfer := func(pkg *Package, node ast.Node, in uint64) uint64 {
-		if charges(pkg, node) {
+		if _, atReturn := node.(*ast.DeferStmt); !atReturn && charges(pkg, node) {
 			return 0
 		}
 		return in

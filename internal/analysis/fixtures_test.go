@@ -39,6 +39,7 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/core/determ.go:25: determinism",     // global rand.Intn
 		"internal/mpi/chargeflow.go:32: chargeflow",   // SendUncharged: bare transmit through a helper
 		"internal/mpi/chargeflow.go:55: chargeflow",   // SendBranchUncharged: fast branch skips the charge
+		"internal/mpi/chargeflow.go:62: chargeflow",   // SendChargeDeferred: a charge in a deferred literal runs after the transmit
 		"internal/mpi/hotalloc.go:15: hotalloc",       // make on the hot path
 		"internal/mpi/hotalloc.go:17: hotalloc",       // escaping composite literal
 		"internal/mpi/hotalloc.go:19: hotalloc",       // closure literal

@@ -128,7 +128,9 @@ func deferred(def *ast.DeferStmt) []*ast.CallExpr {
 // before the return it is checked at). Calls inside literals do not: they
 // run in a later activation. It returns the set, and the per-node test the
 // fixpoint used — "this CFG node makes such a call" — for the rule's own
-// dataflow.
+// dataflow. On a DeferStmt the test answers for what the defer runs, which
+// holds at the return and not at the statement: a rule asking about the sites
+// in between (chargeflow) must not apply it there.
 func (ip *Interproc) alwaysOnEveryPath(base map[string]bool) (always map[string]bool, does func(pkg *Package, node ast.Node) bool) {
 	always = map[string]bool{}
 	for _, key := range ip.Keys {

@@ -54,3 +54,10 @@ func (c *Chan) SendBranchUncharged(fast bool) {
 	}
 	c.transmit() // chargeflow violation: the fast path never charged
 }
+
+// SendChargeDeferred books the charge in a deferred literal — must flag: the
+// literal runs at return, after the transmit has gone out free.
+func (c *Chan) SendChargeDeferred() {
+	defer func() { c.charge() }()
+	c.transmit() // chargeflow violation: the deferred charge comes too late
+}

@@ -15,7 +15,7 @@ import (
 // emit — and fails the run on the first disagreement, while the random
 // program runs under every policy, VI caps that force evictions and
 // reconnects, dropped and refused connection requests, and static or growing
-// pools, and then through the four worlds of flowWorlds, each built around one
+// pools, and then through the worlds of flowWorlds, each built around one
 // of the inputs of the flow pass. Every shortcut must have been both taken and
 // not taken. A pool is a count too, kept on the VI beside the rank's own: at
 // every poll the receives of the connected channels that are not armed are
@@ -95,7 +95,9 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 // flowWorlds runs, under whatever audit the caller installed, the worlds in
 // which an input of the flow pass moves some other way than by a plain arrival
 // on an idle channel — each a place flowPass's skip ("nothing arrived in this
-// poll") would be wrong if its comment's argument were:
+// poll and no channel came up") would be wrong if its comment's argument were.
+// The last is the one the came-up mark in onChannelUp is for: without the mark
+// the audit fails there, a credit return due and nothing left to prompt it.
 //
 //   - a burst of eager sends on a warm channel with four credits: packets
 //     queue for credits, returns come back piggybacked and explicit;
@@ -104,7 +106,10 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 //   - a pool that doubles, under DynamicCredits, while a burst is consuming it;
 //   - an eviction the peer refuses (it has a rendezvous in flight) while eager
 //     messages from that peer are read off the closing channel, so a credit
-//     return is due on a channel the passes skip until BYE_NACK reopens it.
+//     return is due on a channel the passes skip until BYE_NACK reopens it;
+//   - a handshake that completes while the receiver is inside one long drain of
+//     other peers' traffic, so the new peer's first packets are read, and half
+//     its pool freed, before the next poll's Manager.Poll marks the channel up.
 //
 // Each world checks payload order itself, and must be seen, at some poll, in
 // the state it is named for.
@@ -225,6 +230,67 @@ func flowWorlds(t *testing.T) {
 			case 2:
 				c.Probe(0, 3) // a specific-source Recv would connect first, and leave rank 0 nothing to evict for
 				drain(r, 0, 3, 1)
+			}
+		}},
+		{"handshake completes mid-drain", Config{Procs: 5, Policy: "ondemand", CreditCount: 4, EagerThreshold: 100000}, func(cs *chanState) bool {
+			return !cs.ch.Up && cs.freed >= cs.posted/2
+		}, func(r *Rank) {
+			c := r.World()
+			big := make([]byte, 100000) // 100 µs of copy apiece at the receiver
+			switch r.Rank() {
+			case 0:
+				for _, p := range []int{1, 3, 4} {
+					hello(r, p)
+				}
+				var reqs []*Request
+				irecv := func(buf []byte, src int) {
+					q, err := c.Irecv(buf, src, 1)
+					if err != nil {
+						r.Abort(1, err.Error())
+					}
+					reqs = append(reqs, q)
+				}
+				for _, p := range []int{1, 3, 4} {
+					for i := 0; i < 2; i++ { // what four credits let through unprompted
+						irecv(make([]byte, len(big)), p)
+					}
+				}
+				// The first receive from 2 asks for the connection and parks
+				// nothing: once the channel is up this rank has nothing to
+				// send on it but the credit return.
+				small := make([][]byte, 12)
+				for i := range small {
+					small[i] = make([]byte, 8)
+					irecv(small[i], 2)
+				}
+				// Not polling: the three bursts land unread. The one poll that
+				// drains them then lasts long enough for rank 2's handshake to
+				// complete, and its first packets to be read, inside it — after
+				// that poll's Manager.Poll, so the channel is not up yet.
+				r.Compute(7000e-6)
+				if err := r.Waitall(reqs...); err != nil {
+					r.Abort(1, err.Error())
+				}
+				for i, b := range small {
+					if b[0] != byte(i) {
+						r.Abort(1, fmt.Sprintf("message %d from 2 out of order", i))
+					}
+				}
+			case 2:
+				r.Compute(7950e-6) // the handshake completes mid-way through rank 0's drain (±250 µs)
+				burst(r, 0, 1, 12)
+			default:
+				hello(r, 0)
+				reqs := make([]*Request, 2)
+				for i := range reqs {
+					var err error
+					if reqs[i], err = c.Isend(0, 1, big); err != nil {
+						r.Abort(1, err.Error())
+					}
+				}
+				if err := r.Waitall(reqs...); err != nil {
+					r.Abort(1, err.Error())
+				}
 			}
 		}},
 	}

@@ -93,10 +93,10 @@ type Rank struct {
 	// allocation, carved by cursor where the free list above runs dry.
 	chanSlab []chanState
 
-	// What lets a poll skip the teardown scan when it would find nothing (see
-	// adoptDisconnects; the port and the manager keep the other counters, and
-	// flowPass needs none: the poll knows whether anything arrived).
-	seenDisconnects int // Port.Disconnects at the last teardown scan
+	// What lets a poll skip the scans that would find nothing (see
+	// adoptDisconnects and flowPass; the port and the manager keep the rest).
+	seenDisconnects int  // Port.Disconnects at the last teardown scan
+	cameUp          bool // a channel came up since the last flow pass
 
 	// pastDests holds the peers of torn-down channels that had carried user
 	// sends (RankStats.DistinctDests counts them with the live ones).
@@ -292,6 +292,7 @@ func (r *Rank) growPool(cs *chanState, n int) {
 // onChannelUp drains the paper's pre-posted send FIFO in order (§3.4).
 func (r *Rank) onChannelUp(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
+	r.cameUp = true // what was read off it before now, flowPass passed over
 	for _, item := range ch.DrainParked() {
 		r.post(cs, item.(*pkt))
 	}
@@ -703,26 +704,30 @@ func (r *Rank) reapSends() {
 //
 // A pass leaves no open channel (up, not closing) able to emit: each has an
 // empty flow queue or fewer than the two credits its head needs, and no
-// credit return due (freed < posted/2, or no credit). Only an arrival in this
-// poll's drain can change that, so a poll that drained nothing skips the
-// pass. credits grow nowhere but in handlePacket, freed nowhere but at the
-// drain's re-arm (the pass's own pool growth is returned by the credit packet
-// it emits next), and both run under the drain. The other inputs move the
+// credit return due (freed < posted/2, or no credit). Two things can change
+// that, and a poll that saw neither skips the pass. One is an arrival in this
+// poll's drain: credits grow nowhere but in handlePacket, freed nowhere but at
+// the drain's re-arm (the pass's own pool growth is returned by the credit
+// packet it emits next). The other is a channel coming up: its VI connects in
+// event context and is promoted only at the top of a poll, so a drain that
+// outlasts the handshake reads the peer's first packets off a channel the pass
+// then passes over, and with nothing parked for that peer no later arrival
+// need ever come — it is waiting for these credits. The other inputs move the
 // other way or not at all: post queues a packet only behind a stuck head or
 // for want of credits; growPool raises posted, and with it the bar for a
-// return; a channel comes up with nothing freed of a pool of at least four,
-// and its parked sends go through post; and the BYE_NACK that reopens a
-// closing channel — the one way arrivals read earlier can fall due later —
-// is itself an arrival. TestPollShortcutsEqualScans redoes the pass's test at
-// every skip, in worlds built around each of these.
+// return; and the BYE_NACK that reopens a closing channel — the other way
+// arrivals read earlier can fall due later — is itself an arrival.
+// TestPollShortcutsEqualScans redoes the pass's test at every skip, in worlds
+// built around each of these.
 func (r *Rank) flowPass(arrived bool) {
-	skip := !arrived
+	skip := !arrived && !r.cameUp
 	if pollAudit != nil {
 		pollAudit(r, scanFlow, skip)
 	}
 	if skip {
 		return
 	}
+	r.cameUp = false
 	for _, cs := range r.active {
 		if !cs.ch.Up || cs.closing {
 			continue
