@@ -6,12 +6,15 @@
 //	mpirun-sim -np 16 CG A
 //	mpirun-sim -np 8 -device bvia -conn static-p2p IS B
 //	mpirun-sim -np 16 -conn ondemand -wait spinwait MG C
+//	mpirun-sim -np 16 -memprofile mem.out SP W   # go tool pprof -sample_index=alloc_objects mem.out
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"viampi/internal/mpi"
 	"viampi/internal/npb"
@@ -29,6 +32,8 @@ func main() {
 		wait   = flag.String("wait", "polling", "polling | spinwait")
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		record = flag.String("record", "", "write the full event stream as a capture bundle to `file` (replay with viampi-replay)")
+		cpuOut = flag.String("cpuprofile", "", "write a CPU profile of the run to `file` (go tool pprof)")
+		memOut = flag.String("memprofile", "", "write a profile of every allocation the run makes to `file` (go tool pprof)")
 	)
 	// -matrix -profile -metrics -phases -trace: the same folds, flags and
 	// renderer viampi-replay applies to a recorded bundle.
@@ -90,7 +95,15 @@ func main() {
 		}
 		cw.Attach(cfg.Obs)
 	}
+	stop, err := profile(*cpuOut, *memOut)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	res, w, err := npb.Run(kern, class, cfg)
+	if perr := stop(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -117,4 +130,43 @@ func main() {
 		}
 		fmt.Printf("\nrecorded %d events (%d bundle bytes) to %s\n", cw.Events(), cw.Bytes(), *record)
 	}
+}
+
+// profile starts a CPU profile into cpuOut and, when memOut is set, records
+// every allocation from here on (not one per 512 kB sampled, so counts are
+// exact); the function it returns ends both and writes the files.
+func profile(cpuOut, memOut string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuOut != "" {
+		if cpu, err = os.Create(cpuOut); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	if memOut != "" {
+		runtime.MemProfileRate = 1
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memOut == "" {
+			return nil
+		}
+		f, err := os.Create(memOut)
+		if err != nil {
+			return err
+		}
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }

@@ -47,7 +47,7 @@ stays on the caller's stack, and its body is checked as part of the caller.
 The walk does not enter cold callees, nor look at what their arguments
 build: Policy.ColdCalls (failure paths, the Init-time reserves), fmt.Errorf,
 and the free-list growers, which the tree names grow*. A body that allocates
-by design is small and named for it (Rank.enqueueUnexpected) and is excused,
+by design is small and excused whole (profiler.enter, tracing's span closure)
 with its reason, under Policy.Exceptions["hotalloc"]; the walk still passes
 through.`,
 		Subject: subjFunc,

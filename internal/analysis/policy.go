@@ -268,6 +268,10 @@ func DefaultPolicy() *Policy {
 			"internal/mpi.(Comm).Send":     "the message path, send side: every hop below it is a recycled object that is its own event, so a steady-state eager message allocates nothing (BenchmarkEagerRoundTrip)",
 			"internal/mpi.(Comm).Recv":     "the message path, receive side, and through Wait the blocking-wait loop",
 			"internal/mpi.(Rank).progress": "MPID_DeviceCheck, entered on every MPI call: an allocation under it scales with poll count, not traffic; the connection managers' Poll hangs off it",
+			// Persistent communication: an iterative code restarts the same
+			// templates every iteration (NPB SP's face exchange).
+			"internal/mpi.(PersistentRequest).Start": "MPI_Start: every activation runs on the template's own request, so a restart allocates nothing",
+			"internal/mpi.(Rank).WaitallPersistent":  "the wait that ends each round of Starts: the requests go in the rank's one list, not a slice per call",
 			// Bodies nothing calls by name: handed over as function values.
 			"internal/via.(Port).handleFrame":       "fabric delivery callback, once per frame",
 			"internal/mpi.(Rank).prepareChannel":    "the connection path's hook: what a channel builds comes off free lists, so a reconnect allocates the two VI endpoints and nothing else (BenchmarkReconnectCycle)",
@@ -378,9 +382,7 @@ func DefaultPolicy() *Policy {
 			// what it allocates, so excusing it whole leaves nothing else
 			// unchecked. The walk still goes through it to what it calls.
 			"hotalloc": {
-				"internal/mpi.(Rank).enqueueUnexpected": "the unexpected-queue entry (and, for an eager message, the payload copy) of a message that beat its receive: one per such message, the fourth of BenchmarkReconnectCycle's 4 allocs/op",
-				"internal/mpi.(Rank).rendezvousData":    "the RDMA-write descriptor of a rendezvous: one per message above the eager threshold, which also pins and unpins memory",
-				"internal/mpi.(profiler).enter":         "with tracing on, a span's end is a closure over the profiler; a nil profiler (tracing off) returns the capture-free func, which is static (BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
+				"internal/mpi.(profiler).enter": "with tracing on, a span's end is a closure over the profiler; a nil profiler (tracing off) returns the capture-free func, which is static (BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
 			},
 			// Run-scoped resources reaped wholesale at teardown.
 			"paired": {

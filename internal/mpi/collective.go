@@ -73,7 +73,7 @@ func (c *Comm) disseminationBarrier() error {
 		if err != nil {
 			return err
 		}
-		if err := c.r.Waitall(sq, rq); err != nil {
+		if _, err := c.r.waitPair(sq, rq); err != nil {
 			return err
 		}
 		round++
@@ -283,7 +283,7 @@ func (c *Comm) Gather(sendbuf, recvbuf []byte, root int) error {
 		return fmt.Errorf("mpi: Gather recvbuf %d < %d", len(recvbuf), n*sz)
 	}
 	copy(recvbuf[root*sz:], sendbuf)
-	reqs := make([]*Request, 0, n-1)
+	reqs := c.r.reqList(n - 1)
 	for i := 0; i < n; i++ {
 		if i == root {
 			continue
@@ -294,7 +294,7 @@ func (c *Comm) Gather(sendbuf, recvbuf []byte, root int) error {
 		}
 		reqs = append(reqs, req)
 	}
-	return c.r.Waitall(reqs...)
+	return c.r.waitOwned(reqs)
 }
 
 // Scatter distributes equal-size chunks of sendbuf at root to every rank's
@@ -390,7 +390,7 @@ func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 	n := c.Size()
 	me := c.myrank
 	copy(recvbuf[rdispl[me]:rdispl[me]+rcounts[me]], sendbuf[sdispl[me]:sdispl[me]+scounts[me]])
-	reqs := make([]*Request, 0, 2*(n-1))
+	reqs := c.r.reqList(2 * (n - 1))
 	// Post all receives first, then sends, staggered (rank+i) to spread load.
 	for i := 1; i < n; i++ {
 		src := (me - i + n) % n
@@ -408,7 +408,7 @@ func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 		}
 		reqs = append(reqs, req)
 	}
-	return c.r.Waitall(reqs...)
+	return c.r.waitOwned(reqs)
 }
 
 // Scan computes the inclusive prefix reduction: rank i's recvbuf holds the
@@ -444,11 +444,7 @@ func (c *Comm) ReduceScatterBlock(sendbuf, recvbuf []byte, op Op) error {
 
 // csend is a blocking collective-context send.
 func (c *Comm) csend(dst, tag int, data []byte) error {
-	req, err := c.isendCtx(ModeStandard, dst, tag, data, c.cctx)
-	if err != nil {
-		return err
-	}
-	return c.r.Wait(req)
+	return c.send(ModeStandard, dst, tag, data, c.cctx)
 }
 
 // csendrecv is a blocking collective-context symmetric exchange with one
@@ -462,7 +458,8 @@ func (c *Comm) csendrecv(partner, tag int, out, in []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.r.Waitall(sq, rq)
+	_, err = c.r.waitPair(sq, rq)
+	return err
 }
 
 // crecv is a blocking collective-context receive.
@@ -471,8 +468,5 @@ func (c *Comm) crecv(buf []byte, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	if err := c.r.Wait(req); err != nil {
-		return Status{}, err
-	}
-	return req.status, nil
+	return c.r.reclaim(req, c.r.Wait(req))
 }

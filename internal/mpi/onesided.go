@@ -76,8 +76,7 @@ func (w *Win) Put(target, offset int, data []byte) error {
 	// One-sided access needs the connection up; drive progress until the
 	// on-demand handshake completes.
 	r.waitProgress(func() bool { return cs.ch.Up })
-	d := &via.Descriptor{Buf: data, Len: len(data), RdmaKey: w.keys[target], RdmaOffset: offset}
-	if err := cs.ch.Vi.PostRdmaWrite(d); err != nil {
+	if err := r.rdmaWrite(cs, data, w.keys[target], offset); err != nil {
 		return err
 	}
 	w.puts[target]++
@@ -108,7 +107,7 @@ func (w *Win) Fence() error {
 	}
 	expect := BytesI64(rc) // expect[i] > 0 ⇒ rank i Put here and will flush
 	flush := []byte{0xF}
-	var reqs []*Request
+	reqs := c.r.reqList(2 * (n - 1))
 	for i := 0; i < n; i++ {
 		if i == c.myrank {
 			continue
@@ -129,7 +128,7 @@ func (w *Win) Fence() error {
 			reqs = append(reqs, sq)
 		}
 	}
-	if err := c.r.Waitall(reqs...); err != nil {
+	if err := c.r.waitOwned(reqs); err != nil {
 		return err
 	}
 	for i := range w.puts {

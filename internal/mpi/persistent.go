@@ -17,7 +17,8 @@ type PersistentRequest struct {
 	tag    int
 	mode   SendMode
 
-	active *Request
+	req     Request // the handle: every activation runs on this one request
+	started bool    // req holds an activation (not before the first Start, nor after a failed one)
 }
 
 // SendInit creates a persistent standard-mode send template.
@@ -37,23 +38,39 @@ func (c *Comm) RecvInit(buf []byte, src, tag int) (*PersistentRequest, error) {
 }
 
 // Start activates the template. Starting an already-active request is an
-// error (the previous activation must complete first).
+// error (the previous activation must complete first). The activation runs on
+// the template's own request, which no queue refers to once it has completed;
+// a Start that fails leaves the template inactive.
 func (p *PersistentRequest) Start() error {
-	if p.active != nil && !p.active.done {
+	if p.started && !p.req.done {
 		return fmt.Errorf("mpi: Start on active persistent request")
 	}
 	var err error
 	if p.isRecv {
-		p.active, err = p.c.Irecv(p.buf, p.peer, p.tag)
+		err = p.c.startRecv(&p.req, p.buf, p.peer, p.tag, p.c.ctx)
 	} else {
-		p.active, err = p.c.IsendMode(p.mode, p.peer, p.tag, p.buf)
+		err = p.c.startSend(&p.req, p.mode, p.peer, p.tag, p.buf, p.c.ctx)
+	}
+	p.started = err == nil
+	if err != nil {
+		// A handle kept from an earlier Start reads as inactive: complete,
+		// with an empty status, and no half-started activation to wait on.
+		p.req = Request{done: true}
 	}
 	return err
 }
 
-// Request returns the current activation (nil before the first Start).
-// Wait/Test on it as with any nonblocking request.
-func (p *PersistentRequest) Request() *Request { return p.active }
+// Request returns the template's handle — one *Request across all its
+// activations, as MPI's persistent handle is — or nil while the template is
+// inactive (before the first Start, or after a failed one). Wait/Test on it as
+// with any nonblocking request; its Status and Err are the latest
+// activation's.
+func (p *PersistentRequest) Request() *Request {
+	if !p.started {
+		return nil
+	}
+	return &p.req
+}
 
 // Startall activates a set of persistent requests (MPI_Startall).
 func Startall(ps ...*PersistentRequest) error {
@@ -66,13 +83,15 @@ func Startall(ps ...*PersistentRequest) error {
 }
 
 // WaitallPersistent waits for every listed persistent request's current
-// activation.
+// activation, passing over inactive ones.
 func (r *Rank) WaitallPersistent(ps ...*PersistentRequest) error {
-	reqs := make([]*Request, 0, len(ps))
+	reqs := r.reqList(len(ps))
 	for _, p := range ps {
-		if p.active != nil {
-			reqs = append(reqs, p.active)
+		if q := p.Request(); q != nil {
+			reqs = append(reqs, q)
 		}
 	}
-	return r.Waitall(reqs...)
+	err := r.Waitall(reqs...)
+	r.doneList(reqs)
+	return err
 }

@@ -20,14 +20,14 @@ func (c *Comm) IsendMode(mode SendMode, dst, tag int, data []byte) (*Request, er
 // Send is the blocking standard-mode send.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Send")()
-	return c.send(ModeStandard, dst, tag, data)
+	return c.send(ModeStandard, dst, tag, data, c.ctx)
 }
 
 // Ssend is the blocking synchronous-mode send: it completes only after the
 // matching receive has started (always rendezvous).
 func (c *Comm) Ssend(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Ssend")()
-	return c.send(ModeSynchronous, dst, tag, data)
+	return c.send(ModeSynchronous, dst, tag, data, c.ctx)
 }
 
 // Issend starts a nonblocking synchronous-mode send.
@@ -39,12 +39,12 @@ func (c *Comm) Issend(dst, tag int, data []byte) (*Request, error) {
 // standard mode; the caller asserts a matching receive is already posted.
 func (c *Comm) Rsend(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Rsend")()
-	return c.send(ModeReady, dst, tag, data)
+	return c.send(ModeReady, dst, tag, data, c.ctx)
 }
 
-// send is the blocking send in any mode.
-func (c *Comm) send(mode SendMode, dst, tag int, data []byte) error {
-	req, err := c.isendCtx(mode, dst, tag, data, c.ctx)
+// send is the blocking send in any mode and context.
+func (c *Comm) send(mode SendMode, dst, tag int, data []byte, ctx int32) error {
+	req, err := c.isendCtx(mode, dst, tag, data, ctx)
 	if err != nil {
 		return err
 	}
@@ -69,12 +69,22 @@ func (c *Comm) Bsend(dst, tag int, data []byte) error {
 }
 
 func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*Request, error) {
+	req := c.r.newReq()
+	if err := c.startSend(req, mode, dst, tag, data, ctx); err != nil {
+		c.r.reclaim(req, nil)
+		return nil, err
+	}
+	return req, nil
+}
+
+// startSend starts a send on req: a fresh request, or the one a persistent
+// request restarts (PersistentRequest.Start). Nothing refers to req on error.
+func (c *Comm) startSend(req *Request, mode SendMode, dst, tag int, data []byte, ctx int32) error {
 	r := c.r
 	if dst < 0 || dst >= c.Size() {
-		return nil, fmt.Errorf("mpi: Isend to rank %d of %d", dst, c.Size())
+		return fmt.Errorf("mpi: Isend to rank %d of %d", dst, c.Size())
 	}
 	world := c.ranks[dst]
-	req := r.newReq()
 	*req = Request{r: r, dstWorld: world, mode: mode, data: data}
 
 	r.obsSend(world, len(data), tag)
@@ -88,12 +98,12 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 			r.enqueueUnexpected(h, data, nil)
 		}
 		req.complete()
-		return req, nil
+		return nil
 	}
 
 	cs, err := r.channel(world)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cs.userSends++
 	if len(data) <= r.cfg.EagerThreshold && mode != ModeSynchronous {
@@ -101,7 +111,7 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 		// locally once the data is buffered.
 		r.post(cs, r.newPkt(hdr{kind: pktEager, srcRank: int32(c.myrank), tag: int32(tag),
 			ctx: ctx, size: int32(len(data))}, data, req))
-		return req, nil
+		return nil
 	}
 
 	// Rendezvous (long messages, and every synchronous send).
@@ -111,7 +121,7 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 	cs.pendingRdv++
 	r.post(cs, r.newPkt(hdr{kind: pktRts, srcRank: int32(c.myrank), tag: int32(tag),
 		ctx: ctx, size: int32(len(data)), sreq: id}, nil, nil))
-	return req, nil
+	return nil
 }
 
 // Irecv starts a nonblocking receive into buf from src (comm rank or
@@ -131,11 +141,20 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 }
 
 func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
+	req := c.r.newReq()
+	if err := c.startRecv(req, buf, src, tag, ctx); err != nil {
+		c.r.reclaim(req, nil)
+		return nil, err
+	}
+	return req, nil
+}
+
+// startRecv starts a receive on req, as startSend starts a send.
+func (c *Comm) startRecv(req *Request, buf []byte, src, tag int, ctx int32) error {
 	r := c.r
 	if src != AnySource && (src < 0 || src >= c.Size()) {
-		return nil, fmt.Errorf("mpi: Irecv from rank %d of %d", src, c.Size())
+		return fmt.Errorf("mpi: Irecv from rank %d of %d", src, c.Size())
 	}
-	req := r.newReq()
 	*req = Request{r: r, isRecv: true, buf: buf, src: src, tag: tag, ctx: ctx}
 
 	// Paper §3.5: a receive from ANY_SOURCE forces connections to everyone
@@ -147,12 +166,12 @@ func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
 				continue
 			}
 			if _, err := r.channel(w); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	} else if c.ranks[src] != r.rank {
 		if _, err := r.channel(c.ranks[src]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -165,10 +184,13 @@ func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
 		default:
 			req.failf("mpi: unexpected queue held %s packet", pktKindString(u.h.kind))
 		}
-		return req, nil
+		// Read: the entry goes back, keeping its payload buffer.
+		u.cs = nil
+		r.freeUmsgs = append(r.freeUmsgs, u)
+		return nil
 	}
 	r.prq = append(r.prq, req)
-	return req, nil
+	return nil
 }
 
 // matchUMQ finds and removes the first unexpected message matching req.
@@ -197,13 +219,13 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 	if err != nil {
 		return Status{}, err
 	}
-	err = c.r.Waitall(sreq, rreq)
-	c.r.reclaim(sreq, nil)
-	return c.r.reclaim(rreq, err)
+	return c.r.waitPair(sreq, rreq)
 }
 
-// newReq takes a Request off the free list (or grows it). Only the blocking
-// calls, whose request never leaves the library, give theirs back.
+// newReq takes a Request off the free list (or grows it). Every request the
+// library makes and waits on itself — a blocking call's, a collective's —
+// comes back at reclaim once the wait returns; one from Isend or Irecv is the
+// caller's, whose Status and Err stay readable after Wait.
 func (r *Rank) newReq() *Request {
 	if q := simnet.Pop(&r.freeReqs); q != nil {
 		return q
@@ -211,19 +233,62 @@ func (r *Rank) newReq() *Request {
 	return growReqs()
 }
 
-// growReqs grows the request free list (cold path: a blocking call's request
-// comes back at reclaim; a non-blocking call's is the caller's to keep).
+// growReqs grows the request free list (cold path: the list settles at the
+// most requests the library has had outstanding for itself at once).
 func growReqs() *Request { return new(Request) }
 
-// reclaim ends a blocking call: it recycles the call's own completed request
-// (no queue, map or packet refers to it any more) and returns its outcome.
+// reclaim ends a wait on a request the library made for itself: the request is
+// complete, so no queue, map or packet refers to it any more, and it goes back
+// to the free list holding none of the caller's memory. It returns the
+// request's outcome.
 func (r *Rank) reclaim(q *Request, err error) (Status, error) {
 	st := q.status
+	*q = Request{}
 	r.freeReqs = append(r.freeReqs, q)
 	if err != nil {
 		return Status{}, err
 	}
 	return st, nil
+}
+
+// waitPair waits on a send and a receive the library made for itself,
+// recycles both and returns the receive's outcome.
+func (r *Rank) waitPair(sq, rq *Request) (Status, error) {
+	err := r.Waitall(sq, rq)
+	r.reclaim(sq, nil)
+	return r.reclaim(rq, err)
+}
+
+// reqList lends a library call the rank's one list for the requests it is
+// about to wait on, empty and with room for n (so appending n allocates
+// nothing). The borrower hands it back with doneList, or waitOwned, and calls
+// no other borrower in between.
+func (r *Rank) reqList(n int) []*Request {
+	if cap(r.reqs) < n {
+		r.reqs = growReqList(n)
+	}
+	return r.reqs[:0]
+}
+
+// growReqList grows the request list (cold path: it settles at the most
+// requests one call has waited on at once).
+func growReqList(n int) []*Request { return make([]*Request, 0, n) }
+
+// doneList takes the request list back, keeping no request alive through it.
+func (r *Rank) doneList(reqs []*Request) {
+	clear(reqs)
+	r.reqs = reqs[:0]
+}
+
+// waitOwned waits on requests the library made for itself, then recycles them
+// and the list that held them.
+func (r *Rank) waitOwned(reqs []*Request) error {
+	err := r.Waitall(reqs...)
+	for _, q := range reqs {
+		r.reclaim(q, nil)
+	}
+	r.doneList(reqs)
+	return err
 }
 
 // Wait blocks until the request completes, driving progress (MPI_Wait).

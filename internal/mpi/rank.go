@@ -74,12 +74,18 @@ type Rank struct {
 	recvReqs map[int64]*Request // awaiting FIN
 	detached []*Request         // buffered-mode sends owned by the library
 
-	// Free lists of the outbound path: packets, and send descriptors with
-	// the wire buffers they carry (tagged with the rank in UserPtr; an RDMA
-	// write's descriptor points at user data and never comes here).
+	// Free lists of the message path: packets; send descriptors with the
+	// wire buffers they carry (tagged with the rank in UserPtr); RDMA writes'
+	// descriptors (tagged with their list: the Buf they carry is the
+	// caller's, dropped when reapSends takes them back); the requests the
+	// library waits on itself (see reclaim) and the one list it waits on them
+	// in (reqList); unexpected-queue entries, each keeping its payload buffer.
 	freePkts  []*pkt
 	freeSends []*via.Descriptor
-	freeReqs  []*Request // blocking calls' requests (see reclaim)
+	freeRdma  []*via.Descriptor
+	freeReqs  []*Request
+	reqs      []*Request
+	freeUmsgs []*umsg
 
 	// Free list of the connection path: what prepareChannel builds,
 	// teardownChannel gives back. An eager pool is not on it: the channel holds
@@ -120,10 +126,12 @@ type Rank struct {
 	finalized bool
 }
 
-// umsg is an entry in the unexpected message queue.
+// umsg is an entry in the unexpected message queue. Entries come from
+// enqueueUnexpected and go back to the rank's free list once the receive that
+// matched one has read it.
 type umsg struct {
 	h       hdr
-	payload []byte     // eager only (copied out of the landing buffer)
+	payload []byte     // eager only: a copy, in a buffer the entry keeps from message to message
 	cs      *chanState // RTS only: held against teardown by umqRefs
 }
 
@@ -468,12 +476,19 @@ func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
 	return p
 }
 
-// growPkts, growSends and growChans grow the free lists (cold paths: each
-// settles at the number of packets queued, sends unreaped, or channels live,
-// at once).
+// growPkts, growSends, growRdma, growUmsgs and growChans grow the free lists
+// (cold paths: each settles at the number of packets queued, sends or RDMA
+// writes unreaped, messages unexpected, or channels live, at once), and
+// growUmsgBuf an entry's payload buffer (to the largest message it has held).
 func growPkts() *pkt { return new(pkt) }
 
 func (r *Rank) growSends() *via.Descriptor { return &via.Descriptor{UserPtr: r} }
+
+func (r *Rank) growRdma() *via.Descriptor { return &via.Descriptor{UserPtr: &r.freeRdma} }
+
+func growUmsgs() *umsg { return new(umsg) }
+
+func growUmsgBuf(n int) []byte { return make([]byte, n) }
 
 func growChans() *chanState { return new(chanState) }
 
@@ -691,8 +706,12 @@ func (r *Rank) reapSends() {
 	}
 	for _, cs := range r.active {
 		for d := cs.ch.Vi.SendDone(); d != nil; d = cs.ch.Vi.SendDone() {
-			if d.UserPtr == r {
+			switch d.UserPtr {
+			case r:
 				r.freeSends = append(r.freeSends, d)
+			case &r.freeRdma:
+				d.Buf = nil // the caller's memory: the frames took their copies at the post
+				r.freeRdma = append(r.freeRdma, d)
 			}
 		}
 	}
@@ -879,19 +898,29 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 	}
 }
 
-// enqueueUnexpected files a message that beat its receive — the one place
-// the message path allocates by design, one entry per such message — and
-// reports the queue's depth. An eager message's payload is copied out of
-// wherever it sits (a landing buffer about to go back to the port, the
-// sender's own buffer on a send to self); an RTS carries none and is held
-// against its channel's teardown instead.
+// enqueueUnexpected files a message that beat its receive on an entry off the
+// free list, and reports the queue's depth. An eager message's payload is
+// copied out of wherever it sits (a landing buffer about to go back to the
+// port, the sender's own buffer on a send to self) into the entry's own
+// buffer; an RTS carries none and is held against its channel's teardown
+// instead.
 func (r *Rank) enqueueUnexpected(h hdr, payload []byte, cs *chanState) {
-	u := &umsg{h: h, cs: cs}
+	u := simnet.Pop(&r.freeUmsgs)
+	if u == nil {
+		u = growUmsgs()
+	}
+	u.h, u.cs = h, cs
+	buf := u.payload[:0]
 	if cs == nil {
-		u.payload = append([]byte(nil), payload...)
+		if cap(buf) < len(payload) {
+			buf = growUmsgBuf(len(payload))
+		}
+		buf = buf[:len(payload)]
+		copy(buf, payload)
 	} else {
 		cs.umqRefs++
 	}
+	u.payload = buf
 	r.umq = append(r.umq, u)
 	r.obsUnexpected()
 }
@@ -972,8 +1001,7 @@ func (r *Rank) acceptRendezvous(req *Request, h hdr, cs *chanState) {
 // rendezvousData RDMA-writes the payload and sends FIN; the send request
 // completes when FIN is posted.
 func (r *Rank) rendezvousData(cs *chanState, req *Request, h hdr) {
-	d := &via.Descriptor{Buf: req.data, Len: len(req.data), RdmaKey: h.rkey}
-	if err := cs.ch.Vi.PostRdmaWrite(d); err != nil {
+	if err := r.rdmaWrite(cs, req.data, h.rkey, 0); err != nil {
 		req.failf("mpi: rdma write: %v", err)
 		return
 	}
@@ -982,4 +1010,22 @@ func (r *Rank) rendezvousData(cs *chanState, req *Request, h hdr) {
 			Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(len(req.data))})
 	}
 	r.post(cs, r.newPkt(hdr{kind: pktFin, srcRank: int32(r.rank), ctx: h.ctx, rreq: h.rreq}, nil, req))
+}
+
+// rdmaWrite posts an RDMA write of data to offset off of the peer's target key
+// on a descriptor off the rank's RDMA free list. The frames copy data at the
+// post; the descriptor stays on the VI's send queue until reapSends takes it
+// back, or comes straight back if the post is refused.
+func (r *Rank) rdmaWrite(cs *chanState, data []byte, key uint64, off int) error {
+	d := simnet.Pop(&r.freeRdma)
+	if d == nil {
+		d = r.growRdma()
+	}
+	d.Buf, d.Len, d.RdmaKey, d.RdmaOffset = data, len(data), key, off
+	if err := cs.ch.Vi.PostRdmaWrite(d); err != nil {
+		d.Buf = nil
+		r.freeRdma = append(r.freeRdma, d)
+		return err
+	}
+	return nil
 }

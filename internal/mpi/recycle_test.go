@@ -2,55 +2,159 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"viampi/internal/simnet"
+	"viampi/internal/via"
 )
 
-// Packets, send descriptors (with their wire buffers) and the blocking
-// calls' requests are recycled; these tests hold what recycling can break: a
-// steady-state allocation creeping back, and bytes or order lost on the way
-// through the queues that may hold a packet across events.
+// Packets, send descriptors (with their wire buffers), RDMA writes'
+// descriptors, the requests the library waits on itself, a persistent
+// template's activations and unexpected-queue entries are recycled; these
+// tests hold what recycling can break: a steady-state allocation creeping
+// back, bytes or order lost on the way through the queues that may hold a
+// packet or a message across events, a persistent handle that is not one, and
+// user memory held by what sits on a free list.
 
-// pingpong runs n 8-byte blocking round trips between two ranks.
-func pingpong(t *testing.T, n int) {
-	_, err := Run(Config{Procs: 2, Deadline: 600 * simnet.Second}, func(r *Rank) {
-		c := r.World()
-		buf := make([]byte, 8)
-		peer := 1 - r.Rank()
-		for i := 0; i < n; i++ {
-			if r.Rank() == 0 {
-				if err := c.Send(peer, 0, buf); err != nil {
-					r.Abort(1, err.Error())
-				}
-			}
-			if _, err := c.Recv(buf, peer, 0); err != nil {
+// The loop bodies of the allocation rail below; each runs iters iterations.
+
+// pingpong: 8-byte blocking round trips between two ranks.
+func pingpong(r *Rank, iters int) {
+	c := r.World()
+	buf := make([]byte, 8)
+	peer := 1 - r.Rank()
+	for i := 0; i < iters; i++ {
+		if r.Rank() == 0 {
+			if err := c.Send(peer, 0, buf); err != nil {
 				r.Abort(1, err.Error())
 			}
-			if r.Rank() == 1 {
-				if err := c.Send(peer, 0, buf); err != nil {
-					r.Abort(1, err.Error())
-				}
+		}
+		if _, err := c.Recv(buf, peer, 0); err != nil {
+			r.Abort(1, err.Error())
+		}
+		if r.Rank() == 1 {
+			if err := c.Send(peer, 0, buf); err != nil {
+				r.Abort(1, err.Error())
 			}
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// The allocation rail at the mpi boundary: a steady-state eager round trip
-// through Comm.Send and Comm.Recv allocates nothing (frames, descriptors,
-// packets and the blocking calls' requests all come off free lists).
-// Measured by difference between two run lengths of one simulation, so boot
-// cancels.
+// persistentRing: every rank exchanges size bytes with both ring neighbours
+// through four persistent templates, Startall then WaitallPersistent (NPB SP's
+// face exchange).
+func persistentRing(size int) func(r *Rank, iters int) {
+	return func(r *Rank, iters int) {
+		c := r.World()
+		n, me := c.Size(), c.Rank()
+		left, right := (me+n-1)%n, (me+1)%n
+		out, inL, inR := make([]byte, size), make([]byte, size), make([]byte, size)
+		rl, err1 := c.RecvInit(inL, left, 2)
+		rr, err2 := c.RecvInit(inR, right, 1)
+		sl, err3 := c.SendInit(left, 1, out)
+		sr, err4 := c.SendInit(right, 2, out)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			r.Abort(1, err.Error())
+		}
+		for i := 0; i < iters; i++ {
+			if err := Startall(rl, rr, sl, sr); err != nil {
+				r.Abort(1, err.Error())
+			}
+			if err := r.WaitallPersistent(rl, rr, sl, sr); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+	}
+}
+
+// alltoallv: an all-to-all of block bytes to every rank.
+func alltoallv(block int) func(r *Rank, iters int) {
+	return func(r *Rank, iters int) {
+		c := r.World()
+		n := c.Size()
+		send, recv := make([]byte, n*block), make([]byte, n*block)
+		counts, displs := make([]int, n), make([]int, n)
+		for i := range counts {
+			counts[i], displs[i] = block, i*block
+		}
+		for i := 0; i < iters; i++ {
+			if err := c.Alltoallv(send, counts, displs, recv, counts, displs); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+	}
+}
+
+// allUnexpected: rank 0 sends three eager messages; rank 1 receives them only
+// once the last has arrived, so all three wait in the unexpected queue, takes
+// them in reverse order and acknowledges.
+func allUnexpected(r *Rank, iters int) {
+	c := r.World()
+	buf := make([]byte, 64)
+	peer := 1 - r.Rank()
+	for i := 0; i < iters; i++ {
+		if r.Rank() == 0 {
+			for tag := 0; tag < 3; tag++ {
+				if err := c.Send(peer, tag, buf); err != nil {
+					r.Abort(1, err.Error())
+				}
+			}
+			if _, err := c.Recv(buf, peer, 9); err != nil {
+				r.Abort(1, err.Error())
+			}
+			continue
+		}
+		c.Probe(peer, 2) // per-pair FIFO: the other two are queued already
+		for tag := 2; tag >= 0; tag-- {
+			if _, err := c.Recv(buf, peer, tag); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+		if err := c.Send(peer, 9, buf[:1]); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+}
+
+// The allocation rail at the mpi boundary: a steady-state iteration of each
+// loop body allocates nothing. Frames, descriptors (wire and RDMA), packets,
+// the requests the library waits on itself and the list it waits on them in,
+// a persistent template's activations and unexpected-queue entries all come
+// off free lists. Measured by difference between two run lengths of one
+// simulation, so boot and the free lists' growth to their peak cancel.
 func TestRoundTripAllocs(t *testing.T) {
-	const n = 200
-	short := testing.AllocsPerRun(5, func() { pingpong(t, n) })
-	long := testing.AllocsPerRun(5, func() { pingpong(t, 10*n) })
-	if perRT := (long - short) / (9 * n); perRT > 0.01 {
-		t.Errorf("%.3f allocations per eager round trip (%v for %d, %v for %d), want 0", perRT, short, n, long, 10*n)
+	cases := []struct {
+		name  string
+		procs int
+		iters int // the short run; the long one is ten times as many
+		body  func(r *Rank, iters int)
+	}{
+		{"eager-round-trip", 2, 200, pingpong},
+		{"persistent-ring-eager", 4, 50, persistentRing(64)},
+		{"persistent-ring-rendezvous", 4, 50, persistentRing(16 << 10)},
+		{"alltoallv-2-fragments", 4, 10, alltoallv(64<<10 + 4<<10)},
+		{"all-unexpected", 2, 100, allUnexpected},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(iters int) func() {
+				return func() {
+					cfg := Config{Procs: tc.procs, Deadline: 600 * simnet.Second}
+					if _, err := Run(cfg, func(r *Rank) { tc.body(r, iters) }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			short := testing.AllocsPerRun(5, run(tc.iters))
+			long := testing.AllocsPerRun(5, run(10*tc.iters))
+			if per := (long - short) / float64(9*tc.iters); per > 0.01 {
+				t.Errorf("%.3f allocations per iteration (%v for %d, %v for %d), want 0",
+					per, short, tc.iters, long, 10*tc.iters)
+			}
+		})
 	}
 }
 
@@ -182,4 +286,375 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 		t.Errorf("most packets seen waiting: park FIFO %d, flowQ %d, pendingClose %d; the test must pass through all three",
 			parked, flowed, held)
 	}
+}
+
+// rdmaPattern is byte k of what src sends dst.
+func rdmaPattern(src, dst, k int) byte { return byte(src*31 + dst*7 + k*13) }
+
+// stockRdma replaces the rank's RDMA free list with n fresh descriptors and
+// returns them, so that a test can see what became of the writes it makes.
+func stockRdma(r *Rank, n int) []*via.Descriptor {
+	stock := make([]*via.Descriptor, n)
+	for i := range stock {
+		stock[i] = r.growRdma()
+	}
+	r.freeRdma = slices.Clone(stock)
+	return stock
+}
+
+// writing counts the descriptors of stock that are posted and not complete:
+// RDMA writes whose fragments the NIC has not finished taking.
+func writing(stock []*via.Descriptor) int {
+	n := 0
+	for _, d := range stock {
+		if d.VI() != nil && !d.Done() {
+			n++
+		}
+	}
+	return n
+}
+
+// A rendezvous send completes when its FIN is posted, which is before the NIC
+// has taken the RDMA write's fragments: what arrives is right only because
+// every frame copies its fragment at the post (Network.sendFrame). A sender
+// that overwrites a three-fragment buffer the moment Wait, or Alltoallv,
+// returns — with the write still in progress, which the test checks — must
+// not change a byte of what the receivers get. In the Alltoallv a rank sends
+// three fragments to each higher rank and an eager block to each lower one,
+// so rank 0's receives are done long before its writes are.
+func TestRendezvousSendBufferReuse(t *testing.T) {
+	const (
+		size  = 3*64<<10 - 100 // three fragments at the default MTU
+		small = 100
+	)
+	var waitWriting, alltoallWriting int
+	runWorld(t, Config{Procs: 4, Deadline: 600 * simnet.Second}, func(r *Rank) {
+		c := r.World()
+		n, me := c.Size(), c.Rank()
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		buf := make([]byte, size)
+
+		// Wait: rank 0 to rank 1.
+		switch me {
+		case 0:
+			stock := stockRdma(r, 1)
+			for k := range buf {
+				buf[k] = rdmaPattern(0, 1, k)
+			}
+			q, err := c.Isend(1, 0, buf)
+			if err != nil {
+				fail("%v", err)
+			}
+			if err := r.Wait(q); err != nil {
+				fail("%v", err)
+			}
+			waitWriting = writing(stock)
+			for k := range buf {
+				buf[k] = 0xFF
+			}
+		case 1:
+			if _, err := c.Recv(buf, 0, 0); err != nil {
+				fail("%v", err)
+			}
+			for k := range buf {
+				if buf[k] != rdmaPattern(0, 1, k) {
+					fail("Wait: byte %d of %d arrived as %#x", k, size, buf[k])
+				}
+			}
+		}
+
+		// Alltoallv: every rank to every other.
+		block := func(src, dst int) int {
+			if src < dst {
+				return size
+			}
+			return small
+		}
+		send, recv := make([]byte, n*size), make([]byte, n*size)
+		scounts, rcounts, displs := make([]int, n), make([]int, n), make([]int, n)
+		for i := range displs {
+			scounts[i], rcounts[i], displs[i] = block(me, i), block(i, me), i*size
+			for k := 0; k < scounts[i]; k++ {
+				send[i*size+k] = rdmaPattern(me, i, k)
+			}
+		}
+		stock := stockRdma(r, n-1)
+		if err := c.Alltoallv(send, scounts, displs, recv, rcounts, displs); err != nil {
+			fail("%v", err)
+		}
+		alltoallWriting += writing(stock)
+		for k := range send {
+			send[k] = 0xFF
+		}
+		if err := c.Barrier(); err != nil { // every rank has overwritten its send buffer
+			fail("%v", err)
+		}
+		for src := 0; src < n; src++ {
+			for k := 0; k < rcounts[src]; k++ {
+				if got := recv[src*size+k]; got != rdmaPattern(src, me, k) {
+					fail("Alltoallv: rank %d byte %d from %d arrived as %#x", me, k, src, got)
+				}
+			}
+		}
+	})
+	if waitWriting != 1 || alltoallWriting == 0 {
+		t.Errorf("RDMA writes in progress when the buffer was overwritten: %d after Wait (want 1), %d after Alltoallv (want some)",
+			waitWriting, alltoallWriting)
+	}
+}
+
+// A persistent template is one handle across its activations: Request is the
+// same pointer after every Start, and its Status is the latest activation's.
+// Starting it while active is refused and leaves the activation alone; a Start
+// that fails leaves the template inactive — no activation for Wait or
+// WaitallPersistent to hang on, nor a stale status on a handle kept from
+// before. The failures come from a one-VI port (MaxVIsPerPort) under a one-VI
+// cap: the cap evicts the live channel, the port cannot open a second VI
+// until that eviction completes, and a channel whose send the NIC still holds
+// cannot be evicted at all.
+func TestPersistentHandleIdentity(t *testing.T) {
+	sizes := []int{8, 300, 40, 1}
+	cfg := Config{Procs: 3, MaxVIs: 1, TuneCost: func(c *via.CostModel) { c.MaxVIsPerPort = 1 },
+		Deadline: 600 * simnet.Second}
+	runWorld(t, cfg, func(r *Rank) {
+		c := r.World()
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		// settle lets the NIC take the last send and reaps it, so that the
+		// live channel is quiescent and the cap can evict it.
+		settle := func() {
+			r.Compute(10e-6)
+			c.Iprobe(AnySource, 99)
+		}
+		// closeAll polls until every channel's eviction has completed.
+		closeAll := func() {
+			for len(r.active) > 0 {
+				r.Compute(1e-6)
+				c.Iprobe(AnySource, 99)
+			}
+		}
+		switch r.Rank() {
+		case 1:
+			for tag, size := range sizes {
+				if tag == len(sizes)-1 {
+					r.Proc().Sleep(simnet.Millisecond) // rank 0 starts this one first
+				}
+				if err := c.Send(0, tag, bytes.Repeat([]byte{byte(tag + 1)}, size)); err != nil {
+					fail("%v", err)
+				}
+			}
+			c.Probe(0, 7) // passive: rank 0 reconnects
+			if _, err := c.Recv(make([]byte, 8), 0, 7); err != nil {
+				fail("%v", err)
+			}
+			return
+		case 2:
+			c.Probe(0, 5)
+			if _, err := c.Recv(make([]byte, 8), 0, 5); err != nil {
+				fail("%v", err)
+			}
+			return
+		}
+
+		in := make([]byte, 512)
+		pr, err := c.RecvInit(in, 1, AnyTag)
+		if err != nil {
+			fail("%v", err)
+		}
+		var h *Request
+		for tag, size := range sizes {
+			if err := pr.Start(); err != nil {
+				fail("Start %d: %v", tag, err)
+			}
+			if tag == 0 {
+				h = pr.Request()
+			} else if pr.Request() != h {
+				fail("Start %d: Request is a new handle", tag)
+			}
+			if tag == len(sizes)-1 {
+				if h.Done() {
+					fail("the last message arrived before its Start")
+				}
+				if err := pr.Start(); err == nil {
+					fail("Start on an active template accepted")
+				}
+				if pr.Request() != h || h.Done() {
+					fail("a refused Start disturbed the activation")
+				}
+			}
+			if err := r.Wait(h); err != nil {
+				fail("%v", err)
+			}
+			want := Status{Source: 1, Tag: tag, Count: size}
+			if h.Status() != want || !bytes.Equal(in[:size], bytes.Repeat([]byte{byte(tag + 1)}, size)) {
+				fail("activation %d: status %+v, want %+v", tag, h.Status(), want)
+			}
+		}
+
+		// A failed first Start: the cap starts evicting the channel to rank
+		// 1, and the port has no room for a second VI meanwhile.
+		ps, err := c.SendInit(2, 5, []byte("five"))
+		if err != nil {
+			fail("%v", err)
+		}
+		settle()
+		if err := ps.Start(); err == nil {
+			fail("Start found a VI the port cannot have")
+		}
+		if ps.Request() != nil {
+			fail("a failed first Start left an activation")
+		}
+		if err := r.WaitallPersistent(ps, pr); err != nil {
+			fail("WaitallPersistent over an inactive template: %v", err)
+		}
+
+		// It starts once the eviction is through, and completes.
+		closeAll()
+		if err := ps.Start(); err != nil {
+			fail("Start with room: %v", err)
+		}
+		kept := ps.Request()
+		if err := r.WaitallPersistent(ps); err != nil || !kept.Done() {
+			fail("WaitallPersistent: %v, done %v", err, kept.Done())
+		}
+
+		// Then fails: rank 1's channel holds the port, with a send at the NIC.
+		settle()
+		if err := c.Send(1, 7, []byte("seven")); err == nil {
+			fail("Send found a VI the port cannot have")
+		}
+		closeAll()
+		if err := c.Send(1, 7, []byte("seven")); err != nil {
+			fail("Send with room: %v", err)
+		}
+		if err := ps.Start(); err == nil {
+			fail("Start found a VI the port cannot have")
+		}
+		if ps.Request() != nil {
+			fail("a failed Start left an activation")
+		}
+		if !kept.Done() || kept.Err() != nil || kept.Status() != (Status{}) {
+			fail("a kept handle reads done %v, err %v, status %+v after a failed Start; want an inactive request",
+				kept.Done(), kept.Err(), kept.Status())
+		}
+		if err := r.WaitallPersistent(ps); err != nil {
+			fail("WaitallPersistent over an inactive template: %v", err)
+		}
+	})
+}
+
+// Unexpected-queue entries keep their payload buffers from message to
+// message: messages that grow and then shrink, from a peer and from the rank
+// itself (a send to self overwritten the moment Isend returns), all waiting
+// in the queue and matched out of arrival order by tag, must each arrive with
+// exactly their own bytes and count.
+func TestUnexpectedEntriesKeepPayloads(t *testing.T) {
+	sizes := []int{8, 300, 4000, 1200, 40, 0, 2}
+	const rounds = 4
+	msg := func(round, src, tag, size int) []byte {
+		b := make([]byte, size)
+		for k := range b {
+			b[k] = byte(round*97 + src*53 + tag*31 + k*7)
+		}
+		return b
+	}
+	runWorld(t, testCfg(2), func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		ack := make([]byte, 1)
+		for round := 0; round < rounds; round++ {
+			if me == 0 {
+				for tag, size := range sizes {
+					if err := c.Send(1, tag, msg(round, 0, tag, size)); err != nil {
+						fail("%v", err)
+					}
+				}
+				if _, err := c.Recv(ack, 1, 99); err != nil {
+					fail("%v", err)
+				}
+				continue
+			}
+			self := make([]byte, 4000)
+			for tag, size := range sizes {
+				// Sizes in reverse order, so neighbours in the queue differ.
+				size = sizes[len(sizes)-1-tag]
+				copy(self, msg(round, 1, tag, size))
+				if _, err := c.Isend(1, 100+tag, self[:size]); err != nil {
+					fail("%v", err)
+				}
+				for k := range self {
+					self[k] = 0xFF
+				}
+			}
+			c.Probe(0, len(sizes)-1) // per-pair FIFO: all of rank 0's are queued
+			in := make([]byte, 4000)
+			// Out of arrival order, each peer message followed by a self one.
+			for _, tag := range []int{5, 3, 1, 6, 0, 4, 2} {
+				for _, src := range []int{0, 1} {
+					want := msg(round, src, tag, sizes[tag])
+					if src == 1 {
+						want = msg(round, 1, tag, sizes[len(sizes)-1-tag])
+					}
+					st, err := c.Recv(in, src, tag+100*src)
+					if err != nil {
+						fail("%v", err)
+					}
+					if st.Count != len(want) || !bytes.Equal(in[:st.Count], want) {
+						fail("round %d: tag %d from %d arrived as %d bytes, not its own %d", round, tag, src, st.Count, len(want))
+					}
+				}
+			}
+			if err := c.Send(0, 99, ack); err != nil {
+				fail("%v", err)
+			}
+		}
+	})
+}
+
+// A descriptor back on the RDMA free list holds none of the memory its last
+// write was made from: after rendezvous sends and one-sided Puts have been
+// reaped, every descriptor the writes went out on is on the list, and none
+// has a Buf.
+func TestRdmaFreeListHoldsNoBuffers(t *testing.T) {
+	const size = 64<<10 + 100
+	runWorld(t, testCfg(2), func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		win, err := c.WinCreate(make([]byte, size))
+		if err != nil {
+			fail("%v", err)
+		}
+		buf := make([]byte, size)
+		for i := 0; i < 3; i++ {
+			if me == 0 {
+				if err := c.Send(1, i, buf); err != nil {
+					fail("%v", err)
+				}
+				if err := win.Put(1, i, buf[:size-i]); err != nil {
+					fail("%v", err)
+				}
+			} else if _, err := c.Recv(buf, 0, i); err != nil {
+				fail("%v", err)
+			}
+		}
+		if err := win.Free(); err != nil {
+			fail("%v", err)
+		}
+		if me != 0 {
+			return
+		}
+		for r.port.UnreapedSends() > 0 {
+			r.Compute(10e-6)
+			c.Iprobe(1, 99)
+		}
+		if len(r.freeRdma) == 0 {
+			fail("no RDMA descriptor came back")
+		}
+		for _, d := range r.freeRdma {
+			if d.Buf != nil {
+				fail("an RDMA descriptor on the free list holds %d bytes of a finished write", len(d.Buf))
+			}
+		}
+	})
 }

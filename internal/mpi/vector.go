@@ -16,7 +16,7 @@ func (c *Comm) Gatherv(sendbuf, recvbuf []byte, counts, displs []int, root int) 
 		return fmt.Errorf("mpi: Gatherv needs %d counts/displs", n)
 	}
 	copy(recvbuf[displs[root]:displs[root]+counts[root]], sendbuf)
-	reqs := make([]*Request, 0, n-1)
+	reqs := c.r.reqList(n - 1)
 	for i := 0; i < n; i++ {
 		if i == root {
 			continue
@@ -27,7 +27,7 @@ func (c *Comm) Gatherv(sendbuf, recvbuf []byte, counts, displs []int, root int) 
 		}
 		reqs = append(reqs, req)
 	}
-	return c.r.Waitall(reqs...)
+	return c.r.waitOwned(reqs)
 }
 
 // Scatterv distributes variable-size blocks from root; each rank receives

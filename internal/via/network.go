@@ -178,7 +178,13 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 // buffer and a port's stock of landing descriptors (cold paths: the list settles
 // at the number of frames in flight at once, a buffer at the largest fragment
 // it has carried — exactly that, no size classes — and the stock at the number
-// of messages landed and not yet read at once).
+// of messages landed and not yet read at once). The frame buffers' stock is
+// therefore the peak of fragments in flight at once, each at its own size. It
+// cannot be less: a fragment is copied at the post because the sender may
+// reuse its buffer as soon as the post returns — a rendezvous send completes
+// when its FIN is posted, before the NIC has taken the RDMA write's data — so
+// a collective that posts all its writes together (IS's Alltoallv) holds every
+// one of their fragments until it is delivered.
 func (n *Network) growFrames() *wireMsg { return &wireMsg{} }
 
 func growFrameBuf(size int) []byte { return make([]byte, size) }
