@@ -4,7 +4,7 @@ GO ?= go
 # byte-identical at any -j, so the default is simply all host cores.
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check fmt vet build test race analyze fsm-dot golden figures bench-sim bench-sim-smoke replay-smoke loc
+.PHONY: check fmt vet build test race analyze golden figures bench-sim bench-sim-smoke replay-smoke loc
 
 check: fmt vet build test race analyze bench-sim-smoke replay-smoke
 
@@ -50,13 +50,6 @@ analyze:
 	if [ $$took -gt $(ANALYZE_BUDGET) ]; then \
 		echo "make analyze: took $${took}s, budget $(ANALYZE_BUDGET)s — the analyzer pass is too slow for tier-1"; exit 1; \
 	fi
-
-# The connection-lifecycle diagram is generated from code (the fsm rule's
-# extraction), not hand-drawn. Regenerate after changing the VI state
-# machine; TestFSMDotMatchesCommitted (run by `test`) diffs the committed
-# artifact so it cannot drift.
-fsm-dot:
-	$(GO) run ./cmd/viampi-vet -root . -fsm-dot > docs/connection-fsm.dot
 
 # Virtual time is pinned by three golden sets that `test` regenerates and
 # compares: every experiment's quick-mode table in every rendered form

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	viampi-vet [-root dir] [-rules layering,determinism,...] [-json]
-//	viampi-vet [-root dir] -fsm-dot
 //	viampi-vet -explain <rule>
 //	viampi-vet -list | -rules
 //
@@ -41,7 +40,6 @@ func main() {
 	root := flag.String("root", ".", "module root to analyze (directory containing go.mod)")
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	fsmDot := flag.Bool("fsm-dot", false, "print the extracted connection state machine as Graphviz DOT and exit")
 	explain := flag.String("explain", "", "print why the named rule exists and exit")
 	list := flag.Bool("list", false, "list available rules and exit")
 	flag.Parse()
@@ -69,13 +67,6 @@ func main() {
 	}
 	loadTime := time.Since(loadStart)
 	policy := analysis.DefaultPolicy()
-
-	if *fsmDot {
-		// The committed docs/connection-fsm.dot is this output; the analysis
-		// tests diff the two so the architecture diagram cannot drift from code.
-		os.Stdout.WriteString(analysis.FSMDot(mod, policy))
-		return
-	}
 
 	for _, w := range analysis.StalePolicy(mod, policy) {
 		fmt.Fprintf(os.Stderr, "viampi-vet: stale policy: %s\n", w)

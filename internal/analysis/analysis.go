@@ -22,10 +22,9 @@
 // once, with escape-to-field and ownership-transfer summaries, and no send
 // rides a closed or evicted channel without an interposed rebind through the
 // reconnect path). hotalloc walks the same call graph: every body reachable
-// from the policy's hot roots stays allocation-free. fsm extracts the
-// connection state machine from the code, requires every state to be
-// entered and matches the committed DOT diagram; the package's tests
-// model-check its 2-peer product automata.
+// from the policy's hot roots stays allocation-free. No rule models the
+// connection protocol: its orderings are checked on the code that runs, by
+// the simulated worlds of internal/via, internal/core and internal/mpi.
 // Legitimate exceptions live in one table, Policy.Exceptions, so they are
 // declared in code review rather than scattered as comments — and the
 // stale-policy sweep (stale.go) fails the build when an exception no longer
@@ -94,7 +93,6 @@ func Analyzers() []*Analyzer {
 		ChargeFlowAnalyzer(),
 		WakeReachAnalyzer(),
 		PairedAnalyzer(),
-		FSMAnalyzer(),
 	}
 }
 

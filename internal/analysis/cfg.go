@@ -461,23 +461,6 @@ func rootVar(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// inspectPath is inspectSkipLits that also hands fn the chain of nodes
-// enclosing n, outermost first.
-func inspectPath(root ast.Node, fn func(n ast.Node, path []ast.Node) bool) {
-	var path []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			path = path[:len(path)-1]
-			return true
-		}
-		if _, isLit := n.(*ast.FuncLit); isLit || !fn(n, path) {
-			return false
-		}
-		path = append(path, n)
-		return true
-	})
-}
-
 // mapStates applies f to every abstract state in a may-analysis bitset (bit
 // s set ⇔ state s reachable) and returns the resulting set.
 func mapStates(set uint64, f func(int) int) uint64 {

@@ -58,7 +58,6 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/tcpvia/locks.go:10: layering",       // restricted leaf imports a layered package
 		"internal/tcpvia/locks.go:23: locks",          // Lock with no Unlock on the skip path
 		"internal/tcpvia/locks.go:25: locks",          // layered call under the leaf lock
-		"internal/via/enum.go:13: fsm",                // ViError is declared but no transition enters it
 		"internal/via/enum.go:19: exhaustive",         // ViState switch misses ViClosed
 		"internal/via/enum.go:71: exhaustive",         // wire-kind switch misses kindConnNack and kindDisc
 		"internal/via/paired.go:31: paired",           // leakEarlyReturn: flush path returns still holding h
@@ -121,7 +120,6 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 		{"chargeflow", "ChargeHost"},
 		{"wakereach", "notifyActivity"},
 		{"paired", `Policy.Exceptions["paired"]`},
-		{"fsm", "wire a transition"},
 		{"paired", "rides a dead endpoint"},
 	}
 	for _, want := range wantSubstrings {

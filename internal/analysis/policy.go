@@ -111,12 +111,6 @@ type Policy struct {
 	// return — on every CFG path out of the acquiring function.
 	PairedSpecs []PairedSpec
 
-	// FSMStates maps a connection-state enum type (qualified type name) to
-	// the struct field that holds it; the fsm rule extracts the transition
-	// graph from every assignment to that field, flags states that are
-	// never entered, and renders the machine as DOT (-fsm-dot).
-	FSMStates map[string]string `subject:"type=struct field"`
-
 	// Exceptions is the one table of reviewed exceptions: rule name →
 	// excused subject → justification. What a subject is — a function, a
 	// package, a constant, a lock edge — is the rule's Analyzer.Subject;
@@ -308,8 +302,8 @@ func DefaultPolicy() *Policy {
 		// holds "each returns exactly once" and TestLandingBuffersAllReturn
 		// "every port ends with none out".
 		// The pendingClose enqueue/replay pair is a protocol obligation, not
-		// a handle, and is proved by the fsm rule's eviction model (no stuck
-		// pendingClose).
+		// a handle: internal/mpi's eviction suites hold it (a BYE_NACK whose
+		// held sends are not replayed fails TestEvictionRandomProgramEquivalence).
 		PairedSpecs: []PairedSpec{
 			{
 				Resource: "pinned memory registration",
@@ -343,9 +337,6 @@ func DefaultPolicy() *Policy {
 				Acquires: []string{"internal/obs/capture.NewWriter"},
 				Releases: []string{"internal/obs/capture.(Writer).Close"},
 			},
-		},
-		FSMStates: map[string]string{
-			"internal/via.ViState": "internal/via.(VI).state",
 		},
 		Exceptions: map[string]map[string]string{
 			// Packages outside the simulated world: code there may use

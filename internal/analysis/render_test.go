@@ -59,7 +59,7 @@ func TestRunAllSorted(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"layering", "determinism", "maporder", "exhaustive", "locks",
-		"hotalloc", "chargeflow", "wakereach", "paired", "fsm",
+		"hotalloc", "chargeflow", "wakereach", "paired",
 	}
 	var got []string
 	for _, a := range Analyzers() {

@@ -92,10 +92,10 @@ func subjectExists(m *Module, kind, key string) bool {
 		_, ok := scopeLookup(m, key).(*types.TypeName)
 		return ok
 	case subjField:
-		return fsmResolveField(m, key) != nil
+		return resolveField(m, key) != nil
 	case subjLockEdge:
 		from, to, ok := strings.Cut(key, " -> ")
-		return ok && fsmResolveField(m, from) != nil && fsmResolveField(m, to) != nil
+		return ok && resolveField(m, from) != nil && resolveField(m, to) != nil
 	}
 	panic("analysis: unknown policy subject kind " + kind)
 }
@@ -111,6 +111,34 @@ func scopeLookup(m *Module, key string) types.Object {
 		return nil
 	}
 	return pkg.Types.Scope().Lookup(key[dot+1:])
+}
+
+// resolveField returns the *types.Var for "rel/pkg.(Owner).field".
+func resolveField(m *Module, key string) *types.Var {
+	open := strings.Index(key, ".(")
+	end := strings.Index(key, ").")
+	if open < 0 || end < open {
+		return nil
+	}
+	pkg := lookupRel(m, key[:open])
+	if pkg == nil || pkg.Types == nil {
+		return nil
+	}
+	owner, field := key[open+2:end], key[end+2:]
+	tn, ok := pkg.Types.Scope().Lookup(owner).(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == field {
+			return st.Field(i)
+		}
+	}
+	return nil
 }
 
 // lookupRel resolves a module-relative package path.

@@ -43,7 +43,7 @@ func TestLandingBuffersAllReturn(t *testing.T) {
 // (a descriptor for each of the 1.6 M receives alone would be 150 MB).
 func TestStaticMeshAtPaperPoolSize(t *testing.T) {
 	const np = 256
-	cfg := Config{Procs: np, Policy: "static-p2p", Deadline: 600 * simnet.Second}
+	cfg := Config{Procs: np, Policy: "static-p2p", Deadline: within(65 * simnet.Millisecond)}
 	w, _, got := hostCost(t, cfg, func(r *Rank) {
 		c := r.World()
 		in, out := make([]byte, 8), make([]byte, 8)

@@ -14,6 +14,13 @@ func testCfg(procs int) Config {
 	return Config{Procs: procs, Deadline: 120 * simnet.Second}
 }
 
+// within is the deadline of a world whose fault-free run ends at end (virtual
+// time, as measured): four times that. A run that stops making progress —
+// ranks polling for a handshake or a held send that never comes — then fails
+// in host seconds instead of at go test's timeout, and a change that moves
+// virtual time a little does not trip it.
+func within(end simnet.Duration) simnet.Duration { return 4 * end }
+
 // runWorld runs main and fails the test on any launch or drain error.
 func runWorld(t *testing.T, cfg Config, main func(r *Rank)) *World {
 	t.Helper()

@@ -24,7 +24,8 @@ import (
 // one-VI cap, so that every message evicts one channel (BYE handshake,
 // teardown) and establishes the other: n reconnect cycles.
 func reconnects(t *testing.T, n int) {
-	w, err := Run(Config{Procs: 3, MaxVIs: 1, Seed: 1, Deadline: 600 * simnet.Second}, func(r *Rank) {
+	cfg := Config{Procs: 3, MaxVIs: 1, Seed: 1, Deadline: within(simnet.Duration(n) * 550 * simnet.Microsecond)}
+	w, err := Run(cfg, func(r *Rank) {
 		c := r.World()
 		buf := make([]byte, 8)
 		if r.Rank() == 0 {
@@ -96,7 +97,7 @@ func distinct(free []*via.Descriptor) bool {
 // XferLen under the entry: "arrival on unknown VI").
 func TestStaleCQEntryAfterTeardown(t *testing.T) {
 	const credits = 4
-	cfg := Config{Procs: 4, MaxVIs: 1, CreditCount: credits, Deadline: 600 * simnet.Second}
+	cfg := Config{Procs: 4, MaxVIs: 1, CreditCount: credits, Deadline: within(2 * simnet.Millisecond)}
 	_, err := Run(cfg, func(r *Rank) {
 		c := r.World()
 		me := r.Rank()
@@ -168,7 +169,7 @@ func TestPoolRecyclingKeepsAccounting(t *testing.T) {
 		}
 	})
 	const np = 6
-	cfg := Config{Procs: np, MaxVIs: 2, DynamicCredits: true, Seed: 7, Obs: bus, Deadline: 600 * simnet.Second}
+	cfg := Config{Procs: np, MaxVIs: 2, DynamicCredits: true, Seed: 7, Obs: bus, Deadline: within(4 * simnet.Millisecond)}
 	w, err := Run(cfg, func(r *Rank) {
 		c := r.World()
 		in, out := make([]byte, 64), make([]byte, 64)
@@ -249,7 +250,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		big   = 1000 // above the eager threshold: rendezvous
 		burst = 12
 	)
-	cfg.Procs, cfg.EagerThreshold, cfg.Deadline = np, 256, 600*simnet.Second
+	cfg.Procs, cfg.EagerThreshold, cfg.Deadline = np, 256, within(3*simnet.Millisecond)
 	var (
 		ranks    [np]*Rank
 		running  = np

@@ -127,22 +127,23 @@ func allUnexpected(r *Rank, iters int) {
 // simulation, so boot and the free lists' growth to their peak cancel.
 func TestRoundTripAllocs(t *testing.T) {
 	cases := []struct {
-		name  string
-		procs int
-		iters int // the short run; the long one is ten times as many
-		body  func(r *Rank, iters int)
+		name    string
+		procs   int
+		iters   int             // the short run; the long one is ten times as many
+		perIter simnet.Duration // virtual time an iteration takes, boot included
+		body    func(r *Rank, iters int)
 	}{
-		{"eager-round-trip", 2, 200, pingpong},
-		{"persistent-ring-eager", 4, 50, persistentRing(64)},
-		{"persistent-ring-rendezvous", 4, 50, persistentRing(16 << 10)},
-		{"alltoallv-2-fragments", 4, 10, alltoallv(64<<10 + 4<<10)},
-		{"all-unexpected", 2, 100, allUnexpected},
+		{"eager-round-trip", 2, 200, 16 * simnet.Microsecond, pingpong},
+		{"persistent-ring-eager", 4, 50, 23 * simnet.Microsecond, persistentRing(64)},
+		{"persistent-ring-rendezvous", 4, 50, 1300 * simnet.Microsecond, persistentRing(16 << 10)},
+		{"alltoallv-2-fragments", 4, 10, 7500 * simnet.Microsecond, alltoallv(64<<10 + 4<<10)},
+		{"all-unexpected", 2, 100, 22 * simnet.Microsecond, allUnexpected},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(iters int) func() {
 				return func() {
-					cfg := Config{Procs: tc.procs, Deadline: 600 * simnet.Second}
+					cfg := Config{Procs: tc.procs, Deadline: within(simnet.Duration(iters) * tc.perIter)}
 					if _, err := Run(cfg, func(r *Rank) { tc.body(r, iters) }); err != nil {
 						t.Fatal(err)
 					}
@@ -184,7 +185,7 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 	pair := func(round int) (old, fresh int) { return 1 + round%peers, 1 + (round+1)%peers }
 	var parked, flowed, held int // most packets seen waiting in each queue
 	cfg := Config{Procs: 1 + peers, Policy: "ondemand", MaxVIs: 1, CreditCount: 4,
-		Deadline: 600 * simnet.Second}
+		Deadline: within(11 * simnet.Millisecond)}
 	_, err := Run(cfg, func(r *Rank) {
 		c := r.World()
 		ack := make([]byte, 1)
@@ -328,7 +329,7 @@ func TestRendezvousSendBufferReuse(t *testing.T) {
 		small = 100
 	)
 	var waitWriting, alltoallWriting int
-	runWorld(t, Config{Procs: 4, Deadline: 600 * simnet.Second}, func(r *Rank) {
+	runWorld(t, Config{Procs: 4, Deadline: within(14 * simnet.Millisecond)}, func(r *Rank) {
 		c := r.World()
 		n, me := c.Size(), c.Rank()
 		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
@@ -415,7 +416,7 @@ func TestRendezvousSendBufferReuse(t *testing.T) {
 func TestPersistentHandleIdentity(t *testing.T) {
 	sizes := []int{8, 300, 40, 1}
 	cfg := Config{Procs: 3, MaxVIs: 1, TuneCost: func(c *via.CostModel) { c.MaxVIsPerPort = 1 },
-		Deadline: 600 * simnet.Second}
+		Deadline: within(4 * simnet.Millisecond)}
 	runWorld(t, cfg, func(r *Rank) {
 		c := r.World()
 		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }

@@ -34,7 +34,8 @@ func hostCost(t *testing.T, cfg Config, main func(*Rank)) (w *World, allocs, byt
 // default eager size, so that a buffer made for any of them would outweigh
 // everything else a connection end holds.
 func bootCost(t *testing.T, np int) (allocs, bytes float64) {
-	cfg := Config{Procs: np, Policy: "static-p2p", CreditCount: 4, Deadline: 600 * simnet.Second}
+	cfg := Config{Procs: np, Policy: "static-p2p", CreditCount: 4,
+		Deadline: within(simnet.Duration(np) * 250 * simnet.Microsecond)}
 	_, allocs, bytes = hostCost(t, cfg, func(*Rank) {})
 	return allocs, bytes
 }
