@@ -1,9 +1,9 @@
 package viampi
 
 // Go benchmarks that report what nothing else does: the ping-pong and NPB
-// kernels' virtual-time metrics per device and mechanism, the ablations of the
-// design choices called out in DESIGN.md, and the allocation rails (`make
-// bench-sim`). The paper's tables and figures have no benchmark here: `go run
+// kernels' virtual-time metrics per device and mechanism, the ablations of
+// DESIGN.md's tunables (eager threshold, credit count, spin budget, dynamic
+// credits), and the allocation rails (`make bench-sim`). The paper's tables and figures have no benchmark here: `go run
 // ./cmd/figures` regenerates them, internal/bench's TestGolden pins their
 // quick-mode bytes, and host time is benchmark/'s to measure.
 
@@ -155,42 +155,6 @@ func BenchmarkAblation_SpinBudget(b *testing.B) {
 				lat = l
 			}
 			b.ReportMetric(lat.Micros(), "virtual_us")
-		})
-	}
-}
-
-// BenchmarkAblation_BarrierAlgorithm compares the three barrier algorithms
-// on latency (reported) — their connection footprints differ too (tree 2 <
-// rd 4 < dissemination ~8 VIs at 16 ranks; see TestBarrierAlgConnectionFootprint).
-func BenchmarkAblation_BarrierAlgorithm(b *testing.B) {
-	for _, alg := range []string{"tree", "rd", "dissemination"} {
-		alg := alg
-		b.Run(alg, func(b *testing.B) {
-			var per simnet.Duration
-			for i := 0; i < b.N; i++ {
-				cfg := mpi.Config{Procs: 16, BarrierAlg: alg, Deadline: 600 * simnet.Second}
-				var elapsed simnet.Duration
-				_, err := mpi.Run(cfg, func(r *mpi.Rank) {
-					c := r.World()
-					if err := c.Barrier(); err != nil {
-						return
-					}
-					start := r.Proc().Now()
-					for k := 0; k < 100; k++ {
-						if err := c.Barrier(); err != nil {
-							return
-						}
-					}
-					if r.Rank() == 0 {
-						elapsed = r.Proc().Now().Sub(start) / 100
-					}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				per = elapsed
-			}
-			b.ReportMetric(per.Micros(), "virtual_us")
 		})
 	}
 }

@@ -17,7 +17,7 @@ func ChargeFlowAnalyzer() *Analyzer {
 pays them"): host CPU costs are charged to the calling process, NIC
 service runs on per-node busy-until timelines, wire time lives in the
 fabric. A fabric transmit (Policy.ChargeRequired: Cluster.Send, SendMgmt,
-Attach, AttachNode) models a NIC or switch doing real work, so any route
+Attach) models a NIC or switch doing real work, so any route
 the software takes to one must book cost against virtual time
 (Policy.ChargeFuncs: ChargeHost, serviceTx/serviceRx/sendFrame,
 Compute/Sleep) or that work becomes free and every latency figure built on

@@ -195,10 +195,9 @@ func DefaultPolicy() *Policy {
 		},
 
 		ChargeRequired: map[string]bool{
-			"internal/fabric.(Cluster).Send":       true,
-			"internal/fabric.(Cluster).SendMgmt":   true,
-			"internal/fabric.(Cluster).Attach":     true,
-			"internal/fabric.(Cluster).AttachNode": true,
+			"internal/fabric.(Cluster).Send":     true,
+			"internal/fabric.(Cluster).SendMgmt": true,
+			"internal/fabric.(Cluster).Attach":   true,
 		},
 		ChargeFuncs: map[string]bool{
 			"internal/via.(Port).ChargeHost":   true,
@@ -351,7 +350,7 @@ func DefaultPolicy() *Policy {
 				"internal/sweep":    "the one sanctioned home for naked goroutines, sync primitives, and wall-clock reads outside simulated time: jobs are hermetic whole simulations, and the index-ordered merge erases completion order, so host scheduling never reaches an artifact",
 			},
 			"chargeflow": {
-				"internal/via.(Network).open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
+				"internal/via.(Network).Open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
 				"internal/via.(Port).SendOob": "out-of-band management network (Ethernet/TCP bootstrap); bypasses the NIC by design, §ARCHITECTURE 'never for MPI traffic'",
 			},
 			// Sentinel constants (counts, limits) removed from a discovered

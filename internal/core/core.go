@@ -20,8 +20,8 @@
 //     posted before the connection completes are parked in the channel's
 //     FIFO (paper §3.4) and drained in order when it establishes; incoming
 //     requests are discovered by polling inside the progress engine (§3.3,
-//     no extra thread); a receive from MPI_ANY_SOURCE connects to everyone
-//     in the communicator (§3.5).
+//     no extra thread); a receive from MPI_ANY_SOURCE asks for a channel to
+//     everyone in the communicator (§3.5, applied by the MPI layer).
 //
 // The managers only manage connections; eager-buffer setup and the actual
 // draining of parked sends belong to the MPI layer and are reached through
@@ -29,7 +29,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -188,8 +187,6 @@ type Manager interface {
 	Channel(rank int) (*Channel, error)
 	// PeekChannel returns the channel to rank or nil; it never creates.
 	PeekChannel(rank int) *Channel
-	// ConnectAll initiates connections to every rank (the ANY_SOURCE rule).
-	ConnectAll() error
 	// Poll makes connection progress: it adopts incoming requests and
 	// promotes completed handshakes to Up (invoking OnChannelUp). It is
 	// called from the MPI progress engine and must never block.
@@ -200,8 +197,6 @@ type Manager interface {
 	// torn it down (evicted or disconnected); a later Channel(rank) makes
 	// a fresh connection.
 	ReleaseChannel(rank int)
-	// Finalize tears down all channels.
-	Finalize()
 }
 
 // base carries the state shared by all managers. Channel state is sparse:
@@ -445,47 +440,6 @@ func (b *base) progressHandshakes() {
 	}
 }
 
-// connectWithRetry is the blocking client-side connect used by the static
-// client-server policy, with NACK/timeout retry and exponential backoff.
-func (b *base) connectWithRetry(ch *Channel, remote via.Addr, disc uint64) error {
-	p := b.cfg.Port
-	for {
-		ch.remote, ch.disc = remote, disc
-		ch.attempts++
-		if err := p.ConnectPeerRequest(ch.Vi, remote, disc); err != nil {
-			return err
-		}
-		timeout := simnet.Duration(-1)
-		if b.cfg.ConnTimeout > 0 {
-			timeout = b.cfg.ConnTimeout
-		}
-		err := p.ConnectPeerWait(ch.Vi, b.cfg.Mode, timeout)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, via.ErrTimeout):
-			if cerr := p.CancelConnect(ch.Vi); cerr != nil {
-				// The handshake completed while we were timing out.
-				if ch.Vi.State() == via.ViConnected {
-					return nil
-				}
-				return cerr
-			}
-		case errors.Is(err, via.ErrRejected):
-			// Retry below.
-		default:
-			return err
-		}
-		if ch.attempts >= connRetryMax {
-			return fmt.Errorf("core: rank %d→%d connection failed after %d attempts: %w",
-				b.cfg.Rank, ch.Rank, ch.attempts, err)
-		}
-		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnRetry,
-			Rank: int32(b.cfg.Rank), Peer: int32(ch.Rank), A: int64(ch.attempts)})
-		p.Owner().Sleep(backoff(ch.attempts))
-	}
-}
-
 // promoteConnected flips channels whose handshake completed.
 func (b *base) promoteConnected() {
 	if b.pending == 0 {
@@ -500,32 +454,12 @@ func (b *base) promoteConnected() {
 
 func (b *base) PendingConnections() int { return b.pending }
 
-func (b *base) Finalize() {
-	for _, ch := range b.order {
-		if ch.Vi.State() != via.ViClosed {
-			ch.Vi.Close()
-		}
-	}
-}
-
-// waitAllUp blocks until no handshakes remain, polling connection progress.
-func (b *base) waitAllUp(poll func()) {
-	for b.PendingConnections() > 0 {
-		poll()
-		if b.PendingConnections() == 0 {
-			return
-		}
-		b.cfg.Port.WaitActivity(b.cfg.Mode)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Static policies
 
 // static is what the two eager policies share: every channel exists once
-// Init returns, so Channel only looks up, ConnectAll has nothing left to do
-// and Poll only progresses the handshakes Init started. They differ in Init
-// alone.
+// Init returns, so Channel only looks up and Poll only progresses the
+// handshakes Init started. They differ in Init alone.
 type static struct {
 	*base
 	name string
@@ -543,13 +477,22 @@ func (m *static) Channel(rank int) (*Channel, error) {
 	return ch, nil
 }
 
-// ConnectAll implements Manager (a no-op for a static mesh).
-func (m *static) ConnectAll() error { return nil }
-
 // Poll implements Manager.
 func (m *static) Poll() {
 	m.progressHandshakes()
 	m.promoteConnected()
+}
+
+// waitUp polls connection progress until ch is up or, for a nil ch, until no
+// handshake remains. Rejections and timeouts are retried by the poll itself.
+func (m *static) waitUp(ch *Channel) {
+	for {
+		m.Poll()
+		if m.pending == 0 || ch != nil && ch.Up {
+			return
+		}
+		m.cfg.Port.WaitActivity(m.cfg.Mode)
+	}
 }
 
 // StaticPeerToPeer builds the fully-connected mesh with concurrent
@@ -580,7 +523,7 @@ func (m *StaticPeerToPeer) Init() error {
 			return err
 		}
 	}
-	m.waitAllUp(m.Poll)
+	m.waitUp(nil)
 	return nil
 }
 
@@ -609,10 +552,10 @@ func (m *StaticClientServer) Init() error {
 		if err != nil {
 			return err
 		}
-		if err := m.connectWithRetry(ch, m.cfg.Addrs[r], PairDisc(me, r)); err != nil {
+		if err := m.issue(ch, m.cfg.Addrs[r], PairDisc(me, r)); err != nil {
 			return fmt.Errorf("core: rank %d connect to %d: %w", me, r, err)
 		}
-		m.markUp(ch)
+		m.waitUp(ch)
 	}
 	for r := me + 1; r < m.cfg.Size; r++ {
 		req, err := m.cfg.Port.ConnectWaitDisc(PairDisc(me, r), m.cfg.Mode, -1)
@@ -626,15 +569,8 @@ func (m *StaticClientServer) Init() error {
 		if err := m.cfg.Port.Accept(req, ch.Vi); err != nil {
 			return err
 		}
-		for !ch.Up {
-			m.Poll()
-			if ch.Up {
-				break
-			}
-			m.cfg.Port.WaitActivity(m.cfg.Mode)
-		}
+		m.waitUp(ch)
 	}
-	m.waitAllUp(m.Poll)
 	return nil
 }
 
@@ -726,21 +662,6 @@ func (m *OnDemand) Channel(rank int) (*Channel, error) {
 	return ch, nil
 }
 
-// ConnectAll initiates a connection to every rank in the communicator — the
-// MPI_ANY_SOURCE rule (§3.5): the receiver must be reachable by whichever
-// sender matches.
-func (m *OnDemand) ConnectAll() error {
-	for r := 0; r < m.cfg.Size; r++ {
-		if r == m.cfg.Rank {
-			continue
-		}
-		if _, err := m.Channel(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Poll adopts incoming connection requests (creating the local VI and
 // issuing the matching peer request) and promotes completed handshakes.
 // It runs inside the MPI progress engine: a connection request is just
@@ -807,15 +728,4 @@ func NewManager(policy string, cfg Config) (Manager, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown connection policy %q", policy)
 	}
-}
-
-// Policies lists the available connection policies.
-func Policies() []string { return []string{"static-cs", "static-p2p", "ondemand"} }
-
-// InitTimer measures the virtual time spent in a manager's Init — the
-// quantity plotted in Figure 8.
-func InitTimer(p *simnet.Proc, m Manager) (simnet.Duration, error) {
-	start := p.Now()
-	err := m.Init()
-	return p.Now().Sub(start), err
 }

@@ -45,6 +45,9 @@ func runRanks(t *testing.T, n int, cost via.CostModel,
 	return net
 }
 
+// policies names the three connection policies NewManager builds.
+var policies = []string{"static-cs", "static-p2p", "ondemand"}
+
 func managerConfig(rank, n int, port *via.Port, addrs []via.Addr) Config {
 	return Config{Rank: rank, Size: n, Port: port, Addrs: addrs, Mode: via.WaitPoll}
 }
@@ -108,10 +111,13 @@ func TestStaticClientServerFullMesh(t *testing.T) { testStaticFullMesh(t, "stati
 func TestOnDemandInitCreatesNothing(t *testing.T) {
 	const n = 4
 	net := runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
-		mgr, err := NewOnDemand(managerConfig(rank, n, port, addrs))
+		mgr, err := NewManager("ondemand", managerConfig(rank, n, port, addrs))
 		if err != nil {
 			t.Error(err)
 			return
+		}
+		if mgr.Name() != "ondemand" {
+			t.Errorf("name = %q", mgr.Name())
 		}
 		if err := mgr.Init(); err != nil {
 			t.Error(err)
@@ -271,32 +277,6 @@ func TestOnDemandPassivePrepareBeforeData(t *testing.T) {
 	}
 }
 
-func TestOnDemandConnectAll(t *testing.T) {
-	const n = 5
-	runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
-		cfg := managerConfig(rank, n, port, addrs)
-		mgr, err := NewOnDemand(cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := mgr.ConnectAll(); err != nil {
-			t.Error(err)
-			return
-		}
-		for mgr.PendingConnections() > 0 {
-			mgr.Poll()
-			if mgr.PendingConnections() == 0 {
-				break
-			}
-			port.WaitActivity(via.WaitPoll)
-		}
-		if got := port.Stats().VisCreated; got != n-1 {
-			t.Errorf("rank %d: VisCreated = %d, want %d", rank, got, n-1)
-		}
-	})
-}
-
 // TestOnDemandRingUsesTwoVIs is the Table 2 "Ring" row: a ring exchange
 // under on-demand creates exactly 2 VIs per process.
 func TestOnDemandRingUsesTwoVIs(t *testing.T) {
@@ -364,7 +344,7 @@ func TestOnDemandRingUsesTwoVIs(t *testing.T) {
 func TestInitTimeOrdering(t *testing.T) {
 	const n = 8
 	times := map[string]simnet.Duration{}
-	for _, policy := range Policies() {
+	for _, policy := range policies {
 		policy := policy
 		var max simnet.Duration
 		runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
@@ -373,12 +353,12 @@ func TestInitTimeOrdering(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			d, err := InitTimer(p, mgr)
-			if err != nil {
+			start := p.Now()
+			if err := mgr.Init(); err != nil {
 				t.Errorf("%s rank %d: %v", policy, rank, err)
 				return
 			}
-			if d > max {
+			if d := p.Now().Sub(start); d > max {
 				max = d
 			}
 			p.Sleep(simnet.Second) // keep port alive for stragglers
@@ -393,47 +373,6 @@ func TestInitTimeOrdering(t *testing.T) {
 	}
 }
 
-func TestManagerNamesAndFinalize(t *testing.T) {
-	const n = 4
-	want := map[string]bool{"static-cs": true, "static-p2p": true, "ondemand": true}
-	runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
-		for _, policy := range Policies() {
-			if !want[policy] {
-				t.Errorf("unexpected policy %q", policy)
-			}
-		}
-		mgr, err := NewManager("ondemand", managerConfig(rank, n, port, addrs))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if mgr.Name() != "ondemand" {
-			t.Errorf("name = %q", mgr.Name())
-		}
-		if err := mgr.ConnectAll(); err != nil {
-			t.Error(err)
-			return
-		}
-		for mgr.PendingConnections() > 0 {
-			mgr.Poll()
-			if mgr.PendingConnections() == 0 {
-				break
-			}
-			port.WaitActivity(via.WaitPoll)
-		}
-		p.Sleep(simnet.D(2e6)) // let remote handshakes finish before teardown
-		mgr.Finalize()
-		for r := 0; r < n; r++ {
-			if r == rank {
-				continue
-			}
-			if ch := mgr.PeekChannel(r); ch == nil || ch.Vi.State() != via.ViClosed {
-				t.Errorf("rank %d channel to %d not closed after Finalize", rank, r)
-			}
-		}
-	})
-}
-
 func TestStaticManagerNames(t *testing.T) {
 	const n = 2
 	runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
@@ -442,7 +381,7 @@ func TestStaticManagerNames(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if cs.Name() != "static-cs" || cs.ConnectAll() != nil {
+		if cs.Name() != "static-cs" {
 			t.Error("static-cs surface")
 		}
 		p2p, err := NewStaticPeerToPeer(managerConfig(rank, n, port, addrs))
@@ -450,7 +389,7 @@ func TestStaticManagerNames(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if p2p.Name() != "static-p2p" || p2p.ConnectAll() != nil {
+		if p2p.Name() != "static-p2p" {
 			t.Error("static-p2p surface")
 		}
 	})
@@ -581,7 +520,7 @@ func baseOf(t *testing.T, m Manager) *base {
 // handshake scans must have nothing left to find.
 func TestPendingCountMatchesScan(t *testing.T) {
 	const n = 5
-	for _, policy := range Policies() {
+	for _, policy := range policies {
 		checks := 0
 		runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
 			var b *base
@@ -609,11 +548,21 @@ func TestPendingCountMatchesScan(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := mgr.ConnectAll(); err != nil {
-				t.Error(err)
-				return
+			for r := 0; r < n; r++ {
+				if r == rank {
+					continue
+				}
+				if _, err := mgr.Channel(r); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			b.waitAllUp(mgr.Poll)
+			for mgr.PendingConnections() > 0 {
+				mgr.Poll()
+				if mgr.PendingConnections() > 0 {
+					port.WaitActivity(via.WaitPoll)
+				}
+			}
 			check(nil)
 			// Releasing a channel that is up leaves the count alone; one
 			// released before it came up leaves the count with it.

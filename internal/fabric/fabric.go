@@ -130,30 +130,11 @@ func (c *Cluster) Sim() *simnet.Sim { return c.sim }
 // placement: slot i lands on node i/ProcsPerNode) and returns its id.
 // handler is invoked in scheduler context each time a frame arrives.
 func (c *Cluster) Attach(handler Handler) (int, error) {
-	return c.AttachNode(len(c.eps)/c.cfg.ProcsPerNode, handler)
-}
-
-// AttachNode creates a new endpoint pinned to a specific node — the hook
-// for placement policies other than block (e.g. round-robin). Nodes are
-// capacity-checked against ProcsPerNode.
-func (c *Cluster) AttachNode(node int, handler Handler) (int, error) {
 	id := len(c.eps)
 	if id >= c.cfg.MaxProcs() {
 		return -1, fmt.Errorf("fabric: cluster full (%d slots)", c.cfg.MaxProcs())
 	}
-	if node < 0 || node >= c.cfg.Nodes {
-		return -1, fmt.Errorf("fabric: node %d of %d", node, c.cfg.Nodes)
-	}
-	used := 0
-	for _, ep := range c.eps {
-		if ep.node == node {
-			used++
-		}
-	}
-	if used >= c.cfg.ProcsPerNode {
-		return -1, fmt.Errorf("fabric: node %d full (%d slots)", node, c.cfg.ProcsPerNode)
-	}
-	c.eps = append(c.eps, &endpoint{id: id, node: node, handler: handler})
+	c.eps = append(c.eps, &endpoint{id: id, node: id / c.cfg.ProcsPerNode, handler: handler})
 	return id, nil
 }
 

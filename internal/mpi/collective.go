@@ -3,109 +3,37 @@ package mpi
 import "fmt"
 
 // Collective operations, implemented with the MPICH-1.2-era algorithms the
-// paper's MVICH used: binomial trees for barrier/bcast/reduce,
-// reduce+bcast for allreduce, gather+bcast for allgather, and pairwise
-// linear exchange for alltoall. All collective traffic runs in the
+// paper's MVICH used: recursive doubling for barrier and allreduce, binomial
+// trees for bcast/reduce, recursive doubling or gather+bcast for allgather,
+// and pairwise linear exchange for alltoall. All collective traffic runs in the
 // communicator's hidden collective context, so it can never match user
 // point-to-point receives.
 
 // Internal tags distinguishing collective operations. Each gets a spaced
 // range because recursive doubling uses tag, tag+1 and tag+2 internally.
 const (
-	tagBarrierUp     = 10
-	tagAllreduce     = 20
-	tagBcast         = 30
-	tagReduce        = 40
-	tagGather        = 50
-	tagScatter       = 60
-	tagAllgather     = 70
-	tagAlltoall      = 80
-	tagScan          = 90
-	tagDissemination = 300 // one tag per dissemination round
+	tagBarrierUp = 10
+	tagAllreduce = 20
+	tagBcast     = 30
+	tagReduce    = 40
+	tagGather    = 50
+	tagScatter   = 60
+	tagAllgather = 70
+	tagAlltoall  = 80
+	tagScan      = 90
 )
 
 // Barrier blocks until every rank in the communicator has entered it.
 //
-// The default algorithm is recursive doubling over the hypercube (partner =
-// rank XOR 2^k), with non-power-of-2 stragglers folded onto the power-of-2
-// core — matching the log2(N) partner counts the paper's Table 2 measures
-// for MVICH's barrier (4 at 16 processes, 5 at 32) and the extra steps at
+// The algorithm is recursive doubling over the hypercube (partner = rank XOR
+// 2^k), with non-power-of-2 stragglers folded onto the power-of-2 core —
+// matching the log2(N) partner counts the paper's Table 2 measures for
+// MVICH's barrier (4 at 16 processes, 5 at 32) and the extra steps at
 // non-power-of-2 sizes that cause the fluctuation under Figure 4.
-// Config.BarrierAlg selects "dissemination" (log rounds, 2*log partners) or
-// "tree" (binomial combine + broadcast, ~2 partners) for the connection-
-// footprint ablation.
 func (c *Comm) Barrier() error {
 	defer c.r.prof.enter("Barrier")()
-	switch c.r.cfg.BarrierAlg {
-	case "", "rd":
-		token := make([]byte, 8)
-		return c.recursiveDoubling(token, BorI64, tagBarrierUp)
-	case "dissemination":
-		return c.disseminationBarrier()
-	case "tree":
-		return c.treeBarrier()
-	default:
-		return fmt.Errorf("mpi: unknown barrier algorithm %q", c.r.cfg.BarrierAlg)
-	}
-}
-
-// disseminationBarrier: in round k every rank signals (rank+2^k) mod N and
-// waits for (rank-2^k) mod N. Works for any N in ceil(log2 N) rounds, at
-// the cost of up to 2*log distinct partners.
-func (c *Comm) disseminationBarrier() error {
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	me := c.myrank
-	token := make([]byte, 1)
-	in := make([]byte, 1)
-	round := 0
-	for mask := 1; mask < n; mask <<= 1 {
-		to := (me + mask) % n
-		from := (me - mask + n) % n
-		tag := tagDissemination + round
-		sq, err := c.isendCtx(ModeStandard, to, tag, token, c.cctx)
-		if err != nil {
-			return err
-		}
-		rq, err := c.irecvCtx(in, from, tag, c.cctx)
-		if err != nil {
-			return err
-		}
-		if _, err := c.r.waitPair(sq, rq); err != nil {
-			return err
-		}
-		round++
-	}
-	return nil
-}
-
-// treeBarrier: binomial combine to rank 0 followed by a binomial broadcast.
-// Cheapest in connections (each rank talks only to its tree parent and
-// children) but deepest in latency — the other end of the ablation axis.
-func (c *Comm) treeBarrier() error {
-	n := c.Size()
-	if n == 1 {
-		return nil
-	}
-	me := c.myrank
-	token := make([]byte, 1)
-	in := make([]byte, 1)
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			if err := c.csend(me-mask, tagBarrierUp, token); err != nil {
-				return err
-			}
-			break
-		}
-		if me+mask < n {
-			if _, err := c.crecv(in, me+mask, tagBarrierUp); err != nil {
-				return err
-			}
-		}
-	}
-	return c.bcastCtx(token, 0, tagBarrierUp+1)
+	token := make([]byte, 8)
+	return c.recursiveDoubling(token, BorI64, tagBarrierUp)
 }
 
 // recursiveDoubling runs the fold + XOR-exchange + unfold pattern shared by
@@ -225,29 +153,16 @@ func (c *Comm) Reduce(sendbuf, recvbuf []byte, op Op, root int) error {
 	return nil
 }
 
-// Allreduce combines every rank's sendbuf into recvbuf on all ranks. The
-// default is recursive doubling — the log2(N)-partner pattern whose
-// per-rank VI counts the paper's Table 2 measures for MVICH (4 at 16
-// processes, 5 at 32). Config.AllreduceAlg selects "reduce-bcast" (binomial
-// reduce to rank 0 plus broadcast — fewer connections, higher latency) for
-// the ablation.
+// Allreduce combines every rank's sendbuf into recvbuf on all ranks by
+// recursive doubling — the log2(N)-partner pattern whose per-rank VI counts
+// the paper's Table 2 measures for MVICH (4 at 16 processes, 5 at 32).
 func (c *Comm) Allreduce(sendbuf, recvbuf []byte, op Op) error {
 	defer c.r.prof.enter("Allreduce")()
 	if len(recvbuf) < len(sendbuf) {
 		return fmt.Errorf("mpi: Allreduce recvbuf %d < sendbuf %d", len(recvbuf), len(sendbuf))
 	}
-	switch c.r.cfg.AllreduceAlg {
-	case "", "rd":
-		copy(recvbuf, sendbuf)
-		return c.recursiveDoubling(recvbuf[:len(sendbuf)], op, tagAllreduce)
-	case "reduce-bcast":
-		if err := c.Reduce(sendbuf, recvbuf, op, 0); err != nil {
-			return err
-		}
-		return c.Bcast(recvbuf[:len(sendbuf)], 0)
-	default:
-		return fmt.Errorf("mpi: unknown allreduce algorithm %q", c.r.cfg.AllreduceAlg)
-	}
+	copy(recvbuf, sendbuf)
+	return c.recursiveDoubling(recvbuf[:len(sendbuf)], op, tagAllreduce)
 }
 
 // AllreduceF64 is a convenience wrapper reducing float64 slices.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"viampi/internal/obs"
@@ -222,5 +223,32 @@ func TestFaultRetrySucceeds(t *testing.T) {
 	}
 	if reg.Counter("conn.retries") == 0 {
 		t.Error("no retries recorded: establishment should have needed at least one")
+	}
+}
+
+// TestFaultRetryExhaustion pins the other end of the retry path: with both
+// endpoints refusing every connection for the whole run, each policy spends
+// its attempt budget and fails the run loudly, naming the budget, instead of
+// hanging or stranding parked sends silently.
+func TestFaultRetryExhaustion(t *testing.T) {
+	const deadline = 120 * simnet.Second
+	for _, pol := range []string{"static-cs", "static-p2p", "ondemand"} {
+		plan := &via.FaultPlan{Unavailable: []via.FaultWindow{
+			{Ep: 0, From: 0, To: simnet.Time(deadline)},
+			{Ep: 1, From: 0, To: simnet.Time(deadline)},
+		}}
+		cfg := Config{Procs: 2, Policy: pol, Faults: plan, Deadline: deadline, Seed: 1}
+		_, err := Run(cfg, func(r *Rank) {
+			// The run fails inside these calls: neither returns.
+			c := r.World()
+			if r.Rank() == 0 {
+				c.Send(1, 0, []byte{1})
+			} else {
+				c.Recv(make([]byte, 1), 0, 0)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "8 attempts") {
+			t.Errorf("%s: err = %v, want the run to fail after 8 attempts", pol, err)
+		}
 	}
 }

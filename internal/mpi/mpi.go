@@ -33,19 +33,10 @@ type Config struct {
 
 	// Device selects the VIA personality: "clan" (default), "bvia" or "ib".
 	Device string
-	// ProcsPerNode sets process placement; 0 defaults to 4 on clan (the
-	// paper's quad-CPU nodes) and 1 on bvia (its Berkeley VIA limitation).
-	ProcsPerNode int
 
 	// Policy selects connection management: "static-cs", "static-p2p" or
 	// "ondemand" (default).
 	Policy string
-
-	// Placement maps ranks onto nodes: "block" (default — ranks 0..p-1 on
-	// node 0, the usual mpirun behaviour) or "roundrobin" (rank r on node
-	// r mod nodes — neighbours land on different nodes, trading loopback
-	// for wire traffic).
-	Placement string
 
 	// WaitMode selects polling (default) or spinwait completion.
 	WaitMode via.WaitMode
@@ -61,13 +52,10 @@ type Config struct {
 	// DynamicCredits implements the paper's stated future work (§6):
 	// "combination of on-demand connection establishment and dynamic
 	// flow-control on each VI connection". Each channel starts with
-	// InitialCredits pre-posted buffers and doubles its pool toward
+	// initialCredits pre-posted buffers and doubles its pool toward
 	// CreditCount as traffic warrants, so the pinned footprint tracks
 	// per-peer traffic instead of the worst case.
 	DynamicCredits bool
-	// InitialCredits is the starting pool size under DynamicCredits
-	// (default 4, the minimum the credit-reservation rule needs).
-	InitialCredits int
 
 	// MaxVIs caps the VI connections each rank keeps live (0 = unlimited,
 	// the paper's behaviour). Only meaningful under the "ondemand" policy:
@@ -78,12 +66,9 @@ type Config struct {
 
 	// Faults injects deterministic connection-establishment faults (drops,
 	// delays, NACKs, unavailability windows); see via.FaultPlan. Setting it
-	// defaults ConnTimeout to 2 ms so dropped requests are retried.
+	// bounds each connection attempt (connTimeout), so dropped requests are
+	// retried.
 	Faults *via.FaultPlan
-	// ConnTimeout bounds one connection attempt before it is cancelled and
-	// retried with backoff; 0 arms no timers (the default — timing-neutral
-	// for fault-free runs).
-	ConnTimeout simnet.Duration
 
 	Seed     int64
 	Deadline simnet.Duration // abort guard on virtual time; 0 = none
@@ -108,24 +93,31 @@ type Config struct {
 	// instrumentation at zero per-event cost.
 	Obs *obs.Bus
 
-	// BarrierAlg selects the barrier algorithm: "rd" (default, recursive
-	// doubling), "dissemination", or "tree" (binomial combine+broadcast).
-	// AllreduceAlg selects "rd" (default) or "reduce-bcast". These exist
-	// for the connection-footprint vs. latency ablation.
-	BarrierAlg   string
-	AllreduceAlg string
-
 	cost via.CostModel // resolved by normalize
 }
+
+// initialCredits is the starting pool size under DynamicCredits: the minimum
+// the credit-reservation rule needs, and so the smallest CreditCount allowed.
+const initialCredits = 4
 
 func (c *Config) eagerBufSize() int { return hdrSize + c.EagerThreshold }
 
 // initialPool is the number of receive buffers a new channel pre-posts.
 func (c *Config) initialPool() int {
 	if c.DynamicCredits {
-		return c.InitialCredits
+		return initialCredits
 	}
 	return c.CreditCount
+}
+
+// connTimeout bounds one connection attempt before it is cancelled and
+// retried with backoff. Only a fault plan arms it: a fault-free run sets no
+// timers, so its timing is what the paper's mechanism alone gives.
+func (c *Config) connTimeout() simnet.Duration {
+	if c.Faults != nil {
+		return 2 * simnet.Millisecond
+	}
+	return 0
 }
 
 // normalize applies defaults and resolves the device profile.
@@ -145,15 +137,8 @@ func (c *Config) normalize() (fabric.Config, error) {
 	if c.CreditCount == 0 {
 		c.CreditCount = 24
 	}
-	if c.CreditCount < 4 {
-		return fabric.Config{}, fmt.Errorf("mpi: CreditCount %d too small (min 4)", c.CreditCount)
-	}
-	if c.InitialCredits == 0 {
-		c.InitialCredits = 4
-	}
-	if c.DynamicCredits && (c.InitialCredits < 4 || c.InitialCredits > c.CreditCount) {
-		return fabric.Config{}, fmt.Errorf("mpi: InitialCredits %d outside [4, CreditCount=%d]",
-			c.InitialCredits, c.CreditCount)
+	if c.CreditCount < initialCredits {
+		return fabric.Config{}, fmt.Errorf("mpi: CreditCount %d too small (min %d)", c.CreditCount, initialCredits)
 	}
 	if c.MaxVIs < 0 {
 		return fabric.Config{}, fmt.Errorf("mpi: MaxVIs must be non-negative, got %d", c.MaxVIs)
@@ -161,36 +146,24 @@ func (c *Config) normalize() (fabric.Config, error) {
 	if c.MaxVIs != 0 && c.Policy != "ondemand" {
 		return fabric.Config{}, fmt.Errorf("mpi: MaxVIs requires the ondemand policy, got %q", c.Policy)
 	}
-	if c.Faults != nil && c.ConnTimeout == 0 {
-		c.ConnTimeout = 2 * simnet.Millisecond
+	// Ranks fill nodes in block order: four to a node, the paper's quad-CPU
+	// PowerEdges, except on Berkeley VIA, whose limitation is one process
+	// per node (the paper's Fig 7 and Table 3 runs).
+	ppn := 4
+	if c.Device == "bvia" {
+		ppn = 1
 	}
+	nodes := (c.Procs + ppn - 1) / ppn
 	var fcfg fabric.Config
-	switch c.Placement {
-	case "", "block", "roundrobin":
-	default:
-		return fabric.Config{}, fmt.Errorf("mpi: unknown placement %q", c.Placement)
-	}
 	switch c.Device {
 	case "clan":
-		if c.ProcsPerNode == 0 {
-			c.ProcsPerNode = 4
-		}
-		nodes := (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode
-		fcfg = via.ClanFabric(nodes, c.ProcsPerNode)
+		fcfg = via.ClanFabric(nodes, ppn)
 		c.cost = via.ClanCost()
 	case "bvia":
-		if c.ProcsPerNode == 0 {
-			c.ProcsPerNode = 1
-		}
-		nodes := (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode
-		fcfg = via.BviaFabric(nodes, c.ProcsPerNode)
+		fcfg = via.BviaFabric(nodes, ppn)
 		c.cost = via.BviaCost()
 	case "ib":
-		if c.ProcsPerNode == 0 {
-			c.ProcsPerNode = 4
-		}
-		nodes := (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode
-		fcfg = via.IbFabric(nodes, c.ProcsPerNode)
+		fcfg = via.IbFabric(nodes, ppn)
 		c.cost = via.IbCost()
 	default:
 		return fabric.Config{}, fmt.Errorf("mpi: unknown device %q", c.Device)
@@ -314,13 +287,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		sim.Spawn(fmt.Sprintf("rank%d", i), 0, func(p *simnet.Proc) {
-			var port *via.Port
-			var err error
-			if cfg.Placement == "roundrobin" {
-				port, err = net.OpenOnNode(p, i%fcfg.Nodes)
-			} else {
-				port, err = net.Open(p)
-			}
+			port, err := net.Open(p)
 			if err != nil {
 				sim.Failf("mpi: rank %d open: %v", i, err)
 				return
@@ -380,7 +347,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				MaxVIs:         cfg.MaxVIs,
 				CanEvict:       r.canEvict,
 				StartEvict:     r.startEvict,
-				ConnTimeout:    cfg.ConnTimeout,
+				ConnTimeout:    cfg.connTimeout(),
 			}
 			mgr, err := core.NewManager(cfg.Policy, mcfg)
 			if err != nil {

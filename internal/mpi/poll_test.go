@@ -175,7 +175,7 @@ func flowWorlds(t *testing.T) {
 			}
 		}},
 		{"pool grows mid-burst", Config{Procs: 2, Policy: "ondemand", CreditCount: 32, DynamicCredits: true}, func(cs *chanState) bool {
-			return cs.posted > 4 && cs.posted < 32 // past InitialCredits, short of CreditCount
+			return cs.posted > 4 && cs.posted < 32 // past initialCredits, short of CreditCount
 		}, func(r *Rank) {
 			hello(r, 1-r.Rank())
 			if r.Rank() == 0 {

@@ -291,7 +291,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 					}
 				}
 				nacked = nacked || evicting[vi] && !cs.closing
-				grew = grew || cs.posted > r.cfg.InitialCredits && r.cfg.DynamicCredits
+				grew = grew || cs.posted > initialCredits && r.cfg.DynamicCredits
 			}
 			for _, u := range r.umq {
 				if u.h.kind != pktEager {

@@ -67,20 +67,10 @@ func (n *Network) Cluster() *fabric.Cluster { return n.cluster }
 // Ports returns all opened ports in open order.
 func (n *Network) Ports() []*Port { return n.ports }
 
-// Open attaches a new port (one per process) owned by proc, using block
-// placement. The owner is the only process that may invoke blocking
+// Open attaches a new port (one per process) owned by proc, on the next free
+// process slot. The owner is the only process that may invoke blocking
 // operations on the port.
 func (n *Network) Open(owner *simnet.Proc) (*Port, error) {
-	return n.open(owner, -1)
-}
-
-// OpenOnNode attaches a new port pinned to a specific node — the hook for
-// non-block placement policies.
-func (n *Network) OpenOnNode(owner *simnet.Proc, node int) (*Port, error) {
-	return n.open(owner, node)
-}
-
-func (n *Network) open(owner *simnet.Proc, node int) (*Port, error) {
 	p := &Port{
 		net:         n,
 		owner:       owner,
@@ -88,13 +78,7 @@ func (n *Network) open(owner *simnet.Proc, node int) (*Port, error) {
 		outgoing:    make(map[connKey]*VI),
 		rdmaTargets: make(map[uint64][]byte),
 	}
-	var ep int
-	var err error
-	if node < 0 {
-		ep, err = n.cluster.Attach(p.handleFrame)
-	} else {
-		ep, err = n.cluster.AttachNode(node, p.handleFrame)
-	}
+	ep, err := n.cluster.Attach(p.handleFrame)
 	if err != nil {
 		return nil, err
 	}
