@@ -108,7 +108,7 @@ func BenchmarkAblation_CreditCount(b *testing.B) {
 				w, err := mpi.Run(cfg, func(r *mpi.Rank) {
 					c := r.World()
 					if r.Rank() == 0 {
-						var reqs []*mpi.Request
+						var reqs []mpi.Request
 						for i := 0; i < 100; i++ {
 							q, err := c.Isend(1, 0, make([]byte, 256))
 							if err != nil {

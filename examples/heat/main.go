@@ -83,7 +83,7 @@ func main() {
 				if dst < 0 && src < 0 {
 					return
 				}
-				var reqs []*mpi.Request
+				var reqs []mpi.Request
 				if src >= 0 {
 					rq, err := c.Irecv(in, src, tag)
 					if err != nil {

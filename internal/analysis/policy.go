@@ -260,11 +260,13 @@ func DefaultPolicy() *Policy {
 		HotRoots: map[string]string{
 			"internal/mpi.(Comm).Send":     "the message path, send side: every hop below it is a recycled object that is its own event, so a steady-state eager message allocates nothing (BenchmarkEagerRoundTrip)",
 			"internal/mpi.(Comm).Recv":     "the message path, receive side, and through Wait the blocking-wait loop",
+			"internal/mpi.(Comm).Isend":    "the user's nonblocking send: its request comes off the rank's free list and goes back from the wait that completes it, as a blocking call's does",
+			"internal/mpi.(Comm).Irecv":    "the user's nonblocking receive, recycled as Isend's (NPB MG's halo: two of each, then Waitall)",
 			"internal/mpi.(Rank).progress": "MPID_DeviceCheck, entered on every MPI call: an allocation under it scales with poll count, not traffic; the connection managers' Poll hangs off it",
 			// Persistent communication: an iterative code restarts the same
 			// templates every iteration (NPB SP's face exchange).
-			"internal/mpi.(PersistentRequest).Start": "MPI_Start: every activation runs on the template's own request, so a restart allocates nothing",
-			"internal/mpi.(Rank).WaitallPersistent":  "the wait that ends each round of Starts: the requests go in the rank's one list, not a slice per call",
+			"internal/mpi.(PersistentRequest).Start": "MPI_Start: an activation's request comes off the rank's free list, as Isend's and Irecv's do, so a restart allocates nothing",
+			"internal/mpi.(Rank).WaitallPersistent":  "the wait that ends each round of Starts and gives every activation's request back: the handles go in the rank's one list, not a slice per call",
 			// Bodies nothing calls by name: handed over as function values.
 			"internal/via.(Port).handleFrame":       "fabric delivery callback, once per frame",
 			"internal/mpi.(Rank).prepareChannel":    "the connection path's hook: what a channel builds comes off free lists, so a reconnect allocates the two VI endpoints and nothing else (BenchmarkReconnectCycle)",
@@ -283,7 +285,7 @@ func DefaultPolicy() *Policy {
 		},
 		ColdCalls: map[string]bool{
 			"internal/simnet.(Sim).Failf":            true, // records a failure and kills the run
-			"internal/mpi.(Request).failf":           true, // fails the request
+			"internal/mpi.(request).failf":           true, // fails the request
 			"internal/via.(VI).badState":             true, // builds ErrBadState
 			"internal/fabric.(Cluster).badEndpoints": true, // panics
 			"internal/core.(base).reserve":           true, // a static manager's slabs, once at Init

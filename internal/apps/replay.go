@@ -36,7 +36,7 @@ func ReplayMain(p Pattern, rounds, msgBytes int) func(r *mpi.Rank) {
 		}
 		out := make([]byte, msgBytes)
 		for round := 0; round < rounds; round++ {
-			reqs := make([]*mpi.Request, 0, len(dests)+len(sources))
+			reqs := make([]mpi.Request, 0, len(dests)+len(sources))
 			for _, s := range sources {
 				in := make([]byte, msgBytes)
 				rq, err := c.Irecv(in, s, round)

@@ -149,7 +149,7 @@ func Bandwidth(device string, mech Mechanism, size, iters int, seed int64) (floa
 				return
 			}
 			start := r.Proc().Now()
-			reqs := make([]*mpi.Request, 0, window)
+			reqs := make([]mpi.Request, 0, window)
 			for i := 0; i < iters; i++ {
 				q, err := c.Isend(1, 1, out)
 				if err != nil {

@@ -28,14 +28,15 @@ func TestAblationSendFifoRequired(t *testing.T) {
 		}
 	}
 
-	broken := Config{Procs: 2, Policy: "ondemand", Deadline: 5 * simnet.Second,
-		UnsafeNoSendFifo: true}
-	if _, err := Run(broken, program); err == nil {
+	cfg := Config{Procs: 2, Policy: "ondemand", Deadline: 5 * simnet.Second}
+	newRankHook = func(r *Rank) { r.noSendFifo = true }
+	_, err := Run(cfg, program)
+	newRankHook = nil
+	if err == nil {
 		t.Fatal("without the send FIFO the message must be lost and the run must fail")
 	}
 
-	working := Config{Procs: 2, Policy: "ondemand", Deadline: 5 * simnet.Second}
-	w, err := Run(working, program)
+	w, err := Run(cfg, program)
 	if err != nil {
 		t.Fatalf("with the FIFO the same program must succeed: %v", err)
 	}

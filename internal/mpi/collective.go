@@ -57,11 +57,10 @@ func (c *Comm) recursiveDoubling(buf []byte, op Op, tag int) error {
 			return err
 		}
 		// Wait for the final result.
-		_, err := c.crecv(buf, me-p2, tag+1)
-		return err
+		return c.crecv(buf, me-p2, tag+1)
 	}
 	if me < rem {
-		if _, err := c.crecv(tmp, me+p2, tag); err != nil {
+		if err := c.crecv(tmp, me+p2, tag); err != nil {
 			return err
 		}
 		op.Combine(buf, tmp)
@@ -100,7 +99,7 @@ func (c *Comm) bcastCtx(buf []byte, root, tag int) error {
 	for mask < n {
 		if relative&mask != 0 {
 			src := (relative - mask + root) % n
-			if _, err := c.crecv(buf, (src+n)%n, tag); err != nil {
+			if err := c.crecv(buf, (src+n)%n, tag); err != nil {
 				return err
 			}
 			break
@@ -141,7 +140,7 @@ func (c *Comm) Reduce(sendbuf, recvbuf []byte, op Op, root int) error {
 		}
 		if relative+mask < n {
 			src := (relative + mask + root) % n
-			if _, err := c.crecv(tmp, src, tagReduce); err != nil {
+			if err := c.crecv(tmp, src, tagReduce); err != nil {
 				return err
 			}
 			op.Combine(accum, tmp)
@@ -209,7 +208,7 @@ func (c *Comm) Gather(sendbuf, recvbuf []byte, root int) error {
 		}
 		reqs = append(reqs, req)
 	}
-	return c.r.waitOwned(reqs)
+	return c.r.Waitall(reqs...)
 }
 
 // Scatter distributes equal-size chunks of sendbuf at root to every rank's
@@ -219,8 +218,7 @@ func (c *Comm) Scatter(sendbuf, recvbuf []byte, root int) error {
 	n := c.Size()
 	sz := len(recvbuf)
 	if c.myrank != root {
-		_, err := c.crecv(recvbuf, root, tagScatter)
-		return err
+		return c.crecv(recvbuf, root, tagScatter)
 	}
 	if len(sendbuf) < n*sz {
 		return fmt.Errorf("mpi: Scatter sendbuf %d < %d", len(sendbuf), n*sz)
@@ -323,7 +321,7 @@ func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 		}
 		reqs = append(reqs, req)
 	}
-	return c.r.waitOwned(reqs)
+	return c.r.Waitall(reqs...)
 }
 
 // Scan computes the inclusive prefix reduction: rank i's recvbuf holds the
@@ -333,7 +331,7 @@ func (c *Comm) Scan(sendbuf, recvbuf []byte, op Op) error {
 	copy(recvbuf, sendbuf)
 	if c.myrank > 0 {
 		tmp := make([]byte, len(sendbuf))
-		if _, err := c.crecv(tmp, c.myrank-1, tagScan); err != nil {
+		if err := c.crecv(tmp, c.myrank-1, tagScan); err != nil {
 			return err
 		}
 		// Combine with the prefix from the left: result = prefix op mine.
@@ -365,23 +363,16 @@ func (c *Comm) csend(dst, tag int, data []byte) error {
 // csendrecv is a blocking collective-context symmetric exchange with one
 // partner: send out, receive into in, same tag.
 func (c *Comm) csendrecv(partner, tag int, out, in []byte) error {
-	sq, err := c.isendCtx(ModeStandard, partner, tag, out, c.cctx)
-	if err != nil {
-		return err
-	}
-	rq, err := c.irecvCtx(in, partner, tag, c.cctx)
-	if err != nil {
-		return err
-	}
-	_, err = c.r.waitPair(sq, rq)
+	_, err := c.sendrecv(partner, tag, out, partner, tag, in, c.cctx)
 	return err
 }
 
 // crecv is a blocking collective-context receive.
-func (c *Comm) crecv(buf []byte, src, tag int) (Status, error) {
-	req, err := c.irecvCtx(buf, src, tag, c.cctx)
+func (c *Comm) crecv(buf []byte, src, tag int) error {
+	h, err := c.irecvCtx(buf, src, tag, c.cctx)
 	if err != nil {
-		return Status{}, err
+		return err
 	}
-	return c.r.reclaim(req, c.r.Wait(req))
+	_, err = c.r.Wait(h)
+	return err
 }

@@ -19,7 +19,7 @@ func TestDynamicCreditsCorrectness(t *testing.T) {
 	runWorld(t, dynCfg(), func(r *Rank) {
 		c := r.World()
 		other := 1 - r.Rank()
-		var reqs []*Request
+		var reqs []Request
 		for i := 0; i < n; i++ {
 			q, err := c.Isend(other, 0, []byte{byte(i), byte(i >> 8)})
 			if err != nil {
@@ -62,7 +62,7 @@ func TestDynamicCreditsPinnedFootprint(t *testing.T) {
 	heavy := func(r *Rank) {
 		c := r.World()
 		other := 1 - r.Rank()
-		var reqs []*Request
+		var reqs []Request
 		for i := 0; i < 300; i++ {
 			q, err := c.Isend(other, 0, []byte{1})
 			if err != nil {
@@ -120,7 +120,7 @@ func TestDynamicCreditsThroughputConverges(t *testing.T) {
 					}
 				}
 				start := r.Proc().Now()
-				var reqs []*Request
+				var reqs []Request
 				for i := 0; i < n; i++ {
 					q, err := c.Isend(1, 0, make([]byte, 1024))
 					if err != nil {

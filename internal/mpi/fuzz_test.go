@@ -37,7 +37,7 @@ func FuzzMatching(f *testing.F) {
 	f.Add(int32(0), int32(0), int32(0), 0, 0, int32(0))
 	f.Add(int32(3), int32(7), int32(1), -1, -1, int32(1))
 	f.Fuzz(func(t *testing.T, src, tag, ctx int32, wantSrc, wantTag int, wantCtx int32) {
-		req := &Request{src: wantSrc, tag: wantTag, ctx: wantCtx}
+		req := &request{src: wantSrc, tag: wantTag, ctx: wantCtx}
 		h := hdr{srcRank: src, tag: tag, ctx: ctx}
 		got := matches(req, h)
 		want := ctx == wantCtx &&

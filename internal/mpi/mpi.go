@@ -73,13 +73,6 @@ type Config struct {
 	Seed     int64
 	Deadline simnet.Duration // abort guard on virtual time; 0 = none
 
-	// UnsafeNoSendFifo disables the paper's pre-posted send FIFO (§3.4):
-	// sends issued before a connection completes are posted straight to the
-	// VIA send queue, where the architecture discards them. This exists
-	// ONLY as an ablation — it demonstrates the message loss the FIFO
-	// prevents and must never be set otherwise.
-	UnsafeNoSendFifo bool
-
 	// TuneCost allows experiments to perturb the device model after
 	// defaults are applied.
 	TuneCost func(*via.CostModel)
@@ -319,8 +312,8 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				rank: i, size: n,
 				addrs:    addrs,
 				viToChan: make(map[*via.VI]*chanState),
-				sendReqs: make(map[int64]*Request),
-				recvReqs: make(map[int64]*Request),
+				sendReqs: make(map[int64]*request),
+				recvReqs: make(map[int64]*request),
 			}
 			r.cq = via.NewCQ(port)
 			r.ctxCounter = 2 // world uses contexts 0 (pt2pt) and 1 (collective)
@@ -475,15 +468,11 @@ func (r *Rank) finalize() {
 	}
 	r.finalized = true
 
-	// Phase 1: drain local obligations, making progress for peers too.
+	// Phase 1: drain local obligations, making progress for peers too. A
+	// Bsend, which nothing waits on, is in one of these queues until it is out.
 	r.waitProgress(func() bool {
 		if len(r.sendReqs) > 0 || len(r.recvReqs) > 0 {
 			return false
-		}
-		for _, q := range r.detached {
-			if !q.done {
-				return false
-			}
 		}
 		for _, cs := range r.active {
 			if len(cs.flowQ) > 0 || cs.ch.Parked() > 0 || cs.closing || len(cs.pendingClose) > 0 {

@@ -341,7 +341,7 @@ func TestFlowControlManySmallMessages(t *testing.T) {
 	w := runWorld(t, testCfg(2), func(r *Rank) {
 		c := r.World()
 		if r.Rank() == 0 {
-			var reqs []*Request
+			var reqs []Request
 			for i := 0; i < n; i++ {
 				req, err := c.Isend(1, 0, []byte{byte(i), byte(i >> 8)})
 				if err != nil {
@@ -383,7 +383,7 @@ func TestSymmetricSaturationNoDeadlock(t *testing.T) {
 	runWorld(t, cfg, func(r *Rank) {
 		c := r.World()
 		other := 1 - r.Rank()
-		var reqs []*Request
+		var reqs []Request
 		for i := 0; i < n; i++ {
 			q, err := c.Isend(other, 0, []byte{byte(i)})
 			if err != nil {
@@ -418,8 +418,11 @@ func TestSelfSendRecv(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !req.Done() {
-			t.Error("self send not locally complete")
+		if done, _, err := r.Test(req); !done || err != nil {
+			t.Errorf("self send not locally complete: Test = %v, %v", done, err)
+		}
+		if _, err := r.Wait(req); err == nil {
+			t.Error("Wait accepted a handle its Test had completed")
 		}
 		buf := make([]byte, 4)
 		st, err := c.Recv(buf, me, 9)
@@ -474,11 +477,14 @@ func TestTestAndWaitall(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if done, _ := r.Test(req); done {
-				t.Error("Test true before message sent")
+			if done, _, err := r.Test(req); done || err != nil {
+				t.Errorf("Test before message sent = %v, %v", done, err)
 			}
-			if err := r.Wait(req); err != nil {
-				t.Error(err)
+			if st, err := r.Wait(req); err != nil || st != (Status{Source: 0, Tag: 0, Count: 1}) || buf[0] != 'x' {
+				t.Errorf("Wait = %+v, %v; got %q", st, err, buf[:1])
+			}
+			if err := r.Waitall(req); err == nil {
+				t.Error("Waitall accepted a handle Wait had completed")
 			}
 		}
 	})
@@ -493,14 +499,11 @@ func TestIssendAndRsend(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if q.Done() {
-				t.Error("Issend complete before matching receive")
+			if done, _, err := r.Test(q); done || err != nil {
+				t.Errorf("Issend before matching receive: Test = %v, %v", done, err)
 			}
-			if err := r.Wait(q); err != nil {
+			if _, err := r.Wait(q); err != nil {
 				t.Error(err)
-			}
-			if q.Err() != nil {
-				t.Error(q.Err())
 			}
 			// Ready-mode send: receiver posted its Irecv already.
 			if err := c.Rsend(1, 1, []byte("ready")); err != nil {
@@ -518,11 +521,8 @@ func TestIssendAndRsend(t *testing.T) {
 			if err != nil || string(buf2[:st.Count]) != "sync-nb" {
 				t.Errorf("issend recv: %v %q", err, buf2[:st.Count])
 			}
-			if err := r.Wait(rq); err != nil {
-				t.Error(err)
-			}
-			if rq.Status().Count != 5 {
-				t.Errorf("rsend count = %d", rq.Status().Count)
+			if st, err := r.Wait(rq); err != nil || st.Count != 5 {
+				t.Errorf("rsend: count %d, %v", st.Count, err)
 			}
 		}
 	})
@@ -669,22 +669,55 @@ func TestInitTimeByPolicyShape(t *testing.T) {
 	}
 }
 
+// A Bsend keeps no handle: the program may return at once, and finalize must
+// still push out a send that is on the wire already (eager), waits for CTS in
+// sendReqs (rendezvous), or is parked behind the on-demand connect its first
+// contact opens.
 func TestDetachedBsendDrainedAtFinalize(t *testing.T) {
-	runWorld(t, testCfg(2), func(r *Rank) {
-		c := r.World()
-		if r.Rank() == 0 {
-			if err := c.Bsend(1, 0, []byte("late")); err != nil {
-				t.Error(err)
-			}
-			// Exit immediately; finalize must push it out.
-		} else {
-			buf := make([]byte, 8)
-			st, err := c.Recv(buf, 0, 0)
-			if err != nil || string(buf[:st.Count]) != "late" {
-				t.Errorf("bsend at exit: %v %q", err, buf[:st.Count])
-			}
-		}
-	})
+	cases := []struct {
+		name string
+		size int
+		warm bool // connect the pair before the Bsend
+	}{
+		{"eager", 4, true},
+		{"rendezvous", 6000, true},
+		{"first-contact", 4, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			msg := bytes.Repeat([]byte("late"), tc.size/4)
+			runWorld(t, testCfg(2), func(r *Rank) {
+				c := r.World()
+				me := r.Rank()
+				if tc.warm {
+					if _, err := c.Sendrecv(1-me, 1, nil, 1-me, 1, nil); err != nil {
+						t.Error(err)
+					}
+				}
+				if me == 1 {
+					r.Proc().Sleep(simnet.Millisecond) // rank 0 is in finalize by now
+					buf := make([]byte, 2*tc.size)
+					st, err := c.Recv(buf, 0, 0)
+					if err != nil || !bytes.Equal(buf[:st.Count], msg) {
+						t.Errorf("bsend at exit: %v, %d bytes", err, st.Count)
+					}
+					return
+				}
+				out := bytes.Clone(msg)
+				if err := c.Bsend(1, 0, out); err != nil {
+					t.Error(err)
+				}
+				clear(out)
+				parked, awaiting := r.active[0].ch.Parked(), len(r.sendReqs)
+				if want := tc.name == "first-contact"; (parked == 1) != want {
+					t.Errorf("%d packets parked, want the Bsend's: %v", parked, want)
+				}
+				if want := tc.name == "rendezvous"; (awaiting == 1) != want {
+					t.Errorf("%d sends await CTS, want the Bsend's: %v", awaiting, want)
+				}
+			})
+		})
+	}
 }
 
 func TestManyRanksSmoke(t *testing.T) {
@@ -746,7 +779,7 @@ func TestRendezvousManyLarge(t *testing.T) {
 	runWorld(t, testCfg(2), func(r *Rank) {
 		c := r.World()
 		other := 1 - r.Rank()
-		var reqs []*Request
+		var reqs []Request
 		bufs := make([][]byte, n)
 		for i := 0; i < n; i++ {
 			out := make([]byte, 50000+i)

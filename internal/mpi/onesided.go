@@ -128,7 +128,7 @@ func (w *Win) Fence() error {
 			reqs = append(reqs, sq)
 		}
 	}
-	if err := c.r.waitOwned(reqs); err != nil {
+	if err := c.r.Waitall(reqs...); err != nil {
 		return err
 	}
 	for i := range w.puts {

@@ -15,10 +15,8 @@ type PersistentRequest struct {
 	buf    []byte // recv landing buffer, or send payload
 	peer   int
 	tag    int
-	mode   SendMode
 
-	req     Request // the handle: every activation runs on this one request
-	started bool    // req holds an activation (not before the first Start, nor after a failed one)
+	h Request // the latest activation's handle
 }
 
 // SendInit creates a persistent standard-mode send template.
@@ -26,7 +24,7 @@ func (c *Comm) SendInit(dst, tag int, data []byte) (*PersistentRequest, error) {
 	if dst < 0 || dst >= c.Size() {
 		return nil, fmt.Errorf("mpi: SendInit to rank %d of %d", dst, c.Size())
 	}
-	return &PersistentRequest{c: c, buf: data, peer: dst, tag: tag, mode: ModeStandard}, nil
+	return &PersistentRequest{c: c, buf: data, peer: dst, tag: tag}, nil
 }
 
 // RecvInit creates a persistent receive template.
@@ -37,40 +35,26 @@ func (c *Comm) RecvInit(buf []byte, src, tag int) (*PersistentRequest, error) {
 	return &PersistentRequest{c: c, isRecv: true, buf: buf, peer: src, tag: tag}, nil
 }
 
-// Start activates the template. Starting an already-active request is an
-// error (the previous activation must complete first). The activation runs on
-// the template's own request, which no queue refers to once it has completed;
-// a Start that fails leaves the template inactive.
+// Start activates the template on a request off the free list, as Isend or
+// Irecv would. Starting a template whose activation no wait has completed yet
+// is an error; a Start that fails leaves the template inactive.
 func (p *PersistentRequest) Start() error {
-	if p.started && !p.req.done {
+	if p.h.live() {
 		return fmt.Errorf("mpi: Start on active persistent request")
 	}
 	var err error
 	if p.isRecv {
-		err = p.c.startRecv(&p.req, p.buf, p.peer, p.tag, p.c.ctx)
+		p.h, err = p.c.irecvCtx(p.buf, p.peer, p.tag, p.c.ctx)
 	} else {
-		err = p.c.startSend(&p.req, p.mode, p.peer, p.tag, p.buf, p.c.ctx)
-	}
-	p.started = err == nil
-	if err != nil {
-		// A handle kept from an earlier Start reads as inactive: complete,
-		// with an empty status, and no half-started activation to wait on.
-		p.req = Request{done: true}
+		p.h, err = p.c.isendCtx(ModeStandard, p.peer, p.tag, p.buf, p.c.ctx)
 	}
 	return err
 }
 
-// Request returns the template's handle — one *Request across all its
-// activations, as MPI's persistent handle is — or nil while the template is
-// inactive (before the first Start, or after a failed one). Wait/Test on it as
-// with any nonblocking request; its Status and Err are the latest
-// activation's.
-func (p *PersistentRequest) Request() *Request {
-	if !p.started {
-		return nil
-	}
-	return &p.req
-}
+// Request returns the handle of the template's latest activation, to Wait or
+// Test on as with any nonblocking request: null before the first Start and
+// after a failed one, stale once a wait has completed it.
+func (p *PersistentRequest) Request() Request { return p.h }
 
 // Startall activates a set of persistent requests (MPI_Startall).
 func Startall(ps ...*PersistentRequest) error {
@@ -87,11 +71,9 @@ func Startall(ps ...*PersistentRequest) error {
 func (r *Rank) WaitallPersistent(ps ...*PersistentRequest) error {
 	reqs := r.reqList(len(ps))
 	for _, p := range ps {
-		if q := p.Request(); q != nil {
-			reqs = append(reqs, q)
+		if p.h.live() {
+			reqs = append(reqs, p.h)
 		}
 	}
-	err := r.Waitall(reqs...)
-	r.doneList(reqs)
-	return err
+	return r.Waitall(reqs...)
 }

@@ -23,7 +23,7 @@ func TestPersistentSendRecv(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := r.Wait(ps.Request()); err != nil {
+				if _, err := r.Wait(ps.Request()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -45,7 +45,7 @@ func TestPersistentSendRecv(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := r.Wait(pr.Request()); err != nil {
+				if _, err := r.Wait(pr.Request()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -69,8 +69,17 @@ func TestPersistentSendRecv(t *testing.T) {
 			if err := p9.Start(); err == nil {
 				t.Error("double Start accepted on pending receive")
 			}
-			if err := r.Wait(p9.Request()); err != nil {
-				t.Error(err)
+			kept := p9.Request()
+			if st, err := r.Wait(kept); err != nil || string(late[:st.Count]) != "late" {
+				t.Errorf("late activation: %+v, %v", st, err)
+			}
+			// The wait ended the activation: its handle is stale, and the
+			// template may start again.
+			if _, err := r.Wait(kept); err == nil {
+				t.Error("Wait accepted the completed activation's handle")
+			}
+			if p9.Request().live() {
+				t.Error("the template is still active after its wait")
 			}
 		}
 	})

@@ -118,7 +118,7 @@ func flowWorlds(t *testing.T) {
 	msg := func(i int) []byte { return []byte{byte(i), byte(i >> 8), 0x5A} }
 	burst := func(r *Rank, peer, tag, n int) {
 		c := r.World()
-		reqs := make([]*Request, n)
+		reqs := make([]Request, n)
 		for i := range reqs {
 			var err error
 			if reqs[i], err = c.Isend(peer, tag, msg(i)); err != nil {
@@ -206,7 +206,7 @@ func flowWorlds(t *testing.T) {
 					r.Abort(1, err.Error())
 				}
 				drain(r, 1, 1, 4)
-				if err := r.Wait(q); err != nil {
+				if _, err := r.Wait(q); err != nil {
 					r.Abort(1, err.Error())
 				}
 				big := make([]byte, 1000)
@@ -224,7 +224,7 @@ func flowWorlds(t *testing.T) {
 				// Not polling either: the BYE waits, and rank 0 reads the
 				// burst off a channel that is still closing.
 				r.Compute(500e-6)
-				if err := r.Wait(q); err != nil {
+				if _, err := r.Wait(q); err != nil {
 					r.Abort(1, err.Error())
 				}
 			case 2:
@@ -242,7 +242,7 @@ func flowWorlds(t *testing.T) {
 				for _, p := range []int{1, 3, 4} {
 					hello(r, p)
 				}
-				var reqs []*Request
+				var reqs []Request
 				irecv := func(buf []byte, src int) {
 					q, err := c.Irecv(buf, src, 1)
 					if err != nil {
@@ -281,7 +281,7 @@ func flowWorlds(t *testing.T) {
 				burst(r, 0, 1, 12)
 			default:
 				hello(r, 0)
-				reqs := make([]*Request, 2)
+				reqs := make([]Request, 2)
 				for i := range reqs {
 					var err error
 					if reqs[i], err = c.Isend(0, 1, big); err != nil {

@@ -2,18 +2,16 @@ package mpi
 
 import (
 	"fmt"
-
-	"viampi/internal/simnet"
 )
 
 // Isend starts a standard-mode nonblocking send of data to dst (comm rank)
 // with the given tag.
-func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
+func (c *Comm) Isend(dst, tag int, data []byte) (Request, error) {
 	return c.isendCtx(ModeStandard, dst, tag, data, c.ctx)
 }
 
 // IsendMode starts a nonblocking send in the given MPI communication mode.
-func (c *Comm) IsendMode(mode SendMode, dst, tag int, data []byte) (*Request, error) {
+func (c *Comm) IsendMode(mode SendMode, dst, tag int, data []byte) (Request, error) {
 	return c.isendCtx(mode, dst, tag, data, c.ctx)
 }
 
@@ -31,7 +29,7 @@ func (c *Comm) Ssend(dst, tag int, data []byte) error {
 }
 
 // Issend starts a nonblocking synchronous-mode send.
-func (c *Comm) Issend(dst, tag int, data []byte) (*Request, error) {
+func (c *Comm) Issend(dst, tag int, data []byte) (Request, error) {
 	return c.isendCtx(ModeSynchronous, dst, tag, data, c.ctx)
 }
 
@@ -44,48 +42,44 @@ func (c *Comm) Rsend(dst, tag int, data []byte) error {
 
 // send is the blocking send in any mode and context.
 func (c *Comm) send(mode SendMode, dst, tag int, data []byte, ctx int32) error {
-	req, err := c.isendCtx(mode, dst, tag, data, ctx)
+	h, err := c.isendCtx(mode, dst, tag, data, ctx)
 	if err != nil {
 		return err
 	}
-	_, err = c.r.reclaim(req, c.r.Wait(req))
+	_, err = c.r.Wait(h)
 	return err
 }
 
 // Bsend is the buffered-mode send: it copies data into library-owned storage
 // and completes locally at once; the transfer is driven by the progress
 // engine and drained at Finalize. It is the only *local* send mode (§3.6).
+// No handle is kept: until the send is out, its packet sits in the park FIFO,
+// the flow queue or pendingClose, or its request awaits CTS in sendReqs, and
+// finalize drains all four; a request no wait ends is the collector's.
 func (c *Comm) Bsend(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Bsend")()
-	cp := append([]byte(nil), data...)
-	req, err := c.isendCtx(ModeStandard, dst, tag, cp, c.ctx)
-	if err != nil {
-		return err
-	}
-	if !req.done {
-		c.r.detached = append(c.r.detached, req)
-	}
-	return nil
+	_, err := c.isendCtx(ModeStandard, dst, tag, append([]byte(nil), data...), c.ctx)
+	return err
 }
 
-func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*Request, error) {
-	req := c.r.newReq()
-	if err := c.startSend(req, mode, dst, tag, data, ctx); err != nil {
-		c.r.reclaim(req, nil)
-		return nil, err
+// isendCtx starts a send on a request off the free list.
+func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (Request, error) {
+	q := c.r.newReq()
+	if err := c.startSend(q, mode, dst, tag, data, ctx); err != nil {
+		c.r.release(q)
+		return Request{}, err
 	}
-	return req, nil
+	return Request{q, q.gen}, nil
 }
 
-// startSend starts a send on req: a fresh request, or the one a persistent
-// request restarts (PersistentRequest.Start). Nothing refers to req on error.
-func (c *Comm) startSend(req *Request, mode SendMode, dst, tag int, data []byte, ctx int32) error {
+// startSend starts a send on a fresh request. Nothing refers to q on error.
+func (c *Comm) startSend(q *request, mode SendMode, dst, tag int, data []byte, ctx int32) error {
 	r := c.r
 	if dst < 0 || dst >= c.Size() {
 		return fmt.Errorf("mpi: Isend to rank %d of %d", dst, c.Size())
 	}
 	world := c.ranks[dst]
-	*req = Request{r: r, dstWorld: world, mode: mode, data: data}
+	q.data = data
 
 	r.obsSend(world, len(data), tag)
 	if world == r.rank {
@@ -97,7 +91,7 @@ func (c *Comm) startSend(req *Request, mode SendMode, dst, tag int, data []byte,
 		} else {
 			r.enqueueUnexpected(h, data, nil)
 		}
-		req.complete()
+		q.complete()
 		return nil
 	}
 
@@ -110,14 +104,14 @@ func (c *Comm) startSend(req *Request, mode SendMode, dst, tag int, data []byte,
 		// Standard mode: the request rides on the packet and completes
 		// locally once the data is buffered.
 		r.post(cs, r.newPkt(hdr{kind: pktEager, srcRank: int32(c.myrank), tag: int32(tag),
-			ctx: ctx, size: int32(len(data))}, data, req))
+			ctx: ctx, size: int32(len(data))}, data, q))
 		return nil
 	}
 
 	// Rendezvous (long messages, and every synchronous send).
 	r.nextReq++
 	id := r.nextReq
-	r.sendReqs[id] = req
+	r.sendReqs[id] = q
 	cs.pendingRdv++
 	r.post(cs, r.newPkt(hdr{kind: pktRts, srcRank: int32(c.myrank), tag: int32(tag),
 		ctx: ctx, size: int32(len(data)), sreq: id}, nil, nil))
@@ -126,36 +120,37 @@ func (c *Comm) startSend(req *Request, mode SendMode, dst, tag int, data []byte,
 
 // Irecv starts a nonblocking receive into buf from src (comm rank or
 // AnySource) with the given tag (or AnyTag).
-func (c *Comm) Irecv(buf []byte, src, tag int) (*Request, error) {
+func (c *Comm) Irecv(buf []byte, src, tag int) (Request, error) {
 	return c.irecvCtx(buf, src, tag, c.ctx)
 }
 
 // Recv is the blocking receive.
 func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 	defer c.r.prof.enter("Recv")()
-	req, err := c.Irecv(buf, src, tag)
+	h, err := c.Irecv(buf, src, tag)
 	if err != nil {
 		return Status{}, err
 	}
-	return c.r.reclaim(req, c.r.Wait(req))
+	return c.r.Wait(h)
 }
 
-func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
-	req := c.r.newReq()
-	if err := c.startRecv(req, buf, src, tag, ctx); err != nil {
-		c.r.reclaim(req, nil)
-		return nil, err
+// irecvCtx starts a receive on a request off the free list.
+func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (Request, error) {
+	q := c.r.newReq()
+	if err := c.startRecv(q, buf, src, tag, ctx); err != nil {
+		c.r.release(q)
+		return Request{}, err
 	}
-	return req, nil
+	return Request{q, q.gen}, nil
 }
 
-// startRecv starts a receive on req, as startSend starts a send.
-func (c *Comm) startRecv(req *Request, buf []byte, src, tag int, ctx int32) error {
+// startRecv starts a receive on a fresh request, as startSend starts a send.
+func (c *Comm) startRecv(req *request, buf []byte, src, tag int, ctx int32) error {
 	r := c.r
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		return fmt.Errorf("mpi: Irecv from rank %d of %d", src, c.Size())
 	}
-	*req = Request{r: r, isRecv: true, buf: buf, src: src, tag: tag, ctx: ctx}
+	req.buf, req.src, req.tag, req.ctx = buf, src, tag, ctx
 
 	// Paper §3.5: a receive from ANY_SOURCE forces connections to everyone
 	// in the communicator; §4: a specific-source receive initiates the
@@ -194,7 +189,7 @@ func (c *Comm) startRecv(req *Request, buf []byte, src, tag int, ctx int32) erro
 }
 
 // matchUMQ finds and removes the first unexpected message matching req.
-func (r *Rank) matchUMQ(req *Request) *umsg {
+func (r *Rank) matchUMQ(req *request) *umsg {
 	for i, u := range r.umq {
 		if matches(req, u.h) {
 			r.umq = append(r.umq[:i], r.umq[i+1:]...)
@@ -211,59 +206,67 @@ func (r *Rank) matchUMQ(req *Request) *umsg {
 // operations together (safe against head-to-head exchanges).
 func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte) (Status, error) {
 	defer c.r.prof.enter("Sendrecv")()
-	sreq, err := c.Isend(dst, stag, sdata)
-	if err != nil {
-		return Status{}, err
-	}
-	rreq, err := c.Irecv(rbuf, src, rtag)
-	if err != nil {
-		return Status{}, err
-	}
-	return c.r.waitPair(sreq, rreq)
+	return c.sendrecv(dst, stag, sdata, src, rtag, rbuf, c.ctx)
 }
 
-// newReq takes a Request off the free list (or grows it). Every request the
-// library makes and waits on itself — a blocking call's, a collective's —
-// comes back at reclaim once the wait returns; one from Isend or Irecv is the
-// caller's, whose Status and Err stay readable after Wait.
-func (r *Rank) newReq() *Request {
-	if q := simnet.Pop(&r.freeReqs); q != nil {
-		return q
+// sendrecv starts the send, then the receive, and waits on both in one
+// Waitall, returning the receive's outcome.
+func (c *Comm) sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte, ctx int32) (Status, error) {
+	var reqs [2]Request
+	var err error
+	if reqs[0], err = c.isendCtx(ModeStandard, dst, stag, sdata, ctx); err != nil {
+		return Status{}, err
 	}
-	return growReqs()
+	if reqs[1], err = c.irecvCtx(rbuf, src, rtag, ctx); err != nil {
+		return Status{}, err
+	}
+	return c.r.waitall(reqs[:])
 }
 
-// growReqs grows the request free list (cold path: the list settles at the
-// most requests the library has had outstanding for itself at once).
-func growReqs() *Request { return new(Request) }
+// newReq takes a request off the free list (or grows it).
+func (r *Rank) newReq() *request {
+	if r.freeReqs == nil {
+		r.growReqs()
+	}
+	q := r.freeReqs
+	r.freeReqs, q.next = q.next, nil
+	return q
+}
 
-// reclaim ends a wait on a request the library made for itself: the request is
-// complete, so no queue, map or packet refers to it any more, and it goes back
-// to the free list holding none of the caller's memory. It returns the
-// request's outcome.
-func (r *Rank) reclaim(q *Request, err error) (Status, error) {
-	st := q.status
-	*q = Request{}
-	r.freeReqs = append(r.freeReqs, q)
+// growReqs adds a slab of as many requests as the rank has made so far to the
+// free list (cold path: the list reaches the most requests the rank has had
+// outstanding at once in a logarithmic number of allocations).
+func (r *Rank) growReqs() {
+	slab := make([]request, max(1, r.reqsMade))
+	r.reqsMade += len(slab)
+	for i := range slab {
+		r.release(&slab[i])
+	}
+}
+
+// release ends a request's life once a wait has read its outcome, or once it
+// failed to start: nothing refers to it any more, so it goes back to the free
+// list holding none of the caller's memory, a generation on, so that every
+// handle given out for it reads as stale.
+func (r *Rank) release(q *request) {
+	*q = request{gen: q.gen + 1, next: r.freeReqs}
+	r.freeReqs = q
+}
+
+// finish releases a request a wait has seen complete and returns its outcome.
+func (r *Rank) finish(q *request) (Status, error) {
+	st, err := q.status, q.err
+	r.release(q)
 	if err != nil {
 		return Status{}, err
 	}
 	return st, nil
 }
 
-// waitPair waits on a send and a receive the library made for itself,
-// recycles both and returns the receive's outcome.
-func (r *Rank) waitPair(sq, rq *Request) (Status, error) {
-	err := r.Waitall(sq, rq)
-	r.reclaim(sq, nil)
-	return r.reclaim(rq, err)
-}
-
 // reqList lends a library call the rank's one list for the requests it is
 // about to wait on, empty and with room for n (so appending n allocates
-// nothing). The borrower hands it back with doneList, or waitOwned, and calls
-// no other borrower in between.
-func (r *Rank) reqList(n int) []*Request {
+// nothing). The borrower calls no other borrower before its Waitall.
+func (r *Rank) reqList(n int) []Request {
 	if cap(r.reqs) < n {
 		r.reqs = growReqList(n)
 	}
@@ -272,55 +275,78 @@ func (r *Rank) reqList(n int) []*Request {
 
 // growReqList grows the request list (cold path: it settles at the most
 // requests one call has waited on at once).
-func growReqList(n int) []*Request { return make([]*Request, 0, n) }
+func growReqList(n int) []Request { return make([]Request, 0, n) }
 
-// doneList takes the request list back, keeping no request alive through it.
-func (r *Rank) doneList(reqs []*Request) {
-	clear(reqs)
-	r.reqs = reqs[:0]
+// Wait blocks until the request completes, driving progress (MPI_Wait), and
+// returns its outcome; the handle is stale from then on. A null handle
+// returns at once.
+func (r *Rank) Wait(h Request) (Status, error) {
+	if h.q == nil {
+		return Status{}, nil
+	}
+	if h.stale() {
+		return Status{}, errStale
+	}
+	defer r.prof.enter("Wait")()
+	q := h.q
+	r.waitProgress(func() bool { return q.done })
+	return r.finish(q)
 }
 
-// waitOwned waits on requests the library made for itself, then recycles them
-// and the list that held them.
-func (r *Rank) waitOwned(reqs []*Request) error {
-	err := r.Waitall(reqs...)
-	for _, q := range reqs {
-		r.reclaim(q, nil)
+// Test makes one progress pass and reports whether the request completed,
+// with its outcome if so; the handle is then stale, as after Wait. A null
+// handle reports completion at once.
+func (r *Rank) Test(h Request) (bool, Status, error) {
+	if h.q == nil {
+		return true, Status{}, nil
 	}
-	r.doneList(reqs)
+	if h.stale() {
+		return false, Status{}, errStale
+	}
+	r.progress()
+	if !h.q.done {
+		return false, Status{}, nil
+	}
+	st, err := r.finish(h.q)
+	return true, st, err
+}
+
+// Waitall blocks until every request completes, returning the first error;
+// every handle is stale from then on. Null handles are passed over, but even
+// a list of nothing else makes one progress pass.
+func (r *Rank) Waitall(reqs ...Request) error {
+	_, err := r.waitall(reqs)
 	return err
 }
 
-// Wait blocks until the request completes, driving progress (MPI_Wait).
-func (r *Rank) Wait(q *Request) error {
-	defer r.prof.enter("Wait")()
-	r.waitProgress(func() bool { return q.done })
-	return q.err
-}
-
-// Test makes one progress pass and reports whether the request completed.
-func (r *Rank) Test(q *Request) (bool, error) {
-	r.progress()
-	return q.done, q.err
-}
-
-// Waitall blocks until every request completes, returning the first error.
-func (r *Rank) Waitall(reqs ...*Request) error {
+// waitall is Waitall, also returning the last request's status (sendrecv's
+// receive). A stale handle fails it before any progress is made.
+func (r *Rank) waitall(reqs []Request) (Status, error) {
+	for _, h := range reqs {
+		if h.stale() {
+			return Status{}, errStale
+		}
+	}
 	defer r.prof.enter("Waitall")()
 	r.waitProgress(func() bool {
-		for _, q := range reqs {
-			if !q.done {
+		for _, h := range reqs {
+			if h.q != nil && !h.q.done {
 				return false
 			}
 		}
 		return true
 	})
-	for _, q := range reqs {
-		if q.err != nil {
-			return q.err
+	var st Status
+	var err error
+	for _, h := range reqs {
+		if h.live() { // not null, nor listed twice and finished already
+			s, e := r.finish(h.q)
+			if err == nil {
+				st, err = s, e // finish's status is empty with an error
+			}
 		}
 	}
-	return nil
+	return st, err
 }
 
 // Iprobe makes one progress pass and reports whether a matching message is
@@ -328,7 +354,7 @@ func (r *Rank) Waitall(reqs ...*Request) error {
 func (c *Comm) Iprobe(src, tag int) (Status, bool) {
 	r := c.r
 	r.progress()
-	probe := &Request{src: src, tag: tag, ctx: c.ctx}
+	probe := &request{src: src, tag: tag, ctx: c.ctx}
 	for _, u := range r.umq {
 		if matches(probe, u.h) {
 			return Status{Source: int(u.h.srcRank), Tag: int(u.h.tag), Count: int(u.h.size)}, true

@@ -38,7 +38,7 @@ type chanState struct {
 type pkt struct {
 	hdr     hdr
 	payload []byte   // eager data: the caller's buffer until emit copies it
-	req     *Request // completes when the packet is actually posted to the VI
+	req     *request // completes when the packet is actually posted to the VI
 }
 
 // Rank is one MPI process: the user-facing handle passed to the program's
@@ -66,25 +66,26 @@ type Rank struct {
 	viToChan map[*via.VI]*chanState
 	addrs    []via.Addr // shared bootstrap table (world rank -> VIA address)
 
-	prq []*Request // posted receive queue, post order
+	prq []*request // posted receive queue, post order
 	umq []*umsg    // unexpected message queue, arrival order
 
 	nextReq  int64
-	sendReqs map[int64]*Request // awaiting CTS
-	recvReqs map[int64]*Request // awaiting FIN
-	detached []*Request         // buffered-mode sends owned by the library
+	sendReqs map[int64]*request // awaiting CTS
+	recvReqs map[int64]*request // awaiting FIN
 
 	// Free lists of the message path: packets; send descriptors with the
 	// wire buffers they carry (tagged with the rank in UserPtr); RDMA writes'
 	// descriptors (tagged with their list: the Buf they carry is the
-	// caller's, dropped when reapSends takes them back); the requests the
-	// library waits on itself (see reclaim) and the one list it waits on them
-	// in (reqList); unexpected-queue entries, each keeping its payload buffer.
+	// caller's, dropped when reapSends takes them back); requests, chained
+	// through their own next field (see release), with the count growReqs has
+	// made, and the one list the library waits on its own in (reqList);
+	// unexpected-queue entries, each keeping its payload buffer.
 	freePkts  []*pkt
 	freeSends []*via.Descriptor
 	freeRdma  []*via.Descriptor
-	freeReqs  []*Request
-	reqs      []*Request
+	freeReqs  *request
+	reqsMade  int
+	reqs      []Request
 	freeUmsgs []*umsg
 
 	// Free list of the connection path: what prepareChannel builds,
@@ -124,6 +125,12 @@ type Rank struct {
 	recvSeq map[int]int64 // per-peer user-message sequence, receive side
 
 	finalized bool
+
+	// noSendFifo disables the paper's pre-posted send FIFO (§3.4): sends
+	// issued before a connection completes are posted straight to the VIA
+	// send queue, where the architecture discards them. Only the ablation
+	// test sets it, to demonstrate the message loss the FIFO prevents.
+	noSendFifo bool
 }
 
 // umsg is an entry in the unexpected message queue. Entries come from
@@ -434,7 +441,7 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 		return
 	}
 	if !cs.ch.Up {
-		if r.cfg.UnsafeNoSendFifo {
+		if r.noSendFifo {
 			// Ablation path: post to the unconnected VI and let VIA discard
 			// it — the bug class the FIFO exists to prevent.
 			_ = cs.ch.Vi.PostSend(r.wire(p))
@@ -467,7 +474,7 @@ func (r *Rank) creditNeed(p *pkt) int {
 }
 
 // newPkt takes a packet off the free list (or grows it).
-func (r *Rank) newPkt(h hdr, payload []byte, req *Request) *pkt {
+func (r *Rank) newPkt(h hdr, payload []byte, req *request) *pkt {
 	p := simnet.Pop(&r.freePkts)
 	if p == nil {
 		p = growPkts()
@@ -935,7 +942,7 @@ func (r *Rank) obsUnexpected() {
 }
 
 // matchPRQ finds and removes the first posted receive matching the header.
-func (r *Rank) matchPRQ(h hdr) *Request {
+func (r *Rank) matchPRQ(h hdr) *request {
 	for i, req := range r.prq {
 		if matches(req, h) {
 			r.prq = append(r.prq[:i], r.prq[i+1:]...)
@@ -946,7 +953,7 @@ func (r *Rank) matchPRQ(h hdr) *Request {
 }
 
 // matches implements MPICH (context, source, tag) matching.
-func matches(req *Request, h hdr) bool {
+func matches(req *request, h hdr) bool {
 	if req.ctx != h.ctx {
 		return false
 	}
@@ -960,7 +967,7 @@ func matches(req *Request, h hdr) bool {
 }
 
 // deliverEager copies an eager payload into the matched receive.
-func (r *Rank) deliverEager(req *Request, h hdr, payload []byte) {
+func (r *Rank) deliverEager(req *request, h hdr, payload []byte) {
 	n := int(h.size)
 	if n > len(req.buf) {
 		req.failf("mpi: truncation: %d-byte message into %d-byte buffer (src %d tag %d)",
@@ -974,7 +981,7 @@ func (r *Rank) deliverEager(req *Request, h hdr, payload []byte) {
 }
 
 // acceptRendezvous registers the receive buffer for RDMA and sends CTS.
-func (r *Rank) acceptRendezvous(req *Request, h hdr, cs *chanState) {
+func (r *Rank) acceptRendezvous(req *request, h hdr, cs *chanState) {
 	n := int(h.size)
 	if n > len(req.buf) {
 		req.failf("mpi: truncation: %d-byte rendezvous into %d-byte buffer", n, len(req.buf))
@@ -1000,7 +1007,7 @@ func (r *Rank) acceptRendezvous(req *Request, h hdr, cs *chanState) {
 
 // rendezvousData RDMA-writes the payload and sends FIN; the send request
 // completes when FIN is posted.
-func (r *Rank) rendezvousData(cs *chanState, req *Request, h hdr) {
+func (r *Rank) rendezvousData(cs *chanState, req *request, h hdr) {
 	if err := r.rdmaWrite(cs, req.data, h.rkey, 0); err != nil {
 		req.failf("mpi: rdma write: %v", err)
 		return

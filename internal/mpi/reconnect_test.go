@@ -346,7 +346,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			// message reaching the last byte of its buffer, none read before
 			// the receiver is out of MPI_Init and has sent its own.
 			const tag, full = 20, 256
-			var reqs []*Request
+			var reqs []Request
 			for dst := 0; dst < np; dst++ {
 				for i := 0; dst != me && i < cfg.CreditCount-1; i++ {
 					q, err := c.Isend(dst, tag, poolMsg(me, dst, tag, i, full))
@@ -436,7 +436,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			}
 			recv(cross, 10, 0, big)
 			recv(mate, 9, 0, size)
-			if err := r.Wait(q); err != nil {
+			if _, err := r.Wait(q); err != nil {
 				fail("%v", err)
 			}
 		} else {
@@ -448,7 +448,7 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 
 		// 4. A burst over the credits: flow control, and pool growth.
 		if me < 2 {
-			reqs := make([]*Request, burst)
+			reqs := make([]Request, burst)
 			for i := range reqs {
 				var err error
 				if reqs[i], err = c.Isend(cross, 11, poolMsg(me, cross, 11, i, size)); err != nil {

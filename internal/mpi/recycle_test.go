@@ -12,11 +12,10 @@ import (
 )
 
 // Packets, send descriptors (with their wire buffers), RDMA writes'
-// descriptors, the requests the library waits on itself, a persistent
-// template's activations and unexpected-queue entries are recycled; these
+// descriptors, requests and unexpected-queue entries are recycled; these
 // tests hold what recycling can break: a steady-state allocation creeping
 // back, bytes or order lost on the way through the queues that may hold a
-// packet or a message across events, a persistent handle that is not one, and
+// packet or a message across events, a handle that outlives its request, and
 // user memory held by what sits on a free list.
 
 // The loop bodies of the allocation rail below; each runs iters iterations.
@@ -66,6 +65,27 @@ func persistentRing(size int) func(r *Rank, iters int) {
 			if err := r.WaitallPersistent(rl, rr, sl, sr); err != nil {
 				r.Abort(1, err.Error())
 			}
+		}
+	}
+}
+
+// nonblockingHalo: every rank posts two Irecv and two Isend of 64 bytes to its
+// ring neighbours, then Waitall (NPB MG's face exchange).
+func nonblockingHalo(r *Rank, iters int) {
+	c := r.World()
+	n, me := c.Size(), c.Rank()
+	left, right := (me+n-1)%n, (me+1)%n
+	out, inL, inR := make([]byte, 64), make([]byte, 64), make([]byte, 64)
+	for i := 0; i < iters; i++ {
+		rl, err1 := c.Irecv(inL, left, 2)
+		rr, err2 := c.Irecv(inR, right, 1)
+		sl, err3 := c.Isend(left, 1, out)
+		sr, err4 := c.Isend(right, 2, out)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			r.Abort(1, err.Error())
+		}
+		if err := r.Waitall(rl, rr, sl, sr); err != nil {
+			r.Abort(1, err.Error())
 		}
 	}
 }
@@ -121,9 +141,9 @@ func allUnexpected(r *Rank, iters int) {
 
 // The allocation rail at the mpi boundary: a steady-state iteration of each
 // loop body allocates nothing. Frames, descriptors (wire and RDMA), packets,
-// the requests the library waits on itself and the list it waits on them in,
-// a persistent template's activations and unexpected-queue entries all come
-// off free lists. Measured by difference between two run lengths of one
+// requests — a blocking call's, a collective's, an Isend's or Irecv's, a
+// persistent activation's — and the list the library waits on its own in, and
+// unexpected-queue entries all come off free lists. Measured by difference between two run lengths of one
 // simulation, so boot and the free lists' growth to their peak cancel.
 func TestRoundTripAllocs(t *testing.T) {
 	cases := []struct {
@@ -136,6 +156,7 @@ func TestRoundTripAllocs(t *testing.T) {
 		{"eager-round-trip", 2, 200, 16 * simnet.Microsecond, pingpong},
 		{"persistent-ring-eager", 4, 50, 23 * simnet.Microsecond, persistentRing(64)},
 		{"persistent-ring-rendezvous", 4, 50, 1300 * simnet.Microsecond, persistentRing(16 << 10)},
+		{"nonblocking-halo", 4, 50, 23 * simnet.Microsecond, nonblockingHalo},
 		{"alltoallv-2-fragments", 4, 10, 7500 * simnet.Microsecond, alltoallv(64<<10 + 4<<10)},
 		{"all-unexpected", 2, 100, 22 * simnet.Microsecond, allUnexpected},
 	}
@@ -230,7 +251,7 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 		for k := range bufs {
 			bufs[k] = make([]byte, size)
 		}
-		reqs := make([]*Request, 0, len(bufs))
+		reqs := make([]Request, 0, len(bufs))
 		for round := 0; round < rounds; round++ {
 			old, fresh := pair(round)
 			reqs = reqs[:0]
@@ -251,7 +272,7 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 			for _, q := range reqs {
 				for done := false; !done; sample() {
 					var err error
-					if done, err = r.Test(q); err != nil {
+					if done, _, err = r.Test(q); err != nil {
 						r.Abort(1, err.Error())
 					}
 					r.Compute(1e-6)
@@ -346,7 +367,7 @@ func TestRendezvousSendBufferReuse(t *testing.T) {
 			if err != nil {
 				fail("%v", err)
 			}
-			if err := r.Wait(q); err != nil {
+			if _, err := r.Wait(q); err != nil {
 				fail("%v", err)
 			}
 			waitWriting = writing(stock)
@@ -404,15 +425,15 @@ func TestRendezvousSendBufferReuse(t *testing.T) {
 	}
 }
 
-// A persistent template is one handle across its activations: Request is the
-// same pointer after every Start, and its Status is the latest activation's.
-// Starting it while active is refused and leaves the activation alone; a Start
-// that fails leaves the template inactive — no activation for Wait or
-// WaitallPersistent to hang on, nor a stale status on a handle kept from
-// before. The failures come from a one-VI port (MaxVIsPerPort) under a one-VI
-// cap: the cap evicts the live channel, the port cannot open a second VI
-// until that eviction completes, and a channel whose send the NIC still holds
-// cannot be evicted at all.
+// A persistent template's handle follows the handle rule: each Start gives a
+// new one, the wait that completes the activation returns its Status, and the
+// previous activation's handle, kept, is refused. Starting the template while
+// active is refused and leaves the activation alone; a Start that fails leaves
+// the template inactive — a null handle, nothing for Wait or
+// WaitallPersistent to hang on. The failures come from a one-VI port
+// (MaxVIsPerPort) under a one-VI cap: the cap evicts the live channel, the
+// port cannot open a second VI until that eviction completes, and a channel
+// whose send the NIC still holds cannot be evicted at all.
 func TestPersistentHandleIdentity(t *testing.T) {
 	sizes := []int{8, 300, 40, 1}
 	cfg := Config{Procs: 3, MaxVIs: 1, TuneCost: func(c *via.CostModel) { c.MaxVIsPerPort = 1 },
@@ -461,34 +482,38 @@ func TestPersistentHandleIdentity(t *testing.T) {
 		if err != nil {
 			fail("%v", err)
 		}
-		var h *Request
+		var prev Request
 		for tag, size := range sizes {
 			if err := pr.Start(); err != nil {
 				fail("Start %d: %v", tag, err)
 			}
-			if tag == 0 {
-				h = pr.Request()
-			} else if pr.Request() != h {
-				fail("Start %d: Request is a new handle", tag)
+			h := pr.Request()
+			if h == prev || h == (Request{}) {
+				fail("Start %d: Request is not a new handle", tag)
+			}
+			if _, err := r.Wait(prev); tag > 0 && err == nil {
+				fail("Start %d: the previous activation's handle was accepted", tag)
 			}
 			if tag == len(sizes)-1 {
-				if h.Done() {
+				if done, _, _ := r.Test(h); done {
 					fail("the last message arrived before its Start")
 				}
 				if err := pr.Start(); err == nil {
 					fail("Start on an active template accepted")
 				}
-				if pr.Request() != h || h.Done() {
+				if pr.Request() != h || !h.live() {
 					fail("a refused Start disturbed the activation")
 				}
 			}
-			if err := r.Wait(h); err != nil {
+			st, err := r.Wait(h)
+			if err != nil {
 				fail("%v", err)
 			}
 			want := Status{Source: 1, Tag: tag, Count: size}
-			if h.Status() != want || !bytes.Equal(in[:size], bytes.Repeat([]byte{byte(tag + 1)}, size)) {
-				fail("activation %d: status %+v, want %+v", tag, h.Status(), want)
+			if st != want || !bytes.Equal(in[:size], bytes.Repeat([]byte{byte(tag + 1)}, size)) {
+				fail("activation %d: status %+v, want %+v", tag, st, want)
 			}
+			prev = h
 		}
 
 		// A failed first Start: the cap starts evicting the channel to rank
@@ -501,7 +526,7 @@ func TestPersistentHandleIdentity(t *testing.T) {
 		if err := ps.Start(); err == nil {
 			fail("Start found a VI the port cannot have")
 		}
-		if ps.Request() != nil {
+		if ps.Request() != (Request{}) {
 			fail("a failed first Start left an activation")
 		}
 		if err := r.WaitallPersistent(ps, pr); err != nil {
@@ -514,8 +539,8 @@ func TestPersistentHandleIdentity(t *testing.T) {
 			fail("Start with room: %v", err)
 		}
 		kept := ps.Request()
-		if err := r.WaitallPersistent(ps); err != nil || !kept.Done() {
-			fail("WaitallPersistent: %v, done %v", err, kept.Done())
+		if err := r.WaitallPersistent(ps); err != nil || !kept.stale() {
+			fail("WaitallPersistent: %v, stale %v", err, kept.stale())
 		}
 
 		// Then fails: rank 1's channel holds the port, with a send at the NIC.
@@ -530,15 +555,106 @@ func TestPersistentHandleIdentity(t *testing.T) {
 		if err := ps.Start(); err == nil {
 			fail("Start found a VI the port cannot have")
 		}
-		if ps.Request() != nil {
+		if ps.Request() != (Request{}) {
 			fail("a failed Start left an activation")
 		}
-		if !kept.Done() || kept.Err() != nil || kept.Status() != (Status{}) {
-			fail("a kept handle reads done %v, err %v, status %+v after a failed Start; want an inactive request",
-				kept.Done(), kept.Err(), kept.Status())
+		if st, err := r.Wait(kept); err == nil || st != (Status{}) {
+			fail("a kept handle waits to %+v, %v after a failed Start; want it refused", st, err)
 		}
 		if err := r.WaitallPersistent(ps); err != nil {
 			fail("WaitallPersistent over an inactive template: %v", err)
+		}
+	})
+}
+
+// A handle outlives its request's wait only as a stale copy: passed to Wait,
+// Test or Waitall after the wait that completed it, it is refused with an
+// error before any progress pass, and the request — which the free list has
+// lent to the next receive by then — is left exactly as that receive has it.
+// The null handle is complete at once: Wait and Test make no pass, and a
+// Waitall over nothing else makes its one.
+func TestStaleHandleRefused(t *testing.T) {
+	polls := 0
+	var me *Rank
+	pollAudit = func(r *Rank, scan pollScan, _ bool) {
+		if r == me && scan == scanHandshake {
+			polls++
+		}
+	}
+	defer func() { pollAudit = nil }()
+	runWorld(t, testCfg(2), func(r *Rank) {
+		c := r.World()
+		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
+		ack := make([]byte, 1)
+		if r.Rank() == 1 {
+			if err := c.Send(0, 0, []byte("one")); err != nil {
+				fail("%v", err)
+			}
+			if _, err := c.Recv(ack, 0, 9); err != nil {
+				fail("%v", err)
+			}
+			if err := c.Send(0, 1, []byte("two")); err != nil {
+				fail("%v", err)
+			}
+			return
+		}
+		me = r
+		in, next := make([]byte, 8), make([]byte, 8)
+		h, err := c.Irecv(in, 1, 0)
+		if err != nil {
+			fail("%v", err)
+		}
+		kept := h
+		if st, err := r.Wait(h); err != nil || st.Count != 3 {
+			fail("Wait: %+v, %v", st, err)
+		}
+		// Rank 1 sends tag 1 only after the ack: this receive stays pending.
+		h2, err := c.Irecv(next, 1, 1)
+		if err != nil {
+			fail("%v", err)
+		}
+		if h2.q != kept.q {
+			fail("the free list lent a different request; the test needs the kept one's")
+		}
+		for _, use := range []struct {
+			name string
+			call func() error
+		}{
+			{"Wait", func() error { _, err := r.Wait(kept); return err }},
+			{"Test", func() error { _, _, err := r.Test(kept); return err }},
+			{"Waitall", func() error { return r.Waitall(h2, kept) }},
+		} {
+			before := polls
+			if err := use.call(); !errors.Is(err, errStale) {
+				fail("%s on a kept handle: %v, want %v", use.name, err, errStale)
+			}
+			if polls != before {
+				fail("%s on a kept handle made %d progress passes", use.name, polls-before)
+			}
+			if q := h2.q; !h2.live() || q.done || q.err != nil || q.tag != 1 || &q.buf[0] != &next[0] {
+				fail("%s on a kept handle disturbed the request lent since: %+v", use.name, *q)
+			}
+		}
+
+		before := polls
+		if st, err := r.Wait(Request{}); st != (Status{}) || err != nil {
+			fail("Wait(null) = %+v, %v", st, err)
+		}
+		if done, st, err := r.Test(Request{}); !done || st != (Status{}) || err != nil {
+			fail("Test(null) = %v, %+v, %v", done, st, err)
+		}
+		if polls != before {
+			fail("a null handle made %d progress passes", polls-before)
+		}
+		if err := r.Waitall(Request{}); err != nil || polls != before+1 {
+			fail("Waitall(null): %v after %d progress passes, want 1", err, polls-before)
+		}
+
+		if err := c.Send(1, 9, ack); err != nil {
+			fail("%v", err)
+		}
+		if st, err := r.Wait(h2); err != nil || string(next[:st.Count]) != "two" {
+			fail("the lent request: %+v, %v, %q", st, err, next)
 		}
 	})
 }

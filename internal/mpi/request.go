@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // AnySource matches a message from any sender (MPI_ANY_SOURCE).
 // AnyTag matches any tag (MPI_ANY_TAG).
@@ -46,13 +49,37 @@ type Status struct {
 	Count  int // bytes received
 }
 
-// Request is a nonblocking operation handle (MPI_Request).
+// Request is a handle to a nonblocking operation (MPI_Request). The zero
+// value is MPI_REQUEST_NULL: Wait, Test and Waitall treat it as complete.
+//
+// As in MPI, the wait that completes an operation ends it: Wait, a Test that
+// reports completion, or Waitall returns the outcome and gives the request
+// back to the rank's free list, and any copy of the handle kept past that
+// point is stale — passing it to a wait again returns an error instead of
+// reading whatever operation the request serves next.
 type Request struct {
-	r      *Rank
-	id     int64
-	isRecv bool
-	done   bool
-	err    error
+	q   *request
+	gen uint32
+}
+
+// stale reports whether a wait has already completed the handle's operation.
+func (h Request) stale() bool { return h.q != nil && h.q.gen != h.gen }
+
+// live reports whether the handle names an operation no wait has completed.
+func (h Request) live() bool { return h.q != nil && h.q.gen == h.gen }
+
+// errStale is what a wait returns for a handle whose operation an earlier
+// wait completed.
+var errStale = errors.New("mpi: request handle used after the wait that completed it")
+
+// request is one nonblocking operation's state. Every request — a blocking
+// call's, a collective's, an Isend's or Irecv's, a persistent activation's —
+// comes off Rank.freeReqs and goes back there from the wait that completes it
+// (release), which bumps gen so the handles given out for it read as stale.
+type request struct {
+	gen  uint32
+	done bool
+	err  error
 
 	// receive fields
 	buf    []byte
@@ -67,28 +94,16 @@ type Request struct {
 	rdvSize int
 
 	// send fields
-	data     []byte
-	dstWorld int // destination world rank
-	mode     SendMode
-	sentRts  bool
+	data []byte
+
+	next *request // the free list's link, while on it
 }
 
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.done }
-
-// Err returns the request's error, if any (e.g. truncation). Only valid
-// after completion.
-func (q *Request) Err() error { return q.err }
-
-// Status returns the receive status. Only valid after completion of a
-// receive request.
-func (q *Request) Status() Status { return q.status }
-
-func (q *Request) complete() {
+func (q *request) complete() {
 	q.done = true
 }
 
-func (q *Request) failf(format string, args ...interface{}) {
+func (q *request) failf(format string, args ...interface{}) {
 	if q.err == nil {
 		q.err = fmt.Errorf(format, args...)
 	}

@@ -2,7 +2,7 @@ package mpi
 
 import "fmt"
 
-// Vector (v-variant) collectives and additional request-completion helpers.
+// Vector (v-variant) collectives.
 
 // Gatherv collects variable-size blocks at root: rank i's sendbuf lands at
 // recvbuf[displs[i]:displs[i]+counts[i]]. counts and displs are only
@@ -27,7 +27,7 @@ func (c *Comm) Gatherv(sendbuf, recvbuf []byte, counts, displs []int, root int) 
 		}
 		reqs = append(reqs, req)
 	}
-	return c.r.waitOwned(reqs)
+	return c.r.Waitall(reqs...)
 }
 
 // Scatterv distributes variable-size blocks from root; each rank receives
@@ -35,8 +35,7 @@ func (c *Comm) Gatherv(sendbuf, recvbuf []byte, counts, displs []int, root int) 
 func (c *Comm) Scatterv(sendbuf []byte, counts, displs []int, recvbuf []byte, root int) error {
 	n := c.Size()
 	if c.myrank != root {
-		_, err := c.crecv(recvbuf, root, tagScatter)
-		return err
+		return c.crecv(recvbuf, root, tagScatter)
 	}
 	if len(counts) < n || len(displs) < n {
 		return fmt.Errorf("mpi: Scatterv needs %d counts/displs", n)
@@ -69,64 +68,4 @@ func (c *Comm) Allgatherv(sendbuf, recvbuf []byte, counts, displs []int) error {
 		}
 	}
 	return c.Bcast(recvbuf[:total], 0)
-}
-
-// Waitany blocks until at least one of the requests completes and returns
-// its index (MPI_Waitany). With an empty slice it returns -1.
-func (r *Rank) Waitany(reqs ...*Request) (int, error) {
-	if len(reqs) == 0 {
-		return -1, nil
-	}
-	idx := -1
-	r.waitProgress(func() bool {
-		for i, q := range reqs {
-			if q.done {
-				idx = i
-				return true
-			}
-		}
-		return false
-	})
-	return idx, reqs[idx].err
-}
-
-// Waitsome blocks until at least one request completes and returns the
-// indices of all completed requests (MPI_Waitsome).
-func (r *Rank) Waitsome(reqs ...*Request) ([]int, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	var done []int
-	r.waitProgress(func() bool {
-		done = done[:0]
-		for i, q := range reqs {
-			if q.done {
-				done = append(done, i)
-			}
-		}
-		return len(done) > 0
-	})
-	for _, i := range done {
-		if reqs[i].err != nil {
-			return done, reqs[i].err
-		}
-	}
-	return done, nil
-}
-
-// Testall makes one progress pass and reports whether every request has
-// completed (MPI_Testall).
-func (r *Rank) Testall(reqs ...*Request) (bool, error) {
-	r.progress()
-	for _, q := range reqs {
-		if !q.done {
-			return false, nil
-		}
-	}
-	for _, q := range reqs {
-		if q.err != nil {
-			return true, q.err
-		}
-	}
-	return true, nil
 }

@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"testing"
-
-	"viampi/internal/simnet"
 )
 
 func TestGathervScatterv(t *testing.T) {
@@ -82,93 +80,6 @@ func TestAllgatherv(t *testing.T) {
 					t.Errorf("rank %d: allgatherv block %d byte %d = %d", me, i, j, out[displs[i]+j])
 					return
 				}
-			}
-		}
-	})
-}
-
-func TestWaitany(t *testing.T) {
-	runWorld(t, testCfg(2), func(r *Rank) {
-		c := r.World()
-		if r.Rank() == 0 {
-			r.Proc().Sleep(simnet.D(2e6))
-			if err := c.Send(1, 5, []byte("b")); err != nil { // tag 5 arrives first
-				t.Error(err)
-			}
-			r.Proc().Sleep(simnet.D(2e6))
-			if err := c.Send(1, 4, []byte("a")); err != nil {
-				t.Error(err)
-			}
-		} else {
-			b1 := make([]byte, 4)
-			b2 := make([]byte, 4)
-			q1, err := c.Irecv(b1, 0, 4)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			q2, err := c.Irecv(b2, 0, 5)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			idx, err := r.Waitany(q1, q2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if idx != 1 {
-				t.Errorf("Waitany returned %d, want 1 (tag 5 first)", idx)
-			}
-			if err := r.Waitall(q1, q2); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	// Empty argument list.
-	runWorld(t, testCfg(1), func(r *Rank) {
-		if idx, err := r.Waitany(); idx != -1 || err != nil {
-			t.Errorf("empty Waitany = %d, %v", idx, err)
-		}
-	})
-}
-
-func TestWaitsomeAndTestall(t *testing.T) {
-	runWorld(t, testCfg(2), func(r *Rank) {
-		c := r.World()
-		if r.Rank() == 0 {
-			r.Proc().Sleep(simnet.D(1e6))
-			for tag := 0; tag < 3; tag++ {
-				if err := c.Send(1, tag, []byte{byte(tag)}); err != nil {
-					t.Error(err)
-				}
-			}
-		} else {
-			bufs := make([][]byte, 3)
-			reqs := make([]*Request, 3)
-			for tag := 0; tag < 3; tag++ {
-				bufs[tag] = make([]byte, 4)
-				q, err := c.Irecv(bufs[tag], 0, tag)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				reqs[tag] = q
-			}
-			if done, _ := r.Testall(reqs...); done {
-				t.Error("Testall true before sends")
-			}
-			got, err := r.Waitsome(reqs...)
-			if err != nil || len(got) == 0 {
-				t.Errorf("Waitsome = %v, %v", got, err)
-				return
-			}
-			if err := r.Waitall(reqs...); err != nil {
-				t.Error(err)
-				return
-			}
-			if done, err := r.Testall(reqs...); !done || err != nil {
-				t.Errorf("Testall after Waitall = %v, %v", done, err)
 			}
 		}
 	})

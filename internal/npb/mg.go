@@ -96,7 +96,6 @@ func MG() Kernel {
 								tagE := 20 + axis*2
 								tagW := 21 + axis*2
 								phase := it*100 + lvl
-								var reqs []*mpi.Request
 								rq1, err := c.Irecv(ins[0][:face], west, tagE)
 								if err != nil {
 									return err
@@ -115,8 +114,7 @@ func MG() Kernel {
 								if err != nil {
 									return err
 								}
-								reqs = append(reqs, rq1, rq2, sq1, sq2)
-								if err := r.Waitall(reqs...); err != nil {
+								if err := r.Waitall(rq1, rq2, sq1, sq2); err != nil {
 									return err
 								}
 								check(res, ins[0][:face], west, phase, axis*100)

@@ -408,15 +408,6 @@ func (p *Port) ConnectPeerWait(vi *VI, mode WaitMode, timeout simnet.Duration) e
 	}
 }
 
-// ConnectRequest is the client side of the client-server model: it issues a
-// request and blocks until the server accepts or rejects.
-func (p *Port) ConnectRequest(vi *VI, remote Addr, disc uint64, mode WaitMode) error {
-	if err := p.ConnectPeerRequest(vi, remote, disc); err != nil {
-		return err
-	}
-	return p.ConnectPeerWait(vi, mode, -1)
-}
-
 // PendingPeerRequests returns incoming, not-yet-matched connection requests.
 // The on-demand progress engine polls this to notice peers that want to
 // talk (the slice is live; use ConnectPeerRequest or Accept to consume).

@@ -178,7 +178,11 @@ func TestClientServerConnectAndReject(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := port.ConnectRequest(vi, serverAddr, 1, WaitPoll); err != nil {
+			if err := port.ConnectPeerRequest(vi, serverAddr, 1); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := port.ConnectPeerWait(vi, WaitPoll, -1); err != nil {
 				t.Errorf("first connect: %v", err)
 				return
 			}
@@ -187,7 +191,11 @@ func TestClientServerConnectAndReject(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := port.ConnectRequest(vi2, serverAddr, 2, WaitPoll); err != ErrRejected {
+			if err := port.ConnectPeerRequest(vi2, serverAddr, 2); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := port.ConnectPeerWait(vi2, WaitPoll, -1); err != ErrRejected {
 				t.Errorf("second connect err = %v, want ErrRejected", err)
 			}
 			if vi2.State() != ViIdle {
