@@ -85,7 +85,7 @@ loc:
 # and on BenchmarkEagerRoundTrip (one steady-state round trip through the
 # whole stack) is an invariant (also enforced statically by the hotalloc
 # analyzer); BenchmarkReconnectCycle is the connection path's rail (one
-# evict-teardown-reconnect cycle: 2 allocs/op, the two VI endpoints), BenchmarkMeshBoot
+# evict-teardown-reconnect cycle: 0 allocs/op, the VIs are reissued), BenchmarkMeshBoot
 # the static mesh's (a 64-rank static-p2p world through Init and Finalize:
 # ~5,500 allocs/op, ~90 per rank and next to nothing per connection, because
 # the managers reserve slabs at Init; ~70,000 means a first connection is

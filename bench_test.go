@@ -251,10 +251,10 @@ func BenchmarkEagerRoundTrip(b *testing.B) {
 // BenchmarkReconnectCycle is the connection path's rail: rank 0 may keep one
 // VI and alternates between two partners, so every one of its b.N messages
 // evicts the other channel (BYE handshake, teardown) and establishes a fresh
-// one. ns/op, B/op and allocs/op are per reconnect cycle, both ends of it;
-// what remains is the two VI endpoints and what the provider queues per
-// handshake — the eager pool, the channel state and the queues come off the
-// free lists (internal/mpi's TestReconnectCycleAllocs holds the count).
+// one. ns/op, B/op and allocs/op are per reconnect cycle, both ends of it,
+// and allocs/op is 0: the eager pool, the channel state and the VIs
+// themselves — reissued by their ports under a new (slot, life) id — come
+// off free lists (internal/mpi's TestReconnectCycleAllocs holds the count).
 func BenchmarkReconnectCycle(b *testing.B) {
 	b.ReportAllocs()
 	cfg := mpi.Config{Procs: 3, MaxVIs: 1, Seed: 1, Deadline: 3600 * simnet.Second}

@@ -19,6 +19,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"viampi/internal/core"
 	"viampi/internal/fabric"
@@ -279,7 +280,11 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 
 	for i := 0; i < n; i++ {
 		i := i
-		sim.Spawn(fmt.Sprintf("rank%d", i), 0, func(p *simnet.Proc) {
+		// Not fmt: its printer pool is refilled at random under -race and
+		// after every GC, which the allocation rails would count as the run's.
+		// One allocation a name, as Sprintf's was.
+		var name [24]byte
+		sim.Spawn(string(strconv.AppendInt(append(name[:0], "rank"...), int64(i), 10)), 0, func(p *simnet.Proc) {
 			port, err := net.Open(p)
 			if err != nil {
 				sim.Failf("mpi: rank %d open: %v", i, err)

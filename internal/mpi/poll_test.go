@@ -144,7 +144,7 @@ func flowWorlds(t *testing.T) {
 			r.Abort(1, err.Error())
 		}
 	}
-	evicting := map[*via.VI]bool{} // channels seen closing as evictor with arrivals read and no credit returned
+	evicting := map[*via.VI]int{} // channels seen closing as evictor with arrivals read and no credit returned: the VI's id then
 	worlds := []struct {
 		name string
 		cfg  Config
@@ -186,9 +186,10 @@ func flowWorlds(t *testing.T) {
 		}},
 		{"BYE refused over unread arrivals", Config{Procs: 3, Policy: "ondemand", MaxVIs: 1, CreditCount: 8, EagerThreshold: 256}, func(cs *chanState) bool {
 			if cs.closing && cs.evict && cs.freed >= cs.posted/2 {
-				evicting[cs.ch.Vi] = true
+				evicting[cs.ch.Vi] = cs.ch.Vi.ID()
 			}
-			return evicting[cs.ch.Vi] && !cs.closing // the same VI, open again
+			id, ok := evicting[cs.ch.Vi]
+			return ok && id == cs.ch.Vi.ID() && !cs.closing // the same VI, in the same life, open again
 		}, func(r *Rank) {
 			c := r.World()
 			switch r.Rank() {

@@ -76,7 +76,7 @@ type Rank struct {
 	// Free lists of the message path: packets; send descriptors with the
 	// wire buffers they carry (tagged with the rank in UserPtr); RDMA writes'
 	// descriptors (tagged with their list: the Buf they carry is the
-	// caller's, dropped when reapSends takes them back); requests, chained
+	// caller's, dropped when recycleSend takes them back); requests, chained
 	// through their own next field (see release), with the count growReqs has
 	// made, and the one list the library waits on its own in (reqList);
 	// unexpected-queue entries, each keeping its payload buffer.
@@ -374,6 +374,13 @@ func (r *Rank) teardownChannel(cs *chanState) {
 	if cs.userSends > 0 {
 		r.rememberDest(peer)
 	}
+	// The control packets the VI has not reaped yet (a BYE, its ACK) come
+	// back now, uncharged — Close would drop them with their wire buffers.
+	// A descriptor's frames carry their own bytes, and a stale completion
+	// event is refused by generation, so reusing one at once is safe.
+	for _, d := range cs.ch.Vi.PostedSends() {
+		r.recycleSend(d)
+	}
 	cs.ch.Vi.Close()
 	for _, h := range cs.memHandles {
 		if err := r.port.Memory().Deregister(h); err != nil {
@@ -648,15 +655,17 @@ func (r *Rank) progressStep() {
 		if d.Status != via.StatusSuccess {
 			continue // descriptor failed with the connection; ignore
 		}
+		id := vi.ID()
 		r.handlePacket(cs, d.Buf[:d.XferLen])
 		// The packet has been read — an eager payload is copied out, into the
 		// receive it matched or the unexpected queue — and nothing else keeps
 		// the descriptor or its landing buffer: back to the port.
 		r.port.ReturnLanding(d)
 		// Re-arm the pool receive the message claimed, immediately — unless
-		// the packet tore its own channel down (BYE_ACK, crossing BYE) or the
+		// the packet tore its own channel down (BYE_ACK, crossing BYE: the VI
+		// may already be reissued to the reconnect that followed) or the
 		// peer's DISC has arrived meanwhile.
-		if vi.State() == via.ViConnected && vi.PostRecvPool(1, r.cfg.eagerBufSize()) == nil {
+		if vi.ID() == id && vi.State() == via.ViConnected && vi.PostRecvPool(1, r.cfg.eagerBufSize()) == nil {
 			cs.freed++
 		}
 	}
@@ -713,14 +722,20 @@ func (r *Rank) reapSends() {
 	}
 	for _, cs := range r.active {
 		for d := cs.ch.Vi.SendDone(); d != nil; d = cs.ch.Vi.SendDone() {
-			switch d.UserPtr {
-			case r:
-				r.freeSends = append(r.freeSends, d)
-			case &r.freeRdma:
-				d.Buf = nil // the caller's memory: the frames took their copies at the post
-				r.freeRdma = append(r.freeRdma, d)
-			}
+			r.recycleSend(d)
 		}
+	}
+}
+
+// recycleSend puts a send descriptor taken off its VI back on the free list
+// its UserPtr names.
+func (r *Rank) recycleSend(d *via.Descriptor) {
+	switch d.UserPtr {
+	case r:
+		r.freeSends = append(r.freeSends, d)
+	case &r.freeRdma:
+		d.Buf = nil // the caller's memory: the frames took their copies at the post
+		r.freeRdma = append(r.freeRdma, d)
 	}
 }
 

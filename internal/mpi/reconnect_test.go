@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"viampi/internal/obs"
@@ -61,16 +62,17 @@ func reconnects(t *testing.T, n int) {
 }
 
 // The allocation rail of the connection path, by difference between two run
-// lengths of one simulation so that boot cancels. What a reconnect cycle
-// still allocates is its two VI endpoints: 2 a cycle. (The message that beats
-// its receive — the probing partner's always does — waits in an unexpected-
-// queue entry off the rank's free list.)
+// lengths of one simulation so that boot cancels: a reconnect cycle allocates
+// nothing. The two VI endpoints are reissued from their ports' free lists, the
+// control packets a teardown has not reaped come back to the rank's, and the
+// message that beats its receive — the probing partner's always does — waits
+// in an unexpected-queue entry off the rank's free list.
 func TestReconnectCycleAllocs(t *testing.T) {
 	const n = 100
 	short := testing.AllocsPerRun(5, func() { reconnects(t, n) })
 	long := testing.AllocsPerRun(5, func() { reconnects(t, 10*n) })
-	if perCycle := (long - short) / (9 * n); perCycle > 2.5 {
-		t.Errorf("%.2f allocations per reconnect cycle (%v for %d, %v for %d), want at most 2.5", perCycle, short, n, long, 10*n)
+	if perCycle := (long - short) / (9 * n); perCycle > 0.01 {
+		t.Errorf("%.3f allocations per reconnect cycle (%v for %d, %v for %d), want 0", perCycle, short, n, long, 10*n)
 	}
 }
 
@@ -95,7 +97,22 @@ func distinct(free []*via.Descriptor) bool {
 // entry. Had Close taken the completed descriptor back as well, the port's
 // free list would hold it twice (and the next message to claim it would erase
 // XferLen under the entry: "arrival on unknown VI").
+//
+// The teardown also finds rank 0's own BYE sent and not yet reaped: it must
+// take the descriptor back, not let Close drop it with its wire buffer.
+//
+// In the second case rank 0 opens a channel to rank 3 between the teardown
+// scan and the drain, and the port reissues the closed VI to it. The entry
+// was made for the VI's earlier life: it must still take the unknown-VI path,
+// not be read as a BYE from rank 3 (which would open a teardown on a channel
+// still connecting).
 func TestStaleCQEntryAfterTeardown(t *testing.T) {
+	for _, reissue := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reissued=%v", reissue), func(t *testing.T) { staleCQEntryAfterTeardown(t, reissue) })
+	}
+}
+
+func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 	const credits = 4
 	cfg := Config{Procs: 4, MaxVIs: 1, CreditCount: credits, Deadline: within(2 * simnet.Millisecond)}
 	_, err := Run(cfg, func(r *Rank) {
@@ -124,6 +141,7 @@ func TestStaleCQEntryAfterTeardown(t *testing.T) {
 			}
 			return
 		}
+		closing := r.mgr.PeekChannel(1).Vi
 		if _, err := r.channel(2); err != nil { // evicts the channel to rank 1
 			fail("%v", err)
 		}
@@ -133,12 +151,41 @@ func TestStaleCQEntryAfterTeardown(t *testing.T) {
 			fail("before the pass: %d CQ entries, %d landing descriptors free of %d made, %d out; want rank 1's BYE alone, in the port's one descriptor, out",
 				r.cq.Len(), len(free), made, lent)
 		}
+		unreaped := slices.Clone(closing.PostedSends())
+		if len(unreaped) == 0 {
+			fail("rank 0's BYE was reaped before the teardown: the case did not happen")
+		}
+		var fresh *chanState
+		if reissue {
+			r.adoptDisconnects() // closes the VI the entry was made on
+			cs, err := r.channel(3)
+			if err != nil {
+				fail("%v", err)
+			}
+			if fresh = cs; fresh.ch.Vi != closing {
+				fail("the channel to rank 3 has a VI of its own: the closed one was not reissued")
+			}
+		}
 		r.progressStep()
 		// The frame read, the entry's descriptor is the port's again, once;
 		// the closed channel's other receives were a count and left nothing.
+		made = r.port.Stats().LandingPeak
 		if free, lent := r.port.Landing(); r.cq.Len() != 0 || len(free) != made || !distinct(free) || lent != 0 {
 			fail("after the pass: %d CQ entries, %d landing descriptors free (distinct: %v), %d out; want 0, the %d ever made, each once, and 0",
 				r.cq.Len(), len(free), distinct(free), lent, made)
+		}
+		if fresh != nil && (fresh.closing || fresh.ch.Parked() != 0) {
+			fail("the channel to rank 3 took rank 1's BYE for its own")
+		}
+		for _, d := range unreaped {
+			// Back on the free list, or already off it again for a new packet.
+			kept := slices.Contains(r.freeSends, d)
+			for _, cs := range r.active {
+				kept = kept || slices.Contains(cs.ch.Vi.PostedSends(), d)
+			}
+			if !kept {
+				fail("a send descriptor the teardown found unreaped is lost: Close dropped it")
+			}
 		}
 		if err := c.Send(2, 0, out); err != nil {
 			fail("%v", err)
@@ -255,12 +302,12 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		ranks    [np]*Rank
 		running  = np
 		crossing bool // both ends of a channel closing as evictors at once
-		nacked   bool // an evictor's channel seen open again on the same VI
+		nacked   bool // an evictor's channel seen open again on the same VI, in the same life (evicting: its id then)
 		parked   bool // an unexpected eager message whose channel is gone
 		grew     bool // a pool beyond its initial size
 		scribble int  // buffers overwritten
 		beside   bool // a port's free buffers overwritten while it had others out, holding messages
-		evicting = map[*via.VI]bool{}
+		evicting = map[*via.VI]int{}
 	)
 	tick := func() {
 		for _, r := range ranks {
@@ -283,14 +330,15 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 			for _, cs := range r.active {
 				vi := cs.ch.Vi
 				if cs.closing && cs.evict {
-					evicting[vi] = true
+					evicting[vi] = vi.ID()
 					if peer := ranks[cs.peer]; peer != nil {
 						for _, pcs := range peer.active {
 							crossing = crossing || pcs.peer == r.rank && pcs.closing && pcs.evict
 						}
 					}
 				}
-				nacked = nacked || evicting[vi] && !cs.closing
+				id, seen := evicting[vi]
+				nacked = nacked || seen && id == vi.ID() && !cs.closing // not a later life of the VI
 				grew = grew || cs.posted > initialCredits && r.cfg.DynamicCredits
 			}
 			for _, u := range r.umq {

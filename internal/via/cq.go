@@ -11,8 +11,12 @@ type CQ struct {
 	entries []cqEntry
 }
 
+// cqEntry is a completion and the VI it completed on, under the id the VI had
+// then: Close leaves an entry in place, and the VI may be reissued before the
+// owner reaps it.
 type cqEntry struct {
 	vi *VI
+	id int
 	d  *Descriptor
 }
 
@@ -20,14 +24,16 @@ type cqEntry struct {
 func NewCQ(port *Port) *CQ { return &CQ{port: port} }
 
 func (q *CQ) push(vi *VI, d *Descriptor) {
-	q.entries = append(q.entries, cqEntry{vi, d})
+	q.entries = append(q.entries, cqEntry{vi, vi.id, d})
 }
 
 // Len returns the number of unreaped completions.
 func (q *CQ) Len() int { return len(q.entries) }
 
 // Done polls the CQ: it returns the oldest completion, removing both the CQ
-// entry and the descriptor from its VI's receive queue, or (nil, nil).
+// entry and the descriptor from its VI's receive queue, or (nil, nil). The VI
+// is nil if it was closed and reissued since the completion: the descriptor
+// is still the completion's, and the new life is none of its business.
 func (q *CQ) Done() (*VI, *Descriptor) {
 	q.port.ChargeHost(q.port.net.cost.PollOverhead)
 	if len(q.entries) == 0 {
@@ -35,6 +41,9 @@ func (q *CQ) Done() (*VI, *Descriptor) {
 	}
 	e := q.entries[0]
 	q.entries = simnet.PopFront(q.entries)
+	if e.vi.id != e.id {
+		return nil, e.d
+	}
 	// Detach the descriptor from its VI's posted queue.
 	for i, d := range e.vi.recvQ {
 		if d == e.d {

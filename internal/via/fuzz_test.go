@@ -16,8 +16,8 @@ var dispatchKinds = []byte{0, kindConnReq, kindConnAck, kindConnNack, kindDisc, 
 var dispatchWaits = []simnet.Duration{0, 10 * simnet.Microsecond, simnet.Millisecond}
 
 // fuzzFrame is one fuzzed frame: bit 0 of the first byte picks the receiving
-// port and the rest the kind; then srcVi, dstVi (both signed, so negative and
-// unknown VIs occur), disc, and the wait after it.
+// port and the rest the kind; then srcVi, dstVi (both as fuzzVi reads them),
+// disc, and the wait after it.
 func fuzzFrame(toB bool, kind byte, srcVi, dstVi int8, disc, wait byte) []byte {
 	b0 := byte(0)
 	for i, k := range dispatchKinds {
@@ -29,6 +29,16 @@ func fuzzFrame(toB bool, kind byte, srcVi, dstVi int8, disc, wait byte) []byte {
 		b0 |= 1
 	}
 	return []byte{b0, byte(srcVi), byte(dstVi), disc, wait}
+}
+
+// fuzzVi reads a fuzzed VI id: a signed byte below 64 is the id itself, life
+// 0 of its slot (so negative and unknown ids occur), and one from 64 up is life
+// 1 of slot b-64.
+func fuzzVi(b byte) int {
+	if v := int(int8(b)); v < 64 {
+		return v
+	}
+	return 1<<lifeShift | int(b-64)
 }
 
 // legalEdge reports whether a VI may move from one state to another: the
@@ -50,14 +60,16 @@ func legalEdge(from, to ViState) bool {
 }
 
 // FuzzPortDispatch feeds decoded frames straight to Port.dispatch on a
-// two-port network whose VIs start idle, connecting and connected, and checks
-// that nothing panics or trips a simulator assertion and that every state
-// change a VI makes — at the dispatch, or in the events it books — is an edge
-// of the lifecycle.
+// two-port network whose VIs start idle, connecting and connected, one of them
+// in its second life, and checks that nothing panics or trips a simulator
+// assertion, that every state change a VI makes — at the dispatch, or in the
+// events it books — is an edge of the lifecycle, and that a DATA or DISC frame
+// addressed to no live VI's id changes nothing.
 func FuzzPortDispatch(f *testing.F) {
 	const A, B = false, true
 	// A's VIs: 0 connected to B's 0 (disc 5), 1 idle, 2 connecting to B
-	// (disc 1, never answered). B has only its 0.
+	// (disc 1, never answered), and in slot 3 life 1 (id 67 to fuzzVi)
+	// connected to B's 1 (disc 6); its life 0 closed unconnected.
 	seed := func(frames ...[]byte) {
 		var data []byte
 		for _, fr := range frames {
@@ -74,14 +86,21 @@ func FuzzPortDispatch(f *testing.F) {
 	seed(fuzzFrame(A, kindDisc, 0, 2, 0, 1), fuzzFrame(A, kindDisc, 0, 0, 0, 1), fuzzFrame(B, kindDisc, 0, 0, 0, 2))
 	// Unknown and negative dstVi.
 	seed(fuzzFrame(B, kindData, 0, 3, 0, 0), fuzzFrame(A, kindDisc, 0, -1, 0, 1), fuzzFrame(A, kindData, 0, 100, 0, 2))
+	// DATA and DISC for slot 3's earlier life find nothing: the connected VI
+	// in the slot now neither breaks (no receive is posted) nor disconnects.
+	seed(fuzzFrame(A, kindData, 0, 3, 0, 0), fuzzFrame(A, kindDisc, 0, 3, 0, 1), fuzzFrame(A, kindData, 0, 67, 0, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := newEnv(2, 1, ClanCost())
+		peerOf := func(port *Port) *Port {
+			ports := e.net.Ports()
+			if ports[0] == port {
+				return ports[1]
+			}
+			return ports[0]
+		}
 		establishDataPair(t, e,
 			func(p *simnet.Proc, port *Port, vi *VI) {
-				peer := e.net.Ports()[0]
-				if peer == port {
-					peer = e.net.Ports()[1]
-				}
+				peer := peerOf(port)
 				idle, err := port.CreateVi()
 				if err != nil {
 					t.Fatal(err)
@@ -93,10 +112,35 @@ func FuzzPortDispatch(f *testing.F) {
 				if err := port.ConnectPeerRequest(connecting, peer.Addr(), 1); err != nil {
 					t.Fatal(err)
 				}
-				vis := []*VI{vi, idle, connecting, peer.vis[0]}
+				gone, err := port.CreateVi()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gone.Close()
+				again, err := port.CreateVi()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := port.ConnectPeerRequest(again, peer.Addr(), 6); err != nil {
+					t.Fatal(err)
+				}
+				if err := port.ConnectPeerWait(again, WaitPoll, -1); err != nil || again.ID() != fuzzVi(67) {
+					t.Fatalf("slot 3's second life: id %#x, %v", again.ID(), err)
+				}
+				vis := []*VI{vi, idle, connecting, again, peer.vis[0], peer.vis[1]}
 				states := make([]ViState, len(vis))
 				for i, v := range vis {
 					states[i] = v.State()
+				}
+				// live reports whether a VI of port's has the id: the test's own
+				// oracle, not lookupVi's.
+				live := func(port *Port, id int) bool {
+					for _, v := range vis {
+						if v.port == port && v.id == id && v.state != ViClosed {
+							return true
+						}
+					}
+					return false
 				}
 				observe := func(after string) {
 					for i, v := range vis {
@@ -117,17 +161,34 @@ func FuzzPortDispatch(f *testing.F) {
 					}
 					m := &wireMsg{
 						kind:  dispatchKinds[int(b[0]>>1)%len(dispatchKinds)],
-						srcEp: from.ep, srcVi: int(int8(b[1])), dstVi: int(int8(b[2])), disc: uint64(b[3]),
+						srcEp: from.ep, srcVi: fuzzVi(b[1]), dstVi: fuzzVi(b[2]), disc: uint64(b[3]),
 					}
+					kind, dst := m.kind, m.dstVi
+					stale := (kind == kindData || kind == kindDisc) && !live(to, dst)
 					to.dispatch(m)
-					if !m.held {
+					held := m.held
+					if !held {
 						e.net.release(m)
+					}
+					for i, v := range vis {
+						if stale && (held || v.State() != states[i]) {
+							t.Fatalf("a kind-%d frame for id %#x, no live VI's, reached vi %#x@%d (%v → %v, held %v)",
+								kind, dst, v.id, v.port.ep, states[i], v.State(), held)
+						}
 					}
 					observe("dispatch")
 					p.Sleep(dispatchWaits[int(b[4])%len(dispatchWaits)])
 					observe("wait")
 				}
 			},
-			func(p *simnet.Proc, port *Port, vi *VI) {})
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				again, err := port.CreateVi()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := port.ConnectPeerRequest(again, peerOf(port).Addr(), 6); err != nil {
+					t.Fatal(err)
+				}
+			})
 	})
 }

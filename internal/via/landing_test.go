@@ -17,8 +17,9 @@ import (
 // shorter than the pool's capacity, a write on behalf of a message that does
 // not fit, a descriptor that never comes back.
 
-// The descriptor word must not grow with the loan flag, nor a VI — what every
-// reconnect allocates, twice — out of its size class with the pool's count.
+// The descriptor word must not grow with the loan flag, nor a VI — one per
+// slot of its port, live or free — out of its size class with the pool's
+// count.
 func TestDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Descriptor{}); got > 96 {
 		t.Errorf("Descriptor is %d bytes, want at most 96", got)

@@ -59,12 +59,11 @@ type Port struct {
 	owner *simnet.Proc
 	mem   *MemoryRegistry
 
-	vis     []*VI // by VI id; a closed VI's slot is nil
-	nextVi  int
-	liveVIs int // VIs created and not yet closed, held under MaxVIsPerPort
-	visUsed int // VIs, open or closed, that carried a data message
+	vis     []*VI // by slot (the low half of a VI id); a closed VI's slot is nil
+	liveVIs int   // VIs created and not yet closed, held under MaxVIsPerPort
+	visUsed int   // VIs, open or closed, that carried a data message
 
-	spareQs  []viQueues     // emptied work queues of closed VIs
+	freeVIs  []*VI          // closed VIs, each keeping its slot and its emptied work queues
 	freeReqs []*PeerRequest // consumed incoming requests
 
 	// What Reserve made for the VIs its caller is about to create, one
@@ -210,16 +209,16 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 		return nil, fmt.Errorf("%w: %d", ErrTooManyVIs, p.net.cost.MaxVIsPerPort)
 	}
 	p.ChargeHost(p.net.cost.CreateViCost)
-	vi := simnet.Carve(&p.viSlab)
-	if vi == nil {
-		vi = new(VI)
+	// A closed VI is reissued in its slot for its next life, with the work
+	// queues it emptied at Close; only a port with every slot live grows.
+	vi := simnet.Pop(&p.freeVIs)
+	if vi != nil {
+		vi.id += 1 << lifeShift
+	} else {
+		vi = p.growVIs()
 	}
-	*vi = VI{port: p, id: p.nextVi, recvCQ: cq}
-	if k := len(p.spareQs) - 1; k >= 0 {
-		vi.viQueues, p.spareQs = p.spareQs[k], p.spareQs[:k]
-	}
-	p.nextVi++
-	p.vis = append(p.vis, vi)
+	*vi = VI{port: p, id: vi.id, recvCQ: cq, viQueues: vi.viQueues}
+	p.vis[vi.slot()] = vi
 	p.liveVIs++
 	p.net.nodes[p.node].openVIs++
 	p.stats.VisCreated++
@@ -246,13 +245,17 @@ func (p *Port) Reserve(n int) {
 	p.mem.regions = simnet.Presize(p.mem.regions, n)
 }
 
-// keepQueues empties a closing VI's work queues, whole backing arrays (a
-// removal from the middle leaves a copy of the last pointer past the end),
-// and keeps them for the next VI.
-func (p *Port) keepQueues(q viQueues) {
-	clear(q.sendQ[:cap(q.sendQ)])
-	clear(q.recvQ[:cap(q.recvQ)])
-	p.spareQs = append(p.spareQs, viQueues{q.sendQ[:0], q.recvQ[:0]})
+// growVIs adds a slot to the port, with a VI for its life 0: the next of
+// Reserve's slab, else a new one (cold path: the table settles at the most VIs
+// live at once).
+func (p *Port) growVIs() *VI {
+	vi := simnet.Carve(&p.viSlab)
+	if vi == nil {
+		vi = new(VI)
+	}
+	vi.id = len(p.vis)
+	p.vis = append(p.vis, nil)
+	return vi
 }
 
 // lendLanding lends the message about to land on vi, which has just claimed a
@@ -502,31 +505,33 @@ func (p *Port) newPeerRequest() *PeerRequest {
 func growPeerRequests() *PeerRequest { return new(PeerRequest) }
 
 // establish books vi's move to ViConnected, and the ACK that lets the remote
-// side complete, for when the provider has processed the handshake.
+// side complete, for when the provider has processed the handshake. The event
+// carries the id it was booked for: vi may be closed and reissued by then.
 func (p *Port) establish(vi *VI, remoteVi int) {
-	p.net.sim.AtAction(p.net.sim.Now().Add(p.net.cost.ConnectProcCost), (*viEstablish)(vi), uint64(remoteVi))
+	vi.remoteVi = remoteVi
+	p.net.sim.AtAction(p.net.sim.Now().Add(p.net.cost.ConnectProcCost), (*viEstablish)(vi), uint64(vi.id))
 }
 
 // viEstablish is a connecting VI as the scheduler event establish books.
 type viEstablish VI
 
 // Fire runs after the provider's processing delay.
-func (e *viEstablish) Fire(remoteVi uint64) { (*VI)(e).establishAfter(int(remoteVi)) }
+func (e *viEstablish) Fire(id uint64) { (*VI)(e).establishAfter(int(id)) }
 
-// establishAfter connects vi to remoteVi once the processing delay is over,
-// unless the attempt was abandoned meanwhile.
-func (vi *VI) establishAfter(remoteVi int) {
+// establishAfter connects the VI to the remote one establish recorded once the
+// processing delay is over, unless the attempt was abandoned meanwhile or the
+// VI is in a later life than id.
+func (vi *VI) establishAfter(id int) {
 	p := vi.port
-	if vi.state != ViConnecting {
+	if vi.id != id || vi.state != ViConnecting {
 		return
 	}
-	vi.remoteVi = remoteVi
 	vi.state = ViConnected
 	p.stats.VisConnected++
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
 		Rank: int32(p.ep), Peer: int32(vi.remoteEp), A: int64(vi.disc)})
 	p.net.sendFrame(p, vi.remoteEp, wireMsg{
-		kind: kindConnAck, srcEp: p.ep, srcVi: vi.id, disc: vi.disc, dstVi: remoteVi,
+		kind: kindConnAck, srcEp: p.ep, srcVi: vi.id, disc: vi.disc, dstVi: vi.remoteVi,
 	}, nil, 64)
 	vi.deliverHeld()
 	p.notifyActivity()
@@ -641,11 +646,16 @@ func (p *Port) RecvOob() (from Addr, data []byte, ok bool) {
 	return m.from, m.data, true
 }
 
+// lookupVi returns the live VI whose id is exactly id: a frame addressed to a
+// slot's earlier life, like one to a closed VI, finds nothing.
 func (p *Port) lookupVi(id int) *VI {
-	if id < 0 || id >= len(p.vis) {
+	if id < 0 || id&slotMask >= len(p.vis) {
 		return nil
 	}
-	return p.vis[id]
+	if vi := p.vis[id&slotMask]; vi != nil && vi.id == id {
+		return vi
+	}
+	return nil
 }
 
 // Close tears down all VIs on the port and marks it closed.

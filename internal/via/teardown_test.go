@@ -272,9 +272,9 @@ func TestCancelConnectAbandonsRequest(t *testing.T) {
 
 func time10ms() simnet.Duration { return 10 * simnet.Millisecond }
 
-// Close fails the pending descriptors and lets go of them, and the port lets
-// go of the VI: nothing a closed VI held stays reachable until the end of
-// the run.
+// Close fails the pending descriptors and lets go of them, and the port
+// clears the VI's slot: the closed VI waits on the port's free list holding
+// nothing it held while open.
 func TestCloseDropsQueues(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
 	establishDataPair(t, e,
@@ -300,8 +300,8 @@ func TestCloseDropsQueues(t *testing.T) {
 				t.Errorf("closed VI still holds %d sends, %d receives, %d frames",
 					len(vi.sendQ), len(vi.recvQ), len(vi.preConnQ))
 			}
-			if port.vis[vi.id] != nil {
-				t.Error("the port still holds the closed VI")
+			if port.vis[vi.slot()] != nil || len(port.freeVIs) != 1 || port.freeVIs[0] != vi {
+				t.Error("the closed VI is still in its slot, or not on the port's free list")
 			}
 		},
 		func(p *simnet.Proc, port *Port, vi *VI) {
@@ -313,9 +313,10 @@ func TestCloseDropsQueues(t *testing.T) {
 
 // Under connection churn a port must not grow with the VIs it has closed:
 // Close clears the VI's slot (a frame addressed to it finds nothing, as it
-// found a closed VI before), the work queues it leaves with the port name no
-// descriptor, and VisUsed — a counter, not a scan — still counts every VI
-// that carried data, open or closed.
+// found a closed VI before) and CreateVi reissues the closed VI in the same
+// slot, so one VI at a time is one slot; the free VI's emptied work queues
+// name no descriptor; and VisUsed — a counter, not a scan — still counts
+// every VI that carried data, open or closed.
 func TestClosedVIsAreNotRetained(t *testing.T) {
 	const cycles = 40
 	e := newEnv(2, 1, ClanCost())
@@ -363,24 +364,24 @@ func TestClosedVIsAreNotRetained(t *testing.T) {
 			if got := port.VisUsed(); got != cycles/2 {
 				t.Errorf("port %d: VisUsed = %d after %d VIs of which every other carried data, want %d", me, got, cycles, cycles/2)
 			}
-			if len(port.vis) != cycles {
-				t.Errorf("port %d: %d VI slots for %d VIs", me, len(port.vis), cycles)
+			if len(port.vis) != 1 || port.vis[0] != nil {
+				t.Errorf("port %d: %d VI slots after %d VIs one at a time, want 1, and empty", me, len(port.vis), cycles)
 			}
-			for id, vi := range port.vis {
-				if vi != nil {
-					t.Errorf("port %d still holds closed VI %d", me, id)
+			if len(port.outgoing) != 0 || len(port.freeVIs) != 1 {
+				t.Fatalf("port %d: %d outgoing requests, %d free VIs after a one-VI-at-a-time churn, want 0 and 1",
+					me, len(port.outgoing), len(port.freeVIs))
+			}
+			q := port.freeVIs[0].viQueues
+			if cap(q.recvQ) == 0 {
+				t.Errorf("port %d: the free VI let go of its receive queue", me)
+			}
+			for _, d := range append(q.sendQ[:cap(q.sendQ)], q.recvQ[:cap(q.recvQ)]...) {
+				if d != nil {
+					t.Errorf("port %d: the free VI's work queues still name a descriptor", me)
 				}
 			}
-			if len(port.outgoing) != 0 || len(port.spareQs) > 1 {
-				t.Errorf("port %d: %d outgoing requests, %d spare queue pairs after a one-VI-at-a-time churn, want 0 and at most 1",
-					me, len(port.outgoing), len(port.spareQs))
-			}
-			for _, q := range port.spareQs {
-				for _, d := range append(q.sendQ[:cap(q.sendQ)], q.recvQ[:cap(q.recvQ)]...) {
-					if d != nil {
-						t.Errorf("port %d: a spare work queue still names a descriptor", me)
-					}
-				}
+			if got, want := port.freeVIs[0].ID(), (cycles-1)<<lifeShift; got != want {
+				t.Errorf("port %d: the slot's last VI has id %#x, want %#x: life %d of slot 0", me, got, want, cycles-1)
 			}
 		}
 	}
@@ -443,6 +444,59 @@ func TestCloseReturnsUnfinishedRecvs(t *testing.T) {
 			port.ReturnLanding(d)
 			if free, out := port.Landing(); len(free) != 1 || free[0] != d || out != 0 {
 				t.Errorf("after the entry was reaped and read: %d free, %d out; want the one descriptor back", len(free), out)
+			}
+		})
+}
+
+// A VI closed while its establishment is booked, then reissued and connecting
+// elsewhere before the event fires: the event was booked for the earlier life
+// and must not connect the new one. The provider's processing delay is
+// stretched past a CreateVi and a request, so that the event outlives both.
+func TestStaleEstablishAfterReissue(t *testing.T) {
+	cost := ClanCost()
+	cost.ConnectProcCost = simnet.Millisecond
+	e := newEnv(2, 1, cost)
+	addrs := make([]Addr, 2)
+	e.pair(t,
+		func(p *simnet.Proc, port *Port) {
+			addrs[0] = port.Addr()
+			for len(port.PendingPeerRequests()) == 0 {
+				port.WaitActivity(WaitPoll)
+			}
+			vi, err := port.CreateVi()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// B's request is pending: this matches it and books the establishment.
+			if err := port.ConnectPeerRequest(vi, addrs[1], 1); err != nil {
+				t.Fatal(err)
+			}
+			old := vi.ID()
+			vi.Close()
+			again, err := port.CreateVi()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != vi || again.ID() == old {
+				t.Fatalf("CreateVi after Close made a new VI or kept id %#x: the closed VI was not reissued", old)
+			}
+			if err := port.ConnectPeerRequest(again, addrs[1], 2); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(2 * cost.ConnectProcCost)
+			if again.State() != ViConnecting {
+				t.Errorf("the reissued VI is %v once its earlier life's establishment has fired, want still connecting", again.State())
+			}
+		},
+		func(p *simnet.Proc, port *Port) {
+			addrs[1] = port.Addr()
+			p.Sleep(10 * simnet.Microsecond)
+			vi, err := port.CreateVi()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := port.ConnectPeerRequest(vi, addrs[0], 1); err != nil {
+				t.Fatal(err)
 			}
 		})
 }

@@ -12,7 +12,7 @@ import (
 // A VI must be connected to exactly one remote VI before data can flow.
 type VI struct {
 	port *Port
-	id   int
+	id   int // life<<lifeShift | slot: see ID
 
 	state    ViState
 	remoteEp int
@@ -42,20 +42,32 @@ type VI struct {
 	// The counted pool (PostRecvPool): pool receives of poolCap bytes each,
 	// posted and not yet claimed by a message. They are a number; a descriptor
 	// exists, in recvQ, from a message's first fragment until the owner has
-	// read it. (Two halves of one word: a reconnect allocates its VI, and the
-	// struct stays in its size class.)
+	// read it. (Two halves of one word: the struct, one per slot of the port,
+	// stays in its size class.)
 	pool, poolCap int32
 }
 
-// viQueues are a VI's work queues. Close empties them and leaves them with
-// the port, and the next VI the port creates posts into the same arrays.
+// A VI id is the VI's slot in its port's table in the low half, and in the
+// high half its life: how many times the slot's VI was closed and reissued.
+const (
+	lifeShift = 32
+	slotMask  = 1<<lifeShift - 1
+)
+
+// viQueues are a VI's work queues. Close empties them, and the VI keeps them
+// for its next life.
 type viQueues struct {
 	sendQ []*Descriptor // posted sends, FIFO; completed in order
 	recvQ []*Descriptor // posted receives (of a counted pool: the claimed ones), FIFO; consumed in arrival order
 }
 
-// ID returns the VI's id, unique within its port.
+// ID returns the VI's id, unique within its port over the port's life: a
+// closed VI is reissued by CreateVi in the same slot under the next life, and a
+// frame or completion kept for the old id finds nothing under the new one.
 func (vi *VI) ID() int { return vi.id }
+
+// slot is the VI's index in its port's table.
+func (vi *VI) slot() int { return vi.id & slotMask }
 
 // State returns the connection state.
 func (vi *VI) State() ViState { return vi.state }
@@ -80,6 +92,12 @@ func (vi *VI) markUsed() {
 
 // SendQueueLen returns the number of posted, unreaped send descriptors.
 func (vi *VI) SendQueueLen() int { return len(vi.sendQ) }
+
+// PostedSends returns the posted, unreaped send descriptors, oldest first: the
+// live queue, good until the next post, SendDone or Close. An owner about to
+// Close the VI takes them back from here, where reaping them with SendDone
+// would charge a poll each.
+func (vi *VI) PostedSends() []*Descriptor { return vi.sendQ }
 
 // badState is the error for an operation the VI's current state forbids.
 func (vi *VI) badState(op string) error {
@@ -445,7 +463,9 @@ func (vi *VI) resetHandshake() {
 
 // Close disconnects (notifying the peer) and destroys the VI, releasing its
 // NIC slot. Pending descriptors complete with StatusDisconnected and leave
-// the VI: a closed VI has nothing to reap, and the port forgets it.
+// the VI: a closed VI has nothing to reap. The port keeps the VI on its free
+// list, and a later CreateVi reissues it under a new id: the caller's *VI
+// reads as closed only until then.
 func (vi *VI) Close() {
 	if vi.state == ViClosed {
 		return
@@ -475,11 +495,15 @@ func (vi *VI) Close() {
 		}
 	}
 	vi.port.unreaped -= len(vi.sendQ)
-	vi.port.keepQueues(vi.viQueues)
-	vi.viQueues = viQueues{}
+	// Whole backing arrays: a removal from the middle leaves a copy of the
+	// last pointer past the end.
+	clear(vi.sendQ[:cap(vi.sendQ)])
+	clear(vi.recvQ[:cap(vi.recvQ)])
+	vi.sendQ, vi.recvQ = vi.sendQ[:0], vi.recvQ[:0]
 	vi.dropHeld()
 	vi.state = ViClosed
-	vi.port.vis[vi.id] = nil
+	vi.port.vis[vi.slot()] = nil
+	vi.port.freeVIs = append(vi.port.freeVIs, vi)
 	vi.port.liveVIs--
 	vi.port.net.nodes[vi.port.node].openVIs--
 	// Like enterError: a waiter parked in WaitActivity must observe the
