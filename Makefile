@@ -87,11 +87,12 @@ loc:
 # analyzer); BenchmarkReconnectCycle is the connection path's rail (one
 # evict-teardown-reconnect cycle: 0 allocs/op, the VIs are reissued), BenchmarkMeshBoot
 # the static mesh's (a 64-rank static-p2p world through Init and Finalize:
-# ~5,500 allocs/op, ~90 per rank and next to nothing per connection, because
+# ~4,100 allocs/op, ~64 per rank and next to nothing per connection, because
 # the managers reserve slabs at Init; ~70,000 means a first connection is
-# building its objects one allocation at a time again. 3.35 MB/op, 1,663
-# B/conn, because a pre-posted pool is a count on its VI; 5.06 MB/op means
-# every pool receive is a descriptor again). Run at
+# building its objects one allocation at a time again. 2.84 MB/op, 1,407
+# B/conn, because a pre-posted pool is a count on its VI and the tables a
+# connection fills are slices, not maps; some 1.7 MB/op more means every pool
+# receive is a descriptor again). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first

@@ -200,20 +200,19 @@ type Manager interface {
 }
 
 // base carries the state shared by all managers. Channel state is sparse:
-// the map answers by-rank lookups in O(1) and the order slice (kept sorted
-// by peer rank) drives every scan, so both memory and scan cost are
-// O(live channels) instead of O(world size). The sorted order reproduces the
-// dense array's rank-ascending iteration exactly — handshake progress,
-// promotion, eviction tie-breaks and finalize all see the same sequence a
-// by-rank table walk produced, and no map is ever ranged over.
+// the order slice, kept sorted by peer rank, is the only channel table — a
+// by-rank lookup is a binary search of it, and every scan walks it — so both
+// memory and scan cost are O(live channels) instead of O(world size). The
+// sorted order reproduces the dense array's rank-ascending iteration exactly:
+// handshake progress, promotion, eviction tie-breaks and finalize all see the
+// same sequence a by-rank table walk produced.
 type base struct {
 	cfg      Config
-	channels map[int]*Channel // by peer rank; lookups only, never iterated
-	order    []*Channel       // live channels sorted by Rank; all scans use this
+	order    []*Channel // live channels sorted by Rank: lookups and scans alike
 	epToRank map[int]int
-	everUp   map[int]bool // rank ever had an established channel (reconnect metric)
-	free     []*Channel   // released channels, reused by newChannel
-	slab     []Channel    // what reserve made, carved by takeChannel before it grows
+	everUp   []int32    // sorted ranks that ever had an established channel (reconnect metric)
+	free     []*Channel // released channels, reused by newChannel
+	slab     []Channel  // what reserve made, carved by takeChannel before it grows
 
 	// pending counts the channels not yet Up: newChannel makes one, markUp
 	// and the release of one that never came up each take one away. At zero
@@ -225,12 +224,7 @@ func newBase(cfg Config) (*base, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	b := &base{
-		cfg:      cfg,
-		channels: make(map[int]*Channel),
-		epToRank: cfg.EpRanks,
-		everUp:   make(map[int]bool),
-	}
+	b := &base{cfg: cfg, epToRank: cfg.EpRanks}
 	if b.epToRank == nil {
 		b.epToRank = make(map[int]int, cfg.Size)
 		for r, a := range cfg.Addrs {
@@ -240,7 +234,35 @@ func newBase(cfg Config) (*base, error) {
 	return b, nil
 }
 
-func (b *base) PeekChannel(rank int) *Channel { return b.channels[rank] }
+// PeekChannel implements Manager.
+func (b *base) PeekChannel(rank int) *Channel {
+	if i, ok := b.search(rank); ok {
+		return b.order[i]
+	}
+	return nil
+}
+
+// search returns the index of the channel to rank in order and whether there
+// is one; when there is not, the index is where it would go.
+func (b *base) search(rank int) (int, bool) {
+	lo, hi := 0, len(b.order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.order[m].Rank < rank {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(b.order) && b.order[lo].Rank == rank
+}
+
+// wasUp reports whether a channel to rank ever came up: a new one is a
+// reconnect.
+func (b *base) wasUp(rank int) bool {
+	_, ok := slices.BinarySearch(b.everUp, int32(rank))
+	return ok
+}
 
 // reserve prepares for the n channels a static policy is about to make, no
 // more than the port has VIs left for (past that limit Init fails anyway): the
@@ -253,22 +275,17 @@ func (b *base) reserve(n int) {
 	}
 	b.slab = make([]Channel, n)
 	b.order = slices.Grow(b.order, n)
-	b.channels = simnet.Presize(b.channels, n)
-	b.everUp = simnet.Presize(b.everUp, n)
+	b.everUp = slices.Grow(b.everUp, n)
 	if b.cfg.Reserve != nil {
 		b.cfg.Reserve(n)
 	}
 }
 
-// insertOrdered adds ch to the rank-sorted scan list: at the end when it sorts
-// there (a static boot makes its channels in rank order), else in its place.
+// insertOrdered adds ch to the rank-sorted channel table, in its place: at
+// the end when it sorts there, as a static boot's channels do.
 func (b *base) insertOrdered(ch *Channel) {
-	b.order = append(b.order, ch)
-	i := len(b.order) - 1
-	for ; i > 0 && b.order[i-1].Rank >= ch.Rank; i-- {
-		b.order[i] = b.order[i-1]
-	}
-	b.order[i] = ch
+	i, _ := b.search(ch.Rank)
+	b.order = slices.Insert(b.order, i, ch)
 }
 
 // newChannel creates the VI for rank and runs PrepareChannel.
@@ -288,7 +305,6 @@ func (b *base) newChannel(rank int) (*Channel, error) {
 	// The one place a channel's fields are set for a new life: everything
 	// but the FIFO's (empty) backing array starts from zero.
 	*ch = Channel{Rank: rank, Vi: vi, fifo: ch.fifo[:0]}
-	b.channels[rank] = ch
 	b.insertOrdered(ch)
 	b.pending++
 	if b.cfg.PrepareChannel != nil {
@@ -325,25 +341,36 @@ func (b *base) markUp(ch *Channel) {
 			A: int64(p.Owner().Now().Sub(ch.reconnect))})
 		ch.reconnect = 0
 	}
-	b.everUp[ch.Rank] = true
+	if i, ok := slices.BinarySearch(b.everUp, int32(ch.Rank)); !ok {
+		if len(b.everUp) == cap(b.everUp) {
+			b.growEverUp()
+		}
+		b.everUp = slices.Insert(b.everUp, i, int32(ch.Rank))
+	}
 	if b.cfg.OnChannelUp != nil {
 		b.cfg.OnChannelUp(ch)
 	}
 }
 
+// growEverUp makes room in everUp for more ranks (cold path: the table settles
+// at the peers ever connected). The first growth makes room for eight, so
+// that the few peers of an on-demand rank take one allocation.
+func (b *base) growEverUp() {
+	b.everUp = slices.Grow(b.everUp, max(len(b.everUp), 8))
+}
+
 // ReleaseChannel implements Manager. The Channel itself is recycled: the
 // next newChannel, for any rank, may hand the same object out again.
 func (b *base) ReleaseChannel(rank int) {
-	delete(b.channels, rank)
-	for i, ch := range b.order {
-		if ch.Rank == rank {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			b.free = append(b.free, ch)
-			if !ch.Up {
-				b.pending--
-			}
-			break
-		}
+	i, ok := b.search(rank)
+	if !ok {
+		return
+	}
+	ch := b.order[i]
+	b.order = slices.Delete(b.order, i, i+1)
+	b.free = append(b.free, ch)
+	if !ch.Up {
+		b.pending--
 	}
 }
 
@@ -470,7 +497,7 @@ func (m *static) Name() string { return m.name }
 
 // Channel implements Manager; with a static mesh every channel exists.
 func (m *static) Channel(rank int) (*Channel, error) {
-	ch := m.channels[rank]
+	ch := m.PeekChannel(rank)
 	if ch == nil {
 		return nil, fmt.Errorf("core: %s has no channel to rank %d", m.name, rank)
 	}
@@ -643,7 +670,7 @@ func (m *OnDemand) evictForCap() {
 // the peer-to-peer request on first use. The caller must treat a !Up channel
 // by parking its send in the FIFO.
 func (m *OnDemand) Channel(rank int) (*Channel, error) {
-	if ch := m.channels[rank]; ch != nil {
+	if ch := m.PeekChannel(rank); ch != nil {
 		return ch, nil
 	}
 	m.evictForCap()
@@ -651,7 +678,7 @@ func (m *OnDemand) Channel(rank int) (*Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.everUp[rank] {
+	if m.wasUp(rank) {
 		ch.reconnect = m.cfg.Port.Owner().Now()
 	}
 	if err := m.issue(ch, m.cfg.Addrs[rank], PairDisc(m.cfg.Rank, rank)); err != nil {
@@ -679,7 +706,7 @@ func (m *OnDemand) Poll() {
 			m.cfg.Port.Reject(req)
 			continue
 		}
-		if ch := m.channels[rank]; ch != nil {
+		if ch := m.PeekChannel(rank); ch != nil {
 			if !ch.Up && ch.Vi.State() == via.ViIdle {
 				// Our own attempt was NACKed (fault injection) and sits
 				// between backoff retries; the peer's crossing request IS
@@ -704,7 +731,7 @@ func (m *OnDemand) Poll() {
 			m.cfg.Port.Reject(req)
 			continue
 		}
-		if m.everUp[rank] {
+		if m.wasUp(rank) {
 			ch.reconnect = m.cfg.Port.Owner().Now()
 		}
 		// Matches the pending incoming request immediately.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -583,6 +584,142 @@ func TestPendingCountMatchesScan(t *testing.T) {
 		if checks < 2*n*(n-1) {
 			t.Errorf("%s: %d checks, want one per channel made and one per channel up at least", policy, checks)
 		}
+	}
+}
+
+// The channel table is order alone: a by-rank lookup is a binary search of
+// it, and the reconnect check one of the sorted ranks that were ever up. Rank
+// 0 runs an on-demand manager under a two-VI cap through seeded sequences of
+// connects and releases while the other ranks accept whatever it asks for and
+// now and then connect to it first; after every step, PeekChannel must find
+// what a linear scan of order finds, and the reconnect check must agree with
+// the channels OnChannelUp has seen.
+func TestLookupsMatchScans(t *testing.T) {
+	const (
+		n     = 6
+		steps = 60
+	)
+	var checks, evictions, adoptions, reconnects int
+	for seed := int64(1); seed <= 4; seed++ {
+		done := false
+		runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
+			rng := rand.New(rand.NewSource(seed*n + int64(rank)))
+			if rank != 0 {
+				respond(p, port, rng, addrs[0], PairDisc(0, rank), &done)
+				return
+			}
+			var b *base
+			wasUp := map[int]bool{}
+			release := func(ch *Channel) {
+				ch.Vi.Close()
+				b.ReleaseChannel(ch.Rank)
+			}
+			check := func() bool {
+				checks++
+				for r := 0; r < n; r++ {
+					var want *Channel
+					for _, ch := range b.order {
+						if ch.Rank == r {
+							want = ch
+						}
+					}
+					if got := b.PeekChannel(r); got != want {
+						t.Errorf("seed %d: PeekChannel(%d) = %p, a scan of order finds %p", seed, r, got, want)
+						return false
+					}
+					if got := b.wasUp(r); got != wasUp[r] {
+						t.Errorf("seed %d: reconnect check for rank %d reads %v, want %v", seed, r, got, wasUp[r])
+						return false
+					}
+				}
+				return true
+			}
+			inChannel := false
+			cfg := managerConfig(rank, n, port, addrs)
+			cfg.MaxVIs = 2
+			cfg.CanEvict = func(*Channel) bool { return true }
+			cfg.StartEvict = func(ch *Channel) { evictions++; release(ch) }
+			cfg.PrepareChannel = func(*Channel) {
+				if !inChannel {
+					adoptions++
+				}
+			}
+			cfg.OnChannelUp = func(ch *Channel) { wasUp[ch.Rank] = true }
+			mgr, err := NewOnDemand(cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b = mgr.base
+			for i := 0; i < steps; i++ {
+				if peer := rng.Intn(n); peer != 0 {
+					if mgr.PeekChannel(peer) == nil && wasUp[peer] {
+						reconnects++
+					}
+					inChannel = true
+					_, err := mgr.Channel(peer)
+					inChannel = false
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				} else if len(b.order) > 0 {
+					release(b.order[rng.Intn(len(b.order))])
+				}
+				if !check() {
+					break
+				}
+				mgr.Poll()
+				if !check() {
+					break
+				}
+				port.WaitActivityTimeout(via.WaitPoll, 10*simnet.Microsecond)
+			}
+			done = true
+		})
+	}
+	if evictions == 0 || adoptions == 0 || reconnects == 0 {
+		t.Errorf("%d evictions, %d adopted requests, %d reconnects: every kind of step must happen", evictions, adoptions, reconnects)
+	}
+	t.Logf("%d checks; %d evictions, %d adopted requests, %d reconnects", checks, evictions, adoptions, reconnects)
+}
+
+// respond plays a peer that accepts every connection request, closes a VI
+// once its connection is gone or refused, and now and then connects to rank 0
+// first, until done.
+func respond(p *simnet.Proc, port *via.Port, rng *rand.Rand, rank0 via.Addr, disc uint64, done *bool) {
+	var vis []*via.VI
+	open := func() *via.VI {
+		vi, err := port.CreateVi()
+		if err != nil {
+			p.Sim().Failf("responder: %v", err)
+			return nil
+		}
+		vis = append(vis, vi)
+		return vi
+	}
+	for !*done {
+		for reqs := port.PendingPeerRequests(); len(reqs) > 0; reqs = port.PendingPeerRequests() {
+			if vi := open(); vi == nil || port.ConnectPeerRequest(vi, reqs[0].From, reqs[0].Disc) != nil {
+				return
+			}
+		}
+		if rng.Intn(20) == 0 {
+			if vi := open(); vi == nil || port.ConnectPeerRequest(vi, rank0, disc) != nil {
+				return
+			}
+		}
+		live := vis[:0]
+		for _, vi := range vis {
+			switch vi.State() {
+			case via.ViIdle, via.ViDisconnected:
+				vi.Close()
+			default:
+				live = append(live, vi)
+			}
+		}
+		vis = live
+		port.WaitActivityTimeout(via.WaitPoll, 10*simnet.Microsecond)
 	}
 }
 

@@ -316,7 +316,6 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				proc: p, port: port, cfg: &cfg,
 				rank: i, size: n,
 				addrs:    addrs,
-				viToChan: make(map[*via.VI]*chanState),
 				sendReqs: make(map[int64]*request),
 				recvReqs: make(map[int64]*request),
 			}

@@ -63,8 +63,8 @@ type Rank struct {
 	// table, so progress behaviour is independent of creation order.
 	active   []*chanState // live channels sorted by peer rank
 	peakLive int          // high-water mark of len(active) (RankStats.PeakChans)
-	viToChan map[*via.VI]*chanState
-	addrs    []via.Addr // shared bootstrap table (world rank -> VIA address)
+	bySlot   []*chanState // live channels by their VI's slot: what a CQ entry names (chanOf)
+	addrs    []via.Addr   // shared bootstrap table (world rank -> VIA address)
 
 	prq []*request // posted receive queue, post order
 	umq []*umsg    // unexpected message queue, arrival order
@@ -247,8 +247,42 @@ func (r *Rank) prepareChannel(ch *core.Channel) {
 	if len(r.active) > r.peakLive {
 		r.peakLive = len(r.active)
 	}
-	r.viToChan[ch.Vi] = cs
+	s := ch.Vi.Slot()
+	if s >= len(r.bySlot) {
+		r.growBySlot(s)
+	}
+	r.bySlot[s] = cs
 	r.growPool(cs, initial)
+}
+
+// growBySlot extends the slot table to hold slot s (cold path: like the
+// port's own, it settles at the most VIs live at once). The first growth makes
+// room for eight, so that the few channels of an on-demand rank take one
+// allocation.
+func (r *Rank) growBySlot(s int) {
+	n := len(r.bySlot)
+	if s >= cap(r.bySlot) {
+		r.bySlot = slices.Grow(r.bySlot, max(s+1, 2*n, 8)-n)
+	}
+	r.bySlot = r.bySlot[:s+1]
+	clear(r.bySlot[n:])
+}
+
+// chanOf returns the live channel whose VI is vi, or nil: for a nil vi (a
+// completion on a VI since reissued, see via.CQ.Done), a slot no channel
+// holds (its VI was torn down), or a slot whose channel is on another VI.
+func (r *Rank) chanOf(vi *via.VI) *chanState {
+	if vi == nil {
+		return nil
+	}
+	s := vi.Slot()
+	if s >= len(r.bySlot) {
+		return nil
+	}
+	if cs := r.bySlot[s]; cs != nil && cs.ch.Vi == vi {
+		return cs
+	}
+	return nil
 }
 
 // reserve prepares for the n channels a static manager is about to make
@@ -263,7 +297,7 @@ func (r *Rank) reserve(n int) {
 		r.chanSlab[i].memHandles = handles[i : i : i+1]
 	}
 	r.active = slices.Grow(r.active, n)
-	r.viToChan = simnet.Presize(r.viToChan, n)
+	r.bySlot = slices.Grow(r.bySlot, n)
 	r.port.Reserve(n)
 }
 
@@ -364,7 +398,7 @@ func (r *Rank) quiescent(cs *chanState) bool {
 // during the handshake on a fresh connection.
 func (r *Rank) teardownChannel(cs *chanState) {
 	peer, held := cs.peer, cs.pendingClose
-	delete(r.viToChan, cs.ch.Vi)
+	r.bySlot[cs.ch.Vi.Slot()] = nil
 	for i, c := range r.active {
 		if c == cs {
 			r.active = append(r.active[:i], r.active[i+1:]...)
@@ -636,8 +670,8 @@ func (r *Rank) progressStep() {
 			break
 		}
 		arrived = true
-		cs, ok := r.viToChan[vi]
-		if !ok {
+		cs := r.chanOf(vi)
+		if cs == nil {
 			// A torn-down channel can leave teardown control frames in the
 			// CQ: with crossing BYEs the peer's BYE and DISC are both
 			// delivered before this drain runs, and the DISC scan removes

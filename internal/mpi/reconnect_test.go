@@ -165,6 +165,13 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 			if fresh = cs; fresh.ch.Vi != closing {
 				fail("the channel to rank 3 has a VI of its own: the closed one was not reissued")
 			}
+			// The slot now names the channel to rank 3, so the entry left by
+			// the VI's last life must never reach the slot table with its VI.
+			if r.chanOf(closing) != fresh || r.chanOf(nil) != nil {
+				fail("slot table: the reissued VI does not map to the channel to rank 3 alone")
+			}
+		} else if r.chanOf(closing) == nil {
+			fail("slot table: the VI is not torn down yet, but its slot is empty")
 		}
 		r.progressStep()
 		// The frame read, the entry's descriptor is the port's again, once;
@@ -176,6 +183,9 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 		}
 		if fresh != nil && (fresh.closing || fresh.ch.Parked() != 0) {
 			fail("the channel to rank 3 took rank 1's BYE for its own")
+		}
+		if fresh == nil && r.chanOf(closing) != nil {
+			fail("slot table: the torn-down VI still maps to a channel")
 		}
 		for _, d := range unreaped {
 			// Back on the free list, or already off it again for a new packet.
@@ -189,6 +199,32 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 		}
 		if err := c.Send(2, 0, out); err != nil {
 			fail("%v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every port numbers its VIs' slots from 0, so a VI that is not this rank's
+// can sit at a slot where this rank keeps a live channel: the slot table must
+// answer only for the VI the channel is on.
+func TestChanOfAnswersOnlyItsVI(t *testing.T) {
+	var vis [2]*via.VI
+	cfg := Config{Procs: 2, Policy: "static-p2p", CreditCount: 4, Deadline: within(simnet.Millisecond)}
+	_, err := Run(cfg, func(r *Rank) {
+		me := r.Rank()
+		vis[me] = r.mgr.PeekChannel(1 - me).Vi
+		if err := r.World().Barrier(); err != nil {
+			r.Abort(1, err.Error())
+		}
+		own, other := vis[me], vis[1-me]
+		if own.Slot() != other.Slot() {
+			r.Abort(1, "the two ranks' VIs are at different slots: the case did not happen")
+		}
+		if r.chanOf(own) == nil || r.chanOf(other) != nil {
+			r.Abort(1, fmt.Sprintf("slot %d: own VI finds %p, the peer's finds %p; want a channel and nil",
+				own.Slot(), r.chanOf(own), r.chanOf(other)))
 		}
 	})
 	if err != nil {

@@ -42,13 +42,20 @@ func bootCost(t *testing.T, np int) (allocs, bytes float64) {
 
 // The allocation rail of a first connection. A boot allocates a + b·np +
 // c·np(np-1): per run, per rank, and per connection end. A difference between
-// two world sizes still carries b (about 90 per rank, which at these sizes
+// two world sizes still carries b (about 65 per rank, which at these sizes
 // would read as a whole allocation per end); the second difference over three
 // equally spaced sizes leaves 2h²·c alone. Before the slabs c was 15.5 — each
 // end's VI, channel, channel state, descriptors, buffers and queue growth. In
 // bytes, by the same difference, an end is its VI, its channel and channel
 // state and its share of the tables; a pool that brought four descriptors and
 // their queue slots again would add 416 to that, its buffers 4 × 5,048.
+//
+// The bytes bound was 480 (386 measured) while four of the tables were maps.
+// A presized map rounds its size up to a power of two, so at 16, 32 and 48
+// ranks its growth fell mostly outside the second difference (which read 581
+// at 64, 128 and 192). With sorted and slot-indexed slices in their place the
+// difference reads 480 to 495 here (684 at 64/128/192), yet a whole boot costs
+// less: 660 bytes per end at 256 ranks, from 784.
 func TestFirstConnectAllocs(t *testing.T) {
 	const h = 16
 	bootCost(t, h) // what a process allocates once
@@ -60,8 +67,8 @@ func TestFirstConnectAllocs(t *testing.T) {
 		t.Errorf("%.2f allocations per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 0.5",
 			allocsPerEnd, a1, a2, a3, h, 2*h, 3*h)
 	}
-	if bytesPerEnd > 480 {
-		t.Errorf("%.0f bytes per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 480 (386 measured)",
+	if bytesPerEnd > 580 {
+		t.Errorf("%.0f bytes per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 580 (480-495 measured)",
 			bytesPerEnd, b1, b2, b3, h, 2*h, 3*h)
 	}
 	t.Logf("%.2f allocations and %.0f bytes per first connection end", allocsPerEnd, bytesPerEnd)

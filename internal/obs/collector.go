@@ -71,10 +71,23 @@ func pairKey(rank, peer int32) uint64 {
 	return uint64(uint32(rank))<<32 | uint64(uint32(peer))
 }
 
+// eventCounters names each kind's events.* counter, built once so that
+// Consume makes no string per event; index 0 is the unknown kind's.
+var eventCounters = func() (names [EvRunEnd + 1]string) {
+	for k := range names {
+		names[k] = "events." + Kind(k).String()
+	}
+	return names
+}()
+
 // Consume folds one event into the registry. Exported for callers that own
 // their event stream rather than a Bus (tcpvia's EventLog).
 func (c *Collector) Consume(e Event) {
-	c.reg.Inc("events."+e.Kind.String(), 1)
+	name := eventCounters[0]
+	if int(e.Kind) < len(eventCounters) {
+		name = eventCounters[e.Kind]
+	}
+	c.reg.Inc(name, 1)
 	switch e.Kind {
 	case EvMsgSend:
 		if e.Peer != e.Rank { // self-sends never cross the wire

@@ -114,6 +114,26 @@ func TestCollectorMatchesMessagesAndConnects(t *testing.T) {
 	}
 }
 
+// The collector folds every event of a traced run: once a kind's counters
+// exist, folding one more of it allocates nothing — no counter name is built
+// per event — and a kind past the table counts as unknown, as it always did.
+func TestCollectorConsumeZeroAlloc(t *testing.T) {
+	g := NewRegistry()
+	c := NewCollector(g)
+	e := Event{T: 1, Kind: EvCreditGrant, Rank: 0, Peer: 1, A: 2}
+	c.Consume(e)
+	if allocs := testing.AllocsPerRun(1000, func() { c.Consume(e) }); allocs != 0 {
+		t.Fatalf("Consume of a warmed %s allocates %.1f times per call; want 0", e.Kind, allocs)
+	}
+	if got := g.Counter("events." + EvCreditGrant.String()); got != 1002 {
+		t.Fatalf("events.%s = %d, want 1002", EvCreditGrant, got)
+	}
+	c.Consume(Event{Kind: EvRunEnd + 1})
+	if got := g.Counter("events.unknown"); got != 1 {
+		t.Fatalf("events.unknown = %d after one event of an unknown kind, want 1", got)
+	}
+}
+
 func TestPerfettoExportIsValidJSON(t *testing.T) {
 	r := NewRecorder()
 	b := NewBus()

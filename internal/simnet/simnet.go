@@ -196,15 +196,6 @@ func Carve[T any](slab *[]T) *T {
 	return &s[0]
 }
 
-// Presize returns m, or while m is still empty a map with room for n entries,
-// so that filling it does not grow it a doubling at a time.
-func Presize[K comparable, V any](m map[K]V, n int) map[K]V {
-	if len(m) > 0 {
-		return m
-	}
-	return make(map[K]V, n)
-}
-
 // Sim is a single-threaded discrete-event simulation.
 // Create one with New, add processes with Spawn, then call Run.
 //

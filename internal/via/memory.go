@@ -1,8 +1,13 @@
 package via
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// MemHandle identifies a registered memory region.
+// MemHandle identifies a registered memory region. Like a VI id, it is the
+// region's slot in its registry's table in the low half and the slot's life in
+// the high half; lives count from 1, so no handle is 0.
 type MemHandle int64
 
 // MemoryRegistry accounts for registered (pinned) memory on one port.
@@ -13,18 +18,30 @@ type MemHandle int64
 // The registry enforces the per-process limit and tracks the peak, which the
 // experiment harness reports in Table 2's resource-usage columns.
 type MemoryRegistry struct {
-	limit   int64
-	cur     int64
-	peak    int64
-	next    MemHandle
-	regions map[MemHandle]int64
+	limit int64
+	cur   int64
+	peak  int64
+
+	regions []region // by slot: the table settles at the most regions pinned at once
+	free    int32    // the last freed slot + 1, 0 for none; each free region links the next the same way
+}
+
+// region is one slot of the registry: the life it was last issued under, and
+// the bytes its handle pins, or -1 while the slot is free.
+type region struct {
+	size int64
+	life int32
+	next int32 // while free: the next free slot + 1
 }
 
 // NewMemoryRegistry creates a registry with the given pinned-byte limit.
 // A non-positive limit means unlimited.
 func NewMemoryRegistry(limit int64) *MemoryRegistry {
-	return &MemoryRegistry{limit: limit, regions: make(map[MemHandle]int64)}
+	return &MemoryRegistry{limit: limit}
 }
+
+// reserve sizes the table for n more regions.
+func (m *MemoryRegistry) reserve(n int) { m.regions = slices.Grow(m.regions, n) }
 
 // Register pins size bytes and returns a handle, or ErrPinnedLimit.
 func (m *MemoryRegistry) Register(size int64) (MemHandle, error) {
@@ -35,24 +52,46 @@ func (m *MemoryRegistry) Register(size int64) (MemHandle, error) {
 		return 0, fmt.Errorf("%w: %d pinned + %d requested > limit %d",
 			ErrPinnedLimit, m.cur, size, m.limit)
 	}
-	m.next++
-	h := m.next
-	m.regions[h] = size
+	var s int
+	if m.free != 0 {
+		s = int(m.free - 1)
+		m.free = m.regions[s].next
+	} else {
+		s = m.growRegions()
+	}
+	rg := &m.regions[s]
+	rg.size = size
+	rg.life++
 	m.cur += size
 	if m.cur > m.peak {
 		m.peak = m.cur
 	}
-	return h, nil
+	return MemHandle(int64(rg.life)<<lifeShift | int64(s)), nil
 }
 
-// Deregister unpins a region. Unknown handles are an error.
+// growRegions adds a slot to the table (cold path: it settles at the most
+// regions pinned at once). The first growth makes room for eight, so that the
+// few regions of an on-demand rank take one allocation.
+func (m *MemoryRegistry) growRegions() int {
+	if len(m.regions) == cap(m.regions) {
+		m.regions = slices.Grow(m.regions, max(len(m.regions), 8))
+	}
+	m.regions = append(m.regions, region{})
+	return len(m.regions) - 1
+}
+
+// Deregister unpins a region. A handle that is not live is an error: one
+// never issued, one already deregistered, or one whose slot has been issued
+// again since.
 func (m *MemoryRegistry) Deregister(h MemHandle) error {
-	size, ok := m.regions[h]
-	if !ok {
+	s := int(h & slotMask)
+	if s >= len(m.regions) || m.regions[s].size < 0 || int64(m.regions[s].life) != int64(h)>>lifeShift {
 		return fmt.Errorf("via: deregister of unknown handle %d", h)
 	}
-	delete(m.regions, h)
-	m.cur -= size
+	rg := &m.regions[s]
+	m.cur -= rg.size
+	rg.size, rg.next = -1, m.free
+	m.free = int32(s) + 1
 	return nil
 }
 

@@ -218,7 +218,7 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 		vi = p.growVIs()
 	}
 	*vi = VI{port: p, id: vi.id, recvCQ: cq, viQueues: vi.viQueues}
-	p.vis[vi.slot()] = vi
+	p.vis[vi.Slot()] = vi
 	p.liveVIs++
 	p.net.nodes[p.node].openVIs++
 	p.stats.VisCreated++
@@ -241,8 +241,11 @@ func (p *Port) Reserve(n int) {
 	p.reqSlab = make([]PeerRequest, n)
 	p.vis = slices.Grow(p.vis, n)
 	p.pendingIncoming = slices.Grow(p.pendingIncoming, n)
-	p.outgoing = simnet.Presize(p.outgoing, n)
-	p.mem.regions = simnet.Presize(p.mem.regions, n)
+	p.freeReqs = slices.Grow(p.freeReqs, n)
+	if len(p.outgoing) == 0 {
+		p.outgoing = make(map[connKey]*VI, n)
+	}
+	p.mem.reserve(n)
 }
 
 // growVIs adds a slot to the port, with a VI for its life 0: the next of

@@ -300,7 +300,7 @@ func TestCloseDropsQueues(t *testing.T) {
 				t.Errorf("closed VI still holds %d sends, %d receives, %d frames",
 					len(vi.sendQ), len(vi.recvQ), len(vi.preConnQ))
 			}
-			if port.vis[vi.slot()] != nil || len(port.freeVIs) != 1 || port.freeVIs[0] != vi {
+			if port.vis[vi.Slot()] != nil || len(port.freeVIs) != 1 || port.freeVIs[0] != vi {
 				t.Error("the closed VI is still in its slot, or not on the port's free list")
 			}
 		},

@@ -66,8 +66,10 @@ type viQueues struct {
 // frame or completion kept for the old id finds nothing under the new one.
 func (vi *VI) ID() int { return vi.id }
 
-// slot is the VI's index in its port's table.
-func (vi *VI) slot() int { return vi.id & slotMask }
+// Slot is the VI's index in its port's table, the low half of its id: dense
+// from 0, never above the most VIs the port has held live at once, and kept
+// by the VI through every life.
+func (vi *VI) Slot() int { return vi.id & slotMask }
 
 // State returns the connection state.
 func (vi *VI) State() ViState { return vi.state }
@@ -502,7 +504,7 @@ func (vi *VI) Close() {
 	vi.sendQ, vi.recvQ = vi.sendQ[:0], vi.recvQ[:0]
 	vi.dropHeld()
 	vi.state = ViClosed
-	vi.port.vis[vi.slot()] = nil
+	vi.port.vis[vi.Slot()] = nil
 	vi.port.freeVIs = append(vi.port.freeVIs, vi)
 	vi.port.liveVIs--
 	vi.port.net.nodes[vi.port.node].openVIs--

@@ -660,6 +660,57 @@ func TestPinnedMemoryLimit(t *testing.T) {
 	}
 }
 
+// A handle is a slot and a life: Deregister refuses every handle that is not
+// live — a second Deregister, one whose slot was issued again since, one for a
+// life not yet issued, 0 and a number never issued — and a refusal leaves the
+// pinned bytes and their peak as they were.
+func TestMemoryRegistryRefusesDeadHandles(t *testing.T) {
+	m := NewMemoryRegistry(0)
+	pinned := func(cur, peak int64) {
+		t.Helper()
+		if m.Pinned() != cur || m.PeakPinned() != peak {
+			t.Fatalf("pinned %d, peak %d; want %d and %d", m.Pinned(), m.PeakPinned(), cur, peak)
+		}
+	}
+	refused := func(what string, h MemHandle) {
+		t.Helper()
+		cur, peak := m.Pinned(), m.PeakPinned()
+		if err := m.Deregister(h); err == nil {
+			t.Fatalf("%s (handle %#x) was deregistered", what, int64(h))
+		}
+		pinned(cur, peak)
+	}
+	a, errA := m.Register(100)
+	b, errB := m.Register(200)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if err := m.Deregister(a); err != nil {
+		t.Fatal(err)
+	}
+	pinned(200, 300)
+	refused("a second Deregister", a)
+	c, err := m.Register(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c&slotMask != a&slotMask || c == a {
+		t.Fatalf("handles %#x then %#x: the freed slot was not issued again under a new life", int64(a), int64(c))
+	}
+	pinned(500, 500)
+	refused("a handle whose slot was issued again", a)
+	refused("a life not yet issued", c+1<<lifeShift)
+	refused("handle 0", 0)
+	refused("a handle never issued", 12345)
+	for _, h := range []MemHandle{b, c} {
+		if err := m.Deregister(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned(0, 500)
+	refused("a second Deregister of a reissued slot", c)
+}
+
 // pingpong measures one-way latency between two connected VIs with extraVIs
 // additional idle endpoints open on each port.
 func pingpongLatency(t *testing.T, cost CostModel, extraVIs int) simnet.Duration {
