@@ -87,9 +87,9 @@ loc:
 # analyzer); BenchmarkReconnectCycle is the connection path's rail (one
 # evict-teardown-reconnect cycle: 0 allocs/op, the VIs are reissued), BenchmarkMeshBoot
 # the static mesh's (a 64-rank static-p2p world through Init and Finalize:
-# ~4,100 allocs/op, ~64 per rank and next to nothing per connection, because
+# ~4,000 allocs/op, ~62 per rank and next to nothing per connection, because
 # the managers reserve slabs at Init; ~70,000 means a first connection is
-# building its objects one allocation at a time again. 2.84 MB/op, 1,407
+# building its objects one allocation at a time again. 2.80 MB/op, 1,390
 # B/conn, because a pre-posted pool is a count on its VI and the tables a
 # connection fills are slices, not maps; some 1.7 MB/op more means every pool
 # receive is a descriptor again). Run at

@@ -270,7 +270,6 @@ func DefaultPolicy() *Policy {
 			// Bodies nothing calls by name: handed over as function values.
 			"internal/via.(Port).handleFrame":       "fabric delivery callback, once per frame",
 			"internal/mpi.(Rank).prepareChannel":    "the connection path's hook: what a channel builds comes off free lists, so a reconnect allocates nothing (BenchmarkReconnectCycle)",
-			"internal/via.(Port).CreateViCQ":        "the connection path's endpoint, reached only through core.Config.NewVi: a closed VI is reissued from the port's free list, so only a port with every slot live grows",
 			"internal/obs/capture.(Writer).Consume": "bundle encoder: runs once per bus event while recording; steady-state zero-alloc is the capture-overhead contract (append into the reused buffer, warm intern table)",
 			"internal/obs/capture.(Ring).Consume":   "bounded flight-recorder store: runs once per bus event in live tcpvia capture",
 			// Entry points below MPI that benchmark/'s ladder, ext-vibe and the

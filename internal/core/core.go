@@ -60,7 +60,7 @@ type Channel struct {
 	Evicting bool
 
 	// UserData carries the MPI layer's per-channel state (credits, eager
-	// buffer pool).
+	// buffer pool); a release keeps it for the Channel's next life.
 	UserData interface{}
 
 	fifo []interface{}
@@ -122,9 +122,9 @@ type Config struct {
 	Addrs []via.Addr   // rank -> VIA address, from the out-of-band bootstrap
 	Mode  via.WaitMode // completion wait mode for blocking phases
 
-	// NewVi, when set, creates VIs for channels (e.g. bound to a completion
-	// queue). Defaults to Port.CreateVi.
-	NewVi func() (*via.VI, error)
+	// CQ, when set, is the completion queue a channel's VI also reports its
+	// receive completions to.
+	CQ *via.CQ
 	// Reserve runs once, before the first channel, when the policy knows
 	// how many channels it is about to make (a static mesh: Size-1, or what
 	// the port's VI limit leaves of it; an on-demand manager never calls
@@ -187,6 +187,9 @@ type Manager interface {
 	Channel(rank int) (*Channel, error)
 	// PeekChannel returns the channel to rank or nil; it never creates.
 	PeekChannel(rank int) *Channel
+	// Channels returns the live channels sorted by rank: the manager's own
+	// table, good until the next channel is made or released.
+	Channels() []*Channel
 	// Poll makes connection progress: it adopts incoming requests and
 	// promotes completed handshakes to Up (invoking OnChannelUp). It is
 	// called from the MPI progress engine and must never block.
@@ -201,11 +204,11 @@ type Manager interface {
 
 // base carries the state shared by all managers. Channel state is sparse:
 // the order slice, kept sorted by peer rank, is the only channel table — a
-// by-rank lookup is a binary search of it, and every scan walks it — so both
-// memory and scan cost are O(live channels) instead of O(world size). The
-// sorted order reproduces the dense array's rank-ascending iteration exactly:
-// handshake progress, promotion, eviction tie-breaks and finalize all see the
-// same sequence a by-rank table walk produced.
+// by-rank lookup is a binary search of it, and every scan, the MPI layer's
+// through Channels, walks it — so memory and scan cost are O(live channels)
+// instead of O(world size). The sorted order reproduces the dense array's
+// rank-ascending iteration exactly: handshake progress, promotion, eviction
+// tie-breaks and finalize all see the sequence a by-rank table walk produced.
 type base struct {
 	cfg      Config
 	order    []*Channel // live channels sorted by Rank: lookups and scans alike
@@ -241,6 +244,9 @@ func (b *base) PeekChannel(rank int) *Channel {
 	}
 	return nil
 }
+
+// Channels implements Manager.
+func (b *base) Channels() []*Channel { return b.order }
 
 // search returns the index of the channel to rank in order and whether there
 // is one; when there is not, the index is where it would go.
@@ -293,18 +299,14 @@ func (b *base) newChannel(rank int) (*Channel, error) {
 	if rank < 0 || rank >= b.cfg.Size || rank == b.cfg.Rank {
 		return nil, fmt.Errorf("core: bad peer rank %d (self %d, size %d)", rank, b.cfg.Rank, b.cfg.Size)
 	}
-	newVi := b.cfg.NewVi
-	if newVi == nil {
-		newVi = b.cfg.Port.CreateVi
-	}
-	vi, err := newVi()
+	vi, err := b.cfg.Port.CreateViCQ(b.cfg.CQ)
 	if err != nil {
 		return nil, err
 	}
 	ch := b.takeChannel()
-	// The one place a channel's fields are set for a new life: everything
-	// but the FIFO's (empty) backing array starts from zero.
-	*ch = Channel{Rank: rank, Vi: vi, fifo: ch.fifo[:0]}
+	// The one place a channel's fields are set for a new life: all but the
+	// FIFO's (empty) backing array and UserData start from zero.
+	*ch = Channel{Rank: rank, Vi: vi, UserData: ch.UserData, fifo: ch.fifo[:0]}
 	b.insertOrdered(ch)
 	b.pending++
 	if b.cfg.PrepareChannel != nil {

@@ -337,7 +337,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 			mcfg := core.Config{
 				Rank: i, Size: n, Port: port, Addrs: addrs, Mode: cfg.WaitMode,
 				EpRanks:        epRanks,
-				NewVi:          func() (*via.VI, error) { return port.CreateViCQ(r.cq) },
+				CQ:             r.cq,
 				Reserve:        r.reserve,
 				PrepareChannel: r.prepareChannel,
 				OnChannelUp:    r.onChannelUp,
@@ -478,8 +478,8 @@ func (r *Rank) finalize() {
 		if len(r.sendReqs) > 0 || len(r.recvReqs) > 0 {
 			return false
 		}
-		for _, cs := range r.active {
-			if len(cs.flowQ) > 0 || cs.ch.Parked() > 0 || cs.closing || len(cs.pendingClose) > 0 {
+		for _, ch := range r.mgr.Channels() {
+			if cs := ch.UserData.(*chanState); len(cs.flowQ) > 0 || ch.Parked() > 0 || cs.closing || len(cs.pendingClose) > 0 {
 				return false
 			}
 		}

@@ -31,6 +31,20 @@ func runWorld(t *testing.T, cfg Config, main func(r *Rank)) *World {
 	return w
 }
 
+// liveChans returns the states of r's live channels, walking the manager's
+// rank-sorted table, or nil before MPI_Init has made the manager (a
+// newRankHook world ticks from the first rank's start).
+func liveChans(r *Rank) []*chanState {
+	if r.mgr == nil {
+		return nil
+	}
+	var out []*chanState
+	for _, ch := range r.mgr.Channels() {
+		out = append(out, ch.UserData.(*chanState))
+	}
+	return out
+}
+
 func TestRunTrivial(t *testing.T) {
 	w := runWorld(t, testCfg(4), func(r *Rank) {})
 	if len(w.Ranks) != 4 {
@@ -708,7 +722,7 @@ func TestDetachedBsendDrainedAtFinalize(t *testing.T) {
 					t.Error(err)
 				}
 				clear(out)
-				parked, awaiting := r.active[0].ch.Parked(), len(r.sendReqs)
+				parked, awaiting := liveChans(r)[0].ch.Parked(), len(r.sendReqs)
 				if want := tc.name == "first-contact"; (parked == 1) != want {
 					t.Errorf("%d packets parked, want the Bsend's: %v", parked, want)
 				}

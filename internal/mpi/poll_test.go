@@ -29,13 +29,13 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 		switch scan {
 		case scanTeardown:
 			claimed := 0
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				if skip && cs.ch.Vi.State() == via.ViDisconnected {
-					fail("skipped with peer %d's VI disconnected", cs.peer)
+					fail("skipped with peer %d's VI disconnected", cs.ch.Rank)
 				}
 				if armed, _ := cs.ch.Vi.RecvPool(); cs.ch.Vi.State() == via.ViConnected {
 					if armed > cs.posted {
-						fail("peer %d's VI holds %d receives of a pool of %d", cs.peer, armed, cs.posted)
+						fail("peer %d's VI holds %d receives of a pool of %d", cs.ch.Rank, armed, cs.posted)
 					}
 					claimed += cs.posted - armed
 				}
@@ -45,7 +45,7 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 			}
 		case scanHandshake:
 			n := 0
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				if !cs.ch.Up {
 					n++
 				}
@@ -55,22 +55,22 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 			}
 		case scanReap:
 			n := 0
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				n += cs.ch.Vi.SendQueueLen()
 			}
 			if got := r.port.UnreapedSends(); got != n || skip != (n == 0) {
 				fail("%d sends queued over the VIs, the port counts %d (skip %v)", n, got, skip)
 			}
 		case scanFlow:
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				if !skip || !cs.ch.Up || cs.closing {
 					continue
 				}
 				if len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
-					fail("skipped with a packet to peer %d that has its credits", cs.peer)
+					fail("skipped with a packet to peer %d that has its credits", cs.ch.Rank)
 				}
 				if cs.freed >= cs.posted/2 && cs.credits >= 1 {
-					fail("skipped with a credit return to peer %d due (%d of %d freed)", cs.peer, cs.freed, cs.posted)
+					fail("skipped with a credit return to peer %d due (%d of %d freed)", cs.ch.Rank, cs.freed, cs.posted)
 				}
 			}
 		}
@@ -185,7 +185,7 @@ func flowWorlds(t *testing.T) {
 			}
 		}},
 		{"BYE refused over unread arrivals", Config{Procs: 3, Policy: "ondemand", MaxVIs: 1, CreditCount: 8, EagerThreshold: 256}, func(cs *chanState) bool {
-			if cs.closing && cs.evict && cs.freed >= cs.posted/2 {
+			if cs.closing && cs.ch.Evicting && cs.freed >= cs.posted/2 {
 				evicting[cs.ch.Vi] = cs.ch.Vi.ID()
 			}
 			id, ok := evicting[cs.ch.Vi]
@@ -300,7 +300,7 @@ func flowWorlds(t *testing.T) {
 	for _, w := range worlds {
 		seen := false
 		pollAudit = func(r *Rank, scan pollScan, skip bool) {
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				seen = seen || w.seen(cs)
 			}
 			if audit != nil {

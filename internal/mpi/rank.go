@@ -10,22 +10,22 @@ import (
 	"viampi/internal/via"
 )
 
-// chanState is the MPI layer's per-peer state riding on a core.Channel:
-// credit-based flow control and the queue of packets waiting for credits.
+// chanState is the MPI layer's per-peer state riding on a core.Channel, as its
+// UserData, through each of the channel's lives: credit-based flow control and
+// the queue of packets waiting for credits.
 type chanState struct {
-	peer      int // world rank of the peer
-	ch        *core.Channel
-	credits   int // send credits toward the peer
-	freed     int // receive buffers freed since the last credit return
-	posted    int // receive buffers in our local pool (grows when dynamic)
+	ch        *core.Channel // the peer is ch.Rank
+	credits   int           // send credits toward the peer
+	freed     int           // receive buffers freed since the last credit return
+	posted    int           // receive buffers in our local pool (grows when dynamic)
 	flowQ     []*pkt
 	userSends int64 // application messages addressed to this peer
 
 	memHandles []via.MemHandle // eager-pool registrations, released at teardown
 
-	// Graceful-teardown state (VI-cap eviction / remote disconnect).
+	// Graceful-teardown state (VI-cap eviction / remote disconnect; the side
+	// that sent the BYE has ch.Evicting set).
 	closing      bool   // BYE handshake in progress; new sends are held
-	evict        bool   // we initiated the BYE (cap eviction)
 	pendingClose []*pkt // packets held while closing, re-posted after
 	pendingRdv   int    // rendezvous handshakes in flight on this channel
 	umqRefs      int    // unexpected RTS entries still referencing this channel
@@ -55,14 +55,11 @@ type Rank struct {
 
 	world *Comm
 
-	// Per-peer channel state is sparse: active holds the live channels
-	// sorted by peer rank (the only representation — there is no dense
-	// by-rank table), so a rank's footprint and its per-poll scan cost are
-	// O(live connections), not O(world size). The sort order reproduces the
-	// rank-ascending walk MVICH's device check does over its per-destination
-	// table, so progress behaviour is independent of creation order.
-	active   []*chanState // live channels sorted by peer rank
-	peakLive int          // high-water mark of len(active) (RankStats.PeakChans)
+	// Per-peer channel state is sparse: every scan walks the manager's
+	// rank-sorted table (Manager.Channels), as MVICH's device check walks its
+	// per-destination table by rank, so footprint and per-poll scan cost are
+	// O(live connections), not O(world size), whatever the creation order.
+	peakLive int          // high-water mark of live channels (RankStats.PeakChans)
 	bySlot   []*chanState // live channels by their VI's slot: what a CQ entry names (chanOf)
 	addrs    []via.Addr   // shared bootstrap table (world rank -> VIA address)
 
@@ -88,17 +85,13 @@ type Rank struct {
 	reqs      []Request
 	freeUmsgs []*umsg
 
-	// Free list of the connection path: what prepareChannel builds,
-	// teardownChannel gives back. An eager pool is not on it: the channel holds
-	// a registration and the VI a count, and a receive descriptor, with its
-	// buffer, is the port's, out only from a message's first fragment until
-	// progressStep has read the message.
-	freeChans []*chanState
-	down      []*chanState // adoptDisconnects' scratch: channels whose VI the peer closed
-
 	// What reserve made for a mesh whose size the policy knew at Init, one
-	// allocation, carved by cursor where the free list above runs dry.
+	// allocation, carved by cursor for a channel with no state from a past life.
+	// An eager pool is a registration and a count on the VI: a receive
+	// descriptor, with its buffer, is the port's, out only from a message's
+	// first fragment until progressStep has read the message.
 	chanSlab []chanState
+	down     []*chanState // adoptDisconnects' scratch: channels whose VI the peer closed
 
 	// What lets a poll skip the scans that would find nothing (see
 	// adoptDisconnects and flowPass; the port and the manager keep the rest).
@@ -185,10 +178,10 @@ func (r *Rank) obsRecv(cs *chanState, h hdr) {
 	if r.bus == nil {
 		return
 	}
-	seq := r.recvSeq[cs.peer]
-	r.recvSeq[cs.peer]++
+	seq := r.recvSeq[cs.ch.Rank]
+	r.recvSeq[cs.ch.Rank]++
 	r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvMsgRecv,
-		Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(h.size), B: int64(h.tag), C: seq})
+		Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(h.size), B: int64(h.tag), C: seq})
 }
 
 // obsGauge reports an instantaneous per-rank quantity (e.g. pinned bytes).
@@ -233,20 +226,9 @@ type abortPanic struct{ code int }
 // prepareChannel pre-posts the eager receive pool on a fresh VI, before the
 // connection can complete — so data can never arrive without a descriptor.
 func (r *Rank) prepareChannel(ch *core.Channel) {
-	peer := ch.Rank
 	initial := r.cfg.initialPool()
-	cs := r.newChanState(peer, ch, initial)
-	ch.UserData = cs
-	// A static boot makes its channels in rank order: the new peer goes last.
-	r.active = append(r.active, cs)
-	i := len(r.active) - 1
-	for ; i > 0 && r.active[i-1].peer >= peer; i-- {
-		r.active[i] = r.active[i-1]
-	}
-	r.active[i] = cs
-	if len(r.active) > r.peakLive {
-		r.peakLive = len(r.active)
-	}
+	cs := r.newChanState(ch, initial)
+	r.peakLive = max(r.peakLive, len(r.mgr.Channels()))
 	s := ch.Vi.Slot()
 	if s >= len(r.bySlot) {
 		r.growBySlot(s)
@@ -287,7 +269,7 @@ func (r *Rank) chanOf(vi *via.VI) *chanState {
 
 // reserve prepares for the n channels a static manager is about to make
 // (core.Config.Reserve): their states — each with room for its pool's
-// one registration — are one allocation, the tables are sized once, and the
+// one registration — are one allocation, the slot table is sized once, and the
 // port does the same below. Nothing is registered, posted or charged: the
 // model cannot tell.
 func (r *Rank) reserve(n int) {
@@ -296,25 +278,25 @@ func (r *Rank) reserve(n int) {
 	for i := range r.chanSlab {
 		r.chanSlab[i].memHandles = handles[i : i : i+1]
 	}
-	r.active = slices.Grow(r.active, n)
 	r.bySlot = slices.Grow(r.bySlot, n)
 	r.port.Reserve(n)
 }
 
-// newChanState takes a torn-down channel's state off the free list (else the
-// next of reserve's slab, or grows) and is the one place its fields are set
-// for a new life: everything but the (empty) backing arrays of its queues
-// starts from zero.
-func (r *Rank) newChanState(peer int, ch *core.Channel, credits int) *chanState {
-	cs := simnet.Pop(&r.freeChans)
+// newChanState takes the state ch had in its last life (else the next of
+// reserve's slab, or grows) and is the one place its fields are set for a new
+// life: all but the (empty) backing arrays of its queues start from zero, and
+// pendingClose keeps its elements for the teardown that reconnects with them.
+func (r *Rank) newChanState(ch *core.Channel, credits int) *chanState {
+	cs, _ := ch.UserData.(*chanState)
 	if cs == nil {
 		cs = simnet.Carve(&r.chanSlab)
 	}
 	if cs == nil {
 		cs = growChans()
 	}
-	*cs = chanState{peer: peer, ch: ch, credits: credits,
+	*cs = chanState{ch: ch, credits: credits,
 		flowQ: cs.flowQ[:0], memHandles: cs.memHandles[:0], pendingClose: cs.pendingClose[:0]}
+	ch.UserData = cs
 	return cs
 }
 
@@ -326,12 +308,12 @@ func (r *Rank) growPool(cs *chanState, n int) {
 	bufSize := r.cfg.eagerBufSize()
 	h, err := r.port.Memory().Register(int64(bufSize * n))
 	if err != nil {
-		r.proc.Sim().Failf("mpi: rank %d cannot pin eager pool for peer %d: %v", r.rank, cs.peer, err)
+		r.proc.Sim().Failf("mpi: rank %d cannot pin eager pool for peer %d: %v", r.rank, cs.ch.Rank, err)
 		return
 	}
 	cs.memHandles = append(cs.memHandles, h)
 	if err := cs.ch.Vi.PostRecvPool(n, bufSize); err != nil {
-		r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.peer, err)
+		r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.ch.Rank, err)
 		return
 	}
 	cs.posted += n
@@ -364,47 +346,38 @@ func (r *Rank) channel(peer int) (*chanState, error) {
 // ---------------------------------------------------------------------------
 // Graceful teardown (VI-cap eviction and remote disconnect)
 
-// canEvict reports whether ch is quiescent enough to evict gracefully: no
-// parked, queued or held traffic, no rendezvous mid-flight, no unexpected
-// RTS still referencing the channel, an empty VIA send queue, and enough
-// credits to send BYE while keeping the reserved credit.
-func (r *Rank) canEvict(ch *core.Channel) bool {
-	cs, _ := ch.UserData.(*chanState)
-	return cs != nil && ch.Up && !cs.closing &&
-		ch.Parked() == 0 && len(cs.flowQ) == 0 && len(cs.pendingClose) == 0 &&
+// quiescent reports whether cs has drained enough to close: no parked, queued
+// or held traffic, no rendezvous mid-flight, no unexpected RTS still
+// referencing the channel, an empty VIA send queue, and credits to spare. An
+// eviction needs two (BYE, keeping the reserved credit); the side accepting a
+// peer's BYE needs one (the ACK: the channel is about to die, so the
+// reservation rule no longer applies).
+func (r *Rank) quiescent(cs *chanState, credits int) bool {
+	return cs.ch.Parked() == 0 && len(cs.flowQ) == 0 && len(cs.pendingClose) == 0 &&
 		cs.pendingRdv == 0 && cs.umqRefs == 0 &&
-		cs.credits >= 2 && ch.Vi.SendQueueLen() == 0
+		cs.credits >= credits && cs.ch.Vi.SendQueueLen() == 0
 }
 
-// startEvict opens the teardown handshake for a cap eviction.
+// canEvict reports whether ch can be evicted gracefully (core.Config.CanEvict).
+func (r *Rank) canEvict(ch *core.Channel) bool {
+	cs := ch.UserData.(*chanState)
+	return ch.Up && !cs.closing && r.quiescent(cs, 2)
+}
+
+// startEvict opens the teardown handshake for a cap eviction (ch is Evicting).
 func (r *Rank) startEvict(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
-	cs.closing, cs.evict = true, true
+	cs.closing = true
 	r.emit(cs, r.newPkt(hdr{kind: pktBye, srcRank: int32(r.rank)}, nil, nil))
 }
 
-// quiescent is the responder-side check for accepting a peer's BYE: the
-// same drain conditions, but only one credit is needed (for the ACK — this
-// channel is about to die, so the reservation rule no longer applies).
-func (r *Rank) quiescent(cs *chanState) bool {
-	return cs.ch.Parked() == 0 && len(cs.flowQ) == 0 && len(cs.pendingClose) == 0 &&
-		cs.pendingRdv == 0 && cs.umqRefs == 0 &&
-		cs.credits >= 1 && cs.ch.Vi.SendQueueLen() == 0
-}
-
 // teardownChannel dismantles a drained channel: close the VI (sending DISC),
-// release the eager pool's pinned memory, forget the channel in both the MPI
-// tables and the connection manager, and re-post any sends that arrived
-// during the handshake on a fresh connection.
+// release the eager pool's pinned memory, forget the channel in the slot table
+// and the connection manager, and re-post any sends that arrived during the
+// handshake on a fresh connection.
 func (r *Rank) teardownChannel(cs *chanState) {
-	peer, held := cs.peer, cs.pendingClose
+	peer, held := cs.ch.Rank, cs.pendingClose
 	r.bySlot[cs.ch.Vi.Slot()] = nil
-	for i, c := range r.active {
-		if c == cs {
-			r.active = append(r.active[:i], r.active[i+1:]...)
-			break
-		}
-	}
 	if cs.userSends > 0 {
 		r.rememberDest(peer)
 	}
@@ -424,7 +397,7 @@ func (r *Rank) teardownChannel(cs *chanState) {
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
 	r.mgr.ReleaseChannel(peer)
 	if len(held) > 0 {
-		// cs is still off the free list: held is its pendingClose.
+		// The reconnect takes cs back with the channel: held is its pendingClose.
 		ncs, err := r.channel(peer)
 		if err != nil {
 			r.proc.Sim().Failf("mpi: rank %d reconnect to %d: %v", r.rank, peer, err)
@@ -434,7 +407,6 @@ func (r *Rank) teardownChannel(cs *chanState) {
 			r.post(ncs, p)
 		}
 	}
-	r.freeChans = append(r.freeChans, cs)
 }
 
 // rememberDest records that a channel now gone carried user sends to peer. A
@@ -450,8 +422,8 @@ func (r *Rank) rememberDest(peer int) {
 // channels and torn-down ones alike.
 func (r *Rank) distinctDests() int {
 	n := len(r.pastDests)
-	for _, cs := range r.active {
-		if cs.userSends > 0 && !r.pastDests[cs.peer] {
+	for _, ch := range r.mgr.Channels() {
+		if ch.UserData.(*chanState).userSends > 0 && !r.pastDests[ch.Rank] {
 			n++
 		}
 	}
@@ -463,7 +435,7 @@ func (r *Rank) distinctDests() int {
 // a disconnect with traffic in flight is a protocol violation.
 func (r *Rank) handleDisconnect(cs *chanState) {
 	if !cs.closing && (cs.pendingRdv > 0 || len(cs.flowQ) > 0 || cs.ch.Parked() > 0) {
-		r.proc.Sim().Failf("mpi: rank %d: peer %d disconnected with traffic in flight", r.rank, cs.peer)
+		r.proc.Sim().Failf("mpi: rank %d: peer %d disconnected with traffic in flight", r.rank, cs.ch.Rank)
 		return
 	}
 	r.teardownChannel(cs)
@@ -496,7 +468,7 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 		cs.flowQ = append(cs.flowQ, p)
 		if r.bus != nil {
 			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvCreditStall,
-				Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(len(cs.flowQ))})
+				Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(len(cs.flowQ))})
 		}
 		return
 	}
@@ -572,14 +544,14 @@ func (r *Rank) emit(cs *chanState, p *pkt) {
 	d := r.wire(p)
 	r.port.ChargeHost(simnet.Duration(len(p.payload)) * r.cfg.cost.HostCopyPerByte)
 	if err := cs.ch.Vi.PostSend(d); err != nil {
-		r.proc.Sim().Failf("mpi: rank %d post to %d: %v", r.rank, cs.peer, err)
+		r.proc.Sim().Failf("mpi: rank %d post to %d: %v", r.rank, cs.ch.Rank, err)
 		return
 	}
 	if d.Status == via.StatusNotConnected {
 		// Should be impossible: we only emit on Up channels. Seeing it means
 		// the pre-posted send FIFO was bypassed — the exact bug the paper's
 		// design rules out.
-		r.proc.Sim().Failf("mpi: rank %d emitted on unconnected VI to %d (FIFO bypass)", r.rank, cs.peer)
+		r.proc.Sim().Failf("mpi: rank %d emitted on unconnected VI to %d (FIFO bypass)", r.rank, cs.ch.Rank)
 		return
 	}
 	cs.credits--
@@ -599,10 +571,10 @@ func (r *Rank) emit(cs *chanState, p *pkt) {
 		}
 		if k == obs.EvCreditGrant {
 			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: k,
-				Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(p.hdr.credits)})
+				Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(p.hdr.credits)})
 		} else {
 			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: k,
-				Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(p.hdr.size), B: int64(p.hdr.credits)})
+				Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(p.hdr.size), B: int64(p.hdr.credits)})
 		}
 	}
 	r.emitted(cs, p)
@@ -723,11 +695,11 @@ func (r *Rank) adoptDisconnects() {
 		return
 	}
 	r.seenDisconnects = n
-	// Collect first — teardownChannel splices r.active.
+	// Collect first — teardownChannel splices the manager's table.
 	down := r.down[:0]
-	for _, cs := range r.active {
-		if cs.ch.Vi.State() == via.ViDisconnected {
-			down = append(down, cs)
+	for _, ch := range r.mgr.Channels() {
+		if ch.Vi.State() == via.ViDisconnected {
+			down = append(down, ch.UserData.(*chanState))
 		}
 	}
 	for _, cs := range down {
@@ -737,8 +709,8 @@ func (r *Rank) adoptDisconnects() {
 }
 
 // reapSends reaps send completions so VIA queues don't grow without bound.
-// All channel scans run in peer-rank order (active is kept sorted — MVICH's
-// device check walks its per-destination table by rank), so progress
+// All channel scans run in peer-rank order (the manager's table is sorted —
+// MVICH's device check walks its per-destination table by rank), so progress
 // behaviour is identical whether channels were created eagerly or on demand.
 // Polling a VI costs PollOverhead whether or not it has anything: that charge
 // per live VI is the paper's polling-cost model, and it is made here either
@@ -751,11 +723,11 @@ func (r *Rank) reapSends() {
 		pollAudit(r, scanReap, idle)
 	}
 	if idle {
-		r.port.ChargeIdlePolls(len(r.active))
+		r.port.ChargeIdlePolls(len(r.mgr.Channels()))
 		return
 	}
-	for _, cs := range r.active {
-		for d := cs.ch.Vi.SendDone(); d != nil; d = cs.ch.Vi.SendDone() {
+	for _, ch := range r.mgr.Channels() {
+		for d := ch.Vi.SendDone(); d != nil; d = ch.Vi.SendDone() {
 			r.recycleSend(d)
 		}
 	}
@@ -803,8 +775,9 @@ func (r *Rank) flowPass(arrived bool) {
 		return
 	}
 	r.cameUp = false
-	for _, cs := range r.active {
-		if !cs.ch.Up || cs.closing {
+	for _, ch := range r.mgr.Channels() {
+		cs := ch.UserData.(*chanState)
+		if !ch.Up || cs.closing {
 			continue
 		}
 		for len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
@@ -860,8 +833,8 @@ func (r *Rank) blockedPhase() obs.Phase {
 	if r.mgr.PendingConnections() > 0 {
 		return obs.PhaseConnect
 	}
-	for _, cs := range r.active {
-		if len(cs.flowQ) > 0 {
+	for _, ch := range r.mgr.Channels() {
+		if len(ch.UserData.(*chanState).flowQ) > 0 {
 			return obs.PhaseCreditStall
 		}
 	}
@@ -929,7 +902,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 			r.teardownChannel(cs)
 			return
 		}
-		if r.quiescent(cs) {
+		if r.quiescent(cs, 1) {
 			cs.closing = true
 			r.emit(cs, r.newPkt(hdr{kind: pktByeAck, srcRank: int32(r.rank)}, nil, nil))
 		} else {
@@ -942,8 +915,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 	case pktByeNack:
 		// The peer had traffic in flight: abandon the eviction and release
 		// the sends held during the handshake.
-		cs.closing, cs.evict = false, false
-		cs.ch.Evicting = false
+		cs.closing, cs.ch.Evicting = false, false
 		held := cs.pendingClose
 		cs.pendingClose = nil
 		for _, p := range held {
@@ -1063,7 +1035,7 @@ func (r *Rank) rendezvousData(cs *chanState, req *request, h hdr) {
 	}
 	if r.bus != nil {
 		r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvRdma,
-			Rank: int32(r.rank), Peer: int32(cs.peer), A: int64(len(req.data))})
+			Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(len(req.data))})
 	}
 	r.post(cs, r.newPkt(hdr{kind: pktFin, srcRank: int32(r.rank), ctx: h.ctx, rreq: h.rreq}, nil, req))
 }

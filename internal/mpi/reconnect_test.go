@@ -190,7 +190,7 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 		for _, d := range unreaped {
 			// Back on the free list, or already off it again for a new packet.
 			kept := slices.Contains(r.freeSends, d)
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				kept = kept || slices.Contains(cs.ch.Vi.PostedSends(), d)
 			}
 			if !kept {
@@ -363,13 +363,13 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 				scribble++
 			}
 			beside = beside || len(free) > 0 && out > 0
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				vi := cs.ch.Vi
-				if cs.closing && cs.evict {
+				if cs.closing && cs.ch.Evicting {
 					evicting[vi] = vi.ID()
-					if peer := ranks[cs.peer]; peer != nil {
-						for _, pcs := range peer.active {
-							crossing = crossing || pcs.peer == r.rank && pcs.closing && pcs.evict
+					if peer := ranks[cs.ch.Rank]; peer != nil {
+						for _, pcs := range liveChans(peer) {
+							crossing = crossing || pcs.ch.Rank == r.rank && pcs.closing && pcs.ch.Evicting
 						}
 					}
 				}
@@ -382,8 +382,8 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 					continue
 				}
 				live := false
-				for _, cs := range r.active {
-					live = live || cs.peer == int(u.h.srcRank)
+				for _, cs := range liveChans(r) {
+					live = live || cs.ch.Rank == int(u.h.srcRank)
 				}
 				parked = parked || !live
 			}

@@ -236,7 +236,7 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 			return
 		}
 		sample := func() {
-			for _, cs := range r.active {
+			for _, cs := range liveChans(r) {
 				parked = max(parked, cs.ch.Parked())
 				flowed = max(flowed, len(cs.flowQ))
 				held = max(held, len(cs.pendingClose))
@@ -449,7 +449,7 @@ func TestPersistentHandleIdentity(t *testing.T) {
 		}
 		// closeAll polls until every channel's eviction has completed.
 		closeAll := func() {
-			for len(r.active) > 0 {
+			for len(liveChans(r)) > 0 {
 				r.Compute(1e-6)
 				c.Iprobe(AnySource, 99)
 			}

@@ -106,7 +106,7 @@ func TestReserveBoundedByViLimit(t *testing.T) {
 	}
 	for _, r := range ranks {
 		// Whatever the failing run left uncarved, the slabs began at the limit.
-		if got := len(r.chanSlab) + len(r.active); got != limit {
+		if got := len(r.chanSlab) + len(liveChans(r)); got != limit {
 			t.Errorf("rank %d: channel-state slab of %d for a port of %d VIs", r.rank, got, limit)
 		}
 		// A pool is a count and no message landed: no receive descriptor exists.
