@@ -87,12 +87,13 @@ loc:
 # analyzer); BenchmarkReconnectCycle is the connection path's rail (one
 # evict-teardown-reconnect cycle: 0 allocs/op, the VIs are reissued), BenchmarkMeshBoot
 # the static mesh's (a 64-rank static-p2p world through Init and Finalize:
-# ~4,000 allocs/op, ~62 per rank and next to nothing per connection, because
-# the managers reserve slabs at Init; ~70,000 means a first connection is
-# building its objects one allocation at a time again. 2.80 MB/op, 1,390
-# B/conn, because a pre-posted pool is a count on its VI and the tables a
-# connection fills are slices, not maps; some 1.7 MB/op more means every pool
-# receive is a descriptor again). Run at
+# ~2,900 allocs/op, ~45 per rank and next to nothing per connection, because
+# the managers reserve slabs at Init and a rank's bootstrap rides recycled
+# frames; ~70,000 means a first connection is building its objects one
+# allocation at a time again, ~4,000 that every out-of-band message is a new
+# frame again. 2.76 MB/op, 1,368 B/conn, because a pre-posted pool is a count
+# on its VI and the tables a connection fills are slices, not maps; some
+# 1.7 MB/op more means every pool receive is a descriptor again). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first

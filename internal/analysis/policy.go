@@ -277,6 +277,9 @@ func DefaultPolicy() *Policy {
 			"internal/via.(VI).PostRecv":   "one per message received on a VI that takes descriptors (the receive is re-posted)",
 			"internal/via.(VI).RecvWait":   "the descriptor-form blocking receive",
 			"internal/simnet.(Proc).Sleep": "timer-wake arm + park, the scheduler's hottest primitive (BenchmarkSimCore)",
+			// The out-of-band bootstrap: every rank's Init and Finalize.
+			"internal/via.(Port).SendOob": "a boot's messages: each rides a recycled frame, as a NIC post does, so a rank's bootstrap and finalize barrier allocate nothing per message",
+			"internal/via.(Port).RecvOob": "hands each out-of-band frame back to the free list at the next call",
 			// The batch runner's per-completion bookkeeping sits inside every
 			// timed sweep (benchmark/'s figures_quick workload and its sweep.*
 			// metrics); rendering, the fmt-heavy half, only runs when a progress

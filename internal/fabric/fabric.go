@@ -94,11 +94,12 @@ func (p *port) reserve(now simnet.Time, size int, bps float64) simnet.Time {
 type Cluster struct {
 	sim *simnet.Sim
 	cfg Config
-	eps []*endpoint
+	eps []endpoint
 	tx  []port // per node
 	rx  []port // per node
 
-	free *flight // recycled in-flight records
+	free        *flight // recycled in-flight records
+	flightsMade int     // records growFlights has made, which sizes its next slab
 
 	// FramesDelivered counts frames handed to endpoint handlers.
 	FramesDelivered uint64
@@ -134,7 +135,7 @@ func (c *Cluster) Attach(handler Handler) (int, error) {
 	if id >= c.cfg.MaxProcs() {
 		return -1, fmt.Errorf("fabric: cluster full (%d slots)", c.cfg.MaxProcs())
 	}
-	c.eps = append(c.eps, &endpoint{id: id, node: id / c.cfg.ProcsPerNode, handler: handler})
+	c.eps = append(c.eps, endpoint{id: id, node: id / c.cfg.ProcsPerNode, handler: handler})
 	return id, nil
 }
 
@@ -144,7 +145,7 @@ func (c *Cluster) NodeOf(id int) int { return c.eps[id].node }
 // flight is one frame in transit: the scheduler event for each of its hops.
 // A frame fires twice — flightEgress books the source port and the wire,
 // flightDeliver hands it to the destination's handler — and the record then
-// returns to the cluster's free list, which settles at the in-flight peak.
+// returns to the cluster's free list (see growFlights).
 type flight struct {
 	c    *Cluster
 	f    Frame
@@ -176,9 +177,22 @@ func (c *Cluster) badEndpoints(f Frame) {
 	panic(fmt.Sprintf("fabric: send with bad endpoints src=%d dst=%d (have %d)", f.Src, f.Dst, len(c.eps)))
 }
 
-// growFlights grows the free list (cold path: runs once per frame of the
-// in-flight high-water mark).
-func (c *Cluster) growFlights() *flight { return &flight{c: c} }
+// slabMax caps a slab of flight records: 32 of them are an exact size class,
+// and what a cluster makes past its in-flight peak stays under 32.
+const slabMax = 32
+
+// growFlights grows the free list by a slab, the first of one and each next as
+// large as all the earlier ones together, up to slabMax (cold path: the list
+// settles fewer than slabMax records past the in-flight high-water mark, at up
+// to slabMax records an allocation).
+func (c *Cluster) growFlights() *flight {
+	slab := make([]flight, min(max(c.flightsMade, 1), slabMax))
+	c.flightsMade += len(slab)
+	for i := range slab {
+		slab[i].c, slab[i].next, c.free = c, c.free, &slab[i]
+	}
+	return c.free
+}
 
 // Fire runs one hop of the frame (scheduler context).
 func (fl *flight) Fire(hop uint64) {

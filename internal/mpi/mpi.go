@@ -313,13 +313,10 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				}
 			}
 			r := &Rank{
-				proc: p, port: port, cfg: &cfg,
+				proc: p, port: port, cq: *via.NewCQ(port), cfg: &cfg,
 				rank: i, size: n,
-				addrs:    addrs,
-				sendReqs: make(map[int64]*request),
-				recvReqs: make(map[int64]*request),
+				addrs: addrs,
 			}
-			r.cq = via.NewCQ(port)
 			r.ctxCounter = 2 // world uses contexts 0 (pt2pt) and 1 (collective)
 			r.bus = sim.Obs()
 			if r.bus != nil {
@@ -337,7 +334,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 			mcfg := core.Config{
 				Rank: i, Size: n, Port: port, Addrs: addrs, Mode: cfg.WaitMode,
 				EpRanks:        epRanks,
-				CQ:             r.cq,
+				CQ:             &r.cq,
 				Reserve:        r.reserve,
 				PrepareChannel: r.prepareChannel,
 				OnChannelUp:    r.onChannelUp,

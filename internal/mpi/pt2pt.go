@@ -111,6 +111,9 @@ func (c *Comm) startSend(q *request, mode SendMode, dst, tag int, data []byte, c
 	// Rendezvous (long messages, and every synchronous send).
 	r.nextReq++
 	id := r.nextReq
+	if r.sendReqs == nil {
+		r.sendReqs = growRdvTable()
+	}
 	r.sendReqs[id] = q
 	cs.pendingRdv++
 	r.post(cs, r.newPkt(hdr{kind: pktRts, srcRank: int32(c.myrank), tag: int32(tag),

@@ -46,7 +46,7 @@ type pkt struct {
 type Rank struct {
 	proc *simnet.Proc
 	port *via.Port
-	cq   *via.CQ
+	cq   via.CQ
 	mgr  core.Manager
 	cfg  *Config
 
@@ -67,8 +67,8 @@ type Rank struct {
 	umq []*umsg    // unexpected message queue, arrival order
 
 	nextReq  int64
-	sendReqs map[int64]*request // awaiting CTS
-	recvReqs map[int64]*request // awaiting FIN
+	sendReqs map[int64]*request // awaiting CTS; nil until the first (growRdvTable)
+	recvReqs map[int64]*request // awaiting FIN; nil until the first
 
 	// Free lists of the message path: packets; send descriptors with the
 	// wire buffers they carry (tagged with the rank in UserPtr); RDMA writes'
@@ -511,6 +511,11 @@ func growUmsgs() *umsg { return new(umsg) }
 func growUmsgBuf(n int) []byte { return make([]byte, n) }
 
 func growChans() *chanState { return new(chanState) }
+
+// growRdvTable makes a table of rendezvous handshakes in flight, at a rank's
+// first on either side (cold path: a boot, or a run of eager messages, never
+// needs one).
+func growRdvTable() map[int64]*request { return make(map[int64]*request) }
 
 // wire encodes p into a recycled send descriptor. progressStep returns the
 // descriptor to the free list when it reaps the completed send.
@@ -1018,6 +1023,9 @@ func (r *Rank) acceptRendezvous(req *request, h hdr, cs *chanState) {
 	req.status = Status{Source: int(h.srcRank), Tag: int(h.tag), Count: n}
 	r.nextReq++
 	id := r.nextReq
+	if r.recvReqs == nil {
+		r.recvReqs = growRdvTable()
+	}
 	r.recvReqs[id] = req
 	cs.pendingRdv++
 	r.post(cs, r.newPkt(hdr{

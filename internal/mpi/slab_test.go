@@ -40,15 +40,21 @@ func bootCost(t *testing.T, np int) (allocs, bytes float64) {
 	return allocs, bytes
 }
 
-// The allocation rail of a first connection. A boot allocates a + b·np +
-// c·np(np-1): per run, per rank, and per connection end. A difference between
-// two world sizes still carries b (about 65 per rank, which at these sizes
-// would read as a whole allocation per end); the second difference over three
-// equally spaced sizes leaves 2h²·c alone. Before the slabs c was 15.5 — each
-// end's VI, channel, channel state, descriptors, buffers and queue growth. In
-// bytes, by the same difference, an end is its VI, its channel and channel
-// state and its share of the tables; a pool that brought four descriptors and
-// their queue slots again would add 416 to that, its buffers 4 × 5,048.
+// The allocation rails of a rank and of a first connection. A boot allocates
+// a + b·np + c·np(np-1): per run, per rank, and per connection end. A
+// difference between two world sizes still carries b (about 46 per rank,
+// which at these sizes would read as most of an allocation per end); the
+// second difference over three equally spaced sizes leaves 2h²·c alone, and
+// the first, less c's share (3h² - h)·c, leaves h·b. b read 61 while each
+// out-of-band message was a fresh frame and a copy of its bytes, frames and
+// flights grew one at a time, and a rank made its registry, CQ and fabric
+// endpoint as objects of their own, with empty rendezvous and RDMA tables and
+// an outgoing-request table that Reserve replaced. Before the slabs c was
+// 15.5 — each end's VI, channel, channel state, descriptors, buffers and queue
+// growth. In bytes, by the same difference, an end is its VI, its channel and
+// channel state and its share of the tables; a pool that brought four
+// descriptors and their queue slots again would add 416 to that, its buffers
+// 4 × 5,048.
 //
 // The bytes bound was 480 (386 measured) while four of the tables were maps.
 // A presized map rounds its size up to a power of two, so at 16, 32 and 48
@@ -58,11 +64,16 @@ func bootCost(t *testing.T, np int) (allocs, bytes float64) {
 // less: 660 bytes per end at 256 ranks, from 784.
 func TestFirstConnectAllocs(t *testing.T) {
 	const h = 16
-	bootCost(t, h) // what a process allocates once
+	bootCost(t, 3*h) // what a process allocates once, the goroutines of the largest world with it
 	a1, b1 := bootCost(t, h)
 	a2, b2 := bootCost(t, 2*h)
 	a3, b3 := bootCost(t, 3*h)
 	allocsPerEnd, bytesPerEnd := (a3-2*a2+a1)/(2*h*h), (b3-2*b2+b1)/(2*h*h)
+	allocsPerRank := (a2 - a1 - (3*h*h-h)*allocsPerEnd) / h
+	if allocsPerRank > 48 && !raceBuild {
+		t.Errorf("%.1f allocations per rank (%v, %v, %v at %d, %d, %d ranks), want at most 48 (about 46 measured)",
+			allocsPerRank, a1, a2, a3, h, 2*h, 3*h)
+	}
 	if allocsPerEnd > 0.5 {
 		t.Errorf("%.2f allocations per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 0.5",
 			allocsPerEnd, a1, a2, a3, h, 2*h, 3*h)
@@ -71,7 +82,7 @@ func TestFirstConnectAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 580 (480-495 measured)",
 			bytesPerEnd, b1, b2, b3, h, 2*h, 3*h)
 	}
-	t.Logf("%.2f allocations and %.0f bytes per first connection end", allocsPerEnd, bytesPerEnd)
+	t.Logf("%.1f allocations per rank; %.2f allocations and %.0f bytes per first connection end", allocsPerRank, allocsPerEnd, bytesPerEnd)
 }
 
 // With more peers than the port can hold VIs for, Init is going to fail; the

@@ -177,67 +177,3 @@ func TestHeapFuzzAgainstReferenceSort(t *testing.T) {
 		}
 	}
 }
-
-// TestCondSignalReleasesWaiterSlot pins the memory-retention fix: after
-// Signal pops a waiter, the backing array slot must no longer reference the
-// process, so long-lived conds on evict/credit paths don't pin finished
-// processes.
-func TestCondSignalReleasesWaiterSlot(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
-	for i := 0; i < 3; i++ {
-		s.Spawn(fmt.Sprintf("w%d", i), 0, func(p *Proc) { c.Wait(p) })
-	}
-	s.Spawn("signaler", 10, func(p *Proc) {
-		c.Signal()
-		if c.head != 1 {
-			t.Errorf("head = %d, want 1", c.head)
-		}
-		if c.waiters[0] != nil {
-			t.Error("popped waiter slot still references the process")
-		}
-		if c.Len() != 2 {
-			t.Errorf("Len = %d, want 2", c.Len())
-		}
-		c.Broadcast()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCondCompaction checks the mostly-dead backing array is compacted and
-// that FIFO order survives compaction.
-func TestCondCompaction(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
-	const n = 48
-	var order []int
-	for i := 0; i < n; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("w%d", i), Time(i), func(p *Proc) {
-			c.Wait(p)
-			order = append(order, i)
-		})
-	}
-	s.Spawn("signaler", Time(n), func(p *Proc) {
-		for i := 0; i < n; i++ {
-			c.Signal()
-			p.Sleep(Microsecond) // let the woken waiter run and record itself
-			if c.head >= 32 {
-				t.Errorf("after signal %d: head = %d, compaction never ran", i, c.head)
-			}
-		}
-		if c.Len() != 0 {
-			t.Errorf("Len = %d after signalling everyone", c.Len())
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if order[i] != i {
-			t.Fatalf("FIFO order broken across compaction: %v", order)
-		}
-	}
-}

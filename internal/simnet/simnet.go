@@ -625,59 +625,3 @@ func (s *Sim) Run() error {
 
 // Procs returns all processes ever spawned, in spawn order.
 func (s *Sim) Procs() []*Proc { return s.procs }
-
-// Cond is a broadcast-style condition variable for simulated processes.
-// The zero value is not usable; create with NewCond.
-type Cond struct {
-	sim     *Sim
-	waiters []*Proc
-	head    int // index of the first live waiter; slots before it are nil
-}
-
-// NewCond returns a condition variable bound to s.
-func NewCond(s *Sim) *Cond { return &Cond{sim: s} }
-
-// Wait parks p until Broadcast or Signal.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park()
-}
-
-// Signal wakes one waiter (FIFO), if any. The popped slot is nilled so a
-// long-lived cond never pins a finished process through its backing array,
-// and the array is compacted once it is mostly dead slots.
-func (c *Cond) Signal() {
-	if c.head == len(c.waiters) {
-		return
-	}
-	p := c.waiters[c.head]
-	c.waiters[c.head] = nil
-	c.head++
-	switch {
-	case c.head == len(c.waiters):
-		c.waiters = c.waiters[:0]
-		c.head = 0
-	case c.head >= 32 && c.head*2 >= len(c.waiters):
-		n := copy(c.waiters, c.waiters[c.head:])
-		clearTail := c.waiters[n:]
-		for i := range clearTail {
-			clearTail[i] = nil
-		}
-		c.waiters = c.waiters[:n]
-		c.head = 0
-	}
-	p.Wake()
-}
-
-// Broadcast wakes all current waiters.
-func (c *Cond) Broadcast() {
-	ws := c.waiters[c.head:]
-	c.waiters = nil
-	c.head = 0
-	for _, p := range ws {
-		p.Wake()
-	}
-}
-
-// Len reports the number of parked waiters.
-func (c *Cond) Len() int { return len(c.waiters) - c.head }

@@ -244,59 +244,6 @@ func TestIdleAccounting(t *testing.T) {
 	}
 }
 
-func TestCondBroadcast(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
-	resumed := 0
-	for i := 0; i < 5; i++ {
-		s.Spawn(fmt.Sprintf("w%d", i), 0, func(p *Proc) {
-			c.Wait(p)
-			resumed++
-		})
-	}
-	s.Spawn("b", 0, func(p *Proc) {
-		p.Sleep(Microsecond)
-		if c.Len() != 5 {
-			t.Errorf("c.Len() = %d, want 5", c.Len())
-		}
-		c.Broadcast()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed != 5 {
-		t.Fatalf("resumed = %d, want 5", resumed)
-	}
-}
-
-func TestCondSignalFIFO(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("w%d", i), Time(i), func(p *Proc) {
-			c.Wait(p)
-			order = append(order, i)
-		})
-	}
-	s.Spawn("b", 10, func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			c.Signal()
-			p.Sleep(Microsecond)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want FIFO %v", order, want)
-		}
-	}
-}
-
 func TestSpawnDuringRun(t *testing.T) {
 	s := New(1)
 	var childRan bool

@@ -19,13 +19,17 @@ import (
 
 // The descriptor word must not grow with the loan flag, nor a VI — one per
 // slot of its port, live or free — out of its size class with the pool's
-// count.
+// count, nor a frame with its held flag: a slab of slabMax frames is then an
+// exact size class.
 func TestDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Descriptor{}); got > 96 {
 		t.Errorf("Descriptor is %d bytes, want at most 96", got)
 	}
 	if got := unsafe.Sizeof(VI{}); got > 176 {
 		t.Errorf("VI is %d bytes, want at most 176", got)
+	}
+	if got := unsafe.Sizeof(wireMsg{}); got > 168 {
+		t.Errorf("wireMsg is %d bytes, want at most 168", got)
 	}
 }
 

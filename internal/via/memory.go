@@ -18,7 +18,7 @@ type MemHandle int64
 // The registry enforces the per-process limit and tracks the peak, which the
 // experiment harness reports in Table 2's resource-usage columns.
 type MemoryRegistry struct {
-	limit int64
+	limit int64 // a non-positive limit means unlimited
 	cur   int64
 	peak  int64
 
@@ -32,12 +32,6 @@ type region struct {
 	size int64
 	life int32
 	next int32 // while free: the next free slot + 1
-}
-
-// NewMemoryRegistry creates a registry with the given pinned-byte limit.
-// A non-positive limit means unlimited.
-func NewMemoryRegistry(limit int64) *MemoryRegistry {
-	return &MemoryRegistry{limit: limit}
 }
 
 // reserve sizes the table for n more regions.

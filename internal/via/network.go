@@ -18,7 +18,8 @@ type Network struct {
 
 	faults *FaultPlan
 
-	free *wireMsg // recycled frames
+	free       *wireMsg // recycled frames
+	framesMade int      // frames growFrames has made, which sizes its next slab
 
 	// DroppedNoDescriptor counts messages that arrived on a VI with no
 	// posted receive descriptor (a flow-control violation in the upper
@@ -71,13 +72,7 @@ func (n *Network) Ports() []*Port { return n.ports }
 // process slot. The owner is the only process that may invoke blocking
 // operations on the port.
 func (n *Network) Open(owner *simnet.Proc) (*Port, error) {
-	p := &Port{
-		net:         n,
-		owner:       owner,
-		mem:         NewMemoryRegistry(n.cost.MaxPinnedBytes),
-		outgoing:    make(map[connKey]*VI),
-		rdmaTargets: make(map[uint64][]byte),
-	}
+	p := &Port{net: n, owner: owner, mem: MemoryRegistry{limit: n.cost.MaxPinnedBytes}}
 	ep, err := n.cluster.Attach(p.handleFrame)
 	if err != nil {
 		return nil, err
@@ -141,6 +136,15 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 			extra = d
 		}
 	}
+	m := n.takeFrame(hdr, data)
+	m.port, m.dstEp, m.size, m.extra = p, dstEp, wireLen+n.cost.FrameHeaderBytes, extra
+	n.sim.AtAction(txDone, m, hopTx)
+	return txDone
+}
+
+// takeFrame takes a frame off the free list and loads it with the header hdr
+// and a copy of data, in the frame's own buffer.
+func (n *Network) takeFrame(hdr wireMsg, data []byte) *wireMsg {
 	m := n.free
 	if m == nil {
 		m = n.growFrames()
@@ -153,23 +157,35 @@ func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLe
 	*m = hdr
 	m.buf, m.data = buf, buf[:len(data)]
 	copy(m.data, data)
-	m.port, m.dstEp, m.size, m.extra = p, dstEp, wireLen+n.cost.FrameHeaderBytes, extra
-	n.sim.AtAction(txDone, m, hopTx)
-	return txDone
+	return m
 }
 
+// slabMax caps a slab of frames: 32 of them are an exact size class, and what
+// a network makes past its in-flight peak stays under 32 frames.
+const slabMax = 32
+
 // growFrames, growFrameBuf and growLanding grow the frame free list, a frame's
-// buffer and a port's stock of landing descriptors (cold paths: the list settles
-// at the number of frames in flight at once, a buffer at the largest fragment
-// it has carried — exactly that, no size classes — and the stock at the number
-// of messages landed and not yet read at once). The frame buffers' stock is
-// therefore the peak of fragments in flight at once, each at its own size. It
-// cannot be less: a fragment is copied at the post because the sender may
-// reuse its buffer as soon as the post returns — a rendezvous send completes
-// when its FIN is posted, before the NIC has taken the RDMA write's data — so
-// a collective that posts all its writes together (IS's Alltoallv) holds every
-// one of their fragments until it is delivered.
-func (n *Network) growFrames() *wireMsg { return &wireMsg{} }
+// buffer and a port's stock of landing descriptors (cold paths). Frames come
+// in slabs, the first of one and each next as large as all the earlier ones
+// together, up to slabMax: the list settles fewer than slabMax frames past the
+// most in flight at once, NIC and out-of-band alike, at up to slabMax frames
+// an allocation. A buffer settles at the largest fragment its frame has carried —
+// exactly that, no size classes — and the landing stock at the number of
+// messages landed and not yet read at once. The frame buffers' stock is therefore the peak of fragments in flight
+// at once, each at its own size. It cannot be less: a fragment is copied at
+// the post because the sender may reuse its buffer as soon as the post
+// returns — a rendezvous send completes when its FIN is posted, before the
+// NIC has taken the RDMA write's data — so a collective that posts all its
+// writes together (IS's Alltoallv) holds every one of their fragments until
+// it is delivered.
+func (n *Network) growFrames() *wireMsg {
+	slab := make([]wireMsg, min(max(n.framesMade, 1), slabMax))
+	n.framesMade += len(slab)
+	for i := range slab {
+		slab[i].next, n.free = n.free, &slab[i]
+	}
+	return n.free
+}
 
 func growFrameBuf(size int) []byte { return make([]byte, size) }
 
@@ -183,18 +199,14 @@ func (n *Network) release(m *wireMsg) {
 
 // Fire runs one NIC-service hop of the frame (scheduler context): after
 // transmit service it enters the fabric; after receive service the
-// destination port dispatches it and, unless a VI's preConnQ took it over,
-// the frame is free.
+// destination port delivers it.
 func (m *wireMsg) Fire(hop uint64) {
 	p := m.port
 	if hop == hopTx {
 		p.net.cluster.Send(fabric.Frame{Src: p.ep, Dst: m.dstEp, Size: m.size, Payload: m}, m.extra)
 		return
 	}
-	p.dispatch(m)
-	if !m.held {
-		p.net.release(m)
-	}
+	p.deliver(m)
 }
 
 // OpenVIsOnNode reports open VI endpoints on node nd (for tests/harness).

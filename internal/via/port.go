@@ -57,7 +57,7 @@ type Port struct {
 	ep    int
 	node  int
 	owner *simnet.Proc
-	mem   *MemoryRegistry
+	mem   MemoryRegistry
 
 	vis     []*VI // by slot (the low half of a VI id); a closed VI's slot is nil
 	liveVIs int   // VIs created and not yet closed, held under MaxVIsPerPort
@@ -78,7 +78,7 @@ type Port struct {
 	landing    []*Descriptor
 	landingOut int
 
-	outgoing        map[connKey]*VI // VIs with an outstanding REQ
+	outgoing        map[connKey]*VI // VIs with an outstanding REQ; made by the first (growOutgoing) or by Reserve
 	pendingIncoming []*PeerRequest  // unmatched incoming REQs
 
 	// What lets the owner's poll skip a walk over its VIs (see UnreapedSends
@@ -91,18 +91,15 @@ type Port struct {
 	debt         simnet.Duration
 	closed       bool
 
-	rdmaTargets map[uint64][]byte
+	rdmaTargets map[uint64][]byte // made by the first RegisterRdmaTarget
 	nextRdmaKey uint64
 
-	oobQ []oobMsg
+	// Out-of-band messages, each in the frame that carried it: the queue,
+	// linked through the frames' next, and the one RecvOob handed out last,
+	// whose data its caller may still be reading.
+	oobHead, oobTail, oobRead *wireMsg
 
 	stats PortStats
-}
-
-// oobMsg is a queued out-of-band (management network) message.
-type oobMsg struct {
-	from Addr
-	data []byte
 }
 
 // Addr returns the port's network address for use in connection requests.
@@ -115,7 +112,7 @@ func (p *Port) Owner() *simnet.Proc { return p.owner }
 func (p *Port) Node() int { return p.node }
 
 // Memory returns the port's registered-memory accounting.
-func (p *Port) Memory() *MemoryRegistry { return p.mem }
+func (p *Port) Memory() *MemoryRegistry { return &p.mem }
 
 // Stats returns a snapshot of the port's resource counters.
 func (p *Port) Stats() PortStats { return p.stats }
@@ -243,10 +240,14 @@ func (p *Port) Reserve(n int) {
 	p.pendingIncoming = slices.Grow(p.pendingIncoming, n)
 	p.freeReqs = slices.Grow(p.freeReqs, n)
 	if len(p.outgoing) == 0 {
-		p.outgoing = make(map[connKey]*VI, n)
+		p.outgoing = growOutgoing(n)
 	}
 	p.mem.reserve(n)
 }
+
+// growOutgoing makes the table of outstanding requests, for n of them: at
+// Reserve, or at the first request of a port that reserved nothing (cold path).
+func growOutgoing(n int) map[connKey]*VI { return make(map[connKey]*VI, n) }
 
 // growVIs adds a slot to the port, with a VI for its life 0: the next of
 // Reserve's slab, else a new one (cold path: the table settles at the most VIs
@@ -307,9 +308,16 @@ func (p *Port) RegisterRdmaTarget(buf []byte) (uint64, MemHandle, error) {
 	}
 	p.nextRdmaKey++
 	key := p.nextRdmaKey
+	if p.rdmaTargets == nil {
+		p.rdmaTargets = growRdmaTargets()
+	}
 	p.rdmaTargets[key] = buf
 	return key, h, nil
 }
+
+// growRdmaTargets makes the table of RDMA targets at a port's first (cold
+// path: a run without a rendezvous never registers one).
+func growRdmaTargets() map[uint64][]byte { return make(map[uint64][]byte) }
 
 // ReleaseRdmaTarget removes an RDMA target and unpins its buffer.
 func (p *Port) ReleaseRdmaTarget(key uint64, h MemHandle) error {
@@ -348,6 +356,9 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 			p.freeReqs = append(p.freeReqs, req)
 			return nil
 		}
+	}
+	if p.outgoing == nil {
+		p.outgoing = growOutgoing(0)
 	}
 	p.outgoing[connKey{remote.Ep, disc}] = vi
 	p.net.sendFrame(p, remote.Ep, wireMsg{
@@ -545,13 +556,21 @@ func (vi *VI) establishAfter(id int) {
 func (p *Port) handleFrame(f fabric.Frame) {
 	m := f.Payload.(*wireMsg)
 	if m.kind == kindOob {
-		// Management-network traffic does not touch the VIA NIC (nor the
-		// frame free list: the receiver keeps the message's bytes).
-		p.dispatch(m)
+		// Management-network traffic does not touch the VIA NIC.
+		p.deliver(m)
 		return
 	}
 	m.port = p
 	p.net.sim.AtAction(p.net.serviceRx(p.node), m, hopRx)
+}
+
+// deliver dispatches a frame that has arrived at the port and, unless a VI's
+// preConnQ or the out-of-band queue took it over, frees it.
+func (p *Port) deliver(m *wireMsg) {
+	p.dispatch(m)
+	if !m.held {
+		p.net.release(m)
+	}
 }
 
 func (p *Port) dispatch(m *wireMsg) {
@@ -623,30 +642,45 @@ func (p *Port) dispatch(m *wireMsg) {
 			p.net.sim.Failf("via: RDMA write to unknown key %d at port %d", m.rdmaKey, p.ep)
 		}
 	case kindOob:
-		p.oobQ = append(p.oobQ, oobMsg{from: Addr{Ep: m.srcEp}, data: m.data})
+		m.held = true
+		if p.oobTail == nil {
+			p.oobHead = m
+		} else {
+			p.oobTail.next = m
+		}
+		p.oobTail = m
 		p.notifyActivity()
 	}
 }
 
 // SendOob delivers data to dst over the out-of-band management network
 // (Ethernet/TCP in the real system) — used for job bootstrap, never for MPI
-// traffic. It bypasses NIC service and link serialization.
+// traffic. It bypasses NIC service and link serialization. The bytes are
+// copied into a recycled frame, as a NIC post's are: the caller may reuse
+// data as soon as SendOob returns.
 func (p *Port) SendOob(dst Addr, data []byte) {
-	cp := append([]byte(nil), data...)
-	p.net.cluster.SendMgmt(fabric.Frame{
-		Src: p.ep, Dst: dst.Ep, Size: len(cp),
-		Payload: &wireMsg{kind: kindOob, srcEp: p.ep, data: cp},
-	})
+	m := p.net.takeFrame(wireMsg{kind: kindOob, srcEp: p.ep}, data)
+	p.net.cluster.SendMgmt(fabric.Frame{Src: p.ep, Dst: dst.Ep, Size: len(data), Payload: m})
 }
 
 // RecvOob polls for an out-of-band message; ok is false when none is queued.
+// data is the frame that carried the message: it is valid until the next
+// RecvOob, which returns that frame to the free list.
 func (p *Port) RecvOob() (from Addr, data []byte, ok bool) {
-	if len(p.oobQ) == 0 {
+	if m := p.oobRead; m != nil {
+		p.oobRead = nil
+		p.net.release(m)
+	}
+	m := p.oobHead
+	if m == nil {
 		return Addr{}, nil, false
 	}
-	m := p.oobQ[0]
-	p.oobQ = simnet.PopFront(p.oobQ)
-	return m.from, m.data, true
+	p.oobHead = m.next
+	if p.oobHead == nil {
+		p.oobTail = nil
+	}
+	p.oobRead = m
+	return Addr{Ep: m.srcEp}, m.data, true
 }
 
 // lookupVi returns the live VI whose id is exactly id: a frame addressed to a

@@ -147,13 +147,15 @@ const (
 )
 
 // wireMsg is the payload carried inside a fabric frame, and the scheduler
-// event for both of the frame's NIC-service hops (see Fire). Every frame on
-// the NIC path comes from the Network's free list and returns to it once the
-// receiving port has dispatched it; callers describe a frame with a wireMsg
-// literal holding the header fields, which sendFrame copies into a recycled
-// one.
+// event for both of the frame's NIC-service hops (see Fire). Every frame, on
+// the NIC path or the out-of-band one, comes from the Network's free list and
+// returns to it once the receiving port has dispatched it (an out-of-band
+// one, once RecvOob's caller is done with it); callers describe a frame with
+// a wireMsg literal holding the header fields, which takeFrame copies into a
+// recycled one.
 type wireMsg struct {
 	kind   byte
+	held   bool // in flight: parked in a VI's preConnQ or its port's out-of-band queue, which now owns the frame (shares kind's word)
 	srcEp  int
 	srcVi  int
 	dstVi  int
@@ -171,7 +173,6 @@ type wireMsg struct {
 	dstEp int             // destination endpoint
 	size  int             // bytes on the wire
 	extra simnet.Duration // injected handshake delay (FaultPlan)
-	held  bool            // parked in a VI's preConnQ, which now owns the frame
 	buf   []byte          // backing store of data, kept across recycling
 	next  *wireMsg        // free-list link
 }

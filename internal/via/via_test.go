@@ -635,7 +635,7 @@ func TestMaxVIsLimitAfterChurn(t *testing.T) {
 }
 
 func TestPinnedMemoryLimit(t *testing.T) {
-	m := NewMemoryRegistry(1000)
+	m := &MemoryRegistry{limit: 1000}
 	h1, err := m.Register(600)
 	if err != nil {
 		t.Fatal(err)
@@ -665,7 +665,7 @@ func TestPinnedMemoryLimit(t *testing.T) {
 // life not yet issued, 0 and a number never issued — and a refusal leaves the
 // pinned bytes and their peak as they were.
 func TestMemoryRegistryRefusesDeadHandles(t *testing.T) {
-	m := NewMemoryRegistry(0)
+	m := &MemoryRegistry{}
 	pinned := func(cur, peak int64) {
 		t.Helper()
 		if m.Pinned() != cur || m.PeakPinned() != peak {
