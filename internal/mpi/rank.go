@@ -1049,9 +1049,10 @@ func (r *Rank) rendezvousData(cs *chanState, req *request, h hdr) {
 }
 
 // rdmaWrite posts an RDMA write of data to offset off of the peer's target key
-// on a descriptor off the rank's RDMA free list. The frames copy data at the
-// post; the descriptor stays on the VI's send queue until reapSends takes it
-// back, or comes straight back if the post is refused.
+// on a descriptor off the rank's RDMA free list. The post places data in the
+// peer's target and the frames carry headers only, so data is free again when
+// the post returns; the descriptor stays on the VI's send queue until
+// reapSends takes it back, or comes straight back if the post is refused.
 func (r *Rank) rdmaWrite(cs *chanState, data []byte, key uint64, off int) error {
 	d := simnet.Pop(&r.freeRdma)
 	if d == nil {

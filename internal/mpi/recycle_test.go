@@ -338,7 +338,8 @@ func writing(stock []*via.Descriptor) int {
 
 // A rendezvous send completes when its FIN is posted, which is before the NIC
 // has taken the RDMA write's fragments: what arrives is right only because
-// every frame copies its fragment at the post (Network.sendFrame). A sender
+// the write's bytes are placed in the receiver's target at the post
+// (via.VI.PostRdmaWrite), and its frames carry headers only. A sender
 // that overwrites a three-fragment buffer the moment Wait, or Alltoallv,
 // returns — with the write still in progress, which the test checks — must
 // not change a byte of what the receivers get. In the Alltoallv a rank sends

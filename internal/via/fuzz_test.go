@@ -7,9 +7,11 @@ import (
 )
 
 // dispatchKinds are the wire kinds FuzzPortDispatch delivers: every kind the
-// dispatcher has an arm for except kindRdma, whose unknown key is a simulator
-// assertion rather than a state change, plus one it has no arm for (0).
-var dispatchKinds = []byte{0, kindConnReq, kindConnAck, kindConnNack, kindDisc, kindData, kindOob}
+// dispatcher has an arm for, plus one it has no arm for (0). A kindRdma frame
+// always carries its receiving port's registered key: an unknown key is a
+// simulator assertion rather than a state change, which
+// TestRdmaWriteToUnregisteredKeyFails covers.
+var dispatchKinds = []byte{0, kindConnReq, kindConnAck, kindConnNack, kindDisc, kindData, kindOob, kindRdma}
 
 // dispatchWaits are how long the fuzzed sender lets the scheduler run after a
 // frame: not at all, less than a handshake's processing delay, or past it.
@@ -17,7 +19,7 @@ var dispatchWaits = []simnet.Duration{0, 10 * simnet.Microsecond, simnet.Millise
 
 // fuzzFrame is one fuzzed frame: bit 0 of the first byte picks the receiving
 // port and the rest the kind; then srcVi, dstVi (both as fuzzVi reads them),
-// disc, and the wait after it.
+// disc (an RDMA write's fragment length), and the wait after it.
 func fuzzFrame(toB bool, kind byte, srcVi, dstVi int8, disc, wait byte) []byte {
 	b0 := byte(0)
 	for i, k := range dispatchKinds {
@@ -63,8 +65,9 @@ func legalEdge(from, to ViState) bool {
 // two-port network whose VIs start idle, connecting and connected, one of them
 // in its second life, and checks that nothing panics or trips a simulator
 // assertion, that every state change a VI makes — at the dispatch, or in the
-// events it books — is an edge of the lifecycle, and that a DATA or DISC frame
-// addressed to no live VI's id changes nothing.
+// events it books — is an edge of the lifecycle, that a DATA or DISC frame
+// addressed to no live VI's id changes nothing, and that an RDMA write's frame
+// changes no VI and counts its fragment's length into the port's RdmaBytes.
 func FuzzPortDispatch(f *testing.F) {
 	const A, B = false, true
 	// A's VIs: 0 connected to B's 0 (disc 5), 1 idle, 2 connecting to B
@@ -89,6 +92,8 @@ func FuzzPortDispatch(f *testing.F) {
 	// DATA and DISC for slot 3's earlier life find nothing: the connected VI
 	// in the slot now neither breaks (no receive is posted) nor disconnects.
 	seed(fuzzFrame(A, kindData, 0, 3, 0, 0), fuzzFrame(A, kindDisc, 0, 3, 0, 1), fuzzFrame(A, kindData, 0, 67, 0, 2))
+	// RDMA fragments to both ports, one of them empty, around a DISC.
+	seed(fuzzFrame(A, kindRdma, 0, 0, 200, 0), fuzzFrame(B, kindRdma, 0, 1, 0, 1), fuzzFrame(A, kindDisc, 0, 0, 0, 0), fuzzFrame(A, kindRdma, 0, 0, 7, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := newEnv(2, 1, ClanCost())
 		peerOf := func(port *Port) *Port {
@@ -127,6 +132,16 @@ func FuzzPortDispatch(f *testing.F) {
 				if err := port.ConnectPeerWait(again, WaitPoll, -1); err != nil || again.ID() != fuzzVi(67) {
 					t.Fatalf("slot 3's second life: id %#x, %v", again.ID(), err)
 				}
+				// One RDMA target on each port, which every fuzzed RDMA frame
+				// to the port addresses.
+				keys := map[*Port]uint64{}
+				for _, pt := range []*Port{port, peer} {
+					k, _, err := pt.RegisterRdmaTarget(make([]byte, 256))
+					if err != nil {
+						t.Fatal(err)
+					}
+					keys[pt] = k
+				}
 				vis := []*VI{vi, idle, connecting, again, peer.vis[0], peer.vis[1]}
 				states := make([]ViState, len(vis))
 				for i, v := range vis {
@@ -163,18 +178,25 @@ func FuzzPortDispatch(f *testing.F) {
 						kind:  dispatchKinds[int(b[0]>>1)%len(dispatchKinds)],
 						srcEp: from.ep, srcVi: fuzzVi(b[1]), dstVi: fuzzVi(b[2]), disc: uint64(b[3]),
 					}
+					if m.kind == kindRdma {
+						m.rdmaKey, m.size = keys[to], e.net.cost.FrameHeaderBytes+int(b[3])
+					}
 					kind, dst := m.kind, m.dstVi
 					stale := (kind == kindData || kind == kindDisc) && !live(to, dst)
+					rdmaBytes := to.Stats().RdmaBytes
 					to.dispatch(m)
 					held := m.held
 					if !held {
 						e.net.release(m)
 					}
 					for i, v := range vis {
-						if stale && (held || v.State() != states[i]) {
-							t.Fatalf("a kind-%d frame for id %#x, no live VI's, reached vi %#x@%d (%v → %v, held %v)",
+						if (stale || kind == kindRdma) && (held || v.State() != states[i]) {
+							t.Fatalf("a kind-%d frame for id %#x reached vi %#x@%d (%v → %v, held %v)",
 								kind, dst, v.id, v.port.ep, states[i], v.State(), held)
 						}
+					}
+					if want := rdmaBytes + int64(b[3]); kind == kindRdma && to.Stats().RdmaBytes != want {
+						t.Fatalf("an RDMA frame of %d bytes moved RdmaBytes %d → %d", b[3], rdmaBytes, to.Stats().RdmaBytes)
 					}
 					observe("dispatch")
 					p.Sleep(dispatchWaits[int(b[4])%len(dispatchWaits)])

@@ -118,7 +118,8 @@ const (
 // sendFrame pushes a frame with header hdr and a copy of data from port p
 // into the fabric after NIC transmit service, returning the time the NIC
 // finished accepting it (which is when the associated descriptor completes
-// locally). wireLen is the payload size the wire charges for.
+// locally). wireLen is the payload size the wire charges for, which an RDMA
+// write's frame carries without its data.
 func (n *Network) sendFrame(p *Port, dstEp int, hdr wireMsg, data []byte, wireLen int) simnet.Time {
 	txDone := n.serviceTx(p.node)
 	var extra simnet.Duration
@@ -169,15 +170,15 @@ const slabMax = 32
 // in slabs, the first of one and each next as large as all the earlier ones
 // together, up to slabMax: the list settles fewer than slabMax frames past the
 // most in flight at once, NIC and out-of-band alike, at up to slabMax frames
-// an allocation. A buffer settles at the largest fragment its frame has carried —
-// exactly that, no size classes — and the landing stock at the number of
-// messages landed and not yet read at once. The frame buffers' stock is therefore the peak of fragments in flight
-// at once, each at its own size. It cannot be less: a fragment is copied at
-// the post because the sender may reuse its buffer as soon as the post
-// returns — a rendezvous send completes when its FIN is posted, before the
-// NIC has taken the RDMA write's data — so a collective that posts all its
-// writes together (IS's Alltoallv) holds every one of their fragments until
-// it is delivered.
+// an allocation. A buffer settles at the largest fragment its frame has
+// carried — exactly that, no size classes — and the landing stock at the
+// number of messages landed and not yet read at once. The frame buffers' stock
+// is therefore the peak of eager and out-of-band fragments in flight at once,
+// each at its own size: a send's fragment is copied at the post because the
+// sender may reuse its buffer as soon as the post returns. An RDMA write's
+// fragments add nothing to it, however many are in flight (IS's Alltoallv
+// posts all its writes together): its bytes are placed in the target at the
+// post, and its frames carry headers only.
 func (n *Network) growFrames() *wireMsg {
 	slab := make([]wireMsg, min(max(n.framesMade, 1), slabMax))
 	n.framesMade += len(slab)

@@ -301,6 +301,11 @@ func (p *Port) Landing() (free []*Descriptor, out int) { return p.landing, p.lan
 // RegisterRdmaTarget registers buf as an RDMA write target and returns the
 // key a remote peer can address it with (carried in rendezvous CTS
 // messages). The buffer counts against the pinned-memory limit.
+//
+// A write's bytes land in buf when the write is posted, ahead of its frames,
+// so buf's bytes are undefined to its owner until the completion that
+// announces them (a rendezvous FIN, a Fence). Writes to overlapping ranges in
+// one such epoch are erroneous in MPI; here the last one posted wins.
 func (p *Port) RegisterRdmaTarget(buf []byte) (uint64, MemHandle, error) {
 	h, err := p.mem.Register(int64(len(buf)))
 	if err != nil {
@@ -635,9 +640,10 @@ func (p *Port) dispatch(m *wireMsg) {
 			vi.handleData(m)
 		}
 	case kindRdma:
-		if buf, ok := p.rdmaTargets[m.rdmaKey]; ok {
-			copy(buf[m.rdmaOff+m.offset:], m.data)
-			p.stats.RdmaBytes += int64(len(m.data))
+		// PostRdmaWrite placed the bytes; the frame carries the header and
+		// charges the wire for its fragment.
+		if _, ok := p.rdmaTargets[m.rdmaKey]; ok {
+			p.stats.RdmaBytes += int64(m.size - p.net.cost.FrameHeaderBytes)
 		} else {
 			p.net.sim.Failf("via: RDMA write to unknown key %d at port %d", m.rdmaKey, p.ep)
 		}

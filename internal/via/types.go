@@ -163,7 +163,7 @@ type wireMsg struct {
 	seq    uint64 // per-VI data sequence, for assertions
 	offset int    // fragment offset within the message
 	total  int    // total message length
-	data   []byte // fragment payload: the sender's bytes, copied into buf at post time
+	data   []byte // fragment payload: the sender's bytes, copied into buf at post time (nil for an RDMA write: see PostRdmaWrite)
 
 	rdmaKey uint64 // RDMA target key
 	rdmaOff int    // base offset of the RDMA write

@@ -192,6 +192,13 @@ func (vi *VI) PostSend(d *Descriptor) error {
 // PostRdmaWrite posts a one-sided RDMA write of d.Buf[:d.Len] to the remote
 // target (d.RdmaKey, d.RdmaOffset). The remote side is not notified and no
 // remote receive descriptor is consumed.
+//
+// The bytes are placed in the target here, at the post, and the frames carry
+// only headers and a wire length. No one can tell this from placing them at
+// arrival: the target's owner may not read it before the completion that
+// announces the write (see RegisterRdmaTarget), and frames are never lost. A
+// key the target port does not hold places nothing; the first frame fails the
+// run when it arrives.
 func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 	if vi.state != ViConnected {
 		return vi.badState("PostRdmaWrite")
@@ -201,6 +208,11 @@ func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 	d.Status = StatusPending
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
 	vi.queueSend(d)
+	if dst := vi.port.net.ports[vi.remoteEp]; !dst.closed {
+		if buf, ok := dst.rdmaTargets[d.RdmaKey]; ok {
+			copy(buf[d.RdmaOffset:], d.Buf[:d.Len])
+		}
+	}
 	vi.transmit(d, wireMsg{kind: kindRdma, rdmaKey: d.RdmaKey, rdmaOff: d.RdmaOffset})
 	vi.port.stats.BytesSent += int64(d.Len)
 	return nil
@@ -215,10 +227,11 @@ func (vi *VI) queueSend(d *Descriptor) {
 
 // transmit fragments d.Buf[:d.Len] into MTU-sized frames, pushes them through
 // NIC service and the fabric, and completes d when the NIC has accepted the
-// last fragment. hdr carries the kind-specific header fields. Each frame
+// last fragment. hdr carries the kind-specific header fields. A send's frame
 // takes its own copy of its fragment (hardware would DMA from the pinned
 // buffer before completion; completing before delivery means the sender may
-// reuse its buffer).
+// reuse its buffer). An RDMA write's frame carries none: PostRdmaWrite has
+// placed the bytes in the target, and the frame charges the wire for them.
 func (vi *VI) transmit(d *Descriptor, hdr wireMsg) {
 	net := vi.port.net
 	data := d.Buf[:d.Len]
@@ -226,7 +239,11 @@ func (vi *VI) transmit(d *Descriptor, hdr wireMsg) {
 	var lastTx simnet.Time
 	for {
 		end := min(hdr.offset+net.cost.MTU, len(data))
-		lastTx = net.sendFrame(vi.port, vi.remoteEp, hdr, data[hdr.offset:end], end-hdr.offset)
+		var frag []byte
+		if hdr.kind != kindRdma {
+			frag = data[hdr.offset:end]
+		}
+		lastTx = net.sendFrame(vi.port, vi.remoteEp, hdr, frag, end-hdr.offset)
 		hdr.offset = end
 		if end >= len(data) {
 			break

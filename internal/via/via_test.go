@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,13 @@ func newEnv(nodes, ppn int, cost CostModel) *env {
 // pair spawns two processes each owning a port and runs their bodies.
 func (e *env) pair(t *testing.T, a, b func(p *simnet.Proc, port *Port)) {
 	t.Helper()
+	if err := e.runPair(t, a, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runPair is pair returning the run's error, for tests that expect one.
+func (e *env) runPair(t *testing.T, a, b func(p *simnet.Proc, port *Port)) error {
 	e.sim.SetDeadline(simnet.Time(10 * simnet.Second))
 	pa := make(chan *Port, 1)
 	pb := make(chan *Port, 1)
@@ -51,9 +59,7 @@ func (e *env) pair(t *testing.T, a, b func(p *simnet.Proc, port *Port)) {
 		pb <- port
 		b(p, port)
 	})
-	if err := e.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
+	return e.sim.Run()
 }
 
 func TestPeerToPeerConnectInitiatorFirst(t *testing.T) {
@@ -503,6 +509,123 @@ func TestRdmaWrite(t *testing.T) {
 		})
 	if e.net.ports[1].Stats().RdmaBytes != 12 {
 		t.Fatalf("RdmaBytes = %d, want 12", e.net.ports[1].Stats().RdmaBytes)
+	}
+}
+
+// An RDMA write's bytes are the post's: they are placed in the target when
+// PostRdmaWrite returns, so the sender may overwrite its buffer before the
+// write completes, and the frames carry headers only — no frame buffer on the
+// free list has grown, though three fragments crossed the wire and RdmaBytes
+// counts every byte.
+func TestRdmaWriteLandsAtPost(t *testing.T) {
+	e := newEnv(2, 1, ClanCost())
+	const off = 8
+	size := 3*e.net.cost.MTU - 100
+	target := make([]byte, off+size+8)
+	var key uint64
+	keyReady := false
+	establishDataPair(t, e,
+		func(p *simnet.Proc, port *Port, vi *VI) {
+			for !keyReady {
+				p.Sleep(simnet.Microsecond)
+			}
+			d := &Descriptor{Buf: pattern(1, size), Len: size, RdmaKey: key, RdmaOffset: off}
+			if err := vi.PostRdmaWrite(d); err != nil {
+				t.Error(err)
+				return
+			}
+			for k := range d.Buf {
+				d.Buf[k] = 0xFF
+			}
+			if _, err := vi.SendWait(WaitPoll, -1); err != nil {
+				t.Error(err)
+			}
+		},
+		func(p *simnet.Proc, port *Port, vi *VI) {
+			k, h, err := port.RegisterRdmaTarget(target)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			key, keyReady = k, true
+			for port.Stats().RdmaBytes < int64(size) {
+				p.Sleep(simnet.Microsecond)
+			}
+			if err := port.ReleaseRdmaTarget(k, h); err != nil {
+				t.Error(err)
+			}
+		})
+	if got := e.net.ports[1].Stats().RdmaBytes; got != int64(size) {
+		t.Errorf("RdmaBytes = %d, want %d", got, size)
+	}
+	want := append(append(make([]byte, off), pattern(1, size)...), make([]byte, 8)...)
+	for k := range target {
+		if target[k] != want[k] {
+			t.Fatalf("target byte %d = %#x, want %#x (write of %d at offset %d)", k, target[k], want[k], size, off)
+		}
+	}
+	n := 0
+	for m := e.net.free; m != nil; m = m.next {
+		if cap(m.buf) != 0 {
+			t.Fatalf("a free frame holds a %d-byte buffer: an RDMA write's frame carried its fragment", cap(m.buf))
+		}
+		n++
+	}
+	if n < 3 {
+		t.Fatalf("%d frames on the free list, want the write's 3 at least", n)
+	}
+}
+
+// The arrival of an RDMA write's frame still checks its key: a target released
+// between the post and the first fragment's arrival, or a key never
+// registered, fails the run there.
+func TestRdmaWriteToUnregisteredKeyFails(t *testing.T) {
+	const size = 1000
+	for _, released := range []bool{true, false} {
+		e := newEnv(2, 1, ClanCost())
+		target := make([]byte, size)
+		key := uint64(99) // a key never registered; the released case registers its own
+		keyReady, posted := !released, false
+		var err error
+		run := func(t *testing.T, a, b func(p *simnet.Proc, port *Port)) { err = e.runPair(t, a, b) }
+		establishDataPairWith(t, run,
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				for !keyReady {
+					p.Sleep(simnet.Microsecond)
+				}
+				d := &Descriptor{Buf: pattern(2, size), Len: size, RdmaKey: key}
+				if err := vi.PostRdmaWrite(d); err != nil {
+					t.Error(err)
+					return
+				}
+				posted = true
+				if _, err := vi.SendWait(WaitPoll, -1); err != nil {
+					t.Error(err)
+				}
+			},
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				if !released {
+					return
+				}
+				k, h, err := port.RegisterRdmaTarget(target)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				key, keyReady = k, true
+				for !posted {
+					p.Sleep(simnet.Nanosecond)
+				}
+				if got := port.Stats().RdmaBytes; got != 0 {
+					t.Errorf("released %d bytes in: the write arrived before the release", got)
+				}
+				if err := port.ReleaseRdmaTarget(k, h); err != nil {
+					t.Error(err)
+				}
+			})
+		if err == nil || !strings.Contains(err.Error(), "RDMA write to unknown key") {
+			t.Errorf("released %v: run ended with %v, want an RDMA write to an unknown key", released, err)
+		}
 	}
 }
 
