@@ -91,7 +91,7 @@ loc:
 # the managers reserve slabs at Init and a rank's bootstrap rides recycled
 # frames; ~70,000 means a first connection is building its objects one
 # allocation at a time again, ~4,000 that every out-of-band message is a new
-# frame again. 2.76 MB/op, 1,368 B/conn, because a pre-posted pool is a count
+# frame again. 2.19 MB/op, 1,087 B/conn, because a pre-posted pool is a count
 # on its VI and the tables a connection fills are slices, not maps; some
 # 1.7 MB/op more means every pool receive is a descriptor again). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a

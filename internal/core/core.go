@@ -59,6 +59,8 @@ type Channel struct {
 	// not be picked as a victim again.
 	Evicting bool
 
+	attempts int32 // connection attempts so far (managers' retry state, below)
+
 	// UserData carries the MPI layer's per-channel state (credits, eager
 	// buffer pool); a release keeps it for the Channel's next life.
 	UserData interface{}
@@ -67,11 +69,9 @@ type Channel struct {
 
 	// Handshake/retry state owned by the managers. Zero times mean
 	// "unset": channels only exist after the t=0 bootstrap, so no real
-	// stamp collides with the sentinel.
+	// stamp collides with the sentinel. An attempt always goes to the peer's
+	// bootstrap address under PairDisc, so neither is stored.
 	lastUsed  simnet.Time // last send/recv touch (the LRU eviction key)
-	remote    via.Addr    // reissue target
-	disc      uint64      // reissue discriminator
-	attempts  int         // connection attempts so far
 	deadline  simnet.Time // current attempt times out at this instant
 	retryAt   simnet.Time // backed-off reissue due at this instant
 	reconnect simnet.Time // re-establishment started (EvReconnect latency)
@@ -383,7 +383,7 @@ const (
 	connBackoff  = 200 * simnet.Microsecond
 )
 
-func backoff(attempts int) simnet.Duration {
+func backoff(attempts int32) simnet.Duration {
 	d := connBackoff
 	if attempts > 1 {
 		d <<= uint(attempts - 1)
@@ -391,12 +391,12 @@ func backoff(attempts int) simnet.Duration {
 	return d
 }
 
-// issue starts (or restarts) the peer-to-peer handshake for ch, arming the
-// attempt timeout when one is configured.
-func (b *base) issue(ch *Channel, remote via.Addr, disc uint64) error {
-	ch.remote, ch.disc = remote, disc
+// issue starts (or restarts) the peer-to-peer handshake for ch — to the peer's
+// bootstrap address, under the pair's discriminator — arming the attempt
+// timeout when one is configured.
+func (b *base) issue(ch *Channel) error {
 	ch.attempts++
-	if err := b.cfg.Port.ConnectPeerRequest(ch.Vi, remote, disc); err != nil {
+	if err := b.cfg.Port.ConnectPeerRequest(ch.Vi, b.cfg.Addrs[ch.Rank], PairDisc(b.cfg.Rank, ch.Rank)); err != nil {
 		return err
 	}
 	ch.retryAt = 0
@@ -428,7 +428,7 @@ func (b *base) reissue(ch *Channel) {
 	p := b.cfg.Port
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnRetry,
 		Rank: int32(b.cfg.Rank), Peer: int32(ch.Rank), A: int64(ch.attempts)})
-	if err := b.issue(ch, ch.remote, ch.disc); err != nil {
+	if err := b.issue(ch); err != nil {
 		p.Owner().Sim().Failf("core: rank %d→%d reissue: %v", b.cfg.Rank, ch.Rank, err)
 	}
 }
@@ -548,7 +548,7 @@ func (m *StaticPeerToPeer) Init() error {
 		if err != nil {
 			return err
 		}
-		if err := m.issue(ch, m.cfg.Addrs[r], PairDisc(m.cfg.Rank, r)); err != nil {
+		if err := m.issue(ch); err != nil {
 			return err
 		}
 	}
@@ -581,7 +581,7 @@ func (m *StaticClientServer) Init() error {
 		if err != nil {
 			return err
 		}
-		if err := m.issue(ch, m.cfg.Addrs[r], PairDisc(me, r)); err != nil {
+		if err := m.issue(ch); err != nil {
 			return fmt.Errorf("core: rank %d connect to %d: %w", me, r, err)
 		}
 		m.waitUp(ch)
@@ -683,7 +683,7 @@ func (m *OnDemand) Channel(rank int) (*Channel, error) {
 	if m.wasUp(rank) {
 		ch.reconnect = m.cfg.Port.Owner().Now()
 	}
-	if err := m.issue(ch, m.cfg.Addrs[rank], PairDisc(m.cfg.Rank, rank)); err != nil {
+	if err := m.issue(ch); err != nil {
 		return nil, err
 	}
 	// The via layer may have matched an already-arrived request instantly;
@@ -704,7 +704,9 @@ func (m *OnDemand) Poll() {
 		}
 		req := reqs[0]
 		rank, ok := m.epToRank[req.From.Ep]
-		if !ok {
+		if !ok || req.Disc != PairDisc(m.cfg.Rank, rank) {
+			// issue answers a peer at its bootstrap address under the pair's
+			// discriminator, and would leave any other request pending.
 			m.cfg.Port.Reject(req)
 			continue
 		}
@@ -714,7 +716,7 @@ func (m *OnDemand) Poll() {
 				// between backoff retries; the peer's crossing request IS
 				// the retry — match it directly instead of rejecting, or
 				// both sides NACK each other forever.
-				if err := m.issue(ch, req.From, req.Disc); err != nil {
+				if err := m.issue(ch); err != nil {
 					m.cfg.Port.Reject(req)
 				}
 				continue
@@ -737,7 +739,7 @@ func (m *OnDemand) Poll() {
 			ch.reconnect = m.cfg.Port.Owner().Now()
 		}
 		// Matches the pending incoming request immediately.
-		if err := m.issue(ch, req.From, req.Disc); err != nil {
+		if err := m.issue(ch); err != nil {
 			m.cfg.Port.Reject(req) // consume it; never spin on a bad request
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"viampi/internal/simnet"
 	"viampi/internal/via"
@@ -767,5 +768,14 @@ func TestReserveStopsAtViLimit(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A static rank of a 256-rank mesh reserves its 255 channels in one slab: at
+// 96 bytes a channel that is the 24,576-byte size class, where 97 would take
+// 27,264.
+func TestChannelSize(t *testing.T) {
+	if got := unsafe.Sizeof(Channel{}); got > 96 {
+		t.Errorf("Channel is %d bytes, want at most 96", got)
 	}
 }

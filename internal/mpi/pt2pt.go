@@ -99,7 +99,7 @@ func (c *Comm) startSend(q *request, mode SendMode, dst, tag int, data []byte, c
 	if err != nil {
 		return err
 	}
-	cs.userSends++
+	cs.userSends = true
 	if len(data) <= r.cfg.EagerThreshold && mode != ModeSynchronous {
 		// Standard mode: the request rides on the packet and completes
 		// locally once the data is buffered.

@@ -14,21 +14,22 @@ import (
 // UserData, through each of the channel's lives: credit-based flow control and
 // the queue of packets waiting for credits.
 type chanState struct {
-	ch        *core.Channel // the peer is ch.Rank
-	credits   int           // send credits toward the peer
-	freed     int           // receive buffers freed since the last credit return
-	posted    int           // receive buffers in our local pool (grows when dynamic)
-	flowQ     []*pkt
-	userSends int64 // application messages addressed to this peer
-
-	memHandles []via.MemHandle // eager-pool registrations, released at teardown
+	ch      *core.Channel // the peer is ch.Rank
+	credits int32         // send credits toward the peer
+	freed   int32         // receive buffers freed since the last credit return
+	posted  int32         // receive buffers in our local pool (grows when dynamic)
 
 	// Graceful-teardown state (VI-cap eviction / remote disconnect; the side
-	// that sent the BYE has ch.Evicting set).
-	closing      bool   // BYE handshake in progress; new sends are held
-	pendingClose []*pkt // packets held while closing, re-posted after
-	pendingRdv   int    // rendezvous handshakes in flight on this channel
-	umqRefs      int    // unexpected RTS entries still referencing this channel
+	// that sent the BYE has ch.Evicting set), with pendingClose below.
+	pendingRdv int32 // rendezvous handshakes in flight on this channel
+	umqRefs    int32 // unexpected RTS entries still referencing this channel
+	closing    bool  // BYE handshake in progress; new sends are held
+
+	userSends bool // carried an application message to this peer
+
+	flowQ        []*pkt
+	memHandles   []via.MemHandle // eager-pool registrations, released at teardown
+	pendingClose []*pkt          // packets held while closing, re-posted after
 }
 
 // pkt is an outbound packet, possibly parked awaiting a connection or
@@ -294,7 +295,7 @@ func (r *Rank) newChanState(ch *core.Channel, credits int) *chanState {
 	if cs == nil {
 		cs = growChans()
 	}
-	*cs = chanState{ch: ch, credits: credits,
+	*cs = chanState{ch: ch, credits: int32(credits),
 		flowQ: cs.flowQ[:0], memHandles: cs.memHandles[:0], pendingClose: cs.pendingClose[:0]}
 	ch.UserData = cs
 	return cs
@@ -316,7 +317,7 @@ func (r *Rank) growPool(cs *chanState, n int) {
 		r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.ch.Rank, err)
 		return
 	}
-	cs.posted += n
+	cs.posted += int32(n)
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
 }
 
@@ -352,7 +353,7 @@ func (r *Rank) channel(peer int) (*chanState, error) {
 // eviction needs two (BYE, keeping the reserved credit); the side accepting a
 // peer's BYE needs one (the ACK: the channel is about to die, so the
 // reservation rule no longer applies).
-func (r *Rank) quiescent(cs *chanState, credits int) bool {
+func (r *Rank) quiescent(cs *chanState, credits int32) bool {
 	return cs.ch.Parked() == 0 && len(cs.flowQ) == 0 && len(cs.pendingClose) == 0 &&
 		cs.pendingRdv == 0 && cs.umqRefs == 0 &&
 		cs.credits >= credits && cs.ch.Vi.SendQueueLen() == 0
@@ -378,7 +379,7 @@ func (r *Rank) startEvict(ch *core.Channel) {
 func (r *Rank) teardownChannel(cs *chanState) {
 	peer, held := cs.ch.Rank, cs.pendingClose
 	r.bySlot[cs.ch.Vi.Slot()] = nil
-	if cs.userSends > 0 {
+	if cs.userSends {
 		r.rememberDest(peer)
 	}
 	// The control packets the VI has not reaped yet (a BYE, its ACK) come
@@ -423,7 +424,7 @@ func (r *Rank) rememberDest(peer int) {
 func (r *Rank) distinctDests() int {
 	n := len(r.pastDests)
 	for _, ch := range r.mgr.Channels() {
-		if ch.UserData.(*chanState).userSends > 0 && !r.pastDests[ch.Rank] {
+		if ch.UserData.(*chanState).userSends && !r.pastDests[ch.Rank] {
 			n++
 		}
 	}
@@ -479,7 +480,7 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 // Data and control need 2 (the last credit is reserved so a credit-return
 // can always be sent, making flow control deadlock-free); credit returns
 // need only 1.
-func (r *Rank) creditNeed(p *pkt) int {
+func (r *Rank) creditNeed(p *pkt) int32 {
 	if p.hdr.kind == pktCredit {
 		return 1
 	}
@@ -544,7 +545,7 @@ func (r *Rank) emitted(cs *chanState, p *pkt) {
 
 // emit actually posts the packet to the VI.
 func (r *Rank) emit(cs *chanState, p *pkt) {
-	p.hdr.credits = int32(cs.freed)
+	p.hdr.credits = cs.freed
 	cs.freed = 0
 	d := r.wire(p)
 	r.port.ChargeHost(simnet.Duration(len(p.payload)) * r.cfg.cost.HostCopyPerByte)
@@ -794,13 +795,10 @@ func (r *Rank) flowPass(arrived bool) {
 			// Dynamic flow control (paper §6 future work): traffic on this
 			// channel keeps consuming the pool — double it, granting the
 			// new buffers to the sender with this credit return.
-			if r.cfg.DynamicCredits && cs.posted < r.cfg.CreditCount {
-				grow := cs.posted
-				if cs.posted+grow > r.cfg.CreditCount {
-					grow = r.cfg.CreditCount - cs.posted
-				}
+			if posted := int(cs.posted); r.cfg.DynamicCredits && posted < r.cfg.CreditCount {
+				grow := min(posted, r.cfg.CreditCount-posted)
 				r.growPool(cs, grow)
-				cs.freed += grow
+				cs.freed += int32(grow)
 			}
 			// Emit directly, bypassing the flow queue: when our own data is
 			// blocked waiting for the peer's credits, the explicit return
@@ -858,7 +856,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 		r.proc.Sim().Failf("mpi: rank %d: %v", r.rank, err)
 		return
 	}
-	cs.credits += int(h.credits)
+	cs.credits += h.credits
 	cs.ch.Touch(r.proc.Now())
 	switch h.kind {
 	case pktEager:

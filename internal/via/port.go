@@ -347,7 +347,7 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 	}
 	p.owner.Compute(p.net.cost.ConnectLocalCost) // OS involvement
 	vi.state = ViConnecting
-	vi.remoteEp = remote.Ep
+	vi.remoteEp = int32(remote.Ep)
 	vi.disc = disc
 	p.stats.ConnReqsSent++
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnRequest,
@@ -356,7 +356,7 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 	// If the matching request already arrived, complete the rendezvous now.
 	for i, req := range p.pendingIncoming {
 		if req.From.Ep == remote.Ep && req.Disc == disc {
-			p.pendingIncoming = append(p.pendingIncoming[:i], p.pendingIncoming[i+1:]...)
+			p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
 			p.establish(vi, req.RemoteVi)
 			p.freeReqs = append(p.freeReqs, req)
 			return nil
@@ -384,7 +384,7 @@ func (p *Port) CancelConnect(vi *VI) error {
 	if vi.state != ViConnecting {
 		return vi.badState("CancelConnect")
 	}
-	delete(p.outgoing, connKey{vi.remoteEp, vi.disc})
+	delete(p.outgoing, connKey{int(vi.remoteEp), vi.disc})
 	vi.resetHandshake()
 	return nil
 }
@@ -451,7 +451,7 @@ func (p *Port) ConnectWaitDisc(disc uint64, mode WaitMode, timeout simnet.Durati
 	for {
 		for i, req := range p.pendingIncoming {
 			if req.Disc == disc {
-				p.pendingIncoming = append(p.pendingIncoming[:i], p.pendingIncoming[i+1:]...)
+				p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
 				return req, nil
 			}
 		}
@@ -476,7 +476,7 @@ func (p *Port) Accept(req *PeerRequest, vi *VI) error {
 	}
 	p.owner.Compute(p.net.cost.ConnectLocalCost)
 	vi.state = ViConnecting
-	vi.remoteEp = req.From.Ep
+	vi.remoteEp = int32(req.From.Ep)
 	vi.disc = req.Disc
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnAccept,
 		Rank: int32(p.ep), Peer: int32(req.From.Ep), A: int64(req.Disc)})
@@ -490,7 +490,7 @@ func (p *Port) Reject(req *PeerRequest) {
 	consumed := false
 	for i, r := range p.pendingIncoming {
 		if r == req {
-			p.pendingIncoming = append(p.pendingIncoming[:i], p.pendingIncoming[i+1:]...)
+			p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
 			consumed = true
 			break
 		}
@@ -548,8 +548,8 @@ func (vi *VI) establishAfter(id int) {
 	vi.state = ViConnected
 	p.stats.VisConnected++
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
-		Rank: int32(p.ep), Peer: int32(vi.remoteEp), A: int64(vi.disc)})
-	p.net.sendFrame(p, vi.remoteEp, wireMsg{
+		Rank: int32(p.ep), Peer: vi.remoteEp, A: int64(vi.disc)})
+	p.net.sendFrame(p, int(vi.remoteEp), wireMsg{
 		kind: kindConnAck, srcEp: p.ep, srcVi: vi.id, disc: vi.disc, dstVi: vi.remoteVi,
 	}, nil, 64)
 	vi.deliverHeld()
@@ -612,7 +612,7 @@ func (p *Port) dispatch(m *wireMsg) {
 			vi.state = ViConnected
 			p.stats.VisConnected++
 			p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
-				Rank: int32(p.ep), Peer: int32(vi.remoteEp), A: int64(vi.disc)})
+				Rank: int32(p.ep), Peer: vi.remoteEp, A: int64(vi.disc)})
 			vi.deliverHeld()
 			p.notifyActivity()
 		}

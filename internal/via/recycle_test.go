@@ -141,6 +141,15 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// heldFrames counts the frames parked in vi's preConnQ.
+func heldFrames(vi *VI) int {
+	n := 0
+	for m := vi.preConnQ; m != nil; m = m.next {
+		n++
+	}
+	return n
+}
+
 // pairScribbled is env.pair with a third process that, every 100 ns of
 // virtual time until both bodies have returned, overwrites the buffer of
 // every frame on the Network's free list: whoever still reads a frame after
@@ -170,7 +179,7 @@ func (e *env) pairScribbled(t *testing.T, a, b func(p *simnet.Proc, port *Port))
 			for _, port := range e.net.ports {
 				for _, vi := range port.vis {
 					if vi != nil {
-						e.maxHeld = max(e.maxHeld, len(vi.preConnQ))
+						e.maxHeld = max(e.maxHeld, heldFrames(vi))
 					}
 				}
 			}
@@ -319,8 +328,8 @@ func TestFrameRecyclingKeepsPayloads(t *testing.T) {
 					t.Errorf("first attempt: %v, want a rejection", err)
 					return
 				}
-				if e.maxHeld != 2 || len(vi.preConnQ) != 0 {
-					t.Errorf("after the NACK: %d frames seen held, %d still held; want 2, 0", e.maxHeld, len(vi.preConnQ))
+				if e.maxHeld != 2 || heldFrames(vi) != 0 {
+					t.Errorf("after the NACK: %d frames seen held, %d still held; want 2, 0", e.maxHeld, heldFrames(vi))
 				}
 				if err := port.ConnectPeerRequest(vi, addrs[1], 22); err != nil {
 					t.Error(err)

@@ -296,9 +296,9 @@ func TestCloseDropsQueues(t *testing.T) {
 					t.Errorf("descriptor status after Close = %v, want disconnected", d.Status)
 				}
 			}
-			if len(vi.sendQ)+len(vi.recvQ)+len(vi.preConnQ) != 0 || vi.SendDone() != nil {
+			if len(vi.sendQ)+len(vi.recvQ)+heldFrames(vi) != 0 || vi.SendDone() != nil {
 				t.Errorf("closed VI still holds %d sends, %d receives, %d frames",
-					len(vi.sendQ), len(vi.recvQ), len(vi.preConnQ))
+					len(vi.sendQ), len(vi.recvQ), heldFrames(vi))
 			}
 			if port.vis[vi.Slot()] != nil || len(port.freeVIs) != 1 || port.freeVIs[0] != vi {
 				t.Error("the closed VI is still in its slot, or not on the port's free list")

@@ -37,7 +37,7 @@ func (s Status) String() string {
 }
 
 // ViState is the connection state of a VI endpoint.
-type ViState int
+type ViState uint8
 
 // VI endpoint states, mirroring the VIPL connection state machine.
 const (

@@ -14,8 +14,6 @@ type VI struct {
 	port *Port
 	id   int // life<<lifeShift | slot: see ID
 
-	state    ViState
-	remoteEp int
 	remoteVi int
 	disc     uint64
 
@@ -23,27 +21,28 @@ type VI struct {
 
 	recvCQ *CQ
 
-	// receive reassembly state for the in-flight message
+	// rxCur is the receive the in-flight message is landing in; its XferLen
+	// counts the bytes in so far.
 	rxCur *Descriptor
-	rxGot int
 
-	// preConnQ holds data frames that arrived while the local side of the
-	// handshake was still completing. A peer may legitimately consider the
-	// connection established and transmit slightly before our own
-	// transition fires; the provider holds such frames and delivers them at
-	// establishment (reliable delivery, as real VIA hardware guarantees).
-	preConnQ []*wireMsg
+	// preConnQ lists the data frames that arrived while the local side of
+	// the handshake was still completing, oldest first, linked through the
+	// frames' next. A peer may legitimately consider the connection
+	// established and transmit slightly before our own transition fires; the
+	// provider holds such frames and delivers them at establishment (reliable
+	// delivery, as real VIA hardware guarantees).
+	preConnQ *wireMsg
 
-	seqOut uint64
-	seqIn  uint64
+	seqOut, seqIn uint32 // data sequence, for assertions
 
-	used bool // carried a data message, in either direction (Port.VisUsed)
+	remoteEp int32
+	state    ViState
+	used     bool // carried a data message, in either direction (Port.VisUsed)
 
 	// The counted pool (PostRecvPool): pool receives of poolCap bytes each,
 	// posted and not yet claimed by a message. They are a number; a descriptor
 	// exists, in recvQ, from a message's first fragment until the owner has
-	// read it. (Two halves of one word: the struct, one per slot of the port,
-	// stays in its size class.)
+	// read it.
 	pool, poolCap int32
 }
 
@@ -181,7 +180,7 @@ func (vi *VI) PostSend(d *Descriptor) error {
 	}
 	d.Status = StatusPending
 	vi.queueSend(d)
-	vi.transmit(d, wireMsg{kind: kindData, seq: vi.seqOut})
+	vi.transmit(d, wireMsg{kind: kindData, seq: uint64(vi.seqOut)})
 	vi.seqOut++
 	vi.markUsed()
 	vi.port.stats.MsgsSent++
@@ -243,7 +242,7 @@ func (vi *VI) transmit(d *Descriptor, hdr wireMsg) {
 		if hdr.kind != kindRdma {
 			frag = data[hdr.offset:end]
 		}
-		lastTx = net.sendFrame(vi.port, vi.remoteEp, hdr, frag, end-hdr.offset)
+		lastTx = net.sendFrame(vi.port, int(vi.remoteEp), hdr, frag, end-hdr.offset)
 		hdr.offset = end
 		if end >= len(data) {
 			break
@@ -274,8 +273,7 @@ func (vi *VI) handleData(m *wireMsg) {
 	if vi.state == ViConnecting {
 		// The peer completed its side of the handshake first and already
 		// transmitted; hold the frame until our transition fires.
-		vi.preConnQ = append(vi.preConnQ, m)
-		m.held = true
+		vi.hold(m)
 		return
 	}
 	if vi.state != ViConnected {
@@ -284,7 +282,7 @@ func (vi *VI) handleData(m *wireMsg) {
 		return
 	}
 	if vi.rxCur == nil {
-		if m.seq != vi.seqIn {
+		if m.seq != uint64(vi.seqIn) {
 			p.net.sim.Failf("via: out-of-order message on vi %d@%d: seq %d want %d",
 				vi.id, p.ep, m.seq, vi.seqIn)
 			return
@@ -321,19 +319,17 @@ func (vi *VI) handleData(m *wireMsg) {
 			return
 		}
 		vi.rxCur = next
-		vi.rxGot = 0
 	}
-	if m.offset != vi.rxGot {
+	d := vi.rxCur
+	if m.offset != d.XferLen {
 		p.net.sim.Failf("via: fragment gap on vi %d@%d: offset %d want %d",
-			vi.id, p.ep, m.offset, vi.rxGot)
+			vi.id, p.ep, m.offset, d.XferLen)
 		return
 	}
-	copy(vi.rxCur.Buf[m.offset:], m.data)
-	vi.rxGot += len(m.data)
-	if vi.rxGot >= m.total {
-		d := vi.rxCur
+	copy(d.Buf[m.offset:], m.data)
+	d.XferLen += len(m.data)
+	if d.XferLen >= m.total {
 		vi.rxCur = nil
-		vi.rxGot = 0
 		vi.seqIn++
 		d.Status = StatusSuccess
 		d.XferLen = m.total
@@ -347,23 +343,38 @@ func (vi *VI) handleData(m *wireMsg) {
 	}
 }
 
+// hold parks a data frame that beat the local side of the handshake at the
+// tail of preConnQ, which owns it from now on.
+func (vi *VI) hold(m *wireMsg) {
+	m.held = true
+	tail := &vi.preConnQ
+	for *tail != nil {
+		tail = &(*tail).next
+	}
+	*tail = m
+}
+
 // deliverHeld replays frames that arrived before the connection transition
 // completed, in arrival order, and frees them. Called exactly once at
 // establishment.
 func (vi *VI) deliverHeld() {
-	held := vi.preConnQ
+	m := vi.preConnQ
 	vi.preConnQ = nil
-	for _, m := range held {
+	for m != nil {
+		next := m.next
 		m.held = false
 		vi.handleData(m)
 		vi.port.net.release(m)
+		m = next
 	}
 }
 
 // dropHeld frees the frames of a connection attempt that never established.
 func (vi *VI) dropHeld() {
-	for _, m := range vi.preConnQ {
+	for m := vi.preConnQ; m != nil; {
+		next := m.next
 		vi.port.net.release(m)
+		m = next
 	}
 	vi.preConnQ = nil
 }
@@ -388,8 +399,10 @@ func (vi *VI) failPending(s Status) {
 			d.Status = s
 		}
 	}
-	vi.rxCur = nil
-	vi.rxGot = 0
+	if vi.rxCur != nil {
+		vi.rxCur.XferLen = 0 // a failed receive transferred nothing
+		vi.rxCur = nil
+	}
 }
 
 // SendDone polls the send queue: if the oldest posted send has completed it
@@ -491,13 +504,13 @@ func (vi *VI) Close() {
 	}
 	switch vi.state {
 	case ViConnected:
-		vi.port.net.sendFrame(vi.port, vi.remoteEp, wireMsg{
+		vi.port.net.sendFrame(vi.port, int(vi.remoteEp), wireMsg{
 			kind: kindDisc, srcEp: vi.port.ep, srcVi: vi.id, dstVi: vi.remoteVi,
 		}, nil, 32)
 	case ViConnecting:
 		// Abandon the outstanding request so a late ACK or crossing REQ
 		// cannot resurrect a VI that no longer exists.
-		delete(vi.port.outgoing, connKey{vi.remoteEp, vi.disc})
+		delete(vi.port.outgoing, connKey{int(vi.remoteEp), vi.disc})
 	case ViIdle, ViError, ViDisconnected, ViClosed:
 		// Nothing on the wire to retract: idle never sent, error/disconnect
 		// already tore the connection down, and closed returned above.

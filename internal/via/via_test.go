@@ -1100,20 +1100,21 @@ func TestPropertyMessagesIntactInOrder(t *testing.T) {
 }
 
 // TestDataRacingConnectionHandshake is the regression test for the held
-// pre-connection frame path: the adopting side (B) completes its handshake
-// and transmits while the initiator (A) is still waiting for the ACK plus
-// its own processing delay. A's VI must hold the early frames and deliver
-// them in order at establishment — never drop them.
+// pre-connection frame path: B's side of the handshake completes, and B
+// transmits, while A is still waiting out its own processing delay. The
+// requests cross, each delayed 60 us by the fault plan, and B issues its own
+// 45 us after A's, so B is up first. A's VI must hold both early frames and
+// deliver them in order at establishment — never drop or reorder them.
 func TestDataRacingConnectionHandshake(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
-	var addrB Addr
-	ready := false
+	e.net.SetFaults(&FaultPlan{DelayConnReq: 1, ConnReqDelay: 60 * simnet.Microsecond})
+	addrs := make([]Addr, 2)
+	held := 0
 	var got []byte
 	e.pair(t,
-		func(p *simnet.Proc, port *Port) { // A: initiator
-			for !ready {
-				p.Sleep(simnet.Microsecond)
-			}
+		func(p *simnet.Proc, port *Port) { // A: its side comes up last
+			addrs[0] = port.Addr()
+			p.Sleep(10 * simnet.Microsecond)
 			vi, err := port.CreateVi()
 			if err != nil {
 				t.Error(err)
@@ -1125,13 +1126,13 @@ func TestDataRacingConnectionHandshake(t *testing.T) {
 					return
 				}
 			}
-			if err := port.ConnectPeerRequest(vi, addrB, 3); err != nil {
+			if err := port.ConnectPeerRequest(vi, addrs[1], 3); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := port.ConnectPeerWait(vi, WaitPoll, -1); err != nil {
-				t.Error(err)
-				return
+			for vi.State() == ViConnecting {
+				held = max(held, heldFrames(vi))
+				p.Sleep(100)
 			}
 			for len(got) < 2 {
 				if d, err := vi.RecvWait(WaitPoll, -1); err != nil {
@@ -1142,19 +1143,15 @@ func TestDataRacingConnectionHandshake(t *testing.T) {
 				}
 			}
 		},
-		func(p *simnet.Proc, port *Port) { // B: adopter, sends immediately
-			addrB = port.Addr()
-			ready = true
-			for len(port.PendingPeerRequests()) == 0 {
-				port.WaitActivity(WaitPoll)
-			}
-			req := port.PendingPeerRequests()[0]
+		func(p *simnet.Proc, port *Port) { // B: up first, sends at once
+			addrs[1] = port.Addr()
+			p.Sleep(55 * simnet.Microsecond)
 			vi, err := port.CreateVi()
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := port.ConnectPeerRequest(vi, req.From, req.Disc); err != nil {
+			if err := port.ConnectPeerRequest(vi, addrs[0], 3); err != nil {
 				t.Error(err)
 				return
 			}
@@ -1162,8 +1159,6 @@ func TestDataRacingConnectionHandshake(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// Fire both messages the instant our side is up — before A's ACK
-			// round-trip completes.
 			for i := byte(1); i <= 2; i++ {
 				if err := vi.PostSend(&Descriptor{Buf: []byte{i}, Len: 1}); err != nil {
 					t.Error(err)
@@ -1171,6 +1166,9 @@ func TestDataRacingConnectionHandshake(t *testing.T) {
 				}
 			}
 		})
+	if held != 2 {
+		t.Errorf("A held at most %d frames before its side came up, want both", held)
+	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("got %v, want [1 2] (held frames replayed in order)", got)
 	}
