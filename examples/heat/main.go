@@ -161,8 +161,8 @@ func main() {
 			r.Compute(float64(n*n) * 12e-9) // ~12ns per cell update
 
 			if it == *iters-1 {
-				tot, err := c.AllreduceF64([]float64{diff}, mpi.SumF64)
-				if err != nil {
+				tot := []float64{diff}
+				if err := c.AllreduceF64(tot, mpi.SumF64); err != nil {
 					log.Fatal(err)
 				}
 				if c.Rank() == 0 {

@@ -267,6 +267,20 @@ func DefaultPolicy() *Policy {
 			// templates every iteration (NPB SP's face exchange).
 			"internal/mpi.(PersistentRequest).Start": "MPI_Start: an activation's request comes off the rank's free list, as Isend's and Irecv's do, so a restart allocates nothing",
 			"internal/mpi.(Rank).WaitallPersistent":  "the wait that ends each round of Starts and gives every activation's request back: the handles go in the rank's one list, not a slice per call",
+			// Blocking collectives: an iterative code runs the same ones every
+			// iteration (NPB IS's histogram Allreduce, CG's and MG's norms). Their
+			// temporaries live in the rank's scratch (collScratch), grown cold.
+			"internal/mpi.(Comm).Barrier":      "recursive doubling on an 8-byte token: the paper's barrier (Table 2, Fig 4), entered in every timed region",
+			"internal/mpi.(Comm).Allreduce":    "recursive doubling: tmp is the rank's scratch, not a buffer per call",
+			"internal/mpi.(Comm).AllreduceI64": "in place: v is encoded into the scratch, reduced there and decoded back (NPB IS's 8 KB histogram, every iteration)",
+			"internal/mpi.(Comm).AllreduceF64": "in place, as AllreduceI64: the residuals and norms of CG, MG, LU and FT",
+			"internal/mpi.(Comm).Reduce":       "binomial tree: its accumulator and receive buffer are the scratch",
+			"internal/mpi.(Comm).Bcast":        "binomial tree straight over the caller's buffer",
+			"internal/mpi.(Comm).Scan":         "linear chain: the prefix from the left lands in the scratch",
+			"internal/mpi.(Comm).Allgather":    "recursive doubling over the caller's buffer, or Gather and Bcast on the rank's request list",
+			"internal/mpi.(Comm).AllgatherI64": "encode and decode through the scratch (Comm.Split, WinCreate)",
+			"internal/mpi.(Comm).Alltoall":     "uniform blocks are indexed, not built into count and displacement vectors per call",
+			"internal/mpi.(Comm).Alltoallv":    "NPB IS's key exchange, every iteration: its requests wait in the rank's one list",
 			// Bodies nothing calls by name: handed over as function values.
 			"internal/via.(Port).handleFrame":       "fabric delivery callback, once per frame",
 			"internal/mpi.(Rank).prepareChannel":    "the connection path's hook: what a channel builds comes off free lists, so a reconnect allocates nothing (BenchmarkReconnectCycle)",

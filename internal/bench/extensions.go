@@ -311,7 +311,7 @@ func ExtDynamic(opt Options) (*Table, error) {
 				return
 			}
 			if i%20 == 0 {
-				if _, err := c.AllreduceF64([]float64{1}, mpi.SumF64); err != nil {
+				if err := c.AllreduceF64([]float64{1}, mpi.SumF64); err != nil {
 					r.Proc().Sim().Failf("allreduce: %v", err)
 					return
 				}

@@ -233,8 +233,8 @@ func CollectiveLatency(device string, mech Mechanism, procs, iters int,
 			}
 		}
 		mine := r.Proc().Now().Sub(start).Seconds() / float64(iters)
-		sums, err := c.AllreduceF64([]float64{mine}, mpi.SumF64)
-		if err != nil {
+		sums := []float64{mine}
+		if err := c.AllreduceF64(sums, mpi.SumF64); err != nil {
 			innerErr = err
 			return
 		}

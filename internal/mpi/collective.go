@@ -32,13 +32,16 @@ const (
 // non-power-of-2 sizes that cause the fluctuation under Figure 4.
 func (c *Comm) Barrier() error {
 	defer c.r.prof.enter("Barrier")()
-	token := make([]byte, 8)
-	return c.recursiveDoubling(token, BorI64, tagBarrierUp)
+	b := c.r.collScratch(16)
+	token := b[:8]
+	clear(token) // the wire carries zeros, whatever the scratch last held
+	return c.recursiveDoubling(token, b[8:], BorI64, tagBarrierUp)
 }
 
 // recursiveDoubling runs the fold + XOR-exchange + unfold pattern shared by
-// Barrier and Allreduce. buf is combined in place on every rank.
-func (c *Comm) recursiveDoubling(buf []byte, op Op, tag int) error {
+// Barrier and Allreduce. buf is combined in place on every rank; tmp, as long
+// as buf, receives each partner's contribution.
+func (c *Comm) recursiveDoubling(buf, tmp []byte, op Op, tag int) error {
 	n := c.Size()
 	if n == 1 {
 		return nil
@@ -49,7 +52,6 @@ func (c *Comm) recursiveDoubling(buf []byte, op Op, tag int) error {
 		p2 *= 2
 	}
 	rem := n - p2
-	tmp := make([]byte, len(buf))
 
 	// Fold: ranks beyond the power-of-2 core hand their contribution down.
 	if me >= p2 {
@@ -120,15 +122,20 @@ func (c *Comm) bcastCtx(buf []byte, root, tag int) error {
 }
 
 // Reduce combines every rank's sendbuf with op into recvbuf at root
-// (binomial tree). recvbuf is only written at root and must be len(sendbuf).
+// (binomial tree). recvbuf is only written at root, where it must hold
+// len(sendbuf) bytes.
 func (c *Comm) Reduce(sendbuf, recvbuf []byte, op Op, root int) error {
 	defer c.r.prof.enter("Reduce")()
 	n := c.Size()
 	if root < 0 || root >= n {
 		return fmt.Errorf("mpi: Reduce root %d of %d", root, n)
 	}
-	accum := append([]byte(nil), sendbuf...)
-	tmp := make([]byte, len(sendbuf))
+	if c.myrank == root && len(recvbuf) < len(sendbuf) {
+		return fmt.Errorf("mpi: Reduce recvbuf %d < sendbuf %d", len(recvbuf), len(sendbuf))
+	}
+	b := c.r.collScratch(2 * len(sendbuf))
+	accum, tmp := b[:len(sendbuf)], b[len(sendbuf):]
+	copy(accum, sendbuf)
 	relative := (c.myrank - root + n) % n
 	for mask := 1; mask < n; mask <<= 1 {
 		if relative&mask != 0 {
@@ -161,27 +168,34 @@ func (c *Comm) Allreduce(sendbuf, recvbuf []byte, op Op) error {
 		return fmt.Errorf("mpi: Allreduce recvbuf %d < sendbuf %d", len(recvbuf), len(sendbuf))
 	}
 	copy(recvbuf, sendbuf)
-	return c.recursiveDoubling(recvbuf[:len(sendbuf)], op, tagAllreduce)
+	return c.recursiveDoubling(recvbuf[:len(sendbuf)], c.r.collScratch(len(sendbuf)), op, tagAllreduce)
 }
 
-// AllreduceF64 is a convenience wrapper reducing float64 slices.
-func (c *Comm) AllreduceF64(in []float64, op Op) ([]float64, error) {
-	sb := F64Bytes(in)
-	rb := make([]byte, len(sb))
-	if err := c.Allreduce(sb, rb, op); err != nil {
-		return nil, err
+// AllreduceF64 reduces v across all ranks in place (Allreduce with
+// MPI_IN_PLACE): on return every rank's v holds the combined values.
+func (c *Comm) AllreduceF64(v []float64, op Op) error {
+	defer c.r.prof.enter("Allreduce")()
+	b := c.r.collScratch(16 * len(v))
+	buf := b[:8*len(v)]
+	PutF64s(buf, v)
+	if err := c.recursiveDoubling(buf, b[len(buf):], op, tagAllreduce); err != nil {
+		return err
 	}
-	return BytesF64(rb), nil
+	GetF64s(buf, v)
+	return nil
 }
 
-// AllreduceI64 is a convenience wrapper reducing int64 slices.
-func (c *Comm) AllreduceI64(in []int64, op Op) ([]int64, error) {
-	sb := I64Bytes(in)
-	rb := make([]byte, len(sb))
-	if err := c.Allreduce(sb, rb, op); err != nil {
-		return nil, err
+// AllreduceI64 reduces v across all ranks in place, as AllreduceF64 does.
+func (c *Comm) AllreduceI64(v []int64, op Op) error {
+	defer c.r.prof.enter("Allreduce")()
+	b := c.r.collScratch(16 * len(v))
+	buf := b[:8*len(v)]
+	putI64s(buf, v)
+	if err := c.recursiveDoubling(buf, b[len(buf):], op, tagAllreduce); err != nil {
+		return err
 	}
-	return BytesI64(rb), nil
+	getI64s(buf, v)
+	return nil
 }
 
 // Gather collects each rank's equal-size sendbuf into recvbuf at root
@@ -266,15 +280,36 @@ func (c *Comm) Allgather(sendbuf, recvbuf []byte) error {
 	return nil
 }
 
-// AllgatherI64 gathers one int64 block per rank.
+// AllgatherI64 gathers one int64 block per rank into out, which must hold
+// Size()*len(in) values.
 func (c *Comm) AllgatherI64(in []int64, out []int64) error {
-	sb := I64Bytes(in)
-	rb := make([]byte, len(sb)*c.Size())
+	n := c.Size()
+	if len(out) < n*len(in) {
+		return fmt.Errorf("mpi: AllgatherI64 out %d < %d", len(out), n*len(in))
+	}
+	b := c.r.collScratch(8 * len(in) * (n + 1))
+	sb, rb := b[:8*len(in)], b[8*len(in):]
+	putI64s(sb, in)
 	if err := c.Allgather(sb, rb); err != nil {
 		return err
 	}
-	copy(out, BytesI64(rb))
+	getI64s(rb, out[:n*len(in)])
 	return nil
+}
+
+// blocks names the per-rank blocks of an all-to-all buffer: block i is
+// counts[i] bytes at displ[i] or, with no vectors, the i'th run of size bytes.
+type blocks struct {
+	buf           []byte
+	counts, displ []int
+	size          int
+}
+
+func (b blocks) at(i int) []byte {
+	if b.counts == nil {
+		return b.buf[i*b.size : (i+1)*b.size]
+	}
+	return b.buf[b.displ[i] : b.displ[i]+b.counts[i]]
 }
 
 // Alltoall exchanges equal-size blocks: rank i's block j lands in rank j's
@@ -284,30 +319,29 @@ func (c *Comm) Alltoall(sendbuf, recvbuf []byte, blockSize int) error {
 	if len(sendbuf) < n*blockSize || len(recvbuf) < n*blockSize {
 		return fmt.Errorf("mpi: Alltoall buffers too small for %d x %d", n, blockSize)
 	}
-	counts := make([]int, n)
-	sdispl := make([]int, n)
-	rdispl := make([]int, n)
-	for i := 0; i < n; i++ {
-		counts[i] = blockSize
-		sdispl[i] = i * blockSize
-		rdispl[i] = i * blockSize
-	}
-	return c.Alltoallv(sendbuf, counts, sdispl, recvbuf, counts, rdispl)
+	return c.alltoall(blocks{buf: sendbuf, size: blockSize}, blocks{buf: recvbuf, size: blockSize})
 }
 
 // Alltoallv is the vector all-to-all: rank i sends sendbuf[sdispl[j]:+scounts[j]]
 // to rank j, receiving into recvbuf[rdispl[j]:+rcounts[j]].
 func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 	recvbuf []byte, rcounts, rdispl []int) error {
+	return c.alltoall(blocks{buf: sendbuf, counts: scounts, displ: sdispl},
+		blocks{buf: recvbuf, counts: rcounts, displ: rdispl})
+}
+
+// alltoall is the exchange under Alltoall and Alltoallv; both show in the
+// profile as Alltoallv.
+func (c *Comm) alltoall(send, recv blocks) error {
 	defer c.r.prof.enter("Alltoallv")()
 	n := c.Size()
 	me := c.myrank
-	copy(recvbuf[rdispl[me]:rdispl[me]+rcounts[me]], sendbuf[sdispl[me]:sdispl[me]+scounts[me]])
+	copy(recv.at(me), send.at(me))
 	reqs := c.r.reqList(2 * (n - 1))
 	// Post all receives first, then sends, staggered (rank+i) to spread load.
 	for i := 1; i < n; i++ {
 		src := (me - i + n) % n
-		req, err := c.irecvCtx(recvbuf[rdispl[src]:rdispl[src]+rcounts[src]], src, tagAlltoall, c.cctx)
+		req, err := c.irecvCtx(recv.at(src), src, tagAlltoall, c.cctx)
 		if err != nil {
 			return err
 		}
@@ -315,7 +349,7 @@ func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 	}
 	for i := 1; i < n; i++ {
 		dst := (me + i) % n
-		req, err := c.isendCtx(ModeStandard, dst, tagAlltoall, sendbuf[sdispl[dst]:sdispl[dst]+scounts[dst]], c.cctx)
+		req, err := c.isendCtx(ModeStandard, dst, tagAlltoall, send.at(dst), c.cctx)
 		if err != nil {
 			return err
 		}
@@ -328,9 +362,12 @@ func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 // combination of sendbufs from ranks 0..i (linear chain).
 func (c *Comm) Scan(sendbuf, recvbuf []byte, op Op) error {
 	defer c.r.prof.enter("Scan")()
+	if len(recvbuf) < len(sendbuf) {
+		return fmt.Errorf("mpi: Scan recvbuf %d < sendbuf %d", len(recvbuf), len(sendbuf))
+	}
 	copy(recvbuf, sendbuf)
 	if c.myrank > 0 {
-		tmp := make([]byte, len(sendbuf))
+		tmp := c.r.collScratch(len(sendbuf))
 		if err := c.crecv(tmp, c.myrank-1, tagScan); err != nil {
 			return err
 		}
@@ -375,4 +412,24 @@ func (c *Comm) crecv(buf []byte, src, tag int) error {
 	}
 	_, err = c.r.Wait(h)
 	return err
+}
+
+// collScratch lends a blocking collective the rank's scratch, n bytes long:
+// what a collective combines, encodes or receives into before the caller's
+// buffers see the result lives there, so a steady-state collective allocates
+// nothing. Nothing it lends is handed to the caller, and the borrower calls
+// no other borrower while it holds it.
+func (r *Rank) collScratch(n int) []byte {
+	if r.coll == nil || cap(*r.coll) < n {
+		r.growColl(n)
+	}
+	return (*r.coll)[:n]
+}
+
+// growColl grows the collective scratch (cold path: it settles at the largest
+// collective the rank has run). Held by pointer, it keeps Rank in the
+// 512-byte size class (TestRankSize).
+func (r *Rank) growColl(n int) {
+	b := make([]byte, n)
+	r.coll = &b
 }

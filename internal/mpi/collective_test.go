@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,8 +157,8 @@ func TestReduceAndAllreduce(t *testing.T) {
 				}
 			}
 			// Allreduce max.
-			got, err := c.AllreduceF64([]float64{me}, MaxF64)
-			if err != nil {
+			got := []float64{me}
+			if err := c.AllreduceF64(got, MaxF64); err != nil {
 				t.Error(err)
 				return
 			}
@@ -173,20 +174,20 @@ func TestAllreduceI64Ops(t *testing.T) {
 	runWorld(t, testCfg(n), func(r *Rank) {
 		c := r.World()
 		me := int64(c.Rank())
-		sum, err := c.AllreduceI64([]int64{me, 1}, SumI64)
-		if err != nil {
+		sum := []int64{me, 1}
+		if err := c.AllreduceI64(sum, SumI64); err != nil {
 			t.Error(err)
 			return
 		}
 		if sum[0] != int64(n*(n-1)/2) || sum[1] != n {
 			t.Errorf("sum = %v", sum)
 		}
-		min, err := c.AllreduceI64([]int64{me + 5}, MinI64)
-		if err != nil || min[0] != 5 {
+		min := []int64{me + 5}
+		if err := c.AllreduceI64(min, MinI64); err != nil || min[0] != 5 {
 			t.Errorf("min = %v err=%v", min, err)
 		}
-		bor, err := c.AllreduceI64([]int64{1 << uint(c.Rank())}, BorI64)
-		if err != nil || bor[0] != (1<<n)-1 {
+		bor := []int64{1 << uint(c.Rank())}
+		if err := c.AllreduceI64(bor, BorI64); err != nil || bor[0] != (1<<n)-1 {
 			t.Errorf("bor = %v err=%v", bor, err)
 		}
 	})
@@ -344,6 +345,91 @@ func TestScan(t *testing.T) {
 	})
 }
 
+// A receive buffer shorter than the result is an error, not a truncated
+// result or a panic: three ranks, a 16-byte sendbuf and an 8-byte recvbuf (at
+// the root, for Reduce; an out one value short, for AllgatherI64).
+func TestCollectivesRefuseShortRecvbuf(t *testing.T) {
+	const n = 3
+	cases := []struct {
+		name string
+		call func(c *Comm) error
+		fail func(c *Comm) bool // the ranks that must see the error; the others must not
+	}{
+		{"Reduce", func(c *Comm) error {
+			return c.Reduce(make([]byte, 16), make([]byte, 8), SumI64, 0)
+		}, func(c *Comm) bool { return c.Rank() == 0 }},
+		{"Scan", func(c *Comm) error {
+			return c.Scan(make([]byte, 16), make([]byte, 8), SumI64)
+		}, func(*Comm) bool { return true }},
+		{"AllgatherI64", func(c *Comm) error {
+			return c.AllgatherI64(make([]int64, 2), make([]int64, 2*n-1))
+		}, func(*Comm) bool { return true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runWorld(t, testCfg(n), func(r *Rank) {
+				c := r.World()
+				err := tc.call(c)
+				if want := tc.fail(c); (err != nil) != want {
+					t.Errorf("rank %d: err = %v, error wanted: %v", c.Rank(), err, want)
+				}
+			})
+		})
+	}
+}
+
+// A collective's temporaries live in the rank's scratch, and nothing a caller
+// holds may be a view of it: the scratch is scribbled over after every call,
+// and every result must still be the exact sum.
+func TestCollectiveScratchNotRetained(t *testing.T) {
+	const n = 4
+	runWorld(t, testCfg(n), func(r *Rank) {
+		c := r.World()
+		me := c.Rank()
+		scribble := func() {
+			if r.coll != nil {
+				b := (*r.coll)[:cap(*r.coll)]
+				for k := range b {
+					b[k] = 0xff
+				}
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			t.Error(err)
+			return
+		}
+		scribble()
+		small := cap(*r.coll)
+		ints := make([]int64, 1024) // 8 KB: grows the scratch
+		for k := range ints {
+			ints[k] = int64(me + k)
+		}
+		if err := c.AllreduceI64(ints, SumI64); err != nil {
+			t.Error(err)
+			return
+		}
+		scribble()
+		if cap(*r.coll) <= small {
+			t.Errorf("rank %d: the 8 KB AllreduceI64 left the scratch at %d bytes", me, cap(*r.coll))
+		}
+		floats := []float64{float64(me), 0.5 * float64(me)}
+		if err := c.AllreduceF64(floats, SumF64); err != nil {
+			t.Error(err)
+			return
+		}
+		scribble()
+		for k, v := range ints {
+			if want := int64(n*k + n*(n-1)/2); v != want {
+				t.Errorf("rank %d: AllreduceI64[%d] = %d, want %d", me, k, v, want)
+				break
+			}
+		}
+		if want := []float64{6, 3}; floats[0] != want[0] || floats[1] != want[1] {
+			t.Errorf("rank %d: AllreduceF64 = %v, want %v", me, floats, want)
+		}
+	})
+}
+
 func TestReduceScatterBlock(t *testing.T) {
 	const n = 4
 	runWorld(t, testCfg(n), func(r *Rank) {
@@ -380,8 +466,8 @@ func TestCommSplit(t *testing.T) {
 			return
 		}
 		// Highest world rank of my parity should be rank 0 in sub.
-		sum, err := sub.AllreduceI64([]int64{int64(me)}, SumI64)
-		if err != nil {
+		sum := []int64{int64(me)}
+		if err := sub.AllreduceI64(sum, SumI64); err != nil {
 			t.Error(err)
 			return
 		}
@@ -448,8 +534,8 @@ func TestPropertyAllreduceMatchesSerial(t *testing.T) {
 		ok := true
 		cfg := testCfg(n)
 		w, err := Run(cfg, func(r *Rank) {
-			got, err := r.World().AllreduceF64(vecs[r.Rank()], SumF64)
-			if err != nil {
+			got := slices.Clone(vecs[r.Rank()])
+			if err := r.World().AllreduceF64(got, SumF64); err != nil {
 				ok = false
 				return
 			}

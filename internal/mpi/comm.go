@@ -103,8 +103,8 @@ const ctxBlock = 64
 // allocContext collectively agrees on a fresh block of context ids: the max
 // of everyone's local counter. It costs one allreduce on the parent comm.
 func (c *Comm) allocContext() (int32, error) {
-	out, err := c.AllreduceI64([]int64{int64(c.r.ctxCounter)}, MaxI64)
-	if err != nil {
+	out := []int64{int64(c.r.ctxCounter)}
+	if err := c.AllreduceI64(out, MaxI64); err != nil {
 		return 0, err
 	}
 	base := int32(out[0])

@@ -10,8 +10,8 @@ import (
 // Allreduce across 4 simulated ranks under on-demand connection management.
 func ExampleComm_Allreduce() {
 	w, err := mpi.Run(mpi.Config{Procs: 4, Deadline: 10 * simnet.Second}, func(r *mpi.Rank) {
-		sum, err := r.World().AllreduceF64([]float64{float64(r.Rank())}, mpi.SumF64)
-		if err != nil {
+		sum := []float64{float64(r.Rank())}
+		if err := r.World().AllreduceF64(sum, mpi.SumF64); err != nil {
 			fmt.Println("error:", err)
 			return
 		}

@@ -96,13 +96,7 @@ func (w *Win) Fence() error {
 	n := c.Size()
 	sc := I64Bytes(w.puts)
 	rc := make([]byte, 8*n)
-	counts := make([]int, n)
-	displ := make([]int, n)
-	for i := 0; i < n; i++ {
-		counts[i] = 8
-		displ[i] = 8 * i
-	}
-	if err := c.Alltoallv(sc, counts, displ, rc, counts, displ); err != nil {
+	if err := c.Alltoall(sc, rc, 8); err != nil {
 		return err
 	}
 	expect := BytesI64(rc) // expect[i] > 0 ⇒ rank i Put here and will flush

@@ -89,17 +89,27 @@ func GetF64s(b []byte, v []float64) {
 // I64Bytes encodes an int64 slice into a fresh byte buffer.
 func I64Bytes(v []int64) []byte {
 	b := make([]byte, 8*len(v))
+	putI64s(b, v)
+	return b
+}
+
+// putI64s encodes v into b (which must be at least 8*len(v) bytes).
+func putI64s(b []byte, v []int64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
-	return b
 }
 
 // BytesI64 decodes a byte buffer into int64s.
 func BytesI64(b []byte) []int64 {
 	v := make([]int64, len(b)/8)
+	getI64s(b, v)
+	return v
+}
+
+// getI64s decodes b into v.
+func getI64s(b []byte, v []int64) {
 	for i := range v {
 		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return v
 }

@@ -68,8 +68,8 @@ func randProgram(seed int64, n int) func(r *Rank) []byte {
 						return nil
 					}
 				case 1:
-					out, err := c.AllreduceI64([]int64{int64(me + si)}, SumI64)
-					if err != nil {
+					out := []int64{int64(me + si)}
+					if err := c.AllreduceI64(out, SumI64); err != nil {
 						r.Proc().Sim().Failf("allreduce: %v", err)
 						return nil
 					}

@@ -85,6 +85,7 @@ type Rank struct {
 	reqsMade  int
 	reqs      []Request
 	freeUmsgs []*umsg
+	coll      *[]byte // the blocking collectives' scratch (collScratch)
 
 	// What reserve made for a mesh whose size the policy knew at Init, one
 	// allocation, carved by cursor for a channel with no state from a past life.

@@ -139,11 +139,78 @@ func allUnexpected(r *Rank, iters int) {
 	}
 }
 
+// allreduceI64: an in-place AllreduceI64 of n values; at 1,024 (NPB IS's
+// histogram, 8 KB) every exchange goes by rendezvous.
+func allreduceI64(n int) func(r *Rank, iters int) {
+	return func(r *Rank, iters int) {
+		c := r.World()
+		v := make([]int64, n)
+		for i := 0; i < iters; i++ {
+			for k := range v {
+				v[k] = int64(r.Rank() + i + k)
+			}
+			if err := c.AllreduceI64(v, SumI64); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+	}
+}
+
+// barrier: back-to-back barriers.
+func barrier(r *Rank, iters int) {
+	for i := 0; i < iters; i++ {
+		if err := r.World().Barrier(); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+}
+
+// allreduceF64: an in-place AllreduceF64 of two values, a residual and a norm.
+func allreduceF64(r *Rank, iters int) {
+	c := r.World()
+	v := make([]float64, 2)
+	for i := 0; i < iters; i++ {
+		v[0], v[1] = float64(r.Rank()), float64(i)
+		if err := c.AllreduceF64(v, SumF64); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+}
+
+// reduceBcast: a Reduce to rank 0, then the Bcast of its result. A bare
+// Reduce loop would let the other ranks run ahead of the root, whose
+// unexpected queue would grow with them: MPI buffering, not the collective.
+func reduceBcast(r *Rank, iters int) {
+	c := r.World()
+	send, recv := make([]byte, 16), make([]byte, 16)
+	for i := 0; i < iters; i++ {
+		if err := c.Reduce(send, recv, SumF64, 0); err != nil {
+			r.Abort(1, err.Error())
+		}
+		if err := c.Bcast(recv, 0); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+}
+
+// alltoallUniform: an Alltoall of 64-byte blocks.
+func alltoallUniform(r *Rank, iters int) {
+	c := r.World()
+	const block = 64
+	send, recv := make([]byte, block*c.Size()), make([]byte, block*c.Size())
+	for i := 0; i < iters; i++ {
+		if err := c.Alltoall(send, recv, block); err != nil {
+			r.Abort(1, err.Error())
+		}
+	}
+}
+
 // The allocation rail at the mpi boundary: a steady-state iteration of each
 // loop body allocates nothing. Frames, descriptors (wire and RDMA), packets,
 // requests — a blocking call's, a collective's, an Isend's or Irecv's, a
 // persistent activation's — and the list the library waits on its own in, and
-// unexpected-queue entries all come off free lists. Measured by difference between two run lengths of one
+// unexpected-queue entries all come off free lists; a collective's
+// temporaries live in the rank's scratch. Measured by difference between two run lengths of one
 // simulation, so boot and the free lists' growth to their peak cancel.
 func TestRoundTripAllocs(t *testing.T) {
 	cases := []struct {
@@ -159,6 +226,11 @@ func TestRoundTripAllocs(t *testing.T) {
 		{"nonblocking-halo", 4, 50, 23 * simnet.Microsecond, nonblockingHalo},
 		{"alltoallv-2-fragments", 4, 10, 7500 * simnet.Microsecond, alltoallv(64<<10 + 4<<10)},
 		{"all-unexpected", 2, 100, 22 * simnet.Microsecond, allUnexpected},
+		{"allreduce-i64-8k", 4, 20, 660 * simnet.Microsecond, allreduceI64(1024)},
+		{"barrier-5", 5, 50, 50 * simnet.Microsecond, barrier},
+		{"allreduce-f64-5", 5, 50, 50 * simnet.Microsecond, allreduceF64},
+		{"reduce-bcast-5", 5, 50, 55 * simnet.Microsecond, reduceBcast},
+		{"alltoall-uniform", 4, 50, 50 * simnet.Microsecond, alltoallUniform},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

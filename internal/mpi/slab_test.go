@@ -97,6 +97,15 @@ func TestChanStateSize(t *testing.T) {
 	}
 }
 
+// Every rank allocates one Rank: at 512 bytes it is in the 512-byte size
+// class, where 520 would take 576. The collective scratch is held by pointer
+// for that reason (growColl).
+func TestRankSize(t *testing.T) {
+	if got := unsafe.Sizeof(Rank{}); got > 512 {
+		t.Errorf("Rank is %d bytes, want at most 512", got)
+	}
+}
+
 // With more peers than the port can hold VIs for, Init is going to fail; the
 // slabs must not be sized for the peers it will never reach (the refused
 // np=2048 boot of ext-init would pay for a thousand channels per rank that no

@@ -89,7 +89,7 @@ func CG() Kernel {
 							}
 						}
 						// Residual norm across all ranks.
-						if _, err := c.AllreduceF64([]float64{float64(it)}, mpi.SumF64); err != nil {
+						if err := c.AllreduceF64([]float64{float64(it)}, mpi.SumF64); err != nil {
 							return err
 						}
 					}

@@ -37,18 +37,13 @@ func EP() Kernel {
 					for s := 0; s < slices; s++ {
 						compute(r, dt, s)
 					}
-					if _, err := c.AllreduceF64([]float64{1, 2}, mpi.SumF64); err != nil {
+					if err := c.AllreduceF64([]float64{1, 2}, mpi.SumF64); err != nil {
 						return err
 					}
-					if _, err := c.AllreduceF64([]float64{3}, mpi.MaxF64); err != nil {
+					if err := c.AllreduceF64([]float64{3}, mpi.MaxF64); err != nil {
 						return err
 					}
-					counts, err := c.AllreduceI64(make([]int64, 10), mpi.SumI64)
-					if err != nil {
-						return err
-					}
-					_ = counts
-					return nil
+					return c.AllreduceI64(make([]int64, 10), mpi.SumI64)
 				})
 				fail(res, err)
 			}

@@ -62,7 +62,7 @@ func FT() Kernel {
 							}
 						}
 						compute(r, dt, 2*it+1) // local FFTs after transpose
-						if _, err := c.AllreduceF64([]float64{float64(it), 1}, mpi.SumF64); err != nil {
+						if err := c.AllreduceF64([]float64{float64(it), 1}, mpi.SumF64); err != nil {
 							return err
 						}
 					}

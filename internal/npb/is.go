@@ -61,7 +61,7 @@ func IS() Kernel {
 						for b := range hist {
 							hist[b] = int64(me + it + b)
 						}
-						if _, err := c.AllreduceI64(hist, mpi.SumI64); err != nil {
+						if err := c.AllreduceI64(hist, mpi.SumI64); err != nil {
 							return err
 						}
 						for j := 0; j < n; j++ {
@@ -79,8 +79,8 @@ func IS() Kernel {
 						}
 					}
 					// Final full verification: ranks agree on total key count.
-					tot, err := c.AllreduceI64([]int64{int64(keysPerProc)}, mpi.SumI64)
-					if err != nil {
+					tot := []int64{int64(keysPerProc)}
+					if err := c.AllreduceI64(tot, mpi.SumI64); err != nil {
 						return err
 					}
 					if tot[0] != int64(p.totalKeys) {

@@ -122,7 +122,7 @@ func LU() Kernel {
 							}
 						}
 						if it%20 == 0 {
-							if _, err := c.AllreduceF64([]float64{1}, mpi.SumF64); err != nil {
+							if err := c.AllreduceF64([]float64{1}, mpi.SumF64); err != nil {
 								return err
 							}
 						}

@@ -122,7 +122,7 @@ func MG() Kernel {
 							}
 						}
 						// Residual norm.
-						if _, err := c.AllreduceF64([]float64{1}, mpi.SumF64); err != nil {
+						if err := c.AllreduceF64([]float64{1}, mpi.SumF64); err != nil {
 							return err
 						}
 					}
