@@ -128,7 +128,7 @@ func main() {
 					Policy: policy,
 					Label:  "tcpring",
 					Config: fmt.Sprintf("np=%d laps=%d policy=%s rank=%d", *np, *laps, policy, i),
-				}, *ringCap, nil)
+				}, *ringCap)
 				if err != nil {
 					log.Fatal(err)
 				}

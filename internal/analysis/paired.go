@@ -597,8 +597,8 @@ func prMentions(info *types.Info, n ast.Node, objs map[types.Object]bool) bool {
 }
 
 // compositeStores files composite-literal fields capturing a handle —
-// &Win{mem: mem} parks the obligation in (Win).mem — and reports whether it
-// found any.
+// core's newChannel writes Channel{Vi: vi}, parking the VI CreateViCQ made in
+// (Channel).Vi — and reports whether it found any.
 func (pu *prUnit) compositeStores(e ast.Expr, ob *prObligation) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {

@@ -276,9 +276,8 @@ func DefaultPolicy() *Policy {
 			"internal/mpi.(Comm).AllreduceF64": "in place, as AllreduceI64: the residuals and norms of CG, MG, LU and FT",
 			"internal/mpi.(Comm).Reduce":       "binomial tree: its accumulator and receive buffer are the scratch",
 			"internal/mpi.(Comm).Bcast":        "binomial tree straight over the caller's buffer",
-			"internal/mpi.(Comm).Scan":         "linear chain: the prefix from the left lands in the scratch",
 			"internal/mpi.(Comm).Allgather":    "recursive doubling over the caller's buffer, or Gather and Bcast on the rank's request list",
-			"internal/mpi.(Comm).AllgatherI64": "encode and decode through the scratch (Comm.Split, WinCreate)",
+			"internal/mpi.(Comm).AllgatherI64": "encode and decode through the scratch (Comm.Split)",
 			"internal/mpi.(Comm).Alltoall":     "uniform blocks are indexed, not built into count and displacement vectors per call",
 			"internal/mpi.(Comm).Alltoallv":    "NPB IS's key exchange, every iteration: its requests wait in the rank's one list",
 			// Bodies nothing calls by name: handed over as function values.

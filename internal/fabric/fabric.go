@@ -74,7 +74,6 @@ type endpoint struct {
 // port tracks the serialization state of one node's NIC direction.
 type port struct {
 	freeAt simnet.Time
-	bytes  int64 // total bytes serialized, for stats
 }
 
 // reserve books size bytes onto the port starting no earlier than now and
@@ -86,7 +85,6 @@ func (p *port) reserve(now simnet.Time, size int, bps float64) simnet.Time {
 	}
 	d := simnet.Duration(float64(size) / bps * 1e9)
 	p.freeAt = start.Add(d)
-	p.bytes += int64(size)
 	return p.freeAt
 }
 
@@ -246,9 +244,3 @@ func (c *Cluster) Send(f Frame, extra simnet.Duration) {
 func (c *Cluster) SendMgmt(f Frame) {
 	c.sim.AtAction(c.sim.Now().Add(c.cfg.MgmtLatency), c.takeFlight(f), flightMgmt)
 }
-
-// TxBytes returns total bytes serialized out of node n.
-func (c *Cluster) TxBytes(n int) int64 { return c.tx[n].bytes }
-
-// RxBytes returns total bytes serialized into node n.
-func (c *Cluster) RxBytes(n int) int64 { return c.rx[n].bytes }

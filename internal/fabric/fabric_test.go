@@ -194,23 +194,6 @@ func TestMgmtDelivery(t *testing.T) {
 	}
 }
 
-func TestByteAccounting(t *testing.T) {
-	s := simnet.New(1)
-	c := New(s, testConfig())
-	attachN(t, c, 4)
-	c.Send(Frame{Src: 0, Dst: 2, Size: 500}, 0)
-	c.Send(Frame{Src: 0, Dst: 3, Size: 300}, 0)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.TxBytes(0) != 800 {
-		t.Fatalf("TxBytes(0) = %d, want 800", c.TxBytes(0))
-	}
-	if c.RxBytes(1) != 800 {
-		t.Fatalf("RxBytes(1) = %d, want 800", c.RxBytes(1))
-	}
-}
-
 // Property: total delivery latency for an isolated frame is exactly the
 // analytic sum, for any size and any distinct node pair.
 func TestPropertyIsolatedFrameLatency(t *testing.T) {

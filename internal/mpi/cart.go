@@ -86,12 +86,6 @@ func DimsCreate(nnodes, ndims int) ([]int, error) {
 	return dims, nil
 }
 
-// Comm returns the underlying communicator.
-func (t *Cart) Comm() *Comm { return t.comm }
-
-// Dims returns the grid shape.
-func (t *Cart) Dims() []int { return append([]int(nil), t.dims...) }
-
 // Coords returns the grid coordinates of a rank (row-major, dimension 0
 // slowest — the MPI convention).
 func (t *Cart) Coords(rank int) ([]int, error) {

@@ -17,10 +17,8 @@ const (
 	tagBcast     = 30
 	tagReduce    = 40
 	tagGather    = 50
-	tagScatter   = 60
 	tagAllgather = 70
 	tagAlltoall  = 80
-	tagScan      = 90
 )
 
 // Barrier blocks until every rank in the communicator has entered it.
@@ -225,30 +223,6 @@ func (c *Comm) Gather(sendbuf, recvbuf []byte, root int) error {
 	return c.r.Waitall(reqs...)
 }
 
-// Scatter distributes equal-size chunks of sendbuf at root to every rank's
-// recvbuf (linear, as in MPICH-1).
-func (c *Comm) Scatter(sendbuf, recvbuf []byte, root int) error {
-	defer c.r.prof.enter("Scatter")()
-	n := c.Size()
-	sz := len(recvbuf)
-	if c.myrank != root {
-		return c.crecv(recvbuf, root, tagScatter)
-	}
-	if len(sendbuf) < n*sz {
-		return fmt.Errorf("mpi: Scatter sendbuf %d < %d", len(sendbuf), n*sz)
-	}
-	for i := 0; i < n; i++ {
-		if i == root {
-			copy(recvbuf, sendbuf[i*sz:(i+1)*sz])
-			continue
-		}
-		if err := c.csend(i, tagScatter, sendbuf[i*sz:(i+1)*sz]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Allgather concatenates each rank's equal-size sendbuf into recvbuf on all
 // ranks: recursive doubling when the size is a power of two (log2(N)
 // partners, doubling block runs), otherwise gather-to-0 plus broadcast.
@@ -315,15 +289,12 @@ func (b blocks) at(i int) []byte {
 // Alltoall exchanges equal-size blocks: rank i's block j lands in rank j's
 // slot i. Pairwise linear exchange with all receives pre-posted.
 func (c *Comm) Alltoall(sendbuf, recvbuf []byte, blockSize int) error {
-	n := c.Size()
-	if len(sendbuf) < n*blockSize || len(recvbuf) < n*blockSize {
-		return fmt.Errorf("mpi: Alltoall buffers too small for %d x %d", n, blockSize)
-	}
 	return c.alltoall(blocks{buf: sendbuf, size: blockSize}, blocks{buf: recvbuf, size: blockSize})
 }
 
 // Alltoallv is the vector all-to-all: rank i sends sendbuf[sdispl[j]:+scounts[j]]
-// to rank j, receiving into recvbuf[rdispl[j]:+rcounts[j]].
+// to rank j, receiving into recvbuf[rdispl[j]:+rcounts[j]]. A vector shorter
+// than Size(), a negative entry or a block outside its buffer is an error.
 func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 	recvbuf []byte, rcounts, rdispl []int) error {
 	return c.alltoall(blocks{buf: sendbuf, counts: scounts, displ: sdispl},
@@ -335,6 +306,24 @@ func (c *Comm) Alltoallv(sendbuf []byte, scounts, sdispl []int,
 func (c *Comm) alltoall(send, recv blocks) error {
 	defer c.r.prof.enter("Alltoallv")()
 	n := c.Size()
+	// Every block of both sides lies inside its buffer: the vectors hold at
+	// least n entries and no count or displacement is negative.
+	for _, b := range [...]blocks{send, recv} {
+		if b.counts == nil {
+			if b.size < 0 || len(b.buf) < n*b.size {
+				return fmt.Errorf("mpi: Alltoall buffer %d too small for %d x %d", len(b.buf), n, b.size)
+			}
+			continue
+		}
+		if len(b.counts) < n || len(b.displ) < n {
+			return fmt.Errorf("mpi: Alltoallv vectors of %d and %d entries for %d ranks", len(b.counts), len(b.displ), n)
+		}
+		for i := 0; i < n; i++ {
+			if b.counts[i] < 0 || b.displ[i] < 0 || b.counts[i] > len(b.buf)-b.displ[i] {
+				return fmt.Errorf("mpi: Alltoallv block %d (%d B at %d) outside its %d B buffer", i, b.counts[i], b.displ[i], len(b.buf))
+			}
+		}
+	}
 	me := c.myrank
 	copy(recv.at(me), send.at(me))
 	reqs := c.r.reqList(2 * (n - 1))
@@ -356,40 +345,6 @@ func (c *Comm) alltoall(send, recv blocks) error {
 		reqs = append(reqs, req)
 	}
 	return c.r.Waitall(reqs...)
-}
-
-// Scan computes the inclusive prefix reduction: rank i's recvbuf holds the
-// combination of sendbufs from ranks 0..i (linear chain).
-func (c *Comm) Scan(sendbuf, recvbuf []byte, op Op) error {
-	defer c.r.prof.enter("Scan")()
-	if len(recvbuf) < len(sendbuf) {
-		return fmt.Errorf("mpi: Scan recvbuf %d < sendbuf %d", len(recvbuf), len(sendbuf))
-	}
-	copy(recvbuf, sendbuf)
-	if c.myrank > 0 {
-		tmp := c.r.collScratch(len(sendbuf))
-		if err := c.crecv(tmp, c.myrank-1, tagScan); err != nil {
-			return err
-		}
-		// Combine with the prefix from the left: result = prefix op mine.
-		op.Combine(tmp, sendbuf)
-		copy(recvbuf, tmp)
-	}
-	if c.myrank < c.Size()-1 {
-		return c.csend(c.myrank+1, tagScan, recvbuf[:len(sendbuf)])
-	}
-	return nil
-}
-
-// ReduceScatterBlock reduces equal blocks then scatters one block per rank:
-// implemented as Reduce to rank 0 followed by Scatter, as MPICH-1 did.
-func (c *Comm) ReduceScatterBlock(sendbuf, recvbuf []byte, op Op) error {
-	n := c.Size()
-	full := make([]byte, len(sendbuf))
-	if err := c.Reduce(sendbuf, full, op, 0); err != nil {
-		return err
-	}
-	return c.Scatter(full, recvbuf[:len(sendbuf)/n], 0)
 }
 
 // csend is a blocking collective-context send.

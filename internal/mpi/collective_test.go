@@ -193,7 +193,7 @@ func TestAllreduceI64Ops(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
+func TestGather(t *testing.T) {
 	for _, n := range []int{2, 5, 9} {
 		n := n
 		runWorld(t, testCfg(n), func(r *Rank) {
@@ -213,20 +213,6 @@ func TestGatherScatter(t *testing.T) {
 						t.Errorf("n=%d gather block %d wrong: % x", n, i, full[4*i:4*i+4])
 					}
 				}
-			}
-			// Scatter back from root.
-			if me == root {
-				for i := 0; i < n; i++ {
-					full[4*i] = byte(100 + i)
-				}
-			}
-			out := make([]byte, 4)
-			if err := c.Scatter(full, out, root); err != nil {
-				t.Error(err)
-				return
-			}
-			if out[0] != byte(100+me) {
-				t.Errorf("n=%d rank %d scatter got %d", n, me, out[0])
 			}
 		})
 	}
@@ -328,26 +314,11 @@ func TestAlltoallvUnevenLarge(t *testing.T) {
 	})
 }
 
-func TestScan(t *testing.T) {
-	const n = 6
-	runWorld(t, testCfg(n), func(r *Rank) {
-		c := r.World()
-		me := int64(c.Rank())
-		out := make([]byte, 8)
-		if err := c.Scan(I64Bytes([]int64{me + 1}), out, SumI64); err != nil {
-			t.Error(err)
-			return
-		}
-		want := int64((me + 1) * (me + 2) / 2)
-		if got := BytesI64(out)[0]; got != want {
-			t.Errorf("rank %d scan = %d, want %d", me, got, want)
-		}
-	})
-}
-
 // A receive buffer shorter than the result is an error, not a truncated
 // result or a panic: three ranks, a 16-byte sendbuf and an 8-byte recvbuf (at
-// the root, for Reduce; an out one value short, for AllgatherI64).
+// the root, for Reduce; an out one value short, for AllgatherI64), and for
+// Alltoallv receive vectors one rank short or three 8-byte blocks over a
+// 16-byte recvbuf.
 func TestCollectivesRefuseShortRecvbuf(t *testing.T) {
 	const n = 3
 	cases := []struct {
@@ -358,8 +329,13 @@ func TestCollectivesRefuseShortRecvbuf(t *testing.T) {
 		{"Reduce", func(c *Comm) error {
 			return c.Reduce(make([]byte, 16), make([]byte, 8), SumI64, 0)
 		}, func(c *Comm) bool { return c.Rank() == 0 }},
-		{"Scan", func(c *Comm) error {
-			return c.Scan(make([]byte, 16), make([]byte, 8), SumI64)
+		{"AlltoallvShortVectors", func(c *Comm) error {
+			v := []int{8, 8, 8}
+			return c.Alltoallv(make([]byte, 24), v, []int{0, 8, 16}, make([]byte, 24), v[:2], []int{0, 8})
+		}, func(*Comm) bool { return true }},
+		{"AlltoallvShortRecvbuf", func(c *Comm) error {
+			v, d := []int{8, 8, 8}, []int{0, 8, 16}
+			return c.Alltoallv(make([]byte, 24), v, d, make([]byte, 16), v, d)
 		}, func(*Comm) bool { return true }},
 		{"AllgatherI64", func(c *Comm) error {
 			return c.AllgatherI64(make([]int64, 2), make([]int64, 2*n-1))
@@ -430,27 +406,6 @@ func TestCollectiveScratchNotRetained(t *testing.T) {
 	})
 }
 
-func TestReduceScatterBlock(t *testing.T) {
-	const n = 4
-	runWorld(t, testCfg(n), func(r *Rank) {
-		c := r.World()
-		me := c.Rank()
-		in := make([]int64, n)
-		for j := range in {
-			in[j] = int64(me + j)
-		}
-		out := make([]byte, 8)
-		if err := c.ReduceScatterBlock(I64Bytes(in), out, SumI64); err != nil {
-			t.Error(err)
-			return
-		}
-		want := int64(n*(n-1)/2 + n*me)
-		if got := BytesI64(out)[0]; got != want {
-			t.Errorf("rank %d reduce-scatter = %d, want %d", me, got, want)
-		}
-	})
-}
-
 func TestCommSplit(t *testing.T) {
 	const n = 8
 	runWorld(t, testCfg(n), func(r *Rank) {
@@ -485,11 +440,13 @@ func TestCommSplit(t *testing.T) {
 	})
 }
 
-func TestCommDupIsolation(t *testing.T) {
+// A second communicator over the same ranks gets its own context from
+// allocContext: a message sent on one never matches a receive on the other.
+func TestSplitContextIsolation(t *testing.T) {
 	const n = 4
 	runWorld(t, testCfg(n), func(r *Rank) {
 		c := r.World()
-		d, err := c.Dup()
+		d, err := c.Split(0, r.Rank())
 		if err != nil {
 			t.Error(err)
 			return

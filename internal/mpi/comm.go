@@ -39,18 +39,6 @@ func (c *Comm) Rank() int { return c.myrank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(rank int) int { return c.ranks[rank] }
-
-// Dup creates a duplicate communicator with a fresh context (collective).
-func (c *Comm) Dup() (*Comm, error) {
-	ctx, err := c.allocContext()
-	if err != nil {
-		return nil, err
-	}
-	return newComm(c.r, append([]int(nil), c.ranks...), ctx), nil
-}
-
 // Split partitions the communicator by color, ordering each part by (key,
 // rank) as MPI_Comm_split does. Ranks passing a negative color get nil.
 func (c *Comm) Split(color, key int) (*Comm, error) {

@@ -4,8 +4,8 @@ import "fmt"
 
 // Datatype describes a non-contiguous memory layout in bytes — the MPI
 // derived-datatype facility reduced to its pack/unpack essence. A Datatype
-// is a list of (offset, length) extents relative to a base pointer; Send
-// and Recv variants pack on the way out and unpack on the way in, which is
+// is a list of (offset, length) extents relative to a base pointer; a
+// sender packs on the way out and a receiver unpacks on the way in, which is
 // exactly how MPICH's ADI handled non-contiguous data on VIA-class
 // networks (no scatter/gather DMA).
 type Datatype struct {
@@ -15,14 +15,6 @@ type Datatype struct {
 }
 
 type extent struct{ off, len int }
-
-// Contiguous describes n contiguous bytes.
-func Contiguous(n int) Datatype {
-	if n <= 0 {
-		return Datatype{}
-	}
-	return Datatype{blocks: []extent{{0, n}}, size: n, span: n}
-}
 
 // Vector describes count blocks of blocklen bytes, the start of each
 // separated by stride bytes (MPI_Type_vector with byte elements).
@@ -47,41 +39,8 @@ func Vector(count, blocklen, stride int) (Datatype, error) {
 	return d, nil
 }
 
-// Indexed describes blocks of given lengths at given byte displacements
-// (MPI_Type_indexed). Displacements must be non-decreasing and
-// non-overlapping.
-func Indexed(lengths, displs []int) (Datatype, error) {
-	if len(lengths) != len(displs) {
-		return Datatype{}, fmt.Errorf("mpi: Indexed needs equal-length slices")
-	}
-	var d Datatype
-	prevEnd := 0
-	for i := range lengths {
-		if lengths[i] < 0 || displs[i] < 0 {
-			return Datatype{}, fmt.Errorf("mpi: Indexed block %d negative", i)
-		}
-		if lengths[i] == 0 {
-			continue
-		}
-		if displs[i] < prevEnd {
-			return Datatype{}, fmt.Errorf("mpi: Indexed block %d overlaps previous", i)
-		}
-		d.blocks = append(d.blocks, extent{displs[i], lengths[i]})
-		d.size += lengths[i]
-		prevEnd = displs[i] + lengths[i]
-		if prevEnd > d.span {
-			d.span = prevEnd
-		}
-	}
-	return d, nil
-}
-
 // Size returns the packed byte count.
 func (d Datatype) Size() int { return d.size }
-
-// Span returns the extent in the source/destination buffer the layout
-// touches (base to end of last block).
-func (d Datatype) Span() int { return d.span }
 
 // Pack gathers the layout's bytes from buf into a fresh contiguous buffer.
 func (d Datatype) Pack(buf []byte) ([]byte, error) {
@@ -109,28 +68,4 @@ func (d Datatype) Unpack(buf, packed []byte) error {
 		off += b.len
 	}
 	return nil
-}
-
-// SendTyped packs buf through the datatype and sends it (blocking,
-// standard mode).
-func (c *Comm) SendTyped(dst, tag int, buf []byte, d Datatype) error {
-	packed, err := d.Pack(buf)
-	if err != nil {
-		return err
-	}
-	return c.Send(dst, tag, packed)
-}
-
-// RecvTyped receives into buf through the datatype (blocking). The sender's
-// packed size must equal the datatype's Size.
-func (c *Comm) RecvTyped(buf []byte, src, tag int, d Datatype) (Status, error) {
-	packed := make([]byte, d.size)
-	st, err := c.Recv(packed, src, tag)
-	if err != nil {
-		return st, err
-	}
-	if st.Count != d.size {
-		return st, fmt.Errorf("mpi: RecvTyped got %d bytes, layout needs %d", st.Count, d.size)
-	}
-	return st, d.Unpack(buf, packed)
 }

@@ -6,20 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestContiguous(t *testing.T) {
-	d := Contiguous(4)
-	if d.Size() != 4 || d.Span() != 4 {
-		t.Fatalf("size/span = %d/%d", d.Size(), d.Span())
-	}
-	p, err := d.Pack([]byte{1, 2, 3, 4, 5})
-	if err != nil || !bytes.Equal(p, []byte{1, 2, 3, 4}) {
-		t.Fatalf("pack: %v %v", p, err)
-	}
-	if z := Contiguous(0); z.Size() != 0 {
-		t.Fatal("zero contiguous")
-	}
-}
-
 func TestVectorPackUnpack(t *testing.T) {
 	// A 4x4 byte matrix's second column: count=4, blocklen=1, stride=4.
 	d, err := Vector(4, 1, 4)
@@ -63,27 +49,6 @@ func TestVectorValidation(t *testing.T) {
 	}
 }
 
-func TestIndexed(t *testing.T) {
-	d, err := Indexed([]int{2, 3}, []int{0, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Size() != 5 || d.Span() != 8 {
-		t.Fatalf("size/span = %d/%d", d.Size(), d.Span())
-	}
-	src := []byte{1, 2, 9, 9, 9, 3, 4, 5}
-	p, err := d.Pack(src)
-	if err != nil || !bytes.Equal(p, []byte{1, 2, 3, 4, 5}) {
-		t.Fatalf("pack: %v %v", p, err)
-	}
-	if _, err := Indexed([]int{2, 2}, []int{0, 1}); err == nil {
-		t.Error("overlap accepted")
-	}
-	if _, err := Indexed([]int{1}, []int{0, 1}); err == nil {
-		t.Error("mismatched slices accepted")
-	}
-}
-
 func TestPackBufferTooSmall(t *testing.T) {
 	d, err := Vector(2, 2, 4)
 	if err != nil {
@@ -111,7 +76,7 @@ func TestPropertyPackUnpackRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		src := make([]byte, d.Span()+4)
+		src := make([]byte, d.span+4)
 		for i := range src {
 			if i < len(data) {
 				src[i] = data[i]
@@ -134,7 +99,7 @@ func TestPropertyPackUnpackRoundTrip(t *testing.T) {
 					return false
 				}
 			}
-			for j := block; j < stride && i*stride+j < d.Span(); j++ {
+			for j := block; j < stride && i*stride+j < d.span; j++ {
 				if dst[i*stride+j] != 0xEE {
 					return false
 				}
@@ -145,37 +110,4 @@ func TestPropertyPackUnpackRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestTypedSendRecvColumnExchange moves a matrix column between ranks — the
-// halo-exchange use case derived datatypes exist for.
-func TestTypedSendRecvColumnExchange(t *testing.T) {
-	const n = 8 // 8x8 matrix
-	col, err := Vector(n, 1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWorld(t, testCfg(2), func(r *Rank) {
-		c := r.World()
-		m := make([]byte, n*n)
-		if r.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				m[i*n+3] = byte(40 + i) // column 3
-			}
-			if err := c.SendTyped(1, 0, m[3:], col); err != nil {
-				t.Error(err)
-			}
-		} else {
-			if _, err := c.RecvTyped(m[5:], 0, 0, col); err != nil { // into column 5
-				t.Error(err)
-				return
-			}
-			for i := 0; i < n; i++ {
-				if m[i*n+5] != byte(40+i) {
-					t.Errorf("row %d: got %d", i, m[i*n+5])
-					return
-				}
-			}
-		}
-	})
 }

@@ -28,37 +28,3 @@ func ExampleComm_Allreduce() {
 	// sum of ranks = 6
 	// VIs per rank (recursive doubling): 2
 }
-
-// One-sided Put through a window, visible after the fence.
-func ExampleWin() {
-	_, err := mpi.Run(mpi.Config{Procs: 2, Deadline: 10 * simnet.Second}, func(r *mpi.Rank) {
-		c := r.World()
-		buf := make([]byte, 8)
-		w, err := c.WinCreate(buf)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		if r.Rank() == 0 {
-			if err := w.Put(1, 0, []byte("rdma!")); err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-		}
-		if err := w.Fence(); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		if r.Rank() == 1 {
-			fmt.Printf("window holds %q\n", buf[:5])
-		}
-		if err := w.Free(); err != nil {
-			fmt.Println("error:", err)
-		}
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-	}
-	// Output:
-	// window holds "rdma!"
-}

@@ -222,18 +222,6 @@ func (w *World) AvgInit() simnet.Duration {
 	return t / simnet.Duration(len(w.Ranks))
 }
 
-// MaxAppTime returns the longest per-rank application time (the NPB
-// "CPU time" analogue).
-func (w *World) MaxAppTime() simnet.Duration {
-	var m simnet.Duration
-	for _, rs := range w.Ranks {
-		if rs.AppTime > m {
-			m = rs.AppTime
-		}
-	}
-	return m
-}
-
 // TotalPinnedPeak sums peak pinned memory across ranks.
 func (w *World) TotalPinnedPeak() int64 {
 	var t int64

@@ -548,9 +548,6 @@ func TestAccessors(t *testing.T) {
 		if r.Size() != n || r.World().Size() != n {
 			t.Error("Size mismatch")
 		}
-		if r.World().WorldRank(1) != 1 {
-			t.Error("WorldRank")
-		}
 		if r.Port() == nil || r.Manager() == nil || r.Proc() == nil {
 			t.Error("nil accessors")
 		}
@@ -782,7 +779,7 @@ func TestWorldAggregates(t *testing.T) {
 	if w.AvgUtilization() != 0.5 {
 		t.Errorf("AvgUtilization = %v, want 0.5 (idle ranks count as 0)", w.AvgUtilization())
 	}
-	if w.AvgInit() <= 0 || w.MaxAppTime() < 0 {
+	if w.AvgInit() <= 0 {
 		t.Error("aggregate timings not populated")
 	}
 }

@@ -10,11 +10,6 @@ func (c *Comm) Isend(dst, tag int, data []byte) (Request, error) {
 	return c.isendCtx(ModeStandard, dst, tag, data, c.ctx)
 }
 
-// IsendMode starts a nonblocking send in the given MPI communication mode.
-func (c *Comm) IsendMode(mode SendMode, dst, tag int, data []byte) (Request, error) {
-	return c.isendCtx(mode, dst, tag, data, c.ctx)
-}
-
 // Send is the blocking standard-mode send.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	defer c.r.prof.enter("Send")()

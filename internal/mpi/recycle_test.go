@@ -802,34 +802,23 @@ func TestUnexpectedEntriesKeepPayloads(t *testing.T) {
 }
 
 // A descriptor back on the RDMA free list holds none of the memory its last
-// write was made from: after rendezvous sends and one-sided Puts have been
-// reaped, every descriptor the writes went out on is on the list, and none
-// has a Buf.
+// write was made from: after rendezvous sends have been reaped, every
+// descriptor the writes went out on is on the list, and none has a Buf.
 func TestRdmaFreeListHoldsNoBuffers(t *testing.T) {
 	const size = 64<<10 + 100
 	runWorld(t, testCfg(2), func(r *Rank) {
 		c := r.World()
 		me := r.Rank()
 		fail := func(format string, args ...any) { r.Abort(1, fmt.Sprintf(format, args...)) }
-		win, err := c.WinCreate(make([]byte, size))
-		if err != nil {
-			fail("%v", err)
-		}
 		buf := make([]byte, size)
 		for i := 0; i < 3; i++ {
 			if me == 0 {
 				if err := c.Send(1, i, buf); err != nil {
 					fail("%v", err)
 				}
-				if err := win.Put(1, i, buf[:size-i]); err != nil {
-					fail("%v", err)
-				}
 			} else if _, err := c.Recv(buf, 0, i); err != nil {
 				fail("%v", err)
 			}
-		}
-		if err := win.Free(); err != nil {
-			fail("%v", err)
 		}
 		if me != 0 {
 			return

@@ -58,7 +58,7 @@ func wakeStorm(seed int64, fault string) (digest uint64, lines int, errLine stri
 						})
 					}
 				case 4:
-					p.Yield()
+					p.Sleep(0)
 				case 5:
 					p.Compute(Duration(r.Intn(5)) * 10)
 				}

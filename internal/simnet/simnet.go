@@ -50,9 +50,6 @@ const (
 // D converts a time.Duration into a virtual Duration.
 func D(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
-// Std converts a virtual Duration back into a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds reports the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
@@ -362,9 +359,7 @@ type Proc struct {
 	timedOut bool   // the wake that ended the last park was a timeout
 	finished bool
 
-	busy  Duration // total time charged via Compute
-	slept Duration // total time in Sleep
-	idle  Duration // total time parked waiting for events
+	busy Duration // total time charged via Compute
 }
 
 // unwound is the private panic that unwinds a process Run has released.
@@ -384,9 +379,6 @@ func (p *Proc) Now() Time { return p.sim.now }
 
 // BusyTime returns total virtual time this process spent in Compute.
 func (p *Proc) BusyTime() Duration { return p.busy }
-
-// IdleTime returns total virtual time this process spent parked.
-func (p *Proc) IdleTime() Duration { return p.idle }
 
 // Spawn creates a process that will begin executing fn at time start.
 // It may be called before Run or from inside the simulation.
@@ -434,14 +426,13 @@ func (p *Proc) park() {
 	}
 	p.parked = true
 	p.parkSeq++
-	start := s.now
 	if !s.loop(p) && !p.yield(struct{}{}) {
 		panic(unwound{}) // Run returned while p was parked
 	}
-	p.idle += s.now.Sub(start)
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time. Sleep(0) yields: other
+// events scheduled at the current instant run before the process continues.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -450,10 +441,7 @@ func (p *Proc) Sleep(d Duration) {
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerWake,
 		proc: p, arg: p.parkSeq + 1})
-	start := s.now
 	p.park()
-	p.slept += s.now.Sub(start)
-	p.idle -= s.now.Sub(start) // sleeping is not idling
 }
 
 // Compute charges d of virtual time as computation (CPU busy).
@@ -468,7 +456,6 @@ func (p *Proc) Compute(d Duration) {
 		proc: p, arg: p.parkSeq + 1})
 	p.park()
 	p.busy += s.now.Sub(start)
-	p.idle -= s.now.Sub(start)
 }
 
 // Park suspends the process until another party calls Wake on it.
@@ -504,10 +491,6 @@ func (p *Proc) WakeAfter(d Duration) {
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerWake,
 		proc: p, arg: seq})
 }
-
-// Yield gives other events scheduled at the current instant a chance to run
-// before the process continues. Equivalent to Sleep(0).
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // loop pops and executes events in the calling coroutine until control must
 // move elsewhere. self is the process that just parked (nil when called from

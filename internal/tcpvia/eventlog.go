@@ -18,12 +18,8 @@ import (
 // header says ClockWall, so consumers know the stamps mean elapsed wall
 // time, not virtual time).
 //
-// Two capture sinks, independently optional:
-//
-//   - a streaming capture.Writer, for bounded-length runs that want the
-//     complete record on disk as it happens;
-//   - a bounded capture.Ring, for long-lived processes that want the last N
-//     events dumped on demand — on a signal, on a crash, at exit.
+// Its capture sink is a bounded capture.Ring: a long-lived process keeps the
+// last N events and dumps them on demand — on a signal, on a crash, at exit.
 //
 // Every event is also folded through an obs.Collector — the fold behind
 // mpirun-sim -metrics — so the live metrics carry the same key names as the
@@ -31,36 +27,24 @@ import (
 type EventLog struct {
 	base time.Time
 
-	// mu is a leaf lock: it guards the capture sinks and the metrics fold
-	// only, and nothing under it calls back into the stack.
+	// mu is a leaf lock: it guards the ring and the metrics fold only, and
+	// nothing under it calls back into the stack.
 	mu      sync.Mutex
 	ring    *capture.Ring
-	stream  *capture.Writer
 	metrics *obs.Registry
 	fold    *obs.Collector
 }
 
-// NewEventLog builds a wall-clock log. ringCap > 0 keeps the most recent
-// ringCap events in memory for DumpRing; stream, when non-nil, receives the
-// full encoded bundle live (seal it with CloseStream before reading the
-// file). The header's clock source is forced to wall time.
-func NewEventLog(h capture.Header, ringCap int, stream io.Writer) (*EventLog, error) {
+// NewEventLog builds a wall-clock log that keeps the most recent ringCap
+// events in memory for DumpRing; ringCap must be positive. The header's clock
+// source is forced to wall time.
+func NewEventLog(h capture.Header, ringCap int) (*EventLog, error) {
+	if ringCap <= 0 {
+		return nil, fmt.Errorf("tcpvia: event log needs a ring capacity, got %d", ringCap)
+	}
 	h.Clock = capture.ClockWall
-	l := &EventLog{base: time.Now(), metrics: obs.NewRegistry()}
+	l := &EventLog{base: time.Now(), ring: capture.NewRing(h, ringCap), metrics: obs.NewRegistry()}
 	l.fold = obs.NewCollector(l.metrics)
-	if ringCap > 0 {
-		l.ring = capture.NewRing(h, ringCap)
-	}
-	if stream != nil {
-		w, err := capture.NewWriter(stream, h)
-		if err != nil {
-			return nil, err
-		}
-		l.stream = w
-	}
-	if l.ring == nil && l.stream == nil {
-		return nil, fmt.Errorf("tcpvia: event log needs a ring capacity or a stream")
-	}
 	return l, nil
 }
 
@@ -70,7 +54,7 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 	if l == nil {
 		return
 	}
-	// Stamped under the lock: the stream's order is the stamps' order.
+	// Stamped under the lock: the ring's order is the stamps' order.
 	l.mu.Lock()
 	e := obs.Event{
 		T:    time.Since(l.base).Nanoseconds(),
@@ -80,12 +64,7 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 		A:    a, B: b, C: c,
 		Name: name,
 	}
-	if l.ring != nil {
-		l.ring.Consume(e)
-	}
-	if l.stream != nil {
-		l.stream.Consume(e)
-	}
+	l.ring.Consume(e)
 	l.fold.Consume(e)
 	l.mu.Unlock()
 }
@@ -107,33 +86,12 @@ func (l *EventLog) WriteMetricsJSON(w io.Writer) error {
 
 // DumpRing writes the retained ring events as a complete bundle — the
 // flush-on-signal / flush-on-crash path. Returns the number of events
-// dumped and how many older ones had been evicted. No-op on a nil log or a
-// log without a ring.
+// dumped and how many older ones had been evicted. No-op on a nil log.
 func (l *EventLog) DumpRing(w io.Writer) (kept int, dropped int64, err error) {
 	if l == nil {
 		return 0, 0, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.ring == nil {
-		return 0, 0, nil
-	}
 	return l.ring.Len(), l.ring.Dropped(), l.ring.DumpTo(w)
-}
-
-// CloseStream seals the streaming bundle (end marker + event count) and
-// reports the stream's totals. Further Emits still feed the ring, if any.
-func (l *EventLog) CloseStream() (events, bytes int64, err error) {
-	if l == nil {
-		return 0, 0, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.stream == nil {
-		return 0, 0, nil
-	}
-	events, bytes = l.stream.Events(), l.stream.Bytes()
-	err = l.stream.Close()
-	l.stream = nil
-	return events, bytes, err
 }

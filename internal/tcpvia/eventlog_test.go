@@ -23,24 +23,22 @@ func wallHeader(rank int) capture.Header {
 }
 
 func TestEventLogRequiresASink(t *testing.T) {
-	if _, err := NewEventLog(wallHeader(0), 0, nil); err == nil {
-		t.Fatal("sinkless event log accepted")
+	if _, err := NewEventLog(wallHeader(0), 0); err == nil {
+		t.Fatal("ringless event log accepted")
 	}
 }
 
 // TestEventLogStream runs a two-rank on-demand exchange with flight
-// recorders attached and checks the sealed bundles decode to the protocol
-// story: VI creation, the dial (or its adoption), channel-up, and the data
-// transfer, all stamped with wall-clock time.
+// recorders attached and checks the dumped bundles decode, with nothing
+// evicted, to the protocol story: VI creation, the dial (or its adoption),
+// channel-up, and the data transfer, all stamped with wall-clock time.
 func TestEventLogStream(t *testing.T) {
 	nodes := []*Node{newNode(t), newNode(t)}
 	peers := []string{nodes[0].Addr(), nodes[1].Addr()}
 	logs := make([]*EventLog, 2)
-	streams := make([]*bytes.Buffer, 2)
 	mgrs := make([]*Manager, 2)
 	for i := range mgrs {
-		streams[i] = &bytes.Buffer{}
-		log, err := NewEventLog(wallHeader(i), 0, streams[i])
+		log, err := NewEventLog(wallHeader(i), 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +67,17 @@ func TestEventLogStream(t *testing.T) {
 	waitUp(t, mgrs[0], 1)
 	waitUp(t, mgrs[1], 0)
 
-	for i, log := range logs {
-		if _, _, err := log.CloseStream(); err != nil {
-			t.Fatalf("sealing log %d: %v", i, err)
-		}
-	}
 	bundles := make([]*capture.Bundle, 2)
-	for i, s := range streams {
-		b, err := capture.ReadBundle(bytes.NewReader(s.Bytes()))
+	for i, log := range logs {
+		var out bytes.Buffer
+		_, dropped, err := log.DumpRing(&out)
+		if err != nil {
+			t.Fatalf("dumping log %d: %v", i, err)
+		}
+		if dropped != 0 {
+			t.Fatalf("log %d evicted %d events", i, dropped)
+		}
+		b, err := capture.ReadBundle(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("decoding bundle %d: %v", i, err)
 		}
@@ -128,7 +129,7 @@ func TestEventLogStream(t *testing.T) {
 // recent events and dumps them as a complete, decodable bundle.
 func TestEventLogRingDump(t *testing.T) {
 	const cap, total = 64, 500
-	log, err := NewEventLog(wallHeader(0), cap, nil)
+	log, err := NewEventLog(wallHeader(0), cap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestEventLogRingDump(t *testing.T) {
 // capacity afterwards.
 func TestEventLogConcurrentEmit(t *testing.T) {
 	const workers, each = 8, 200
-	log, err := NewEventLog(wallHeader(0), 128, nil)
+	log, err := NewEventLog(wallHeader(0), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +200,6 @@ func TestNilEventLogIsInert(t *testing.T) {
 	if kept, dropped, err := log.DumpRing(&bytes.Buffer{}); kept != 0 || dropped != 0 || err != nil {
 		t.Fatal("nil DumpRing not inert")
 	}
-	if ev, by, err := log.CloseStream(); ev != 0 || by != 0 || err != nil {
-		t.Fatal("nil CloseStream not inert")
-	}
 }
 
 // TestManagerMetricsSnapshots: the periodic snapshot loop writes the log's
@@ -218,7 +216,7 @@ func TestManagerMetricsSnapshots(t *testing.T) {
 			Timeout: tmo,
 		}
 		if i == 0 {
-			log, err := NewEventLog(wallHeader(i), 64, nil)
+			log, err := NewEventLog(wallHeader(i), 64)
 			if err != nil {
 				t.Fatal(err)
 			}
