@@ -337,7 +337,7 @@ func TestFaultDualRunDeterminism(t *testing.T) {
 		return &via.FaultPlan{DropConnReq: 0.25, RefuseConnReq: 0.25,
 			DelayConnReq: 0.5, ConnReqDelay: 300 * simnet.Microsecond}
 	}
-	for _, policy := range []string{"static-p2p", "ondemand"} {
+	for _, policy := range []string{"static-cs", "static-p2p", "ondemand"} {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			// Each run builds its own fault plan: plans carry per-run state.

@@ -1,27 +1,31 @@
 // Package core implements the paper's contribution: connection management
 // policies for MPI over VIA.
 //
-// Three managers are provided behind one interface:
+// One engine makes every connection: OnDemand, the paper's mechanism. No VI
+// exists until a pair first communicates. A VI endpoint is created and a
+// peer-to-peer request issued from the first send (or receive targeting the
+// peer); sends posted before the connection completes are parked in the
+// channel's FIFO (paper §3.4) and drained in order when it establishes;
+// incoming requests are discovered by polling inside the progress engine
+// (§3.3, no extra thread); a receive from MPI_ANY_SOURCE asks for a channel
+// to everyone in the communicator (§3.5, applied by the MPI layer).
 //
-//   - StaticClientServer: MVICH's original scheme using VIA's client-server
-//     connection model. Every pair is connected during MPI_Init; each
-//     process first connects (as client) to all lower ranks in order, then
-//     accepts (as server) all higher ranks *in rank order regardless of
-//     arrival order* — the serialization the paper blames for its very slow
-//     startup (Figure 8a).
+// The two static policies are that engine plus an Init schedule that builds
+// the whole mesh before MPI_Init returns:
 //
-//   - StaticPeerToPeer: the fully-connected mesh built with the symmetric
-//     peer-to-peer model. All N-1 requests are issued first, then progressed
-//     concurrently, avoiding the client-server serialization.
+//   - StaticPeerToPeer asks for every channel at once, then waits: the N-1
+//     handshakes progress concurrently.
 //
-//   - OnDemand: the paper's mechanism. No VI exists until a pair first
-//     communicates. A VI endpoint is created and a peer-to-peer request
-//     issued from the first send (or receive targeting the peer); sends
-//     posted before the connection completes are parked in the channel's
-//     FIFO (paper §3.4) and drained in order when it establishes; incoming
-//     requests are discovered by polling inside the progress engine (§3.3,
-//     no extra thread); a receive from MPI_ANY_SOURCE asks for a channel to
-//     everyone in the communicator (§3.5, applied by the MPI layer).
+//   - StaticClientServer reproduces MVICH's original client-server startup.
+//     Each process first connects to all lower ranks in order, then answers
+//     the higher ranks *in rank order regardless of arrival order*: it waits
+//     for rank r's request before it asks for the channel that matches it.
+//     That is the serialization the paper blames for its very slow startup
+//     (Figure 8a).
+//
+// While Init waits it only retries and promotes its own handshakes; it never
+// adopts an incoming request, so the schedule alone decides whom a rank
+// answers and when. After Init every policy polls as OnDemand does.
 //
 // The managers only manage connections; eager-buffer setup and the actual
 // draining of parked sends belong to the MPI layer and are reached through
@@ -182,8 +186,7 @@ type Manager interface {
 	// Called from MPI_Init after the address bootstrap.
 	Init() error
 	// Channel returns the channel to rank, creating it (and initiating a
-	// connection) if the policy allows lazy creation. The returned channel
-	// may not be Up yet.
+	// connection) if there is none. The returned channel may not be Up yet.
 	Channel(rank int) (*Channel, error)
 	// PeekChannel returns the channel to rank or nil; it never creates.
 	PeekChannel(rank int) *Channel
@@ -484,126 +487,6 @@ func (b *base) promoteConnected() {
 func (b *base) PendingConnections() int { return b.pending }
 
 // ---------------------------------------------------------------------------
-// Static policies
-
-// static is what the two eager policies share: every channel exists once
-// Init returns, so Channel only looks up and Poll only progresses the
-// handshakes Init started. They differ in Init alone.
-type static struct {
-	*base
-	name string
-}
-
-// Name implements Manager.
-func (m *static) Name() string { return m.name }
-
-// Channel implements Manager; with a static mesh every channel exists.
-func (m *static) Channel(rank int) (*Channel, error) {
-	ch := m.PeekChannel(rank)
-	if ch == nil {
-		return nil, fmt.Errorf("core: %s has no channel to rank %d", m.name, rank)
-	}
-	return ch, nil
-}
-
-// Poll implements Manager.
-func (m *static) Poll() {
-	m.progressHandshakes()
-	m.promoteConnected()
-}
-
-// waitUp polls connection progress until ch is up or, for a nil ch, until no
-// handshake remains. Rejections and timeouts are retried by the poll itself.
-func (m *static) waitUp(ch *Channel) {
-	for {
-		m.Poll()
-		if m.pending == 0 || ch != nil && ch.Up {
-			return
-		}
-		m.cfg.Port.WaitActivity(m.cfg.Mode)
-	}
-}
-
-// StaticPeerToPeer builds the fully-connected mesh with concurrent
-// peer-to-peer handshakes during Init.
-type StaticPeerToPeer struct{ static }
-
-// NewStaticPeerToPeer creates the manager.
-func NewStaticPeerToPeer(cfg Config) (*StaticPeerToPeer, error) {
-	b, err := newBase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &StaticPeerToPeer{static{b, "static-p2p"}}, nil
-}
-
-// Init issues all N-1 peer requests, then progresses them together.
-func (m *StaticPeerToPeer) Init() error {
-	m.reserve(m.cfg.Size - 1)
-	for r := 0; r < m.cfg.Size; r++ {
-		if r == m.cfg.Rank {
-			continue
-		}
-		ch, err := m.newChannel(r)
-		if err != nil {
-			return err
-		}
-		if err := m.issue(ch); err != nil {
-			return err
-		}
-	}
-	m.waitUp(nil)
-	return nil
-}
-
-// StaticClientServer reproduces MVICH's original serialized client-server
-// startup: for each pair the lower rank is the server; servers accept
-// expected peers strictly in rank order.
-type StaticClientServer struct{ static }
-
-// NewStaticClientServer creates the manager.
-func NewStaticClientServer(cfg Config) (*StaticClientServer, error) {
-	b, err := newBase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &StaticClientServer{static{b, "static-cs"}}, nil
-}
-
-// Init connects as client to all lower ranks (in order), then serves all
-// higher ranks strictly in rank order. The in-order accepts are the
-// serialization measured in Figure 8a.
-func (m *StaticClientServer) Init() error {
-	m.reserve(m.cfg.Size - 1)
-	me := m.cfg.Rank
-	for r := 0; r < me; r++ {
-		ch, err := m.newChannel(r)
-		if err != nil {
-			return err
-		}
-		if err := m.issue(ch); err != nil {
-			return fmt.Errorf("core: rank %d connect to %d: %w", me, r, err)
-		}
-		m.waitUp(ch)
-	}
-	for r := me + 1; r < m.cfg.Size; r++ {
-		req, err := m.cfg.Port.ConnectWaitDisc(PairDisc(me, r), m.cfg.Mode, -1)
-		if err != nil {
-			return fmt.Errorf("core: rank %d accept from %d: %w", me, r, err)
-		}
-		ch, err := m.newChannel(r)
-		if err != nil {
-			return err
-		}
-		if err := m.cfg.Port.Accept(req, ch.Vi); err != nil {
-			return err
-		}
-		m.waitUp(ch)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // On-demand
 
 // OnDemand is the paper's lazy connection manager.
@@ -745,6 +628,106 @@ func (m *OnDemand) Poll() {
 	}
 	m.progressHandshakes()
 	m.promoteConnected()
+}
+
+// ---------------------------------------------------------------------------
+// Static policies: OnDemand plus an Init schedule
+
+// waitUp runs Init's progress until ch is up or, for a nil ch, until no
+// handshake remains: rejections and timeouts are retried and completed
+// handshakes promoted, but no incoming request is adopted — the schedule
+// decides whom a rank answers and when.
+func (b *base) waitUp(ch *Channel) {
+	for {
+		b.progressHandshakes()
+		b.promoteConnected()
+		if b.pending == 0 || ch != nil && ch.Up {
+			return
+		}
+		b.cfg.Port.WaitActivity(b.cfg.Mode)
+	}
+}
+
+// requested reports whether rank's connection request is pending at the port.
+func (b *base) requested(rank int) bool {
+	from, disc := b.cfg.Addrs[rank].Ep, PairDisc(b.cfg.Rank, rank)
+	for _, req := range b.cfg.Port.PendingPeerRequests() {
+		if req.From.Ep == from && req.Disc == disc {
+			return true
+		}
+	}
+	return false
+}
+
+// StaticPeerToPeer builds the fully-connected mesh with concurrent
+// peer-to-peer handshakes during Init.
+type StaticPeerToPeer struct{ OnDemand }
+
+// NewStaticPeerToPeer creates the manager.
+func NewStaticPeerToPeer(cfg Config) (*StaticPeerToPeer, error) {
+	b, err := newBase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &StaticPeerToPeer{OnDemand{b}}, nil
+}
+
+// Name implements Manager.
+func (m *StaticPeerToPeer) Name() string { return "static-p2p" }
+
+// Init asks for all N-1 channels, then progresses the handshakes together.
+func (m *StaticPeerToPeer) Init() error {
+	m.reserve(m.cfg.Size - 1)
+	for r := 0; r < m.cfg.Size; r++ {
+		if r == m.cfg.Rank {
+			continue
+		}
+		if _, err := m.Channel(r); err != nil {
+			return err
+		}
+	}
+	m.waitUp(nil)
+	return nil
+}
+
+// StaticClientServer reproduces MVICH's original serialized client-server
+// startup: for each pair the lower rank is the server; servers answer
+// expected peers strictly in rank order.
+type StaticClientServer struct{ OnDemand }
+
+// NewStaticClientServer creates the manager.
+func NewStaticClientServer(cfg Config) (*StaticClientServer, error) {
+	b, err := newBase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &StaticClientServer{OnDemand{b}}, nil
+}
+
+// Name implements Manager.
+func (m *StaticClientServer) Name() string { return "static-cs" }
+
+// Init connects as client to all lower ranks (in order), then serves all
+// higher ranks strictly in rank order: it waits for rank r's request, and
+// the channel it then asks for consumes that request. The in-order answers
+// are the serialization measured in Figure 8a.
+func (m *StaticClientServer) Init() error {
+	m.reserve(m.cfg.Size - 1)
+	me := m.cfg.Rank
+	for r := 0; r < m.cfg.Size; r++ {
+		if r == me {
+			continue
+		}
+		for r > me && !m.requested(r) {
+			m.cfg.Port.WaitActivity(m.cfg.Mode)
+		}
+		ch, err := m.Channel(r)
+		if err != nil {
+			return fmt.Errorf("core: rank %d connect to %d: %w", me, r, err)
+		}
+		m.waitUp(ch)
+	}
+	return nil
 }
 
 // NewManager builds a manager by policy name.

@@ -182,10 +182,6 @@ func TestAllreduceI64Ops(t *testing.T) {
 		if sum[0] != int64(n*(n-1)/2) || sum[1] != n {
 			t.Errorf("sum = %v", sum)
 		}
-		min := []int64{me + 5}
-		if err := c.AllreduceI64(min, MinI64); err != nil || min[0] != 5 {
-			t.Errorf("min = %v err=%v", min, err)
-		}
 		bor := []int64{1 << uint(c.Rank())}
 		if err := c.AllreduceI64(bor, BorI64); err != nil || bor[0] != (1<<n)-1 {
 			t.Errorf("bor = %v err=%v", bor, err)
@@ -590,7 +586,10 @@ func TestBytesConversionHelpers(t *testing.T) {
 		}
 	}
 	iv := []int64{-1, 0, 1 << 62}
-	igot := BytesI64(I64Bytes(iv))
+	ib := make([]byte, 8*len(iv))
+	putI64s(ib, iv)
+	igot := make([]int64, len(iv))
+	getI64s(ib, igot)
 	for i := range iv {
 		if igot[i] != iv[i] {
 			t.Fatalf("i64 round trip: %v", igot)
@@ -613,24 +612,11 @@ func TestOpsCombine(t *testing.T) {
 	if got := BytesF64(a); got[0] != 2 || got[1] != 5 {
 		t.Fatalf("max = %v", got)
 	}
-	ia := I64Bytes([]int64{6})
-	BandI64.Combine(ia, I64Bytes([]int64{3}))
-	if BytesI64(ia)[0] != 2 {
-		t.Fatal("band")
-	}
-	pa := F64Bytes([]float64{3})
-	ProdF64.Combine(pa, F64Bytes([]float64{-2}))
-	if BytesF64(pa)[0] != -6 {
-		t.Fatal("prod")
-	}
-	ma := F64Bytes([]float64{3})
-	MinF64.Combine(ma, F64Bytes([]float64{-2}))
-	if BytesF64(ma)[0] != -2 {
-		t.Fatal("min")
-	}
-	xa := I64Bytes([]int64{9})
-	MaxI64.Combine(xa, I64Bytes([]int64{4}))
-	if BytesI64(xa)[0] != 9 {
+	xa := i64Bytes([]int64{9})
+	MaxI64.Combine(xa, i64Bytes([]int64{4}))
+	maxi := make([]int64, 1)
+	getI64s(xa, maxi)
+	if maxi[0] != 9 {
 		t.Fatal("maxi")
 	}
 }

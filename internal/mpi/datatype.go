@@ -39,9 +39,6 @@ func Vector(count, blocklen, stride int) (Datatype, error) {
 	return d, nil
 }
 
-// Size returns the packed byte count.
-func (d Datatype) Size() int { return d.size }
-
 // Pack gathers the layout's bytes from buf into a fresh contiguous buffer.
 func (d Datatype) Pack(buf []byte) ([]byte, error) {
 	if len(buf) < d.span {

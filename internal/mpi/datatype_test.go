@@ -44,7 +44,7 @@ func TestVectorValidation(t *testing.T) {
 	if _, err := Vector(-1, 1, 1); err == nil {
 		t.Error("negative count accepted")
 	}
-	if d, err := Vector(3, 0, 8); err != nil || d.Size() != 0 {
+	if d, err := Vector(3, 0, 8); err != nil || d.size != 0 {
 		t.Error("zero blocklen should be an empty layout")
 	}
 }
@@ -85,7 +85,7 @@ func TestPropertyPackUnpackRoundTrip(t *testing.T) {
 			}
 		}
 		packed, err := d.Pack(src)
-		if err != nil || len(packed) != d.Size() {
+		if err != nil || len(packed) != d.size {
 			return false
 		}
 		dst := bytes.Repeat([]byte{0xEE}, len(src))

@@ -98,30 +98,45 @@ func TestEvictionRandomProgramEquivalence(t *testing.T) {
 // three combined — across every connection policy, requiring per-rank
 // checksums identical to the fault-free reference. Establishment retries
 // must heal every fault without losing or reordering a single parked send.
+// The 8-rank shape's 3 ms delay outlasts the 2 ms attempt timeout, so a
+// server often answers a request its client has already cancelled: the
+// client must take that late ACK, or static-cs's in-order server moves on and
+// never answers the retry.
 func TestFaultMatrix(t *testing.T) {
-	const n = 6
-	plans := []struct {
+	type plan struct {
 		name string
 		plan func() *via.FaultPlan
-	}{
-		{"drop", func() *via.FaultPlan { return &via.FaultPlan{DropConnReq: 0.3} }},
-		{"refuse", func() *via.FaultPlan { return &via.FaultPlan{RefuseConnReq: 0.3} }},
-		{"delay", func() *via.FaultPlan {
-			return &via.FaultPlan{DelayConnReq: 0.5, ConnReqDelay: 300 * simnet.Microsecond}
-		}},
-		{"combined", func() *via.FaultPlan {
-			return &via.FaultPlan{DropConnReq: 0.2, RefuseConnReq: 0.2,
-				DelayConnReq: 0.3, ConnReqDelay: 200 * simnet.Microsecond}
-		}},
 	}
-	seeds := []int64{1, 2}
+	combined := plan{"combined", func() *via.FaultPlan {
+		return &via.FaultPlan{DropConnReq: 0.2, RefuseConnReq: 0.2,
+			DelayConnReq: 0.3, ConnReqDelay: 200 * simnet.Microsecond}
+	}}
+	drop := plan{"drop", func() *via.FaultPlan { return &via.FaultPlan{DropConnReq: 0.3} }}
+	refuse := plan{"refuse", func() *via.FaultPlan { return &via.FaultPlan{RefuseConnReq: 0.3} }}
+	delay := func(d simnet.Duration) plan {
+		return plan{fmt.Sprintf("delay%v", d), func() *via.FaultPlan {
+			return &via.FaultPlan{DelayConnReq: 0.5, ConnReqDelay: d}
+		}}
+	}
+	var seeds20 []int64
+	for s := int64(1); s <= 20; s++ {
+		seeds20 = append(seeds20, s)
+	}
+	shapes := []struct {
+		n     int
+		seeds []int64
+		plans []plan
+	}{
+		{6, []int64{1, 2}, []plan{drop, refuse, delay(300 * simnet.Microsecond), combined}},
+		{8, seeds20, []plan{drop, refuse, delay(3 * simnet.Millisecond), combined}},
+	}
 	policies := []string{"static-cs", "static-p2p", "ondemand"}
 
 	// matrixRun executes one cell — a full world under one (seed, policy,
 	// fault plan) — and returns the per-rank checksums. Each job builds its
 	// own program closure and result slice, so cells are hermetic and the
 	// whole matrix fans out over the batch runner.
-	matrixRun := func(seed int64, pol string, plan *via.FaultPlan) ([][]byte, error) {
+	matrixRun := func(n int, seed int64, pol string, plan *via.FaultPlan) ([][]byte, error) {
 		prog := randProgram(seed, n)
 		results := make([][]byte, n)
 		cfg := Config{Procs: n, Policy: pol, Deadline: 120 * simnet.Second,
@@ -132,15 +147,17 @@ func TestFaultMatrix(t *testing.T) {
 		return results, nil
 	}
 
-	// Stage 1: fault-free references, one per (seed, policy).
+	// Stage 1: fault-free references, one per (shape, seed, policy).
 	var refJobs []sweep.Job[[][]byte]
-	for _, seed := range seeds {
-		for _, pol := range policies {
-			seed, pol := seed, pol
-			refJobs = append(refJobs, sweep.Job[[][]byte]{
-				ID:  fmt.Sprintf("ref/seed=%d/%s", seed, pol),
-				Run: func() ([][]byte, error) { return matrixRun(seed, pol, nil) },
-			})
+	for _, sh := range shapes {
+		for _, seed := range sh.seeds {
+			for _, pol := range policies {
+				n, seed, pol := sh.n, seed, pol
+				refJobs = append(refJobs, sweep.Job[[][]byte]{
+					ID:  fmt.Sprintf("ref/n=%d/seed=%d/%s", n, seed, pol),
+					Run: func() ([][]byte, error) { return matrixRun(n, seed, pol, nil) },
+				})
+			}
 		}
 	}
 	refs, err := sweep.Values(sweep.Run(sweep.Options{}, refJobs))
@@ -150,27 +167,30 @@ func TestFaultMatrix(t *testing.T) {
 
 	// Stage 2: every fault plan against its reference.
 	var faultJobs []sweep.Job[struct{}]
-	for i, seed := range seeds {
-		for j, pol := range policies {
-			ref := refs[i*len(policies)+j]
-			for _, pl := range plans {
-				seed, pol, pl := seed, pol, pl
-				faultJobs = append(faultJobs, sweep.Job[struct{}]{
-					ID: fmt.Sprintf("seed=%d/%s/%s", seed, pol, pl.name),
-					Run: func() (struct{}, error) {
-						results, err := matrixRun(seed, pol, pl.plan())
-						if err != nil {
-							return struct{}{}, err
-						}
-						for rk := range results {
-							if !bytes.Equal(ref[rk], results[rk]) {
-								return struct{}{}, fmt.Errorf("seed %d %s %s: rank %d checksum differs from fault-free run",
-									seed, pol, pl.name, rk)
+	for _, sh := range shapes {
+		for _, seed := range sh.seeds {
+			for _, pol := range policies {
+				ref := refs[0]
+				refs = refs[1:]
+				for _, pl := range sh.plans {
+					n, seed, pol, pl := sh.n, seed, pol, pl
+					faultJobs = append(faultJobs, sweep.Job[struct{}]{
+						ID: fmt.Sprintf("n=%d/seed=%d/%s/%s", n, seed, pol, pl.name),
+						Run: func() (struct{}, error) {
+							results, err := matrixRun(n, seed, pol, pl.plan())
+							if err != nil {
+								return struct{}{}, fmt.Errorf("%d ranks seed %d %s %s: %w", n, seed, pol, pl.name, err)
 							}
-						}
-						return struct{}{}, nil
-					},
-				})
+							for rk := range results {
+								if !bytes.Equal(ref[rk], results[rk]) {
+									return struct{}{}, fmt.Errorf("%d ranks seed %d %s %s: rank %d checksum differs from fault-free run",
+										n, seed, pol, pl.name, rk)
+								}
+							}
+							return struct{}{}, nil
+						},
+					})
+				}
 			}
 		}
 	}

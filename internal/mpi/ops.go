@@ -36,10 +36,8 @@ func i64Op(name string, f func(a, b int64) int64) Op {
 // Predefined reduction operators (MPI_SUM, MPI_MAX, MPI_MIN, ... on
 // float64 and int64 element types).
 var (
-	SumF64  = f64Op("sum-f64", func(a, b float64) float64 { return a + b })
-	MaxF64  = f64Op("max-f64", math.Max)
-	MinF64  = f64Op("min-f64", math.Min)
-	ProdF64 = f64Op("prod-f64", func(a, b float64) float64 { return a * b })
+	SumF64 = f64Op("sum-f64", func(a, b float64) float64 { return a + b })
+	MaxF64 = f64Op("max-f64", math.Max)
 
 	SumI64 = i64Op("sum-i64", func(a, b int64) int64 { return a + b })
 	MaxI64 = i64Op("max-i64", func(a, b int64) int64 {
@@ -48,14 +46,7 @@ var (
 		}
 		return b
 	})
-	MinI64 = i64Op("min-i64", func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-	BorI64  = i64Op("bor-i64", func(a, b int64) int64 { return a | b })
-	BandI64 = i64Op("band-i64", func(a, b int64) int64 { return a & b })
+	BorI64 = i64Op("bor-i64", func(a, b int64) int64 { return a | b })
 )
 
 // F64Bytes encodes a float64 slice into a fresh byte buffer.
@@ -86,25 +77,11 @@ func GetF64s(b []byte, v []float64) {
 	}
 }
 
-// I64Bytes encodes an int64 slice into a fresh byte buffer.
-func I64Bytes(v []int64) []byte {
-	b := make([]byte, 8*len(v))
-	putI64s(b, v)
-	return b
-}
-
 // putI64s encodes v into b (which must be at least 8*len(v) bytes).
 func putI64s(b []byte, v []int64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
-}
-
-// BytesI64 decodes a byte buffer into int64s.
-func BytesI64(b []byte) []int64 {
-	v := make([]int64, len(b)/8)
-	getI64s(b, v)
-	return v
 }
 
 // getI64s decodes b into v.

@@ -10,6 +10,13 @@ import (
 	"viampi/internal/via"
 )
 
+// i64Bytes encodes v into a fresh buffer, as a checksum folds it.
+func i64Bytes(v []int64) []byte {
+	b := make([]byte, 8*len(v))
+	putI64s(b, v)
+	return b
+}
+
 // randProgram generates a deterministic, valid MPI program from a seed: a
 // sequence of steps where every rank participates in a randomly chosen
 // collective, a randomly matched point-to-point round, or local compute.
@@ -73,7 +80,7 @@ func randProgram(seed int64, n int) func(r *Rank) []byte {
 						r.Proc().Sim().Failf("allreduce: %v", err)
 						return nil
 					}
-					fold(I64Bytes(out))
+					fold(i64Bytes(out))
 				case 2:
 					buf := make([]byte, st.size)
 					if me == si%c.Size() {

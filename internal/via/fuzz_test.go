@@ -44,17 +44,18 @@ func fuzzVi(b byte) int {
 }
 
 // legalEdge reports whether a VI may move from one state to another: the
-// connection lifecycle's edges (issue or accept, handshake completes, peer
-// disconnect), plus the three any-state moves — a handshake reset to idle,
-// Close, and a reliable-delivery break into error.
-func legalEdge(from, to ViState) bool {
+// connection lifecycle's edges (issue, handshake completes, a late ACK for an
+// abandoned attempt — so only on a VI that issued one —, peer disconnect),
+// plus the three any-state moves — a handshake reset to idle, Close, and a
+// reliable-delivery break into error.
+func legalEdge(from, to ViState, issued bool) bool {
 	switch to {
 	case ViIdle, ViClosed, ViError:
 		return true
 	case ViConnecting:
 		return from == ViIdle
 	case ViConnected:
-		return from == ViConnecting
+		return from == ViConnecting || from == ViIdle && issued
 	case ViDisconnected:
 		return from == ViConnected
 	}
@@ -83,8 +84,9 @@ func FuzzPortDispatch(f *testing.F) {
 	// Crossing REQ: B's request for disc 1 meets A's outstanding one, and
 	// the data frame held while connecting breaks the new connection.
 	seed(fuzzFrame(A, kindData, 0, 2, 0, 0), fuzzFrame(A, kindConnReq, 0, 0, 1, 2))
-	// A late ACK after the NACK that reset the attempt is ignored.
-	seed(fuzzFrame(A, kindConnNack, 0, 2, 1, 0), fuzzFrame(A, kindConnAck, 0, 2, 1, 2))
+	// A late ACK after the NACK that reset the attempt connects the VI; one
+	// to the VI that never issued a request changes nothing.
+	seed(fuzzFrame(A, kindConnNack, 0, 2, 1, 0), fuzzFrame(A, kindConnAck, 0, 2, 1, 2), fuzzFrame(A, kindConnAck, 0, 1, 0, 1))
 	// DISC on a connecting VI is ignored; on a connected one it disconnects.
 	seed(fuzzFrame(A, kindDisc, 0, 2, 0, 1), fuzzFrame(A, kindDisc, 0, 0, 0, 1), fuzzFrame(B, kindDisc, 0, 0, 0, 2))
 	// Unknown and negative dstVi.
@@ -160,7 +162,7 @@ func FuzzPortDispatch(f *testing.F) {
 				observe := func(after string) {
 					for i, v := range vis {
 						if s := v.State(); s != states[i] {
-							if !legalEdge(states[i], s) {
+							if !legalEdge(states[i], s, v != idle) {
 								t.Fatalf("after %s: vi %d@%d went %v → %v, not a lifecycle edge", after, v.id, v.port.ep, states[i], s)
 							}
 							states[i] = s

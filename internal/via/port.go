@@ -45,7 +45,6 @@ type PortStats struct {
 	BytesSent    int64
 	BytesRecv    int64
 	RdmaBytes    int64
-	ConnReqsSent int
 	WaitWakeups  int64 // blocking waits that overran the spin budget
 	LandingPeak  int   // most landing buffers out on loan at once
 }
@@ -214,7 +213,7 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	} else {
 		vi = p.growVIs()
 	}
-	*vi = VI{port: p, id: vi.id, recvCQ: cq, viQueues: vi.viQueues}
+	*vi = VI{port: p, id: vi.id, recvCQ: cq, viQueues: vi.viQueues, remoteEp: -1}
 	p.vis[vi.Slot()] = vi
 	p.liveVIs++
 	p.net.nodes[p.node].openVIs++
@@ -346,10 +345,15 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 		return vi.badState("ConnectPeerRequest")
 	}
 	p.owner.Compute(p.net.cost.ConnectLocalCost) // OS involvement
+	if vi.state != ViIdle {
+		// A late ACK for the attempt this one replaces connected the VI
+		// during the compute: the peer is already up, and a new request
+		// would find nothing to answer it.
+		return nil
+	}
 	vi.state = ViConnecting
 	vi.remoteEp = int32(remote.Ep)
 	vi.disc = disc
-	p.stats.ConnReqsSent++
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnRequest,
 		Rank: int32(p.ep), Peer: int32(remote.Ep), A: int64(disc)})
 
@@ -373,9 +377,10 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 }
 
 // CancelConnect abandons an outstanding peer-to-peer connection request:
-// the VI returns to ViIdle with all held handshake state cleared, and the
-// outgoing entry is removed so a late ACK or crossing REQ for the abandoned
-// attempt is ignored. The connection managers' timeout/retry path uses this
+// the VI returns to ViIdle with its held frames dropped, and the outgoing
+// entry is removed so a crossing REQ for the abandoned attempt is queued as a
+// new request. A late ACK for it still connects the VI: the peer took the
+// request and is up. The connection managers' timeout/retry path uses this
 // before re-issuing a request.
 func (p *Port) CancelConnect(vi *VI) error {
 	if vi.port != p {
@@ -432,56 +437,9 @@ func (p *Port) ConnectPeerWait(vi *VI, mode WaitMode, timeout simnet.Duration) e
 
 // PendingPeerRequests returns incoming, not-yet-matched connection requests.
 // The on-demand progress engine polls this to notice peers that want to
-// talk (the slice is live; use ConnectPeerRequest or Accept to consume).
+// talk (the slice is live; use ConnectPeerRequest or Reject to consume).
 func (p *Port) PendingPeerRequests() []*PeerRequest {
 	return p.pendingIncoming
-}
-
-// ConnectWaitDisc blocks until an incoming request with the given
-// discriminator arrives, and returns it without consuming it from any VI:
-// the server side of the client-server model. MVICH's static client-server
-// implementation waits for each expected discriminator *in rank order*,
-// which is what serializes its startup (paper §5.6); callers reproduce that
-// by invoking this with successive discriminators.
-func (p *Port) ConnectWaitDisc(disc uint64, mode WaitMode, timeout simnet.Duration) (*PeerRequest, error) {
-	deadline := simnet.Time(-1)
-	if timeout >= 0 {
-		deadline = p.owner.Now().Add(timeout)
-	}
-	for {
-		for i, req := range p.pendingIncoming {
-			if req.Disc == disc {
-				p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
-				return req, nil
-			}
-		}
-		if deadline >= 0 {
-			left := deadline.Sub(p.owner.Now())
-			if left <= 0 || !p.WaitActivityTimeout(mode, left) {
-				return nil, ErrTimeout
-			}
-		} else {
-			p.WaitActivity(mode)
-		}
-	}
-}
-
-// Accept completes an incoming request on vi (server side).
-func (p *Port) Accept(req *PeerRequest, vi *VI) error {
-	if vi.port != p {
-		return fmt.Errorf("via: VI belongs to a different port")
-	}
-	if vi.state != ViIdle {
-		return vi.badState("Accept")
-	}
-	p.owner.Compute(p.net.cost.ConnectLocalCost)
-	vi.state = ViConnecting
-	vi.remoteEp = int32(req.From.Ep)
-	vi.disc = req.Disc
-	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnAccept,
-		Rank: int32(p.ep), Peer: int32(req.From.Ep), A: int64(req.Disc)})
-	p.establish(vi, req.RemoteVi)
-	return nil
 }
 
 // Reject refuses an incoming request, consuming it from the pending list if
@@ -507,8 +465,7 @@ func (p *Port) Reject(req *PeerRequest) {
 
 // newPeerRequest takes a request consumed from the pending list (by a
 // matching ConnectPeerRequest, or Reject) off the free list, else the next of
-// Reserve's slab, or grows. One that ConnectWaitDisc handed to its caller
-// never comes back.
+// Reserve's slab, or grows.
 func (p *Port) newPeerRequest() *PeerRequest {
 	if req := simnet.Pop(&p.freeReqs); req != nil {
 		return req
@@ -605,24 +562,32 @@ func (p *Port) dispatch(m *wireMsg) {
 		p.pendingIncoming = append(p.pendingIncoming, req)
 		p.notifyActivity()
 	case kindConnAck:
+		// The peer took this VI's request and is up, so the VI is too: the
+		// live request, or one a timeout or a NACK abandoned while the peer
+		// was already answering it. Only a VI idle after an attempt to this
+		// pair takes such a late ACK; one that never issued a request matches
+		// nothing (CreateVi sets its endpoint to -1).
 		key := connKey{m.srcEp, m.disc}
-		if vi, ok := p.outgoing[key]; ok && vi.state == ViConnecting {
+		vi, ok := p.outgoing[key]
+		if ok && vi.state == ViConnecting {
 			delete(p.outgoing, key)
-			vi.remoteVi = m.srcVi
-			vi.state = ViConnected
-			p.stats.VisConnected++
-			p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
-				Rank: int32(p.ep), Peer: vi.remoteEp, A: int64(vi.disc)})
-			vi.deliverHeld()
-			p.notifyActivity()
+		} else if vi = p.lookupVi(m.dstVi); vi == nil || vi.state != ViIdle ||
+			int(vi.remoteEp) != m.srcEp || vi.disc != m.disc {
+			return
 		}
+		vi.remoteVi = m.srcVi
+		vi.state = ViConnected
+		p.stats.VisConnected++
+		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnUp,
+			Rank: int32(p.ep), Peer: vi.remoteEp, A: int64(vi.disc)})
+		vi.deliverHeld()
+		p.notifyActivity()
 	case kindConnNack:
 		key := connKey{m.srcEp, m.disc}
 		if vi, ok := p.outgoing[key]; ok && vi.state == ViConnecting {
 			delete(p.outgoing, key)
-			// Full reset: remoteVi, the discriminator and any held
-			// pre-connection frames must all go, or a reused VI could
-			// match a descriptor from the rejected attempt.
+			// remoteVi and any held pre-connection frames must go, or a
+			// reused VI could match a descriptor from the rejected attempt.
 			vi.resetHandshake()
 			p.notifyActivity()
 		}

@@ -221,8 +221,11 @@ func TestCloseDuringInFlightSend(t *testing.T) {
 		})
 }
 
-// CancelConnect abandons an outstanding request: the VI returns to ViIdle
-// and a late ACK for the cancelled attempt cannot resurrect it.
+// CancelConnect abandons an outstanding request: the VI returns to ViIdle.
+// The peer may already be answering it, and its late ACK connects the VI, for
+// the peer is up; an ACK for any other attempt — another endpoint's, another
+// discriminator's, one to a VI that never issued a request, or one to a closed
+// VI's earlier life — changes nothing.
 func TestCancelConnectAbandonsRequest(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
 	addrs := make([]Addr, 2)
@@ -230,35 +233,59 @@ func TestCancelConnectAbandonsRequest(t *testing.T) {
 		func(p *simnet.Proc, port *Port) {
 			addrs[0] = port.Addr()
 			p.Sleep(10 * simnet.Microsecond)
-			vi, err := port.CreateVi()
+			b := addrs[1]
+			issueCancel := func(disc uint64) *VI {
+				vi, err := port.CreateVi()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := port.ConnectPeerRequest(vi, b, disc); err != nil {
+					t.Fatal(err)
+				}
+				if err := port.CancelConnect(vi); err != nil {
+					t.Fatal(err)
+				}
+				if vi.State() != ViIdle {
+					t.Fatalf("post-cancel state = %v, want ViIdle", vi.State())
+				}
+				return vi
+			}
+			late := issueCancel(33)
+			for late.State() == ViIdle && port.WaitActivityTimeout(WaitPoll, time10ms()) {
+			}
+			if late.State() != ViConnected {
+				t.Errorf("late ACK for the cancelled attempt left the VI %v, want ViConnected", late.State())
+			}
+
+			ack := func(vi *VI, id, srcEp int, disc uint64) {
+				port.dispatch(&wireMsg{kind: kindConnAck, srcEp: srcEp, srcVi: 0, dstVi: id, disc: disc})
+				if vi.State() != ViIdle {
+					t.Errorf("ACK from ep %d disc %d to id %#x moved the VI to %v", srcEp, disc, id, vi.State())
+				}
+			}
+			other := issueCancel(40)
+			ack(other, other.ID(), b.Ep+1, 40) // another endpoint
+			ack(other, other.ID(), b.Ep, 41)   // another discriminator
+			fresh, err := port.CreateVi()
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			if err := port.ConnectPeerRequest(vi, addrs[1], 33); err != nil {
-				t.Error(err)
-				return
+			ack(fresh, fresh.ID(), b.Ep, 0)
+			ack(fresh, fresh.ID(), addrs[0].Ep, 0) // the pair a zeroed VI would hold
+			closed := issueCancel(50)
+			gone := closed.ID()
+			closed.Close()
+			again := issueCancel(50) // the same slot, its next life, the same pair
+			if again.ID() == gone || again.ID()&slotMask != gone&slotMask {
+				t.Fatalf("reissued id %#x, closed %#x: want the same slot's next life", again.ID(), gone)
 			}
-			if err := port.CancelConnect(vi); err != nil {
-				t.Error(err)
-				return
-			}
-			if vi.State() != ViIdle {
-				t.Errorf("post-cancel state = %v, want ViIdle", vi.State())
-			}
-			// Give the peer time to (wrongly) match the cancelled request.
-			p.Sleep(time10ms())
-			if vi.State() != ViIdle {
-				t.Errorf("late handshake resurrected cancelled VI: %v", vi.State())
-			}
+			ack(again, gone, b.Ep, 50)
 		},
 		func(p *simnet.Proc, port *Port) {
 			addrs[1] = port.Addr()
-			// Try to complete the handshake the initiator cancelled.
+			// Answer the request the initiator cancelled.
 			for len(port.PendingPeerRequests()) == 0 {
-				if !port.WaitActivityTimeout(WaitPoll, time10ms()) {
-					return // request never arrived (cancelled before send): fine
-				}
+				port.WaitActivity(WaitPoll)
 			}
 			req := port.PendingPeerRequests()[0]
 			vi, err := port.CreateVi()
@@ -266,7 +293,9 @@ func TestCancelConnectAbandonsRequest(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			_ = port.ConnectPeerRequest(vi, req.From, req.Disc)
+			if err := port.ConnectPeerRequest(vi, req.From, req.Disc); err != nil {
+				t.Error(err)
+			}
 		})
 }
 

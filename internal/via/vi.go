@@ -479,17 +479,16 @@ func (vi *VI) wait(mode WaitMode, timeout simnet.Duration, poll func() *Descript
 	}
 }
 
-// resetHandshake returns a VI to the idle state, clearing every piece of
-// held handshake state — remote endpoint, remote VI, discriminator, and any
-// pre-connection frames from the failed attempt — so a reused VI can never
+// resetHandshake returns a VI to the idle state, clearing the remote VI and
+// any pre-connection frames from the failed attempt, so a reused VI can never
 // match a stale descriptor or replay data from a connection that never
-// established. Posted receive descriptors survive: the pre-posted eager
-// pool must still be there when the request is re-issued.
+// established. The remote endpoint and discriminator stay: they name the
+// abandoned attempt, whose late ACK still connects the VI. Posted
+// receive descriptors survive: the pre-posted eager pool must still be there
+// when the request is re-issued.
 func (vi *VI) resetHandshake() {
 	vi.state = ViIdle
-	vi.remoteEp = -1
 	vi.remoteVi = -1
-	vi.disc = 0
 	vi.dropHeld()
 }
 

@@ -145,6 +145,8 @@ func TestPeerToPeerConnectCrossing(t *testing.T) {
 	}
 }
 
+// A server answers a pending request by issuing the matching one, and refuses
+// another with Reject.
 func TestClientServerConnectAndReject(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
 	var serverAddr Addr
@@ -153,27 +155,31 @@ func TestClientServerConnectAndReject(t *testing.T) {
 		func(p *simnet.Proc, port *Port) { // server
 			serverAddr = port.Addr()
 			haveAddr = true
-			req, err := port.ConnectWaitDisc(1, WaitPoll, -1)
-			if err != nil {
-				t.Error(err)
-				return
+			waitReq := func(disc uint64) *PeerRequest {
+				for {
+					for _, req := range port.PendingPeerRequests() {
+						if req.Disc == disc {
+							return req
+						}
+					}
+					port.WaitActivity(WaitPoll)
+				}
 			}
+			req := waitReq(1)
 			vi, err := port.CreateVi()
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := port.Accept(req, vi); err != nil {
+			if err := port.ConnectPeerRequest(vi, req.From, req.Disc); err != nil {
 				t.Error(err)
 				return
+			}
+			if len(port.PendingPeerRequests()) != 0 {
+				t.Error("the matching request was not consumed")
 			}
 			// Second request gets rejected.
-			req2, err := port.ConnectWaitDisc(2, WaitPoll, -1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			port.Reject(req2)
+			port.Reject(waitReq(2))
 		},
 		func(p *simnet.Proc, port *Port) { // client
 			for !haveAddr {
