@@ -102,8 +102,13 @@ loc:
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle|BenchmarkMeshBoot' -benchmem -cpu 1,2 -count 3 ./internal/simnet ./
 
-# Millisecond-scale pass over the same rails; part of `make check`. One op of
-# BenchmarkMeshBoot is a whole 64-rank world, so it runs three, not a thousand.
+# Millisecond-scale pass over the same benchmarks; part of `make check`. It
+# checks that they build and run — its output goes to /dev/null, and a
+# benchmark fails only on a run error or, for BenchmarkMeshBoot, a wrong VI
+# count — and asserts no allocation figure: the counts are held by the
+# Test*Allocs tests (fabric, via, mpi, capture) and the hotalloc rule. One op
+# of BenchmarkMeshBoot is a whole 64-rank world, so it runs three, not a
+# thousand.
 bench-sim-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchtime 1000x ./internal/simnet . > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMeshBoot' -benchtime 3x . > /dev/null

@@ -6,7 +6,7 @@
 // One analyzer ships per invariant (the Analyzers registry is the list;
 // `viampi-vet -list` prints it). Three are syntactic: layering checks the
 // import DAG, determinism bans wall-clock/global-rand/goroutines/locks in
-// simulated code, and maporder flags order-sensitive iteration over Go maps.
+// simulated code, and maporder flags every walk over a Go map.
 // One walks the typed syntax once: exhaustive (switches over closed constant
 // sets handle every member, and for the wire kinds the senders and the
 // dispatcher's arms agree in both directions). The path rules are clients of
@@ -221,14 +221,4 @@ func relQualified(modPath, qualified string) string {
 		return rest
 	}
 	return qualified
-}
-
-// sortedKeys returns a map's keys in sorted order, for deterministic walks.
-func sortedKeys[V any](set map[string]V) []string {
-	var keys []string
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,10 +49,13 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/mpi/hotalloc.go:23: hotalloc",       // interface boxing
 		"internal/mpi/hotalloc.go:30: hotalloc",       // step: hot because progress calls it, named nowhere; growNames, cold by name, is not entered
 		"internal/mpi/hotalloc.go:42: hotalloc",       // tick.Fire: an event behind Policy.EventEdges is a root without being listed
-		"internal/mpi/maporder.go:9: maporder",        // append of values in map order
-		"internal/mpi/maporder.go:18: maporder",       // keys collected, never sorted
-		"internal/mpi/maporder.go:51: maporder",       // per-entry call
-		"internal/obs/maporder.go:11: maporder",       // commutative body in a MapOrderStrict package
+		"internal/mpi/maporder.go:12: maporder",       // append of values in map order
+		"internal/mpi/maporder.go:21: maporder",       // keys collected, never sorted
+		"internal/mpi/maporder.go:40: maporder",       // commutative body: a map walk all the same
+		"internal/mpi/maporder.go:50: maporder",       // per-entry call
+		"internal/mpi/maporder.go:57: maporder",       // range over maps.Keys: the iterator walks in map order
+		"internal/mpi/maporder.go:64: maporder",       // slices.Collect(maps.Keys(m)): collected, never sorted
+		"internal/obs/maporder.go:13: maporder",       // commutative body in obs
 		"internal/obs/obs.go:17: exhaustive",          // strict String misses EvC despite default
 		"internal/tcpvia/lockorder.go:8: determinism", // sync import (leaf exemption stripped)
 		"internal/tcpvia/lockorder.go:47: locks",      // PairBA closes the Node.mu/Channel.mu cycle
@@ -96,7 +101,7 @@ func TestLockOrderEdgeUnderDeferredLiteral(t *testing.T) {
 	const edge = "internal/tcpvia.(Manager).metricsMu -> internal/tcpvia.(Node).mu"
 	e := edges[edge]
 	if e == nil {
-		t.Fatalf("no order edge %s; have %v", edge, sortedKeys(edges))
+		t.Fatalf("no order edge %s; have %v", edge, slices.Sorted(maps.Keys(edges)))
 	}
 	if want := "internal/tcpvia.(Manager).CountDeferredLiteral"; e.via != want || e.callee != "internal/tcpvia.(Node).lockNode" {
 		t.Errorf("edge witnessed in %s through %q, want %s through lockNode", e.via, e.callee, want)
@@ -110,7 +115,7 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 	ds := RunAll(m, FixturePolicy())
 	wantSubstrings := [][2]string{
 		{"determinism", "pure function of its Config"},
-		{"maporder", "sort the"},
+		{"maporder", "slices.Sorted(maps.Keys"},
 		{"layering", "standard library or a shared leaf"},
 		{"exhaustive", "missing cases"},
 		{"locks", "Unlock"},

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -59,7 +61,7 @@ func runHotAlloc(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
 	ip := m.Interproc()
 	hot := hotSet(m, p)
-	for _, name := range sortedKeys(hot) {
+	for _, name := range slices.Sorted(maps.Keys(hot)) {
 		if !p.excused("hotalloc", name) {
 			f := ip.Funcs[name]
 			ds = append(ds, checkHotAlloc(m, p, f.Pkg, f.Decl, name, hotChain(hot, name))...)
@@ -83,7 +85,7 @@ func hotSet(m *Module, p *Policy) map[string]string {
 			work = append(work, key)
 		}
 	}
-	for _, root := range sortedKeys(p.HotRoots) {
+	for _, root := range slices.Sorted(maps.Keys(p.HotRoots)) {
 		reach(root, "") // a dangling root is the stale sweep's report
 	}
 	for _, key := range ip.Keys {

@@ -7,6 +7,8 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -115,7 +117,7 @@ func lockFacts(m *Module, p *Policy) ([]Diagnostic, map[string]*lockEdge) {
 				return true
 			})
 		}
-		declCallees[key] = sortedKeys(callees)
+		declCallees[key] = slices.Sorted(maps.Keys(callees))
 	}
 	ip.fixpoint(func(key string) bool {
 		set := acquires[key]
@@ -152,7 +154,7 @@ func unitLocks(m *Module, pkg *Package, u funcUnit) []string {
 		}
 		return true
 	})
-	return sortedKeys(set)
+	return slices.Sorted(maps.Keys(set))
 }
 
 // checkLock runs the held-state dataflow for one mutex over one body, then
@@ -194,7 +196,7 @@ func checkLock(m *Module, p *Policy, pkg *Package, u funcUnit, id string, acquir
 				}
 			}
 			for _, callee := range resolveSiteCallees(ip, u.name, call) {
-				for _, to := range sortedKeys(acquires[callee]) {
+				for _, to := range slices.Sorted(maps.Keys(acquires[callee])) {
 					addEdge(to, call, callee)
 				}
 			}
@@ -323,14 +325,14 @@ func classifyLockOp(m *Module, pkg *Package, call *ast.CallExpr) *lockOp {
 // witness.
 func reportLockCycles(m *Module, p *Policy, edges map[string]*lockEdge) []Diagnostic {
 	succ := map[string][]string{}
-	for _, id := range sortedKeys(edges) {
+	for _, id := range slices.Sorted(maps.Keys(edges)) {
 		if e := edges[id]; !p.excused("locks", id) {
 			succ[e.from] = append(succ[e.from], e.to)
 		}
 	}
 	var ds []Diagnostic
 	reported := map[string]bool{}
-	for _, start := range sortedKeys(succ) {
+	for _, start := range slices.Sorted(maps.Keys(succ)) {
 		cycle := findCycleFrom(succ, start)
 		if cycle == nil {
 			continue

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 	"strings"
 )
@@ -125,7 +126,7 @@ func runPaired(m *Module, p *Policy) []Diagnostic {
 			pu.report(released)
 		})
 		grew = false
-		for _, key := range sortedKeys(res.retOwned) {
+		for _, key := range slices.Sorted(maps.Keys(res.retOwned)) {
 			if _, known := tab.acquires[key]; !known {
 				tab.acquires[key] = res.retOwned[key]
 				grew = true

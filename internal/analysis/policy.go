@@ -39,15 +39,6 @@ type Policy struct {
 	// threaded *rand.Rand are always fine.
 	RandConstructors map[string]bool `subject:"-"`
 
-	// MapOrderStrict lists packages where the maporder rule runs in strict
-	// mode: every map iteration must use the collect-keys-then-sort idiom,
-	// even bodies the relaxed rule accepts as commutative. These are the
-	// emission packages — code whose output is compared byte-for-byte
-	// (metrics text/CSV/JSON, capture bundles), where "commutative today"
-	// quietly becomes "ordered tomorrow" when someone adds a print. The
-	// value is the reason the package is held to the stricter bar.
-	MapOrderStrict map[string]string `subject:"package"`
-
 	// ChargeRequired lists fabric/simnet entry points that model hardware
 	// doing work; every path to one must charge host CPU cost first
 	// (invariant 2: costs are charged where the hardware pays them).
@@ -187,11 +178,6 @@ func DefaultPolicy() *Policy {
 		},
 		RandConstructors: map[string]bool{
 			"New": true, "NewSource": true, "NewZipf": true,
-		},
-
-		MapOrderStrict: map[string]string{
-			"internal/obs":         "report/metrics/trace emission: output is golden-tested and compared live-vs-replay byte-for-byte, so every map walk (the call profile's included) must go through sorted keys",
-			"internal/obs/capture": "bundle encoding: record and replay must produce identical bytes, so no map walk may touch the stream",
 		},
 
 		ChargeRequired: map[string]bool{

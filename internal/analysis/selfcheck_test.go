@@ -5,8 +5,10 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +68,7 @@ func TestPolicyNotStale(t *testing.T) {
 func TestHotSetGolden(t *testing.T) {
 	m := loadRepo(t)
 	hot := hotSet(m, DefaultPolicy())
-	got := strings.Join(sortedKeys(hot), "\n") + "\n"
+	got := strings.Join(slices.Sorted(maps.Keys(hot)), "\n") + "\n"
 	path := filepath.Join("testdata", "hotset.golden")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -85,7 +87,7 @@ func TestHotSetGolden(t *testing.T) {
 				t.Errorf("no longer hot: %s", name)
 			}
 		}
-		for _, name := range sortedKeys(hot) {
+		for _, name := range slices.Sorted(maps.Keys(hot)) {
 			if !committed[name] {
 				t.Errorf("newly hot: %s (%s)", name, hotChain(hot, name))
 			}
@@ -197,28 +199,13 @@ func TestSelfCheckSeesTheWholeModule(t *testing.T) {
 			t.Errorf("package %s: type error: %v", rel, err)
 		}
 	}
-	// The maporder rule is only as good as its reach: the repository has
-	// map iterations (e.g. internal/obs's sorted-key walks, which the call
-	// profile and the metrics registry render through) and the analyzer
-	// must be classifying them, not skipping them.
-	obsPkg := m.Lookup(m.Path + "/internal/obs")
-	count := 0
-	for _, f := range obsPkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if rs, ok := n.(*ast.RangeStmt); ok && isMapRange(obsPkg.Info, rs) {
-				count++
-			}
-			return true
-		})
-	}
-	if count == 0 {
-		t.Error("no map ranges found in internal/obs; the maporder analyzer is not seeing the code it must audit")
-	}
 }
 
 // TestSeededViolationIsCaught is the acceptance check for the suite: a
-// deliberate wall-clock read and naked goroutine planted (in memory) in
-// internal/core must produce file:line determinism diagnostics. The tree
+// deliberate wall-clock read, naked goroutine and map walk planted (in
+// memory) in internal/core must produce file:line determinism and maporder
+// diagnostics. The walk's body is commutative, so only a rule that sees the
+// simulated world and flags every map walk in it catches the line. The tree
 // on disk is never touched.
 func TestSeededViolationIsCaught(t *testing.T) {
 	m := loadRepo(t)
@@ -226,9 +213,13 @@ func TestSeededViolationIsCaught(t *testing.T) {
 
 import "time"
 
-func zzSeededViolation() int64 {
+func zzSeededViolation(m map[int]int64) (t int64) {
 	go func() {}()
-	return time.Now().UnixNano()
+	t = time.Now().UnixNano()
+	for _, v := range m {
+		t += v
+	}
+	return t
 }
 `
 	name := filepath.Join(m.Root, "internal", "core", "zz_seeded_violation.go")
@@ -264,8 +255,9 @@ func zzSeededViolation() int64 {
 		byPath: map[string]*Package{seeded.Path: seeded},
 	}
 	ds := DeterminismAnalyzer().Run(withSeeded, DefaultPolicy())
+	ds = append(ds, MapOrderAnalyzer().Run(withSeeded, DefaultPolicy())...)
 
-	var wallClock, goroutine bool
+	var wallClock, goroutine, mapWalk bool
 	for _, d := range ds {
 		if !strings.HasSuffix(d.Pos.Filename, "zz_seeded_violation.go") {
 			t.Errorf("unexpected diagnostic outside the seeded file: %v", d)
@@ -277,8 +269,11 @@ func zzSeededViolation() int64 {
 		if d.Pos.Line == 6 && strings.Contains(d.Message, "go statement") {
 			goroutine = true
 		}
+		if d.Pos.Line == 8 && d.Rule == "maporder" {
+			mapWalk = true
+		}
 	}
-	if !wallClock || !goroutine {
-		t.Fatalf("seeded violations not all caught (wallClock=%v goroutine=%v): %v", wallClock, goroutine, ds)
+	if !wallClock || !goroutine || !mapWalk {
+		t.Fatalf("seeded violations not all caught (wallClock=%v goroutine=%v mapWalk=%v): %v", wallClock, goroutine, mapWalk, ds)
 	}
 }

@@ -1,7 +1,10 @@
 // Package mpi is the fixture home of the maporder rule cases.
 package mpi
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 // BadAppend ranges a map and appends values — ordered output, must flag.
 func BadAppend(m map[int]string) []string {
@@ -21,22 +24,18 @@ func BadCollectNoSort(m map[int]string) []int {
 	return keys
 }
 
-// GoodSortedKeys is the blessed idiom — must NOT flag.
+// GoodSortedKeys is the one ordered idiom — must NOT flag.
 func GoodSortedKeys(m map[int]string) []string {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
+	out := make([]string, 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		out = append(out, m[k])
 	}
 	return out
 }
 
-// GoodAccumulate is a commutative reduction — must NOT flag.
-func GoodAccumulate(m map[int]int64) int64 {
+// BadAccumulate is a commutative reduction, still a map walk — must flag:
+// the next edit to its body could leak the order.
+func BadAccumulate(m map[int]int64) int64 {
 	var total int64
 	for _, n := range m {
 		if n > 0 {
@@ -49,6 +48,20 @@ func GoodAccumulate(m map[int]int64) int64 {
 // BadCall invokes another function per entry — ordering leaks, must flag.
 func BadCall(m map[int]int, sink func(int)) {
 	for k := range m {
+		sink(k)
+	}
+}
+
+// BadKeysIterator ranges the keys iterator itself — map order, must flag.
+func BadKeysIterator(m map[int]int, sink func(int)) {
+	for k := range maps.Keys(m) {
+		sink(k)
+	}
+}
+
+// BadCollectedKeys collects the iterator without sorting it — must flag.
+func BadCollectedKeys(m map[int]int, sink func(int)) {
+	for _, k := range slices.Collect(maps.Keys(m)) {
 		sink(k)
 	}
 }

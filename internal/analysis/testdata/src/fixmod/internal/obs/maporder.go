@@ -1,11 +1,13 @@
-// Fixture home of the strict maporder cases: fixture internal/obs is listed
-// in MapOrderStrict, so even commutative map walks must use sorted keys.
+// Fixture home of the obs maporder cases: report code is held to the same
+// rule as the rest of the simulated world.
 package obs
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
-// CountKinds is a commutative reduction the relaxed rule accepts — but in a
-// strict package it must flag.
+// CountKinds is a commutative reduction, still a map walk — must flag.
 func CountKinds(m map[Kind]int64) int64 {
 	var total int64
 	for _, n := range m {
@@ -14,13 +16,7 @@ func CountKinds(m map[Kind]int64) int64 {
 	return total
 }
 
-// SortedKinds uses the collect-keys-then-sort idiom — must NOT flag even in
-// a strict package.
+// SortedKinds uses the one ordered idiom — must NOT flag.
 func SortedKinds(m map[Kind]int64) []Kind {
-	keys := make([]Kind, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return int(keys[i]) < int(keys[j]) })
-	return keys
+	return slices.Sorted(maps.Keys(m))
 }

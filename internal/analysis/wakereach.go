@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 )
 
 // wakereach abstract states (bit indices into the dataflow bitset): whether
@@ -91,7 +93,7 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 
 	// The obligation escapes when no in-scope caller can discharge it.
 	var ds []Diagnostic
-	for _, key := range sortedKeys(owes) {
+	for _, key := range slices.Sorted(maps.Keys(owes)) {
 		if p.excused("wakereach", key) {
 			continue
 		}

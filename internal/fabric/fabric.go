@@ -66,7 +66,6 @@ type Handler func(f Frame)
 
 // endpoint is a process's attachment point to its node's NIC.
 type endpoint struct {
-	id      int
 	node    int
 	handler Handler
 }
@@ -133,7 +132,7 @@ func (c *Cluster) Attach(handler Handler) (int, error) {
 	if id >= c.cfg.MaxProcs() {
 		return -1, fmt.Errorf("fabric: cluster full (%d slots)", c.cfg.MaxProcs())
 	}
-	c.eps = append(c.eps, endpoint{id: id, node: id / c.cfg.ProcsPerNode, handler: handler})
+	c.eps = append(c.eps, endpoint{node: id / c.cfg.ProcsPerNode, handler: handler})
 	return id, nil
 }
 

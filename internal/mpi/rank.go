@@ -215,12 +215,12 @@ func (r *Rank) Abort(code int, msg string) {
 	r.proc.Sim().Failf("mpi: rank %d called Abort(%d): %s", r.rank, code, msg)
 	// Stop executing user code in this rank; the simulator unwinds the
 	// whole job via the recorded failure.
-	panic(abortPanic{code})
+	panic(abortPanic{})
 }
 
 // abortPanic marks an intentional job abort so Run's recovery (in simnet)
 // reports the Failf message rather than a spurious process panic.
-type abortPanic struct{ code int }
+type abortPanic struct{}
 
 // ---------------------------------------------------------------------------
 // Channel lifecycle (hooks given to the connection manager)
@@ -1036,7 +1036,7 @@ func (r *Rank) acceptRendezvous(req *request, h hdr, cs *chanState) {
 // rendezvousData RDMA-writes the payload and sends FIN; the send request
 // completes when FIN is posted.
 func (r *Rank) rendezvousData(cs *chanState, req *request, h hdr) {
-	if err := r.rdmaWrite(cs, req.data, h.rkey, 0); err != nil {
+	if err := r.rdmaWrite(cs, req.data, h.rkey); err != nil {
 		req.failf("mpi: rdma write: %v", err)
 		return
 	}
@@ -1047,17 +1047,17 @@ func (r *Rank) rendezvousData(cs *chanState, req *request, h hdr) {
 	r.post(cs, r.newPkt(hdr{kind: pktFin, srcRank: int32(r.rank), ctx: h.ctx, rreq: h.rreq}, nil, req))
 }
 
-// rdmaWrite posts an RDMA write of data to offset off of the peer's target key
+// rdmaWrite posts an RDMA write of data to the start of the peer's target key
 // on a descriptor off the rank's RDMA free list. The post places data in the
 // peer's target and the frames carry headers only, so data is free again when
 // the post returns; the descriptor stays on the VI's send queue until
 // reapSends takes it back, or comes straight back if the post is refused.
-func (r *Rank) rdmaWrite(cs *chanState, data []byte, key uint64, off int) error {
+func (r *Rank) rdmaWrite(cs *chanState, data []byte, key uint64) error {
 	d := simnet.Pop(&r.freeRdma)
 	if d == nil {
 		d = r.growRdma()
 	}
-	d.Buf, d.Len, d.RdmaKey, d.RdmaOffset = data, len(data), key, off
+	d.Buf, d.Len, d.RdmaKey = data, len(data), key
 	if err := cs.ch.Vi.PostRdmaWrite(d); err != nil {
 		d.Buf = nil
 		r.freeRdma = append(r.freeRdma, d)

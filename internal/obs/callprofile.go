@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 )
@@ -72,7 +74,7 @@ func (p *CallProfile) WriteText(w io.Writer) {
 		fmt.Fprintln(w, "profile: empty (no MPI call spans in the event stream)")
 		return
 	}
-	names := sortedKeys(p.byRank)
+	names := slices.Sorted(maps.Keys(p.byRank))
 	total := make(map[string]int64, len(names))
 	for _, n := range names {
 		for _, t := range p.byRank[n] {

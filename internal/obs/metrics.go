@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -145,27 +147,16 @@ func (h *Histogram) Quantile(p int) int64 {
 	return h.max
 }
 
-// sortedKeys collects and sorts map keys — the deterministic-iteration
-// idiom the maporder analyzer recognizes.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
 // WriteText renders the registry as a human-readable table, sorted by name.
 func (g *Registry) WriteText(w io.Writer) {
-	for _, k := range sortedKeys(g.counters) {
+	for _, k := range slices.Sorted(maps.Keys(g.counters)) {
 		fmt.Fprintf(w, "counter %-28s %12d\n", k, g.counters[k])
 	}
-	for _, k := range sortedKeys(g.gauges) {
+	for _, k := range slices.Sorted(maps.Keys(g.gauges)) {
 		gv := g.gauges[k]
 		fmt.Fprintf(w, "gauge   %-28s %12d (max %d)\n", k, gv.cur, gv.max)
 	}
-	for _, k := range sortedKeys(g.hists) {
+	for _, k := range slices.Sorted(maps.Keys(g.hists)) {
 		h := g.hists[k]
 		fmt.Fprintf(w, "hist    %-28s n=%d min=%d mean=%.1f max=%d p50=%d p90=%d p99=%d\n",
 			k, h.n, h.min, h.Mean(), h.max, h.Quantile(50), h.Quantile(90), h.Quantile(99))
@@ -183,15 +174,15 @@ func (g *Registry) WriteText(w io.Writer) {
 // WriteCSV renders the registry as rows of kind,name,field,value.
 func (g *Registry) WriteCSV(w io.Writer) {
 	fmt.Fprintln(w, "kind,name,field,value")
-	for _, k := range sortedKeys(g.counters) {
+	for _, k := range slices.Sorted(maps.Keys(g.counters)) {
 		fmt.Fprintf(w, "counter,%s,value,%d\n", k, g.counters[k])
 	}
-	for _, k := range sortedKeys(g.gauges) {
+	for _, k := range slices.Sorted(maps.Keys(g.gauges)) {
 		gv := g.gauges[k]
 		fmt.Fprintf(w, "gauge,%s,cur,%d\n", k, gv.cur)
 		fmt.Fprintf(w, "gauge,%s,max,%d\n", k, gv.max)
 	}
-	for _, k := range sortedKeys(g.hists) {
+	for _, k := range slices.Sorted(maps.Keys(g.hists)) {
 		h := g.hists[k]
 		fmt.Fprintf(w, "hist,%s,count,%d\n", k, h.n)
 		fmt.Fprintf(w, "hist,%s,sum,%d\n", k, h.sum)
@@ -211,14 +202,14 @@ func (g *Registry) WriteCSV(w io.Writer) {
 // encoding is hand-written so output bytes are a pure function of content).
 func (g *Registry) WriteJSON(w io.Writer) {
 	fmt.Fprint(w, "{\"counters\":{")
-	for i, k := range sortedKeys(g.counters) {
+	for i, k := range slices.Sorted(maps.Keys(g.counters)) {
 		if i > 0 {
 			fmt.Fprint(w, ",")
 		}
 		fmt.Fprintf(w, "%q:%d", k, g.counters[k])
 	}
 	fmt.Fprint(w, "},\"gauges\":{")
-	for i, k := range sortedKeys(g.gauges) {
+	for i, k := range slices.Sorted(maps.Keys(g.gauges)) {
 		if i > 0 {
 			fmt.Fprint(w, ",")
 		}
@@ -226,7 +217,7 @@ func (g *Registry) WriteJSON(w io.Writer) {
 		fmt.Fprintf(w, "%q:{\"cur\":%d,\"max\":%d}", k, gv.cur, gv.max)
 	}
 	fmt.Fprint(w, "},\"histograms\":{")
-	for i, k := range sortedKeys(g.hists) {
+	for i, k := range slices.Sorted(maps.Keys(g.hists)) {
 		if i > 0 {
 			fmt.Fprint(w, ",")
 		}

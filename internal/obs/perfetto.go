@@ -3,7 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Chrome trace-event / Perfetto JSON export. Every run in the recorder
@@ -67,12 +68,7 @@ func writeRun(pw *perfettoWriter, pid int, ru run) {
 	for _, e := range ru.events {
 		seen[int(e.Rank)] = true
 	}
-	ranks := make([]int, 0, len(seen))
-	for rk := range seen {
-		ranks = append(ranks, rk)
-	}
-	sort.Ints(ranks)
-	for _, rk := range ranks {
+	for _, rk := range slices.Sorted(maps.Keys(seen)) {
 		pw.emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"rank %d"}}`, pid, rk, rk)
 	}
 

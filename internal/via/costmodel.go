@@ -5,12 +5,12 @@
 // that MPI implementations depend on: VIs with paired send/receive work
 // queues, descriptor-based transfers with pre-posted receives, completion
 // queues, registered (pinned) memory with per-process limits, RDMA writes,
-// and both connection models — client-server (VipConnectWait/Request/Accept)
-// and peer-to-peer (VipConnectPeer*). Sends posted to an unconnected VI are
-// discarded with an error status, exactly the hazard the paper's pre-posted
-// send FIFO exists to avoid. Receives arriving on a VI with no posted
-// descriptor put the VI into an error state (VIA reliable-delivery
-// semantics).
+// and the peer-to-peer connection model (VipConnectPeer*); internal/core
+// builds MVICH's client-server startup as a rank-ordered schedule over it.
+// Sends posted to an unconnected VI are discarded with an error status,
+// exactly the hazard the paper's pre-posted send FIFO exists to avoid.
+// Receives arriving on a VI with no posted descriptor put the VI into an
+// error state (VIA reliable-delivery semantics).
 //
 // Two device personalities are provided as cost models. The cLAN model has
 // hardware doorbells (per-message cost independent of the number of open

@@ -19,7 +19,7 @@ import (
 
 // The descriptor word must not grow with the loan flag, nor a VI — one per
 // slot of its port, live or free — out of its size class, nor a frame with its
-// held flag: a slab of slabMax frames is then an exact size class. A static
+// held flag: a slab of slabMax frames then fits the 5,376-byte class. A static
 // rank of a 256-rank mesh reserves 255 VIs in one slab: at 128 bytes that is
 // the 32,768-byte class, where 129 would take 40,960.
 func TestDescriptorSize(t *testing.T) {
@@ -29,8 +29,8 @@ func TestDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(VI{}); got > 128 {
 		t.Errorf("VI is %d bytes, want at most 128", got)
 	}
-	if got := unsafe.Sizeof(wireMsg{}); got > 168 {
-		t.Errorf("wireMsg is %d bytes, want at most 168", got)
+	if got := unsafe.Sizeof(wireMsg{}); got > 160 {
+		t.Errorf("wireMsg is %d bytes, want at most 160", got)
 	}
 }
 

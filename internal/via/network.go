@@ -161,8 +161,8 @@ func (n *Network) takeFrame(hdr wireMsg, data []byte) *wireMsg {
 	return m
 }
 
-// slabMax caps a slab of frames: 32 of them are an exact size class, and what
-// a network makes past its in-flight peak stays under 32 frames.
+// slabMax caps a slab of frames: 32 of them fit the 5,376-byte size class, and
+// what a network makes past its in-flight peak stays under 32 frames.
 const slabMax = 32
 
 // growFrames, growFrameBuf and growLanding grow the frame free list, a frame's

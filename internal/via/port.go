@@ -303,7 +303,7 @@ func (p *Port) Landing() (free []*Descriptor, out int) { return p.landing, p.lan
 //
 // A write's bytes land in buf when the write is posted, ahead of its frames,
 // so buf's bytes are undefined to its owner until the completion that
-// announces them (a rendezvous FIN, a Fence). Writes to overlapping ranges in
+// announces them (a rendezvous FIN). Writes to overlapping ranges in
 // one such epoch are erroneous in MPI; here the last one posted wins.
 func (p *Port) RegisterRdmaTarget(buf []byte) (uint64, MemHandle, error) {
 	h, err := p.mem.Register(int64(len(buf)))

@@ -77,7 +77,6 @@ var (
 	ErrTimeout        = errors.New("via: operation timed out")
 	ErrClosed         = errors.New("via: port or VI closed")
 	ErrUnknownRdmaKey = errors.New("via: unknown RDMA target key")
-	ErrNotRegistered  = errors.New("via: buffer not in a registered region")
 	ErrNoRoom         = errors.New("via: receive has no room: no buffer, or a pool of no capacity")
 )
 
@@ -87,8 +86,7 @@ type Addr struct {
 }
 
 // PeerRequest describes an incoming connection request that has not yet been
-// matched by a local request (peer-to-peer model) or accepted (client-server
-// model).
+// matched by a local request.
 type PeerRequest struct {
 	From     Addr
 	Disc     uint64 // connection discriminator
@@ -166,7 +164,6 @@ type wireMsg struct {
 	data   []byte // fragment payload: the sender's bytes, copied into buf at post time (nil for an RDMA write: see PostRdmaWrite)
 
 	rdmaKey uint64 // RDMA target key
-	rdmaOff int    // base offset of the RDMA write
 
 	// In-flight state, owned by sendFrame/handleFrame.
 	port  *Port           // whose NIC is serving the frame: the sender's, then the receiver's

@@ -212,7 +212,7 @@ func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 			copy(buf[d.RdmaOffset:], d.Buf[:d.Len])
 		}
 	}
-	vi.transmit(d, wireMsg{kind: kindRdma, rdmaKey: d.RdmaKey, rdmaOff: d.RdmaOffset})
+	vi.transmit(d, wireMsg{kind: kindRdma, rdmaKey: d.RdmaKey})
 	vi.port.stats.BytesSent += int64(d.Len)
 	return nil
 }
