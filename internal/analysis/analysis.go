@@ -11,20 +11,19 @@
 // sets handle every member, and for the wire kinds the senders and the
 // dispatcher's arms agree in both directions). The path rules are clients of
 // one per-body dataflow harness (flow.go: the CFG of cfg.go built once per
-// body, a may-analysis over it, "every path through F does X") and of the
-// whole-program call graph and summary-propagation fixpoint in callgraph.go:
-// locks (Lock/Unlock pairing and the leaf-lock contract on every path, and
-// an acyclic global lock-acquisition-order graph), chargeflow (every path
-// from an entry point to a fabric transmit charges CPU cost), wakereach (a
-// park-visible transition is reached by a wake through the call graph), and
-// paired (every policy-declared acquire — pinned-memory registration, VI
-// slots, bus subscriptions, capture writers — is released on every path,
-// once, with escape-to-field and ownership-transfer summaries, and no send
-// rides a closed or evicted channel without an interposed rebind through the
-// reconnect path). hotalloc walks the same call graph: every body reachable
-// from the policy's hot roots stays allocation-free. No rule models the
-// connection protocol: its orderings are checked on the code that runs, by
-// the simulated worlds of internal/via, internal/core and internal/mpi.
+// body and a may-analysis over it) and of the whole-program call graph and
+// summary-propagation fixpoint in callgraph.go: locks (Lock/Unlock pairing
+// and the leaf-lock contract on every path, and an acyclic global
+// lock-acquisition-order graph) and paired (every policy-declared acquire —
+// pinned-memory registration, VI slots, bus subscriptions, capture writers —
+// is released on every path, once, with escape-to-field and
+// ownership-transfer summaries, and no send rides a closed or evicted channel
+// without an interposed rebind through the reconnect path). hotalloc walks
+// the same call graph: every body reachable from the policy's hot roots stays
+// allocation-free. No rule models the connection protocol, the wake owed to a
+// parked waiter or the CPU cost a transmit must pay: those are checked on the
+// code that runs, by the simulated worlds of internal/via, internal/core and
+// internal/mpi and by the byte-pinned goldens.
 // Legitimate exceptions live in one table, Policy.Exceptions, so they are
 // declared in code review rather than scattered as comments — and the
 // stale-policy sweep (stale.go) fails the build when an exception no longer
@@ -90,8 +89,6 @@ func Analyzers() []*Analyzer {
 		ExhaustiveAnalyzer(),
 		LocksAnalyzer(),
 		HotAllocAnalyzer(),
-		ChargeFlowAnalyzer(),
-		WakeReachAnalyzer(),
 		PairedAnalyzer(),
 	}
 }

@@ -2,8 +2,8 @@ package analysis
 
 // callgraph.go is the whole-program interprocedural layer: an index of every
 // declared function in the module, a call graph over them, and the shared
-// traversal helpers the summary-propagation analyzers (locks, chargeflow,
-// wakereach, paired) and hotalloc's reachability walk are built on.
+// traversal helpers the summary-propagation analyzers (locks, paired) and
+// hotalloc's reachability walk are built on.
 //
 // Resolution is deliberately conservative in the direction that loses paths
 // rather than inventing them, with one exception that adds paths: a call
@@ -20,7 +20,7 @@ package analysis
 // it executes still belongs to the declaring function for reachability
 // purposes — a callback scheduled by F that transmits a frame is a transmit
 // F's callers can reach. Analyzers that need activation-accurate path
-// sensitivity (wakereach, locks) analyze literals as separate units; the
+// sensitivity (locks, paired) analyze literals as separate units; the
 // graph is about *what* can run, not *when*.
 //
 // The graph is built once per Module and cached (Module.Interproc), so the
@@ -36,12 +36,10 @@ import (
 
 // IPFunc is one declared function in the interprocedural index.
 type IPFunc struct {
-	Key      string // policy-qualified name ("internal/via.(Port).dispatch")
-	Pkg      *Package
-	File     *ast.File
-	Decl     *ast.FuncDecl
-	Units    []funcUnit // the declaration body plus its function literals
-	Exported bool       // exported name on an exported (or no) receiver
+	Key   string // policy-qualified name ("internal/via.(Port).dispatch")
+	Pkg   *Package
+	Decl  *ast.FuncDecl
+	Units []funcUnit // the declaration body plus its function literals
 }
 
 // IPCall is one resolved call site inside a function.
@@ -66,9 +64,8 @@ type Interproc struct {
 	// the module whatever the number of rules and sweeps.
 	CFGs int
 
-	calls   map[string][]IPCall // per function, source order (literals included)
-	callers map[string][]string // inverse edges, sorted+deduped
-	flows   map[*ast.BlockStmt]*unitFlow
+	calls map[string][]IPCall // per function, source order (literals included)
+	flows map[*ast.BlockStmt]*unitFlow
 }
 
 // Interproc returns the module's interprocedural index, building it on first
@@ -98,19 +95,14 @@ func (ip *Interproc) eachUnit(p *Policy, rule string, visit func(f *IPFunc, u fu
 // Calls returns the call sites of the named function in source order.
 func (ip *Interproc) Calls(key string) []IPCall { return ip.calls[key] }
 
-// Callers returns the sorted keys of functions with a call site that may
-// target key.
-func (ip *Interproc) Callers(key string) []string { return ip.callers[key] }
-
 // buildInterproc indexes every function declaration and resolves every call
 // site in the module.
 func buildInterproc(m *Module) *Interproc {
 	ip := &Interproc{
-		mod:     m,
-		Funcs:   map[string]*IPFunc{},
-		calls:   map[string][]IPCall{},
-		callers: map[string][]string{},
-		flows:   map[*ast.BlockStmt]*unitFlow{},
+		mod:   m,
+		Funcs: map[string]*IPFunc{},
+		calls: map[string][]IPCall{},
+		flows: map[*ast.BlockStmt]*unitFlow{},
 	}
 	// Pass 1: the function index, and the method-set table interface
 	// resolution draws from.
@@ -130,14 +122,7 @@ func buildInterproc(m *Module) *Interproc {
 				if u.lit != nil {
 					continue // literal of an unindexed decl (cannot happen in source order)
 				}
-				ip.Funcs[u.name] = &IPFunc{
-					Key:      u.name,
-					Pkg:      pkg,
-					File:     file,
-					Decl:     u.decl,
-					Units:    []funcUnit{u},
-					Exported: declIsExported(u.decl),
-				}
+				ip.Funcs[u.name] = &IPFunc{Key: u.name, Pkg: pkg, Decl: u.decl, Units: []funcUnit{u}}
 			}
 		}
 		scope := pkg.Types.Scope()
@@ -157,7 +142,6 @@ func buildInterproc(m *Module) *Interproc {
 	sort.Strings(ip.Keys)
 
 	// Pass 2: resolve call sites.
-	callerSets := map[string]map[string]bool{}
 	for _, key := range ip.Keys {
 		f := ip.Funcs[key]
 		var sites []IPCall
@@ -180,41 +164,8 @@ func buildInterproc(m *Module) *Interproc {
 			})
 		}
 		ip.calls[key] = sites
-		for _, s := range sites {
-			for _, callee := range s.Callees {
-				set := callerSets[callee]
-				if set == nil {
-					set = map[string]bool{}
-					callerSets[callee] = set
-				}
-				set[key] = true
-			}
-		}
-	}
-	for callee, set := range callerSets {
-		var list []string
-		for k := range set {
-			list = append(list, k)
-		}
-		sort.Strings(list)
-		ip.callers[callee] = list
 	}
 	return ip
-}
-
-// declIsExported reports whether fd is part of the package's exported
-// surface: an exported name, with any receiver type also exported.
-func declIsExported(fd *ast.FuncDecl) bool {
-	if !fd.Name.IsExported() {
-		return false
-	}
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		base := typeBaseName(fd.Recv.List[0].Type)
-		if base == "" || !ast.IsExported(base) {
-			return false
-		}
-	}
-	return true
 }
 
 // resolveCallees maps one call expression to the module functions it may

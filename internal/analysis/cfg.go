@@ -2,10 +2,10 @@ package analysis
 
 // cfg.go is a lightweight intraprocedural control-flow graph over go/ast,
 // built only on the standard library like the rest of the suite. It exists
-// so the path-sensitive rules (wakereach, locks) can ask "does property P
-// hold on *every* path to return?" instead of "does P appear somewhere in
-// the body?" — the difference between catching the PR 3 VI.Close hang and
-// missing it.
+// so the path-sensitive rules (locks, paired) can ask "does property P hold
+// on *every* path to return?" instead of "does P appear somewhere in the
+// body?" — the difference between catching a Lock left held on an early
+// return and missing it.
 //
 // The model is deliberately small:
 //

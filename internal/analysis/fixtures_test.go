@@ -39,9 +39,6 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/core/determ.go:15: determinism",     // time.Now
 		"internal/core/determ.go:20: determinism",     // naked goroutine
 		"internal/core/determ.go:25: determinism",     // global rand.Intn
-		"internal/mpi/chargeflow.go:32: chargeflow",   // SendUncharged: bare transmit through a helper
-		"internal/mpi/chargeflow.go:55: chargeflow",   // SendBranchUncharged: fast branch skips the charge
-		"internal/mpi/chargeflow.go:62: chargeflow",   // SendChargeDeferred: a charge in a deferred literal runs after the transmit
 		"internal/mpi/hotalloc.go:15: hotalloc",       // make on the hot path
 		"internal/mpi/hotalloc.go:17: hotalloc",       // escaping composite literal
 		"internal/mpi/hotalloc.go:19: hotalloc",       // closure literal
@@ -75,12 +72,6 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/via/seqcheck.go:29: paired",         // sendAfterClose: post on the VI it just closed
 		"internal/via/seqcheck.go:38: paired",         // evictMaybe: closed on the evict branch, sent after the join
 		"internal/via/via.go:6: layering",             // via imports mpi (upward)
-		"internal/via/via.go:23: chargeflow",          // UnchargedSend: exported via entry point, Cluster.Send with no charge
-		"internal/via/via.go:40: chargeflow",          // onTimer: a callback nothing calls is an entry point too
-		"internal/via/via.go:48: chargeflow",          // frame.Fire: an event the scheduler fires is one too; WaitActivity, parked in the loop that fires it, is not flagged
-		"internal/via/waitwake.go:35: wakereach",      // CloseBad is exported and owes the wake itself
-		"internal/via/wakereach.go:20: wakereach",     // AbortBad inherits failQuiet's obligation, never wakes
-		"internal/via/wakereach.go:57: wakereach",     // onDisconnect inherits dropQuiet's; completeQuiet's callers all wake
 	}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostic count: got %d, want %d\ngot:\n  %s", len(got), len(want), strings.Join(got, "\n  "))
@@ -122,8 +113,6 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 		{"locks", "one global order"},
 		{"hotalloc", "hot path"},
 		{"exhaustive", "handler arm"},
-		{"chargeflow", "ChargeHost"},
-		{"wakereach", "notifyActivity"},
 		{"paired", `Policy.Exceptions["paired"]`},
 		{"paired", "rides a dead endpoint"},
 	}

@@ -1,12 +1,11 @@
 package analysis
 
-// flow.go is the one per-body dataflow harness under the path rules (paired,
-// locks, wakereach, chargeflow). A rule describes what one CFG node does to a
-// bitset of abstract states; the harness owns everything else: the CFG, built
-// once per body however many rules and fixpoint sweeps ask; the forward
-// may-analysis; the map from any syntax node back to the CFG node that holds
-// its state; what a defer runs; and the summary "every path through F does X"
-// two of the rules start from.
+// flow.go is the one per-body dataflow harness under the path rules (paired
+// and locks). A rule describes what one CFG node does to a bitset of abstract
+// states; the harness owns everything else: the CFG, built once per body
+// however many rules and fixpoint sweeps ask; the forward may-analysis; the
+// map from any syntax node back to the CFG node that holds its state; and
+// what a defer runs.
 
 import (
 	"go/ast"
@@ -119,55 +118,4 @@ func deferred(def *ast.DeferStmt) []*ast.CallExpr {
 		return true
 	})
 	return calls
-}
-
-// alwaysOnEveryPath is the greatest fixpoint "every path through F makes a
-// call in the set": start with every function in, strike the ones with a
-// path to return that makes none. base members are in by definition; a call
-// to a function still in the set counts, and so does a deferred one (it runs
-// before the return it is checked at). Calls inside literals do not: they
-// run in a later activation. It returns the set, and the per-node test the
-// fixpoint used — "this CFG node makes such a call" — for the rule's own
-// dataflow. On a DeferStmt the test answers for what the defer runs, which
-// holds at the return and not at the statement: a rule asking about the sites
-// in between (chargeflow) must not apply it there.
-func (ip *Interproc) alwaysOnEveryPath(base map[string]bool) (always map[string]bool, does func(pkg *Package, node ast.Node) bool) {
-	always = map[string]bool{}
-	for _, key := range ip.Keys {
-		always[key] = true
-	}
-	does = func(pkg *Package, node ast.Node) bool {
-		found := false
-		visit := func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && !found {
-				q := calleeName(ip.mod, pkg, call)
-				found = base[q] || always[q]
-			}
-			return !found
-		}
-		if def, ok := node.(*ast.DeferStmt); ok {
-			for _, call := range deferred(def) {
-				visit(call)
-			}
-		} else {
-			inspectSkipLits(node, visit)
-		}
-		return found
-	}
-	ip.fixpoint(func(key string) bool {
-		if !always[key] || base[key] {
-			return false
-		}
-		f := ip.Funcs[key]
-		// Bit 0: some path has not made the call yet.
-		left := ip.flow(f.Decl.Body).solve(1, func(node ast.Node, in uint64) uint64 {
-			if does(f.Pkg, node) {
-				return 0
-			}
-			return in
-		}).exit()
-		always[key] = left == 0
-		return left != 0
-	})
-	return always, does
 }

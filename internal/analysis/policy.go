@@ -39,25 +39,10 @@ type Policy struct {
 	// threaded *rand.Rand are always fine.
 	RandConstructors map[string]bool `subject:"-"`
 
-	// ChargeRequired lists fabric/simnet entry points that model hardware
-	// doing work; every path to one must charge host CPU cost first
-	// (invariant 2: costs are charged where the hardware pays them).
-	ChargeRequired map[string]bool `subject:"function"`
-	// ChargeFuncs are the calls that count as charging (or booking NIC
-	// service time for) a cost.
-	ChargeFuncs map[string]bool `subject:"function"`
-	// ChargeRootPkgs lists the packages whose entry points the chargeflow
-	// rule audits — functions that are exported, or that nothing in the
-	// module calls (scheduler and fabric callbacks): every path from one of
-	// them to a ChargeRequired transmit must pass a charge.
-	ChargeRootPkgs map[string]bool `subject:"package"`
-
 	// EventEdges names the interface types through which the scheduler fires
 	// a device model's pre-allocated event objects (the value is the reason).
 	// An event runs in device context at its own virtual time, not on the CPU
-	// of whichever process was parked in the loop that popped it: chargeflow
-	// does not follow the edge and audits its targets as entry points;
-	// wakereach keeps it, so a Fire that owes a wake escapes to the scheduler.
+	// of whichever process was parked in the loop that popped it.
 	EventEdges map[string]string `subject:"type"`
 
 	// ExhaustiveStrict lists policy-qualified functions whose switches must
@@ -68,16 +53,6 @@ type Policy struct {
 	// WireKinds declares the wire-code tag fields: one table for what the
 	// exhaustive rule needs to know about each.
 	WireKinds []WireKind
-
-	// WakeScope lists packages whose state machines have parked waiters
-	// (the VIA provider).
-	WakeScope map[string]bool `subject:"package"`
-	// WakeStates maps qualified state types to the constants a blocked
-	// waiter can NOT observe; assigning any other value is a transition that
-	// owes a wake.
-	WakeStates map[string][]string `subject:"type"`
-	// Wakers are the calls that discharge the wake obligation.
-	Wakers map[string]bool `subject:"function"`
 
 	// LeafLocks maps qualified mutex fields to the leaf contract they carry:
 	// while one is held, no call may re-enter a layered simulation package.
@@ -180,28 +155,6 @@ func DefaultPolicy() *Policy {
 			"New": true, "NewSource": true, "NewZipf": true,
 		},
 
-		ChargeRequired: map[string]bool{
-			"internal/fabric.(Cluster).Send":     true,
-			"internal/fabric.(Cluster).SendMgmt": true,
-			"internal/fabric.(Cluster).Attach":   true,
-		},
-		ChargeFuncs: map[string]bool{
-			"internal/via.(Port).ChargeHost":   true,
-			"internal/via.(Network).serviceTx": true,
-			"internal/via.(Network).serviceRx": true,
-			"internal/via.(Network).sendFrame": true,
-			// sendFrame's continuation: the frame's transmit hop injects what
-			// serviceTx booked there, its receive hop runs the dispatch that
-			// handleFrame's serviceRx booked.
-			"internal/via.(wireMsg).Fire":    true,
-			"internal/simnet.(Proc).Compute": true,
-			"internal/simnet.(Proc).Sleep":   true,
-		},
-		ChargeRootPkgs: map[string]bool{
-			"internal/mpi":  true,
-			"internal/via":  true,
-			"internal/core": true,
-		},
 		EventEdges: map[string]string{
 			"internal/simnet.Action": "Sim.loop fires frames, in-flight records and send completions through it",
 		},
@@ -222,25 +175,8 @@ func DefaultPolicy() *Policy {
 			{Field: "internal/mpi.(hdr).kind", Anchor: "internal/mpi.pktEager", Dispatch: "internal/mpi.(Rank).handlePacket"},
 		},
 
-		WakeScope: map[string]bool{
-			"internal/via": true,
-		},
-		WakeStates: map[string][]string{
-			// ViConnecting is the in-progress marker a waiter is waiting
-			// *through*, not for; StatusPending likewise marks a descriptor
-			// as not-yet-observable.
-			"internal/via.ViState": {"ViConnecting"},
-			"internal/via.Status":  {"StatusPending"},
-		},
-		Wakers: map[string]bool{
-			"internal/via.(Port).notifyActivity": true,
-			"internal/via.(VI).enterError":       true, // wakes internally on every path
-			"internal/via.(VI).Close":            true, // wakes internally on every path
-			"internal/simnet.(Proc).Wake":        true,
-		},
-
 		LeafLocks: map[string]string{
-			"internal/tcpvia.(EventLog).mu": "guards the wall-clock capture sinks (ring + stream writer) and the metrics fold over the same events only; acquired last, never held across a call back into the stack",
+			"internal/tcpvia.(EventLog).mu": "guards the capture ring and the metrics fold over the same events only; acquired last, never held across a call back into the stack",
 		},
 
 		HotRoots: map[string]string{
@@ -353,24 +289,10 @@ func DefaultPolicy() *Policy {
 				"cmd/viampi-vet":    "analysis driver; the -json timing line measures host load/analyze wall time and goes to stderr, never near a simulation path",
 				"internal/sweep":    "the one sanctioned home for naked goroutines, sync primitives, and wall-clock reads outside simulated time: jobs are hermetic whole simulations, and the index-ordered merge erases completion order, so host scheduling never reaches an artifact",
 			},
-			"chargeflow": {
-				"internal/via.(Network).Open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
-				"internal/via.(Port).SendOob": "out-of-band management network (Ethernet/TCP bootstrap); bypasses the NIC by design, §ARCHITECTURE 'never for MPI traffic'",
-			},
 			// Sentinel constants (counts, limits) removed from a discovered
 			// member set.
 			"exhaustive": {
 				"internal/obs.NumPhases": "count sentinel for array sizing, not a phase any exporter must handle",
-			},
-			// Owner-thread entry points: both obligations come from helpers
-			// (resetHandshake, the pre-connection discard) whose other
-			// callers the rule verifies; on these two surfaces the calling
-			// process is by definition running, not parked, so there is no
-			// waiter to wake. Helpers are never excused here: a helper's
-			// obligation is checked against its actual callers.
-			"wakereach": {
-				"internal/via.(Port).CancelConnect": "owner-thread entry point: the canceling process is running, not parked; the kindConnNack dispatch path through resetHandshake is verified separately and wakes",
-				"internal/via.(VI).PostSend":        "owner-thread entry point: the pre-connection discard completes synchronously for the poster, which by definition is not parked",
 			},
 			// Hot bodies that allocate by design: each is small and named for
 			// what it allocates, so excusing it whole leaves nothing else
@@ -389,8 +311,8 @@ func DefaultPolicy() *Policy {
 
 // FixturePolicy derives a policy for a fixture module under testdata/: same
 // rule set, no exceptions, so fixtures exercise the rules raw. Structural
-// configuration (strict functions, tag fields, wakers, leaf locks, hot
-// roots) is kept: the fixture declares types and functions under the same
+// configuration (strict functions, tag fields, leaf locks, hot roots) is
+// kept: the fixture declares types and functions under the same
 // module-relative names the real policy points at.
 func FixturePolicy() *Policy {
 	p := DefaultPolicy()

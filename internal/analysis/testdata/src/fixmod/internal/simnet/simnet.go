@@ -1,14 +1,6 @@
-// Package simnet is the fixture twin of viampi's internal/simnet: it
-// exposes the charging primitive the chargeflow rule credits, reachable
-// from the fixture mpi package without the import cycle a via dependency
-// would create (fixture via deliberately imports fixture mpi).
+// Package simnet is the fixture twin of viampi's internal/simnet: it exposes
+// the event interface hotalloc follows as an edge.
 package simnet
-
-// Proc mirrors the real simnet.Proc charging surface.
-type Proc struct{}
-
-// Compute charges CPU cost (ChargeFuncs in the policy).
-func (p *Proc) Compute(d int64) {}
 
 // Action mirrors the real simnet.Action: a pre-allocated object the
 // scheduler fires as its own event (Policy.EventEdges).
@@ -18,5 +10,5 @@ type Action interface{ Fire(arg uint64) }
 // whatever device events come up while the process waits.
 type Sim struct{ next Action }
 
-// Park blocks the caller; the events it fires meanwhile are not its work.
+// Park blocks the caller and fires the next event.
 func (s *Sim) Park() { s.next.Fire(0) }

@@ -162,7 +162,11 @@ func (n *Network) takeFrame(hdr wireMsg, data []byte) *wireMsg {
 }
 
 // slabMax caps a slab of frames: 32 of them fit the 5,376-byte size class, and
-// what a network makes past its in-flight peak stays under 32 frames.
+// what a network makes past its in-flight peak stays under 32 frames. At 160 B
+// a frame that leaves 256 B of the class unused, and 33 would fill it, but the
+// cap only shapes the slabs past a network's first 64 frames: at 33 no NPB
+// kernel at class S and no BenchmarkMeshBoot world allocates an object or a
+// byte less (-cpu 1; at -cpu 2 the counts wobble by a few on their own).
 const slabMax = 32
 
 // growFrames, growFrameBuf and growLanding grow the frame free list, a frame's

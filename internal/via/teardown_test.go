@@ -11,31 +11,40 @@ import (
 // Regression: VI.Close must notify port activity like enterError does. A
 // waiter parked in RecvWait would otherwise sleep forever when the VI is
 // closed out from under it (e.g. by a timer-driven teardown) — the sim
-// deadline in pair() turns that hang into a test failure.
+// deadline in pair() turns that hang into a test failure. Port.Close tears
+// down every VI the same way, so it must wake the waiter too.
 func TestCloseWakesRecvWaiter(t *testing.T) {
-	e := newEnv(2, 1, ClanCost())
-	establishDataPair(t, e,
-		func(p *simnet.Proc, port *Port, vi *VI) {
-			d := &Descriptor{Buf: make([]byte, 64)}
-			if err := vi.PostRecv(d); err != nil {
-				t.Error(err)
-				return
-			}
-			p.Sim().After(simnet.Millisecond, vi.Close)
-			got, err := vi.RecvWait(WaitPoll, -1)
-			switch {
-			case err != nil:
-				if !errors.Is(err, ErrBadState) {
-					t.Errorf("RecvWait err = %v, want ErrBadState", err)
+	for _, tc := range []struct {
+		name  string
+		close func(port *Port, vi *VI)
+	}{
+		{"VI.Close", func(_ *Port, vi *VI) { vi.Close() }},
+		{"Port.Close", func(port *Port, _ *VI) { port.Close() }},
+	} {
+		e := newEnv(2, 1, ClanCost())
+		establishDataPair(t, e,
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				d := &Descriptor{Buf: make([]byte, 64)}
+				if err := vi.PostRecv(d); err != nil {
+					t.Error(err)
+					return
 				}
-			case got.Status != StatusDisconnected:
-				t.Errorf("RecvWait status = %v, want Disconnected", got.Status)
-			}
-		},
-		func(p *simnet.Proc, port *Port, vi *VI) {
-			// Keep the peer alive past the close so its DISC has a target.
-			p.Sleep(2 * simnet.Millisecond)
-		})
+				p.Sim().After(simnet.Millisecond, func() { tc.close(port, vi) })
+				got, err := vi.RecvWait(WaitPoll, -1)
+				switch {
+				case err != nil:
+					if !errors.Is(err, ErrBadState) {
+						t.Errorf("%s: RecvWait err = %v, want ErrBadState", tc.name, err)
+					}
+				case got.Status != StatusDisconnected:
+					t.Errorf("%s: RecvWait status = %v, want Disconnected", tc.name, got.Status)
+				}
+			},
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				// Keep the peer alive past the close so its DISC has a target.
+				p.Sleep(2 * simnet.Millisecond)
+			})
+	}
 }
 
 // A Close on one side delivers kindDisc: the peer's VI transitions to

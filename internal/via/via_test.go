@@ -958,6 +958,46 @@ func TestSpinwaitWakeupPenalty(t *testing.T) {
 	}
 }
 
+// A receive poll that finds its message already landed costs the poller
+// exactly one PollOverhead, whether it is a RecvDone or the first poll of a
+// RecvWait: the charge moves the clock and nothing else does.
+func TestRecvPollChargesPollOverhead(t *testing.T) {
+	cost := ClanCost()
+	for _, tc := range []struct {
+		name string
+		poll func(vi *VI) (*Descriptor, error)
+	}{
+		{"RecvDone", func(vi *VI) (*Descriptor, error) { return vi.RecvDone(), nil }},
+		{"RecvWait", func(vi *VI) (*Descriptor, error) { return vi.RecvWait(WaitPoll, -1) }},
+	} {
+		e := newEnv(2, 1, cost)
+		establishDataPair(t, e,
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				if err := vi.PostSend(&Descriptor{Buf: []byte{1}, Len: 1}); err != nil {
+					t.Error(err)
+				}
+			},
+			func(p *simnet.Proc, port *Port, vi *VI) {
+				if err := vi.PostRecv(&Descriptor{Buf: make([]byte, 4)}); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(simnet.Millisecond) // the message lands meanwhile
+				port.FlushDebt()
+				start := p.Now()
+				d, err := tc.poll(vi)
+				port.FlushDebt()
+				if err != nil || d == nil || d.Status != StatusSuccess {
+					t.Errorf("%s: got %v, %v; want the landed message", tc.name, d, err)
+					return
+				}
+				if got := p.Now().Sub(start); got != cost.PollOverhead {
+					t.Errorf("%s advanced the clock %v, want PollOverhead %v", tc.name, got, cost.PollOverhead)
+				}
+			})
+	}
+}
+
 func TestDisconnectPropagates(t *testing.T) {
 	e := newEnv(2, 1, ClanCost())
 	establishDataPair(t, e,
