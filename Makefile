@@ -4,9 +4,9 @@ GO ?= go
 # byte-identical at any -j, so the default is simply all host cores.
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check fmt vet build test race analyze golden figures bench-sim bench-sim-smoke replay-smoke loc
+.PHONY: check fmt vet build test race analyze golden figures bench-sim bench-sim-smoke fuzz-smoke replay-smoke loc
 
-check: fmt vet build test race analyze bench-sim-smoke replay-smoke
+check: fmt vet build test race analyze bench-sim-smoke fuzz-smoke replay-smoke
 
 # gofmt -l prints offending files; any output is a failure.
 fmt:
@@ -87,13 +87,13 @@ loc:
 # analyzer); BenchmarkReconnectCycle is the connection path's rail (one
 # evict-teardown-reconnect cycle: 0 allocs/op, the VIs are reissued), BenchmarkMeshBoot
 # the static mesh's (a 64-rank static-p2p world through Init and Finalize:
-# ~2,900 allocs/op, ~45 per rank and next to nothing per connection, because
+# ~2,600 allocs/op, ~40 per rank and next to nothing per connection, because
 # the managers reserve slabs at Init and a rank's bootstrap rides recycled
 # frames; ~70,000 means a first connection is building its objects one
 # allocation at a time again, ~4,000 that every out-of-band message is a new
-# frame again. 2.19 MB/op, 1,087 B/conn, because a pre-posted pool is a count
-# on its VI and the tables a connection fills are slices, not maps; some
-# 1.7 MB/op more means every pool receive is a descriptor again). Run at
+# frame again. 1.99 MB/op, 986 B/conn, because a pre-posted pool is a count
+# on its VI and no table a connection fills is a map; some 1.7 MB/op more
+# means every pool receive is a descriptor again). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first
@@ -112,6 +112,21 @@ bench-sim:
 bench-sim-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkEagerRoundTrip|BenchmarkReconnectCycle' -benchtime 1000x ./internal/simnet . > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMeshBoot' -benchtime 3x . > /dev/null
+
+# A few seconds of each native fuzzer on one worker; `test` runs only their
+# seeds. FuzzPortDispatch drives the VIA dispatcher and the handshake calls
+# against the VI lifecycle and the outstanding-request table's rule,
+# FuzzPacketDecode and FuzzMatching mpi's wire decoder and matching queues,
+# FuzzReadFrame tcpvia's frame reader, and FuzzCaptureReader the capture
+# bundle reader. `-fuzz` takes one package and one target a run, hence five
+# runs; an input that fails is written under that package's
+# testdata/fuzz/ and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPortDispatch$$' -fuzztime 5s -parallel 1 ./internal/via
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketDecode$$' -fuzztime 5s -parallel 1 ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzMatching$$' -fuzztime 5s -parallel 1 ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s -parallel 1 ./internal/tcpvia
+	$(GO) test -run '^$$' -fuzz '^FuzzCaptureReader$$' -fuzztime 5s -parallel 1 ./internal/obs/capture
 
 # Capture/replay round trip on the real binaries: record a run, re-render
 # the trace offline, require byte identity with the live artifact, render

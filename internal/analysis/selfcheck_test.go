@@ -129,7 +129,7 @@ internal/via.(wireMsg).Fire internal/via.(Port).handleFrame internal/fabric.(Clu
 internal/fabric.(Cluster).takeFlight internal/fabric.(flight).Fire internal/mpi.(Rank).newChanState
 internal/mpi.(Rank).growPool internal/simnet.Carve internal/mpi.(Rank).teardownChannel
 internal/mpi.(Rank).handleDisconnect internal/via.(VI).Close internal/via.(Port).keepQueues
-internal/via.(Port).newPeerRequest internal/via.(Port).establish internal/via.(VI).establishAfter
+internal/via.(Port).establish internal/via.(VI).establishAfter
 internal/via.(Port).NotifyAfter internal/via.(portNotify).Fire internal/core.(base).takeChannel
 internal/core.(base).ReleaseChannel internal/simnet.(Sim).loop internal/simnet.(Sim).schedule
 internal/simnet.(Sim).AtAction internal/simnet.(Sim).heapPush internal/simnet.(Sim).heapPop

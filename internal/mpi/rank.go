@@ -280,7 +280,7 @@ func (r *Rank) reserve(n int) {
 	for i := range r.chanSlab {
 		r.chanSlab[i].memHandles = handles[i : i : i+1]
 	}
-	r.bySlot = slices.Grow(r.bySlot, n)
+	r.bySlot = append(make([]*chanState, 0, len(r.bySlot)+n), r.bySlot...) // made, not grown, as in Port.Reserve
 	r.port.Reserve(n)
 }
 

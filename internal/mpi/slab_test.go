@@ -43,7 +43,7 @@ func bootCost(t *testing.T, np int) (allocs, bytes float64) {
 
 // The allocation rails of a rank and of a first connection. A boot allocates
 // a + b·np + c·np(np-1): per run, per rank, and per connection end. A
-// difference between two world sizes still carries b (about 46 per rank,
+// difference between two world sizes still carries b (about 41 per rank,
 // which at these sizes would read as most of an allocation per end); the
 // second difference over three equally spaced sizes leaves 2h²·c alone, and
 // the first, less c's share (3h² - h)·c, leaves h·b. b read 61 while each
@@ -64,7 +64,16 @@ func bootCost(t *testing.T, np int) (allocs, bytes float64) {
 // difference reads 480 to 495 here (684 at 64/128/192), yet a whole boot costs
 // less: 660 bytes per end at 256 ranks, from 784. The bound was 580 (456
 // measured) until a VI, a channel and its state shrank to 128, 96 and 104
-// bytes from 176, 120 and 136 (TestChanStateSize and its peers).
+// bytes from 176, 120 and 136 (TestChanStateSize and its peers), and 545 (430
+// measured) while the port kept its outstanding requests in a presized map
+// and its pending ones as pointers into a slab. Two value slices of 24-byte
+// entries took their place: a 256-rank boot allocates 2.98 MB less, yet the
+// bytes read 466 here, since the map's power-of-two steps fell across these
+// sizes as a negative second difference. So it is the per-rank allocations
+// that would show the map again: 46.5 with it, 41.5 without, against a bound
+// of 45. The bytes bound holds under -race too (479 there): the tables a
+// reservation sizes are made, not grown, since a slices.Grow under the race
+// detector also allocates the temporary it appends (557 while it did).
 func TestFirstConnectAllocs(t *testing.T) {
 	const h = 16
 	bootCost(t, 3*h) // what a process allocates once, the goroutines of the largest world with it
@@ -73,16 +82,16 @@ func TestFirstConnectAllocs(t *testing.T) {
 	a3, b3 := bootCost(t, 3*h)
 	allocsPerEnd, bytesPerEnd := (a3-2*a2+a1)/(2*h*h), (b3-2*b2+b1)/(2*h*h)
 	allocsPerRank := (a2 - a1 - (3*h*h-h)*allocsPerEnd) / h
-	if allocsPerRank > 48 && !raceBuild {
-		t.Errorf("%.1f allocations per rank (%v, %v, %v at %d, %d, %d ranks), want at most 48 (about 46 measured)",
+	if allocsPerRank > 45 && !raceBuild {
+		t.Errorf("%.1f allocations per rank (%v, %v, %v at %d, %d, %d ranks), want at most 45 (about 41.5 measured)",
 			allocsPerRank, a1, a2, a3, h, 2*h, 3*h)
 	}
 	if allocsPerEnd > 0.5 {
 		t.Errorf("%.2f allocations per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 0.5",
 			allocsPerEnd, a1, a2, a3, h, 2*h, 3*h)
 	}
-	if bytesPerEnd > 545 {
-		t.Errorf("%.0f bytes per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 545 (430 measured)",
+	if bytesPerEnd > 510 {
+		t.Errorf("%.0f bytes per first connection end (%v, %v, %v at %d, %d, %d ranks), want at most 510 (466 measured)",
 			bytesPerEnd, b1, b2, b3, h, 2*h, 3*h)
 	}
 	t.Logf("%.1f allocations per rank; %.2f allocations and %.0f bytes per first connection end", allocsPerRank, allocsPerEnd, bytesPerEnd)

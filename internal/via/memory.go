@@ -34,8 +34,11 @@ type region struct {
 	next int32 // while free: the next free slot + 1
 }
 
-// reserve sizes the table for n more regions.
-func (m *MemoryRegistry) reserve(n int) { m.regions = slices.Grow(m.regions, n) }
+// reserve sizes the table for n more regions (made, not grown, as in
+// Port.Reserve).
+func (m *MemoryRegistry) reserve(n int) {
+	m.regions = append(make([]region, 0, len(m.regions)+n), m.regions...)
+}
 
 // Register pins size bytes and returns a handle, or ErrPinnedLimit.
 func (m *MemoryRegistry) Register(size int64) (MemHandle, error) {

@@ -1,8 +1,6 @@
 package via
 
 import (
-	"fmt"
-
 	"viampi/internal/fabric"
 	"viampi/internal/simnet"
 )
@@ -61,9 +59,6 @@ func NewNetwork(sim *simnet.Sim, fcfg fabric.Config, cost CostModel) *Network {
 
 // Sim returns the driving simulation.
 func (n *Network) Sim() *simnet.Sim { return n.sim }
-
-// Cluster returns the underlying fabric.
-func (n *Network) Cluster() *fabric.Cluster { return n.cluster }
 
 // Ports returns all opened ports in open order.
 func (n *Network) Ports() []*Port { return n.ports }
@@ -224,9 +219,4 @@ func (n *Network) TotalOpenVIs() int {
 		t += ns.openVIs
 	}
 	return t
-}
-
-func (n *Network) String() string {
-	return fmt.Sprintf("via.Network(%s, %d ports, %d open VIs)",
-		n.cost.Name, len(n.ports), n.TotalOpenVIs())
 }

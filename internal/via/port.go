@@ -1,6 +1,7 @@
 package via
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -31,9 +32,21 @@ func (m WaitMode) String() string {
 	return "polling"
 }
 
-type connKey struct {
-	remoteEp int
-	disc     uint64
+// outReq is a VI with an outstanding REQ under the (remote endpoint,
+// discriminator) pair it was issued for. The entry keeps its own copy of the
+// pair, so the table's order never rests on a VI's fields, which a closed VI
+// reissued under another pair changes. A lookup skips an entry whose VI is no
+// longer connecting and leaves it in place, as the map this table replaced
+// did.
+type outReq struct {
+	disc uint64
+	vi   *VI
+	ep   int
+}
+
+// cmpOutReq orders the table by endpoint, then discriminator.
+func cmpOutReq(a, b outReq) int {
+	return cmp.Or(cmp.Compare(a.ep, b.ep), cmp.Compare(a.disc, b.disc))
 }
 
 // PortStats aggregates per-process resource usage for the scalability tables.
@@ -62,13 +75,11 @@ type Port struct {
 	liveVIs int   // VIs created and not yet closed, held under MaxVIsPerPort
 	visUsed int   // VIs, open or closed, that carried a data message
 
-	freeVIs  []*VI          // closed VIs, each keeping its slot and its emptied work queues
-	freeReqs []*PeerRequest // consumed incoming requests
+	freeVIs []*VI // closed VIs, each keeping its slot and its emptied work queues
 
 	// What Reserve made for the VIs its caller is about to create, one
-	// allocation a kind, carved by cursor at the take sites before they grow.
-	viSlab  []VI
-	reqSlab []PeerRequest
+	// allocation, carved by cursor at CreateVi before it grows.
+	viSlab []VI
 
 	// Landing descriptors, each with its buffer, lent to the messages that
 	// claim a receive of a counted pool (lendLanding, ReturnLanding): the free
@@ -77,8 +88,8 @@ type Port struct {
 	landing    []*Descriptor
 	landingOut int
 
-	outgoing        map[connKey]*VI // VIs with an outstanding REQ; made by the first (growOutgoing) or by Reserve
-	pendingIncoming []*PeerRequest  // unmatched incoming REQs
+	outgoing        []outReq      // VIs with an outstanding REQ, sorted by (ep, disc)
+	pendingIncoming []PeerRequest // unmatched incoming REQs, in arrival order
 
 	// What lets the owner's poll skip a walk over its VIs (see UnreapedSends
 	// and Disconnects): each is kept at the sites that own the event.
@@ -115,9 +126,6 @@ func (p *Port) Memory() *MemoryRegistry { return &p.mem }
 
 // Stats returns a snapshot of the port's resource counters.
 func (p *Port) Stats() PortStats { return p.stats }
-
-// Network returns the provider this port belongs to.
-func (p *Port) Network() *Network { return p.net }
 
 // Obs returns the simulation's observability bus (nil when disabled).
 func (p *Port) Obs() *obs.Bus { return p.net.sim.Obs() }
@@ -227,26 +235,19 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 func (p *Port) VIRoom() int { return p.net.cost.MaxVIsPerPort - p.liveVIs }
 
 // Reserve prepares the port for n VIs its owner is about to create: the
-// endpoints and the requests of the peers that connect first are one
-// allocation each, and the tables the handshakes fill are sized once. It
-// creates nothing the model knows of — no VI, no registration, no host charge
-// — and a caller that knows no count (an on-demand manager) simply never calls
-// it. Room beyond VIRoom would never be used.
+// endpoints are one allocation, and the tables the handshakes fill are sized
+// once. It creates nothing the model knows of — no VI, no registration, no
+// host charge — and a caller that knows no count (an on-demand manager)
+// simply never calls it. Room beyond VIRoom would never be used.
 func (p *Port) Reserve(n int) {
 	p.viSlab = make([]VI, n)
-	p.reqSlab = make([]PeerRequest, n)
-	p.vis = slices.Grow(p.vis, n)
-	p.pendingIncoming = slices.Grow(p.pendingIncoming, n)
-	p.freeReqs = slices.Grow(p.freeReqs, n)
-	if len(p.outgoing) == 0 {
-		p.outgoing = growOutgoing(n)
-	}
+	// Each table is made, not grown: under the race detector a slices.Grow
+	// also allocates the temporary it appends.
+	p.vis = append(make([]*VI, 0, len(p.vis)+n), p.vis...)
+	p.pendingIncoming = append(make([]PeerRequest, 0, len(p.pendingIncoming)+n), p.pendingIncoming...)
+	p.outgoing = append(make([]outReq, 0, len(p.outgoing)+n), p.outgoing...)
 	p.mem.reserve(n)
 }
-
-// growOutgoing makes the table of outstanding requests, for n of them: at
-// Reserve, or at the first request of a port that reserved nothing (cold path).
-func growOutgoing(n int) map[connKey]*VI { return make(map[connKey]*VI, n) }
 
 // growVIs adds a slot to the port, with a VI for its life 0: the next of
 // Reserve's slab, else a new one (cold path: the table settles at the most VIs
@@ -362,14 +363,20 @@ func (p *Port) ConnectPeerRequest(vi *VI, remote Addr, disc uint64) error {
 		if req.From.Ep == remote.Ep && req.Disc == disc {
 			p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
 			p.establish(vi, req.RemoteVi)
-			p.freeReqs = append(p.freeReqs, req)
 			return nil
 		}
 	}
-	if p.outgoing == nil {
-		p.outgoing = growOutgoing(0)
+	// A second request under a pair replaces the entry, live or stale.
+	if i, ok := p.findOutgoing(remote.Ep, disc); ok {
+		p.outgoing[i].vi = vi
+	} else {
+		if p.outgoing == nil {
+			// A port that reserved nothing makes its table once, for a
+			// handful of handshakes at a time.
+			p.outgoing = slices.Grow(p.outgoing, 8)
+		}
+		p.outgoing = slices.Insert(p.outgoing, i, outReq{disc: disc, vi: vi, ep: remote.Ep})
 	}
-	p.outgoing[connKey{remote.Ep, disc}] = vi
 	p.net.sendFrame(p, remote.Ep, wireMsg{
 		kind: kindConnReq, srcEp: p.ep, srcVi: vi.id, disc: disc,
 	}, nil, 64)
@@ -389,9 +396,35 @@ func (p *Port) CancelConnect(vi *VI) error {
 	if vi.state != ViConnecting {
 		return vi.badState("CancelConnect")
 	}
-	delete(p.outgoing, connKey{int(vi.remoteEp), vi.disc})
+	p.dropOutgoing(int(vi.remoteEp), vi.disc)
 	vi.resetHandshake()
 	return nil
+}
+
+// findOutgoing returns where the entry for (ep, disc) is in the table of
+// outstanding requests, or would go, and whether it is there.
+func (p *Port) findOutgoing(ep int, disc uint64) (int, bool) {
+	return slices.BinarySearchFunc(p.outgoing, outReq{disc: disc, ep: ep}, cmpOutReq)
+}
+
+// dropOutgoing removes the entry for (ep, disc), whatever VI it names.
+func (p *Port) dropOutgoing(ep int, disc uint64) {
+	if i, ok := p.findOutgoing(ep, disc); ok {
+		p.outgoing = slices.Delete(p.outgoing, i, i+1)
+	}
+}
+
+// takeOutgoing removes and returns the VI whose request to (ep, disc) is
+// outstanding, if it is still connecting; a stale entry stays, and nil is
+// returned.
+func (p *Port) takeOutgoing(ep int, disc uint64) *VI {
+	i, ok := p.findOutgoing(ep, disc)
+	if !ok || p.outgoing[i].vi.state != ViConnecting {
+		return nil
+	}
+	vi := p.outgoing[i].vi
+	p.outgoing = slices.Delete(p.outgoing, i, i+1)
+	return vi
 }
 
 // NotifyAfter schedules an activity notification after d, waking the owner
@@ -435,50 +468,26 @@ func (p *Port) ConnectPeerWait(vi *VI, mode WaitMode, timeout simnet.Duration) e
 	}
 }
 
-// PendingPeerRequests returns incoming, not-yet-matched connection requests.
-// The on-demand progress engine polls this to notice peers that want to
-// talk (the slice is live; use ConnectPeerRequest or Reject to consume).
-func (p *Port) PendingPeerRequests() []*PeerRequest {
+// PendingPeerRequests returns incoming, not-yet-matched connection requests,
+// in arrival order. The on-demand progress engine polls this to notice peers
+// that want to talk (the slice is live; use ConnectPeerRequest or Reject to
+// consume).
+func (p *Port) PendingPeerRequests() []PeerRequest {
 	return p.pendingIncoming
 }
 
-// Reject refuses an incoming request, consuming it from the pending list if
-// it is still there.
-func (p *Port) Reject(req *PeerRequest) {
-	consumed := false
-	for i, r := range p.pendingIncoming {
-		if r == req {
-			p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
-			consumed = true
-			break
-		}
+// Reject refuses an incoming request, consuming the first pending entry equal
+// to req if there is one.
+func (p *Port) Reject(req PeerRequest) {
+	if i := slices.Index(p.pendingIncoming, req); i >= 0 {
+		p.pendingIncoming = slices.Delete(p.pendingIncoming, i, i+1)
 	}
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnReject,
 		Rank: int32(p.ep), Peer: int32(req.From.Ep), A: int64(req.Disc)})
 	p.net.sendFrame(p, req.From.Ep, wireMsg{
 		kind: kindConnNack, srcEp: p.ep, disc: req.Disc, dstVi: req.RemoteVi,
 	}, nil, 64)
-	if consumed {
-		p.freeReqs = append(p.freeReqs, req)
-	}
 }
-
-// newPeerRequest takes a request consumed from the pending list (by a
-// matching ConnectPeerRequest, or Reject) off the free list, else the next of
-// Reserve's slab, or grows.
-func (p *Port) newPeerRequest() *PeerRequest {
-	if req := simnet.Pop(&p.freeReqs); req != nil {
-		return req
-	}
-	if req := simnet.Carve(&p.reqSlab); req != nil {
-		return req
-	}
-	return growPeerRequests()
-}
-
-// growPeerRequests grows the free list (cold path: it settles at the number
-// of requests pending at once).
-func growPeerRequests() *PeerRequest { return new(PeerRequest) }
 
 // establish books vi's move to ViConnected, and the ACK that lets the remote
 // side complete, for when the provider has processed the handshake. The event
@@ -550,16 +559,13 @@ func (p *Port) dispatch(m *wireMsg) {
 			}, nil, 64)
 			return
 		}
-		key := connKey{m.srcEp, m.disc}
-		if vi, ok := p.outgoing[key]; ok && vi.state == ViConnecting {
+		if vi := p.takeOutgoing(m.srcEp, m.disc); vi != nil {
 			// Crossing peer requests: both sides establish.
-			delete(p.outgoing, key)
 			p.establish(vi, m.srcVi)
 			return
 		}
-		req := p.newPeerRequest()
-		*req = PeerRequest{From: Addr{Ep: m.srcEp}, Disc: m.disc, RemoteVi: m.srcVi}
-		p.pendingIncoming = append(p.pendingIncoming, req)
+		p.pendingIncoming = append(p.pendingIncoming,
+			PeerRequest{From: Addr{Ep: m.srcEp}, Disc: m.disc, RemoteVi: m.srcVi})
 		p.notifyActivity()
 	case kindConnAck:
 		// The peer took this VI's request and is up, so the VI is too: the
@@ -567,13 +573,12 @@ func (p *Port) dispatch(m *wireMsg) {
 		// was already answering it. Only a VI idle after an attempt to this
 		// pair takes such a late ACK; one that never issued a request matches
 		// nothing (CreateVi sets its endpoint to -1).
-		key := connKey{m.srcEp, m.disc}
-		vi, ok := p.outgoing[key]
-		if ok && vi.state == ViConnecting {
-			delete(p.outgoing, key)
-		} else if vi = p.lookupVi(m.dstVi); vi == nil || vi.state != ViIdle ||
-			int(vi.remoteEp) != m.srcEp || vi.disc != m.disc {
-			return
+		vi := p.takeOutgoing(m.srcEp, m.disc)
+		if vi == nil {
+			if vi = p.lookupVi(m.dstVi); vi == nil || vi.state != ViIdle ||
+				int(vi.remoteEp) != m.srcEp || vi.disc != m.disc {
+				return
+			}
 		}
 		vi.remoteVi = m.srcVi
 		vi.state = ViConnected
@@ -583,9 +588,7 @@ func (p *Port) dispatch(m *wireMsg) {
 		vi.deliverHeld()
 		p.notifyActivity()
 	case kindConnNack:
-		key := connKey{m.srcEp, m.disc}
-		if vi, ok := p.outgoing[key]; ok && vi.state == ViConnecting {
-			delete(p.outgoing, key)
+		if vi := p.takeOutgoing(m.srcEp, m.disc); vi != nil {
 			// remoteVi and any held pre-connection frames must go, or a
 			// reused VI could match a descriptor from the rejected attempt.
 			vi.resetHandshake()

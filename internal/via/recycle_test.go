@@ -507,8 +507,8 @@ func TestReserveCarvesApart(t *testing.T) {
 			if k, _ := vis[1].RecvPool(); k != 0 || len(vis[1].recvQ) != 1 || vis[1].recvQ[0] != mark {
 				t.Error("a pool posted on one VI of the slab showed on the next")
 			}
-			if req := port.newPeerRequest(); len(port.reqSlab) != n-1 || req == nil {
-				t.Errorf("%d requests left in a slab of %d after one take", len(port.reqSlab), n)
+			if cap(port.pendingIncoming) < n || cap(port.outgoing) < n {
+				t.Errorf("handshake tables of cap %d and %d after Reserve(%d)", cap(port.pendingIncoming), cap(port.outgoing), n)
 			}
 		},
 		func(p *simnet.Proc, port *Port) {})

@@ -76,9 +76,6 @@ func (vi *VI) State() ViState { return vi.state }
 // Port returns the owning port.
 func (vi *VI) Port() *Port { return vi.port }
 
-// Disc returns the discriminator the connection was established under.
-func (vi *VI) Disc() uint64 { return vi.disc }
-
 // RecvPool returns the counted pool: the receives posted and unclaimed, and
 // the capacity of each (0 on a VI that takes descriptors).
 func (vi *VI) RecvPool() (n, capacity int) { return int(vi.pool), int(vi.poolCap) }
@@ -509,7 +506,7 @@ func (vi *VI) Close() {
 	case ViConnecting:
 		// Abandon the outstanding request so a late ACK or crossing REQ
 		// cannot resurrect a VI that no longer exists.
-		delete(vi.port.outgoing, connKey{int(vi.remoteEp), vi.disc})
+		vi.port.dropOutgoing(int(vi.remoteEp), vi.disc)
 	case ViIdle, ViError, ViDisconnected, ViClosed:
 		// Nothing on the wire to retract: idle never sent, error/disconnect
 		// already tore the connection down, and closed returned above.

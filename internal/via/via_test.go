@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,196 @@ func TestPeerToPeerConnectCrossing(t *testing.T) {
 	}
 }
 
+// outKey is the pair an outstanding request is kept under.
+type outKey struct {
+	ep   int
+	disc uint64
+}
+
+// outModel is the rule the table of outstanding requests keeps, written as
+// the map it replaced: an issue puts its VI under the pair, over whatever was
+// there, unless a pending request answers it at once; a cancel or close of a
+// connecting VI removes its pair's entry, whichever VI that names; and a REQ,
+// ACK or NACK for a pair removes its entry only while the VI it names is
+// connecting, so a stale entry stays.
+type outModel map[outKey]*VI
+
+func (m outModel) issue(port *Port, vi *VI, ep int, disc uint64) {
+	answered := slices.ContainsFunc(port.pendingIncoming, func(r PeerRequest) bool { return r.From.Ep == ep && r.Disc == disc })
+	if vi.state == ViIdle && !answered {
+		m[outKey{ep, disc}] = vi
+	}
+}
+
+func (m outModel) drop(vi *VI) {
+	if vi.state == ViConnecting {
+		delete(m, outKey{int(vi.remoteEp), vi.disc})
+	}
+}
+
+func (m outModel) frame(kind byte, ep int, disc uint64) {
+	k := outKey{ep, disc}
+	if v := m[k]; v != nil && v.state == ViConnecting && (kind == kindConnReq || kind == kindConnAck || kind == kindConnNack) {
+		delete(m, k)
+	}
+}
+
+// check fails t unless port's table is sorted by (ep, disc) with no pair twice
+// and holds exactly what m holds.
+func (m outModel) check(t *testing.T, port *Port, after string) {
+	t.Helper()
+	ok := len(port.outgoing) == len(m)
+	for i, e := range port.outgoing {
+		if i > 0 {
+			prev := port.outgoing[i-1]
+			ok = ok && (prev.ep < e.ep || prev.ep == e.ep && prev.disc < e.disc)
+		}
+		ok = ok && m[outKey{e.ep, e.disc}] == e.vi
+	}
+	if !ok {
+		t.Fatalf("after %s: port %d's table %v, want the %d pairs %v in strict (ep, disc) order", after, port.ep, port.outgoing, len(m), m)
+	}
+}
+
+// The table of outstanding requests is a slice sorted by (remote endpoint,
+// discriminator) and keeps the matching rule of the map it replaced
+// (outModel): requests issued out of order — to a descending endpoint, to one
+// endpoint under two discriminators — sort into place, a second request under
+// a live pair takes the entry over, a cancel, a close, a NACK or an ACK removes
+// its own entry from the middle and no other, and a crossing REQ establishes
+// the VI its pair names. One process owns the three ports; every frame to A is
+// dispatched directly.
+func TestOutgoingRequestTable(t *testing.T) {
+	const B, C = 1, 2 // A is endpoint 0
+	type op struct {
+		do   string // issue, cancel, close, req, ack, nack
+		vi   int    // A's VI, by index: the one acted on, or the one a req connects (-1: none)
+		ep   int
+		disc uint64
+	}
+	type entry struct {
+		ep   int
+		disc uint64
+		vi   int
+	}
+	middle := []op{{"issue", 0, C, 1}, {"issue", 1, B, 7}, {"issue", 2, B, 2}}
+	cases := []struct {
+		name      string
+		ops       []op
+		want      []entry // the table at the end
+		connected []int   // A's VIs up at the end
+	}{
+		{"descending endpoint",
+			[]op{{"issue", 0, C, 4}, {"issue", 1, B, 4}, {"req", 0, C, 4}},
+			[]entry{{B, 4, 1}}, []int{0}},
+		{"one endpoint, two discriminators",
+			[]op{{"issue", 0, B, 9}, {"issue", 1, B, 3}, {"req", 0, B, 9}},
+			[]entry{{B, 3, 1}}, []int{0}},
+		{"second request under a live pair",
+			[]op{{"issue", 0, B, 5}, {"issue", 1, C, 1}, {"issue", 2, B, 5}, {"req", 2, B, 5}},
+			[]entry{{C, 1, 1}}, []int{2}},
+		{"cancel from the middle",
+			append(middle, op{"cancel", 1, 0, 0}, op{"req", 0, C, 1}, op{"req", 2, B, 2}),
+			nil, []int{0, 2}},
+		{"close from the middle",
+			append(middle, op{"close", 1, 0, 0}, op{"req", 2, B, 2}),
+			[]entry{{C, 1, 0}}, []int{2}},
+		{"NACK from the middle",
+			append(middle, op{"nack", 1, B, 7}, op{"req", 0, C, 1}),
+			[]entry{{B, 2, 2}}, []int{0}},
+		{"ACK from the middle",
+			append(middle, op{"ack", 1, B, 7}, op{"req", 2, B, 2}),
+			[]entry{{C, 1, 0}}, []int{1, 2}},
+		// A cancel removes its pair's entry whichever VI it names: the REQ
+		// then finds none, and is queued.
+		{"cancel of a replaced request",
+			[]op{{"issue", 0, B, 5}, {"issue", 2, B, 5}, {"cancel", 0, 0, 0}, {"req", -1, B, 5}},
+			nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(3, 1, ClanCost())
+			e.sim.SetDeadline(simnet.Time(simnet.Second))
+			e.sim.Spawn("a", 0, func(p *simnet.Proc) {
+				var ports [3]*Port
+				for i := range ports {
+					var err error
+					if ports[i], err = e.net.Open(p); err != nil || ports[i].ep != i {
+						t.Fatalf("port %d: endpoint %d, %v", i, ports[i].ep, err)
+					}
+				}
+				a := ports[0]
+				vis := make([]*VI, 3)
+				for i := range vis {
+					var err error
+					if vis[i], err = a.CreateVi(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m := outModel{}
+				var err error
+				for i, o := range tc.ops {
+					var vi *VI
+					if o.vi >= 0 {
+						vi = vis[o.vi]
+					}
+					switch o.do {
+					case "issue":
+						m.issue(a, vi, o.ep, o.disc)
+						err = a.ConnectPeerRequest(vi, ports[o.ep].Addr(), o.disc)
+					case "cancel":
+						m.drop(vi)
+						err = a.CancelConnect(vi)
+					case "close":
+						m.drop(vi)
+						vi.Close()
+					default:
+						kind := map[string]byte{"req": kindConnReq, "ack": kindConnAck, "nack": kindConnNack}[o.do]
+						m.frame(kind, o.ep, o.disc)
+						// srcVi is 100 plus the step, for the check below; dstVi
+						// names no VI, so only the table can match an ACK.
+						a.dispatch(&wireMsg{kind: kind, srcEp: o.ep, srcVi: 100 + i, dstVi: -1, disc: o.disc})
+					}
+					if err != nil {
+						t.Fatalf("step %d (%v): %v", i, o, err)
+					}
+					m.check(t, a, fmt.Sprintf("step %d (%v)", i, o))
+				}
+				p.Sleep(simnet.Millisecond) // past every booked establish
+				var got []entry
+				for _, o := range a.outgoing {
+					got = append(got, entry{o.ep, o.disc, slices.Index(vis, o.vi)})
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Errorf("table %v, want %v", got, tc.want)
+				}
+				var up []int
+				for i, vi := range vis {
+					if vi.State() == ViConnected {
+						up = append(up, i)
+					}
+				}
+				if !slices.Equal(up, tc.connected) {
+					t.Errorf("VIs %v connected, want %v", up, tc.connected)
+				}
+				// Each crossing REQ connected the VI its pair named, to the VI
+				// it came from.
+				for i, o := range tc.ops {
+					if o.do != "req" || o.vi < 0 {
+						continue
+					}
+					if vi := vis[o.vi]; int(vi.remoteEp) != o.ep || vi.disc != o.disc || vi.remoteVi != 100+i {
+						t.Errorf("step %d's REQ for (%d, %d): VI %d holds (%d, %d) to remote VI %d", i, o.ep, o.disc, o.vi, vi.remoteEp, vi.disc, vi.remoteVi)
+					}
+				}
+			})
+			if err := e.sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // A server answers a pending request by issuing the matching one, and refuses
 // another with Reject.
 func TestClientServerConnectAndReject(t *testing.T) {
@@ -155,7 +346,7 @@ func TestClientServerConnectAndReject(t *testing.T) {
 		func(p *simnet.Proc, port *Port) { // server
 			serverAddr = port.Addr()
 			haveAddr = true
-			waitReq := func(disc uint64) *PeerRequest {
+			waitReq := func(disc uint64) PeerRequest {
 				for {
 					for _, req := range port.PendingPeerRequests() {
 						if req.Disc == disc {
