@@ -27,14 +27,18 @@ build:
 test:
 	$(GO) test -timeout 300s ./...
 
-# internal/tcpvia has real concurrency (goroutines, sockets, locks);
-# internal/mpi and internal/core are single-threaded by design, so -race
-# there proves the simulated stack never silently grows a second runnable
-# goroutine (the one-runnable discipline the determinism rule encodes).
-# internal/sweep is the batch runner — the one other package with real
-# concurrency — so its worker pool and progress tracker run under -race too.
+# internal/tcpvia is sockets and one owner goroutine per node: its
+# connection goroutines hand every frame to the owner, and three passes of
+# its tests (the crossing dials, the manager stress) under -race are the
+# check that nothing else touches a node's state. internal/mpi and
+# internal/core are single-threaded by design, so -race there proves the
+# simulated stack never silently grows a second runnable goroutine (the
+# one-runnable discipline the determinism rule encodes). internal/sweep is
+# the batch runner — the one other package with real concurrency — so its
+# worker pool and progress tracker run under -race too.
 race:
-	$(GO) test -race ./internal/tcpvia/... ./internal/mpi/... ./internal/core/... ./internal/sweep/...
+	$(GO) test -race -count=3 ./internal/tcpvia/...
+	$(GO) test -race ./internal/mpi/... ./internal/core/... ./internal/sweep/...
 
 # The invariant analyzers also run inside `go test` (the selfcheck); this
 # target is the direct, human-readable form. The wall-time budget keeps the

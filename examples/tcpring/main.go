@@ -172,6 +172,11 @@ func main() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				// A manager progresses only inside its calls, so a forwarder
+				// closes its own when done, as a rank calls MPI_Finalize: its
+				// last send may still be parked behind a handshake, and Close
+				// flushes it.
+				defer mgrs[i].Close()
 				for lap := 0; lap < *laps; lap++ {
 					tok, err := mgrs[i].Recv((i-1+*np)%*np, 10*time.Second)
 					if err != nil {

@@ -34,16 +34,16 @@ func LocksAnalyzer() *Analyzer {
 		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": the simulated world is
 single-threaded by construction (the determinism rule bans sync there), so
 every mutex in the tree lives where real threads do: the real-socket twin
-internal/tcpvia (Node.mu, Manager.mu, Channel.mu, VI.writeMu,
-PeerRequest.doneMu, the EventLog leaf), the batch runner's progress tracker
-and the tcpring example. One held-state dataflow per mutex over every body
-yields two things. Per CFG path: a Lock is always discharged by an Unlock
+internal/tcpvia (the EventLog leaf; a node's own state has one owner
+goroutine and no lock), the batch runner's progress tracker and the tcpring
+example. One held-state dataflow per mutex over every body yields two
+things. Per CFG path: a Lock is always discharged by an Unlock
 or a deferred Unlock before return (a leaked lock hangs the next acquirer
 the way a missed wake hangs a waiter); a Lock never re-acquires a mutex
 that may already be held, and an Unlock never releases one that cannot be;
 and while a Policy.LeafLocks mutex may be held — a leaf is acquired last
 and released first — no call resolves into a package with a layer in the
-DAG, where it could park, take node locks or call back into the log.
+DAG, where it could park or call back into the log.
 Across the program: deadlock is a global property (thread 1 holding A while
 acquiring B against thread 2 holding B while acquiring A, both functions
 locally impeccable), so the rule derives from the shared call graph the
@@ -51,7 +51,7 @@ locks each function may transitively acquire, adds an order edge A→B at
 every acquisition of B, or call that can acquire B, while A may be held,
 and reports each cycle with one witness site per edge; F holding A and
 calling a G that locks A again is the cycle of length one. Lock identity is
-the declared struct field ("internal/tcpvia.(Node).mu"), so all instances
+the declared struct field ("internal/tcpvia.(EventLog).mu"), so all instances
 of a field share one node — coarse, but the granularity a lock hierarchy is
 written at. Reviewed exceptions go under Policy.Exceptions["locks"], keyed
 "A -> B", with why the two orders can never be live concurrently.`,
@@ -90,9 +90,9 @@ func lockFacts(m *Module, p *Policy) ([]Diagnostic, map[string]*lockEdge) {
 	// *synchronously*, via a union fixpoint over the call graph. Literal
 	// bodies are excluded on both sides — a literal runs in its own
 	// activation (a goroutine, a timer callback, a scheduled event), so its
-	// acquisitions are not held on the calling path. The time.AfterFunc
-	// wake-up in tcpvia's waitLocked is the live example: folding it in
-	// would report a Node.mu self-deadlock on a path that cannot exist.
+	// acquisitions are not held on the calling path: folding in a
+	// time.AfterFunc body that takes the lock its caller holds would report
+	// a self-deadlock on a path that cannot exist.
 	acquires := map[string]map[string]bool{}
 	declCallees := map[string][]string{}
 	for _, key := range ip.Keys {

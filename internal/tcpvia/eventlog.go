@@ -12,8 +12,10 @@ import (
 )
 
 // EventLog is the wall-clock half of the flight recorder: the capture
-// package itself is a pure single-threaded leaf, and this stack is genuinely
-// concurrent, so the real-socket twin tees its events through a lock here.
+// package itself is a pure single-threaded leaf, and while a node's owner
+// emits every event, a snapshot loop or a signal handler reads the log from
+// a goroutine of its own, so the real-socket twin tees its events through a
+// lock here — the package's one mutex.
 // Timestamps are host nanoseconds since the log's creation (the bundle's
 // header says ClockWall, so consumers know the stamps mean elapsed wall
 // time, not virtual time).

@@ -58,14 +58,20 @@ func TestEventLogStream(t *testing.T) {
 		}
 	})
 
+	// The send parks behind the dial it starts (it goes first, so the
+	// receiver's own dial cannot have brought the channel up already), and
+	// the sender's Close flushes it.
 	if err := mgrs[0].Send(1, []byte("recorded")); err != nil {
 		t.Fatal(err)
 	}
+	closed := own(func() error {
+		mgrs[0].Close()
+		return nil
+	})
 	if got, err := mgrs[1].Recv(0, tmo); err != nil || string(got) != "recorded" {
 		t.Fatalf("recv: %q %v", got, err)
 	}
-	waitUp(t, mgrs[0], 1)
-	waitUp(t, mgrs[1], 0)
+	<-closed
 
 	bundles := make([]*capture.Bundle, 2)
 	for i, log := range logs {
@@ -206,41 +212,8 @@ func TestNilEventLogIsInert(t *testing.T) {
 // metrics as JSON documents — under the obs.Collector key names, the same
 // keys mpirun-sim -metrics prints — including one final snapshot at Close.
 func TestManagerMetricsSnapshots(t *testing.T) {
-	nodes := []*Node{newNode(t), newNode(t)}
-	peers := []string{nodes[0].Addr(), nodes[1].Addr()}
 	var snaps bytes.Buffer
-	mgrs := make([]*Manager, 2)
-	for i := range mgrs {
-		cfg := ManagerConfig{
-			Node: nodes[i], Rank: i, Peers: peers, Policy: "ondemand",
-			Timeout: tmo,
-		}
-		if i == 0 {
-			log, err := NewEventLog(wallHeader(i), 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Log = log
-			cfg.SnapshotEvery = 5 * time.Millisecond
-			cfg.SnapshotTo = &snaps
-		}
-		m, err := NewManager(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i] = m
-	}
-	if err := mgrs[0].Send(1, []byte("tick")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgrs[1].Recv(0, tmo); err != nil {
-		t.Fatal(err)
-	}
-	waitUp(t, mgrs[0], 1)
-	time.Sleep(25 * time.Millisecond)
-	for _, m := range mgrs {
-		m.Close() // stops the loop after one final snapshot
-	}
+	snapshotPair(t, &snaps)
 	got := snaps.String()
 	if strings.Count(got, "{\"counters\"") < 2 {
 		t.Fatalf("expected multiple snapshots, got:\n%s", got)
@@ -254,4 +227,49 @@ func TestManagerMetricsSnapshots(t *testing.T) {
 	if strings.Contains(got, "tcpvia.") {
 		t.Fatalf("snapshot still carries a tcpvia.* counter:\n%s", got)
 	}
+}
+
+// snapshotPair runs two on-demand managers, rank 0 with a flight recorder
+// that snapshots its metrics to snaps every 5 ms: rank 0 sends one message,
+// which stays parked for a few ticks until its Close flushes it, and rank 1
+// receives it. Both managers are closed on return.
+func snapshotPair(t *testing.T, snaps *bytes.Buffer) {
+	t.Helper()
+	nodes := []*Node{newNode(t), newNode(t)}
+	peers := []string{nodes[0].Addr(), nodes[1].Addr()}
+	mgrs := make([]*Manager, 2)
+	for i := range mgrs {
+		cfg := ManagerConfig{
+			Node: nodes[i], Rank: i, Peers: peers, Policy: "ondemand",
+			Timeout: tmo,
+		}
+		if i == 0 {
+			log, err := NewEventLog(wallHeader(i), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Log = log
+			cfg.SnapshotEvery = 5 * time.Millisecond
+			cfg.SnapshotTo = snaps
+		}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[i] = m
+		t.Cleanup(m.Close)
+	}
+	if err := mgrs[0].Send(1, []byte("tick")); err != nil {
+		t.Fatal(err)
+	}
+	closed := own(func() error {
+		time.Sleep(25 * time.Millisecond)
+		mgrs[0].Close() // flushes the FIFO, then stops the loop after one final snapshot
+		return nil
+	})
+	if _, err := mgrs[1].Recv(0, tmo); err != nil {
+		t.Fatal(err)
+	}
+	<-closed
+	mgrs[1].Close()
 }

@@ -1,7 +1,6 @@
 package tcpvia
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -13,25 +12,23 @@ import (
 // Manager applies the paper's connection-management policies to a group of
 // tcpvia nodes identified by rank: "static" builds the full mesh up front;
 // "ondemand" creates a VI and dials lazily on first use, parking sends in a
-// per-channel FIFO until the connection is up (paper §3.4) and adopting
-// incoming requests as they arrive (§3.3, here with a goroutine instead of
-// the single-threaded poll, since this stack is genuinely concurrent).
+// per-channel FIFO until the connection is up (paper §3.4). Like the MPI it
+// stands for, it makes progress only inside its own calls (MPICH's weak
+// progress rule): every entry point first polls the node, adopts pending
+// requests (§3.3) and brings up each channel whose connection completed,
+// draining its FIFO in order. It belongs to its node's owner.
 type Manager struct {
-	node   *Node
-	rank   int
-	peers  []string // rank -> listen address
-	policy string
-
-	mu       sync.Mutex
-	channels map[int]*Channel
+	node     *Node
+	rank     int
+	peers    []string   // rank -> listen address
+	channels []*Channel // by rank; nil until first used
+	policy   string
 	timeout  time.Duration
 	closed   bool
-	adoptWG  sync.WaitGroup
 
 	// log is the optional wall-clock flight recorder and the manager's one
 	// emission path: it folds every event into the metrics the snapshot
-	// loop writes. EventLog serializes itself, so emissions need no manager
-	// lock.
+	// loop writes from its own goroutine, which is why EventLog locks.
 	log *EventLog
 
 	snapStop chan struct{}
@@ -48,26 +45,27 @@ type Channel struct {
 	Rank int
 	Vi   *VI
 
-	mu      sync.Mutex
-	up      bool
-	dialing bool  // an on-demand dial is in flight
-	err     error // why the last dial failed; cleared if the peer's dial brings the channel up
-	fifo    [][]byte
-	upped   chan struct{}
+	up   bool
+	fifo [][]byte
 }
 
-// Up reports whether the channel's connection is established and drained.
-func (c *Channel) Up() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.up
-}
-
-// dialErr reports why the channel's on-demand dial failed, if it did.
-func (c *Channel) dialErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
+// failed reports why the channel's connect request failed, or why its VI
+// went down before the channel came up; nil while it may still come up (a
+// peer's request can bring up a channel whose own dial failed).
+func (ch *Channel) failed() error {
+	if ch.up {
+		return nil
+	}
+	switch ch.Vi.state {
+	case Idle, Errored:
+		if ch.Vi.err != nil {
+			return fmt.Errorf("tcpvia: connect to rank %d: %w", ch.Rank, ch.Vi.err)
+		}
+	case Closed:
+		return ErrClosed
+	case Connecting, Connected:
+	}
+	return nil
 }
 
 // Every VI a manager creates pre-posts recvPool receive buffers of
@@ -112,8 +110,8 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		node:     cfg.Node,
 		rank:     cfg.Rank,
 		peers:    cfg.Peers,
+		channels: make([]*Channel, len(cfg.Peers)),
 		policy:   cfg.Policy,
-		channels: make(map[int]*Channel),
 		timeout:  cfg.Timeout,
 		log:      cfg.Log,
 	}
@@ -123,9 +121,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			return nil, err
 		}
 	case "ondemand":
-		// Adopt incoming requests in the background.
-		m.adoptWG.Add(1)
-		go m.adoptLoop()
 	default:
 		return nil, fmt.Errorf("tcpvia: unknown policy %q", cfg.Policy)
 	}
@@ -156,8 +151,7 @@ func (m *Manager) snapshotLoop(every time.Duration, out io.Writer) {
 	}
 }
 
-// pairDisc is the canonical discriminator for a rank pair (never 0, since 0
-// is the "match any" wildcard in WaitRequest).
+// pairDisc is the canonical discriminator for a rank pair.
 func pairDisc(a, b int) uint64 {
 	if a > b {
 		a, b = b, a
@@ -165,70 +159,84 @@ func pairDisc(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b) | 1<<63
 }
 
-// connectAll builds the full mesh: lower rank dials, higher rank accepts —
-// the static policy.
+// connectAll builds the full mesh, the static policy: each rank dials the
+// ranks above it, adopts the requests of those below, and waits until every
+// channel is up.
 func (m *Manager) connectAll() error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(m.peers))
 	for r := range m.peers {
 		if r == m.rank {
 			continue
 		}
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := m.establish(r)
-			errs[r] = err
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+		ch, err := m.channel(r)
+		if err == nil && r > m.rank {
+			err = m.dial(ch)
+		}
 		if err != nil {
 			return err
 		}
 	}
-	return nil
+	var err error
+	if !m.progressUntil(m.timeout, func() bool {
+		for _, ch := range m.channels {
+			if ch != nil && !ch.up {
+				err = ch.failed()
+				return err != nil
+			}
+		}
+		return true
+	}) {
+		return fmt.Errorf("tcpvia: rank %d's mesh not up after %v: %w", m.rank, m.timeout, ErrTimeout)
+	}
+	return err
 }
 
-// adoptWait is how long adoptLoop blocks in one WaitRequest before asking
-// again; an idle interval is not a reason to stop adopting.
-var adoptWait = time.Hour
+// step is the manager's progress: it polls the node, adopts pending
+// requests, and brings up every channel whose VI has connected — even if the
+// peer closed it again within the same poll, after its messages arrived.
+func (m *Manager) step() {
+	m.node.Poll()
+	m.adopt()
+	for _, ch := range m.channels {
+		if ch != nil && !ch.up && ch.Vi.cameUp {
+			m.markUp(ch)
+		}
+	}
+}
 
-// adoptLoop services incoming connection requests under on-demand until the
-// node closes.
-func (m *Manager) adoptLoop() {
-	defer m.adoptWG.Done()
-	for {
-		req, err := m.node.WaitRequest(0, adoptWait)
-		if errors.Is(err, ErrTimeout) {
-			continue
+// progressUntil steps the manager, waiting for activity on the node between
+// steps, until done reports true (and returns true) or timeout passes.
+func (m *Manager) progressUntil(timeout time.Duration, done func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for m.step(); !done(); m.step() {
+		left := time.Until(deadline)
+		if left <= 0 {
+			return false
 		}
-		if err != nil {
-			return // ErrClosed
-		}
+		m.node.WaitActivity(left)
+	}
+	return true
+}
+
+// adopt answers every pending request: a known peer's comes up on that
+// peer's channel (§3.3); one from an unknown address, for a channel already
+// up, or losing a crossing to the channel's own dial is refused.
+func (m *Manager) adopt() {
+	for reqs := m.node.PendingPeerRequests(); len(reqs) > 0; reqs = m.node.PendingPeerRequests() {
+		req := reqs[0]
 		rank := m.rankOf(req.From)
 		if rank < 0 {
-			req.Reject()
+			m.node.Reject(req)
 			m.logEvent(obs.EvConnReject, -1, 0, 0)
 			continue
 		}
-		ch := m.channel(rank)
-		if ch.Vi == nil || ch.Vi.State() == Connected {
-			req.Reject()
-			m.logEvent(obs.EvConnReject, rank, int64(pairDisc(m.rank, rank)), 0)
+		disc := int64(pairDisc(m.rank, rank))
+		ch, err := m.channel(rank)
+		if err != nil || ch.Vi.state == Connected || m.node.Accept(req, ch.Vi) != nil {
+			m.node.Reject(req)
+			m.logEvent(obs.EvConnReject, rank, disc, 0)
 			continue
 		}
-		// Accept adopts onto an Idle VI, or resolves a crossing dial onto a
-		// Connecting one; anything else is answered so the peer's dialer
-		// never hangs.
-		if err := m.node.Accept(req, ch.Vi); err != nil {
-			req.Reject()
-			m.logEvent(obs.EvConnReject, rank, int64(pairDisc(m.rank, rank)), 0)
-			continue
-		}
-		m.logEvent(obs.EvConnAccept, rank, int64(pairDisc(m.rank, rank)), 0)
-		m.markUp(ch)
+		m.logEvent(obs.EvConnAccept, rank, disc, 0)
 	}
 }
 
@@ -241,61 +249,36 @@ func (m *Manager) rankOf(addr string) int {
 	return -1
 }
 
-// channel returns (creating if needed) the channel struct and its prepared
-// VI for a peer.
-func (m *Manager) channel(rank int) *Channel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ch, ok := m.channels[rank]; ok {
-		return ch
+// channel returns the channel to a peer, creating it and its VI, with the
+// receive pool posted, on first use.
+func (m *Manager) channel(rank int) (*Channel, error) {
+	if ch := m.channels[rank]; ch != nil {
+		return ch, nil
 	}
 	vi, err := m.node.CreateVi()
 	if err != nil {
-		// Surface the error through a dead channel; sends will report it.
-		ch := &Channel{Rank: rank, upped: make(chan struct{})}
-		m.channels[rank] = ch
-		return ch
+		return nil, err
 	}
 	for range recvPool {
 		_ = vi.PostRecv(make([]byte, recvBufSize))
 	}
-	ch := &Channel{Rank: rank, Vi: vi, upped: make(chan struct{})}
+	ch := &Channel{Rank: rank, Vi: vi}
 	m.channels[rank] = ch
-	m.logEvent(obs.EvViCreate, rank, int64(len(m.channels)), 0)
-	return ch
-}
-
-// establish creates the channel and synchronously connects it (static path,
-// and the dialing side of on-demand).
-func (m *Manager) establish(rank int) (*Channel, error) {
-	ch := m.channel(rank)
-	if ch.Vi == nil {
-		return nil, ErrTooManyVIs
-	}
-	ch.mu.Lock()
-	if ch.up {
-		ch.mu.Unlock()
-		return ch, nil
-	}
-	ch.mu.Unlock()
-	m.logEvent(obs.EvConnRequest, rank, int64(pairDisc(m.rank, rank)), 0)
-	err := m.node.ConnectPeer(ch.Vi, m.peers[rank], pairDisc(m.rank, rank), m.timeout)
-	if err != nil && ch.Vi.State() != Connected {
-		return nil, err
-	}
-	m.markUp(ch)
+	m.logEvent(obs.EvViCreate, rank, int64(m.node.stats.VisCreated), 0)
 	return ch, nil
 }
 
-// markUp flips the channel and drains its FIFO in order (paper §3.4). The
-// channel lock is held across the drain so sends racing the transition
-// queue behind the parked messages instead of overtaking them.
-func (m *Manager) markUp(ch *Channel) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.up {
-		return
+// open steps the manager and returns the channel to a peer rank.
+func (m *Manager) open(rank int) (*Channel, error) {
+	if rank < 0 || rank >= len(m.peers) || rank == m.rank {
+		return nil, fmt.Errorf("tcpvia: rank %d has no channel to rank %d", m.rank, rank)
 	}
+	m.step()
+	return m.channel(rank)
+}
+
+// markUp flips the channel and drains its FIFO in order (paper §3.4).
+func (m *Manager) markUp(ch *Channel) {
 	for _, data := range ch.fifo {
 		ch.Vi.PostSend(data)
 	}
@@ -303,79 +286,61 @@ func (m *Manager) markUp(ch *Channel) {
 		m.logEvent(obs.EvFifoDrain, ch.Rank, int64(len(ch.fifo)), 0)
 	}
 	ch.fifo = nil
-	ch.up, ch.err = true, nil
+	ch.up = true
 	m.logEvent(obs.EvConnUp, ch.Rank, int64(pairDisc(m.rank, ch.Rank)), 0)
-	close(ch.upped)
 }
 
-// dial starts the on-demand connect for ch unless the channel is up, a dial
-// is already in flight, or the last one failed — and returns that failure,
-// so a send parked behind a dead dial is never stranded silently.
+// dial issues the channel's connect request unless it is up or has one in
+// flight — or the last one failed, which it returns, so a send parked
+// behind a dead dial is never stranded silently.
 func (m *Manager) dial(ch *Channel) error {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.up || ch.dialing || ch.err != nil {
-		return ch.err
+	if err := ch.failed(); err != nil || ch.up || ch.Vi.state != Idle {
+		return err
 	}
-	ch.dialing = true
-	go func() {
-		_, err := m.establish(ch.Rank)
-		ch.mu.Lock()
-		ch.dialing = false
-		if err != nil && !ch.up {
-			ch.err = fmt.Errorf("tcpvia: connect to rank %d: %w", ch.Rank, err)
-		}
-		ch.mu.Unlock()
-	}()
-	return nil
+	disc := pairDisc(m.rank, ch.Rank)
+	m.logEvent(obs.EvConnRequest, ch.Rank, int64(disc), 0)
+	return m.node.ConnectPeerRequest(ch.Vi, m.peers[ch.Rank], disc, m.timeout)
 }
 
 // Send transmits data to a peer rank. Under on-demand, the first send
 // triggers connection establishment; sends racing the handshake are parked
-// in the FIFO and drained in order, so no message is ever discarded. Once
-// the dial has failed, Send reports why instead of parking.
+// in the FIFO and drained in order by a later call, so no message is ever
+// discarded. Once the dial has failed, Send reports why instead of parking.
 func (m *Manager) Send(rank int, data []byte) error {
-	if rank == m.rank {
-		return fmt.Errorf("tcpvia: self-send not supported at this layer")
+	ch, err := m.open(rank)
+	if err != nil {
+		return err
 	}
-	ch := m.channel(rank)
-	if ch.Vi == nil {
-		return ErrTooManyVIs
-	}
-	ch.mu.Lock()
 	if !ch.up {
-		if err := ch.err; err != nil {
-			ch.mu.Unlock()
+		if err := ch.failed(); err != nil {
 			return err
 		}
 		// Park a copy (the caller may reuse its buffer immediately).
 		ch.fifo = append(ch.fifo, append([]byte(nil), data...))
-		depth := len(ch.fifo)
-		ch.mu.Unlock()
-		m.logEvent(obs.EvFifoPark, rank, int64(depth), int64(len(data)))
+		m.logEvent(obs.EvFifoPark, rank, int64(len(ch.fifo)), int64(len(data)))
 		if m.policy == "ondemand" {
 			return m.dial(ch)
 		}
 		return nil
 	}
-	ch.mu.Unlock()
 	st, err := ch.Vi.PostSend(data)
 	if err != nil {
 		return err
 	}
 	if st == Discarded {
-		return fmt.Errorf("tcpvia: send discarded in state %v", ch.Vi.State())
+		return fmt.Errorf("tcpvia: send discarded in state %v", ch.Vi.state)
 	}
 	m.logEvent(obs.EvMsgSend, rank, int64(len(data)), 0)
 	return nil
 }
 
-// Recv blocks for the next message from a peer rank; a failed dial to that
-// peer is reported in place of the timeout it would otherwise cause.
+// Recv waits, stepping the manager, for the next message from a peer rank;
+// a failed dial to that peer is reported in place of the timeout it would
+// otherwise cause.
 func (m *Manager) Recv(rank int, timeout time.Duration) ([]byte, error) {
-	ch := m.channel(rank)
-	if ch.Vi == nil {
-		return nil, ErrTooManyVIs
+	ch, err := m.open(rank)
+	if err != nil {
+		return nil, err
 	}
 	if m.policy == "ondemand" {
 		// Receiver-side connect (paper §4): a receive for a specific source
@@ -384,60 +349,67 @@ func (m *Manager) Recv(rank int, timeout time.Duration) ([]byte, error) {
 			return nil, err
 		}
 	}
-	buf, ln, err := ch.Vi.RecvWait(timeout)
-	if err != nil {
-		if derr := ch.dialErr(); derr != nil {
-			return nil, derr
+	var c completion
+	var ok bool
+	if !m.progressUntil(timeout, func() bool {
+		if c, ok, err = ch.Vi.received(); !ok && err == nil {
+			err = ch.failed()
 		}
+		return ok || err != nil
+	}) {
+		return nil, ErrTimeout
+	}
+	if !ok {
 		return nil, err
 	}
-	out := make([]byte, ln)
-	copy(out, buf[:ln])
+	out := make([]byte, c.n)
+	copy(out, c.buf[:c.n])
 	// Recycle the pool buffer.
-	_ = ch.Vi.PostRecv(buf)
-	m.logEvent(obs.EvMsgRecv, rank, int64(ln), 0)
+	_ = ch.Vi.PostRecv(c.buf)
+	m.logEvent(obs.EvMsgRecv, rank, int64(c.n), 0)
 	return out, nil
 }
 
-// Connections reports how many channels are established — the Table 2
+// Connections reports how many channels have come up — the Table 2
 // quantity on the live network.
 func (m *Manager) Connections() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.step()
 	n := 0
 	for _, ch := range m.channels {
-		if ch.Up() {
+		if ch != nil && ch.up {
 			n++
 		}
 	}
 	return n
 }
 
-// Close tears down all channels, stops the snapshot loop (writing one final
-// snapshot), and closes the node so the adopt loop ends before Close returns.
+// Close finishes what is parked first, as MPI_Finalize completes a rank's
+// sends: it steps the manager until every FIFO has drained or its dial has
+// failed, or the timeout passes. It then closes every channel and the node,
+// and stops the snapshot loop after one final snapshot.
 func (m *Manager) Close() {
-	m.mu.Lock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.closed = true
-	if m.snapStop != nil {
-		close(m.snapStop)
-	}
-	chans := make([]*Channel, 0, len(m.channels))
+	m.progressUntil(m.timeout, func() bool {
+		for _, ch := range m.channels {
+			if ch != nil && len(ch.fifo) > 0 && ch.failed() == nil {
+				return false
+			}
+		}
+		return true
+	})
 	for _, ch := range m.channels {
-		chans = append(chans, ch)
-	}
-	m.mu.Unlock()
-	m.snapWG.Wait()
-	for _, ch := range chans {
-		if ch.Vi != nil {
+		if ch != nil {
 			ch.Vi.Close()
 		}
 	}
 	// The listener's close error has no caller to go to here; Node.Close is
 	// idempotent, so an owner that wants it closes the node first.
 	_ = m.node.Close()
-	m.adoptWG.Wait()
+	if m.snapStop != nil {
+		close(m.snapStop)
+		m.snapWG.Wait()
+	}
 }

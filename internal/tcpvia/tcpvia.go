@@ -12,30 +12,39 @@
 // the substrate for the paper's figures (its timing is controllable); this
 // one demonstrates the mechanism where timing is real.
 //
-// Concurrency model: one reader goroutine per TCP connection feeds VI
-// receive queues; all state is guarded by a per-node mutex with condition
-// variables for blocking waits. Unlike the simulated stack there is no
-// global scheduler — this is ordinary concurrent Go.
+// Concurrency model: a node, its VIs, its pending requests and a Manager
+// over it belong to one owner goroutine at a time — the caller of their
+// methods — as a simulated via.Port belongs to its process; ownership
+// passes between goroutines only through a synchronizing operation (a
+// channel send, WaitGroup.Wait). Goroutines run only where a syscall
+// blocks: the accept loop, and one per TCP connection that dials it
+// (outbound only) and then decodes its frames into the node's inbox. Every
+// state transition, handshake reply and socket write happens on the owner,
+// inside Poll or WaitActivity, which select on that inbox and one timer. A
+// connection's goroutine reads no further past a data frame until the owner
+// has put it into a posted receive descriptor, so a receiver that posts
+// none throttles its sender through TCP.
 package tcpvia
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Errors returned by the tcpvia layer.
 var (
-	ErrClosed       = errors.New("tcpvia: node or VI closed")
-	ErrBadState     = errors.New("tcpvia: operation invalid in current VI state")
-	ErrTimeout      = errors.New("tcpvia: operation timed out")
-	ErrRejected     = errors.New("tcpvia: connection request rejected")
-	ErrTooManyVIs   = errors.New("tcpvia: VI limit exceeded")
-	ErrNoDescriptor = errors.New("tcpvia: message arrived with no posted receive descriptor")
+	ErrClosed     = errors.New("tcpvia: node or VI closed")
+	ErrBadState   = errors.New("tcpvia: operation invalid in current VI state")
+	ErrTimeout    = errors.New("tcpvia: operation timed out")
+	ErrRejected   = errors.New("tcpvia: connection request rejected")
+	ErrTooManyVIs = errors.New("tcpvia: VI limit exceeded")
 )
 
 // ViState mirrors the VIA connection state machine.
@@ -81,16 +90,6 @@ const (
 type Config struct {
 	ListenAddr string // e.g. "127.0.0.1:0"
 	MaxVIs     int    // 0 = unlimited
-
-	// StrictDescriptors selects VIA-faithful receive semantics: a message
-	// arriving on a VI with no posted receive descriptor breaks the
-	// connection, exactly as the simulated via package (and real VIA
-	// reliable delivery) behaves. When false (the default), the connection
-	// reader instead waits for a descriptor, letting TCP's own
-	// backpressure throttle the sender — the pragmatic choice on a stream
-	// transport, standing in for the credit flow control an MPI layer
-	// would provide.
-	StrictDescriptors bool
 }
 
 // Stats counts a node's resource usage (the Table 2 quantities, live).
@@ -105,16 +104,13 @@ type Stats struct {
 	DiscardedSends int64
 }
 
-// PeerRequest is an incoming, not-yet-accepted connection request.
+// PeerRequest is an incoming, not-yet-answered connection request.
 type PeerRequest struct {
 	From string // remote node's listen address
 	Disc uint64
 
-	conn   net.Conn
-	viID   uint32
-	node   *Node
-	doneMu sync.Mutex
-	done   bool
+	l        *link
+	remoteVi uint32
 }
 
 // wire message kinds
@@ -127,6 +123,32 @@ const (
 	kClose
 )
 
+// A link is one TCP connection and the goroutine that dials or accepts it
+// and then reads it.
+type link struct {
+	conn  net.Conn      // set once the connection is open
+	ack   chan struct{} // owner -> reader: the data frame handed over is delivered
+	vi    *VI           // the VI it dials for or carries; nil for an inbound one until accepted
+	hello bool          // an inbound connection's HELLO has arrived
+}
+
+// An arrival is what a connection's goroutine hands the owner: the
+// connection once it is open, then each frame read from it, then the error
+// that ended it.
+type arrival struct {
+	l       *link
+	conn    net.Conn
+	kind    byte
+	payload []byte
+	err     error
+}
+
+// A completion is a filled receive descriptor.
+type completion struct {
+	buf []byte
+	n   int
+}
+
 // VI is a Virtual Interface endpoint over one TCP connection.
 type VI struct {
 	node *Node
@@ -135,17 +157,16 @@ type VI struct {
 	state    ViState
 	remote   string // remote listen address (once connecting/connected)
 	disc     uint64
-	conn     net.Conn
+	link     *link // the connection dialing for or carrying the VI
 	remoteVi uint32
+	deadline time.Time // when a Connecting VI's request times out
+	err      error     // why the last request failed, or the connection broke
+	cameUp   bool      // it has been Connected, if only until the same Poll
 
-	recvQ   [][]byte // posted receive buffers, FIFO
-	doneQ   []int    // completed receive lengths, FIFO (parallel to consumed bufs)
-	doneBuf [][]byte
-
-	// writeMu serializes frame writes: net.Conn gives no atomicity across
-	// concurrent writers, and message order on the wire must match post
-	// order.
-	writeMu sync.Mutex
+	recvQ   [][]byte     // posted receive buffers, FIFO
+	done    []completion // completed receives, FIFO
+	held    []byte       // a data frame that arrived with no posted buffer
+	holding bool
 
 	usedTx, usedRx bool
 }
@@ -153,20 +174,20 @@ type VI struct {
 // Node is a process's endpoint: it owns a listener, its VIs, and the
 // pending-request queue.
 type Node struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	cfg     Config
+	ln      net.Listener
+	addr    string
+	vis     []*VI // by id - 1
+	pending []*PeerRequest
+	links   []*link // every open connection, for Close
+	closed  bool
+	stats   Stats
 
-	cfg      Config
-	ln       net.Listener
-	addr     string
-	vis      map[uint32]*VI
-	nextVi   uint32
-	pending  []*PeerRequest
-	outgoing map[uint64]*VI // disc -> dialing VI (for crossing tie-break)
-	closed   bool
-
-	stats Stats
-	wg    sync.WaitGroup
+	inbox  chan arrival
+	ctx    context.Context // done at Close: dials abort, connection goroutines stop
+	cancel context.CancelFunc
+	timer  *time.Timer
+	wg     sync.WaitGroup
 }
 
 // Listen creates a node listening for peer connections.
@@ -178,14 +199,17 @@ func Listen(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		cfg:      cfg,
-		ln:       ln,
-		addr:     ln.Addr().String(),
-		vis:      make(map[uint32]*VI),
-		outgoing: make(map[uint64]*VI),
+		cfg:    cfg,
+		ln:     ln,
+		addr:   ln.Addr().String(),
+		inbox:  make(chan arrival),
+		ctx:    ctx,
+		cancel: cancel,
+		timer:  time.NewTimer(time.Hour),
 	}
-	n.cond = sync.NewCond(&n.mu)
+	n.timer.Stop()
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -196,10 +220,7 @@ func (n *Node) Addr() string { return n.addr }
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := n.stats
-	s.VisUsed = 0
 	for _, vi := range n.vis {
 		if vi.usedTx || vi.usedRx {
 			s.VisUsed++
@@ -208,24 +229,21 @@ func (n *Node) Stats() Stats {
 	return s
 }
 
-// Close shuts the node down, closing every VI and the listener.
+// Close shuts the node down, closing every VI, connection and the listener,
+// and returns once every goroutine of the node has exited.
 func (n *Node) Close() error {
-	n.mu.Lock()
 	if n.closed {
-		n.mu.Unlock()
 		return nil
 	}
 	n.closed = true
-	vis := make([]*VI, 0, len(n.vis))
 	for _, vi := range n.vis {
-		vis = append(vis, vi)
-	}
-	n.cond.Broadcast()
-	n.mu.Unlock()
-
-	for _, vi := range vis {
 		vi.Close()
 	}
+	n.cancel()
+	for _, l := range n.links {
+		l.conn.Close()
+	}
+	n.pending = nil
 	err := n.ln.Close()
 	n.wg.Wait()
 	return err
@@ -233,8 +251,6 @@ func (n *Node) Close() error {
 
 // CreateVi creates an idle VI endpoint.
 func (n *Node) CreateVi() (*VI, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
@@ -249,16 +265,13 @@ func (n *Node) CreateVi() (*VI, error) {
 			return nil, fmt.Errorf("%w (%d)", ErrTooManyVIs, n.cfg.MaxVIs)
 		}
 	}
-	n.nextVi++
-	vi := &VI{node: n, id: n.nextVi, state: Idle}
-	n.vis[vi.id] = vi
+	vi := &VI{node: n, id: uint32(len(n.vis) + 1)}
+	n.vis = append(n.vis, vi)
 	n.stats.VisCreated++
 	return vi, nil
 }
 
-// acceptLoop handles inbound TCP connections: each starts with a HELLO and
-// either matches a crossing dial, is accepted by a waiting server, or is
-// queued as a pending peer request.
+// acceptLoop gives each inbound TCP connection a goroutine of its own.
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -267,389 +280,331 @@ func (n *Node) acceptLoop() {
 			return
 		}
 		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.handleInbound(conn)
-		}()
+		go n.serve(&link{ack: make(chan struct{}, 1)}, conn, "", time.Time{})
 	}
 }
 
-func (n *Node) handleInbound(conn net.Conn) {
-	kind, payload, err := readFrame(conn)
-	if err != nil || kind != kHello {
-		conn.Close()
-		return
-	}
-	if len(payload) < 12 {
-		conn.Close()
-		return
-	}
-	disc := binary.LittleEndian.Uint64(payload)
-	viID := binary.LittleEndian.Uint32(payload[8:])
-	from := string(payload[12:])
-
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		conn.Close()
-		return
-	}
-	// A VI already connected under this (disc, peer): the HELLO is the late
-	// half of a crossing dial. Answer kBusy so the dialer observes its VI
-	// is connected and succeeds instead of timing out on an orphaned
-	// connection.
-	for _, vi := range n.vis {
-		if vi.disc == disc && vi.remote == from && vi.state == Connected {
-			n.mu.Unlock()
-			writeFrame(conn, kBusy, nil)
-			conn.Close()
+// serve is the goroutine of one TCP connection; an outbound one (conn nil)
+// dials remote first. It hands the owner the open connection, then every
+// frame it reads, then the error that ends it. After a data frame it reads
+// nothing more until the owner has delivered that frame.
+func (n *Node) serve(l *link, conn net.Conn, remote string, deadline time.Time) {
+	defer n.wg.Done()
+	if conn == nil {
+		d := net.Dialer{Deadline: deadline}
+		c, err := d.DialContext(n.ctx, "tcp", remote)
+		if err != nil {
+			n.hand(arrival{l: l, err: err})
 			return
 		}
+		conn = c
 	}
-	// Crossing dial tie-break: if we are dialing the same discriminator to
-	// the same peer, the connection dialed by the smaller address survives.
-	if out, ok := n.outgoing[disc]; ok && out.remote == from && out.state == Connecting {
-		if n.addr < from {
-			// Our dial wins; tell the peer to use it.
-			n.mu.Unlock()
-			writeFrame(conn, kBusy, nil)
-			conn.Close()
-			return
-		}
-		// Their dial wins: adopt this connection for our dialing VI. The
-		// write lock is held from before the state turns Connected until
-		// kAccept is out, so a send that starts the moment the state is
-		// visible queues behind the handshake frame instead of overtaking it.
-		delete(n.outgoing, disc)
-		out.writeMu.Lock()
-		out.adoptLocked(conn, viID)
-		n.stats.VisConnected++
-		n.mu.Unlock()
-		writeFrame(conn, kAccept, u32(out.id))
-		out.writeMu.Unlock()
-		out.startReader()
+	defer conn.Close()
+	if !n.hand(arrival{l: l, conn: conn}) {
 		return
 	}
-	req := &PeerRequest{From: from, Disc: disc, conn: conn, viID: viID, node: n}
-	n.pending = append(n.pending, req)
-	n.cond.Broadcast()
-	n.mu.Unlock()
-}
-
-// pendingLocked returns (and removes) a queued incoming connection request,
-// optionally filtered by discriminator (disc == 0 matches any), or nil when
-// none is queued. The node lock is held.
-func (n *Node) pendingLocked(disc uint64) *PeerRequest {
-	for i, r := range n.pending {
-		if disc == 0 || r.Disc == disc {
-			n.pending = append(n.pending[:i], n.pending[i+1:]...)
-			return r
-		}
-	}
-	return nil
-}
-
-// WaitRequest blocks until a request (matching disc, or any if disc == 0)
-// arrives or the timeout elapses.
-func (n *Node) WaitRequest(disc uint64, timeout time.Duration) (*PeerRequest, error) {
-	deadline := time.Now().Add(timeout)
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for {
-		if r := n.pendingLocked(disc); r != nil {
-			return r, nil
+		kind, payload, err := readFrame(conn)
+		if !n.hand(arrival{l: l, kind: kind, payload: payload, err: err}) || err != nil {
+			return
 		}
-		if n.closed {
-			return nil, ErrClosed
+		if kind == kData {
+			select {
+			case <-l.ack:
+			case <-n.ctx.Done():
+				return
+			}
 		}
-		if time.Now().After(deadline) {
-			return nil, ErrTimeout
-		}
-		n.waitLocked(deadline)
 	}
 }
 
-// waitLocked waits on the node condition with a deadline, using a timer to
-// break the wait.
-func (n *Node) waitLocked(deadline time.Time) {
-	t := time.AfterFunc(time.Until(deadline)+time.Millisecond, func() {
-		n.mu.Lock()
-		n.cond.Broadcast()
-		n.mu.Unlock()
-	})
-	defer t.Stop()
-	n.cond.Wait()
+// hand passes a to the owner, unless the node closes first.
+func (n *Node) hand(a arrival) bool {
+	select {
+	case n.inbox <- a:
+		return true
+	case <-n.ctx.Done():
+		return false
+	}
 }
 
-// Accept completes a pending request on vi. The VI may be Idle, or
-// Connecting with a matching (disc, peer) — the latter is a crossing dial
-// resolving through the request queue, settled by the same tie-break as
-// handleInbound: if the peer's dial wins, the VI adopts the inbound
-// connection and the outstanding dial completes benignly when it observes
-// the state; if ours wins, the request is answered kBusy and Accept returns
-// ErrBadState, leaving the dial to carry the connection. Without the
-// tie-break each end could keep the connection the other one drops.
+// Poll handles, without waiting, every arrival the node's connections have
+// ready, and fails each connect request whose deadline has passed. It
+// reports whether anything happened.
+func (n *Node) Poll() bool {
+	did := n.expire()
+	for {
+		select {
+		case a := <-n.inbox:
+			n.handle(a)
+			did = true
+		default:
+			return did
+		}
+	}
+}
+
+// WaitActivity is Poll, but when nothing is ready it waits up to timeout for
+// an arrival or a connect deadline first. It reports whether anything
+// happened.
+func (n *Node) WaitActivity(timeout time.Duration) bool {
+	if n.closed {
+		return false
+	}
+	if n.Poll() {
+		return true
+	}
+	for _, vi := range n.vis {
+		if vi.state == Connecting {
+			timeout = min(timeout, time.Until(vi.deadline))
+		}
+	}
+	if timeout <= 0 {
+		return false
+	}
+	n.timer.Reset(timeout)
+	select {
+	case a := <-n.inbox:
+		n.timer.Stop()
+		n.handle(a)
+		n.Poll()
+		return true
+	case <-n.timer.C:
+		return n.expire()
+	}
+}
+
+// expire fails every connect request whose deadline has passed.
+func (n *Node) expire() bool {
+	did := false
+	now := time.Now()
+	for _, vi := range n.vis {
+		if vi.state == Connecting && !now.Before(vi.deadline) {
+			vi.fail(ErrTimeout)
+			did = true
+		}
+	}
+	return did
+}
+
+// handle applies one arrival to the node.
+func (n *Node) handle(a arrival) {
+	l, vi := a.l, a.l.vi
+	live := vi != nil && vi.link == l // l is its VI's current connection
+	switch {
+	case a.conn != nil:
+		l.conn = a.conn
+		n.links = append(n.links, l)
+		if live && vi.state == Connecting {
+			hello := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, vi.disc), vi.id)
+			writeFrame(l.conn, kHello, append(hello, n.addr...))
+		} else if vi != nil {
+			l.conn.Close() // its VI gave the dial up while it was under way
+		}
+	case a.err != nil:
+		n.links = slices.DeleteFunc(n.links, func(x *link) bool { return x == l })
+		n.pending = slices.DeleteFunc(n.pending, func(r *PeerRequest) bool { return r.l == l })
+		switch {
+		case !live:
+		case vi.state == Connecting:
+			vi.fail(fmt.Errorf("tcpvia: connect to %s: %w", vi.remote, a.err))
+		case vi.state == Connected:
+			vi.drop()
+			vi.state, vi.err = Errored, fmt.Errorf("tcpvia: connection to %s broken: %w", vi.remote, a.err)
+		}
+	case a.kind == kData && live && vi.state == Connected:
+		vi.held, vi.holding = a.payload, true
+		vi.deliver()
+	case a.kind == kData:
+		l.ack <- struct{}{} // no VI takes it: let the reader read on
+	case vi == nil && a.kind == kHello && !l.hello:
+		l.hello = true
+		n.hello(l, a.payload)
+	case !live:
+		// Anything else from a peer before its HELLO is answered, or on a
+		// connection its VI has left: a crossing's loser, a failed dial.
+		l.conn.Close()
+	case a.kind == kClose && vi.state == Connected:
+		vi.drop()
+		vi.state = Closed
+	case vi.state != Connecting:
+		// A handshake answer for a VI that no longer waits for one.
+	case a.kind == kAccept && len(a.payload) >= 4:
+		vi.connect(l, binary.LittleEndian.Uint32(a.payload))
+	case a.kind == kBusy:
+		vi.drop() // the peer's own dial carries the connection; it is on its way
+	case a.kind == kReject:
+		vi.fail(ErrRejected)
+	}
+}
+
+// hello takes an inbound connection's HELLO. A VI already dialing or
+// connected under the same pair settles it at once (join); otherwise it
+// waits as a pending request.
+func (n *Node) hello(l *link, p []byte) {
+	if len(p) < 12 {
+		l.conn.Close()
+		return
+	}
+	req := &PeerRequest{From: string(p[12:]), Disc: binary.LittleEndian.Uint64(p), l: l, remoteVi: binary.LittleEndian.Uint32(p[8:])}
+	for _, vi := range n.vis {
+		if (vi.state == Connecting || vi.state == Connected) && vi.disc == req.Disc && vi.remote == req.From {
+			n.join(req, vi)
+			return
+		}
+	}
+	n.pending = append(n.pending, req)
+}
+
+// join settles req onto vi, which is Idle, or Connecting or Connected under
+// req's pair. It holds the one crossing-dial rule: when both ends dial each
+// other under one pair, the connection the smaller address dialed survives.
+// req's connection is taken when vi is Idle, or Connecting and req's end has
+// the smaller address; otherwise it is answered kBusy, the peer's VI comes up
+// over vi's own connection, and join returns ErrBadState.
+func (n *Node) join(req *PeerRequest, vi *VI) error {
+	if vi.state != Idle && (vi.state != Connecting || req.From > n.addr) {
+		writeFrame(req.l.conn, kBusy, nil)
+		req.l.conn.Close()
+		return fmt.Errorf("%w: %s's dial loses to this %v VI", ErrBadState, req.From, vi.state)
+	}
+	vi.remote, vi.disc = req.From, req.Disc
+	vi.connect(req.l, req.remoteVi)
+	return writeFrame(req.l.conn, kAccept, u32(vi.id))
+}
+
+// PendingPeerRequests returns the connection requests waiting for an
+// answer, in arrival order. The slice is live: answer them with Accept or
+// Reject.
+func (n *Node) PendingPeerRequests() []*PeerRequest { return n.pending }
+
+// Accept answers a pending request on vi. The VI may be Idle, or Connecting
+// under the request's pair — a crossing dial resolving through the request
+// queue, settled by join's rule: if vi's own dial wins, the request is
+// answered kBusy and Accept returns ErrBadState, leaving that dial to carry
+// the connection.
 func (n *Node) Accept(req *PeerRequest, vi *VI) error {
-	req.doneMu.Lock()
-	defer req.doneMu.Unlock()
-	if req.done {
+	i := slices.Index(n.pending, req)
+	if i < 0 {
+		return fmt.Errorf("%w: the request from %s is already answered", ErrBadState, req.From)
+	}
+	if vi.state != Idle && (vi.state != Connecting || vi.disc != req.Disc || vi.remote != req.From) {
+		return fmt.Errorf("%w: Accept in state %v", ErrBadState, vi.state)
+	}
+	n.pending = slices.Delete(n.pending, i, i+1)
+	return n.join(req, vi)
+}
+
+// Reject refuses a pending request and closes its connection; a request
+// already answered is left alone.
+func (n *Node) Reject(req *PeerRequest) {
+	if i := slices.Index(n.pending, req); i >= 0 {
+		n.pending = slices.Delete(n.pending, i, i+1)
+		writeFrame(req.l.conn, kReject, nil)
+		req.l.conn.Close()
+	}
+}
+
+// ConnectPeerRequest starts connecting vi to the VI listening at remote
+// under disc and returns at once. vi is Connecting until a later Poll
+// connects it, or returns it to Idle because the peer rejected the request,
+// the dial failed or timeout passed (ConnectPeerWait says which). Crossing
+// requests — both ends dialing each other under one disc — resolve to one
+// connection.
+func (n *Node) ConnectPeerRequest(vi *VI, remote string, disc uint64, timeout time.Duration) error {
+	if n.closed {
 		return ErrClosed
 	}
-
-	n.mu.Lock()
-	switch {
-	case vi.state == Idle:
-		vi.remote = req.From
-		vi.disc = req.Disc
-	case vi.state == Connecting && vi.disc == req.Disc && vi.remote == req.From:
-		if n.addr < req.From {
-			n.mu.Unlock()
-			req.done = true
-			writeFrame(req.conn, kBusy, nil)
-			req.conn.Close()
-			return fmt.Errorf("%w: crossing dial to %s wins the tie-break", ErrBadState, req.From)
-		}
-		delete(n.outgoing, req.Disc)
-	default:
-		st := vi.state
-		n.mu.Unlock()
-		return fmt.Errorf("%w: Accept in state %v", ErrBadState, st)
+	if vi.state != Idle {
+		return fmt.Errorf("%w: ConnectPeerRequest in state %v", ErrBadState, vi.state)
 	}
-	req.done = true
-	vi.writeMu.Lock() // as in handleInbound: no send may overtake kAccept
-	vi.adoptLocked(req.conn, req.viID)
-	n.stats.VisConnected++
-	n.mu.Unlock()
-	err := writeFrame(req.conn, kAccept, u32(vi.id))
-	vi.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	vi.startReader()
+	l := &link{vi: vi, ack: make(chan struct{}, 1)}
+	vi.state, vi.remote, vi.disc, vi.link, vi.err = Connecting, remote, disc, l, nil
+	vi.deadline = time.Now().Add(timeout)
+	n.wg.Add(1)
+	go n.serve(l, nil, remote, vi.deadline)
 	return nil
 }
 
-// Reject refuses a pending request and closes its connection.
-func (req *PeerRequest) Reject() {
-	req.doneMu.Lock()
-	defer req.doneMu.Unlock()
-	if req.done {
+// ConnectPeerWait polls until vi's connect request settles: nil once vi is
+// connected, else why it failed.
+func (n *Node) ConnectPeerWait(vi *VI) error {
+	for n.Poll(); vi.state == Connecting; {
+		n.WaitActivity(time.Until(vi.deadline))
+	}
+	switch vi.state {
+	case Connected:
+		return nil
+	case Idle:
+		return vi.err
+	default:
+		return fmt.Errorf("%w: VI %v", ErrBadState, vi.state)
+	}
+}
+
+// connect puts vi up over l, abandoning any other connection it had.
+func (vi *VI) connect(l *link, remoteVi uint32) {
+	if vi.link != l {
+		vi.drop()
+	}
+	l.vi, vi.link = vi, l
+	vi.state, vi.remoteVi, vi.err, vi.cameUp = Connected, remoteVi, nil, true
+	vi.node.stats.VisConnected++
+}
+
+// fail returns a Connecting VI to Idle, abandoning its connection, and
+// records why.
+func (vi *VI) fail(err error) {
+	vi.drop()
+	vi.state, vi.err = Idle, err
+}
+
+// drop abandons the VI's connection, letting its reader past a frame the VI
+// held.
+func (vi *VI) drop() {
+	l := vi.link
+	if l == nil {
 		return
 	}
-	req.done = true
-	writeFrame(req.conn, kReject, nil)
-	req.conn.Close()
+	if vi.holding {
+		vi.held, vi.holding = nil, false
+		l.ack <- struct{}{}
+	}
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	vi.link = nil
 }
 
-// ConnectPeer connects vi to the VI listening at remote under disc,
-// blocking up to timeout. Crossing dials (both sides calling ConnectPeer
-// simultaneously with the same discriminator) resolve to a single
-// connection deterministically.
-func (n *Node) ConnectPeer(vi *VI, remote string, disc uint64, timeout time.Duration) error {
-	n.mu.Lock()
-	if st := vi.state; st != Idle {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: ConnectPeer in state %v", ErrBadState, st)
+// deliver puts a held data frame into the oldest posted buffer and lets the
+// connection's reader go on.
+func (vi *VI) deliver() {
+	if !vi.holding || len(vi.recvQ) == 0 {
+		return
 	}
-	// A matching request may already be queued: adopt it directly.
-	for i, r := range n.pending {
-		if r.Disc == disc && r.From == remote {
-			n.pending = append(n.pending[:i], n.pending[i+1:]...)
-			n.mu.Unlock()
-			return n.Accept(r, vi)
-		}
-	}
-	vi.state = Connecting
-	vi.remote = remote
-	vi.disc = disc
-	n.outgoing[disc] = vi
-	n.mu.Unlock()
-
-	d := net.Dialer{Timeout: timeout}
-	conn, err := d.Dial("tcp", remote)
-	if err != nil {
-		n.failDial(vi, disc)
-		return err
-	}
-	hello := make([]byte, 12+len(n.addr))
-	binary.LittleEndian.PutUint64(hello, disc)
-	binary.LittleEndian.PutUint32(hello[8:], vi.id)
-	copy(hello[12:], n.addr)
-	if err := writeFrame(conn, kHello, hello); err != nil {
-		conn.Close()
-		n.failDial(vi, disc)
-		return err
-	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	kind, payload, err := readFrame(conn)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		conn.Close()
-		n.failDial(vi, disc)
-		if vi.State() == Connected {
-			return nil // crossing resolved through another connection
-		}
-		return fmt.Errorf("tcpvia: handshake: %w", err)
-	}
-	switch kind {
-	case kAccept:
-		n.mu.Lock()
-		delete(n.outgoing, disc)
-		if vi.state == Connected {
-			// Crossing already resolved in our favour on the inbound path.
-			n.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		vi.adoptLocked(conn, binary.LittleEndian.Uint32(payload))
-		n.stats.VisConnected++
-		n.mu.Unlock()
-		vi.startReader()
-		return nil
-	case kBusy:
-		// The peer kept our crossing inbound connection instead; wait for
-		// the inbound path to finish adopting it.
-		conn.Close()
-		deadline := time.Now().Add(timeout)
-		n.mu.Lock()
-		for vi.state == Connecting && !time.Now().After(deadline) {
-			n.waitLocked(deadline)
-		}
-		ok := vi.state == Connected
-		n.mu.Unlock()
-		if !ok {
-			n.failDial(vi, disc)
-			return ErrTimeout
-		}
-		return nil
-	case kReject:
-		conn.Close()
-		n.failDial(vi, disc)
-		if vi.State() == Connected {
-			return nil
-		}
-		return ErrRejected
-	default:
-		conn.Close()
-		n.failDial(vi, disc)
-		if vi.State() == Connected {
-			return nil
-		}
-		return fmt.Errorf("tcpvia: unexpected handshake frame %d", kind)
-	}
-}
-
-func (n *Node) failDial(vi *VI, disc uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.outgoing[disc] == vi {
-		delete(n.outgoing, disc)
-	}
-	if vi.state == Connecting {
-		vi.state = Idle
-		vi.remote = ""
-	}
-}
-
-// adoptLocked binds a TCP connection to the VI (node lock held).
-func (vi *VI) adoptLocked(conn net.Conn, remoteVi uint32) {
-	vi.conn = conn
-	vi.remoteVi = remoteVi
-	vi.state = Connected
-	vi.node.cond.Broadcast()
-}
-
-// startReader launches the connection reader feeding the VI's receive
-// descriptors.
-func (vi *VI) startReader() {
-	vi.node.wg.Add(1)
-	go func() {
-		defer vi.node.wg.Done()
-		vi.readLoop()
-	}()
-}
-
-func (vi *VI) readLoop() {
-	n := vi.node
-	for {
-		kind, payload, err := readFrame(vi.conn)
-		if err != nil {
-			n.mu.Lock()
-			if vi.state == Connected {
-				vi.state = Errored
-			}
-			n.cond.Broadcast()
-			n.mu.Unlock()
-			return
-		}
-		switch kind {
-		case kData:
-			n.mu.Lock()
-			if !n.cfg.StrictDescriptors {
-				// Wait for a descriptor; not reading the socket applies TCP
-				// backpressure to the sender.
-				for len(vi.recvQ) == 0 && vi.state == Connected && !n.closed {
-					n.cond.Wait()
-				}
-			}
-			if vi.state != Connected || n.closed {
-				n.mu.Unlock()
-				return
-			}
-			if len(vi.recvQ) == 0 {
-				// VIA reliable delivery: no posted descriptor kills the
-				// connection.
-				vi.state = Errored
-				n.cond.Broadcast()
-				n.mu.Unlock()
-				vi.conn.Close()
-				return
-			}
-			buf := vi.recvQ[0]
-			vi.recvQ = vi.recvQ[1:]
-			cp := copy(buf, payload)
-			vi.doneBuf = append(vi.doneBuf, buf)
-			vi.doneQ = append(vi.doneQ, cp)
-			vi.usedRx = true
-			n.stats.MsgsRecv++
-			n.stats.BytesRecv += int64(len(payload))
-			n.cond.Broadcast()
-			n.mu.Unlock()
-		case kClose:
-			n.mu.Lock()
-			if vi.state == Connected {
-				vi.state = Closed
-			}
-			n.cond.Broadcast()
-			n.mu.Unlock()
-			vi.conn.Close()
-			return
-		default:
-			// Ignore unknown frames for forward compatibility.
-		}
-	}
+	buf := vi.recvQ[0]
+	vi.recvQ = vi.recvQ[1:]
+	vi.done = append(vi.done, completion{buf, copy(buf, vi.held)})
+	vi.usedRx = true
+	vi.node.stats.MsgsRecv++
+	vi.node.stats.BytesRecv += int64(len(vi.held))
+	vi.held, vi.holding = nil, false
+	vi.link.ack <- struct{}{}
 }
 
 // State returns the VI's connection state.
-func (vi *VI) State() ViState {
-	vi.node.mu.Lock()
-	defer vi.node.mu.Unlock()
-	return vi.state
-}
+func (vi *VI) State() ViState { return vi.state }
 
 // ID returns the VI id, unique within its node.
 func (vi *VI) ID() uint32 { return vi.id }
 
-// PostRecv posts a receive buffer. As in VIA, receives must be posted
-// before the matching message arrives.
+// PostRecv posts a receive buffer. A message that arrives before any buffer
+// is posted waits for one, holding its connection's later frames back.
 func (vi *VI) PostRecv(buf []byte) error {
-	n := vi.node
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	switch vi.state {
 	case Idle, Connecting, Connected:
 		vi.recvQ = append(vi.recvQ, buf)
-		n.cond.Broadcast() // a reader may be waiting for a descriptor
+		vi.deliver()
 		return nil
 	default:
 		return fmt.Errorf("%w: PostRecv in state %v", ErrBadState, vi.state)
@@ -657,94 +612,70 @@ func (vi *VI) PostRecv(buf []byte) error {
 }
 
 // PostSend transmits data on the VI. A send posted to an unconnected VI is
-// *discarded* (VIA semantics) and reported as such.
+// *discarded* (VIA semantics) and reported as such. The frame is written on
+// the caller's goroutine, which waits while the peer's TCP window is full:
+// the peer reads on past a data frame only once its owner has a posted
+// buffer for it.
 func (vi *VI) PostSend(data []byte) (SendStatus, error) {
 	n := vi.node
-	n.mu.Lock()
 	if vi.state != Connected {
 		n.stats.DiscardedSends++
-		st := vi.state
-		n.mu.Unlock()
-		if st == Errored || st == Closed {
-			return Discarded, fmt.Errorf("%w: send in state %v", ErrBadState, st)
+		if vi.state == Errored || vi.state == Closed {
+			return Discarded, fmt.Errorf("%w: send in state %v", ErrBadState, vi.state)
 		}
 		return Discarded, nil
 	}
-	conn := vi.conn
 	vi.usedTx = true
 	n.stats.MsgsSent++
 	n.stats.BytesSent += int64(len(data))
-	n.mu.Unlock()
-	vi.writeMu.Lock()
-	err := writeFrame(conn, kData, data)
-	vi.writeMu.Unlock()
-	if err != nil {
+	if err := writeFrame(vi.link.conn, kData, data); err != nil {
 		return Discarded, err
 	}
 	return Sent, nil
 }
 
-// RecvDone polls for a completed receive, returning the filled buffer and
-// length, or ok == false.
-func (vi *VI) RecvDone() (buf []byte, length int, ok bool) {
-	n := vi.node
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return vi.recvDoneLocked()
-}
-
-func (vi *VI) recvDoneLocked() ([]byte, int, bool) {
-	if len(vi.doneQ) == 0 {
-		return nil, 0, false
+// received pops the oldest completed receive. With none there, err says why
+// none can come: the connection broke or the VI closed.
+func (vi *VI) received() (c completion, ok bool, err error) {
+	if len(vi.done) > 0 {
+		c, vi.done = vi.done[0], vi.done[1:]
+		return c, true, nil
 	}
-	b, l := vi.doneBuf[0], vi.doneQ[0]
-	vi.doneBuf = vi.doneBuf[1:]
-	vi.doneQ = vi.doneQ[1:]
-	return b, l, true
+	switch vi.state {
+	case Errored:
+		return c, false, vi.err
+	case Closed:
+		return c, false, ErrClosed
+	default:
+		return c, false, nil
+	}
 }
 
-// RecvWait blocks until a receive completes or the timeout elapses.
+// RecvWait polls the node until a receive completes or the timeout elapses,
+// and returns the filled buffer and the message length.
 func (vi *VI) RecvWait(timeout time.Duration) ([]byte, int, error) {
 	n := vi.node
 	deadline := time.Now().Add(timeout)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for {
-		if b, l, ok := vi.recvDoneLocked(); ok {
-			return b, l, nil
+	for n.Poll(); ; n.WaitActivity(time.Until(deadline)) {
+		if c, ok, err := vi.received(); ok || err != nil {
+			return c.buf, c.n, err
 		}
-		switch vi.state {
-		case Errored:
-			return nil, 0, ErrNoDescriptor
-		case Closed:
-			return nil, 0, ErrClosed
-		case Idle, Connecting, Connected:
-			// Live states: keep waiting for a completion or the deadline.
-		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return nil, 0, ErrTimeout
 		}
-		n.waitLocked(deadline)
 	}
 }
 
 // Close disconnects the VI, notifying the peer.
 func (vi *VI) Close() {
-	n := vi.node
-	n.mu.Lock()
 	if vi.state == Closed {
-		n.mu.Unlock()
 		return
 	}
-	wasConnected := vi.state == Connected
-	conn := vi.conn
-	vi.state = Closed
-	n.cond.Broadcast()
-	n.mu.Unlock()
-	if wasConnected && conn != nil {
-		writeFrame(conn, kClose, nil)
-		conn.Close()
+	if vi.state == Connected {
+		writeFrame(vi.link.conn, kClose, nil)
 	}
+	vi.drop()
+	vi.state = Closed
 }
 
 // ---------------------------------------------------------------------------

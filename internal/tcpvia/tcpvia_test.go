@@ -2,6 +2,7 @@ package tcpvia
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -22,33 +23,86 @@ func newNode(t *testing.T) *Node {
 	return n
 }
 
-// connectNodes wires a VI pair between two nodes: a dials, b accepts.
+// own runs f on a goroutine of its own, the owner meanwhile of whatever f
+// drives; the channel yields f's error once ownership is back.
+func own(f func() error) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	return done
+}
+
+// pollUntil polls n until cond holds, for up to tmo.
+func pollUntil(n *Node, cond func() bool) bool {
+	deadline := time.Now().Add(tmo)
+	for n.Poll(); !cond(); n.WaitActivity(time.Until(deadline)) {
+		if !time.Now().Before(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// waitRequest polls n until a connection request is pending and returns the
+// first.
+func waitRequest(n *Node) (*PeerRequest, error) {
+	if !pollUntil(n, func() bool { return len(n.PendingPeerRequests()) > 0 }) {
+		return nil, ErrTimeout
+	}
+	return n.PendingPeerRequests()[0], nil
+}
+
+func createVis(t *testing.T, nodes ...*Node) []*VI {
+	t.Helper()
+	vis := make([]*VI, len(nodes))
+	for i, n := range nodes {
+		var err error
+		if vis[i], err = n.CreateVi(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vis
+}
+
+// connectNodes wires a VI pair between two nodes: a dials, b accepts on a
+// goroutine of its own.
 func connectNodes(t *testing.T, a, b *Node, disc uint64) (*VI, *VI) {
 	t.Helper()
-	viA, err := a.CreateVi()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viB, err := b.CreateVi()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		req, err := b.WaitRequest(disc, tmo)
+	vis := createVis(t, a, b)
+	accepted := own(func() error {
+		req, err := waitRequest(b)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
-		done <- b.Accept(req, viB)
-	}()
-	if err := a.ConnectPeer(viA, b.Addr(), disc, tmo); err != nil {
+		return b.Accept(req, vis[1])
+	})
+	if err := a.ConnectPeerRequest(vis[0], b.Addr(), disc, tmo); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
+	if err := a.ConnectPeerWait(vis[0]); err != nil {
 		t.Fatal(err)
 	}
-	return viA, viB
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	return vis[0], vis[1]
+}
+
+// transfer sends one message from src to dst and receives it.
+func transfer(t *testing.T, src, dst *VI, msg string) {
+	t.Helper()
+	if err := dst.PostRecv(make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := src.PostSend([]byte(msg)); err != nil || st != Sent {
+		t.Fatalf("send: %v %v", st, err)
+	}
+	buf, ln, err := dst.RecvWait(tmo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:ln]) != msg {
+		t.Fatalf("got %q, want %q", buf[:ln], msg)
+	}
 }
 
 func TestConnectAndTransfer(t *testing.T) {
@@ -57,63 +111,18 @@ func TestConnectAndTransfer(t *testing.T) {
 	if viA.State() != Connected || viB.State() != Connected {
 		t.Fatalf("states: %v %v", viA.State(), viB.State())
 	}
-	if err := viB.PostRecv(make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := viA.PostSend([]byte("over tcp"))
-	if err != nil || st != Sent {
-		t.Fatalf("send: %v %v", st, err)
-	}
-	buf, ln, err := viB.RecvWait(tmo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:ln]) != "over tcp" {
-		t.Fatalf("got %q", buf[:ln])
-	}
+	transfer(t, viA, viB, "over tcp")
 }
 
 func TestSendOnUnconnectedDiscarded(t *testing.T) {
 	a := newNode(t)
-	vi, err := a.CreateVi()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vi := createVis(t, a)[0]
 	st, err := vi.PostSend([]byte("lost"))
 	if err != nil || st != Discarded {
 		t.Fatalf("want silent discard, got %v %v", st, err)
 	}
 	if a.Stats().DiscardedSends != 1 {
 		t.Fatalf("DiscardedSends = %d", a.Stats().DiscardedSends)
-	}
-}
-
-func TestRecvWithoutDescriptorBreaksConnection(t *testing.T) {
-	// VIA-strict mode: no descriptor means a broken connection.
-	a, err := Listen(Config{StrictDescriptors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	b, err := Listen(Config{StrictDescriptors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	viA, viB := connectNodes(t, a, b, 1)
-	if _, err := viA.PostSend([]byte("boom")); err != nil {
-		t.Fatal(err)
-	}
-	// viB has no posted receive: its reader must error the VI.
-	deadline := time.Now().Add(tmo)
-	for viB.State() != Errored && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if viB.State() != Errored {
-		t.Fatalf("state = %v, want errored", viB.State())
-	}
-	if _, _, err := viB.RecvWait(100 * time.Millisecond); err != ErrNoDescriptor {
-		t.Fatalf("RecvWait err = %v", err)
 	}
 }
 
@@ -145,106 +154,97 @@ func TestMessageOrderPreserved(t *testing.T) {
 func TestCrossingDialsResolveToOneConnection(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		a, b := newNode(t), newNode(t)
-		viA, err := a.CreateVi()
-		if err != nil {
+		vis := createVis(t, a, b)
+		viA, viB := vis[0], vis[1]
+		if err := a.ConnectPeerRequest(viA, b.Addr(), 9, tmo); err != nil {
 			t.Fatal(err)
 		}
-		viB, err := b.CreateVi()
-		if err != nil {
+		if err := b.ConnectPeerRequest(viB, a.Addr(), 9, tmo); err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, 2)
-		wg.Add(2)
-		go func() { defer wg.Done(); errs[0] = a.ConnectPeer(viA, b.Addr(), 9, tmo) }()
-		go func() { defer wg.Done(); errs[1] = b.ConnectPeer(viB, a.Addr(), 9, tmo) }()
-		wg.Wait()
-		if errs[0] != nil || errs[1] != nil {
-			t.Fatalf("round %d: %v %v", round, errs[0], errs[1])
+		errB := own(func() error { return b.ConnectPeerWait(viB) })
+		errA := a.ConnectPeerWait(viA)
+		if errB := <-errB; errA != nil || errB != nil {
+			t.Fatalf("round %d: %v %v", round, errA, errB)
 		}
 		if viA.State() != Connected || viB.State() != Connected {
 			t.Fatalf("round %d states: %v %v", round, viA.State(), viB.State())
 		}
 		// Data flows across whichever connection won.
-		if err := viB.PostRecv(make([]byte, 16)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := viA.PostSend([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := viB.RecvWait(tmo); err != nil {
-			t.Fatalf("round %d recv: %v", round, err)
-		}
+		transfer(t, viA, viB, "x")
 		a.Close()
 		b.Close()
 	}
 }
 
-// TestCrossingDialAfterRequestDequeued covers the crossing the adopt loop
-// produces: B has already taken A's request off the pending queue when B's
-// own dial to A starts, so B accepts the request onto a Connecting VI while
-// A's listener sees B's dial. Both ends must settle on the same TCP
-// connection, whichever way the address tie-break falls.
+// TestCrossingDialAfterRequestDequeued: one end holds the other's request,
+// not yet answered, when it starts its own dial under the same pair, then
+// accepts the request onto its Connecting VI — the crossing resolves through
+// the request queue at one end and through the listener at the other. Both
+// ends must settle on the same TCP connection. The tie-break goes by
+// address, so each round runs both ways: the end holding the request has
+// the smaller address (its own dial wins and Accept answers kBusy), then the
+// larger (the request's connection wins).
 func TestCrossingDialAfterRequestDequeued(t *testing.T) {
-	for round := 0; round < 100; round++ {
-		a, b := newNode(t), newNode(t)
-		viA, err := a.CreateVi()
-		if err != nil {
-			t.Fatal(err)
-		}
-		viB, err := b.CreateVi()
-		if err != nil {
-			t.Fatal(err)
-		}
-		errA, errB := make(chan error, 1), make(chan error, 1)
-		go func() { errA <- a.ConnectPeer(viA, b.Addr(), 9, tmo) }()
-		req, err := b.WaitRequest(9, tmo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { errB <- b.ConnectPeer(viB, a.Addr(), 9, tmo) }()
-		for viB.State() == Idle {
-			runtime.Gosched() // until B's dial is in flight
-		}
-		// Accept may lose to B's own dial (the tie-break, or the dial simply
-		// finishing first); the dial then carries the connection, and the
-		// request is answered the way the adopt loop answers it.
-		if err := b.Accept(req, viB); err != nil {
-			req.Reject()
-		}
-		if ea, eb := <-errA, <-errB; ea != nil || eb != nil {
-			t.Fatalf("round %d: %v %v", round, ea, eb)
-		}
-		for _, dir := range [][2]*VI{{viA, viB}, {viB, viA}} {
-			if err := dir[1].PostRecv(make([]byte, 16)); err != nil {
+	for round := 0; round < 10; round++ {
+		for _, holderLow := range []bool{true, false} {
+			lo, hi := newNode(t), newNode(t)
+			if hi.Addr() < lo.Addr() {
+				lo, hi = hi, lo
+			}
+			holder, dialer := hi, lo
+			if holderLow {
+				holder, dialer = lo, hi
+			}
+			vis := createVis(t, holder, dialer)
+			viH, viD := vis[0], vis[1]
+			if err := dialer.ConnectPeerRequest(viD, holder.Addr(), 9, tmo); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := dir[0].PostSend([]byte("x")); err != nil {
-				t.Fatalf("round %d send: %v", round, err)
+			dialed := own(func() error { return dialer.ConnectPeerWait(viD) })
+			req, err := waitRequest(holder)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, _, err := dir[1].RecvWait(tmo); err != nil {
-				t.Fatalf("round %d recv: %v", round, err)
+			if err := holder.ConnectPeerRequest(viH, dialer.Addr(), 9, tmo); err != nil {
+				t.Fatal(err)
 			}
+			err = holder.Accept(req, viH)
+			if holderLow != errors.Is(err, ErrBadState) || !holderLow && err != nil {
+				t.Fatalf("round %d, holder low %v: Accept = %v", round, holderLow, err)
+			}
+			if err := holder.ConnectPeerWait(viH); err != nil {
+				t.Fatalf("round %d, holder low %v: holder: %v", round, holderLow, err)
+			}
+			if err := <-dialed; err != nil {
+				t.Fatalf("round %d, holder low %v: dialer: %v", round, holderLow, err)
+			}
+			transfer(t, viD, viH, "x")
+			transfer(t, viH, viD, "y")
+			lo.Close()
+			hi.Close()
 		}
-		a.Close()
-		b.Close()
 	}
 }
 
 func TestRejectedRequest(t *testing.T) {
 	a, b := newNode(t), newNode(t)
-	vi, err := a.CreateVi()
-	if err != nil {
+	vi := createVis(t, a)[0]
+	rejected := own(func() error {
+		req, err := waitRequest(b)
+		if err == nil {
+			b.Reject(req)
+		}
+		return err
+	})
+	if err := a.ConnectPeerRequest(vi, b.Addr(), 5, tmo); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		req, err := b.WaitRequest(5, tmo)
-		if err == nil {
-			req.Reject()
-		}
-	}()
-	if err := a.ConnectPeer(vi, b.Addr(), 5, tmo); err != ErrRejected {
+	if err := a.ConnectPeerWait(vi); err != ErrRejected {
 		t.Fatalf("err = %v, want rejected", err)
+	}
+	if err := <-rejected; err != nil {
+		t.Fatal(err)
 	}
 	if vi.State() != Idle {
 		t.Fatalf("state after reject = %v", vi.State())
@@ -271,11 +271,7 @@ func TestCloseNotifiesPeer(t *testing.T) {
 	a, b := newNode(t), newNode(t)
 	viA, viB := connectNodes(t, a, b, 3)
 	viA.Close()
-	deadline := time.Now().Add(tmo)
-	for viB.State() != Closed && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if viB.State() != Closed {
+	if !pollUntil(b, func() bool { return viB.State() == Closed }) {
 		t.Fatalf("peer state = %v, want closed", viB.State())
 	}
 }
@@ -305,7 +301,9 @@ func TestLargeMessage(t *testing.T) {
 // --------------------------------------------------------------------------
 // Manager tests: the paper's mechanisms on a live network.
 
-// group starts n nodes with managers under policy.
+// group starts n nodes with managers under policy, each NewManager on a
+// goroutine of its own (a static one returns once its mesh is up, which
+// takes its peers' progress too).
 func group(t *testing.T, n int, policy string) []*Manager {
 	t.Helper()
 	nodes := make([]*Node, n)
@@ -318,42 +316,68 @@ func group(t *testing.T, n int, policy string) []*Manager {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := range nodes {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := NewManager(ManagerConfig{
+			mgrs[i], errs[i] = NewManager(ManagerConfig{
 				Node: nodes[i], Rank: i, Peers: peers, Policy: policy,
 				Timeout: tmo,
 			})
-			mgrs[i], errs[i] = m, err
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("manager %d: %v", i, err)
-		}
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, m := range mgrs {
-			m.Close()
-		}
-	})
+	t.Cleanup(func() { closeAll(mgrs) })
 	return mgrs
 }
 
-// waitUp blocks until m's channel to peer is marked up. A message can arrive
-// before the goroutine that dialed (or adopted) its connection has finished
-// the bookkeeping — FIFO drain, counters, log events — so tests that inspect
-// that bookkeeping wait for it instead of assuming Recv implies it.
-func waitUp(t *testing.T, m *Manager, peer int) {
-	t.Helper()
-	select {
-	case <-m.channel(peer).upped:
-	case <-time.After(tmo):
-		t.Fatalf("rank %d: channel to %d never came up", m.rank, peer)
+func closeAll(mgrs []*Manager) {
+	for _, m := range mgrs {
+		m.Close()
 	}
+}
+
+// perRank runs f for every rank on a goroutine of its own, as an MPI job
+// runs its ranks, and fails t with every error they return.
+func perRank(t *testing.T, mgrs []*Manager, f func(i int, m *Manager) error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, len(mgrs))
+	for i, m := range mgrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i, m)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// passRing has every rank send to its right neighbour, receive from its
+// left, and close. A rank can leave its Recv before its own parked send has
+// gone out; its Close, like MPI_Finalize, flushes it.
+func passRing(t *testing.T, mgrs []*Manager) {
+	t.Helper()
+	n := len(mgrs)
+	perRank(t, mgrs, func(i int, m *Manager) error {
+		defer m.Close()
+		if err := m.Send((i+1)%n, []byte(fmt.Sprintf("from-%d", i))); err != nil {
+			return err
+		}
+		got, err := m.Recv((i+n-1)%n, tmo)
+		if err != nil {
+			return err
+		}
+		if want := fmt.Sprintf("from-%d", (i+n-1)%n); string(got) != want {
+			return fmt.Errorf("rank %d got %q want %q", i, got, want)
+		}
+		return nil
+	})
 }
 
 func TestStaticManagerFullMesh(t *testing.T) {
@@ -374,40 +398,11 @@ func TestStaticManagerFullMesh(t *testing.T) {
 func TestOnDemandManagerRing(t *testing.T) {
 	const n = 6
 	mgrs := group(t, n, "ondemand")
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, m := range mgrs {
-		i, m := i, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := m.Send((i+1)%n, []byte(fmt.Sprintf("from-%d", i))); err != nil {
-				errs[i] = err
-				return
-			}
-			got, err := m.Recv((i+n-1)%n, tmo)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			want := fmt.Sprintf("from-%d", (i+n-1)%n)
-			if string(got) != want {
-				errs[i] = fmt.Errorf("rank %d got %q want %q", i, got, want)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	passRing(t, mgrs)
 	for i, m := range mgrs {
 		if got := m.node.Stats().VisCreated; got > 2 {
 			t.Errorf("rank %d created %d VIs, want <= 2 under on-demand", i, got)
 		}
-		waitUp(t, m, (i+1)%n)
-		waitUp(t, m, (i+n-1)%n)
 		if got := m.Connections(); got != 2 {
 			t.Errorf("rank %d connections = %d, want 2", i, got)
 		}
@@ -415,38 +410,21 @@ func TestOnDemandManagerRing(t *testing.T) {
 }
 
 // TestOnDemandFifoPreservesOrder: sends issued before the handshake finishes
-// must arrive in order (the §3.4 FIFO on a real network).
-// TestAdoptLoopSurvivesIdleTimeouts: an on-demand manager whose adopt loop
-// has sat through several empty wait intervals must still answer the next
-// dial. (The loop used to treat the interval's ErrTimeout like ErrClosed and
-// exit, leaving every later request unanswered in the node's pending queue.)
-func TestAdoptLoopSurvivesIdleTimeouts(t *testing.T) {
-	old := adoptWait
-	adoptWait = 5 * time.Millisecond
-	// Registered before group's cleanup, so it runs after every manager has
-	// closed and its adopt loop — the only reader — has exited.
-	t.Cleanup(func() { adoptWait = old })
-	mgrs := group(t, 2, "ondemand")
-
-	time.Sleep(10 * adoptWait) // idle long enough for at least two timeouts
-
-	if err := mgrs[0].Send(1, []byte("late")); err != nil {
-		t.Fatal(err)
-	}
-	waitUp(t, mgrs[0], 1)
-	if got, err := mgrs[1].Recv(0, tmo); err != nil || string(got) != "late" {
-		t.Fatalf("recv: %q %v", got, err)
-	}
-}
-
+// must arrive in order (the §3.4 FIFO on a real network). The first send
+// starts the dial, the sends behind it park until a later send's poll sees
+// the channel up, and the sender's Close drains whatever is still parked.
 func TestOnDemandFifoPreservesOrder(t *testing.T) {
 	mgrs := group(t, 2, "ondemand")
 	const n = 50
-	go func() {
+	sent := own(func() error {
+		defer mgrs[0].Close()
 		for i := 0; i < n; i++ {
-			mgrs[0].Send(1, []byte{byte(i)}) // first send triggers the dial
+			if err := mgrs[0].Send(1, []byte{byte(i)}); err != nil { // the first send starts the dial
+				return err
+			}
 		}
-	}()
+		return nil
+	})
 	for i := 0; i < n; i++ {
 		got, err := mgrs[1].Recv(0, tmo)
 		if err != nil {
@@ -456,27 +434,32 @@ func TestOnDemandFifoPreservesOrder(t *testing.T) {
 			t.Fatalf("message %d carried %v", i, got)
 		}
 	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestManagerBidirectionalStress exchanges messages both ways on every pair
-// concurrently under on-demand.
-// TestFailedDialSurfacesOnSendAndRecv: nobody listens at the peer's address,
-// so the on-demand dial behind the first (parked) send fails. The failure
-// must reach the caller — the next Send and a Recv return it — instead of
-// every later send parking behind the stranded message and reporting success
-// on a rank that never calls Recv.
-func TestFailedDialSurfacesOnSendAndRecv(t *testing.T) {
-	node := newNode(t)
+// unreachable returns an address nobody listens at.
+func unreachable(t *testing.T) string {
+	t.Helper()
 	gone, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreachable := gone.Addr().String()
 	if err := gone.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return gone.Addr().String()
+}
+
+// failedDial runs an on-demand manager whose one peer is unreachable until
+// the dial behind its first (parked) send has failed, checks that its sends
+// and a Recv report that failure, and returns the manager.
+func failedDial(t *testing.T) *Manager {
+	t.Helper()
+	node := newNode(t)
 	m, err := NewManager(ManagerConfig{
-		Node: node, Rank: 0, Peers: []string{node.Addr(), unreachable},
+		Node: node, Rank: 0, Peers: []string{node.Addr(), unreachable(t)},
 		Policy: "ondemand", Timeout: tmo,
 	})
 	if err != nil {
@@ -498,51 +481,52 @@ func TestFailedDialSurfacesOnSendAndRecv(t *testing.T) {
 	if _, err := m.Recv(1, tmo); err == nil || err.Error() != sendErr.Error() {
 		t.Fatalf("Recv = %v, want the dial failure Send reported (%v)", err, sendErr)
 	}
+	return m
 }
 
+// TestFailedDialSurfacesOnSendAndRecv: nobody listens at the peer's address,
+// so the on-demand dial behind the first (parked) send fails. The failure
+// must reach the caller — the next Send and a Recv return it — instead of
+// every later send parking behind the stranded message and reporting success
+// on a rank that never calls Recv.
+func TestFailedDialSurfacesOnSendAndRecv(t *testing.T) {
+	failedDial(t)
+}
+
+// TestManagerBidirectionalStress exchanges messages both ways on every pair
+// under on-demand, one goroutine per rank: each sends all its messages, then
+// receives all of its peers', in order per pair.
 func TestManagerBidirectionalStress(t *testing.T) {
 	const n = 4
 	const msgs = 40
 	mgrs := group(t, n, "ondemand")
-	var wg sync.WaitGroup
-	errCh := make(chan error, n*n*2)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
+	perRank(t, mgrs, func(i int, m *Manager) error {
+		for k := 0; k < msgs; k++ {
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				if err := m.Send(j, []byte{byte(i), byte(j), byte(k)}); err != nil {
+					return err
+				}
 			}
-			i, j := i, j
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				for k := 0; k < msgs; k++ {
-					if err := mgrs[i].Send(j, []byte{byte(i), byte(j), byte(k)}); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				for k := 0; k < msgs; k++ {
-					got, err := mgrs[j].Recv(i, tmo)
-					if err != nil {
-						errCh <- fmt.Errorf("recv %d<-%d: %w", j, i, err)
-						return
-					}
-					if len(got) != 3 || got[0] != byte(i) || got[2] != byte(k) {
-						errCh <- fmt.Errorf("bad payload %v", got)
-						return
-					}
-				}
-			}()
 		}
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
+		for k := 0; k < msgs; k++ {
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				got, err := m.Recv(j, tmo)
+				if err != nil {
+					return fmt.Errorf("recv %d<-%d: %w", i, j, err)
+				}
+				if len(got) != 3 || got[0] != byte(j) || got[1] != byte(i) || got[2] != byte(k) {
+					return fmt.Errorf("recv %d<-%d: message %d carried %v", i, j, k, got)
+				}
+			}
+		}
+		return nil
+	})
 	// Full communication graph: everyone connected to everyone.
 	for i, m := range mgrs {
 		if got := m.Connections(); got != n-1 {
@@ -561,40 +545,51 @@ func TestManagerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeaks: after closing every node, all readers, acceptors
-// and adopt loops must have exited.
+// TestNoGoroutineLeaks: once the nodes and managers of each setup are
+// closed, every goroutine they started — accept loops, per-connection dial
+// and read goroutines, snapshot loops — has exited.
 func TestNoGoroutineLeaks(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		a, err := Listen(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Listen(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		viA, viB := connectNodes(t, a, b, 11)
-		if err := viB.PostRecv(make([]byte, 16)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := viA.PostSend([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := viB.RecvWait(tmo); err != nil {
-			t.Fatal(err)
-		}
-		a.Close()
-		b.Close()
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"bare nodes", func(t *testing.T) {
+			for round := 0; round < 3; round++ {
+				a, b := newNode(t), newNode(t)
+				viA, viB := connectNodes(t, a, b, 11)
+				transfer(t, viA, viB, "x")
+				a.Close()
+				b.Close()
+			}
+		}},
+		{"static group", func(t *testing.T) {
+			closeAll(group(t, 4, "static"))
+		}},
+		{"on-demand ring", func(t *testing.T) {
+			passRing(t, group(t, 4, "ondemand"))
+		}},
+		{"snapshot loop", func(t *testing.T) {
+			var snaps bytes.Buffer
+			snapshotPair(t, &snaps)
+		}},
+		{"unreachable peer", func(t *testing.T) {
+			failedDial(t).Close()
+		}},
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base+2 {
-		buf := make([]byte, 1<<16)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("goroutines leaked: %d -> %d\n%s", base, got, buf[:n])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			tc.run(t)
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > base {
+				buf := make([]byte, 1<<16)
+				n := runtime.Stack(buf, true)
+				t.Fatalf("goroutines leaked: %d -> %d\n%s", base, got, buf[:n])
+			}
+		})
 	}
 }
 

@@ -396,7 +396,7 @@ func (p *Port) CancelConnect(vi *VI) error {
 	if vi.state != ViConnecting {
 		return vi.badState("CancelConnect")
 	}
-	p.dropOutgoing(int(vi.remoteEp), vi.disc)
+	p.dropOutgoing(vi)
 	vi.resetHandshake()
 	return nil
 }
@@ -407,9 +407,10 @@ func (p *Port) findOutgoing(ep int, disc uint64) (int, bool) {
 	return slices.BinarySearchFunc(p.outgoing, outReq{disc: disc, ep: ep}, cmpOutReq)
 }
 
-// dropOutgoing removes the entry for (ep, disc), whatever VI it names.
-func (p *Port) dropOutgoing(ep int, disc uint64) {
-	if i, ok := p.findOutgoing(ep, disc); ok {
+// dropOutgoing removes the entry for vi's pair if it names vi: a request
+// that replaced vi's under the same pair keeps its entry.
+func (p *Port) dropOutgoing(vi *VI) {
+	if i, ok := p.findOutgoing(int(vi.remoteEp), vi.disc); ok && p.outgoing[i].vi == vi {
 		p.outgoing = slices.Delete(p.outgoing, i, i+1)
 	}
 }

@@ -506,7 +506,7 @@ func (vi *VI) Close() {
 	case ViConnecting:
 		// Abandon the outstanding request so a late ACK or crossing REQ
 		// cannot resurrect a VI that no longer exists.
-		vi.port.dropOutgoing(int(vi.remoteEp), vi.disc)
+		vi.port.dropOutgoing(vi)
 	case ViIdle, ViError, ViDisconnected, ViClosed:
 		// Nothing on the wire to retract: idle never sent, error/disconnect
 		// already tore the connection down, and closed returned above.

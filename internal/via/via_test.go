@@ -155,7 +155,7 @@ type outKey struct {
 // outModel is the rule the table of outstanding requests keeps, written as
 // the map it replaced: an issue puts its VI under the pair, over whatever was
 // there, unless a pending request answers it at once; a cancel or close of a
-// connecting VI removes its pair's entry, whichever VI that names; and a REQ,
+// connecting VI removes its pair's entry only if that entry names it; and a REQ,
 // ACK or NACK for a pair removes its entry only while the VI it names is
 // connecting, so a stale entry stays.
 type outModel map[outKey]*VI
@@ -168,8 +168,8 @@ func (m outModel) issue(port *Port, vi *VI, ep int, disc uint64) {
 }
 
 func (m outModel) drop(vi *VI) {
-	if vi.state == ViConnecting {
-		delete(m, outKey{int(vi.remoteEp), vi.disc})
+	if k := (outKey{int(vi.remoteEp), vi.disc}); vi.state == ViConnecting && m[k] == vi {
+		delete(m, k)
 	}
 }
 
@@ -246,11 +246,14 @@ func TestOutgoingRequestTable(t *testing.T) {
 		{"ACK from the middle",
 			append(middle, op{"ack", 1, B, 7}, op{"req", 2, B, 2}),
 			[]entry{{C, 1, 0}}, []int{1, 2}},
-		// A cancel removes its pair's entry whichever VI it names: the REQ
-		// then finds none, and is queued.
+		// A cancel or close of a replaced request leaves the entry of the
+		// request that replaced it: the crossing REQ establishes that VI.
 		{"cancel of a replaced request",
-			[]op{{"issue", 0, B, 5}, {"issue", 2, B, 5}, {"cancel", 0, 0, 0}, {"req", -1, B, 5}},
-			nil, nil},
+			[]op{{"issue", 0, B, 5}, {"issue", 2, B, 5}, {"cancel", 0, 0, 0}, {"req", 2, B, 5}},
+			nil, []int{2}},
+		{"close of a replaced request",
+			[]op{{"issue", 0, B, 5}, {"issue", 2, B, 5}, {"close", 0, 0, 0}, {"req", 2, B, 5}},
+			nil, []int{2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
