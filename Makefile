@@ -42,10 +42,10 @@ race:
 
 # The invariant analyzers also run inside `go test` (the selfcheck); this
 # target is the direct, human-readable form. The wall-time budget keeps the
-# whole-program interprocedural pass (the call graph, the rules that
-# propagate summaries over it to a fixpoint, hotalloc's reachability walk)
-# honest: load dominates, so analysis must stay cheap enough to run on
-# every `make check`.
+# whole-program interprocedural pass (the call graph, paired's summaries
+# and derived-acquire rounds over it, hotalloc's reachability walk) honest:
+# load dominates, so analysis must stay cheap enough to run on every `make
+# check`.
 ANALYZE_BUDGET ?= 120
 analyze:
 	@start=$$(date +%s); \

@@ -2,35 +2,67 @@ package viampi
 
 // Smoke tests that build and run every example binary with small arguments,
 // guarding the examples against rot, and golden tests that hold the drivers
-// to the bytes the library produces. They exec the go tool, so they skip
-// under -short.
+// to the bytes the library produces. They build with the go tool, so they
+// skip under -short.
 
 import (
 	"bytes"
+	"context"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"viampi/internal/obs/capture"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/mpirun-sim.golden from the live binary")
 
-// runExample runs a main package with the go tool and returns its stdout.
-func runExample(t *testing.T, path string, args ...string) string {
+// runDeadline bounds one run of a built example. Expiry kills the child
+// with SIGKILL, which no signal handler can hold up, so a hang fails its
+// test and leaves no process behind.
+const runDeadline = 30 * time.Second
+
+// buildExample compiles a main package into the test's temp dir and returns
+// the binary's path.
+func buildExample(t *testing.T, path string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("examples smoke runs in full mode only")
 	}
-	cmd := exec.Command("go", append([]string{"run", path}, args...)...)
+	bin := filepath.Join(t.TempDir(), filepath.Base(path))
+	if out, err := exec.Command("go", "build", "-o", bin, path).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", path, err, out)
+	}
+	return bin
+}
+
+// runBinary runs a built example under runDeadline and returns its stdout.
+func runBinary(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
+	if err != nil && ctx.Err() != nil {
+		err = fmt.Errorf("still running after %v, killed", runDeadline)
+	}
 	if err != nil {
-		t.Fatalf("%s: %v\n%s%s", path, err, out, stderr.Bytes())
+		t.Fatalf("%s %s: %v\n%s%s", filepath.Base(bin), strings.Join(args, " "), err, out, stderr.Bytes())
 	}
 	return string(out)
+}
+
+// runExample builds a main package and runs it once.
+func runExample(t *testing.T, path string, args ...string) string {
+	t.Helper()
+	return runBinary(t, buildExample(t, path), args...)
 }
 
 // requireSame fails naming the first line at which a tool's output departs
@@ -90,10 +122,37 @@ func TestExampleHeat(t *testing.T) {
 	}
 }
 
+// TestExampleTcpring runs the real-socket ring plain and with -record, which
+// dumps every rank's flight recorder as each policy's round ends: np
+// decodable bundles per policy, each holding its rank's events.
 func TestExampleTcpring(t *testing.T) {
-	out := runExample(t, "./examples/tcpring", "-np", "4", "-laps", "5")
+	const np = 4
+	bin := buildExample(t, "./examples/tcpring")
+	out := runBinary(t, bin, "-np", fmt.Sprint(np), "-laps", "5")
 	if !strings.Contains(out, "ondemand") || !strings.Contains(out, "static") {
 		t.Fatalf("unexpected output:\n%s", out)
+	}
+
+	dir := t.TempDir()
+	runBinary(t, bin, "-np", fmt.Sprint(np), "-laps", "5", "-record", dir)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2*np {
+		t.Fatalf("-record left %d files (%v), want %d bundles", len(entries), err, 2*np)
+	}
+	for _, policy := range []string{"static", "ondemand"} {
+		for i := 0; i < np; i++ {
+			name := fmt.Sprintf("tcpring-%s-rank%d.bin", policy, i)
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := capture.ReadBundle(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if b.Header.Policy != policy || len(b.Events) == 0 {
+				t.Errorf("%s: policy %q with %d events, want %q with at least one", name, b.Header.Policy, len(b.Events), policy)
+			}
+		}
 	}
 }
 

@@ -9,21 +9,21 @@
 // simulated code, and maporder flags every walk over a Go map.
 // One walks the typed syntax once: exhaustive (switches over closed constant
 // sets handle every member, and for the wire kinds the senders and the
-// dispatcher's arms agree in both directions). The path rules are clients of
-// one per-body dataflow harness (flow.go: the CFG of cfg.go built once per
-// body and a may-analysis over it) and of the whole-program call graph and
-// summary-propagation fixpoint in callgraph.go: locks (Lock/Unlock pairing
-// and the leaf-lock contract on every path, and an acyclic global
-// lock-acquisition-order graph) and paired (every policy-declared acquire —
-// pinned-memory registration, VI slots, bus subscriptions, capture writers —
-// is released on every path, once, with escape-to-field and
-// ownership-transfer summaries, and no send rides a closed or evicted channel
-// without an interposed rebind through the reconnect path). hotalloc walks
-// the same call graph: every body reachable from the policy's hot roots stays
-// allocation-free. No rule models the connection protocol, the wake owed to a
-// parked waiter or the CPU cost a transmit must pay: those are checked on the
+// dispatcher's arms agree in both directions). One path rule, paired, runs on
+// a per-body dataflow harness (flow.go: the CFG of cfg.go built once per body
+// and a may-analysis over it) and the whole-program call graph of
+// callgraph.go: every policy-declared acquire — pinned-memory registration,
+// VI slots, bus subscriptions, capture writers — is released on every path,
+// once, with escape-to-field and ownership-transfer summaries, and no send
+// rides a closed or evicted channel without an interposed rebind through the
+// reconnect path. hotalloc walks the same call graph: every body reachable
+// from the policy's hot roots stays allocation-free. No rule models the
+// connection protocol, the wake owed to a parked waiter, the CPU cost a
+// transmit must pay or the threaded code's three mutexes (none nests; each
+// is a Lock, straight-line code and an Unlock): those are checked on the
 // code that runs, by the simulated worlds of internal/via, internal/core and
-// internal/mpi and by the byte-pinned goldens.
+// internal/mpi, by the byte-pinned goldens, and by the tests that hang or
+// fail without an Unlock.
 // Legitimate exceptions live in one table, Policy.Exceptions, so they are
 // declared in code review rather than scattered as comments — and the
 // stale-policy sweep (stale.go) fails the build when an exception no longer
@@ -72,12 +72,11 @@ type Analyzer struct {
 // The kinds of module entity a policy entry can name: the values of
 // Analyzer.Subject and of the Policy struct's `subject` tags.
 const (
-	subjFunc     = "function"
-	subjPkg      = "package"
-	subjConst    = "constant"
-	subjType     = "type"
-	subjField    = "struct field"
-	subjLockEdge = "pair of mutex fields"
+	subjFunc  = "function"
+	subjPkg   = "package"
+	subjConst = "constant"
+	subjType  = "type"
+	subjField = "struct field"
 )
 
 // Analyzers is the registry, in report order.
@@ -87,7 +86,6 @@ func Analyzers() []*Analyzer {
 		DeterminismAnalyzer(),
 		MapOrderAnalyzer(),
 		ExhaustiveAnalyzer(),
-		LocksAnalyzer(),
 		HotAllocAnalyzer(),
 		PairedAnalyzer(),
 	}

@@ -2,8 +2,8 @@ package analysis
 
 // callgraph.go is the whole-program interprocedural layer: an index of every
 // declared function in the module, a call graph over them, and the shared
-// traversal helpers the summary-propagation analyzers (locks, paired) and
-// hotalloc's reachability walk are built on.
+// traversal helpers paired's summaries and hotalloc's reachability walk are
+// built on.
 //
 // Resolution is deliberately conservative in the direction that loses paths
 // rather than inventing them, with one exception that adds paths: a call
@@ -19,9 +19,9 @@ package analysis
 // runs in its own activation (often at a later virtual time), but the code
 // it executes still belongs to the declaring function for reachability
 // purposes — a callback scheduled by F that transmits a frame is a transmit
-// F's callers can reach. Analyzers that need activation-accurate path
-// sensitivity (locks, paired) analyze literals as separate units; the
-// graph is about *what* can run, not *when*.
+// F's callers can reach. paired, which needs activation-accurate path
+// sensitivity, analyzes literals as separate units; the graph is about
+// *what* can run, not *when*.
 //
 // The graph is built once per Module and cached (Module.Interproc), so the
 // interprocedural analyzers — and the stale-policy sweep — share one index
@@ -54,9 +54,8 @@ type Interproc struct {
 	Funcs map[string]*IPFunc // by Key
 	Keys  []string           // sorted, for deterministic iteration
 
-	// Sweeps counts full module sweeps made by summary-propagation
-	// fixpoints (and the paired rule's derived-acquire rounds) across all
-	// analyzers this run — the -json driver reports it on stderr so CI can
+	// Sweeps counts the full module sweeps the paired rule's derived-acquire
+	// rounds make this run — viampi-vet -json reports it on stderr so CI can
 	// watch convergence cost.
 	Sweeps int
 	// CFGs counts the bodies a path rule asked a control-flow graph for; each
@@ -255,26 +254,6 @@ func inModule(m *Module, pkg *types.Package) bool {
 		return false
 	}
 	return pkg.Path() == m.Path || strings.HasPrefix(pkg.Path(), m.Path+"/")
-}
-
-// ---------------------------------------------------------------------------
-// Summary-propagation fixpoint
-
-// fixpoint repeatedly applies step to every function (in sorted key order)
-// until one full sweep changes nothing. step returns true when it changed
-// the summary it maintains for key. Summaries must grow (or shrink)
-// monotonically or the loop may not terminate; the analyzers here use
-// monotone boolean and set domains.
-func (ip *Interproc) fixpoint(step func(key string) bool) {
-	for changed := true; changed; {
-		changed = false
-		ip.Sweeps++
-		for _, key := range ip.Keys {
-			if step(key) {
-				changed = true
-			}
-		}
-	}
 }
 
 // resolveSiteCallees returns the resolved callees of one call expression,

@@ -2,9 +2,9 @@ package analysis
 
 // cfg.go is a lightweight intraprocedural control-flow graph over go/ast,
 // built only on the standard library like the rest of the suite. It exists
-// so the path-sensitive rules (locks, paired) can ask "does property P hold
-// on *every* path to return?" instead of "does P appear somewhere in the
-// body?" — the difference between catching a Lock left held on an early
+// so the path-sensitive rule (paired) can ask "does property P hold on
+// *every* path to return?" instead of "does P appear somewhere in the
+// body?" — the difference between catching a handle left pinned on an early
 // return and missing it.
 //
 // The model is deliberately small:
@@ -459,18 +459,6 @@ func rootVar(info *types.Info, e ast.Expr) types.Object {
 			return nil
 		}
 	}
-}
-
-// mapStates applies f to every abstract state in a may-analysis bitset (bit
-// s set ⇔ state s reachable) and returns the resulting set.
-func mapStates(set uint64, f func(int) int) uint64 {
-	var out uint64
-	for s := 0; set>>s != 0; s++ {
-		if set&(1<<s) != 0 {
-			out |= 1 << f(s)
-		}
-	}
-	return out
 }
 
 // blockStates runs a forward may-analysis to fixpoint: the in-state of a

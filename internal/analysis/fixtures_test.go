@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"maps"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -35,43 +33,38 @@ func TestFixtureDiagnostics(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), d.Pos.Line, d.Rule))
 	}
 	want := []string{
-		"internal/core/determ.go:7: determinism",      // sync import
-		"internal/core/determ.go:15: determinism",     // time.Now
-		"internal/core/determ.go:20: determinism",     // naked goroutine
-		"internal/core/determ.go:25: determinism",     // global rand.Intn
-		"internal/mpi/hotalloc.go:15: hotalloc",       // make on the hot path
-		"internal/mpi/hotalloc.go:17: hotalloc",       // escaping composite literal
-		"internal/mpi/hotalloc.go:19: hotalloc",       // closure literal
-		"internal/mpi/hotalloc.go:21: hotalloc",       // string concatenation
-		"internal/mpi/hotalloc.go:23: hotalloc",       // interface boxing
-		"internal/mpi/hotalloc.go:30: hotalloc",       // step: hot because progress calls it, named nowhere; growNames, cold by name, is not entered
-		"internal/mpi/hotalloc.go:42: hotalloc",       // tick.Fire: an event behind Policy.EventEdges is a root without being listed
-		"internal/mpi/maporder.go:12: maporder",       // append of values in map order
-		"internal/mpi/maporder.go:21: maporder",       // keys collected, never sorted
-		"internal/mpi/maporder.go:40: maporder",       // commutative body: a map walk all the same
-		"internal/mpi/maporder.go:50: maporder",       // per-entry call
-		"internal/mpi/maporder.go:57: maporder",       // range over maps.Keys: the iterator walks in map order
-		"internal/mpi/maporder.go:64: maporder",       // slices.Collect(maps.Keys(m)): collected, never sorted
-		"internal/obs/maporder.go:13: maporder",       // commutative body in obs
-		"internal/obs/obs.go:17: exhaustive",          // strict String misses EvC despite default
-		"internal/tcpvia/lockorder.go:8: determinism", // sync import (leaf exemption stripped)
-		"internal/tcpvia/lockorder.go:47: locks",      // PairBA closes the Node.mu/Channel.mu cycle
-		"internal/tcpvia/locks.go:8: determinism",     // sync import (leaf exemption stripped)
-		"internal/tcpvia/locks.go:10: layering",       // restricted leaf imports a layered package
-		"internal/tcpvia/locks.go:23: locks",          // Lock with no Unlock on the skip path
-		"internal/tcpvia/locks.go:25: locks",          // layered call under the leaf lock
-		"internal/via/enum.go:19: exhaustive",         // ViState switch misses ViClosed
-		"internal/via/enum.go:71: exhaustive",         // wire-kind switch misses kindConnNack and kindDisc
-		"internal/via/paired.go:31: paired",           // leakEarlyReturn: flush path returns still holding h
-		"internal/via/paired.go:65: paired",           // discardHandle: result dropped, unreleasable
-		"internal/via/paired.go:76: paired",           // doubleRelease: second Deregister of a dead handle
-		"internal/via/paired.go:91: paired",           // storeLeak: field (holder).h has no releasing path
-		"internal/via/paired.go:125: paired",          // wrapperCallerLeaks: obligation inherited from acquireWrapped
-		"internal/via/protocol.go:17: exhaustive",     // kindDisc arm is dead: nothing sends it
-		"internal/via/protocol.go:38: exhaustive",     // kindConnNack sent, no dispatcher arm
-		"internal/via/seqcheck.go:29: paired",         // sendAfterClose: post on the VI it just closed
-		"internal/via/seqcheck.go:38: paired",         // evictMaybe: closed on the evict branch, sent after the join
-		"internal/via/via.go:6: layering",             // via imports mpi (upward)
+		"internal/core/determ.go:7: determinism",  // sync import
+		"internal/core/determ.go:15: determinism", // time.Now
+		"internal/core/determ.go:20: determinism", // naked goroutine
+		"internal/core/determ.go:25: determinism", // global rand.Intn
+		"internal/mpi/hotalloc.go:15: hotalloc",   // make on the hot path
+		"internal/mpi/hotalloc.go:17: hotalloc",   // escaping composite literal
+		"internal/mpi/hotalloc.go:19: hotalloc",   // closure literal
+		"internal/mpi/hotalloc.go:21: hotalloc",   // string concatenation
+		"internal/mpi/hotalloc.go:23: hotalloc",   // interface boxing
+		"internal/mpi/hotalloc.go:30: hotalloc",   // step: hot because progress calls it, named nowhere; growNames, cold by name, is not entered
+		"internal/mpi/hotalloc.go:42: hotalloc",   // tick.Fire: an event behind Policy.EventEdges is a root without being listed
+		"internal/mpi/maporder.go:12: maporder",   // append of values in map order
+		"internal/mpi/maporder.go:21: maporder",   // keys collected, never sorted
+		"internal/mpi/maporder.go:40: maporder",   // commutative body: a map walk all the same
+		"internal/mpi/maporder.go:50: maporder",   // per-entry call
+		"internal/mpi/maporder.go:57: maporder",   // range over maps.Keys: the iterator walks in map order
+		"internal/mpi/maporder.go:64: maporder",   // slices.Collect(maps.Keys(m)): collected, never sorted
+		"internal/obs/maporder.go:13: maporder",   // commutative body in obs
+		"internal/obs/obs.go:17: exhaustive",      // strict String misses EvC despite default
+		"internal/tcpvia/tcpvia.go:5: layering",   // restricted leaf imports a layered package
+		"internal/via/enum.go:19: exhaustive",     // ViState switch misses ViClosed
+		"internal/via/enum.go:71: exhaustive",     // wire-kind switch misses kindConnNack and kindDisc
+		"internal/via/paired.go:31: paired",       // leakEarlyReturn: flush path returns still holding h
+		"internal/via/paired.go:65: paired",       // discardHandle: result dropped, unreleasable
+		"internal/via/paired.go:76: paired",       // doubleRelease: second Deregister of a dead handle
+		"internal/via/paired.go:91: paired",       // storeLeak: field (holder).h has no releasing path
+		"internal/via/paired.go:125: paired",      // wrapperCallerLeaks: obligation inherited from acquireWrapped
+		"internal/via/protocol.go:17: exhaustive", // kindDisc arm is dead: nothing sends it
+		"internal/via/protocol.go:38: exhaustive", // kindConnNack sent, no dispatcher arm
+		"internal/via/seqcheck.go:29: paired",     // sendAfterClose: post on the VI it just closed
+		"internal/via/seqcheck.go:38: paired",     // evictMaybe: closed on the evict branch, sent after the join
+		"internal/via/via.go:6: layering",         // via imports mpi (upward)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostic count: got %d, want %d\ngot:\n  %s", len(got), len(want), strings.Join(got, "\n  "))
@@ -80,22 +73,6 @@ func TestFixtureDiagnostics(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("diagnostic %d:\n  got  %s\n  want %s", i, got[i], want[i])
 		}
-	}
-}
-
-// TestLockOrderEdgeUnderDeferredLiteral checks the order graph sees a lock
-// held up to a deferred literal's Unlock: CountDeferredLiteral calls a Node.mu
-// taker under metricsMu, which is an edge (and, TestFixtureDiagnostics having
-// nothing at its lines, neither a leak nor a cycle).
-func TestLockOrderEdgeUnderDeferredLiteral(t *testing.T) {
-	_, edges := lockFacts(loadFixture(t), FixturePolicy())
-	const edge = "internal/tcpvia.(Manager).metricsMu -> internal/tcpvia.(Node).mu"
-	e := edges[edge]
-	if e == nil {
-		t.Fatalf("no order edge %s; have %v", edge, slices.Sorted(maps.Keys(edges)))
-	}
-	if want := "internal/tcpvia.(Manager).CountDeferredLiteral"; e.via != want || e.callee != "internal/tcpvia.(Node).lockNode" {
-		t.Errorf("edge witnessed in %s through %q, want %s through lockNode", e.via, e.callee, want)
 	}
 }
 
@@ -109,8 +86,6 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 		{"maporder", "slices.Sorted(maps.Keys"},
 		{"layering", "standard library or a shared leaf"},
 		{"exhaustive", "missing cases"},
-		{"locks", "Unlock"},
-		{"locks", "one global order"},
 		{"hotalloc", "hot path"},
 		{"exhaustive", "handler arm"},
 		{"paired", `Policy.Exceptions["paired"]`},

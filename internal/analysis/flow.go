@@ -1,11 +1,11 @@
 package analysis
 
-// flow.go is the one per-body dataflow harness under the path rules (paired
-// and locks). A rule describes what one CFG node does to a bitset of abstract
-// states; the harness owns everything else: the CFG, built once per body
-// however many rules and fixpoint sweeps ask; the forward may-analysis; the
-// map from any syntax node back to the CFG node that holds its state; and
-// what a defer runs.
+// flow.go is the per-body dataflow harness under the path rule, paired. The
+// rule describes what one CFG node does to a bitset of abstract states; the
+// harness owns everything else: the CFG, built once per body however many
+// derived-acquire rounds ask; the forward may-analysis; the map from any
+// syntax node back to the CFG node that holds its state; and what a defer
+// runs.
 
 import (
 	"go/ast"

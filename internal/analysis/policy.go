@@ -54,10 +54,6 @@ type Policy struct {
 	// exhaustive rule needs to know about each.
 	WireKinds []WireKind
 
-	// LeafLocks maps qualified mutex fields to the leaf contract they carry:
-	// while one is held, no call may re-enter a layered simulation package.
-	LeafLocks map[string]string `subject:"struct field"`
-
 	// HotRoots names the entry points of the zero-allocation paths (the value
 	// is why the root is hot). The hot set itself is derived: hotalloc checks
 	// every body the call graph reaches from a root, or from an event a
@@ -79,8 +75,8 @@ type Policy struct {
 
 	// Exceptions is the one table of reviewed exceptions: rule name →
 	// excused subject → justification. What a subject is — a function, a
-	// package, a constant, a lock edge — is the rule's Analyzer.Subject;
-	// every analyzer consults the table through excused.
+	// package, a constant — is the rule's Analyzer.Subject; every analyzer
+	// consults the table through excused.
 	Exceptions map[string]map[string]string `subject:"-"`
 }
 
@@ -173,10 +169,6 @@ func DefaultPolicy() *Policy {
 		WireKinds: []WireKind{
 			{Field: "internal/via.(wireMsg).kind", Anchor: "internal/via.kindConnReq", Dispatch: "internal/via.(Port).dispatch"},
 			{Field: "internal/mpi.(hdr).kind", Anchor: "internal/mpi.pktEager", Dispatch: "internal/mpi.(Rank).handlePacket"},
-		},
-
-		LeafLocks: map[string]string{
-			"internal/tcpvia.(EventLog).mu": "guards the capture ring and the metrics fold over the same events only; acquired last, never held across a call back into the stack",
 		},
 
 		HotRoots: map[string]string{
@@ -311,14 +303,11 @@ func DefaultPolicy() *Policy {
 
 // FixturePolicy derives a policy for a fixture module under testdata/: same
 // rule set, no exceptions, so fixtures exercise the rules raw. Structural
-// configuration (strict functions, tag fields, leaf locks, hot roots) is
-// kept: the fixture declares types and functions under the same
-// module-relative names the real policy points at.
+// configuration (strict functions, tag fields, hot roots) is kept: the
+// fixture declares types and functions under the same module-relative names
+// the real policy points at.
 func FixturePolicy() *Policy {
 	p := DefaultPolicy()
 	p.Exceptions = nil
-	// The fixture's leaf lock is its own: the locks cases hang off a
-	// Manager.metricsMu the real tcpvia no longer has.
-	p.LeafLocks["internal/tcpvia.(Manager).metricsMu"] = "fixture leaf lock: guards a counter only"
 	return p
 }

@@ -58,8 +58,8 @@ func TestRunAllSorted(t *testing.T) {
 // together.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"layering", "determinism", "maporder", "exhaustive", "locks",
-		"hotalloc", "paired",
+		"layering", "determinism", "maporder", "exhaustive", "hotalloc",
+		"paired",
 	}
 	var got []string
 	for _, a := range Analyzers() {

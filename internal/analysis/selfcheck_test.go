@@ -138,17 +138,20 @@ internal/simnet.(Proc).Sleep internal/simnet.(Proc).Compute internal/simnet.(Pro
 internal/simnet.(Proc).WakeAfter internal/sweep.(tracker).advance`
 
 // TestSeededStaleEntryIsCaught plants entries pointing at code that does
-// not exist — a renamed excused function, a deleted package (excused, and
-// holding a layer), a lock-order edge naming a removed mutex, a hot root and a
-// hotalloc exception whose functions are gone, a table for a rule that does
-// not exist — and requires StalePolicy to name each one.
+// not exist, at least one per subject kind — a renamed excused function, a
+// deleted package (excused, and holding a layer), a removed event type, a
+// wire kind whose tag field and anchor constant are gone, a hot root and a
+// hotalloc exception whose functions are gone, the leftover tables of two
+// deleted rules — and requires StalePolicy to name each one.
 func TestSeededStaleEntryIsCaught(t *testing.T) {
 	m := loadRepo(t)
 	p := DefaultPolicy()
 	p.Exceptions["maporder"] = map[string]string{"internal/via.(Port).zzRenamedAway": "seeded: function no longer exists"}
 	p.Exceptions["determinism"]["internal/zzdeleted"] = "seeded: package no longer exists"
-	p.Exceptions["locks"] = map[string]string{"internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone": "seeded: mutex field no longer exists"}
+	p.Exceptions["locks"] = map[string]string{"internal/tcpvia.(EventLog).mu -> internal/sweep.(tracker).mu": "seeded: the rule no longer exists"}
 	p.Exceptions["costcharge"] = map[string]string{"internal/via.(Port).SendOob": "seeded: the rule no longer exists"}
+	p.EventEdges["internal/simnet.zzGoneAction"] = "seeded: a type that no longer exists"
+	p.WireKinds = append(p.WireKinds, WireKind{Field: "internal/via.(wireMsg).zzKind", Anchor: "internal/via.zzKindGone", Dispatch: "internal/via.(Port).dispatch"})
 	p.Layers["internal/zzdeleted"] = 3 // seeded: a deleted package keeps its layer
 	p.HotRoots["internal/mpi.(Comm).zzSend"] = "seeded: a root that no longer exists"
 	p.Exceptions["hotalloc"]["internal/mpi.(Rank).zzHandlePacket"] = "seeded: an excused body that no longer exists"
@@ -157,8 +160,11 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 	for _, wantSub := range []string{
 		`policy.Exceptions["maporder"]["internal/via.(Port).zzRenamedAway"]`,
 		`policy.Exceptions["determinism"]["internal/zzdeleted"]`,
-		`policy.Exceptions["locks"]["internal/tcpvia.(Node).mu -> internal/tcpvia.(Node).zzGone"]`,
+		`policy.Exceptions["locks"] names no rule`,
 		`policy.Exceptions["costcharge"] names no rule`,
+		`policy.EventEdges["internal/simnet.zzGoneAction"] matches no type`,
+		`policy.WireKinds[2].Field["internal/via.(wireMsg).zzKind"] matches no struct field`,
+		`policy.WireKinds[2].Anchor["internal/via.zzKindGone"] matches no constant`,
 		`policy.Layers["internal/zzdeleted"]`,
 		`policy.HotRoots["internal/mpi.(Comm).zzSend"]`,
 		`policy.Exceptions["hotalloc"]["internal/mpi.(Rank).zzHandlePacket"]`,
@@ -173,8 +179,8 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 			t.Errorf("seeded stale entry not reported: want a message containing %s\ngot: %v", wantSub, got)
 		}
 	}
-	if len(got) != 7 {
-		t.Errorf("stale count: got %d, want exactly the 7 seeded entries: %v", len(got), got)
+	if len(got) != 10 {
+		t.Errorf("stale count: got %d, want exactly the 10 seeded entries: %v", len(got), got)
 	}
 }
 

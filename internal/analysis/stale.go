@@ -10,7 +10,7 @@ import (
 
 // StalePolicy returns one message per policy entry that no longer matches
 // any code in the module: an excused function that was renamed or deleted,
-// a package that no longer exists, a lock-order edge naming a removed mutex.
+// a package that no longer exists, a tag field that was renamed.
 // A suppression that outlives its justification is a hole in the invariant it
 // excuses, so the driver warns on these and the selfcheck test fails on them.
 //
@@ -93,9 +93,6 @@ func subjectExists(m *Module, kind, key string) bool {
 		return ok
 	case subjField:
 		return resolveField(m, key) != nil
-	case subjLockEdge:
-		from, to, ok := strings.Cut(key, " -> ")
-		return ok && resolveField(m, from) != nil && resolveField(m, to) != nil
 	}
 	panic("analysis: unknown policy subject kind " + kind)
 }

@@ -76,6 +76,3 @@ func Dispatch(m *wireMsg) int {
 	}
 	return 0
 }
-
-// Poke exists so the locks fixture has a layered callee to re-enter.
-func Poke() {}

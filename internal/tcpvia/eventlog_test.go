@@ -164,6 +164,41 @@ func TestEventLogRingDump(t *testing.T) {
 	}
 }
 
+// TestEventLogUsableAfterDump: a dump releases the log, so the owner's next
+// Emit and the snapshot loop's next WriteMetricsJSON go through (a
+// flush-on-signal dump runs while the ranks still emit). A dump that kept
+// the lock would hang them, so the calls run on a goroutine and the test
+// bounds the wait.
+func TestEventLogUsableAfterDump(t *testing.T) {
+	log, err := NewEventLog(wallHeader(0), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Emit(obs.EvMsgSend, 0, 1, 0, 0, 0, "")
+	done := make(chan string, 1)
+	go func() {
+		if _, _, err := log.DumpRing(&bytes.Buffer{}); err != nil {
+			done <- err.Error()
+			return
+		}
+		log.Emit(obs.EvMsgSend, 0, 1, 1, 0, 0, "")
+		var doc bytes.Buffer
+		if err := log.WriteMetricsJSON(&doc); err != nil {
+			done <- err.Error()
+			return
+		}
+		done <- doc.String()
+	}()
+	select {
+	case doc := <-done:
+		if !strings.Contains(doc, `"events.msg.send":2`) {
+			t.Fatalf("metrics after a dump do not count both sends:\n%s", doc)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Emit or WriteMetricsJSON still blocked 5 s after DumpRing returned: the dump kept the log's lock")
+	}
+}
+
 // TestEventLogConcurrentEmit hammers one log from many goroutines; under
 // -race this is the data-race check, and the ring must retain exactly its
 // capacity afterwards.
