@@ -161,7 +161,6 @@ func DefaultPolicy() *Policy {
 			"internal/obs.(Phase).String":         "phase table column names; a phase falling to the fallback breaks the report schema",
 			"internal/via.(Status).String":        "descriptor status names appear in test failures and ErrBadState messages",
 			"internal/via.(ViState).String":       "VI state names appear in test failures and ErrBadState messages",
-			"internal/mpi.pktKindString":          "packet kind names appear in protocol failure messages",
 			"internal/mpi.(SendMode).String":      "send mode names appear in profiles",
 			"internal/tcpvia.(ViState).String":    "real-socket twin mirrors via.ViState.String",
 			"internal/obs/capture.(Clock).String": "clock-source names appear in bundle summaries and diff reports; a new source falling to \"unknown\" mislabels every report",
@@ -226,12 +225,12 @@ func DefaultPolicy() *Policy {
 		// An eager pool's registration is per channel (growPool Register →
 		// teardownChannel Deregister, tracked through the memHandles field
 		// by the pinned-memory pair below); its receives are a count on the
-		// VI and nobody's handle. A descriptor and its buffer are the port's,
+		// VI and nobody's handle. A descriptor and its buffer are the network's,
 		// lent while a message is in them (lendLanding → ReturnLanding): the
 		// lender is the NIC side, not a caller that could leak a handle, so
 		// that is no pair either; internal/mpi's TestStaleCQEntryAfterTeardown
 		// holds "each returns exactly once" and TestLandingBuffersAllReturn
-		// "every port ends with none out".
+		// "every port ends with none out, and the network's stock all free".
 		// The pendingClose enqueue/replay pair is a protocol obligation, not
 		// a handle: internal/mpi's eviction suites hold it (a BYE_NACK whose
 		// held sends are not replayed fails TestEvictionRandomProgramEquivalence).

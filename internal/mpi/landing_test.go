@@ -7,31 +7,37 @@ import (
 )
 
 // An eager pool's receives are posted as a count: the port lends a message a
-// descriptor and a buffer when it claims one and the progress engine hands
-// both back when the message has been read, so host memory follows the
-// messages landed and unread, not channels × credits — while the model pins
-// every byte of every pool, as it always did.
+// descriptor of the network's stock and a buffer as long as the message when it
+// claims one, and the progress engine hands both back when the message has been
+// read, so host memory follows the messages landed and unread, not channels ×
+// credits — while the model pins every byte of every pool, as it always did.
 
 // Every world of the random program — every policy, VI caps that evict and
 // reconnect, dropped and refused requests, static and growing pools — ends
 // with no descriptor (and so no buffer) out on any port and every one the
-// port ever made on its free list, once, and at its busiest a port had lent a
-// small part of what its pools had posted.
+// network ever made on its free list, once, no more than it had out at its
+// busiest; and at its busiest a port had lent a small part of what its pools
+// had posted.
 func TestLandingBuffersAllReturn(t *testing.T) {
 	most := 0
 	randomWorlds(t, func(name string, w *World) {
+		sum := 0
 		for i, p := range w.Net.Ports() {
-			free, out := p.Landing()
 			peak, posted := p.Stats().LandingPeak, w.Ranks[i].PeakChans*w.Cfg.initialPool()
-			if out != 0 || len(free) != peak || !distinct(free) {
-				t.Errorf("%s: rank %d ended with %d landing descriptors out and %d free (distinct: %v), want 0 and the %d it made, each once",
-					name, i, out, len(free), distinct(free), peak)
+			if out := p.LandingOut(); out != 0 {
+				t.Errorf("%s: rank %d ended with %d landing descriptors out, want 0", name, i, out)
 			}
 			if peak == 0 || 2*peak > posted {
 				t.Errorf("%s: rank %d had %d landing buffers out at most, with %d receives posted on %d channels; want some, and far fewer than posted",
 					name, i, peak, posted, w.Ranks[i].PeakChans)
 			}
 			most = max(most, peak)
+			sum += peak
+		}
+		free, made := w.Net.Landing()
+		if len(free) != made || !distinct(free) || made != w.Net.LandingPeak || made > sum {
+			t.Errorf("%s: the network ended with %d landing descriptors free (distinct: %v) of %d made, at most %d out at once, and the ports' peaks sum to %d; want every one it made free, each once, and as many made as its peak, no more than the sum",
+				name, len(free), distinct(free), made, w.Net.LandingPeak, sum)
 		}
 	})
 	t.Logf("most landing buffers out on one port at once: %d", most)

@@ -901,9 +901,14 @@ func TestModeStrings(t *testing.T) {
 			t.Error("empty mode string")
 		}
 	}
-	for _, k := range []byte{pktEager, pktRts, pktCts, pktFin, pktCredit, 99} {
-		if pktKindString(k) == "" {
-			t.Error("empty kind string")
+	// Every packet kind has its own name in protocol failure messages; only a
+	// byte that is no kind falls to the numbered fallback.
+	for k, want := range map[byte]string{
+		pktEager: "eager", pktRts: "rts", pktCts: "cts", pktFin: "fin", pktCredit: "credit",
+		pktBye: "bye", pktByeAck: "bye-ack", pktByeNack: "bye-nack", 99: "pkt(99)",
+	} {
+		if got := pktKindString(k); got != want {
+			t.Errorf("pktKindString(%d) = %q, want %q", k, got, want)
 		}
 	}
 }

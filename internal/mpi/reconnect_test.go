@@ -76,7 +76,17 @@ func TestReconnectCycleAllocs(t *testing.T) {
 	}
 }
 
-// distinct reports whether no descriptor is on a port's free list twice.
+// landingStock returns the network's free landing descriptors, the number it
+// has made, and the number out on loan, summed over its ports.
+func landingStock(net *via.Network) (free []*via.Descriptor, made, out int) {
+	free, made = net.Landing()
+	for _, p := range net.Ports() {
+		out += p.LandingOut()
+	}
+	return free, made, out
+}
+
+// distinct reports whether no descriptor is on a free list twice.
 func distinct(free []*via.Descriptor) bool {
 	seen := make(map[*via.Descriptor]bool, len(free))
 	for _, d := range free {
@@ -96,7 +106,9 @@ func distinct(free []*via.Descriptor) bool {
 // arrived too. The teardown scan closes that VI before the drain reaches the
 // entry. Had Close taken the completed descriptor back as well, the port's
 // free list would hold it twice (and the next message to claim it would erase
-// XferLen under the entry: "arrival on unknown VI").
+// XferLen under the entry: "arrival on unknown VI"). The stock is the
+// network's, so the checks read it whole: what is free and what the ports have
+// out add up to what it made, which is the network's peak out.
 //
 // The teardown also finds rank 0's own BYE sent and not yet reaped: it must
 // take the descriptor back, not let Close drop it with its wire buffer.
@@ -146,10 +158,12 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 			fail("%v", err)
 		}
 		r.Proc().Sleep(100 * simnet.Microsecond)
-		made := r.port.Stats().LandingPeak // no two messages were ever unread at once here
-		if free, lent := r.port.Landing(); r.cq.Len() != 1 || made != 1 || len(free) != 0 || lent != 1 {
-			fail("before the pass: %d CQ entries, %d landing descriptors free of %d made, %d out; want rank 1's BYE alone, in the port's one descriptor, out",
-				r.cq.Len(), len(free), made, lent)
+		net := r.port.Network()
+		peak := r.port.Stats().LandingPeak // no two messages were ever unread at once here
+		if free, made, out := landingStock(net); r.cq.Len() != 1 || peak != 1 || r.port.LandingOut() != 1 ||
+			len(free)+out != made || made != net.LandingPeak {
+			fail("before the pass: %d CQ entries, port peak %d, %d out on the port; the network: %d free, %d out, %d made, peak %d; want rank 1's BYE alone, in one descriptor out, and free plus out the peak made",
+				r.cq.Len(), peak, r.port.LandingOut(), len(free), out, made, net.LandingPeak)
 		}
 		unreaped := slices.Clone(closing.PostedSends())
 		if len(unreaped) == 0 {
@@ -174,12 +188,12 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 			fail("slot table: the VI is not torn down yet, but its slot is empty")
 		}
 		r.progressStep()
-		// The frame read, the entry's descriptor is the port's again, once;
+		// The frame read, the entry's descriptor is the network's again, once;
 		// the closed channel's other receives were a count and left nothing.
-		made = r.port.Stats().LandingPeak
-		if free, lent := r.port.Landing(); r.cq.Len() != 0 || len(free) != made || !distinct(free) || lent != 0 {
-			fail("after the pass: %d CQ entries, %d landing descriptors free (distinct: %v), %d out; want 0, the %d ever made, each once, and 0",
-				r.cq.Len(), len(free), distinct(free), lent, made)
+		if free, made, out := landingStock(net); r.cq.Len() != 0 || r.port.LandingOut() != 0 || !distinct(free) ||
+			len(free)+out != made || made != net.LandingPeak {
+			fail("after the pass: %d CQ entries, %d out on the port; the network: %d free (distinct: %v), %d out, %d made, peak %d; want 0, 0, each once, and free plus out the peak made",
+				r.cq.Len(), r.port.LandingOut(), len(free), distinct(free), out, made, net.LandingPeak)
 		}
 		if fresh != nil && (fresh.closing || fresh.ch.Parked() != 0) {
 			fail("the channel to rank 3 took rank 1's BYE for its own")
@@ -346,23 +360,33 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		evicting = map[*via.VI]int{}
 	)
 	tick := func() {
+		var net *via.Network
+		for _, r := range ranks {
+			if r != nil {
+				net = r.port.Network()
+				break
+			}
+		}
+		if net == nil {
+			return
+		}
+		free, _ := net.Landing()
+		if !distinct(free) {
+			net.Sim().Failf("a landing descriptor is on the network's free list twice")
+		}
+		for _, d := range free {
+			b := d.Buf[:cap(d.Buf)]
+			for k := range b {
+				b[k] = 0xEE
+			}
+			d.Status, d.XferLen, d.UserPtr = via.StatusErrorState, 0xEEEE, net
+			scribble++
+		}
 		for _, r := range ranks {
 			if r == nil {
 				continue
 			}
-			free, out := r.port.Landing()
-			if !distinct(free) {
-				r.proc.Sim().Failf("rank %d: a landing descriptor is on the port's free list twice", r.rank)
-			}
-			for _, d := range free {
-				b := d.Buf[:cap(d.Buf)]
-				for k := range b {
-					b[k] = 0xEE
-				}
-				d.Status, d.XferLen, d.UserPtr = via.StatusErrorState, 0xEEEE, r
-				scribble++
-			}
-			beside = beside || len(free) > 0 && out > 0
+			beside = beside || len(free) > 0 && r.port.LandingOut() > 0
 			for _, cs := range liveChans(r) {
 				vi := cs.ch.Vi
 				if cs.closing && cs.ch.Evicting {
@@ -558,10 +582,10 @@ func poolRecyclingKeepsPayloads(t *testing.T, cfg Config) {
 		t.Errorf("crossing BYEs %v, refused eviction %v, message parked across a teardown %v, pool growth %v (dynamic credits %v): the test must pass through all of them",
 			crossing, nacked, parked, grew, cfg.DynamicCredits)
 	}
-	for _, r := range ranks {
-		// The port made a descriptor only when every one it had was out.
-		if free, out := r.port.Landing(); len(free)+out != r.port.Stats().LandingPeak {
-			t.Errorf("rank %d: %d landing descriptors free and %d out, with at most %d messages unread at once", r.rank, len(free), out, r.port.Stats().LandingPeak)
-		}
+	// The network made a descriptor only when every one it had was out.
+	net := ranks[0].port.Network()
+	if free, made, out := landingStock(net); len(free)+out != made || made != net.LandingPeak {
+		t.Errorf("%d landing descriptors free and %d out of %d made, with at most %d messages unread at once over the network",
+			len(free), out, made, net.LandingPeak)
 	}
 }

@@ -163,8 +163,8 @@ func TestReserveBoundedByViLimit(t *testing.T) {
 			t.Errorf("rank %d: channel-state slab of %d for a port of %d VIs", r.rank, got, limit)
 		}
 		// A pool is a count and no message landed: no receive descriptor exists.
-		if free, out := r.port.Landing(); len(free)+out != 0 {
-			t.Errorf("rank %d: %d landing descriptors free and %d out after a boot that carried no message", r.rank, len(free), out)
+		if _, made := r.port.Network().Landing(); made+r.port.LandingOut() != 0 {
+			t.Errorf("rank %d: %d landing descriptors made and %d out after a boot that carried no message", r.rank, made, r.port.LandingOut())
 		}
 	}
 }

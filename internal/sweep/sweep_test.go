@@ -10,6 +10,27 @@ import (
 	"time"
 )
 
+// TestTrackerReleasesItsLock: advance and render (with a progress sink
+// attached) each leave the tracker's lock free when they return. It runs
+// first, so a call that keeps the lock fails here, by name, instead of hanging
+// the next Run until the package times out.
+func TestTrackerReleasesItsLock(t *testing.T) {
+	tr := newTracker("lock", 2, func(string, bool) {})
+	for _, c := range []struct {
+		method string
+		call   func()
+	}{
+		{"advance", tr.advance},
+		{"render", func() { tr.render("job") }},
+	} {
+		c.call()
+		if !tr.mu.TryLock() {
+			t.Fatalf("tracker.%s returned holding the tracker's lock", c.method)
+		}
+		tr.mu.Unlock()
+	}
+}
+
 // TestResultsInJobOrder seeds jobs that finish in deliberately scrambled
 // order (later indices sleep less) and asserts the merged results come back
 // indexed exactly like the job list, for several worker counts.

@@ -28,6 +28,32 @@ func TestEventLogRequiresASink(t *testing.T) {
 	}
 }
 
+// TestEventLogReleasesItsLock: Emit and WriteMetricsJSON each leave the log's
+// lock free when they return. It runs before any test that calls either twice,
+// so a call that keeps the lock fails here, by name, instead of hanging a
+// later test until the package times out.
+func TestEventLogReleasesItsLock(t *testing.T) {
+	log, err := NewEventLog(wallHeader(0), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		method string
+		call   func() error
+	}{
+		{"Emit", func() error { log.Emit(obs.EvMsgSend, 0, 1, 0, 0, 0, ""); return nil }},
+		{"WriteMetricsJSON", func() error { return log.WriteMetricsJSON(&bytes.Buffer{}) }},
+	} {
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.method, err)
+		}
+		if !log.mu.TryLock() {
+			t.Fatalf("EventLog.%s returned holding the log's lock", c.method)
+		}
+		log.mu.Unlock()
+	}
+}
+
 // TestEventLogStream runs a two-rank on-demand exchange with flight
 // recorders attached and checks the dumped bundles decode, with nothing
 // evicted, to the protocol story: VI creation, the dial (or its adoption),

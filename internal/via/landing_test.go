@@ -9,13 +9,14 @@ import (
 	"viampi/internal/simnet"
 )
 
-// An eager pool is a count on its VI; the port lends a descriptor, with a
-// buffer of the pool's capacity, to each message that claims one of the
-// receives, for as long as the message is unread. These tests hold the
-// contract at the post (what has room, what the two forms of receive refuse,
-// that n posts are charged as n posts) and what lending can break: a buffer
-// shorter than the pool's capacity, a write on behalf of a message that does
-// not fit, a descriptor that never comes back.
+// An eager pool is a count on its VI; the port lends each message that claims
+// one of the receives a descriptor of the network's stock, with a buffer as
+// long as the message, for as long as the message is unread. These tests hold
+// the contract at the post (what has room, what the two forms of receive
+// refuse, that n posts are charged as n posts) and what lending can break: a
+// buffer shorter than its message, or one the size of the pool's capacity, a
+// write on behalf of a message that does not fit, a descriptor that never comes
+// back, a stock that is a port's rather than the network's.
 
 // The descriptor word must not grow with the loan flag, nor a VI — one per
 // slot of its port, live or free — out of its size class, nor a frame with its
@@ -77,13 +78,13 @@ func TestPostRecvRoomContract(t *testing.T) {
 				t.Errorf("PostRecvPool on a VI holding a descriptor: error %v, want ErrBadState", err)
 			}
 			d := landed(t, vi)
-			if _, out := port.Landing(); d != backed || d.Len != 0 || &d.Buf[0] != &own[0] || d.XferLen != 5 || out != 0 ||
+			if out := port.LandingOut(); d != backed || d.Len != 0 || &d.Buf[0] != &own[0] || d.XferLen != 5 || out != 0 ||
 				!bytes.Equal(own[:5], pattern(0, 5)) {
 				t.Errorf("message: Len %d, XferLen %d, %d descriptors out; want the backed receive with Len 0, its own Buf, XferLen 5, 0 out",
 					d.Len, d.XferLen, out)
 			}
 			port.ReturnLanding(d) // not the port's: stays with its owner
-			if free, _ := port.Landing(); len(d.Buf) != 16 || len(free) != 0 {
+			if free, _ := port.Network().Landing(); len(d.Buf) != 16 || len(free) != 0 {
 				t.Errorf("ReturnLanding took a descriptor that was posted with its own Buf: Buf of %d, %d free", len(d.Buf), len(free))
 			}
 
@@ -106,8 +107,8 @@ func TestPostRecvRoomContract(t *testing.T) {
 			if n, capacity := pooled.RecvPool(); n != 4 || capacity != 16 || len(pooled.recvQ) != 0 {
 				t.Errorf("pool of %d × %d with %d descriptors queued, want 4 × 16 and none before any message", n, capacity, len(pooled.recvQ))
 			}
-			if free, out := port.Landing(); len(free) != 0 || out != 0 {
-				t.Errorf("%d landing descriptors free and %d out before any message claimed a pool receive", len(free), out)
+			if free, made := port.Network().Landing(); len(free) != 0 || made != 0 || port.LandingOut() != 0 {
+				t.Errorf("%d landing descriptors free of %d made and %d out before any message claimed a pool receive", len(free), made, port.LandingOut())
 			}
 			pooled.Close()
 			if err := pooled.PostRecvPool(1, 16); !errors.Is(err, ErrBadState) {
@@ -174,8 +175,8 @@ func TestPoolPostChargesLikeDescriptors(t *testing.T) {
 }
 
 // Each message landed and not yet read has a descriptor and a buffer of its
-// own, as long as the pool's capacity; read and handed back, they are the
-// port's free list, and the one handed back last is the one lent next.
+// own, as long as the message; read and handed back, they are the network's
+// free list, and the one handed back last is the one lent next.
 func TestLandingBufferLentLIFO(t *testing.T) {
 	const size, n = 64, 6
 	e := newEnv(2, 1, ClanCost())
@@ -193,7 +194,7 @@ func TestLandingBufferLentLIFO(t *testing.T) {
 			for vi.seqIn < n {
 				port.WaitActivity(WaitPoll)
 			}
-			if _, out := port.Landing(); out != n || port.Stats().LandingPeak != n || vi.pool != 1 {
+			if out := port.LandingOut(); out != n || port.Stats().LandingPeak != n || vi.pool != 1 {
 				t.Errorf("%d descriptors out (peak %d), %d receives unclaimed with %d messages landed and none read", out, port.Stats().LandingPeak, vi.pool, n)
 			}
 			var last *Descriptor
@@ -205,18 +206,19 @@ func TestLandingBufferLentLIFO(t *testing.T) {
 				last = d
 				port.ReturnLanding(d)
 			}
-			if free, out := port.Landing(); len(free) != n || out != 0 {
-				t.Errorf("%d free, %d out after every message was read; want %d and 0", len(free), out, n)
+			if free, _ := e.net.Landing(); len(free) != n || port.LandingOut() != 0 {
+				t.Errorf("%d free, %d out after every message was read; want %d and 0", len(free), port.LandingOut(), n)
 			}
 			port.ReturnLanding(last) // a second return of the same loan
-			if free, out := port.Landing(); len(free) != n || out != 0 {
-				t.Errorf("%d free, %d out after returning one descriptor twice; want %d and 0 still", len(free), out, n)
+			if free, made := e.net.Landing(); len(free) != n || port.LandingOut() != 0 || made != n {
+				t.Errorf("%d free of %d made, %d out after returning one descriptor twice; want %d of %d and 0 still", len(free), made, port.LandingOut(), n, n)
 			}
 			if d := landed(t, vi); d != last || !bytes.Equal(d.Buf, pattern(n, size)) {
 				t.Error("the next message did not land, whole, in the descriptor handed back last")
 			}
-			if got := port.Stats().LandingPeak; got != n {
-				t.Errorf("LandingPeak %d after one more message with every descriptor free, want %d still", got, n)
+			if got, made := e.net.Landing(); port.Stats().LandingPeak != n || e.net.LandingPeak != n || made != n {
+				t.Errorf("port's LandingPeak %d, network's %d, %d made (%d free) after one more message with every descriptor free, want %d each still",
+					port.Stats().LandingPeak, e.net.LandingPeak, made, len(got), n)
 			}
 		})
 }
@@ -247,7 +249,7 @@ func TestOverlongMessageLendsNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 				port.ReturnLanding(landed(t, vi))
-				free, _ := port.Landing()
+				free, _ := e.net.Landing()
 				buf := free[0].Buf[:cap(free[0].Buf)]
 				for k := range buf {
 					buf[k] = 0xA5
@@ -255,10 +257,11 @@ func TestOverlongMessageLendsNothing(t *testing.T) {
 				for vi.State() == ViConnected {
 					port.WaitActivity(WaitPoll)
 				}
-				free, out := port.Landing()
-				if vi.State() != ViError || int(vi.pool) != tc.pool-1 || len(vi.recvQ) != 0 || out != 0 || len(free) != 1 {
-					t.Fatalf("%s: after a %d-byte message for %d receives of %d: VI %v, %d unclaimed, %d descriptors queued, %d out, %d free; want the error state and nothing claimed or lent",
-						tc.name, tc.next, tc.pool-1, size, vi.State(), vi.pool, len(vi.recvQ), out, len(free))
+				free, made := e.net.Landing()
+				out := port.LandingOut()
+				if vi.State() != ViError || int(vi.pool) != tc.pool-1 || len(vi.recvQ) != 0 || out != 0 || len(free) != 1 || made != 1 {
+					t.Fatalf("%s: after a %d-byte message for %d receives of %d: VI %v, %d unclaimed, %d descriptors queued, %d out, %d free of %d made; want the error state and nothing claimed or lent",
+						tc.name, tc.next, tc.pool-1, size, vi.State(), vi.pool, len(vi.recvQ), out, len(free), made)
 				}
 				for k, b := range buf {
 					if b != 0xA5 {
@@ -276,8 +279,8 @@ func TestOverlongMessageLendsNothing(t *testing.T) {
 }
 
 // A pool receive whose message is part-way in when the VI closes fails, and
-// the descriptor and buffer it was lent go back to the port: nobody reads half
-// a message.
+// the descriptor and buffer it was lent go back to the network's stock: nobody
+// reads half a message.
 func TestCloseMidMessageReturnsLanding(t *testing.T) {
 	const size = 8000
 	cost := ClanCost()
@@ -299,13 +302,73 @@ func TestCloseMidMessageReturnsLanding(t *testing.T) {
 				p.Sleep(100)
 			}
 			d := vi.rxCur
-			if _, out := port.Landing(); d.XferLen >= size || len(d.Buf) != size || out != 1 || vi.pool != 1 {
+			if out := port.LandingOut(); d.XferLen >= size || len(d.Buf) != size || out != 1 || vi.pool != 1 {
 				t.Fatalf("%d of %d bytes in, buffer of %d, %d out, %d unclaimed; want a message part-way into a lent buffer", d.XferLen, size, len(d.Buf), out, vi.pool)
 			}
 			vi.Close()
-			free, out := port.Landing()
+			free, _ := e.net.Landing()
+			out := port.LandingOut()
 			if d.Status != StatusDisconnected || len(free) != 1 || free[0] != d || out != 0 {
 				t.Errorf("after Close: receive %v, %d descriptors free, %d out; want it failed and the port's again", d.Status, len(free), out)
 			}
+		})
+}
+
+// A message is lent a buffer as long as itself, not the pool's capacity: an
+// 8-byte message on a pool of the paper's 5,048-byte receives gets 8 bytes. A
+// longer message later regrows that same descriptor's buffer, and the stock
+// makes nothing new. The stock is the network's, not a port's: the descriptor
+// port B handed back is the one port A's next message is lent, buffer and all,
+// and nothing is made for it.
+func TestLandingBufferFollowsMessage(t *testing.T) {
+	const capacity, short, long = 5048, 8, 1000
+	e := newEnv(2, 1, ClanCost())
+	var returned *Descriptor // what B handed back last, before it sent to A
+	var returnedBuf *byte
+	establishDataPair(t, e,
+		func(p *simnet.Proc, port *Port, vi *VI) { // A
+			if err := vi.PostRecvPool(1, capacity); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(50 * simnet.Microsecond) // B's receives are posted
+			sendStream(t, vi, 0, 1, short)
+			p.Sleep(simnet.Millisecond) // B has read the first and handed it back
+			sendStream(t, vi, 1, 1, long)
+			d := landed(t, vi)
+			free, made := e.net.Landing()
+			if d != returned || &d.Buf[0] != returnedBuf || len(d.Buf) != short || made != 1 || len(free) != 0 {
+				t.Errorf("port A's message: %d-byte buffer, %d made, %d free, lent what B handed back: %v, in its buffer: %v; want the one descriptor B handed back, its buffer resliced to %d",
+					len(d.Buf), made, len(free), d == returned, len(d.Buf) > 0 && &d.Buf[0] == returnedBuf, short)
+			}
+			if !bytes.Equal(d.Buf, pattern(2, short)) {
+				t.Error("port A's message arrived damaged")
+			}
+			if port.LandingOut() != 1 || port.Stats().LandingPeak != 1 || e.net.LandingPeak != 1 {
+				t.Errorf("port A has %d out (peak %d), the network's peak is %d; want 1 each", port.LandingOut(), port.Stats().LandingPeak, e.net.LandingPeak)
+			}
+			port.ReturnLanding(d)
+		},
+		func(p *simnet.Proc, port *Port, vi *VI) { // B
+			if err := vi.PostRecvPool(2, capacity); err != nil {
+				t.Fatal(err)
+			}
+			d := landed(t, vi)
+			if _, made := e.net.Landing(); len(d.Buf) != short || made != 1 || !bytes.Equal(d.Buf, pattern(0, short)) {
+				t.Errorf("an %d-byte message on a pool of %d-byte receives was lent %d bytes (%d descriptors made); want %d in the one descriptor",
+					short, capacity, len(d.Buf), made, short)
+			}
+			port.ReturnLanding(d)
+			again := landed(t, vi)
+			if _, made := e.net.Landing(); again != d || len(again.Buf) != long || made != 1 || !bytes.Equal(again.Buf, pattern(1, long)) {
+				t.Errorf("a %d-byte message after the %d-byte one: the same descriptor %v, a %d-byte buffer, %d made; want the same one regrown to %d, and 1 made",
+					long, short, again == d, len(again.Buf), made, long)
+			}
+			returned, returnedBuf = again, &again.Buf[0]
+			port.ReturnLanding(again)
+			if port.LandingOut() != 0 || port.Stats().LandingPeak != 1 {
+				t.Errorf("port B has %d out (peak %d) after reading both messages; want 0 (1)", port.LandingOut(), port.Stats().LandingPeak)
+			}
+			sendStream(t, vi, 2, 1, short)
+			p.Sleep(simnet.Millisecond) // A's message is landed before the world ends
 		})
 }

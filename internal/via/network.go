@@ -19,6 +19,19 @@ type Network struct {
 	free       *wireMsg // recycled frames
 	framesMade int      // frames growFrames has made, which sizes its next slab
 
+	// Landing descriptors, each with its buffer, lent to the messages that
+	// claim a receive of a counted pool on any port (Port.lendLanding,
+	// Port.ReturnLanding): the free ones, most recently returned last, the
+	// number growLanding has made and the number out on loan. A buffer is
+	// never zeroed: a reader only ever sees Buf[:XferLen].
+	landing     []*Descriptor
+	landingMade int
+	landingOut  int
+
+	// LandingPeak is the most landing descriptors out on loan at once, over
+	// every port.
+	LandingPeak int
+
 	// DroppedNoDescriptor counts messages that arrived on a VI with no
 	// posted receive descriptor (a flow-control violation in the upper
 	// layer; the VI enters the error state).
@@ -148,7 +161,7 @@ func (n *Network) takeFrame(hdr wireMsg, data []byte) *wireMsg {
 	n.free = m.next
 	buf := m.buf
 	if cap(buf) < len(data) {
-		buf = growFrameBuf(len(data))
+		buf = growBuf(len(data))
 	}
 	*m = hdr
 	m.buf, m.data = buf, buf[:len(data)]
@@ -164,20 +177,21 @@ func (n *Network) takeFrame(hdr wireMsg, data []byte) *wireMsg {
 // byte less (-cpu 1; at -cpu 2 the counts wobble by a few on their own).
 const slabMax = 32
 
-// growFrames, growFrameBuf and growLanding grow the frame free list, a frame's
-// buffer and a port's stock of landing descriptors (cold paths). Frames come
-// in slabs, the first of one and each next as large as all the earlier ones
-// together, up to slabMax: the list settles fewer than slabMax frames past the
-// most in flight at once, NIC and out-of-band alike, at up to slabMax frames
-// an allocation. A buffer settles at the largest fragment its frame has
-// carried — exactly that, no size classes — and the landing stock at the
-// number of messages landed and not yet read at once. The frame buffers' stock
-// is therefore the peak of eager and out-of-band fragments in flight at once,
-// each at its own size: a send's fragment is copied at the post because the
-// sender may reuse its buffer as soon as the post returns. An RDMA write's
-// fragments add nothing to it, however many are in flight (IS's Alltoallv
-// posts all its writes together): its bytes are placed in the target at the
-// post, and its frames carry headers only.
+// growFrames, growLanding and growBuf grow the frame free list, the network's
+// stock of landing descriptors and the buffer of a frame or of a landing
+// descriptor (cold paths). Frames come in slabs, the first of one and each next
+// as large as all the earlier ones together, up to slabMax: the list settles
+// fewer than slabMax frames past the most in flight at once, NIC and
+// out-of-band alike, at up to slabMax frames an allocation. A buffer settles at
+// the largest fragment or message it has carried — exactly that, no size
+// classes — and the landing stock at the most messages landed and not yet read
+// at once over the whole network, since a descriptor is made only when none is
+// free. The frame buffers' stock is therefore the peak of eager and out-of-band
+// fragments in flight at once, each at its own size: a send's fragment is
+// copied at the post because the sender may reuse its buffer as soon as the
+// post returns. An RDMA write's fragments add nothing to it, however many are
+// in flight (IS's Alltoallv posts all its writes together): its bytes are
+// placed in the target at the post, and its frames carry headers only.
 func (n *Network) growFrames() *wireMsg {
 	slab := make([]wireMsg, min(max(n.framesMade, 1), slabMax))
 	n.framesMade += len(slab)
@@ -187,9 +201,16 @@ func (n *Network) growFrames() *wireMsg {
 	return n.free
 }
 
-func growFrameBuf(size int) []byte { return make([]byte, size) }
+func growBuf(size int) []byte { return make([]byte, size) }
 
-func growLanding(size int) *Descriptor { return &Descriptor{Buf: make([]byte, size)} }
+func (n *Network) growLanding(size int) *Descriptor {
+	n.landingMade++
+	return &Descriptor{Buf: make([]byte, size)}
+}
+
+// Landing returns the network's free landing descriptors (the live list, for
+// tests that overwrite whatever is free) and the number it has made.
+func (n *Network) Landing() (free []*Descriptor, made int) { return n.landing, n.landingMade }
 
 // release returns a dispatched (or dropped) frame to the free list.
 func (n *Network) release(m *wireMsg) {

@@ -81,11 +81,8 @@ type Port struct {
 	// allocation, carved by cursor at CreateVi before it grows.
 	viSlab []VI
 
-	// Landing descriptors, each with its buffer, lent to the messages that
-	// claim a receive of a counted pool (lendLanding, ReturnLanding): the free
-	// ones, most recently returned last, and the count out on loan. A buffer is
-	// never zeroed: a reader only ever sees Buf[:XferLen].
-	landing    []*Descriptor
+	// Landing descriptors of the network's stock out on loan to this port's
+	// messages (lendLanding, ReturnLanding).
 	landingOut int
 
 	outgoing        []outReq      // VIs with an outstanding REQ, sorted by (ep, disc)
@@ -120,6 +117,9 @@ func (p *Port) Owner() *simnet.Proc { return p.owner }
 
 // Node returns the physical node hosting this port.
 func (p *Port) Node() int { return p.node }
+
+// Network returns the provider the port was opened on.
+func (p *Port) Network() *Network { return p.net }
 
 // Memory returns the port's registered-memory accounting.
 func (p *Port) Memory() *MemoryRegistry { return &p.mem }
@@ -262,41 +262,44 @@ func (p *Port) growVIs() *VI {
 	return vi
 }
 
-// lendLanding lends the message about to land on vi, which has just claimed a
-// receive of vi's pool, a pending descriptor with a buffer of the pool's
-// capacity: the one returned last if its buffer is large enough (it is the
-// likeliest to be in cache), else a new one.
-func (p *Port) lendLanding(vi *VI) *Descriptor {
-	n := int(vi.poolCap)
-	var d *Descriptor
-	if k := len(p.landing) - 1; k >= 0 && cap(p.landing[k].Buf) >= n {
-		d, p.landing = p.landing[k], p.landing[:k]
-	} else {
-		d = growLanding(n)
+// lendLanding lends the message of n bytes about to land on vi, which has just
+// claimed a receive of vi's pool, a pending descriptor of the network's stock
+// with a buffer of n bytes: the one returned last (it is the likeliest to be in
+// cache), its buffer regrown if it is shorter, else a new one.
+func (p *Port) lendLanding(vi *VI, n int) *Descriptor {
+	net := p.net
+	d := simnet.Pop(&net.landing)
+	if d == nil {
+		d = net.growLanding(n)
+	} else if cap(d.Buf) < n {
+		d.Buf = growBuf(n)
 	}
 	d.Buf, d.Status, d.XferLen, d.vi, d.lent = d.Buf[:n], StatusPending, 0, vi, true
 	p.landingOut++
 	p.stats.LandingPeak = max(p.stats.LandingPeak, p.landingOut)
+	net.landingOut++
+	net.LandingPeak = max(net.LandingPeak, net.landingOut)
 	return d
 }
 
-// ReturnLanding takes back d and its buffer, if they are the port's: the owner
-// calls it once it has read Buf[:XferLen] of a completed pool receive (and
-// Close does for one that failed with a message part-way in). Nothing may keep
-// d, or a slice of the buffer, beyond this call. A descriptor that was posted
-// with PostRecv stays its owner's.
+// ReturnLanding takes back d and its buffer, if they are the network's and on
+// loan to this port: the owner calls it once it has read Buf[:XferLen] of a
+// completed pool receive (and Close does for one that failed with a message
+// part-way in). Nothing may keep d, or a slice of the buffer, beyond this
+// call. A descriptor that was posted with PostRecv stays its owner's.
 func (p *Port) ReturnLanding(d *Descriptor) {
 	if !d.lent {
 		return
 	}
 	d.lent = false
-	p.landing = append(p.landing, d)
+	p.net.landing = append(p.net.landing, d)
+	p.net.landingOut--
 	p.landingOut--
 }
 
-// Landing returns the port's free landing descriptors (the live list, for
-// tests that overwrite whatever is free) and the number out on loan.
-func (p *Port) Landing() (free []*Descriptor, out int) { return p.landing, p.landingOut }
+// LandingOut returns the number of the network's landing descriptors out on
+// loan to this port.
+func (p *Port) LandingOut() int { return p.landingOut }
 
 // RegisterRdmaTarget registers buf as an RDMA write target and returns the
 // key a remote peer can address it with (carried in rendezvous CTS

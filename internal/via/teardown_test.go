@@ -472,16 +472,16 @@ func TestCloseReturnsUnfinishedRecvs(t *testing.T) {
 				port.WaitActivity(WaitPoll)
 			}
 			vi.Close()
-			if free, out := port.Landing(); len(free) != 0 || out != 1 {
-				t.Errorf("after Close: %d landing descriptors free, %d out; want the completed one still out and nothing else ever made", len(free), out)
+			if free, made := e.net.Landing(); len(free) != 0 || made != 1 || port.LandingOut() != 1 {
+				t.Errorf("after Close: %d landing descriptors free of %d made, %d out; want the completed one still out and nothing else ever made", len(free), made, port.LandingOut())
 			}
 			got, d := cq.Done()
 			if got != vi || d.Status != StatusSuccess || !bytes.Equal(d.Buf[:d.XferLen], pattern(0, 64)) {
 				t.Errorf("the completion left in the CQ did not survive its VI's Close intact")
 			}
 			port.ReturnLanding(d)
-			if free, out := port.Landing(); len(free) != 1 || free[0] != d || out != 0 {
-				t.Errorf("after the entry was reaped and read: %d free, %d out; want the one descriptor back", len(free), out)
+			if free, made := e.net.Landing(); len(free) != 1 || free[0] != d || made != 1 || port.LandingOut() != 0 {
+				t.Errorf("after the entry was reaped and read: %d free of %d made, %d out; want the one descriptor back", len(free), made, port.LandingOut())
 			}
 		})
 }

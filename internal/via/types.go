@@ -99,12 +99,13 @@ type PeerRequest struct {
 //
 // A receive posted with PostRecv brings its landing buffer: a message may be
 // as long as len(Buf), and Len is not read. The receives of a counted pool
-// (PostRecvPool) have no descriptor while they wait: the port lends one, with
-// a buffer of the pool's capacity, to each message whose first fragment claims
-// a receive, the completion names it, and the owner hands both back with
-// Port.ReturnLanding once it has read Buf[:XferLen]. Registration is accounted
-// by size alone (MemoryRegistry), so a pool pins what as many backed receives
-// do.
+// (PostRecvPool) have no descriptor while they wait: the port lends one of the
+// network's stock to each message whose first fragment claims a receive, with a
+// buffer as long as the message (not the pool's capacity), the completion names
+// it, and the owner hands both back with Port.ReturnLanding once it has read
+// Buf[:XferLen]. Registration is accounted by size alone (MemoryRegistry), so a
+// pool pins what as many backed receives of its capacity do, whatever the host
+// holds.
 type Descriptor struct {
 	Buf []byte // data to send, or receive landing buffer
 	Len int    // bytes to send (unused by a receive)
@@ -114,7 +115,7 @@ type Descriptor struct {
 	RdmaOffset int    // byte offset within the remote target
 
 	Status  Status
-	lent    bool // the port's, on loan to a pool receive (shares Status's word: the struct stays 96 bytes)
+	lent    bool // the network's, on loan to a pool receive (shares Status's word: the struct stays 96 bytes)
 	XferLen int  // bytes actually transferred
 
 	// UserPtr lets upper layers attach context (e.g. the MPI request).

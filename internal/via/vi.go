@@ -133,9 +133,10 @@ func (vi *VI) PostRecv(d *Descriptor) error {
 
 // PostRecvPool posts n more receives of capacity bytes each, with no buffers:
 // an eager pool is n identical receives, so the VI holds it as a count, and
-// the port lends a descriptor and its landing buffer to each message that
-// claims one (the owner hands both back with Port.ReturnLanding once it has
-// read the message, and posts one more here). It is n posts to the model —
+// the port lends each message that claims one a descriptor of the network's
+// stock with a landing buffer as long as the message, not the capacity (the
+// owner hands both back with Port.ReturnLanding once it has read the message,
+// and posts one more here). It is n posts to the model —
 // PostOverhead each, through ChargeHost one at a time, so the debt is flushed
 // at the instants n PostRecv calls flush it, and each receive is there for a
 // message only once its own post is paid. A capacity of 0 or less is refused
@@ -291,11 +292,12 @@ func (vi *VI) handleData(m *wireMsg) {
 		var next *Descriptor
 		if vi.poolCap != 0 {
 			// Counted pool: the message claims one of the receives, and lands
-			// in a descriptor and buffer of the port's, which the owner hands
-			// back when it has read it. One too long claims and is lent nothing.
+			// in a descriptor and buffer of the network's, as long as the
+			// message, which the owner hands back when it has read it. One
+			// too long for the pool's capacity claims and is lent nothing.
 			if vi.pool > 0 && m.total <= int(vi.poolCap) {
 				vi.pool--
-				next = p.lendLanding(vi)
+				next = p.lendLanding(vi, m.total)
 				vi.recvQ = append(vi.recvQ, next)
 			}
 		} else {
@@ -513,8 +515,8 @@ func (vi *VI) Close() {
 	}
 	vi.failPending(StatusDisconnected)
 	// The descriptors carry their status now; the queues go. A pool receive
-	// that failed with a message part-way in is still the port's, on loan:
-	// nobody reads half a message, so the port takes it back here. A completed
+	// that failed with a message part-way in is still the network's, on loan:
+	// nobody reads half a message, so the port gives it back here. A completed
 	// one stays out: a CQ entry names it, and the owner hands it back when it
 	// has reaped that entry and read the message.
 	for _, d := range vi.recvQ {
