@@ -23,9 +23,14 @@ build:
 # and 2048-rank on-demand rings, the O(n)-startup-events assertion): they
 # only stay fast because per-rank state is O(live connections) and the
 # startup barrier is park/broadcast — a regression in either shows up here
-# as a timeout, not a slow drift.
+# as a timeout, not a slow drift. -failfast starts no test after the first
+# failure, in any package: a leaked lock (TestEventLogReleasesItsLock,
+# TestTrackerReleasesItsLock) then fails the run in milliseconds, where the
+# later tests that block on that lock would wait out the whole timeout. The
+# price is that a red run reports only what failed before it stopped; `go
+# test ./...` without the flag lists every failure.
 test:
-	$(GO) test -timeout 300s ./...
+	$(GO) test -failfast -timeout 300s ./...
 
 # internal/tcpvia is sockets and one owner goroutine per node: its
 # connection goroutines hand every frame to the owner, and three passes of
@@ -64,10 +69,11 @@ analyze:
 # diff, commit it with the change. The fourth golden is not virtual time but
 # is regenerated the same way: the set of bodies hotalloc derives from the
 # policy's roots (internal/analysis/testdata/hotset.golden) — a body that
-# became hot, or stopped being, is a line of its diff.
+# became hot, or stopped being, is a line of its diff — and so is viampi-vet's
+# rule documentation (internal/analysis/testdata/rules.golden).
 golden:
 	$(GO) test ./internal/bench -run 'TestGolden' -update
-	$(GO) test ./internal/analysis -run 'DualRunDeterminism|TestHotSetGolden' -update
+	$(GO) test ./internal/analysis -run 'DualRunDeterminism|TestHotSetGolden|TestRuleDocGolden' -update
 	$(GO) test . -run 'TestToolMpirunSim' -update
 
 figures:

@@ -8,8 +8,8 @@
 // import DAG, determinism bans wall-clock/global-rand/goroutines/locks in
 // simulated code, and maporder flags every walk over a Go map.
 // One walks the typed syntax once: exhaustive (switches over closed constant
-// sets handle every member, and for the wire kinds the senders and the
-// dispatcher's arms agree in both directions). One path rule, paired, runs on
+// sets, the wire frame and packet kinds among them, handle every member).
+// One path rule, paired, runs on
 // a per-body dataflow harness (flow.go: the CFG of cfg.go built once per body
 // and a may-analysis over it) and the whole-program call graph of
 // callgraph.go: every policy-declared acquire — pinned-memory registration,
@@ -76,7 +76,6 @@ const (
 	subjPkg   = "package"
 	subjConst = "constant"
 	subjType  = "type"
-	subjField = "struct field"
 )
 
 // Analyzers is the registry, in report order.

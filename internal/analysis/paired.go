@@ -346,9 +346,24 @@ func (pu *prUnit) fieldKey(e ast.Expr) string {
 	case *ast.IndexExpr:
 		return pu.fieldKey(x.X)
 	case *ast.SelectorExpr:
-		return fieldQualified(pu.m, pu.pkg, x)
+		if sel := pu.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+			return prFieldName(pu.m, sel.Recv(), x.Sel.Name)
+		}
 	}
 	return ""
+}
+
+// prFieldName renders the field called name of named struct type t (or a
+// pointer to one) as "rel/pkg.(Owner).name"; "" for an unnamed type.
+func prFieldName(m *Module, t types.Type, name string) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return relQualified(m.Path, named.Obj().Pkg().Path()) + ".(" + named.Obj().Name() + ")." + name
 }
 
 func (pu *prUnit) store(ob *prObligation, field string, pos token.Pos) {
@@ -462,7 +477,7 @@ func (pu *prUnit) releases() map[types.Object]uint64 {
 		ast.Inspect(c.call, func(n ast.Node) bool {
 			switch n := n.(type) { // a "" field is no store's key
 			case *ast.SelectorExpr:
-				pu.res.released[prField{spec, fieldQualified(pu.m, pu.pkg, n)}] = true
+				pu.res.released[prField{spec, pu.fieldKey(n)}] = true
 			case *ast.Ident:
 				pu.res.released[prField{spec, pu.fieldLocal[pu.info.Uses[n]]}] = true
 			}
@@ -614,7 +629,7 @@ func (pu *prUnit) compositeStores(e ast.Expr, ob *prObligation) bool {
 			}
 			key, _ := kv.Key.(*ast.Ident)
 			if fv, ok := pu.info.Uses[key].(*types.Var); ok && fv.IsField() {
-				if fk := fieldOfType(pu.m, pu.info.TypeOf(lit), key.Name); fk != "" {
+				if fk := prFieldName(pu.m, pu.info.TypeOf(lit), key.Name); fk != "" {
 					pu.store(ob, fk, kv.Pos())
 					found = true
 				}

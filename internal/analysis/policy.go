@@ -50,9 +50,6 @@ type Policy struct {
 	// a fallback ("unknown"), not a handler, so a new member reaching it is
 	// silent data loss. The value is the reason.
 	ExhaustiveStrict map[string]string `subject:"function"`
-	// WireKinds declares the wire-code tag fields: one table for what the
-	// exhaustive rule needs to know about each.
-	WireKinds []WireKind
 
 	// HotRoots names the entry points of the zero-allocation paths (the value
 	// is why the root is hot). The hot set itself is derived: hotalloc checks
@@ -95,17 +92,6 @@ type PairedSpec struct {
 	// on a variable, no use may be rooted at that variable until it is
 	// rebound (the reconnect path returns a fresh channel).
 	Uses []string `subject:"function"`
-}
-
-// WireKind is one wire-code tag field.
-type WireKind struct {
-	Field string `subject:"struct field"` // "internal/via.(wireMsg).kind"
-	// Anchor is one constant of the field's wire-code const block; a switch
-	// over the field must cover every constant declared in that block.
-	Anchor string `subject:"constant"`
-	// Dispatch is the function that receives the kind: it must have an arm
-	// for every kind the module sends, and none for a kind nothing sends.
-	Dispatch string `subject:"function"`
 }
 
 // DefaultPolicy returns the policy for the viampi module — the encoded form
@@ -162,12 +148,10 @@ func DefaultPolicy() *Policy {
 			"internal/via.(Status).String":        "descriptor status names appear in test failures and ErrBadState messages",
 			"internal/via.(ViState).String":       "VI state names appear in test failures and ErrBadState messages",
 			"internal/mpi.(SendMode).String":      "send mode names appear in profiles",
+			"internal/mpi.(pktKind).String":       "packet kind names appear in protocol failure messages; a kind falling to pkt(N) hides which packet broke the run",
+			"internal/mpi.(Rank).handlePacket":    "the packet dispatcher: its default fails the run on a byte that is no kind, so a kind with no arm would be a packet every receiver rejects",
 			"internal/tcpvia.(ViState).String":    "real-socket twin mirrors via.ViState.String",
 			"internal/obs/capture.(Clock).String": "clock-source names appear in bundle summaries and diff reports; a new source falling to \"unknown\" mislabels every report",
-		},
-		WireKinds: []WireKind{
-			{Field: "internal/via.(wireMsg).kind", Anchor: "internal/via.kindConnReq", Dispatch: "internal/via.(Port).dispatch"},
-			{Field: "internal/mpi.(hdr).kind", Anchor: "internal/mpi.pktEager", Dispatch: "internal/mpi.(Rank).handlePacket"},
 		},
 
 		HotRoots: map[string]string{
@@ -302,7 +286,7 @@ func DefaultPolicy() *Policy {
 
 // FixturePolicy derives a policy for a fixture module under testdata/: same
 // rule set, no exceptions, so fixtures exercise the rules raw. Structural
-// configuration (strict functions, tag fields, hot roots) is kept: the
+// configuration (strict functions, hot roots) is kept: the
 // fixture declares types and functions under the same module-relative names
 // the real policy points at.
 func FixturePolicy() *Policy {

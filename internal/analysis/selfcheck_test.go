@@ -139,10 +139,10 @@ internal/simnet.(Proc).WakeAfter internal/sweep.(tracker).advance`
 
 // TestSeededStaleEntryIsCaught plants entries pointing at code that does
 // not exist, at least one per subject kind — a renamed excused function, a
-// deleted package (excused, and holding a layer), a removed event type, a
-// wire kind whose tag field and anchor constant are gone, a hot root and a
-// hotalloc exception whose functions are gone, the leftover tables of two
-// deleted rules — and requires StalePolicy to name each one.
+// deleted package (excused, and holding a layer), a removed event type, an
+// excused sentinel constant that is gone, a hot root and a hotalloc exception
+// whose functions are gone, the leftover tables of two deleted rules — and
+// requires StalePolicy to name each one.
 func TestSeededStaleEntryIsCaught(t *testing.T) {
 	m := loadRepo(t)
 	p := DefaultPolicy()
@@ -151,7 +151,7 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 	p.Exceptions["locks"] = map[string]string{"internal/tcpvia.(EventLog).mu -> internal/sweep.(tracker).mu": "seeded: the rule no longer exists"}
 	p.Exceptions["costcharge"] = map[string]string{"internal/via.(Port).SendOob": "seeded: the rule no longer exists"}
 	p.EventEdges["internal/simnet.zzGoneAction"] = "seeded: a type that no longer exists"
-	p.WireKinds = append(p.WireKinds, WireKind{Field: "internal/via.(wireMsg).zzKind", Anchor: "internal/via.zzKindGone", Dispatch: "internal/via.(Port).dispatch"})
+	p.Exceptions["exhaustive"]["internal/via.zzKindGone"] = "seeded: a sentinel constant that no longer exists"
 	p.Layers["internal/zzdeleted"] = 3 // seeded: a deleted package keeps its layer
 	p.HotRoots["internal/mpi.(Comm).zzSend"] = "seeded: a root that no longer exists"
 	p.Exceptions["hotalloc"]["internal/mpi.(Rank).zzHandlePacket"] = "seeded: an excused body that no longer exists"
@@ -163,8 +163,7 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 		`policy.Exceptions["locks"] names no rule`,
 		`policy.Exceptions["costcharge"] names no rule`,
 		`policy.EventEdges["internal/simnet.zzGoneAction"] matches no type`,
-		`policy.WireKinds[2].Field["internal/via.(wireMsg).zzKind"] matches no struct field`,
-		`policy.WireKinds[2].Anchor["internal/via.zzKindGone"] matches no constant`,
+		`policy.Exceptions["exhaustive"]["internal/via.zzKindGone"] matches no constant`,
 		`policy.Layers["internal/zzdeleted"]`,
 		`policy.HotRoots["internal/mpi.(Comm).zzSend"]`,
 		`policy.Exceptions["hotalloc"]["internal/mpi.(Rank).zzHandlePacket"]`,
@@ -179,8 +178,8 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 			t.Errorf("seeded stale entry not reported: want a message containing %s\ngot: %v", wantSub, got)
 		}
 	}
-	if len(got) != 10 {
-		t.Errorf("stale count: got %d, want exactly the 10 seeded entries: %v", len(got), got)
+	if len(got) != 9 {
+		t.Errorf("stale count: got %d, want exactly the 9 seeded entries: %v", len(got), got)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // StalePolicy returns one message per policy entry that no longer matches
 // any code in the module: an excused function that was renamed or deleted,
-// a package that no longer exists, a tag field that was renamed.
+// a package that no longer exists, a constant or type that was renamed.
 // A suppression that outlives its justification is a hole in the invariant it
 // excuses, so the driver warns on these and the selfcheck test fails on them.
 //
@@ -43,7 +43,7 @@ func StalePolicy(m *Module, p *Policy) []string {
 // walkSubjects visits every module reference held in the tagged tables of
 // one policy struct: map keys, string map values when the tag names a
 // second kind after "=", string slice elements, tagged strings, and —
-// recursively — the fields of struct slices (PairedSpecs, WireKinds).
+// recursively — the fields of struct slices (PairedSpecs).
 func walkSubjects(v reflect.Value, prefix string, check func(table, key, kind string)) {
 	for i := 0; i < v.NumField(); i++ {
 		field, fv := v.Type().Field(i), v.Field(i)
@@ -91,8 +91,6 @@ func subjectExists(m *Module, kind, key string) bool {
 	case subjType:
 		_, ok := scopeLookup(m, key).(*types.TypeName)
 		return ok
-	case subjField:
-		return resolveField(m, key) != nil
 	}
 	panic("analysis: unknown policy subject kind " + kind)
 }
@@ -108,34 +106,6 @@ func scopeLookup(m *Module, key string) types.Object {
 		return nil
 	}
 	return pkg.Types.Scope().Lookup(key[dot+1:])
-}
-
-// resolveField returns the *types.Var for "rel/pkg.(Owner).field".
-func resolveField(m *Module, key string) *types.Var {
-	open := strings.Index(key, ".(")
-	end := strings.Index(key, ").")
-	if open < 0 || end < open {
-		return nil
-	}
-	pkg := lookupRel(m, key[:open])
-	if pkg == nil || pkg.Types == nil {
-		return nil
-	}
-	owner, field := key[open+2:end], key[end+2:]
-	tn, ok := pkg.Types.Scope().Lookup(owner).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	st, ok := tn.Type().Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == field {
-			return st.Field(i)
-		}
-	}
-	return nil
 }
 
 // lookupRel resolves a module-relative package path.

@@ -1,5 +1,5 @@
-// enum.go is the fixture home of the exhaustive rule's discovery cases: a
-// named iota enum and a policy-tagged wire-code byte field.
+// enum.go is the fixture home of the exhaustive rule's discovery cases: two
+// named iota enums, a connection state and a wire frame kind.
 package via
 
 // ViState is the fixture's closed connection-state set (an iota block over
@@ -51,10 +51,11 @@ func StateDefaulted(s ViState) bool {
 	}
 }
 
-// Wire-code byte block: untyped members over a basic type, keyed by
-// Policy.WireKinds ("internal/via.(wireMsg).kind", anchor kindConnReq).
+// wireKind mirrors the real provider's frame kinds (discovered the same way).
+type wireKind uint8
+
 const (
-	kindConnReq byte = iota + 1
+	kindConnReq wireKind = iota + 1
 	kindConnAck
 	kindConnNack
 	kindDisc
@@ -62,11 +63,10 @@ const (
 
 // wireMsg mirrors the real provider's frame header.
 type wireMsg struct {
-	kind byte
+	kind wireKind
 }
 
-// Dispatch misses kindConnNack — must flag (the PR 3 bug class: half-reset
-// handshake on NACK).
+// Dispatch misses kindConnNack and kindDisc with no default — must flag.
 func Dispatch(m *wireMsg) int {
 	switch m.kind {
 	case kindConnReq:

@@ -273,14 +273,18 @@ func (b *base) wasUp(rank int) bool {
 	return ok
 }
 
-// reserve prepares for the n channels a static policy is about to make, no
-// more than the port has VIs left for (past that limit Init fails anyway): the
+// reserve prepares for the n channels a static policy is about to make: the
 // channels are one allocation, the tables are sized once, and the layers on
-// either side do the same for what they build per channel.
-func (b *base) reserve(n int) {
-	n = min(n, b.cfg.Port.VIRoom())
+// either side do the same for what they build per channel. A mesh the port
+// has no room for is refused here, before any VI exists, as MVICH reads the
+// NIC's MaxVI (VipQueryNic) before it creates one; at Init the room is the
+// port's whole limit.
+func (b *base) reserve(n int) error {
+	if room := b.cfg.Port.VIRoom(); n > room {
+		return fmt.Errorf("%w: %d", via.ErrTooManyVIs, room)
+	}
 	if n <= 0 {
-		return
+		return nil
 	}
 	b.slab = make([]Channel, n)
 	b.order = slices.Grow(b.order, n)
@@ -288,6 +292,7 @@ func (b *base) reserve(n int) {
 	if b.cfg.Reserve != nil {
 		b.cfg.Reserve(n)
 	}
+	return nil
 }
 
 // insertOrdered adds ch to the rank-sorted channel table, in its place: at
@@ -677,7 +682,9 @@ func (m *StaticPeerToPeer) Name() string { return "static-p2p" }
 
 // Init asks for all N-1 channels, then progresses the handshakes together.
 func (m *StaticPeerToPeer) Init() error {
-	m.reserve(m.cfg.Size - 1)
+	if err := m.reserve(m.cfg.Size - 1); err != nil {
+		return err
+	}
 	for r := 0; r < m.cfg.Size; r++ {
 		if r == m.cfg.Rank {
 			continue
@@ -712,7 +719,9 @@ func (m *StaticClientServer) Name() string { return "static-cs" }
 // the channel it then asks for consumes that request. The in-order answers
 // are the serialization measured in Figure 8a.
 func (m *StaticClientServer) Init() error {
-	m.reserve(m.cfg.Size - 1)
+	if err := m.reserve(m.cfg.Size - 1); err != nil {
+		return err
+	}
 	me := m.cfg.Rank
 	for r := 0; r < m.cfg.Size; r++ {
 		if r == me {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -724,9 +725,9 @@ func respond(p *simnet.Proc, port *via.Port, rng *rand.Rand, rank0 via.Addr, dis
 	}
 }
 
-// A static manager reserves for its whole mesh, but never for more channels
-// than the port has VIs left: Init is going to fail at the limit, and what it
-// reserved — here, and through Config.Reserve above — stops there too.
+// A static manager reserves for its whole mesh, and refuses a mesh the port
+// has no VIs left for before it reserves or creates anything — here, or
+// through Config.Reserve above. A mesh that just fits is reserved whole.
 func TestReserveStopsAtViLimit(t *testing.T) {
 	const (
 		n     = 6
@@ -760,9 +761,16 @@ func TestReserveStopsAtViLimit(t *testing.T) {
 				return
 			}
 			b := baseOf(t, mgr)
-			b.reserve(n - 1)
-			if reserved != limit-1 || len(b.slab) != limit-1 {
-				t.Errorf("%s: reserved %d above, %d channels here, want the %d VIs the port has left", policy, reserved, len(b.slab), limit-1)
+			err = b.reserve(n - 1)
+			if want := fmt.Sprintf("via: VI limit for this port exceeded: %d", limit-1); !errors.Is(err, via.ErrTooManyVIs) || err.Error() != want {
+				t.Errorf("%s: reserving %d channels with room for %d: error %v, want %q", policy, n-1, limit-1, err, want)
+			}
+			if reserved != -1 || len(b.slab) != 0 || port.VIRoom() != limit-1 || port.Stats().VisCreated != 1 {
+				t.Errorf("%s: a refused mesh reserved %d above and %d channels here, and left room %d after %d VIs created; want nothing reserved and the one VI",
+					policy, reserved, len(b.slab), port.VIRoom(), port.Stats().VisCreated)
+			}
+			if err := b.reserve(limit - 1); err != nil || reserved != limit-1 || len(b.slab) != limit-1 {
+				t.Errorf("%s: reserving the %d VIs the port has left: error %v, reserved %d above, %d channels here", policy, limit-1, err, reserved, len(b.slab))
 			}
 		})
 		if err := s.Run(); err != nil {

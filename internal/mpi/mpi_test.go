@@ -903,12 +903,12 @@ func TestModeStrings(t *testing.T) {
 	}
 	// Every packet kind has its own name in protocol failure messages; only a
 	// byte that is no kind falls to the numbered fallback.
-	for k, want := range map[byte]string{
+	for k, want := range map[pktKind]string{
 		pktEager: "eager", pktRts: "rts", pktCts: "cts", pktFin: "fin", pktCredit: "credit",
 		pktBye: "bye", pktByeAck: "bye-ack", pktByeNack: "bye-nack", 99: "pkt(99)",
 	} {
-		if got := pktKindString(k); got != want {
-			t.Errorf("pktKindString(%d) = %q, want %q", k, got, want)
+		if got := k.String(); got != want {
+			t.Errorf("pktKind(%d).String() = %q, want %q", uint8(k), got, want)
 		}
 	}
 }

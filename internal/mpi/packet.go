@@ -5,13 +5,18 @@ import (
 	"fmt"
 )
 
+// pktKind says what a packet is: one of the closed set below, which
+// Rank.handlePacket must handle whole. On the wire it is the header's first
+// byte.
+type pktKind uint8
+
 // Packet kinds exchanged between MPI peers over a VIA channel.
 const (
-	pktEager  byte = iota + 1 // header + payload, fits under the eager threshold
-	pktRts                    // rendezvous request-to-send (no payload)
-	pktCts                    // rendezvous clear-to-send (carries the RDMA key)
-	pktFin                    // rendezvous finished (data has been RDMA-written)
-	pktCredit                 // explicit flow-control credit return
+	pktEager  pktKind = iota + 1 // header + payload, fits under the eager threshold
+	pktRts                       // rendezvous request-to-send (no payload)
+	pktCts                       // rendezvous clear-to-send (carries the RDMA key)
+	pktFin                       // rendezvous finished (data has been RDMA-written)
+	pktCredit                    // explicit flow-control credit return
 
 	// Graceful channel teardown (VI-cap eviction). BYE asks the peer to
 	// quiesce and acknowledge; ACK confirms both sides are drained and the
@@ -22,7 +27,7 @@ const (
 	pktByeNack
 )
 
-func pktKindString(k byte) string {
+func (k pktKind) String() string {
 	switch k {
 	case pktEager:
 		return "eager"
@@ -41,7 +46,7 @@ func pktKindString(k byte) string {
 	case pktByeNack:
 		return "bye-nack"
 	default:
-		return fmt.Sprintf("pkt(%d)", k)
+		return fmt.Sprintf("pkt(%d)", uint8(k))
 	}
 }
 
@@ -52,7 +57,7 @@ const hdrSize = 48
 // (context, source, tag) matching; credits piggybacks flow-control returns
 // on every packet; sreq/rreq correlate the rendezvous three-way handshake.
 type hdr struct {
-	kind    byte
+	kind    pktKind
 	srcRank int32 // sender's rank within the communicator identified by ctx
 	tag     int32
 	ctx     int32 // communicator context id
@@ -72,7 +77,7 @@ func encodeInto(b []byte, h hdr, payload []byte) []byte {
 		b = growWire(n)
 	}
 	b = b[:n]
-	b[0], b[1], b[2], b[3] = h.kind, 0, 0, 0
+	b[0], b[1], b[2], b[3] = byte(h.kind), 0, 0, 0
 	le := binary.LittleEndian
 	le.PutUint32(b[4:], uint32(h.srcRank))
 	le.PutUint32(b[8:], uint32(h.tag))
@@ -97,7 +102,7 @@ func decode(b []byte) (hdr, []byte, error) {
 	}
 	le := binary.LittleEndian
 	h := hdr{
-		kind:    b[0],
+		kind:    pktKind(b[0]),
 		srcRank: int32(le.Uint32(b[4:])),
 		tag:     int32(le.Uint32(b[8:])),
 		ctx:     int32(le.Uint32(b[12:])),

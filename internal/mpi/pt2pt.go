@@ -175,7 +175,7 @@ func (c *Comm) startRecv(req *request, buf []byte, src, tag int, ctx int32) erro
 		case pktRts:
 			r.acceptRendezvous(req, u.h, u.cs)
 		default:
-			req.failf("mpi: unexpected queue held %s packet", pktKindString(u.h.kind))
+			req.failf("mpi: unexpected queue held %s packet", u.h.kind)
 		}
 		// Read: the entry goes back, keeping its payload buffer.
 		u.cs = nil

@@ -926,7 +926,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 			r.post(cs, p)
 		}
 	default:
-		r.proc.Sim().Failf("mpi: rank %d unknown packet kind %s", r.rank, pktKindString(h.kind))
+		r.proc.Sim().Failf("mpi: rank %d unknown packet kind %s", r.rank, h.kind)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"viampi/internal/obs"
 	"viampi/internal/simnet"
 	"viampi/internal/via"
 )
@@ -127,12 +126,11 @@ func TestRankSize(t *testing.T) {
 	}
 }
 
-// With more peers than the port can hold VIs for, Init is going to fail; the
-// slabs must not be sized for the peers it will never reach (the refused
-// np=2048 boot of ext-init would pay for a thousand channels per rank that no
-// rank can build), and the run must fail as it did without them: the same
-// error after the same events at the same virtual instant (pinned from the
-// commit before the slabs).
+// With more peers than the port can hold VIs for, a static Init refuses the
+// mesh before it builds any of it, as MVICH reads the NIC's MaxVI before it
+// creates a VI: no rank creates a VI, reserves a channel or lands a message
+// (the refused np=2048 boot of ext-init would otherwise build a thousand VIs
+// and handshakes per rank before the first CreateVi failed).
 func TestReserveBoundedByViLimit(t *testing.T) {
 	const (
 		np    = 12
@@ -141,26 +139,22 @@ func TestReserveBoundedByViLimit(t *testing.T) {
 	var ranks [np]*Rank
 	newRankHook = func(r *Rank) { ranks[r.rank] = r }
 	defer func() { newRankHook = nil }()
-	var events int
-	var last int64
-	bus := obs.NewBus()
-	bus.Subscribe(func(e obs.Event) { events, last = events+1, e.T })
-	cfg := Config{Procs: np, Policy: "static-p2p", CreditCount: 4, Obs: bus, Deadline: 30 * simnet.Second,
+	cfg := Config{Procs: np, Policy: "static-p2p", CreditCount: 4, Deadline: 30 * simnet.Second,
 		TuneCost: func(c *via.CostModel) { c.MaxVIsPerPort = limit }}
 	_, err := Run(cfg, func(*Rank) {})
 	const wantErr = "mpi: rank 0 init: via: VI limit for this port exceeded: 6"
 	if err == nil || err.Error() != wantErr {
 		t.Fatalf("error %v, want %q", err, wantErr)
 	}
-	const wantEvents, wantLast = 384, 1451000
-	if events != wantEvents || last != wantLast {
-		t.Errorf("failed after %d bus events, the last at t=%d ns; without the slabs it was %d and %d",
-			events, last, wantEvents, wantLast)
-	}
 	for _, r := range ranks {
-		// Whatever the failing run left uncarved, the slabs began at the limit.
-		if got := len(r.chanSlab) + len(liveChans(r)); got != limit {
-			t.Errorf("rank %d: channel-state slab of %d for a port of %d VIs", r.rank, got, limit)
+		if r == nil {
+			t.Fatal("a rank was never made")
+		}
+		if got := r.port.Stats().VisCreated; got != 0 {
+			t.Errorf("rank %d: %d VIs created for a mesh that cannot fit", r.rank, got)
+		}
+		if got := len(r.chanSlab) + len(liveChans(r)); got != 0 {
+			t.Errorf("rank %d: %d channels or slab cells for a mesh that cannot fit", r.rank, got)
 		}
 		// A pool is a count and no message landed: no receive descriptor exists.
 		if _, made := r.port.Network().Landing(); made+r.port.LandingOut() != 0 {

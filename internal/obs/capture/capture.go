@@ -450,8 +450,6 @@ type Ring struct {
 	buf  []obs.Event
 	next int
 	n    int64
-	bus  *obs.Bus
-	sub  obs.Sub
 }
 
 // NewRing returns a ring holding the last capacity events (minimum 1).
@@ -460,22 +458,6 @@ func NewRing(h Header, capacity int) *Ring {
 		capacity = 1
 	}
 	return &Ring{h: h, buf: make([]obs.Event, capacity)}
-}
-
-// Attach subscribes the ring to b. A nil bus is ignored.
-func (r *Ring) Attach(b *obs.Bus) {
-	if b == nil {
-		return
-	}
-	r.bus, r.sub = b, b.Subscribe(r.Consume)
-}
-
-// Detach unsubscribes the ring; retained events stay dumpable.
-func (r *Ring) Detach() {
-	if r.bus != nil {
-		r.bus.Unsubscribe(r.sub)
-		r.bus = nil
-	}
 }
 
 // Consume stores one event, evicting the oldest when full. Allocation-free.

@@ -12,13 +12,13 @@ import (
 // always carries its receiving port's registered key: an unknown key is a
 // simulator assertion rather than a state change, which
 // TestRdmaWriteToUnregisteredKeyFails covers.
-var dispatchKinds = []byte{0, kindConnReq, kindConnAck, kindConnNack, kindDisc, kindData, kindOob, kindRdma}
+var dispatchKinds = []wireKind{0, kindConnReq, kindConnAck, kindConnNack, kindDisc, kindData, kindOob, kindRdma}
 
 // The operations FuzzPortDispatch mixes in with the frames, each made by A's
 // process on one of A's VIs toward B or C: a connection request, its cancel,
 // and a close.
 const (
-	opIssue byte = 0xf0 + iota
+	opIssue wireKind = 0xf0 + iota
 	opCancel
 	opClose
 )
@@ -36,7 +36,7 @@ var dispatchWaits = []simnet.Duration{0, 10 * simnet.Microsecond, simnet.Millise
 // pick the kind; then srcVi, dstVi (both as fuzzVi reads them), disc (an RDMA
 // write's fragment length), and the wait after it. An operation is made on
 // A's VI dstVi, toward C if bit 7 is set and else toward B.
-func fuzzFrame(toB bool, kind byte, srcVi, dstVi int8, disc, wait byte) []byte {
+func fuzzFrame(toB bool, kind wireKind, srcVi, dstVi int8, disc, wait byte) []byte {
 	b0 := byte(0)
 	for i, k := range fuzzKinds {
 		if k == kind {

@@ -134,9 +134,13 @@ func (d *Descriptor) Done() bool { return d.Status != StatusPending }
 // VI returns the endpoint this descriptor was posted to, nil before posting.
 func (d *Descriptor) VI() *VI { return d.vi }
 
+// wireKind says what a frame is: one of the closed set below, which
+// Port.dispatch must handle whole.
+type wireKind uint8
+
 // wire message kinds
 const (
-	kindConnReq byte = iota + 1
+	kindConnReq wireKind = iota + 1
 	kindConnAck
 	kindConnNack
 	kindDisc
@@ -153,7 +157,7 @@ const (
 // a wireMsg literal holding the header fields, which takeFrame copies into a
 // recycled one.
 type wireMsg struct {
-	kind   byte
+	kind   wireKind
 	held   bool // in flight: parked in a VI's preConnQ or its port's out-of-band queue, which now owns the frame (shares kind's word)
 	srcEp  int
 	srcVi  int

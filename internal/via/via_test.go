@@ -173,7 +173,7 @@ func (m outModel) drop(vi *VI) {
 	}
 }
 
-func (m outModel) frame(kind byte, ep int, disc uint64) {
+func (m outModel) frame(kind wireKind, ep int, disc uint64) {
 	k := outKey{ep, disc}
 	if v := m[k]; v != nil && v.state == ViConnecting && (kind == kindConnReq || kind == kindConnAck || kind == kindConnNack) {
 		delete(m, k)
@@ -293,7 +293,7 @@ func TestOutgoingRequestTable(t *testing.T) {
 						m.drop(vi)
 						vi.Close()
 					default:
-						kind := map[string]byte{"req": kindConnReq, "ack": kindConnAck, "nack": kindConnNack}[o.do]
+						kind := map[string]wireKind{"req": kindConnReq, "ack": kindConnAck, "nack": kindConnNack}[o.do]
 						m.frame(kind, o.ep, o.disc)
 						// srcVi is 100 plus the step, for the check below; dstVi
 						// names no VI, so only the table can match an ACK.
