@@ -101,9 +101,11 @@ loc:
 # the managers reserve slabs at Init and a rank's bootstrap rides recycled
 # frames; ~70,000 means a first connection is building its objects one
 # allocation at a time again, ~4,000 that every out-of-band message is a new
-# frame again. 1.99 MB/op, 986 B/conn, because a pre-posted pool is a count
-# on its VI and no table a connection fills is a map; some 1.7 MB/op more
-# means every pool receive is a descriptor again). Run at
+# frame again. Its B/conn holds a connection to its VIs, channels and channel
+# states and its share of the tables, because a pre-posted pool is a count on
+# its VI and no table a connection fills is a map: TestFirstConnectAllocs
+# pins the bytes of three boots, and TestDescriptorSize, TestChannelSize and
+# TestChanStateSize the objects' size classes). Run at
 # GOMAXPROCS 1 and 2 because a simulation is one thread of control: a
 # ping-pong that is steadily slower at 2 than at 1 means rank switches are
 # going through the Go scheduler again. Three runs each, because the first

@@ -302,8 +302,8 @@ func BenchmarkReconnectCycle(b *testing.B) {
 // holds down is the slabs the managers reserve at Init, what ns/conn holds
 // down is a poll that visits no idle channel, and what B/conn (both ends, and
 // the connection's share of the world) holds down is a pool that is a count:
-// a descriptor or a queue slot per pre-posted receive would add 96 or 8 bytes
-// × 2 × CreditCount to it.
+// a descriptor per pre-posted receive would add 96 bytes × 2 × CreditCount to
+// it.
 func BenchmarkMeshBoot(b *testing.B) {
 	const meshBootProcs = 64
 	const conns = meshBootProcs * (meshBootProcs - 1) / 2

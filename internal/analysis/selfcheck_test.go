@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -180,6 +181,29 @@ func TestSeededStaleEntryIsCaught(t *testing.T) {
 	}
 	if len(got) != 9 {
 		t.Errorf("stale count: got %d, want exactly the 9 seeded entries: %v", len(got), got)
+	}
+}
+
+// A policy field the stale sweep would pass over panics instead: a table with
+// no subject tag, and a subject tag on a field that is no table.
+func TestWalkSubjectsRefusesUncheckedFields(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		policy any
+	}{
+		{"an untagged table", struct{ T map[string]bool }{}},
+		{"a tagged string", struct {
+			S string `subject:"function"`
+		}{}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("walkSubjects passed over %s", c.name)
+				}
+			}()
+			walkSubjects(reflect.ValueOf(c.policy), "", func(string, string, string) {})
+		}()
 	}
 }
 

@@ -42,8 +42,9 @@ func StalePolicy(m *Module, p *Policy) []string {
 
 // walkSubjects visits every module reference held in the tagged tables of
 // one policy struct: map keys, string map values when the tag names a
-// second kind after "=", string slice elements, tagged strings, and —
-// recursively — the fields of struct slices (PairedSpecs).
+// second kind after "=", string slice elements, and — recursively — the
+// fields of struct slices (PairedSpecs). A table without a subject tag, and a
+// tag on a field that is no table, panic: the sweep would pass over them.
 func walkSubjects(v reflect.Value, prefix string, check func(table, key, kind string)) {
 	for i := 0; i < v.NumField(); i++ {
 		field, fv := v.Type().Field(i), v.Field(i)
@@ -57,9 +58,11 @@ func walkSubjects(v reflect.Value, prefix string, check func(table, key, kind st
 		tag, tagged := field.Tag.Lookup("subject")
 		keyKind, valKind, _ := strings.Cut(tag, "=")
 		switch {
-		case fv.Kind() == reflect.String && tagged:
-			check(table, fv.String(), keyKind)
-		case fv.Kind() != reflect.Map && fv.Kind() != reflect.Slice, tag == "-":
+		case tag == "-":
+		case fv.Kind() != reflect.Map && fv.Kind() != reflect.Slice:
+			if tagged {
+				panic("analysis: Policy." + table + " has a subject tag but is no map or slice, so the stale sweep cannot check it")
+			}
 		case !tagged:
 			panic("analysis: Policy." + table + " declares no subject tag, so the stale sweep cannot check it")
 		case fv.Kind() == reflect.Slice:

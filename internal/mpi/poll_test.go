@@ -66,7 +66,7 @@ func TestPollShortcutsEqualScans(t *testing.T) {
 				if !skip || !cs.ch.Up || cs.closing {
 					continue
 				}
-				if len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
+				if cs.flowQ.head != nil && cs.credits >= r.creditNeed(cs.flowQ.head) {
 					fail("skipped with a packet to peer %d that has its credits", cs.ch.Rank)
 				}
 				if cs.freed >= cs.posted/2 && cs.credits >= 1 {
@@ -152,7 +152,7 @@ func flowWorlds(t *testing.T) {
 		prog func(r *Rank)
 	}{
 		{"credit-starved burst", Config{Procs: 2, Policy: "ondemand", CreditCount: 4}, func(cs *chanState) bool {
-			return len(cs.flowQ) > 0 && cs.flowQ[0].hdr.tag != 0 // a burst's message, sent after the hello
+			return cs.flowQ.head != nil && cs.flowQ.head.hdr.tag != 0 // a burst's message, sent after the hello
 		}, func(r *Rank) {
 			hello(r, 1-r.Rank())
 			if r.Rank() == 0 {

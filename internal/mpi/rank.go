@@ -27,19 +27,60 @@ type chanState struct {
 
 	userSends bool // carried an application message to this peer
 
-	flowQ        []*pkt
+	flowQ        pktQueue        // packets waiting for credits
 	memHandles   []via.MemHandle // eager-pool registrations, released at teardown
-	pendingClose []*pkt          // packets held while closing, re-posted after
+	pendingClose pktQueue        // packets held while closing, re-posted after
 }
 
 // pkt is an outbound packet, possibly parked awaiting a connection or
 // credits. Packets come from Rank.newPkt and return to its free list once
-// emitted; until then exactly one queue owns each: the channel's park FIFO,
-// flowQ or pendingClose.
+// emitted; until then one queue owns each: the channel's park FIFO (core's,
+// which holds it as an element), flowQ or pendingClose, the last two linked
+// through next, as is the free list. A packet has one link, so it is on at
+// most one of them.
 type pkt struct {
 	hdr     hdr
 	payload []byte   // eager data: the caller's buffer until emit copies it
 	req     *request // completes when the packet is actually posted to the VI
+	next    *pkt
+}
+
+// pktQueue is a FIFO of packets, oldest at head, linked through next.
+type pktQueue struct{ head, tail *pkt }
+
+func (q *pktQueue) push(p *pkt) {
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+}
+
+// pop unlinks and returns the oldest packet (the queue must not be empty).
+func (q *pktQueue) pop() *pkt {
+	p := q.head
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return p
+}
+
+// take empties the queue and returns its chain, oldest first.
+func (q *pktQueue) take() *pkt {
+	p := q.head
+	*q = pktQueue{}
+	return p
+}
+
+// len walks the queue (for the credit-stall event and tests).
+func (q *pktQueue) len() int {
+	n := 0
+	for p := q.head; p != nil; p = p.next {
+		n++
+	}
+	return n
 }
 
 // Rank is one MPI process: the user-facing handle passed to the program's
@@ -78,7 +119,7 @@ type Rank struct {
 	// through their own next field (see release), with the count growReqs has
 	// made, and the one list the library waits on its own in (reqList);
 	// unexpected-queue entries, each keeping its payload buffer.
-	freePkts  []*pkt
+	freePkts  *pkt // linked through next
 	freeSends []*via.Descriptor
 	freeRdma  []*via.Descriptor
 	freeReqs  *request
@@ -286,8 +327,9 @@ func (r *Rank) reserve(n int) {
 
 // newChanState takes the state ch had in its last life (else the next of
 // reserve's slab, or grows) and is the one place its fields are set for a new
-// life: all but the (empty) backing arrays of its queues start from zero, and
-// pendingClose keeps its elements for the teardown that reconnects with them.
+// life: all but the (empty) backing array of its registrations start from
+// zero. The packets a teardown held while closing it has already taken off
+// pendingClose, to post on the channel this makes.
 func (r *Rank) newChanState(ch *core.Channel, credits int) *chanState {
 	cs, _ := ch.UserData.(*chanState)
 	if cs == nil {
@@ -296,8 +338,7 @@ func (r *Rank) newChanState(ch *core.Channel, credits int) *chanState {
 	if cs == nil {
 		cs = growChans()
 	}
-	*cs = chanState{ch: ch, credits: int32(credits),
-		flowQ: cs.flowQ[:0], memHandles: cs.memHandles[:0], pendingClose: cs.pendingClose[:0]}
+	*cs = chanState{ch: ch, credits: int32(credits), memHandles: cs.memHandles[:0]}
 	ch.UserData = cs
 	return cs
 }
@@ -355,7 +396,7 @@ func (r *Rank) channel(peer int) (*chanState, error) {
 // peer's BYE needs one (the ACK: the channel is about to die, so the
 // reservation rule no longer applies).
 func (r *Rank) quiescent(cs *chanState, credits int32) bool {
-	return cs.ch.Parked() == 0 && len(cs.flowQ) == 0 && len(cs.pendingClose) == 0 &&
+	return cs.ch.Parked() == 0 && cs.flowQ.head == nil && cs.pendingClose.head == nil &&
 		cs.pendingRdv == 0 && cs.umqRefs == 0 &&
 		cs.credits >= credits && cs.ch.Vi.SendQueueLen() == 0
 }
@@ -378,7 +419,7 @@ func (r *Rank) startEvict(ch *core.Channel) {
 // and the connection manager, and re-post any sends that arrived during the
 // handshake on a fresh connection.
 func (r *Rank) teardownChannel(cs *chanState) {
-	peer, held := cs.ch.Rank, cs.pendingClose
+	peer, held := cs.ch.Rank, cs.pendingClose.take()
 	r.bySlot[cs.ch.Vi.Slot()] = nil
 	if cs.userSends {
 		r.rememberDest(peer)
@@ -386,10 +427,13 @@ func (r *Rank) teardownChannel(cs *chanState) {
 	// The control packets the VI has not reaped yet (a BYE, its ACK) come
 	// back now, uncharged — Close would drop them with their wire buffers.
 	// A descriptor's frames carry their own bytes, and a stale completion
-	// event is refused by generation, so reusing one at once is safe.
-	for _, d := range cs.ch.Vi.PostedSends() {
+	// event is refused by generation, so reusing one at once is safe. (A
+	// direct call rather than a range over it: the hot-path check follows
+	// calls, not range statements.)
+	cs.ch.Vi.PostedSends(func(d *via.Descriptor) bool {
 		r.recycleSend(d)
-	}
+		return true
+	})
 	cs.ch.Vi.Close()
 	for _, h := range cs.memHandles {
 		if err := r.port.Memory().Deregister(h); err != nil {
@@ -398,16 +442,25 @@ func (r *Rank) teardownChannel(cs *chanState) {
 	}
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
 	r.mgr.ReleaseChannel(peer)
-	if len(held) > 0 {
-		// The reconnect takes cs back with the channel: held is its pendingClose.
+	if held != nil {
+		// The reconnect takes cs back with the channel: held was its pendingClose.
 		ncs, err := r.channel(peer)
 		if err != nil {
 			r.proc.Sim().Failf("mpi: rank %d reconnect to %d: %v", r.rank, peer, err)
 			return
 		}
-		for _, p := range held {
-			r.post(ncs, p)
-		}
+		r.repost(ncs, held)
+	}
+}
+
+// repost posts the chain of packets from held on, oldest first, on cs. It
+// reads each packet's link before post relinks the packet into a queue.
+func (r *Rank) repost(cs *chanState, held *pkt) {
+	for p := held; p != nil; {
+		next := p.next
+		p.next = nil
+		r.post(cs, p)
+		p = next
 	}
 }
 
@@ -436,7 +489,7 @@ func (r *Rank) distinctDests() int {
 // handshake (either role) the DISC is the expected final step; outside one,
 // a disconnect with traffic in flight is a protocol violation.
 func (r *Rank) handleDisconnect(cs *chanState) {
-	if !cs.closing && (cs.pendingRdv > 0 || len(cs.flowQ) > 0 || cs.ch.Parked() > 0) {
+	if !cs.closing && (cs.pendingRdv > 0 || cs.flowQ.head != nil || cs.ch.Parked() > 0) {
 		r.proc.Sim().Failf("mpi: rank %d: peer %d disconnected with traffic in flight", r.rank, cs.ch.Rank)
 		return
 	}
@@ -452,7 +505,7 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 	if cs.closing && p.hdr.kind < pktBye {
 		// A BYE handshake is in flight: hold the packet and replay it on
 		// the reconnected channel (or here, if the peer NACKs the BYE).
-		cs.pendingClose = append(cs.pendingClose, p)
+		cs.pendingClose.push(p)
 		return
 	}
 	if !cs.ch.Up {
@@ -466,11 +519,11 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 		cs.ch.Park(p)
 		return
 	}
-	if len(cs.flowQ) > 0 || cs.credits < r.creditNeed(p) {
-		cs.flowQ = append(cs.flowQ, p)
+	if cs.flowQ.head != nil || cs.credits < r.creditNeed(p) {
+		cs.flowQ.push(p)
 		if r.bus != nil {
 			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvCreditStall,
-				Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(len(cs.flowQ))})
+				Rank: int32(r.rank), Peer: int32(cs.ch.Rank), A: int64(cs.flowQ.len())})
 		}
 		return
 	}
@@ -490,9 +543,11 @@ func (r *Rank) creditNeed(p *pkt) int32 {
 
 // newPkt takes a packet off the free list (or grows it).
 func (r *Rank) newPkt(h hdr, payload []byte, req *request) *pkt {
-	p := simnet.Pop(&r.freePkts)
+	p := r.freePkts
 	if p == nil {
 		p = growPkts()
+	} else {
+		r.freePkts, p.next = p.next, nil
 	}
 	p.hdr, p.payload, p.req = h, payload, req
 	return p
@@ -540,8 +595,8 @@ func (r *Rank) emitted(cs *chanState, p *pkt) {
 		}
 		p.req.complete()
 	}
-	*p = pkt{}
-	r.freePkts = append(r.freePkts, p)
+	*p = pkt{next: r.freePkts}
+	r.freePkts = p
 }
 
 // emit actually posts the packet to the VI.
@@ -787,10 +842,8 @@ func (r *Rank) flowPass(arrived bool) {
 		if !ch.Up || cs.closing {
 			continue
 		}
-		for len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
-			p := cs.flowQ[0]
-			cs.flowQ = simnet.PopFront(cs.flowQ)
-			r.emit(cs, p)
+		for cs.flowQ.head != nil && cs.credits >= r.creditNeed(cs.flowQ.head) {
+			r.emit(cs, cs.flowQ.pop())
 		}
 		if cs.freed >= cs.posted/2 && cs.credits >= 1 {
 			// Dynamic flow control (paper §6 future work): traffic on this
@@ -838,7 +891,7 @@ func (r *Rank) blockedPhase() obs.Phase {
 		return obs.PhaseConnect
 	}
 	for _, ch := range r.mgr.Channels() {
-		if len(ch.UserData.(*chanState).flowQ) > 0 {
+		if ch.UserData.(*chanState).flowQ.head != nil {
 			return obs.PhaseCreditStall
 		}
 	}
@@ -920,11 +973,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 		// The peer had traffic in flight: abandon the eviction and release
 		// the sends held during the handshake.
 		cs.closing, cs.ch.Evicting = false, false
-		held := cs.pendingClose
-		cs.pendingClose = nil
-		for _, p := range held {
-			r.post(cs, p)
-		}
+		r.repost(cs, cs.pendingClose.take())
 	default:
 		r.proc.Sim().Failf("mpi: rank %d unknown packet kind %s", r.rank, h.kind)
 	}

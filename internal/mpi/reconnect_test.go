@@ -165,7 +165,7 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 			fail("before the pass: %d CQ entries, port peak %d, %d out on the port; the network: %d free, %d out, %d made, peak %d; want rank 1's BYE alone, in one descriptor out, and free plus out the peak made",
 				r.cq.Len(), peak, r.port.LandingOut(), len(free), out, made, net.LandingPeak)
 		}
-		unreaped := slices.Clone(closing.PostedSends())
+		unreaped := slices.Collect(closing.PostedSends)
 		if len(unreaped) == 0 {
 			fail("rank 0's BYE was reaped before the teardown: the case did not happen")
 		}
@@ -205,7 +205,7 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 			// Back on the free list, or already off it again for a new packet.
 			kept := slices.Contains(r.freeSends, d)
 			for _, cs := range liveChans(r) {
-				kept = kept || slices.Contains(cs.ch.Vi.PostedSends(), d)
+				kept = kept || slices.Contains(slices.Collect(cs.ch.Vi.PostedSends), d)
 			}
 			if !kept {
 				fail("a send descriptor the teardown found unreaped is lost: Close dropped it")

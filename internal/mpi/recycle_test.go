@@ -310,8 +310,8 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 		sample := func() {
 			for _, cs := range liveChans(r) {
 				parked = max(parked, cs.ch.Parked())
-				flowed = max(flowed, len(cs.flowQ))
-				held = max(held, len(cs.pendingClose))
+				flowed = max(flowed, cs.flowQ.len())
+				held = max(held, cs.pendingClose.len())
 			}
 		}
 		next := make([]int, 1+peers) // per-destination sequence

@@ -61,12 +61,12 @@ func bootCost(t *testing.T, np int) (allocs, bytes float64) {
 // second difference, so a per-end figure taken as above read 414 bytes with
 // the port's outstanding requests in a presized map and 466 with the sorted
 // slice that replaced it, although every boot with the map allocated more.
-// Put back as a map
-// presized by Reserve, that table makes the 16-, 32- and 48-rank boots
-// allocate 5.7, 6.4 and 2.9 % over bootBytes (5.5, 6.2 and 2.9 % under
-// -race), where the bound allows 2 %. A pool that brought four descriptors
-// and their queue slots again would add 416 bytes per end, its buffers
-// 4 × 5,048.
+// Put back as a map presized by Reserve, that table added some 9.7, 35.7 and
+// 34.4 kB to the 16-, 32- and 48-rank boots (measured when the boots were
+// 169,544, 558,520 and 1,185,896 bytes: 5.7, 6.4 and 2.9 % over), which is
+// 6.3, 6.6 and 3.1 % over bootBytes now, where the bound allows 2 %. A pool
+// that brought four descriptors again would add 384 bytes per end, its
+// buffers 4 × 5,048.
 func TestFirstConnectAllocs(t *testing.T) {
 	const h = 16
 	bootCost(t, 3*h) // what a process allocates once, the goroutines of the largest world with it
@@ -94,26 +94,27 @@ func TestFirstConnectAllocs(t *testing.T) {
 		allocsPerRank, allocsPerEnd, b1, b2, b3)
 }
 
-// bootBytes is what a static-p2p boot of np ranks allocates on the host,
-// measured where every table a connection fills is a slice: per world, per
-// rank and per connection end, fitted through the 16-, 32- and 48-rank boots
-// (169,544, 558,520 and 1,185,896 bytes; under -race 174,024, 573,944 and
-// 1,218,952). An end is its VI, its channel and channel state, and its share
-// of the tables.
+// bootBytes is what a static-p2p boot of np ranks (16, 32 or 48) allocates on
+// the host, measured where every table a connection fills is a slice and the
+// work queues are linked through what they hold. The three are held as
+// measured: a + b·np + c·np(np-1) fitted through them reads a negative a,
+// because the slabs of VIs and channel states round up to size classes
+// unevenly at these sizes (against 128 and 104 bytes, a rank's slabs of 31
+// VIs and states save 0 and 384 bytes of size class, its slabs of 47 save 768
+// and 512).
 func bootBytes(np int) float64 {
-	world, rank, end := 18968.0, 2426.625, 465.625
 	if raceBuild {
-		world, rank, end = 19192.0, 2496.6875, 478.6875
+		return map[int]float64{16: 157896, 32: 555256, 48: 1149896}[np]
 	}
-	return world + rank*float64(np) + end*float64(np*(np-1))
+	return map[int]float64{16: 153416, 32: 539832, 48: 1117544}[np]
 }
 
 // A static rank of a 256-rank mesh reserves the state of its 255 channels in
-// one slab: at 104 bytes that is the 27,264-byte size class, where 112 would
-// take 28,672.
+// one slab: at 88 bytes that is the 24,576-byte size class, where 89 would
+// take 27,264 (two packet queues as slice headers would make it 104).
 func TestChanStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(chanState{}); got > 104 {
-		t.Errorf("chanState is %d bytes, want at most 104", got)
+	if got := unsafe.Sizeof(chanState{}); got > 88 {
+		t.Errorf("chanState is %d bytes, want at most 88", got)
 	}
 }
 

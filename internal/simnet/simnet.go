@@ -213,7 +213,8 @@ type Sim struct {
 	live     int // processes spawned and not yet finished
 	failure  error
 	deadline Time // 0 means none
-	rng      *rand.Rand
+	seed     int64
+	rng      *rand.Rand // built from seed by the first Rand call
 	obsBus   *obs.Bus
 
 	// EventCount is the total number of events dispatched so far. Handoffs
@@ -223,16 +224,24 @@ type Sim struct {
 }
 
 // New creates an empty simulation whose random source is seeded with seed.
+// The source (some 5 kB of state) is made at the first Rand call: a run that
+// never draws never pays for it.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{seed: seed}
 }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// Rand returns the simulation's deterministic random source. It must only be
-// used from simulation context (process bodies or event callbacks).
-func (s *Sim) Rand() *rand.Rand { return s.rng }
+// Rand returns the simulation's deterministic random source, seeded with
+// New's seed. It must only be used from simulation context (process bodies or
+// event callbacks).
+func (s *Sim) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
 
 // SetObs attaches the observability bus every layer emits into. A nil bus
 // (the default) disables observability at zero cost.

@@ -386,3 +386,25 @@ func TestManyProcessesStress(t *testing.T) {
 		t.Fatalf("done = %d, want %d", done, n)
 	}
 }
+
+// The random source is made at the first Rand call, not by New, and draws the
+// stream a source seeded with New's seed draws: a run that draws keeps its
+// numbers, and one that never draws never allocates the source.
+func TestRandIsSeededLazily(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, -42} {
+		s := New(seed)
+		if s.rng != nil {
+			t.Fatalf("seed %d: New made the random source before any draw", seed)
+		}
+		want := rand.New(rand.NewSource(seed))
+		got := s.Rand()
+		for i := range 100 {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d: draw %d is %d, want %d", seed, i, g, w)
+			}
+		}
+		if s.Rand() != got {
+			t.Fatalf("seed %d: a second Rand call made a second source", seed)
+		}
+	}
+}

@@ -44,13 +44,7 @@ func (q *CQ) Done() (*VI, *Descriptor) {
 	if e.vi.id != e.id {
 		return nil, e.d
 	}
-	// Detach the descriptor from its VI's posted queue.
-	for i, d := range e.vi.recvQ {
-		if d == e.d {
-			e.vi.recvQ = append(e.vi.recvQ[:i], e.vi.recvQ[i+1:]...)
-			break
-		}
-	}
+	e.vi.recvQ.remove(e.d) // by search: the queue does not promise the completion is its head
 	return e.vi, e.d
 }
 

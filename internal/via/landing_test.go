@@ -18,17 +18,19 @@ import (
 // write on behalf of a message that does not fit, a descriptor that never comes
 // back, a stock that is a port's rather than the network's.
 
-// The descriptor word must not grow with the loan flag, nor a VI — one per
-// slot of its port, live or free — out of its size class, nor a frame with its
-// held flag: a slab of slabMax frames then fits the 5,376-byte class. A static
-// rank of a 256-rank mesh reserves 255 VIs in one slab: at 128 bytes that is
-// the 32,768-byte class, where 129 would take 40,960.
+// The descriptor must not grow with its loan flag and queue link (the post
+// generation shares the status word), nor a VI — one per slot of its port,
+// live or free — out of its size class, nor a frame with its held flag: a slab
+// of slabMax frames then fits the 5,376-byte class. A static rank of a
+// 256-rank mesh reserves 255 VIs in one slab: at 112 bytes that is the
+// 28,672-byte class, where 113 would take 32,768 (two work queues as slice
+// headers would make it 128).
 func TestDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Descriptor{}); got > 96 {
 		t.Errorf("Descriptor is %d bytes, want at most 96", got)
 	}
-	if got := unsafe.Sizeof(VI{}); got > 128 {
-		t.Errorf("VI is %d bytes, want at most 128", got)
+	if got := unsafe.Sizeof(VI{}); got > 112 {
+		t.Errorf("VI is %d bytes, want at most 112", got)
 	}
 	if got := unsafe.Sizeof(wireMsg{}); got > 160 {
 		t.Errorf("wireMsg is %d bytes, want at most 160", got)
@@ -57,8 +59,8 @@ func TestPostRecvRoomContract(t *testing.T) {
 		},
 		func(p *simnet.Proc, port *Port, vi *VI) {
 			for _, d := range []*Descriptor{{}, {Len: -1}, {Len: 16}} {
-				if err := vi.PostRecv(d); !errors.Is(err, ErrNoRoom) || len(vi.recvQ) != 0 {
-					t.Errorf("PostRecv with no Buf and Len %d: error %v, %d receives queued; want ErrNoRoom and none", d.Len, err, len(vi.recvQ))
+				if err := vi.PostRecv(d); !errors.Is(err, ErrNoRoom) || len(vi.recvQ.list()) != 0 {
+					t.Errorf("PostRecv with no Buf and Len %d: error %v, %d receives queued; want ErrNoRoom and none", d.Len, err, len(vi.recvQ.list()))
 				}
 			}
 			for _, capacity := range []int{0, -1} {
@@ -95,8 +97,8 @@ func TestPostRecvRoomContract(t *testing.T) {
 			if err := pooled.PostRecvPool(3, 16); err != nil {
 				t.Fatal(err)
 			}
-			if err := pooled.PostRecv(&Descriptor{Buf: own}); !errors.Is(err, ErrBadState) || len(pooled.recvQ) != 0 {
-				t.Errorf("PostRecv on a VI holding a pool: error %v, %d queued; want ErrBadState and none", err, len(pooled.recvQ))
+			if err := pooled.PostRecv(&Descriptor{Buf: own}); !errors.Is(err, ErrBadState) || len(pooled.recvQ.list()) != 0 {
+				t.Errorf("PostRecv on a VI holding a pool: error %v, %d queued; want ErrBadState and none", err, len(pooled.recvQ.list()))
 			}
 			if err := pooled.PostRecvPool(1, 32); !errors.Is(err, ErrBadState) {
 				t.Errorf("PostRecvPool of another capacity: error %v, want ErrBadState", err)
@@ -104,8 +106,8 @@ func TestPostRecvRoomContract(t *testing.T) {
 			if err := pooled.PostRecvPool(1, 16); err != nil {
 				t.Error(err)
 			}
-			if n, capacity := pooled.RecvPool(); n != 4 || capacity != 16 || len(pooled.recvQ) != 0 {
-				t.Errorf("pool of %d × %d with %d descriptors queued, want 4 × 16 and none before any message", n, capacity, len(pooled.recvQ))
+			if n, capacity := pooled.RecvPool(); n != 4 || capacity != 16 || len(pooled.recvQ.list()) != 0 {
+				t.Errorf("pool of %d × %d with %d descriptors queued, want 4 × 16 and none before any message", n, capacity, len(pooled.recvQ.list()))
 			}
 			if free, made := port.Network().Landing(); len(free) != 0 || made != 0 || port.LandingOut() != 0 {
 				t.Errorf("%d landing descriptors free of %d made and %d out before any message claimed a pool receive", len(free), made, port.LandingOut())
@@ -259,9 +261,9 @@ func TestOverlongMessageLendsNothing(t *testing.T) {
 				}
 				free, made := e.net.Landing()
 				out := port.LandingOut()
-				if vi.State() != ViError || int(vi.pool) != tc.pool-1 || len(vi.recvQ) != 0 || out != 0 || len(free) != 1 || made != 1 {
+				if vi.State() != ViError || int(vi.pool) != tc.pool-1 || len(vi.recvQ.list()) != 0 || out != 0 || len(free) != 1 || made != 1 {
 					t.Fatalf("%s: after a %d-byte message for %d receives of %d: VI %v, %d unclaimed, %d descriptors queued, %d out, %d free of %d made; want the error state and nothing claimed or lent",
-						tc.name, tc.next, tc.pool-1, size, vi.State(), vi.pool, len(vi.recvQ), out, len(free), made)
+						tc.name, tc.next, tc.pool-1, size, vi.State(), vi.pool, len(vi.recvQ.list()), out, len(free), made)
 				}
 				for k, b := range buf {
 					if b != 0xA5 {

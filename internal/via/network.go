@@ -21,10 +21,11 @@ type Network struct {
 
 	// Landing descriptors, each with its buffer, lent to the messages that
 	// claim a receive of a counted pool on any port (Port.lendLanding,
-	// Port.ReturnLanding): the free ones, most recently returned last, the
-	// number growLanding has made and the number out on loan. A buffer is
-	// never zeroed: a reader only ever sees Buf[:XferLen].
-	landing     []*Descriptor
+	// Port.ReturnLanding): the free ones, a stack through their next link with
+	// the most recently returned on top, the number growLanding has made and
+	// the number out on loan. A buffer is never zeroed: a reader only ever
+	// sees Buf[:XferLen].
+	landing     *Descriptor
 	landingMade int
 	landingOut  int
 
@@ -208,9 +209,16 @@ func (n *Network) growLanding(size int) *Descriptor {
 	return &Descriptor{Buf: make([]byte, size)}
 }
 
-// Landing returns the network's free landing descriptors (the live list, for
-// tests that overwrite whatever is free) and the number it has made.
-func (n *Network) Landing() (free []*Descriptor, made int) { return n.landing, n.landingMade }
+// Landing returns the network's free landing descriptors, most recently
+// returned first (for tests that overwrite whatever is free: a copy of the
+// stack, made on every call), and the number it has made. The walk stops past
+// made descriptors, so a stack linked into a cycle reads as too long.
+func (n *Network) Landing() (free []*Descriptor, made int) {
+	for d := n.landing; d != nil && len(free) <= n.landingMade; d = d.next {
+		free = append(free, d)
+	}
+	return free, n.landingMade
+}
 
 // release returns a dispatched (or dropped) frame to the free list.
 func (n *Network) release(m *wireMsg) {

@@ -213,15 +213,15 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 		return nil, fmt.Errorf("%w: %d", ErrTooManyVIs, p.net.cost.MaxVIsPerPort)
 	}
 	p.ChargeHost(p.net.cost.CreateViCost)
-	// A closed VI is reissued in its slot for its next life, with the work
-	// queues it emptied at Close; only a port with every slot live grows.
+	// A closed VI is reissued in its slot for its next life; only a port with
+	// every slot live grows.
 	vi := simnet.Pop(&p.freeVIs)
 	if vi != nil {
 		vi.id += 1 << lifeShift
 	} else {
 		vi = p.growVIs()
 	}
-	*vi = VI{port: p, id: vi.id, recvCQ: cq, viQueues: vi.viQueues, remoteEp: -1}
+	*vi = VI{port: p, id: vi.id, recvCQ: cq, remoteEp: -1}
 	p.vis[vi.Slot()] = vi
 	p.liveVIs++
 	p.net.nodes[p.node].openVIs++
@@ -268,11 +268,14 @@ func (p *Port) growVIs() *VI {
 // cache), its buffer regrown if it is shorter, else a new one.
 func (p *Port) lendLanding(vi *VI, n int) *Descriptor {
 	net := p.net
-	d := simnet.Pop(&net.landing)
+	d := net.landing
 	if d == nil {
 		d = net.growLanding(n)
-	} else if cap(d.Buf) < n {
-		d.Buf = growBuf(n)
+	} else {
+		net.landing, d.next = d.next, nil
+		if cap(d.Buf) < n {
+			d.Buf = growBuf(n)
+		}
 	}
 	d.Buf, d.Status, d.XferLen, d.vi, d.lent = d.Buf[:n], StatusPending, 0, vi, true
 	p.landingOut++
@@ -292,7 +295,7 @@ func (p *Port) ReturnLanding(d *Descriptor) {
 		return
 	}
 	d.lent = false
-	p.net.landing = append(p.net.landing, d)
+	d.next, p.net.landing = p.net.landing, d
 	p.net.landingOut--
 	p.landingOut--
 }

@@ -2,6 +2,7 @@ package via
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"viampi/internal/simnet"
@@ -130,7 +131,8 @@ func viaRoundTrips(t *testing.T, n int) {
 
 // The allocation rail at the via boundary: frames come off the Network's
 // free list, the send completion is the descriptor itself and the work
-// queues keep their capacity, so a round trip allocates nothing. Measured by
+// queues are linked through their descriptors, so a round trip allocates
+// nothing. Measured by
 // difference between two run lengths of one simulation, so boot cancels.
 func TestRoundTripAllocs(t *testing.T) {
 	const n = 200
@@ -501,10 +503,10 @@ func TestReserveCarvesApart(t *testing.T) {
 			if err := vis[0].PostRecvPool(4, 8); err != nil {
 				t.Error(err)
 			}
-			if k, _ := vis[0].RecvPool(); k != 4 || cap(vis[0].recvQ) != 0 {
-				t.Errorf("VI 0: pool of %d with a receive queue of cap %d, want 4 and no queue before a message claims one", k, cap(vis[0].recvQ))
+			if k, _ := vis[0].RecvPool(); k != 4 || vis[0].recvQ.head != nil {
+				t.Errorf("VI 0: pool of %d with %d descriptors queued, want 4 and none before a message claims one", k, len(vis[0].recvQ.list()))
 			}
-			if k, _ := vis[1].RecvPool(); k != 0 || len(vis[1].recvQ) != 1 || vis[1].recvQ[0] != mark {
+			if k, _ := vis[1].RecvPool(); k != 0 || !slices.Equal(vis[1].recvQ.list(), []*Descriptor{mark}) {
 				t.Error("a pool posted on one VI of the slab showed on the next")
 			}
 			if cap(port.pendingIncoming) < n || cap(port.outgoing) < n {

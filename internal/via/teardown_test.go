@@ -334,9 +334,9 @@ func TestCloseDropsQueues(t *testing.T) {
 					t.Errorf("descriptor status after Close = %v, want disconnected", d.Status)
 				}
 			}
-			if len(vi.sendQ)+len(vi.recvQ)+heldFrames(vi) != 0 || vi.SendDone() != nil {
+			if len(vi.sendQ.list())+len(vi.recvQ.list())+heldFrames(vi) != 0 || vi.SendDone() != nil {
 				t.Errorf("closed VI still holds %d sends, %d receives, %d frames",
-					len(vi.sendQ), len(vi.recvQ), heldFrames(vi))
+					len(vi.sendQ.list()), len(vi.recvQ.list()), heldFrames(vi))
 			}
 			if port.vis[vi.Slot()] != nil || len(port.freeVIs) != 1 || port.freeVIs[0] != vi {
 				t.Error("the closed VI is still in its slot, or not on the port's free list")
@@ -409,14 +409,8 @@ func TestClosedVIsAreNotRetained(t *testing.T) {
 				t.Fatalf("port %d: %d outgoing requests, %d free VIs after a one-VI-at-a-time churn, want 0 and 1",
 					me, len(port.outgoing), len(port.freeVIs))
 			}
-			q := port.freeVIs[0].viQueues
-			if cap(q.recvQ) == 0 {
-				t.Errorf("port %d: the free VI let go of its receive queue", me)
-			}
-			for _, d := range append(q.sendQ[:cap(q.sendQ)], q.recvQ[:cap(q.recvQ)]...) {
-				if d != nil {
-					t.Errorf("port %d: the free VI's work queues still name a descriptor", me)
-				}
+			if q := port.freeVIs[0].viQueues; q != (viQueues{}) {
+				t.Errorf("port %d: the free VI's work queues still name a descriptor", me)
 			}
 			if got, want := port.freeVIs[0].ID(), (cycles-1)<<lifeShift; got != want {
 				t.Errorf("port %d: the slot's last VI has id %#x, want %#x: life %d of slot 0", me, got, want, cycles-1)

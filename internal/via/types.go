@@ -8,7 +8,7 @@ import (
 )
 
 // Status is the completion status of a descriptor.
-type Status int32
+type Status uint8
 
 // Descriptor completion statuses.
 const (
@@ -97,6 +97,12 @@ type PeerRequest struct {
 // send/receive/RDMA uses applies per descriptor. The Buf slice must lie in a
 // registered memory region of the posting port.
 //
+// A VI's work queues are linked through their descriptors, as VIPL's control
+// segment carries the Next link: a posted descriptor is on exactly one queue
+// until it is reaped or its VI is closed, and posting it again before then is
+// refused (ErrBadState). The network's stock of landing descriptors is a stack
+// through the same link.
+//
 // A receive posted with PostRecv brings its landing buffer: a message may be
 // as long as len(Buf), and Len is not read. The receives of a counted pool
 // (PostRecvPool) have no descriptor while they wait: the port lends one of the
@@ -114,18 +120,22 @@ type Descriptor struct {
 	RdmaKey    uint64 // remote target key from RegisterRdmaTarget
 	RdmaOffset int    // byte offset within the remote target
 
-	Status  Status
-	lent    bool // the network's, on loan to a pool receive (shares Status's word: the struct stays 96 bytes)
-	XferLen int  // bytes actually transferred
+	Status Status
+	lent   bool // the network's, on loan to a pool receive
+	// gen counts posts. A send's completion event carries the generation it
+	// was scheduled under, so an event outlived by its post (the VI failed the
+	// descriptor and the owner posted it again) completes nothing. It shares
+	// Status's word, which keeps the struct at 96 bytes with next: a stale
+	// event would need 2^32 posts of one descriptor inside one NIC service
+	// time to match.
+	gen     uint32
+	XferLen int // bytes actually transferred
 
 	// UserPtr lets upper layers attach context (e.g. the MPI request).
 	UserPtr interface{}
 
-	vi *VI
-	// gen counts posts. A send's completion event carries the generation it
-	// was scheduled under, so an event outlived by its post (the VI failed the
-	// descriptor and the owner posted it again) completes nothing.
-	gen uint64
+	vi   *VI
+	next *Descriptor // the queue or landing-stock link: the next descriptor, nil at the end
 }
 
 // Done reports whether the descriptor has completed (any status).

@@ -41,7 +41,7 @@ type VI struct {
 
 	// The counted pool (PostRecvPool): pool receives of poolCap bytes each,
 	// posted and not yet claimed by a message. They are a number; a descriptor
-	// exists, in recvQ, from a message's first fragment until the owner has
+	// exists, on recvQ, from a message's first fragment until the owner has
 	// read it.
 	pool, poolCap int32
 }
@@ -53,11 +53,70 @@ const (
 	slotMask  = 1<<lifeShift - 1
 )
 
-// viQueues are a VI's work queues. Close empties them, and the VI keeps them
-// for its next life.
+// viQueues are a VI's work queues, each a FIFO linked through its
+// descriptors' next field, as VIPL links descriptors through their control
+// segments: posting, reaping and Close move links and never allocate. Close
+// empties both, and the VI's next life starts with none.
 type viQueues struct {
-	sendQ []*Descriptor // posted sends, FIFO; completed in order
-	recvQ []*Descriptor // posted receives (of a counted pool: the claimed ones), FIFO; consumed in arrival order
+	sendQ descQueue // posted sends; completed in order
+	recvQ descQueue // posted receives (of a counted pool: the claimed ones); consumed in arrival order
+}
+
+// descQueue is a FIFO of descriptors, oldest at head, linked through next.
+type descQueue struct{ head, tail *Descriptor }
+
+func (q *descQueue) push(d *Descriptor) {
+	if q.tail == nil {
+		q.head = d
+	} else {
+		q.tail.next = d
+	}
+	q.tail = d
+}
+
+// popDone unlinks and returns the oldest descriptor if it has completed, else
+// nil.
+func (q *descQueue) popDone() *Descriptor {
+	d := q.head
+	if d == nil || !d.Done() {
+		return nil
+	}
+	q.head, d.next = d.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return d
+}
+
+// remove unlinks d from wherever it is on q; a d not on q is left alone.
+func (q *descQueue) remove(d *Descriptor) {
+	var prev *Descriptor
+	for e := q.head; e != nil; prev, e = e, e.next {
+		if e != d {
+			continue
+		}
+		if prev == nil {
+			q.head = d.next
+		} else {
+			prev.next = d.next
+		}
+		if q.tail == d {
+			q.tail = prev
+		}
+		d.next = nil
+		return
+	}
+}
+
+// errQueued refuses the post of a descriptor still on a queue: linking it
+// again would cut the queue it is on.
+var errQueued = fmt.Errorf("%w: descriptor posted while still on a queue", ErrBadState)
+
+// queued reports whether d is on one of its VI's queues: it is linked to a
+// next descriptor, or it is a queue's last. (The stack of free landing
+// descriptors links them too; no owner posts one of those.)
+func (d *Descriptor) queued() bool {
+	return d.next != nil || d.vi != nil && (d.vi.sendQ.tail == d || d.vi.recvQ.tail == d)
 }
 
 // ID returns the VI's id, unique within its port over the port's life: a
@@ -89,13 +148,27 @@ func (vi *VI) markUsed() {
 }
 
 // SendQueueLen returns the number of posted, unreaped send descriptors.
-func (vi *VI) SendQueueLen() int { return len(vi.sendQ) }
+func (vi *VI) SendQueueLen() int {
+	n := 0
+	for d := vi.sendQ.head; d != nil; d = d.next {
+		n++
+	}
+	return n
+}
 
-// PostedSends returns the posted, unreaped send descriptors, oldest first: the
-// live queue, good until the next post, SendDone or Close. An owner about to
-// Close the VI takes them back from here, where reaping them with SendDone
-// would charge a poll each.
-func (vi *VI) PostedSends() []*Descriptor { return vi.sendQ }
+// PostedSends is an iter.Seq of the posted, unreaped send descriptors, oldest
+// first: `for d := range vi.PostedSends`. An owner about to Close the VI takes
+// them back from here, where reaping them with SendDone would charge a poll
+// each; they stay on the queue until Close, so the loop body may recycle each
+// but not post it again. (A method rather than one returning the sequence: a
+// closure holding vi would be allocated at every call.)
+func (vi *VI) PostedSends(yield func(*Descriptor) bool) {
+	for d := vi.sendQ.head; d != nil; d = d.next {
+		if !yield(d) {
+			return
+		}
+	}
+}
 
 // badState is the error for an operation the VI's current state forbids.
 func (vi *VI) badState(op string) error {
@@ -112,13 +185,15 @@ func (vi *VI) canPostRecv() bool {
 // PostRecv posts a receive descriptor that brings its landing buffer. One
 // with no Buf is refused here, with ErrNoRoom: posted, it would break the
 // connection at the first arrival. A VI that holds a counted pool takes no
-// descriptors (ErrBadState).
+// descriptors, and no VI takes one still on a queue (ErrBadState).
 func (vi *VI) PostRecv(d *Descriptor) error {
 	switch {
 	case !vi.canPostRecv():
 		return vi.badState("PostRecv")
 	case vi.poolCap != 0:
 		return vi.badState("PostRecv beside a counted pool")
+	case d.queued():
+		return errQueued
 	case d.Buf == nil:
 		return ErrNoRoom
 	}
@@ -127,7 +202,7 @@ func (vi *VI) PostRecv(d *Descriptor) error {
 	d.Status = StatusPending
 	d.XferLen = 0
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
-	vi.recvQ = append(vi.recvQ, d)
+	vi.recvQ.push(d)
 	return nil
 }
 
@@ -146,7 +221,7 @@ func (vi *VI) PostRecvPool(n, capacity int) error {
 	switch {
 	case !vi.canPostRecv():
 		return vi.badState("PostRecvPool")
-	case vi.poolCap == 0 && len(vi.recvQ) > 0:
+	case vi.poolCap == 0 && vi.recvQ.head != nil:
 		return vi.badState("PostRecvPool beside posted descriptors")
 	case vi.poolCap != 0 && int(vi.poolCap) != capacity:
 		return vi.badState("PostRecvPool of a second capacity")
@@ -165,8 +240,12 @@ func (vi *VI) PostRecvPool(n, capacity int) error {
 // semantics the paper leans on, a send posted to an unconnected VI is
 // *discarded*: it completes immediately with StatusNotConnected and no data
 // is ever transferred. This is why the on-demand design must queue
-// pre-connection sends above the VIA layer.
+// pre-connection sends above the VIA layer. A descriptor still on a queue is
+// refused (ErrBadState) whatever the state.
 func (vi *VI) PostSend(d *Descriptor) error {
+	if d.queued() {
+		return errQueued
+	}
 	d.vi = vi
 	d.gen++
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
@@ -197,8 +276,11 @@ func (vi *VI) PostSend(d *Descriptor) error {
 // key the target port does not hold places nothing; the first frame fails the
 // run when it arrives.
 func (vi *VI) PostRdmaWrite(d *Descriptor) error {
-	if vi.state != ViConnected {
+	switch {
+	case vi.state != ViConnected:
 		return vi.badState("PostRdmaWrite")
+	case d.queued():
+		return errQueued
 	}
 	d.vi = vi
 	d.gen++
@@ -218,7 +300,7 @@ func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 // queueSend puts a posted descriptor on the send queue, where it stays until
 // SendDone reaps it or Close drops the queue.
 func (vi *VI) queueSend(d *Descriptor) {
-	vi.sendQ = append(vi.sendQ, d)
+	vi.sendQ.push(d)
 	vi.port.unreaped++
 }
 
@@ -246,7 +328,7 @@ func (vi *VI) transmit(d *Descriptor, hdr wireMsg) {
 			break
 		}
 	}
-	net.sim.AtAction(lastTx, (*txDone)(d), d.gen)
+	net.sim.AtAction(lastTx, (*txDone)(d), uint64(d.gen))
 }
 
 // txDone is a send descriptor as the scheduler event that completes it (the
@@ -257,7 +339,7 @@ type txDone Descriptor
 // descriptor's current post and nothing has failed it meanwhile.
 func (t *txDone) Fire(gen uint64) {
 	d := (*Descriptor)(t)
-	if gen == d.gen && d.Status == StatusPending {
+	if gen == uint64(d.gen) && d.Status == StatusPending {
 		d.Status = StatusSuccess
 		d.XferLen = d.Len
 		d.vi.port.notifyActivity()
@@ -298,16 +380,14 @@ func (vi *VI) handleData(m *wireMsg) {
 			if vi.pool > 0 && m.total <= int(vi.poolCap) {
 				vi.pool--
 				next = p.lendLanding(vi, m.total)
-				vi.recvQ = append(vi.recvQ, next)
+				vi.recvQ.push(next)
 			}
 		} else {
 			// Consume the oldest still-pending receive descriptor (completed
 			// ones may linger in the queue until the host reaps them).
-			for _, d := range vi.recvQ {
-				if !d.Done() {
-					next = d
-					break
-				}
+			next = vi.recvQ.head
+			for next != nil && next.Done() {
+				next = next.next
 			}
 		}
 		if next == nil || m.total > len(next.Buf) {
@@ -388,14 +468,11 @@ func (vi *VI) enterError() {
 
 // failPending completes every pending descriptor on both queues with status s.
 func (vi *VI) failPending(s Status) {
-	for _, d := range vi.sendQ {
-		if !d.Done() {
-			d.Status = s
-		}
-	}
-	for _, d := range vi.recvQ {
-		if !d.Done() {
-			d.Status = s
+	for _, q := range [...]*descQueue{&vi.sendQ, &vi.recvQ} {
+		for d := q.head; d != nil; d = d.next {
+			if !d.Done() {
+				d.Status = s
+			}
 		}
 	}
 	if vi.rxCur != nil {
@@ -408,13 +485,11 @@ func (vi *VI) failPending(s Status) {
 // is removed and returned, else nil (cf. VipSendDone).
 func (vi *VI) SendDone() *Descriptor {
 	vi.port.ChargeHost(vi.port.net.cost.PollOverhead)
-	if len(vi.sendQ) > 0 && vi.sendQ[0].Done() {
-		d := vi.sendQ[0]
-		vi.sendQ = simnet.PopFront(vi.sendQ)
+	d := vi.sendQ.popDone()
+	if d != nil {
 		vi.port.unreaped--
-		return d
 	}
-	return nil
+	return d
 }
 
 // RecvDone polls the receive queue (cf. VipRecvDone). VIs bound to a
@@ -428,14 +503,7 @@ func (vi *VI) RecvDone() *Descriptor {
 	return vi.recvDone()
 }
 
-func (vi *VI) recvDone() *Descriptor {
-	if len(vi.recvQ) > 0 && vi.recvQ[0].Done() {
-		d := vi.recvQ[0]
-		vi.recvQ = simnet.PopFront(vi.recvQ)
-		return d
-	}
-	return nil
-}
+func (vi *VI) recvDone() *Descriptor { return vi.recvQ.popDone() }
 
 // SendWait blocks until a send descriptor completes and returns it
 // (cf. VipSendWait). A negative timeout waits forever.
@@ -514,22 +582,27 @@ func (vi *VI) Close() {
 		// already tore the connection down, and closed returned above.
 	}
 	vi.failPending(StatusDisconnected)
-	// The descriptors carry their status now; the queues go. A pool receive
-	// that failed with a message part-way in is still the network's, on loan:
-	// nobody reads half a message, so the port gives it back here. A completed
-	// one stays out: a CQ entry names it, and the owner hands it back when it
-	// has reaped that entry and read the message.
-	for _, d := range vi.recvQ {
+	// The descriptors carry their status now; the queues go, each descriptor
+	// unlinked before anything else links it. A pool receive that failed with
+	// a message part-way in is still the network's, on loan: nobody reads half
+	// a message, so the port gives it back here. A completed one stays out: a
+	// CQ entry names it, and the owner hands it back when it has reaped that
+	// entry and read the message.
+	for d := vi.recvQ.head; d != nil; {
+		next := d.next
+		d.next = nil
 		if d.Status != StatusSuccess {
 			vi.port.ReturnLanding(d)
 		}
+		d = next
 	}
-	vi.port.unreaped -= len(vi.sendQ)
-	// Whole backing arrays: a removal from the middle leaves a copy of the
-	// last pointer past the end.
-	clear(vi.sendQ[:cap(vi.sendQ)])
-	clear(vi.recvQ[:cap(vi.recvQ)])
-	vi.sendQ, vi.recvQ = vi.sendQ[:0], vi.recvQ[:0]
+	for d := vi.sendQ.head; d != nil; {
+		next := d.next
+		d.next = nil
+		vi.port.unreaped--
+		d = next
+	}
+	vi.viQueues = viQueues{}
 	vi.dropHeld()
 	vi.state = ViClosed
 	vi.port.vis[vi.Slot()] = nil
