@@ -163,6 +163,9 @@ func profile(cpuOut, memOut string) (stop func() error, err error) {
 		if err != nil {
 			return err
 		}
+		// The profile is as of the last completed GC cycle: without one
+		// here it can miss most of the run.
+		runtime.GC()
 		err = pprof.Lookup("allocs").WriteTo(f, 0)
 		if cerr := f.Close(); err == nil {
 			err = cerr

@@ -4,8 +4,9 @@
 // One engine makes every connection: OnDemand, the paper's mechanism. No VI
 // exists until a pair first communicates. A VI endpoint is created and a
 // peer-to-peer request issued from the first send (or receive targeting the
-// peer); sends posted before the connection completes are parked in the
-// channel's FIFO (paper §3.4) and drained in order when it establishes;
+// peer); sends posted before the connection completes are parked in a
+// per-channel FIFO (paper §3.4, kept by the MPI layer) and drained in order
+// when it establishes;
 // incoming requests are discovered by polling inside the progress engine
 // (§3.3, no extra thread); a receive from MPI_ANY_SOURCE asks for a channel
 // to everyone in the communicator (§3.5, applied by the MPI layer).
@@ -50,13 +51,14 @@ func PairDisc(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// Channel is the per-peer connection state: one VI plus the pre-posted send
-// FIFO that preserves MPI's non-overtaking order for sends issued before the
-// connection exists.
+// Channel is the per-peer connection state: one VI and the managers'
+// handshake bookkeeping. The FIFO that preserves MPI's non-overtaking order
+// for sends issued before the connection exists is the MPI layer's, in
+// UserData: it parks while Up is false and drains in OnChannelUp.
 type Channel struct {
 	Rank int     // peer rank
 	Vi   *via.VI // endpoint; may be mid-handshake
-	Up   bool    // true once the connection is established and the FIFO drained
+	Up   bool    // true once the connection is established; OnChannelUp runs next
 
 	// Evicting marks a channel the MPI layer is gracefully draining under
 	// the VI cap; it still counts toward the cap's pending frees but must
@@ -68,8 +70,6 @@ type Channel struct {
 	// UserData carries the MPI layer's per-channel state (credits, eager
 	// buffer pool); a release keeps it for the Channel's next life.
 	UserData interface{}
-
-	fifo []interface{}
 
 	// Handshake/retry state owned by the managers. Zero times mean
 	// "unset": channels only exist after the t=0 bootstrap, so no real
@@ -83,40 +83,6 @@ type Channel struct {
 
 // Touch stamps the channel as used now (the LRU eviction key).
 func (c *Channel) Touch(now simnet.Time) { c.lastUsed = now }
-
-// Park appends a pre-posted send to the channel's FIFO (paper §3.4).
-func (c *Channel) Park(item interface{}) {
-	c.fifo = append(c.fifo, item)
-	if c.Vi != nil {
-		p := c.Vi.Port()
-		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvFifoPark,
-			Rank: int32(p.Addr().Ep), Peer: int32(c.Rank), A: int64(len(c.fifo))})
-	}
-}
-
-// obsDrain reports a non-empty FIFO drain on the bus.
-func (c *Channel) obsDrain(n int) {
-	if c.Vi == nil {
-		return
-	}
-	p := c.Vi.Port()
-	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvFifoDrain,
-		Rank: int32(p.Addr().Ep), Peer: int32(c.Rank), A: int64(n)})
-}
-
-// Parked returns the number of parked sends.
-func (c *Channel) Parked() int { return len(c.fifo) }
-
-// DrainParked removes and returns all parked sends in FIFO order. The slice
-// is the FIFO's own storage: it is good until the next Park.
-func (c *Channel) DrainParked() []interface{} {
-	f := c.fifo
-	c.fifo = f[:0]
-	if len(f) > 0 {
-		c.obsDrain(len(f))
-	}
-	return f
-}
 
 // Config wires a manager to one process's VIA port and the MPI callbacks.
 type Config struct {
@@ -312,9 +278,9 @@ func (b *base) newChannel(rank int) (*Channel, error) {
 		return nil, err
 	}
 	ch := b.takeChannel()
-	// The one place a channel's fields are set for a new life: all but the
-	// FIFO's (empty) backing array and UserData start from zero.
-	*ch = Channel{Rank: rank, Vi: vi, UserData: ch.UserData, fifo: ch.fifo[:0]}
+	// The one place a channel's fields are set for a new life: all but
+	// UserData start from zero.
+	*ch = Channel{Rank: rank, Vi: vi, UserData: ch.UserData}
 	b.insertOrdered(ch)
 	b.pending++
 	if b.cfg.PrepareChannel != nil {
@@ -421,8 +387,8 @@ func (b *base) issue(ch *Channel) error {
 func (b *base) scheduleRetry(ch *Channel, why string) {
 	if ch.attempts >= connRetryMax {
 		b.cfg.Port.Owner().Sim().Failf(
-			"core: rank %d→%d connection %s after %d attempts; %d parked sends stranded",
-			b.cfg.Rank, ch.Rank, why, ch.attempts, ch.Parked())
+			"core: rank %d→%d connection %s after %d attempts; any sends parked on it are stranded",
+			b.cfg.Rank, ch.Rank, why, ch.attempts)
 		return
 	}
 	d := backoff(ch.attempts)
@@ -558,7 +524,7 @@ func (m *OnDemand) evictForCap() {
 
 // Channel returns the channel to rank, lazily creating the VI and issuing
 // the peer-to-peer request on first use. The caller must treat a !Up channel
-// by parking its send in the FIFO.
+// by parking its send until OnChannelUp.
 func (m *OnDemand) Channel(rank int) (*Channel, error) {
 	if ch := m.PeekChannel(rank); ch != nil {
 		return ch, nil

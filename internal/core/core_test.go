@@ -135,12 +135,14 @@ func TestOnDemandInitCreatesNothing(t *testing.T) {
 
 // TestOnDemandLazyConnectAndFifoDrain exercises the full §3.4 path: rank 0
 // parks three sends before the connection exists; they must drain in order
-// once it establishes, and rank 1 must receive them in order.
+// once it establishes, and rank 1 must receive them in order. The FIFO is
+// the caller's (the MPI layer keeps it in UserData): the test holds its own.
 func TestOnDemandLazyConnectAndFifoDrain(t *testing.T) {
 	const n = 2
 	var drained []int
 	received := []byte{}
 	runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
+		var parked []int
 		cfg := managerConfig(rank, n, port, addrs)
 		cfg.PrepareChannel = func(ch *Channel) {
 			for i := 0; i < 8; i++ {
@@ -150,13 +152,13 @@ func TestOnDemandLazyConnectAndFifoDrain(t *testing.T) {
 			}
 		}
 		cfg.OnChannelUp = func(ch *Channel) {
-			for _, item := range ch.DrainParked() {
-				v := item.(int)
+			for _, v := range parked {
 				drained = append(drained, v)
 				if err := ch.Vi.PostSend(&via.Descriptor{Buf: []byte{byte(v)}, Len: 1}); err != nil {
 					t.Error(err)
 				}
 			}
+			parked = nil
 		}
 		mgr, err := NewOnDemand(cfg)
 		if err != nil {
@@ -177,7 +179,7 @@ func TestOnDemandLazyConnectAndFifoDrain(t *testing.T) {
 				t.Error("channel up before handshake possible")
 			}
 			for i := 1; i <= 3; i++ {
-				ch.Park(i)
+				parked = append(parked, i)
 			}
 			for !ch.Up {
 				mgr.Poll()
@@ -186,8 +188,8 @@ func TestOnDemandLazyConnectAndFifoDrain(t *testing.T) {
 				}
 				port.WaitActivity(via.WaitPoll)
 			}
-			if ch.Parked() != 0 {
-				t.Errorf("%d sends still parked after Up", ch.Parked())
+			if len(parked) != 0 {
+				t.Errorf("%d sends still parked after Up", len(parked))
 			}
 			p.Sleep(simnet.D(2e6)) // let deliveries finish
 		} else {
@@ -238,8 +240,6 @@ func TestOnDemandPassivePrepareBeforeData(t *testing.T) {
 			if !prepared {
 				t.Error("OnChannelUp before PrepareChannel")
 			}
-			for range ch.DrainParked() {
-			}
 		}
 		mgr, err := NewOnDemand(cfg)
 		if err != nil {
@@ -285,6 +285,7 @@ func TestOnDemandPassivePrepareBeforeData(t *testing.T) {
 func TestOnDemandRingUsesTwoVIs(t *testing.T) {
 	const n = 8
 	net := runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
+		parked := map[int][][]byte{} // by peer rank
 		cfg := managerConfig(rank, n, port, addrs)
 		cfg.PrepareChannel = func(ch *Channel) {
 			for i := 0; i < 4; i++ {
@@ -294,12 +295,12 @@ func TestOnDemandRingUsesTwoVIs(t *testing.T) {
 			}
 		}
 		cfg.OnChannelUp = func(ch *Channel) {
-			for _, it := range ch.DrainParked() {
-				b := it.([]byte)
+			for _, b := range parked[ch.Rank] {
 				if err := ch.Vi.PostSend(&via.Descriptor{Buf: b, Len: len(b)}); err != nil {
 					t.Error(err)
 				}
 			}
+			delete(parked, ch.Rank)
 		}
 		mgr, err := NewOnDemand(cfg)
 		if err != nil {
@@ -307,16 +308,15 @@ func TestOnDemandRingUsesTwoVIs(t *testing.T) {
 			return
 		}
 		right := (rank + 1) % n
-		ch, err := mgr.Channel(right)
-		if err != nil {
+		if _, err := mgr.Channel(right); err != nil {
 			t.Error(err)
 			return
 		}
-		ch.Park([]byte{byte(rank)})
+		parked[right] = append(parked[right], []byte{byte(rank)})
 		// Progress until we have received from the left neighbour and our
 		// send has drained.
 		var gotLeft bool
-		for !gotLeft || ch.Parked() > 0 {
+		for !gotLeft || len(parked) > 0 {
 			mgr.Poll()
 			if lch := mgr.PeekChannel((rank + n - 1) % n); lch != nil && lch.Up {
 				if d := lch.Vi.RecvDone(); d != nil {
@@ -326,7 +326,7 @@ func TestOnDemandRingUsesTwoVIs(t *testing.T) {
 					gotLeft = true
 				}
 			}
-			if !gotLeft || ch.Parked() > 0 {
+			if !gotLeft || len(parked) > 0 {
 				port.WaitActivityTimeout(via.WaitPoll, 50*simnet.Microsecond)
 			}
 		}
@@ -409,28 +409,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestChannelFifoSemantics(t *testing.T) {
-	ch := &Channel{Rank: 1}
-	for i := 0; i < 5; i++ {
-		ch.Park(i)
-	}
-	if ch.Parked() != 5 {
-		t.Fatalf("Parked = %d", ch.Parked())
-	}
-	out := ch.DrainParked()
-	for i, v := range out {
-		if v.(int) != i {
-			t.Fatalf("drain order %v", out)
-		}
-	}
-	if ch.Parked() != 0 {
-		t.Fatal("fifo not emptied")
-	}
-	if got := ch.DrainParked(); len(got) != 0 {
-		t.Fatal("second drain not empty")
-	}
-}
-
 // Property (Table 2 core claim): under on-demand, the number of VIs a rank
 // creates equals its number of distinct communication partners.
 func TestPropertyOnDemandVIsEqualPartners(t *testing.T) {
@@ -452,6 +430,7 @@ func TestPropertyOnDemandVIsEqualPartners(t *testing.T) {
 		}
 		okRes := true
 		net := runRanks(t, n, via.ClanCost(), func(p *simnet.Proc, port *via.Port, rank int, addrs []via.Addr) {
+			parked := map[int]int{} // sends parked, by peer rank
 			cfg := managerConfig(rank, n, port, addrs)
 			cfg.PrepareChannel = func(ch *Channel) {
 				for i := 0; i < 4; i++ {
@@ -461,12 +440,12 @@ func TestPropertyOnDemandVIsEqualPartners(t *testing.T) {
 				}
 			}
 			cfg.OnChannelUp = func(ch *Channel) {
-				for _, it := range ch.DrainParked() {
-					_ = it
+				for range parked[ch.Rank] {
 					if err := ch.Vi.PostSend(&via.Descriptor{Buf: []byte{1}, Len: 1}); err != nil {
 						okRes = false
 					}
 				}
+				delete(parked, ch.Rank)
 			}
 			mgr, err := NewOnDemand(cfg)
 			if err != nil {
@@ -481,7 +460,7 @@ func TestPropertyOnDemandVIsEqualPartners(t *testing.T) {
 						okRes = false
 						return
 					}
-					ch.Park(struct{}{})
+					parked[ch.Rank]++
 				}
 			}
 			// Progress for a fixed window of virtual time.
@@ -780,10 +759,10 @@ func TestReserveStopsAtViLimit(t *testing.T) {
 }
 
 // A static rank of a 256-rank mesh reserves its 255 channels in one slab: at
-// 96 bytes a channel that is the 24,576-byte size class, where 97 would take
-// 27,264.
+// 72 bytes a channel that is the 18,432-byte size class, where 73 would take
+// 19,072 (a send FIFO back in Channel as a slice header makes it 96).
 func TestChannelSize(t *testing.T) {
-	if got := unsafe.Sizeof(Channel{}); got > 96 {
-		t.Errorf("Channel is %d bytes, want at most 96", got)
+	if got := unsafe.Sizeof(Channel{}); got > 72 {
+		t.Errorf("Channel is %d bytes, want at most 72", got)
 	}
 }

@@ -464,7 +464,7 @@ func (r *Rank) finalize() {
 			return false
 		}
 		for _, ch := range r.mgr.Channels() {
-			if cs := ch.UserData.(*chanState); cs.flowQ.head != nil || ch.Parked() > 0 || cs.closing || cs.pendingClose.head != nil {
+			if cs := ch.UserData.(*chanState); cs.flowQ.head != nil || cs.closing || cs.pendingClose.head != nil {
 				return false
 			}
 		}

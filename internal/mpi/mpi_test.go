@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"viampi/internal/simnet"
+	"viampi/internal/via"
 )
 
 // testCfg returns a small default config with a safety deadline.
@@ -41,6 +42,24 @@ func liveChans(r *Rank) []*chanState {
 	var out []*chanState
 	for _, ch := range r.mgr.Channels() {
 		out = append(out, ch.UserData.(*chanState))
+	}
+	return out
+}
+
+// parkedOn counts the sends waiting on cs for its connection: until the channel
+// is up, its flow queue is the paper's send FIFO.
+func parkedOn(cs *chanState) int {
+	if cs.ch.Up {
+		return 0
+	}
+	return cs.flowQ.len()
+}
+
+// freeDescs lists a descriptor free list linked through UserPtr, head first.
+func freeDescs(d *via.Descriptor) []*via.Descriptor {
+	var out []*via.Descriptor
+	for ; d != nil; d, _ = d.UserPtr.(*via.Descriptor) {
+		out = append(out, d)
 	}
 	return out
 }
@@ -719,7 +738,7 @@ func TestDetachedBsendDrainedAtFinalize(t *testing.T) {
 					t.Error(err)
 				}
 				clear(out)
-				parked, awaiting := liveChans(r)[0].ch.Parked(), len(r.sendReqs)
+				parked, awaiting := parkedOn(liveChans(r)[0]), len(r.sendReqs)
 				if want := tc.name == "first-contact"; (parked == 1) != want {
 					t.Errorf("%d packets parked, want the Bsend's: %v", parked, want)
 				}

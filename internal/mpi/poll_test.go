@@ -165,7 +165,7 @@ func flowWorlds(t *testing.T) {
 			}
 		}},
 		{"more parked sends than credits", Config{Procs: 2, Policy: "ondemand", CreditCount: 4}, func(cs *chanState) bool {
-			return !cs.ch.Up && cs.ch.Parked() > int(cs.credits)
+			return parkedOn(cs) > int(cs.credits)
 		}, func(r *Rank) {
 			if r.Rank() == 0 {
 				burst(r, 1, 1, 12) // the first send asks for the connection; all twelve park

@@ -27,17 +27,17 @@ type chanState struct {
 
 	userSends bool // carried an application message to this peer
 
-	flowQ        pktQueue        // packets waiting for credits
+	flowQ        pktQueue        // the paper's send FIFO (§3.4) while !ch.Up; packets short of credits after
 	memHandles   []via.MemHandle // eager-pool registrations, released at teardown
 	pendingClose pktQueue        // packets held while closing, re-posted after
 }
 
 // pkt is an outbound packet, possibly parked awaiting a connection or
 // credits. Packets come from Rank.newPkt and return to its free list once
-// emitted; until then one queue owns each: the channel's park FIFO (core's,
-// which holds it as an element), flowQ or pendingClose, the last two linked
-// through next, as is the free list. A packet has one link, so it is on at
-// most one of them.
+// emitted; until then one queue owns each: flowQ (parked before the channel
+// is up, waiting for credits after) or pendingClose, both linked through
+// next, as is the free list. A packet has one link, so it is on at most one
+// of them.
 type pkt struct {
 	hdr     hdr
 	payload []byte   // eager data: the caller's buffer until emit copies it
@@ -74,7 +74,7 @@ func (q *pktQueue) take() *pkt {
 	return p
 }
 
-// len walks the queue (for the credit-stall event and tests).
+// len walks the queue (for the park, drain and credit-stall events, and tests).
 func (q *pktQueue) len() int {
 	n := 0
 	for p := q.head; p != nil; p = p.next {
@@ -113,15 +113,16 @@ type Rank struct {
 	recvReqs map[int64]*request // awaiting FIN; nil until the first
 
 	// Free lists of the message path: packets; send descriptors with the
-	// wire buffers they carry (tagged with the rank in UserPtr); RDMA writes'
-	// descriptors (tagged with their list: the Buf they carry is the
-	// caller's, dropped when recycleSend takes them back); requests, chained
-	// through their own next field (see release), with the count growReqs has
-	// made, and the one list the library waits on its own in (reqList);
-	// unexpected-queue entries, each keeping its payload buffer.
+	// wire buffers they carry (tagged with the rank in UserPtr while out);
+	// RDMA writes' descriptors (tagged with their list: the Buf they carry is
+	// the caller's, dropped when recycleSend takes them back) — both lists
+	// linked through UserPtr while a descriptor is on them (takeDesc);
+	// requests, chained through their own next field (see release), with the
+	// count growReqs has made, and the one list the library waits on its own
+	// in (reqList); unexpected-queue entries, each keeping its payload buffer.
 	freePkts  *pkt // linked through next
-	freeSends []*via.Descriptor
-	freeRdma  []*via.Descriptor
+	freeSends *via.Descriptor
+	freeRdma  *via.Descriptor
 	freeReqs  *request
 	reqsMade  int
 	reqs      []Request
@@ -363,13 +364,17 @@ func (r *Rank) growPool(cs *chanState, n int) {
 	r.obsGauge("pinned_bytes", r.port.Memory().Pinned())
 }
 
-// onChannelUp drains the paper's pre-posted send FIFO in order (§3.4).
+// onChannelUp drains the paper's pre-posted send FIFO in order (§3.4): what
+// post parked on flowQ while the channel was not up is posted again, now to a
+// channel that is.
 func (r *Rank) onChannelUp(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
 	r.cameUp = true // what was read off it before now, flowPass passed over
-	for _, item := range ch.DrainParked() {
-		r.post(cs, item.(*pkt))
+	if r.bus != nil && cs.flowQ.head != nil {
+		r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvFifoDrain,
+			Rank: int32(r.port.Addr().Ep), Peer: int32(ch.Rank), A: int64(cs.flowQ.len())})
 	}
+	r.repost(cs, cs.flowQ.take())
 }
 
 // channel returns the chanState for a world-rank peer, creating the
@@ -396,7 +401,7 @@ func (r *Rank) channel(peer int) (*chanState, error) {
 // peer's BYE needs one (the ACK: the channel is about to die, so the
 // reservation rule no longer applies).
 func (r *Rank) quiescent(cs *chanState, credits int32) bool {
-	return cs.ch.Parked() == 0 && cs.flowQ.head == nil && cs.pendingClose.head == nil &&
+	return cs.flowQ.head == nil && cs.pendingClose.head == nil &&
 		cs.pendingRdv == 0 && cs.umqRefs == 0 &&
 		cs.credits >= credits && cs.ch.Vi.SendQueueLen() == 0
 }
@@ -489,7 +494,7 @@ func (r *Rank) distinctDests() int {
 // handshake (either role) the DISC is the expected final step; outside one,
 // a disconnect with traffic in flight is a protocol violation.
 func (r *Rank) handleDisconnect(cs *chanState) {
-	if !cs.closing && (cs.pendingRdv > 0 || cs.flowQ.head != nil || cs.ch.Parked() > 0) {
+	if !cs.closing && (cs.pendingRdv > 0 || cs.flowQ.head != nil) {
 		r.proc.Sim().Failf("mpi: rank %d: peer %d disconnected with traffic in flight", r.rank, cs.ch.Rank)
 		return
 	}
@@ -499,8 +504,9 @@ func (r *Rank) handleDisconnect(cs *chanState) {
 // ---------------------------------------------------------------------------
 // Outbound path
 
-// post sends a packet on a channel, parking it in the FIFO if the connection
-// is not up yet, or in the flow queue if credits are exhausted.
+// post sends a packet on a channel, parking it in the flow queue if the
+// connection is not up yet (the paper's FIFO, drained by onChannelUp) or if
+// credits are exhausted.
 func (r *Rank) post(cs *chanState, p *pkt) {
 	if cs.closing && p.hdr.kind < pktBye {
 		// A BYE handshake is in flight: hold the packet and replay it on
@@ -516,7 +522,11 @@ func (r *Rank) post(cs *chanState, p *pkt) {
 			r.emitted(cs, p)
 			return
 		}
-		cs.ch.Park(p)
+		cs.flowQ.push(p)
+		if r.bus != nil {
+			r.bus.Emit(obs.Event{T: r.nowNs(), Kind: obs.EvFifoPark,
+				Rank: int32(r.port.Addr().Ep), Peer: int32(cs.ch.Rank), A: int64(cs.flowQ.len())})
+		}
 		return
 	}
 	if cs.flowQ.head != nil || cs.credits < r.creditNeed(p) {
@@ -567,7 +577,28 @@ func growUmsgs() *umsg { return new(umsg) }
 
 func growUmsgBuf(n int) []byte { return make([]byte, n) }
 
-func growChans() *chanState { return new(chanState) }
+// growChans makes a state with room for its pool's first registration in the
+// same allocation, as reserve's slab does, so growPool's first append makes
+// nothing.
+func growChans() *chanState {
+	s := new(struct {
+		cs chanState
+		h  [1]via.MemHandle
+	})
+	s.cs.memHandles = s.h[:0:1]
+	return &s.cs
+}
+
+// takeDesc takes the first descriptor off a free list linked through UserPtr
+// and tags it again for recycleSend, or returns nil for an empty list.
+func takeDesc(list **via.Descriptor, tag any) *via.Descriptor {
+	d := *list
+	if d != nil {
+		*list, _ = d.UserPtr.(*via.Descriptor)
+		d.UserPtr = tag
+	}
+	return d
+}
 
 // growRdvTable makes a table of rendezvous handshakes in flight, at a rank's
 // first on either side (cold path: a boot, or a run of eager messages, never
@@ -577,7 +608,7 @@ func growRdvTable() map[int64]*request { return make(map[int64]*request) }
 // wire encodes p into a recycled send descriptor. progressStep returns the
 // descriptor to the free list when it reaps the completed send.
 func (r *Rank) wire(p *pkt) *via.Descriptor {
-	d := simnet.Pop(&r.freeSends)
+	d := takeDesc(&r.freeSends, r)
 	if d == nil {
 		d = r.growSends()
 	}
@@ -796,14 +827,14 @@ func (r *Rank) reapSends() {
 }
 
 // recycleSend puts a send descriptor taken off its VI back on the free list
-// its UserPtr names.
+// its UserPtr names, linked through UserPtr until takeDesc tags it again.
 func (r *Rank) recycleSend(d *via.Descriptor) {
 	switch d.UserPtr {
 	case r:
-		r.freeSends = append(r.freeSends, d)
+		d.UserPtr, r.freeSends = r.freeSends, d
 	case &r.freeRdma:
 		d.Buf = nil // the caller's memory: the frames took their copies at the post
-		r.freeRdma = append(r.freeRdma, d)
+		d.UserPtr, r.freeRdma = r.freeRdma, d
 	}
 }
 
@@ -1102,14 +1133,13 @@ func (r *Rank) rendezvousData(cs *chanState, req *request, h hdr) {
 // the post returns; the descriptor stays on the VI's send queue until
 // reapSends takes it back, or comes straight back if the post is refused.
 func (r *Rank) rdmaWrite(cs *chanState, data []byte, key uint64) error {
-	d := simnet.Pop(&r.freeRdma)
+	d := takeDesc(&r.freeRdma, &r.freeRdma)
 	if d == nil {
 		d = r.growRdma()
 	}
 	d.Buf, d.Len, d.RdmaKey = data, len(data), key
 	if err := cs.ch.Vi.PostRdmaWrite(d); err != nil {
-		d.Buf = nil
-		r.freeRdma = append(r.freeRdma, d)
+		r.recycleSend(d)
 		return err
 	}
 	return nil

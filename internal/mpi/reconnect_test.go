@@ -195,7 +195,7 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 			fail("after the pass: %d CQ entries, %d out on the port; the network: %d free (distinct: %v), %d out, %d made, peak %d; want 0, 0, each once, and free plus out the peak made",
 				r.cq.Len(), r.port.LandingOut(), len(free), distinct(free), out, made, net.LandingPeak)
 		}
-		if fresh != nil && (fresh.closing || fresh.ch.Parked() != 0) {
+		if fresh != nil && (fresh.closing || parkedOn(fresh) != 0) {
 			fail("the channel to rank 3 took rank 1's BYE for its own")
 		}
 		if fresh == nil && r.chanOf(closing) != nil {
@@ -203,7 +203,7 @@ func staleCQEntryAfterTeardown(t *testing.T, reissue bool) {
 		}
 		for _, d := range unreaped {
 			// Back on the free list, or already off it again for a new packet.
-			kept := slices.Contains(r.freeSends, d)
+			kept := slices.Contains(freeDescs(r.freeSends), d)
 			for _, cs := range liveChans(r) {
 				kept = kept || slices.Contains(slices.Collect(cs.ch.Vi.PostedSends), d)
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 
 	"viampi/internal/simnet"
@@ -309,8 +308,11 @@ func TestPacketRecyclingKeepsPayloads(t *testing.T) {
 		}
 		sample := func() {
 			for _, cs := range liveChans(r) {
-				parked = max(parked, cs.ch.Parked())
-				flowed = max(flowed, cs.flowQ.len())
+				if cs.ch.Up {
+					flowed = max(flowed, cs.flowQ.len())
+				} else {
+					parked = max(parked, cs.flowQ.len())
+				}
 				held = max(held, cs.pendingClose.len())
 			}
 		}
@@ -392,7 +394,10 @@ func stockRdma(r *Rank, n int) []*via.Descriptor {
 	for i := range stock {
 		stock[i] = r.growRdma()
 	}
-	r.freeRdma = slices.Clone(stock)
+	r.freeRdma = nil
+	for _, d := range stock {
+		r.recycleSend(d)
+	}
 	return stock
 }
 
@@ -827,10 +832,10 @@ func TestRdmaFreeListHoldsNoBuffers(t *testing.T) {
 			r.Compute(10e-6)
 			c.Iprobe(1, 99)
 		}
-		if len(r.freeRdma) == 0 {
+		if r.freeRdma == nil {
 			fail("no RDMA descriptor came back")
 		}
-		for _, d := range r.freeRdma {
+		for _, d := range freeDescs(r.freeRdma) {
 			if d.Buf != nil {
 				fail("an RDMA descriptor on the free list holds %d bytes of a finished write", len(d.Buf))
 			}
