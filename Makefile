@@ -4,9 +4,9 @@ GO ?= go
 # byte-identical at any -j, so the default is simply all host cores.
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check fmt vet build test race analyze golden figures bench-sim bench-sim-smoke fuzz-smoke replay-smoke loc
+.PHONY: check fmt vet build test race analyze golden figures bench-sim bench-sim-smoke fuzz-smoke loc
 
-check: fmt vet build test race analyze bench-sim-smoke fuzz-smoke replay-smoke
+check: fmt vet build test race analyze bench-sim-smoke fuzz-smoke
 
 # gofmt -l prints offending files; any output is a failure.
 fmt:
@@ -47,10 +47,9 @@ race:
 
 # The invariant analyzers also run inside `go test` (the selfcheck); this
 # target is the direct, human-readable form. The wall-time budget keeps the
-# whole-program interprocedural pass (the call graph, paired's summaries
-# and derived-acquire rounds over it, hotalloc's reachability walk) honest:
-# load dominates, so analysis must stay cheap enough to run on every `make
-# check`.
+# whole-program interprocedural pass (the call graph and hotalloc's
+# reachability walk over it) honest: load dominates, so analysis must stay
+# cheap enough to run on every `make check`.
 ANALYZE_BUDGET ?= 120
 analyze:
 	@start=$$(date +%s); \
@@ -139,34 +138,3 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatching$$' -fuzztime 5s -parallel 1 ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s -parallel 1 ./internal/tcpvia
 	$(GO) test -run '^$$' -fuzz '^FuzzCaptureReader$$' -fuzztime 5s -parallel 1 ./internal/obs/capture
-
-# Capture/replay round trip on the real binaries: record a run, re-render
-# the trace offline, require byte identity with the live artifact, render
-# the matrix, call profile and phase table from the bundle (each must print),
-# then exercise -diff on both verdicts — same-Config runs (different seeds are
-# byte-identical under fault-free CG, so the diff must exit 0) and
-# different-policy runs (the diff must flag the divergence and exit 1).
-replay-smoke:
-	@tmp=$$(mktemp -d) || exit 1; \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	set -e; \
-	$(GO) build -o $$tmp/mpirun-sim ./cmd/mpirun-sim; \
-	$(GO) build -o $$tmp/viampi-replay ./cmd/viampi-replay; \
-	$$tmp/mpirun-sim -np 8 -conn ondemand -seed 1 -record $$tmp/a.bin -trace $$tmp/live.json CG S > /dev/null; \
-	$$tmp/viampi-replay -trace $$tmp/replay.json $$tmp/a.bin > /dev/null; \
-	cmp -s $$tmp/live.json $$tmp/replay.json || { echo "replay-smoke: replayed trace differs from live artifact"; exit 1; }; \
-	$$tmp/viampi-replay -summary $$tmp/a.bin > /dev/null; \
-	for report in matrix profile phases; do \
-		$$tmp/viampi-replay -$$report $$tmp/a.bin > $$tmp/$$report.txt \
-			|| { echo "replay-smoke: viampi-replay -$$report failed"; exit 1; }; \
-		test -s $$tmp/$$report.txt && ! grep -q ': empty' $$tmp/$$report.txt \
-			|| { echo "replay-smoke: viampi-replay -$$report printed nothing from the bundle"; exit 1; }; \
-	done; \
-	$$tmp/mpirun-sim -np 8 -conn ondemand -seed 2 -record $$tmp/b.bin CG S > /dev/null; \
-	$$tmp/viampi-replay -diff $$tmp/a.bin $$tmp/b.bin > /dev/null \
-		|| { echo "replay-smoke: same-Config bundles reported divergent"; exit 1; }; \
-	$$tmp/mpirun-sim -np 8 -conn static-p2p -seed 1 -record $$tmp/c.bin CG S > /dev/null; \
-	if $$tmp/viampi-replay -diff $$tmp/a.bin $$tmp/c.bin > /dev/null; then \
-		echo "replay-smoke: diff failed to flag divergent runs"; exit 1; \
-	fi; \
-	echo "replay-smoke: record -> replay byte-identical; matrix, profile and phases render; diff verdicts correct"

@@ -8,6 +8,7 @@ package viampi
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,20 +42,28 @@ func buildExample(t *testing.T, path string) string {
 	return bin
 }
 
-// runBinary runs a built example under runDeadline and returns its stdout.
-func runBinary(t *testing.T, bin string, args ...string) string {
-	t.Helper()
+// execBinary runs a built example under runDeadline and returns its stdout,
+// its stderr and how it exited.
+func execBinary(bin string, args ...string) (stdout, stderr []byte, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, bin, args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
+	stdout, err = cmd.Output()
 	if err != nil && ctx.Err() != nil {
 		err = fmt.Errorf("still running after %v, killed", runDeadline)
 	}
+	return stdout, errBuf.Bytes(), err
+}
+
+// runBinary runs a built example under runDeadline and returns its stdout;
+// a non-zero exit fails the test.
+func runBinary(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, stderr, err := execBinary(bin, args...)
 	if err != nil {
-		t.Fatalf("%s %s: %v\n%s%s", filepath.Base(bin), strings.Join(args, " "), err, out, stderr.Bytes())
+		t.Fatalf("%s %s: %v\n%s%s", filepath.Base(bin), strings.Join(args, " "), err, out, stderr)
 	}
 	return string(out)
 }
@@ -201,6 +210,51 @@ func TestToolMpirunSim(t *testing.T) {
 		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
 	requireSame(t, "mpirun-sim report vs "+path, out, string(want))
+}
+
+// TestToolReplay is the capture/replay round trip on the real binaries:
+// mpirun-sim records a run, viampi-replay re-renders its trace from the
+// bundle byte for byte, prints the summary, matrix, call profile and phase
+// table from it, and gives both -diff verdicts — exit 0 for two seeds of
+// one Config (fault-free CG is byte-identical across seeds), non-zero for
+// two policies. A bundle mpirun-sim leaves unsealed fails the first replay.
+func TestToolReplay(t *testing.T) {
+	sim := buildExample(t, "./cmd/mpirun-sim")
+	replay := buildExample(t, "./cmd/viampi-replay")
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	record := func(bundle, conn, seed string, extra ...string) {
+		args := append([]string{"-np", "8", "-conn", conn, "-seed", seed, "-record", path(bundle)}, extra...)
+		runBinary(t, sim, append(args, "CG", "S")...)
+	}
+
+	record("a.bin", "ondemand", "1", "-trace", path("live.json"))
+	runBinary(t, replay, "-trace", path("replay.json"), path("a.bin"))
+	live, err := os.ReadFile(path("live.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := os.ReadFile(path("replay.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("the trace replayed from the bundle differs from the live run's")
+	}
+	for _, report := range []string{"-summary", "-matrix", "-profile", "-phases"} {
+		if out := runBinary(t, replay, report, path("a.bin")); out == "" || strings.Contains(out, ": empty") {
+			t.Errorf("viampi-replay %s printed nothing from the bundle:\n%s", report, out)
+		}
+	}
+
+	record("b.bin", "ondemand", "2")
+	runBinary(t, replay, "-q", "-diff", path("a.bin"), path("b.bin"))
+	record("c.bin", "static-p2p", "1")
+	out, stderr, err := execBinary(replay, "-q", "-diff", path("a.bin"), path("c.bin"))
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || len(out) == 0 {
+		t.Fatalf("-diff of ondemand vs static-p2p: %v, want a report and a non-zero exit\n%s%s", err, out, stderr)
+	}
 }
 
 func TestToolMicrobench(t *testing.T) {

@@ -9,21 +9,16 @@
 // simulated code, and maporder flags every walk over a Go map.
 // One walks the typed syntax once: exhaustive (switches over closed constant
 // sets, the wire frame and packet kinds among them, handle every member).
-// One path rule, paired, runs on
-// a per-body dataflow harness (flow.go: the CFG of cfg.go built once per body
-// and a may-analysis over it) and the whole-program call graph of
-// callgraph.go: every policy-declared acquire — pinned-memory registration,
-// VI slots, bus subscriptions, capture writers — is released on every path,
-// once, with escape-to-field and ownership-transfer summaries, and no send
-// rides a closed or evicted channel without an interposed rebind through the
-// reconnect path. hotalloc walks the same call graph: every body reachable
-// from the policy's hot roots stays allocation-free. No rule models the
-// connection protocol, the wake owed to a parked waiter, the CPU cost a
-// transmit must pay or the threaded code's three mutexes (none nests; each
-// is a Lock, straight-line code and an Unlock): those are checked on the
-// code that runs, by the simulated worlds of internal/via, internal/core and
-// internal/mpi, by the byte-pinned goldens, and by the tests that hang or
-// fail without an Unlock.
+// hotalloc walks the whole-program call graph of callgraph.go: every body
+// reachable from the policy's hot roots stays allocation-free. No rule models
+// the connection protocol, the release of an acquired resource (pinned
+// memory, RDMA targets, VI slots, bus subscriptions, capture writers), the
+// wake owed to a parked waiter, the CPU cost a transmit must pay or the
+// threaded code's three mutexes (none nests; each is a Lock, straight-line
+// code and an Unlock): those are checked on the code that runs, by the
+// simulated worlds of internal/via, internal/core and internal/mpi, by the
+// byte-pinned goldens, by the detach tests of internal/obs, and by the tests
+// that hang or fail without an Unlock.
 // Legitimate exceptions live in one table, Policy.Exceptions, so they are
 // declared in code review rather than scattered as comments — and the
 // stale-policy sweep (stale.go) fails the build when an exception no longer
@@ -86,7 +81,6 @@ func Analyzers() []*Analyzer {
 		MapOrderAnalyzer(),
 		ExhaustiveAnalyzer(),
 		HotAllocAnalyzer(),
-		PairedAnalyzer(),
 	}
 }
 

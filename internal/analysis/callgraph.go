@@ -1,9 +1,9 @@
 package analysis
 
 // callgraph.go is the whole-program interprocedural layer: an index of every
-// declared function in the module, a call graph over them, and the shared
-// traversal helpers paired's summaries and hotalloc's reachability walk are
-// built on.
+// declared function in the module, a call graph over them, and the
+// per-function walk maporder uses. hotalloc's reachability walk is built on
+// the graph.
 //
 // Resolution is deliberately conservative in the direction that loses paths
 // rather than inventing them, with one exception that adds paths: a call
@@ -19,9 +19,7 @@ package analysis
 // runs in its own activation (often at a later virtual time), but the code
 // it executes still belongs to the declaring function for reachability
 // purposes — a callback scheduled by F that transmits a frame is a transmit
-// F's callers can reach. paired, which needs activation-accurate path
-// sensitivity, analyzes literals as separate units; the graph is about
-// *what* can run, not *when*.
+// F's callers can reach. The graph is about *what* can run, not *when*.
 //
 // The graph is built once per Module and cached (Module.Interproc), so the
 // interprocedural analyzers — and the stale-policy sweep — share one index
@@ -39,7 +37,7 @@ type IPFunc struct {
 	Key   string // policy-qualified name ("internal/via.(Port).dispatch")
 	Pkg   *Package
 	Decl  *ast.FuncDecl
-	Units []funcUnit // the declaration body plus its function literals
+	Units []funcUnit // the declaration, or every same-key one (init)
 }
 
 // IPCall is one resolved call site inside a function.
@@ -54,17 +52,7 @@ type Interproc struct {
 	Funcs map[string]*IPFunc // by Key
 	Keys  []string           // sorted, for deterministic iteration
 
-	// Sweeps counts the full module sweeps the paired rule's derived-acquire
-	// rounds make this run — viampi-vet -json reports it on stderr so CI can
-	// watch convergence cost.
-	Sweeps int
-	// CFGs counts the bodies a path rule asked a control-flow graph for; each
-	// is built once and shared (flow.go), so it is bounded by the bodies in
-	// the module whatever the number of rules and sweeps.
-	CFGs int
-
 	calls map[string][]IPCall // per function, source order (literals included)
-	flows map[*ast.BlockStmt]*unitFlow
 }
 
 // Interproc returns the module's interprocedural index, building it on first
@@ -76,9 +64,8 @@ func (m *Module) Interproc() *Interproc {
 	return m.inter
 }
 
-// eachUnit is the one per-function driver: it visits every analyzable body in
-// the module — each declaration, then the literals inside it — in sorted key
-// order, skipping functions the policy excuses from rule.
+// eachUnit visits every declaration in the module in sorted key order,
+// skipping functions the policy excuses from rule.
 func (ip *Interproc) eachUnit(p *Policy, rule string, visit func(f *IPFunc, u funcUnit)) {
 	for _, key := range ip.Keys {
 		if p.excused(rule, key) {
@@ -101,7 +88,6 @@ func buildInterproc(m *Module) *Interproc {
 		mod:   m,
 		Funcs: map[string]*IPFunc{},
 		calls: map[string][]IPCall{},
-		flows: map[*ast.BlockStmt]*unitFlow{},
 	}
 	// Pass 1: the function index, and the method-set table interface
 	// resolution draws from.
@@ -113,13 +99,9 @@ func buildInterproc(m *Module) *Interproc {
 		for _, file := range pkg.Files {
 			for _, u := range funcUnits(pkg, file) {
 				if f := ip.Funcs[u.name]; f != nil {
-					// A literal of a known declaration, or a same-key decl
-					// (multiple init functions share "pkg.init").
+					// A same-key decl: multiple init functions share "pkg.init".
 					f.Units = append(f.Units, u)
 					continue
-				}
-				if u.lit != nil {
-					continue // literal of an unindexed decl (cannot happen in source order)
 				}
 				ip.Funcs[u.name] = &IPFunc{Key: u.name, Pkg: pkg, Decl: u.decl, Units: []funcUnit{u}}
 			}
@@ -144,13 +126,10 @@ func buildInterproc(m *Module) *Interproc {
 	for _, key := range ip.Keys {
 		f := ip.Funcs[key]
 		var sites []IPCall
-		// Each declaration body contains its literals, so walking the
-		// declaration units collects every call site exactly once.
+		// Each declaration body contains its literals, so walking the units
+		// collects every call site exactly once.
 		for _, u := range f.Units {
-			if u.lit != nil {
-				continue
-			}
-			ast.Inspect(u.body, func(n ast.Node) bool {
+			ast.Inspect(u.decl.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -165,6 +144,25 @@ func buildInterproc(m *Module) *Interproc {
 		ip.calls[key] = sites
 	}
 	return ip
+}
+
+// funcUnit is one declared function body under the policy-qualified name
+// that indexes it.
+type funcUnit struct {
+	name string
+	decl *ast.FuncDecl
+}
+
+// funcUnits collects the declared function bodies of one file in source
+// order.
+func funcUnits(pkg *Package, file *ast.File) []funcUnit {
+	var units []funcUnit
+	for _, decl := range file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+			units = append(units, funcUnit{name: enclosingFuncName(pkg, file, fd.Name.Pos()), decl: fd})
+		}
+	}
+	return units
 }
 
 // resolveCallees maps one call expression to the module functions it may

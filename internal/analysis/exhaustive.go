@@ -42,10 +42,11 @@ The VIA frame dispatcher (Port.dispatch) has no default at all. So a frame or
 packet kind added without its arm is flagged at the switch that must handle
 it, whether or not anything sends it yet. Constants that are not members — a
 NumPhases count — are removed from a set under Policy.Exceptions["exhaustive"],
-with the reason. What only this rule kills: a label case cut from
-via.(Status).String, via.(ViState).String, mpi.(SendMode).String,
-tcpvia.(ViState).String or capture.(Clock).String's ClockVirtual passes
-tier-1, and prints a state, status, mode or clock as its fallback.`,
+with the reason. A label case cut from via.(Status).String,
+via.(ViState).String, mpi.(SendMode).String, tcpvia.(ViState).String or
+capture.(Clock).String also fails that type's table test; what only this
+rule sees is a member added to a set before any test drives it, flagged at
+every switch that has not caught up.`,
 		Subject: subjConst,
 		Run:     runExhaustive,
 	}

@@ -55,13 +55,6 @@ func TestFixtureDiagnostics(t *testing.T) {
 		"internal/tcpvia/tcpvia.go:5: layering",   // restricted leaf imports a layered package
 		"internal/via/enum.go:19: exhaustive",     // ViState switch misses ViClosed
 		"internal/via/enum.go:71: exhaustive",     // wireKind switch misses kindConnNack and kindDisc
-		"internal/via/paired.go:31: paired",       // leakEarlyReturn: flush path returns still holding h
-		"internal/via/paired.go:65: paired",       // discardHandle: result dropped, unreleasable
-		"internal/via/paired.go:76: paired",       // doubleRelease: second Deregister of a dead handle
-		"internal/via/paired.go:91: paired",       // storeLeak: field (holder).h has no releasing path
-		"internal/via/paired.go:125: paired",      // wrapperCallerLeaks: obligation inherited from acquireWrapped
-		"internal/via/seqcheck.go:29: paired",     // sendAfterClose: post on the VI it just closed
-		"internal/via/seqcheck.go:38: paired",     // evictMaybe: closed on the evict branch, sent after the join
 		"internal/via/via.go:6: layering",         // via imports mpi (upward)
 	}
 	if len(got) != len(want) {
@@ -85,8 +78,6 @@ func TestFixtureMessagesCiteTheFix(t *testing.T) {
 		{"layering", "standard library or a shared leaf"},
 		{"exhaustive", "missing cases"},
 		{"hotalloc", "hot path"},
-		{"paired", `Policy.Exceptions["paired"]`},
-		{"paired", "rides a dead endpoint"},
 	}
 	for _, want := range wantSubstrings {
 		seen := false

@@ -285,3 +285,25 @@ func onlyCalls(ip *Interproc, caller string, call *ast.CallExpr, i int) bool {
 	}
 	return len(callees) > 0
 }
+
+// inspectSkipLits walks n in preorder like ast.Inspect but does not descend
+// into function literals.
+func inspectSkipLits(n ast.Node, fn func(ast.Node) bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		return fn(n)
+	})
+}
+
+// containsNode reports whether pred holds for any node under root, literals
+// included.
+func containsNode(root ast.Node, pred func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		found = found || n != nil && pred(n)
+		return !found
+	})
+	return found
+}

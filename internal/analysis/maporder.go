@@ -40,7 +40,7 @@ func runMapOrder(m *Module, p *Policy) []Diagnostic {
 	var ds []Diagnostic
 	m.Interproc().eachUnit(p, "maporder", func(f *IPFunc, u funcUnit) {
 		// The declaration walk covers its literals.
-		if u.lit != nil || p.excused("determinism", f.Pkg.Rel) {
+		if p.excused("determinism", f.Pkg.Rel) {
 			return
 		}
 		sorted := map[ast.Expr]bool{} // iterators handed straight to a sort
@@ -52,7 +52,7 @@ func runMapOrder(m *Module, p *Policy) []Diagnostic {
 					what, u.name),
 			})
 		}
-		ast.Inspect(u.body, func(n ast.Node) bool {
+		ast.Inspect(u.decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
 				if t := f.Pkg.Info.TypeOf(n.X); t != nil {

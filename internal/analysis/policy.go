@@ -63,13 +63,6 @@ type Policy struct {
 	// free-list growers need no entry — any function named grow* is cold.
 	ColdCalls map[string]bool `subject:"function"`
 
-	// PairedSpecs declares the acquire/release obligations the paired rule
-	// enforces: every call to an Acquires function creates an obligation
-	// that must be discharged — by a Releases call, an escape into a struct
-	// field that some function releases, or an ownership-transferring
-	// return — on every CFG path out of the acquiring function.
-	PairedSpecs []PairedSpec
-
 	// Exceptions is the one table of reviewed exceptions: rule name →
 	// excused subject → justification. What a subject is — a function, a
 	// package, a constant — is the rule's Analyzer.Subject; every analyzer
@@ -81,17 +74,6 @@ type Policy struct {
 func (p *Policy) excused(rule, subject string) bool {
 	_, ok := p.Exceptions[rule][subject]
 	return ok
-}
-
-// PairedSpec is one acquire/release resource pair the paired rule tracks.
-type PairedSpec struct {
-	Resource string   // what the handle pins, for messages
-	Acquires []string `subject:"function"` // policy-qualified functions returning an owned handle
-	Releases []string `subject:"function"` // policy-qualified functions that discharge it
-	// Uses are the calls that need the resource live. After a release ran
-	// on a variable, no use may be rooted at that variable until it is
-	// rebound (the reconnect path returns a fresh channel).
-	Uses []string `subject:"function"`
 }
 
 // DefaultPolicy returns the policy for the viampi module — the encoded form
@@ -206,52 +188,6 @@ func DefaultPolicy() *Policy {
 			"internal/via.(Port).Reserve":            true,
 			"internal/mpi.(Rank).rememberDest":       true, // grows once per peer, however often it reconnects
 		},
-		// An eager pool's registration is per channel (growPool Register →
-		// teardownChannel Deregister, tracked through the memHandles field
-		// by the pinned-memory pair below); its receives are a count on the
-		// VI and nobody's handle. A descriptor and its buffer are the network's,
-		// lent while a message is in them (lendLanding → ReturnLanding): the
-		// lender is the NIC side, not a caller that could leak a handle, so
-		// that is no pair either; internal/mpi's TestStaleCQEntryAfterTeardown
-		// holds "each returns exactly once" and TestLandingBuffersAllReturn
-		// "every port ends with none out, and the network's stock all free".
-		// The pendingClose enqueue/replay pair is a protocol obligation, not
-		// a handle: internal/mpi's eviction suites hold it (a BYE_NACK whose
-		// held sends are not replayed fails TestEvictionRandomProgramEquivalence).
-		PairedSpecs: []PairedSpec{
-			{
-				Resource: "pinned memory registration",
-				Acquires: []string{"internal/via.(MemoryRegistry).Register"},
-				Releases: []string{"internal/via.(MemoryRegistry).Deregister"},
-			},
-			{
-				Resource: "RDMA target registration",
-				Acquires: []string{"internal/via.(Port).RegisterRdmaTarget"},
-				Releases: []string{"internal/via.(Port).ReleaseRdmaTarget"},
-			},
-			{
-				Resource: "VI endpoint slot",
-				Acquires: []string{"internal/via.(Port).CreateVi", "internal/via.(Port).CreateViCQ"},
-				// teardownChannel dismantles the whole channel: closes the VI,
-				// deregisters pool memory, forgets the peer.
-				Releases: []string{"internal/via.(VI).Close", "internal/mpi.(Rank).teardownChannel"},
-				// Descriptors posted after a release are lost.
-				Uses: []string{
-					"internal/mpi.(Rank).post", "internal/mpi.(Rank).emit", // the channel send FIFO, and control packets past it
-					"internal/via.(VI).PostSend", "internal/via.(VI).PostRdmaWrite",
-				},
-			},
-			{
-				Resource: "event-bus subscription",
-				Acquires: []string{"internal/obs.(Bus).Subscribe"},
-				Releases: []string{"internal/obs.(Bus).Unsubscribe"},
-			},
-			{
-				Resource: "capture bundle writer",
-				Acquires: []string{"internal/obs/capture.NewWriter"},
-				Releases: []string{"internal/obs/capture.(Writer).Close"},
-			},
-		},
 		Exceptions: map[string]map[string]string{
 			// Packages outside the simulated world: code there may use
 			// wall-clock time, goroutines and locks (and iterate maps in any
@@ -274,11 +210,6 @@ func DefaultPolicy() *Policy {
 			// unchecked. The walk still goes through it to what it calls.
 			"hotalloc": {
 				"internal/mpi.(profiler).enter": "with tracing on, a span's end is a closure over the profiler; a nil profiler (tracing off) returns the capture-free func, which is static (BenchmarkEagerRoundTrip reads 0 allocs/op through it)",
-			},
-			// Run-scoped resources reaped wholesale at teardown.
-			"paired": {
-				"internal/bench.Pingpong":   "the idle extra VIs are Figure 1's independent variable; the whole Port dies with the run",
-				"internal/bench.viaConnect": "ext-vibe deliberately provisions idle VIs to measure per-VI cost; the Port dies with its two-process simulation",
 			},
 		},
 	}

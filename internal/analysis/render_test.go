@@ -59,7 +59,6 @@ func TestRunAllSorted(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"layering", "determinism", "maporder", "exhaustive", "hotalloc",
-		"paired",
 	}
 	var got []string
 	for _, a := range Analyzers() {

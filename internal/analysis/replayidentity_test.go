@@ -45,9 +45,7 @@ func renderAll(t *testing.T, bus *obs.Bus, world int, tracePath string, feed fun
 	}
 	reports.Attach(bus, world)
 	reg := obs.NewRegistry()
-	col := obs.NewCollector(reg)
-	col.Attach(bus)
-	defer col.Detach()
+	obs.NewCollector(reg).Attach(bus)
 
 	feed()
 

@@ -202,7 +202,7 @@ func TestWalkSubjectsRefusesUncheckedFields(t *testing.T) {
 					t.Errorf("walkSubjects passed over %s", c.name)
 				}
 			}()
-			walkSubjects(reflect.ValueOf(c.policy), "", func(string, string, string) {})
+			walkSubjects(reflect.ValueOf(c.policy), func(string, string, string) {})
 		}()
 	}
 }

@@ -24,7 +24,7 @@ func StalePolicy(m *Module, p *Policy) []string {
 			stale = append(stale, fmt.Sprintf("policy.%s[%q] matches no %s in the module; delete the entry or fix the reference", table, key, kind))
 		}
 	}
-	walkSubjects(reflect.ValueOf(p).Elem(), "", check)
+	walkSubjects(reflect.ValueOf(p).Elem(), check)
 	for rule, excused := range p.Exceptions {
 		table := fmt.Sprintf("Exceptions[%q]", rule)
 		a := ByName(rule)
@@ -42,19 +42,13 @@ func StalePolicy(m *Module, p *Policy) []string {
 
 // walkSubjects visits every module reference held in the tagged tables of
 // one policy struct: map keys, string map values when the tag names a
-// second kind after "=", string slice elements, and — recursively — the
-// fields of struct slices (PairedSpecs). A table without a subject tag, and a
-// tag on a field that is no table, panic: the sweep would pass over them.
-func walkSubjects(v reflect.Value, prefix string, check func(table, key, kind string)) {
+// second kind after "=", and string slice elements. A table without a
+// subject tag, and a tag on a field that is no table, panic: the sweep would
+// pass over them.
+func walkSubjects(v reflect.Value, check func(table, key, kind string)) {
 	for i := 0; i < v.NumField(); i++ {
 		field, fv := v.Type().Field(i), v.Field(i)
-		table := prefix + field.Name
-		if fv.Kind() == reflect.Slice && field.Type.Elem().Kind() == reflect.Struct {
-			for j := 0; j < fv.Len(); j++ {
-				walkSubjects(fv.Index(j), fmt.Sprintf("%s[%d].", table, j), check)
-			}
-			continue
-		}
+		table := field.Name
 		tag, tagged := field.Tag.Lookup("subject")
 		keyKind, valKind, _ := strings.Cut(tag, "=")
 		switch {

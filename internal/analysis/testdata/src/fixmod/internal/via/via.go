@@ -1,5 +1,5 @@
-// Package via is the fixture home of the layering case and of the VI surface
-// the paired cases share.
+// Package via is the fixture home of the layering case and of the exhaustive
+// rule's enum cases (enum.go).
 package via
 
 import (
@@ -8,18 +8,3 @@ import (
 
 // Upward exists so the mpi import is used.
 func Upward(m map[int]string) []string { return mpi.GoodSortedKeys(m) }
-
-// Port mirrors the real via.Port.
-type Port struct{}
-
-func (p *Port) notifyActivity() {}
-
-// Descriptor mirrors a posted work request.
-type Descriptor struct{}
-
-// VI mirrors the real VI: its port, its state and its send queue.
-type VI struct {
-	port  *Port
-	state ViState
-	sendQ []*Descriptor
-}

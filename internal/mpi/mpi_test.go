@@ -915,9 +915,12 @@ func TestPacketRoundTrip(t *testing.T) {
 }
 
 func TestModeStrings(t *testing.T) {
-	for _, m := range []SendMode{ModeStandard, ModeSynchronous, ModeReady, ModeBuffered} {
-		if m.String() == "" {
-			t.Error("empty mode string")
+	for m, want := range map[SendMode]string{
+		ModeStandard: "standard", ModeSynchronous: "synchronous", ModeReady: "ready", ModeBuffered: "buffered",
+		9: "SendMode(9)",
+	} {
+		if got := m.String(); got != want {
+			t.Errorf("SendMode(%d).String() = %q, want %q", int(m), got, want)
 		}
 	}
 	// Every packet kind has its own name in protocol failure messages; only a

@@ -132,6 +132,37 @@ func TestHeaderRoundTripWall(t *testing.T) {
 	}
 }
 
+// TestClockStrings pins every clock's label; a value that is no clock falls
+// back to "unknown".
+func TestClockStrings(t *testing.T) {
+	for c, want := range map[Clock]string{ClockVirtual: "virtual", ClockWall: "wall", 9: "unknown"} {
+		if got := c.String(); got != want {
+			t.Errorf("Clock(%d).String() = %q, want %q", uint8(c), got, want)
+		}
+	}
+}
+
+// TestCloseDetachesFromBus: a sealed bundle takes no more events from the
+// bus it was attached to.
+func TestCloseDetachesFromBus(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus()
+	w.Attach(bus)
+	bus.Emit(obs.Event{T: 1, Kind: obs.EvGauge, A: 1})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, size := w.Events(), w.Bytes()
+	bus.Emit(obs.Event{T: 2, Kind: obs.EvGauge, A: 2})
+	if w.Events() != events || w.Bytes() != size {
+		t.Fatalf("after Close: %d events, %d bytes; want %d, %d", w.Events(), w.Bytes(), events, size)
+	}
+}
+
 // TestTruncation cuts a valid bundle at every interesting prefix length and
 // requires a classified error — never a silent success, never a panic.
 func TestTruncation(t *testing.T) {

@@ -14,9 +14,6 @@ type Collector struct {
 	connect   *Histogram
 	egress    *Histogram
 	reconn    *Histogram
-
-	bus *Bus
-	sub Sub
 }
 
 type msgKey struct {
@@ -51,19 +48,11 @@ func NewCollector(reg *Registry) *Collector {
 	return c
 }
 
-// Attach subscribes the collector to b. A nil bus is ignored.
+// Attach subscribes the collector to b for the life of the bus. A nil bus
+// is ignored.
 func (c *Collector) Attach(b *Bus) {
-	if b == nil {
-		return
-	}
-	c.bus, c.sub = b, b.Subscribe(c.Consume)
-}
-
-// Detach unsubscribes the collector; the registry keeps its counts.
-func (c *Collector) Detach() {
-	if c.bus != nil {
-		c.bus.Unsubscribe(c.sub)
-		c.bus = nil
+	if b != nil {
+		b.Subscribe(c.Consume)
 	}
 }
 

@@ -177,9 +177,9 @@ func NewBus() *Bus { return &Bus{} }
 type Sub int
 
 // Subscribe registers fn to receive every subsequent event and returns the
-// handle that detaches it again. Every subscriber must keep the handle: a
-// subscription without an Unsubscribe path pins its closure (and whatever
-// sink it feeds) for the life of the bus.
+// handle that detaches it again. A subscriber that must stop before the bus
+// is dropped keeps the handle; a subscription without an Unsubscribe path
+// pins its closure (and whatever sink it feeds) for the life of the bus.
 func (b *Bus) Subscribe(fn func(Event)) Sub {
 	b.subs = append(b.subs, fn)
 	return Sub(len(b.subs) - 1)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"strings"
 	"testing"
 )
@@ -185,6 +186,36 @@ func TestRecorderRuns(t *testing.T) {
 	}
 	if r.Len() != 3 || len(r.Events()) != 2 {
 		t.Fatalf("Len=%d Events=%d", r.Len(), len(r.Events()))
+	}
+	r.Detach()
+	b.Emit(Event{T: 4, Kind: EvGauge, A: 4})
+	if r.Len() != 3 {
+		t.Fatalf("Len=%d after Detach, want 3", r.Len())
+	}
+}
+
+// TestReportsRenderDetaches: Render unsubscribes the folds, so an event
+// emitted after it changes nothing a second Render prints.
+func TestReportsRenderDetaches(t *testing.T) {
+	var r Reports
+	fs := flag.NewFlagSet("reports", flag.ContinueOnError)
+	r.Flags(fs)
+	if err := fs.Parse([]string{"-matrix", "-profile", "-metrics", "-phases"}); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBus()
+	r.Attach(b, 2)
+	b.Emit(Event{T: 1, Kind: EvMsgSend, Rank: 0, Peer: 1, A: 8})
+	var first, second bytes.Buffer
+	if err := r.Render(&first, false); err != nil {
+		t.Fatal(err)
+	}
+	b.Emit(Event{T: 2, Kind: EvMsgSend, Rank: 1, Peer: 0, A: 64})
+	if err := r.Render(&second, false); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("an event after Render reached the reports:\nfirst:\n%s\nsecond:\n%s", first.String(), second.String())
 	}
 }
 

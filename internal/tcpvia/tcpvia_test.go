@@ -600,3 +600,16 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestViStateStrings pins every VI state's label; a value that is no state
+// gets the numbered fallback.
+func TestViStateStrings(t *testing.T) {
+	for s, want := range map[ViState]string{
+		Idle: "idle", Connecting: "connecting", Connected: "connected",
+		Errored: "error", Closed: "closed", 99: "ViState(99)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("ViState(%d).String() = %q, want %q", int(s), got, want)
+		}
+	}
+}

@@ -1437,14 +1437,32 @@ func TestConnectPeerWaitTimeout(t *testing.T) {
 		})
 }
 
+// TestStatusStrings pins every descriptor status's and wait mode's label,
+// which protocol failure messages and reports print; a value that is no
+// status gets the numbered fallback.
 func TestStatusStrings(t *testing.T) {
-	for _, s := range []fmt.Stringer{
-		StatusPending, StatusSuccess, StatusNotConnected, StatusDisconnected, StatusErrorState,
-		ViIdle, ViConnecting, ViConnected, ViError, ViDisconnected, ViClosed,
-		WaitPoll, WaitSpin,
+	for s, want := range map[Status]string{
+		StatusPending: "pending", StatusSuccess: "success", StatusNotConnected: "not-connected",
+		StatusDisconnected: "disconnected", StatusErrorState: "error-state", 99: "Status(99)",
 	} {
-		if s.String() == "" {
-			t.Errorf("empty String() for %#v", s)
+		if got := s.String(); got != want {
+			t.Errorf("Status(%d).String() = %q, want %q", int(s), got, want)
+		}
+	}
+	if WaitPoll.String() != "polling" || WaitSpin.String() != "spinwait" {
+		t.Errorf("wait modes print %q and %q, want \"polling\" and \"spinwait\"", WaitPoll, WaitSpin)
+	}
+}
+
+// TestViStateStrings pins every VI state's label; a value that is no state
+// gets the numbered fallback.
+func TestViStateStrings(t *testing.T) {
+	for s, want := range map[ViState]string{
+		ViIdle: "idle", ViConnecting: "connecting", ViConnected: "connected",
+		ViError: "error", ViDisconnected: "disconnected", ViClosed: "closed", 99: "ViState(99)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("ViState(%d).String() = %q, want %q", int(s), got, want)
 		}
 	}
 }
